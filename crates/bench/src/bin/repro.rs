@@ -4,9 +4,9 @@
 //!
 //! ```text
 //! repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize]
-//!       [--observe] [--racecheck] [--no-fastpath]
+//!       [--observe] [--no-fastpath]
 //!       [all|table1|table2|table3|table10|table11|table12|cache|
-//!        figures [--csv DIR]|bsd|check|lint [--root DIR]|
+//!        figures [--csv DIR]|bsd|check|lint [--root DIR] [--audit]|
 //!        ablations|extensions|faults|latency|gen-trace OUT|
 //!        obs [--json]|profile|selftrace|bench]
 //! ```
@@ -16,7 +16,9 @@
 //! values alongside. `--quick` uses the reduced configuration (useful
 //! for smoke tests). `--observe` runs the self-measurement layer
 //! alongside any study subcommand, printing its report to stderr so
-//! stdout stays byte-identical to a plain run.
+//! stdout stays byte-identical to a plain run. Anything the parser does
+//! not understand — an unknown flag, a malformed value, a zero trace or
+//! worker count — prints the usage synopsis and exits 2.
 
 use std::time::Instant;
 
@@ -65,9 +67,32 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "bench",
 ];
 
-/// The usage synopsis printed on an unknown subcommand.
+/// Flags that take no value. Subcommand-specific ones (`--json`,
+/// `--audit`) are accepted anywhere, like the global ones.
+const SWITCHES: &[&str] = &[
+    "--quick",
+    "--sanitize",
+    "--observe",
+    "--no-fastpath",
+    "--json",
+    "--audit",
+];
+
+/// Flags that take one value.
+const VALUE_FLAGS: &[&str] = &["--traces", "--days", "--threads", "--csv", "--root"];
+
+/// The usage synopsis printed on any command line the parser rejects.
 fn usage() -> String {
-    "usage: repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize] [--observe] [--racecheck] [--no-fastpath] [SUBCOMMAND]\n\
+    "usage: repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize] [--observe] [--no-fastpath] [SUBCOMMAND]\n\
+     \n\
+     options:\n\
+     \x20 --quick             reduced study (2 traces, 8 clients, 2 counter days)\n\
+     \x20 --traces N          keep only the first N traces (N >= 1)\n\
+     \x20 --days N            counter-campaign length in days\n\
+     \x20 --threads N|auto    trace workers: traces simulated at once (auto = host CPUs)\n\
+     \x20 --sanitize          run SpriteSan; verdict on stderr, exit 1 on a violation\n\
+     \x20 --observe           run the self-measurement layer; report on stderr\n\
+     \x20 --no-fastpath       force every open/close through the full consistency walk\n\
      \n\
      subcommands:\n\
      \x20 all                 full study, every table and figure (default)\n\
@@ -77,64 +102,136 @@ fn usage() -> String {
      \x20 fig1..fig4          alias for figures\n\
      \x20 bsd                 1985 BSD study comparison\n\
      \x20 check               reproduction scorecard (exit 1 on failure)\n\
-     \x20 lint [--root DIR] [--audit]  determinism + plane-safety lints (--audit lists suppressions)\n\
+     \x20 lint [--root DIR] [--audit]  determinism lints (--audit lists suppressions)\n\
      \x20 ablations           write-back delay ablation\n\
      \x20 extensions          crash-exposure and policy-matrix studies\n\
      \x20 faults              availability under server failure\n\
      \x20 latency             modeled operation latency report\n\
      \x20 gen-trace OUT       write one trace as a binary trace file\n\
      \x20 obs [--json]        self-measurement report (implies --observe)\n\
-     \x20 profile [--causal] [--trace-out FILE]  stage breakdown; CausalProf critical-path profile and Perfetto export\n\
+     \x20 profile             wall-clock breakdown of the pipeline stages\n\
      \x20 selftrace           simulator self-trace cross-check (exit 1 on disagreement)\n\
-     \x20 bench               timed stages -> BENCH_0001.json .. BENCH_0005.json\n"
+     \x20 bench               timed stages -> BENCH_0001.json, BENCH_0002.json, BENCH_0004.json\n"
         .to_string()
+}
+
+/// The parsed command line.
+struct Cli {
+    /// The subcommand (`all` when none is given).
+    what: String,
+    /// `gen-trace OUT`'s output path.
+    out: Option<String>,
+    /// The switches given (members of [`SWITCHES`]).
+    switches: Vec<String>,
+    /// `--traces N`: keep only the first N traces.
+    traces: Option<usize>,
+    /// `--days N`: counter-campaign length in days.
+    days: Option<u32>,
+    /// `--threads N|auto`: trace workers.
+    threads: Option<usize>,
+    /// `figures --csv DIR`.
+    csv: Option<String>,
+    /// `lint --root DIR`.
+    root: Option<String>,
+}
+
+impl Cli {
+    fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+}
+
+/// Parses the command line, rejecting unknown flags, malformed or
+/// missing values, zero trace/worker counts, unknown subcommands, and
+/// stray positional arguments. The error is the one-line diagnostic.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let count = |flag: &str, v: &str| match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{flag} expects a positive integer, got `{v}`")),
+    };
+    let mut cli = Cli {
+        what: String::from("all"),
+        out: None,
+        switches: Vec::new(),
+        traces: None,
+        days: None,
+        threads: None,
+        csv: None,
+        root: None,
+    };
+    let mut positional: Vec<&String> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            positional.push(a);
+            continue;
+        }
+        if SWITCHES.contains(&a.as_str()) {
+            cli.switches.push(a.clone());
+            continue;
+        }
+        if !VALUE_FLAGS.contains(&a.as_str()) {
+            return Err(format!("unknown flag `{a}`"));
+        }
+        let v = match it.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => return Err(format!("{a} requires a value")),
+        };
+        match a.as_str() {
+            "--traces" => cli.traces = Some(count(a, v)?),
+            "--days" => {
+                cli.days = Some(
+                    v.parse()
+                        .map_err(|_| format!("--days expects a whole number, got `{v}`"))?,
+                )
+            }
+            "--threads" => {
+                cli.threads = Some(if v == "auto" {
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                } else {
+                    count(a, v)?
+                })
+            }
+            "--csv" => cli.csv = Some(v.clone()),
+            _ => cli.root = Some(v.clone()),
+        }
+    }
+    let mut positional = positional.into_iter();
+    if let Some(what) = positional.next() {
+        cli.what = what.clone();
+    }
+    if !KNOWN_SUBCOMMANDS.contains(&cli.what.as_str()) {
+        return Err(format!("unknown subcommand `{}`", cli.what));
+    }
+    if cli.what == "gen-trace" {
+        cli.out = positional.next().cloned();
+    }
+    if let Some(extra) = positional.next() {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    Ok(cli)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    // The first positional argument is the subcommand; skip flags and
-    // the values of flags that take one.
-    let value_flags = ["--traces", "--days", "--csv", "--root", "--threads", "--trace-out"];
-    let mut what = String::from("all");
-    let mut skip_next = false;
-    for a in args.iter() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if value_flags.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        what = a.clone();
-        // `gen-trace OUT` keeps OUT as its own argument.
-        break;
-    }
-
-    if !KNOWN_SUBCOMMANDS.contains(&what.as_str()) {
-        eprint!("repro: unknown subcommand `{what}`\n\n{}", usage());
+    let cli = parse_args(&args).unwrap_or_else(|msg| {
+        eprint!("repro: {msg}\n\n{}", usage());
         std::process::exit(2);
-    }
+    });
+    let what = cli.what.as_str();
 
     if what == "lint" {
         // `repro lint [--root DIR] [--audit]`: run the determinism
-        // lints and the PlaneCheck analysis over the workspace sources.
-        // Exits 1 if any rule fires. `--audit` instead lists every
-        // `lint:allow` site with its staleness verdict (stale
-        // suppressions are warnings, not failures).
-        let root = args
-            .iter()
-            .position(|a| a == "--root")
-            .and_then(|i| args.get(i + 1))
+        // lints over the workspace sources. Exits 1 if any rule fires.
+        // `--audit` instead lists every `lint:allow` site with its
+        // staleness verdict (stale suppressions are warnings, not
+        // failures).
+        let root = cli
+            .root
+            .as_ref()
             .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-            });
-        if args.iter().any(|a| a == "--audit") {
+            .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
+        if cli.has("--audit") {
             match sdfs_lint::audit_workspace(&root) {
                 Ok(sites) => {
                     for s in &sites {
@@ -154,12 +251,9 @@ fn main() {
             }
             return;
         }
-        let plane = sdfs_lint::workspace_worker_plane(&root)
-            .map(|wp| wp.len())
-            .unwrap_or(0);
         match sdfs_lint::lint_workspace(&root) {
             Ok(violations) if violations.is_empty() => {
-                eprintln!("repro lint: clean ({plane} worker-plane fns checked)");
+                eprintln!("repro lint: clean");
             }
             Ok(violations) => {
                 for v in &violations {
@@ -176,110 +270,49 @@ fn main() {
         return;
     }
 
+    let quick = cli.has("--quick");
     let mut cfg = if quick {
         sdfs_bench::bench_config()
     } else {
         sdfs_bench::paper_config()
     };
     // `--traces N` / `--days N` shrink the campaign for calibration runs.
-    let flag_val = |name: &str| -> Option<u32> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    if let Some(n) = flag_val("--traces") {
-        cfg.traces.truncate(n as usize);
+    if let Some(n) = cli.traces {
+        cfg.traces.truncate(n);
     }
-    if let Some(n) = flag_val("--days") {
+    if let Some(n) = cli.days {
         cfg.counter_days = n;
     }
-    // `--threads N|auto` shards each cluster's data plane across worker
-    // threads; `auto` resolves to the host's available parallelism, so
-    // a small machine is never oversubscribed. Output is byte-identical
-    // at any value (sanitized, observed, and fault runs always use the
-    // sequential engine).
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads_arg = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let parse_threads = |v: &str| -> Option<usize> {
-        if v == "auto" {
-            Some(host_cpus)
-        } else {
-            v.parse::<usize>().ok()
-        }
-    };
-    if let Some(n) = threads_arg.as_deref().and_then(parse_threads) {
-        cfg.threads = n.max(1);
+    // `--threads N|auto` sets how many traces are simulated at once,
+    // each on its own worker; `auto` resolves to the host's available
+    // parallelism. Output is byte-identical at any value.
+    if let Some(n) = cli.threads {
+        cfg.parallelism = n;
     }
     // `--no-fastpath` turns the control-plane consistency fast path off,
     // forcing every open and close through the full consistency walk.
     // Output is byte-identical either way — the flag exists so CI can
     // prove it with `cmp`.
-    if args.iter().any(|a| a == "--no-fastpath") {
+    if cli.has("--no-fastpath") {
         cfg.cluster.consistency_fast_path = false;
     }
     // `--sanitize` runs SpriteSan alongside the simulation. The verdict
     // goes to stderr so stdout stays byte-identical to a plain run.
-    let sanitize = args.iter().any(|a| a == "--sanitize");
+    let sanitize = cli.has("--sanitize");
     cfg.cluster.sanitize = sanitize;
     // `--observe` runs the self-measurement layer the same way: report
     // to stderr, stdout untouched. `repro obs` implies it.
-    let observe = args.iter().any(|a| a == "--observe") || what == "obs";
+    let observe = cli.has("--observe") || what == "obs";
     cfg.cluster.observe = observe;
-    // `--racecheck` runs the PlaneCheck dynamic happens-before checker
-    // on the parallel engine (it does NOT force the sequential
-    // fallback). Verdict to stderr, stdout byte-identical, exit 1 on
-    // any violation.
-    let racecheck = args.iter().any(|a| a == "--racecheck");
-    cfg.cluster.racecheck = racecheck;
-    // `--causal` turns on the CausalProf recording layer (it does NOT
-    // force the sequential fallback — the recorded trace is identical
-    // at any thread count). `repro profile --causal` prints the
-    // critical-path profile; under a study run it adds scorecard rows.
-    // Misspelled `--causal`-family flags are rejected rather than
-    // silently ignored — a typo must not demote a profiled run to an
-    // unprofiled one.
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--causal") && a.as_str() != "--causal")
-    {
-        eprint!("repro: unknown flag `{bad}`\n\n{}", usage());
-        std::process::exit(2);
-    }
-    let causal = args.iter().any(|a| a == "--causal");
-    cfg.cluster.causal = causal;
     let study = Study::new(cfg);
 
     if what == "bench" {
-        let budget = threads_arg
-            .as_deref()
-            .and_then(parse_threads)
-            .unwrap_or(8)
-            .max(1);
-        run_bench(budget, host_cpus);
+        run_bench();
         return;
     }
 
     if what == "profile" {
-        // `--trace-out FILE` exports the causal DAG as Perfetto JSON
-        // (implies the causal probe). A missing value is a usage error.
-        let trace_out = match args.iter().position(|a| a == "--trace-out") {
-            Some(i) => match args.get(i + 1) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    eprint!("repro: --trace-out requires a file argument\n\n{}", usage());
-                    std::process::exit(2);
-                }
-            },
-            None => None,
-        };
-        run_profile(&study, causal, trace_out.as_deref());
+        run_profile(&study);
         return;
     }
 
@@ -390,12 +423,7 @@ fn main() {
     if what == "gen-trace" {
         // Generate one trace and write it as a binary trace file, for
         // use with `tracetool`.
-        let out = args
-            .iter()
-            .position(|a| a == "gen-trace")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| "trace1.bin".to_string());
+        let out = cli.out.unwrap_or_else(|| "trace1.bin".to_string());
         let spec = study.config().traces[0];
         let records = study.run_trace_records(spec);
         let mut writer = sdfs_trace::TraceWriter::create(&out).expect("create trace file");
@@ -434,7 +462,7 @@ fn main() {
                 report.ring_capacity,
             );
         }
-        if args.iter().any(|a| a == "--json") {
+        if cli.has("--json") {
             println!("{}", report.to_json());
         } else {
             print!("{}", report.render());
@@ -442,7 +470,7 @@ fn main() {
         return;
     }
 
-    let out = match what.as_str() {
+    let out = match what {
         "check" => {
             let sc = sdfs_core::check::scorecard(&mut results);
             let text = sc.render();
@@ -470,11 +498,7 @@ fn main() {
         "table10" | "table11" | "table12" => report::render_consistency_tables(&results),
         "figures" | "fig1" | "fig2" | "fig3" | "fig4" => {
             let mut s = report::render_figure_checkpoints(&mut results.traces);
-            if let Some(dir) = args
-                .iter()
-                .position(|a| a == "--csv")
-                .and_then(|i| args.get(i + 1))
-            {
+            if let Some(dir) = &cli.csv {
                 for (i, t) in results.traces.iter_mut().enumerate() {
                     let dir = std::path::Path::new(dir).join(format!("trace{}", i + 1));
                     let written =
@@ -510,17 +534,6 @@ fn main() {
             None => eprintln!("observer: no report collected"),
         }
     }
-    if racecheck {
-        match results.racecheck_summary() {
-            Some(rc) => {
-                eprintln!("{}", rc.render());
-                if !rc.is_clean() {
-                    std::process::exit(1);
-                }
-            }
-            None => eprintln!("racecheck: no verdict collected"),
-        }
-    }
 }
 
 /// Pre-optimization wall clock of `repro --quick all` on the reference
@@ -528,9 +541,9 @@ fn main() {
 /// the fused-analysis / allocation-diet work landed.
 const BASELINE_QUICK_ALL_SECS: f64 = 6.55;
 
-/// `repro bench [--threads N]`: time each pipeline stage on the quick
-/// configuration and write the results to `BENCH_0001.json` /
-/// `BENCH_0002.json` / `BENCH_0003.json`.
+/// `repro bench`: time each pipeline stage on the quick configuration
+/// and write the results to `BENCH_0001.json` / `BENCH_0002.json` /
+/// `BENCH_0004.json`.
 ///
 /// Stages are timed in isolation (simulate, fused analysis, the old
 /// separate-pass analysis for comparison, the counter campaign, report
@@ -540,7 +553,7 @@ const BASELINE_QUICK_ALL_SECS: f64 = 6.55;
 /// `end_to_end` — each stage record carries `isolated_secs` and its
 /// `share_of_end_to_end` ratio explicitly (shares can exceed 1 and need
 /// not sum to 1).
-fn run_bench(max_threads: usize, host_cpus: usize) {
+fn run_bench() {
     let study = Study::new(sdfs_bench::bench_config());
 
     // Stage 1: simulate — synthesize and execute every trace.
@@ -646,207 +659,7 @@ fn run_bench(max_threads: usize, host_cpus: usize) {
     print!("{json2}");
     eprintln!("wrote BENCH_0002.json");
 
-    let bound_at_max = run_threads_sweep(max_threads, host_cpus);
-    run_fastpath_bench(bound_at_max, max_threads);
-    run_causal_bench(bound_at_max, max_threads);
-}
-
-/// The BENCH_0003 threads sweep: four normal-profile quick-scale traces
-/// simulated under increasing thread budgets. Each budget `T` splits
-/// into `min(T, traces)` trace-level workers × `T / workers` shard
-/// threads per cluster, the same two levels a paper-scale campaign
-/// composes. Records, per budget, the measured wall clock on this host
-/// and the machine-independent *data-plane speedup bound* — total
-/// dispatch rounds divided by the critical path (the busiest
-/// trace-worker lane, each trace costed at its busiest shard lane).
-///
-/// The unit is the *dispatch round*, not the raw task: consecutive
-/// same-client tasks coalesce into one round (see `parallel.rs`), so a
-/// lane's round count is what the coordinator actually pays to feed it.
-/// Raw task counts stay in each row for transparency. Timed rows
-/// execute at `min(T, host_cpus)` threads — oversubscribing a small
-/// host measures scheduler churn, not the decomposition — while the
-/// bound is always computed for the full budget. Returns the bound at
-/// the largest budget for BENCH_0004.
-fn run_threads_sweep(max_threads: usize, host_cpus: usize) -> f64 {
-    use sdfs_simkit::SimTime;
-    use sdfs_spritefs::cluster::NullSink;
-    use sdfs_spritefs::{Cluster, VecSink};
-    use sdfs_workload::{Generator, TraceSpec};
-
-    let base = sdfs_bench::bench_config();
-    let specs: Vec<TraceSpec> = (11..15)
-        .map(|seed| TraceSpec {
-            seed,
-            heavy_sim: false,
-        })
-        .collect();
-    let end = SimTime::from_secs(86_400);
-
-    // One untimed sharded probe per trace: the task totals and the
-    // shard-lane balance (dispatch counts are deterministic and
-    // independent of the shard count actually used to execute).
-    let probe: Vec<sdfs_spritefs::ParallelStats> = specs
-        .iter()
-        .map(|&spec| {
-            let wl = base.workload.for_trace(spec);
-            let mut gen = Generator::new(wl);
-            let mut cluster = Cluster::new(base.cluster.clone(), NullSink);
-            cluster.preload(&gen.preload_list());
-            cluster.run_parallel(gen.generate_day(0), end, 2);
-            cluster
-                .parallel_stats()
-                .expect("sharded probe run records stats")
-                .clone()
-        })
-        .collect();
-    let total_tasks: u64 = probe.iter().map(|p| p.total_tasks()).sum();
-    let total_rounds: u64 = probe.iter().map(|p| p.total_rounds()).sum();
-
-    // Equivalence check inside the bench: the first trace's records and
-    // counters must be identical sequential vs sharded.
-    let run_records = |threads: usize| {
-        let wl = base.workload.for_trace(specs[0]);
-        let mut gen = Generator::new(wl);
-        let mut cluster = Cluster::new(
-            base.cluster.clone(),
-            VecSink::new(base.cluster.num_servers),
-        );
-        cluster.preload(&gen.preload_list());
-        cluster.run_parallel(gen.generate_day(0), end, threads);
-        let (sink, clients, _) = cluster.into_parts();
-        let counters: Vec<_> = clients
-            .into_iter()
-            .map(|c| c.data.metrics.counters)
-            .collect();
-        (sink.per_server, counters)
-    };
-    let (rec_seq, ctr_seq) = run_records(1);
-    let (rec_par, ctr_par) = run_records(4);
-    let identical = rec_seq == rec_par && ctr_seq == ctr_par;
-
-    let budgets: Vec<usize> = {
-        let mut b = vec![1, 2, 4, max_threads];
-        b.sort_unstable();
-        b.dedup();
-        b
-    };
-    // Greedy LPT packing of traces onto `workers` lanes; returns the
-    // busiest lane's total.
-    let pack = |cost: &[u64], workers: usize| -> u64 {
-        let mut order: Vec<usize> = (0..cost.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(cost[i]));
-        let mut lanes = vec![0u64; workers];
-        for i in order {
-            let min = lanes
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &w)| w)
-                .map(|(i, _)| i)
-                .expect("at least one lane");
-            lanes[min] += cost[i];
-        }
-        lanes.iter().copied().max().unwrap_or(1).max(1)
-    };
-
-    let mut rows = Vec::new();
-    let mut secs_at: Vec<(usize, f64)> = Vec::new();
-    let mut bound_at_max = 1.0f64;
-    for &t in &budgets {
-        let workers = t.min(specs.len());
-        let shards = (t / workers).max(1);
-        // Timed rows never oversubscribe: a budget past `host_cpus`
-        // buys no wall clock, only scheduler churn, so the execution is
-        // capped while the decomposition keeps the full budget.
-        let exec = t.min(host_cpus).max(1);
-        let exec_workers = exec.min(specs.len());
-        let exec_shards = (exec / exec_workers).max(1);
-        let start = Instant::now();
-        // The same work-stealing shape Study::run_traces uses, simulate
-        // only, with each cluster sharded `exec_shards` wide.
-        {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..exec_workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= specs.len() {
-                            break;
-                        }
-                        let wl = base.workload.for_trace(specs[i]);
-                        let mut gen = Generator::new(wl);
-                        let mut cluster = Cluster::new(base.cluster.clone(), NullSink);
-                        cluster.preload(&gen.preload_list());
-                        cluster.run_parallel(gen.generate_day(0), end, exec_shards);
-                    });
-                }
-            });
-        }
-        let secs = start.elapsed().as_secs_f64();
-
-        // Critical path: traces greedily packed onto `workers` lanes;
-        // each trace costs its busiest shard lane (or its whole total
-        // when shards == 1), in both round and raw-task units.
-        let cost_tasks: Vec<u64> = probe
-            .iter()
-            .map(|p| {
-                if shards <= 1 {
-                    p.total_tasks()
-                } else {
-                    p.max_worker_tasks()
-                }
-            })
-            .collect();
-        let cost_rounds: Vec<u64> = probe
-            .iter()
-            .map(|p| {
-                if shards <= 1 {
-                    p.total_rounds()
-                } else {
-                    p.max_worker_rounds()
-                }
-            })
-            .collect();
-        let critical_tasks = pack(&cost_tasks, workers);
-        let critical_rounds = pack(&cost_rounds, workers);
-        let bound = total_rounds as f64 / critical_rounds as f64;
-        let bound_tasks = total_tasks as f64 / critical_tasks as f64;
-        bound_at_max = bound;
-        secs_at.push((t, secs));
-        rows.push(format!(
-            "    {{ \"threads\": {t}, \"trace_workers\": {workers}, \"shard_threads\": {shards}, \
-             \"exec_threads\": {exec}, \"simulate_secs\": {secs:.3}, \
-             \"critical_path_rounds\": {critical_rounds}, \"critical_path_tasks\": {critical_tasks}, \
-             \"data_plane_speedup_bound\": {bound:.2}, \
-             \"data_plane_speedup_bound_tasks\": {bound_tasks:.2} }}"
-        ));
-    }
-
-    let secs_of = |t: usize| {
-        secs_at
-            .iter()
-            .find(|&&(b, _)| b == t)
-            .map(|&(_, s)| s)
-            .unwrap_or(0.0)
-    };
-    let wall_speedup = secs_of(1) / secs_of(*budgets.last().expect("non-empty")).max(1e-9);
-
-    let json3 = format!(
-        "{{\n  \"config\": \"quick-sweep\",\n  \"traces\": {},\n  \"host_cpus\": {},\n  \"total_tasks\": {},\n  \"total_rounds\": {},\n  \"note\": \"timed rows execute at exec_threads = min(threads, host_cpus); the data-plane bound measures the decomposition (total dispatch rounds / critical path in rounds) for the full budget and is machine-independent\",\n  \"sweep\": [\n{}\n  ],\n  \"records_identical_across_shards\": {},\n  \"simulate_wall_speedup_max_vs_1\": {:.2},\n  \"simulate_speedup_bound_max_vs_1\": {:.2}\n}}\n",
-        specs.len(),
-        host_cpus,
-        total_tasks,
-        total_rounds,
-        rows.join(",\n"),
-        identical,
-        wall_speedup,
-        bound_at_max,
-    );
-    std::fs::write("BENCH_0003.json", &json3).expect("write BENCH_0003.json");
-    print!("{json3}");
-    eprintln!("wrote BENCH_0003.json");
-    bound_at_max
+    run_fastpath_bench();
 }
 
 /// The BENCH_0004 fast-path report: the simulate stage of the quick
@@ -855,7 +668,7 @@ fn run_threads_sweep(max_threads: usize, host_cpus: usize) -> f64 {
 /// both produce identical records and the hit rate the calm summaries
 /// achieved. Runs interleave and each side keeps its best of two so
 /// transient host noise doesn't decide the ratio.
-fn run_fastpath_bench(bound_at_max: f64, max_threads: usize) {
+fn run_fastpath_bench() {
     use sdfs_simkit::SimTime;
     use sdfs_spritefs::cluster::NullSink;
     use sdfs_spritefs::{AppOp, Cluster, OpKind};
@@ -899,7 +712,7 @@ fn run_fastpath_bench(bound_at_max: f64, max_threads: usize) {
         let mut gen = Generator::new(wl);
         let mut cluster = Cluster::new(base.cluster.clone(), NullSink);
         cluster.preload(&gen.preload_list());
-        cluster.run_parallel(gen.generate_day(0), end, 1);
+        cluster.run(gen.generate_day(0), end);
         let s = cluster.fastpath_stats();
         fp.open_hits += s.open_hits;
         fp.open_misses += s.open_misses;
@@ -941,7 +754,7 @@ fn run_fastpath_bench(bound_at_max: f64, max_threads: usize) {
         for _ in 0..3 {
             let mut cluster = Cluster::new(cfg.clone(), NullSink);
             let t = Instant::now();
-            cluster.run_parallel(decision_ops.clone(), end, 1);
+            cluster.run(decision_ops.clone(), end);
             best = best.min(t.elapsed().as_secs_f64());
         }
         best * 1e9 / decision_ops.len() as f64
@@ -951,7 +764,7 @@ fn run_fastpath_bench(bound_at_max: f64, max_threads: usize) {
     let dec_speedup = dec_off / dec_on.max(1e-9);
 
     let json4 = format!(
-        "{{\n  \"config\": \"quick\",\n  \"simulate_secs_fastpath_off\": {:.3},\n  \"simulate_secs_fastpath_on\": {:.3},\n  \"simulate_wall_speedup_on_vs_off\": {:.2},\n  \"open_close_decision_ns_per_op_off\": {:.1},\n  \"open_close_decision_ns_per_op_on\": {:.1},\n  \"open_close_decision_speedup_on_vs_off\": {:.2},\n  \"records_identical_on_vs_off\": {},\n  \"fastpath_open_hits\": {},\n  \"fastpath_open_misses\": {},\n  \"fastpath_close_hits\": {},\n  \"fastpath_close_misses\": {},\n  \"fastpath_hit_rate_pct\": {:.1},\n  \"threads_for_bound\": {},\n  \"data_plane_speedup_bound\": {:.2},\n  \"data_plane_speedup_bound_prev_pr\": 7.07,\n  \"note\": \"full-campaign simulate wall time is dominated by data-plane block work that is byte-identical on vs off by design; the decision benchmark isolates the open/close consistency path the fast path replaces\"\n}}\n",
+        "{{\n  \"config\": \"quick\",\n  \"simulate_secs_fastpath_off\": {:.3},\n  \"simulate_secs_fastpath_on\": {:.3},\n  \"simulate_wall_speedup_on_vs_off\": {:.2},\n  \"open_close_decision_ns_per_op_off\": {:.1},\n  \"open_close_decision_ns_per_op_on\": {:.1},\n  \"open_close_decision_speedup_on_vs_off\": {:.2},\n  \"records_identical_on_vs_off\": {},\n  \"fastpath_open_hits\": {},\n  \"fastpath_open_misses\": {},\n  \"fastpath_close_hits\": {},\n  \"fastpath_close_misses\": {},\n  \"fastpath_hit_rate_pct\": {:.1},\n  \"note\": \"full-campaign simulate wall time is dominated by data-plane block work that is byte-identical on vs off by design; the decision benchmark isolates the open/close consistency path the fast path replaces\"\n}}\n",
         off_secs,
         on_secs,
         speedup,
@@ -964,149 +777,10 @@ fn run_fastpath_bench(bound_at_max: f64, max_threads: usize) {
         fp.close_hits,
         fp.close_misses,
         fp.hit_rate_pct(),
-        max_threads,
-        bound_at_max,
     );
     std::fs::write("BENCH_0004.json", &json4).expect("write BENCH_0004.json");
     print!("{json4}");
     eprintln!("wrote BENCH_0004.json");
-}
-
-/// The BENCH_0005 CausalProf report: the same four quick-scale traces
-/// as BENCH_0003, each probed once with the recording layer on, then
-/// analyzed two ways. At 2 lanes the reconstructed round counts must
-/// reproduce BENCH_0003's round-based speedup bound exactly (same
-/// sealing rule, same LPT pack — verify.sh gates the agreement at 5%,
-/// we deliver 0%). On the canonical 8-lane machine the sim-time-
-/// weighted critical path refines that bound with occupancy and blame:
-/// *which* op classes serialize the coordinator, the measurement the
-/// ROADMAP's lookahead follow-on asks for.
-fn run_causal_bench(round_bound_bench_0003: f64, max_threads: usize) {
-    use sdfs_core::causal;
-    use sdfs_simkit::SimTime;
-    use sdfs_spritefs::cluster::NullSink;
-    use sdfs_spritefs::Cluster;
-    use sdfs_workload::{Generator, TraceSpec};
-
-    let base = sdfs_bench::bench_config();
-    let specs: Vec<TraceSpec> = (11..15)
-        .map(|seed| TraceSpec {
-            seed,
-            heavy_sim: false,
-        })
-        .collect();
-    let end = SimTime::from_secs(86_400);
-
-    let t0 = Instant::now();
-    let reports: Vec<(causal::CausalReport, causal::CausalReport)> = specs
-        .iter()
-        .map(|&spec| {
-            let wl = base.workload.for_trace(spec);
-            let mut gen = Generator::new(wl);
-            let mut cfg = base.cluster.clone();
-            cfg.causal = true;
-            let mut cluster = Cluster::new(cfg, NullSink);
-            cluster.preload(&gen.preload_list());
-            cluster.run_parallel(gen.generate_day(0), end, 2);
-            let trace = cluster
-                .take_causal()
-                .expect("causal probe records a trace");
-            (
-                causal::analyze(&trace, 2),
-                causal::analyze(&trace, causal::CANONICAL_LANES),
-            )
-        })
-        .collect();
-    let probe_secs = t0.elapsed().as_secs_f64();
-
-    // BENCH_0003's exact critical-path arithmetic, fed from the causal
-    // reconstruction instead of `ParallelStats`: traces packed greedily
-    // (LPT) onto the trace-worker lanes, each costed at its busiest
-    // 2-shard lane.
-    let pack = |cost: &[u64], workers: usize| -> u64 {
-        let mut order: Vec<usize> = (0..cost.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(cost[i]));
-        let mut lanes = vec![0u64; workers];
-        for i in order {
-            let min = lanes
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &w)| w)
-                .map(|(i, _)| i)
-                .expect("at least one lane");
-            lanes[min] += cost[i];
-        }
-        lanes.iter().copied().max().unwrap_or(1).max(1)
-    };
-    let workers = max_threads.min(specs.len()).max(1);
-    let shards = (max_threads / workers).max(1);
-    let total_rounds: u64 = reports.iter().map(|(r2, _)| r2.rounds_total).sum();
-    let cost_rounds: Vec<u64> = reports
-        .iter()
-        .map(|(r2, _)| {
-            if shards <= 1 {
-                r2.rounds_total
-            } else {
-                r2.rounds_critical
-            }
-        })
-        .collect();
-    let critical_rounds = pack(&cost_rounds, workers);
-    let causal_round_bound = total_rounds as f64 / critical_rounds as f64;
-    let agreement = causal_round_bound / round_bound_bench_0003.max(1e-9);
-
-    // Canonical-machine aggregates: the time-weighted bound and the
-    // critical-path decomposition the round count cannot see.
-    let mut sum = causal::CausalSummary::default();
-    for (_, r8) in &reports {
-        sum.add(r8);
-    }
-    let pct = |part: u64| 100.0 * part as f64 / sum.t_crit_us.max(1) as f64;
-    let rows: Vec<String> = specs
-        .iter()
-        .zip(&reports)
-        .map(|(spec, (_, r8))| {
-            let top = r8.rpc_blame.first();
-            format!(
-                "    {{ \"seed\": {}, \"t_seq_us\": {}, \"t_crit_us\": {}, \
-                 \"speedup_bound_time\": {:.2}, \"coordinator_util_pct\": {:.1}, \
-                 \"worker_mean_util_pct\": {:.1}, \"coordinator_blame_top\": \"{}\", \
-                 \"coordinator_blame_top_share_pct\": {:.1} }}",
-                spec.seed,
-                r8.t_seq_us,
-                r8.t_crit_us,
-                r8.speedup_bound_time(),
-                r8.coord_utilization_pct(),
-                r8.worker_utilization_pct(),
-                top.map_or("none", |b| b.name),
-                top.map_or(0.0, |b| {
-                    100.0 * b.cost_us as f64 / r8.crit_coord_us.max(1) as f64
-                }),
-            )
-        })
-        .collect();
-
-    let json5 = format!(
-        "{{\n  \"config\": \"quick-causal\",\n  \"traces\": {},\n  \"probe_secs\": {:.3},\n  \"canonical_lanes\": {},\n  \"threads_for_bound\": {},\n  \"total_rounds\": {},\n  \"critical_path_rounds\": {},\n  \"causal_round_bound\": {:.2},\n  \"round_bound_bench_0003\": {:.2},\n  \"round_bound_agreement_ratio\": {:.4},\n  \"speedup_bound_time_weighted\": {:.2},\n  \"critical_path_pct\": {{ \"coordinator\": {:.1}, \"workers\": {:.1}, \"replay\": {:.1} }},\n  \"decomposition_gap_us\": {},\n  \"per_trace\": [\n{}\n  ],\n  \"note\": \"causal_round_bound reconstructs BENCH_0003's bound from the recorded DAG alone (agreement ratio must be within 1 +/- 0.05); the time-weighted bound and blame come from the canonical-machine critical path\"\n}}\n",
-        specs.len(),
-        probe_secs,
-        causal::CANONICAL_LANES,
-        max_threads,
-        total_rounds,
-        critical_rounds,
-        causal_round_bound,
-        round_bound_bench_0003,
-        agreement,
-        sum.speedup_bound_time(),
-        pct(sum.crit_coord_us),
-        pct(sum.crit_worker_us),
-        pct(sum.crit_replay_us),
-        sum.decomposition_gap_us(),
-        rows.join(",\n"),
-    );
-    std::fs::write("BENCH_0005.json", &json5).expect("write BENCH_0005.json");
-    print!("{json5}");
-    eprintln!("wrote BENCH_0005.json");
 }
 
 /// `repro profile`: wall-clock breakdown of the pipeline stages on the
@@ -1114,20 +788,7 @@ fn run_causal_bench(round_bound_bench_0003: f64, max_threads: usize) {
 /// deliberately the only observability surface that reads the host
 /// clock, and it lives in the bench crate, outside the determinism
 /// lint's scope.
-fn run_profile(study: &Study, causal: bool, trace_out: Option<&str>) {
-    // Fail fast on an unwritable export path — a usage error, not a
-    // panic after minutes of profiling.
-    if let Some(path) = trace_out {
-        if let Err(e) = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-        {
-            eprint!("repro profile: cannot open --trace-out {path}: {e}\n\n{}", usage());
-            std::process::exit(2);
-        }
-    }
+fn run_profile(study: &Study) {
     let t_total = Instant::now();
 
     let t = Instant::now();
@@ -1173,88 +834,4 @@ fn run_profile(study: &Study, causal: bool, trace_out: Option<&str>) {
     );
     println!("  {:<18} {:>8.3} s  ({:>4.1}%)", "render", render_secs, pct(render_secs));
     println!("  {:<18} {:>8.3} s", "total", total);
-
-    // Control-plane occupancy: one untimed 2-shard probe of the first
-    // trace splits its ops into coordinator (control-plane) work and
-    // shard-worker dispatch, and shows how much of the open/close
-    // decision load the consistency fast path absorbed.
-    use sdfs_simkit::SimTime;
-    use sdfs_spritefs::cluster::NullSink;
-    use sdfs_spritefs::Cluster;
-    use sdfs_workload::Generator;
-    let cfg = study.config();
-    let wl = cfg.workload.for_trace(cfg.traces[0]);
-    let mut gen = Generator::new(wl);
-    let mut cluster = Cluster::new(cfg.cluster.clone(), NullSink);
-    cluster.preload(&gen.preload_list());
-    cluster.run_parallel(gen.generate_day(0), SimTime::from_secs(86_400), 2);
-    let ps = cluster
-        .parallel_stats()
-        .expect("sharded probe records stats")
-        .clone();
-    println!("  occupancy (trace 1, 2 shards):");
-    println!(
-        "    {:<16} {:>9} ops",
-        "coordinator busy", ps.coordinator_ops
-    );
-    println!(
-        "    {:<16} {:>9} tasks in {} dispatch rounds (busiest lane {})",
-        "workers busy",
-        ps.total_tasks(),
-        ps.total_rounds(),
-        ps.max_worker_rounds()
-    );
-    println!(
-        "    {:<16} {:>9} hits / {} misses  ({:.1}% of open+close)",
-        "fast path",
-        ps.fastpath_hits,
-        ps.fastpath_misses,
-        ps.fastpath_hit_rate_pct()
-    );
-
-    // CausalProf: re-run the same first-trace probe with the recording
-    // layer on, at the study's thread count — the recorded DAG (and so
-    // the Perfetto export) is byte-identical at any `--threads`, which
-    // verify.sh proves with `cmp`.
-    if causal || trace_out.is_some() {
-        use sdfs_core::causal;
-        let mut ccfg = cfg.cluster.clone();
-        ccfg.causal = true;
-        let wl = cfg.workload.for_trace(cfg.traces[0]);
-        let mut gen = Generator::new(wl);
-        let mut cluster = Cluster::new(ccfg, NullSink);
-        cluster.preload(&gen.preload_list());
-        cluster.run_parallel(
-            gen.generate_day(0),
-            SimTime::from_secs(86_400),
-            cfg.threads,
-        );
-        let trace = cluster
-            .take_causal()
-            .expect("causal probe records a trace");
-        let rep = causal::analyze(&trace, causal::CANONICAL_LANES);
-        print!("{}", causal::render(&rep));
-        // Cross-check against the engine's own round accounting from
-        // the 2-shard probe above: reconstruction at 2 lanes must agree
-        // exactly (the verify.sh gate allows 5%; we expect 0%).
-        let r2 = causal::analyze(&trace, 2);
-        let engine_bound =
-            ps.total_rounds() as f64 / ps.max_worker_rounds().max(1) as f64;
-        println!(
-            "  round-bound agreement at 2 lanes: causal {:.2}x vs engine {:.2}x",
-            r2.round_bound(),
-            engine_bound
-        );
-        if let Some(path) = trace_out {
-            let json = causal::to_perfetto(&trace, &rep);
-            if let Err(e) = std::fs::write(path, &json) {
-                eprint!("repro profile: cannot write --trace-out {path}: {e}\n\n{}", usage());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "repro profile: wrote Perfetto trace to {path} ({} bytes)",
-                json.len()
-            );
-        }
-    }
 }

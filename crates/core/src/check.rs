@@ -364,54 +364,6 @@ pub fn scorecard(results: &mut StudyResults) -> Scorecard {
         0.0,
         0.0,
     );
-
-    // --- PlaneCheck dynamic race checker ---
-    // Present only when the study ran with `racecheck` set, so a plain
-    // `repro check` renders the scorecard unchanged. The band demands
-    // both a clean verdict and evidence that the checker actually ran
-    // (at least one guarded access and one ordering edge).
-    if let Some(rc) = results.racecheck_summary() {
-        add(
-            "racecheck violations (plane + ordering)",
-            "no worker touches coordinator state",
-            rc.violations() as f64,
-            0.0,
-            0.0,
-        );
-        add(
-            "racecheck coverage (accesses + orderings)",
-            "guards and happens-before edges fired",
-            (rc.accesses_checked + rc.orderings_checked) as f64,
-            1.0,
-            f64::INFINITY,
-        );
-    }
-
-    // --- CausalProf critical-path analyzer ---
-    // Present only when the study ran with `causal` set, so a plain
-    // `repro check` renders the scorecard unchanged. The first row is
-    // an exactness invariant (the backward walk must tile T_crit); the
-    // second checks the analyzer's basic sanity: the critical path can
-    // never exceed the total work, so the time-weighted speedup bound
-    // is at least 1. (The 5% agreement between CausalProf's round
-    // bound and BENCH_0003's lives in verify.sh, where both numbers
-    // exist.)
-    if let Some(cp) = results.causal_summary() {
-        add(
-            "causal decomposition gap, us",
-            "coord + worker + replay tiles T_crit",
-            cp.decomposition_gap_us() as f64,
-            0.0,
-            0.0,
-        );
-        add(
-            "causal speedup bound (time-weighted)",
-            "T_seq / T_crit >= 1",
-            cp.speedup_bound_time(),
-            1.0,
-            f64::INFINITY,
-        );
-    }
     sc
 }
 

@@ -26,7 +26,6 @@ pub mod access;
 pub mod activity;
 pub mod bsd;
 pub mod cache_tables;
-pub mod causal;
 pub mod check;
 pub mod consistency;
 pub mod extensions;

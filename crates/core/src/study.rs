@@ -13,7 +13,7 @@
 use sdfs_simkit::{CounterSet, SimDuration, SimTime};
 use sdfs_spritefs::cluster::NullSink;
 use sdfs_spritefs::metrics::MachineMetrics;
-use sdfs_spritefs::{Cluster, Config, ObsReport, RaceStats, SanitizerStats, VecSink};
+use sdfs_spritefs::{Cluster, Config, ObsReport, SanitizerStats, VecSink};
 use sdfs_trace::merge::merge_vecs;
 use sdfs_trace::{Record, TraceStats};
 use sdfs_workload::{Generator, TraceSpec, WorkloadConfig};
@@ -39,12 +39,13 @@ pub struct StudyConfig {
     pub traces: Vec<TraceSpec>,
     /// Length of the counter campaign in days (two weeks in the paper).
     pub counter_days: u32,
-    /// Maximum traces simulated concurrently.
+    /// Maximum traces simulated concurrently (trace-level workers, each
+    /// running one trace's cluster start to finish). Output is
+    /// byte-identical at any value.
     pub parallelism: usize,
-    /// Worker threads per cluster for the sharded simulation engine
-    /// (`1` = the sequential engine). Output is byte-identical at any
-    /// value; runs with the sanitizer, the observer, or fault injection
-    /// always use the sequential engine.
+    /// Unused and always 1. Kept only because the `benchkit/` harness
+    /// reports it as `cluster_threads`; drop it when the benchmark is
+    /// next revised.
     pub threads: usize,
 }
 
@@ -121,14 +122,6 @@ pub struct TraceAnalysis {
     /// Self-measurement report for the cluster run that produced this
     /// trace (`None` unless the study ran with `observe` set).
     pub obs: Option<ObsReport>,
-    /// PlaneCheck race-checker verdict for the cluster run that
-    /// produced this trace (`None` unless the study ran with
-    /// `racecheck` set).
-    pub racecheck: Option<RaceStats>,
-    /// CausalProf report for the cluster run that produced this trace
-    /// (`None` unless the study ran with `causal` set), analyzed on the
-    /// canonical machine ([`crate::causal::CANONICAL_LANES`]).
-    pub causal: Option<crate::causal::CausalReport>,
 }
 
 /// Everything one trace run produces besides the analysis: the merged
@@ -142,10 +135,6 @@ pub struct TraceRun {
     pub sanitizer: Option<SanitizerStats>,
     /// Self-measurement report (`None` unless `cluster.observe` is set).
     pub obs: Option<ObsReport>,
-    /// Race-checker verdict (`None` unless `cluster.racecheck` is set).
-    pub racecheck: Option<RaceStats>,
-    /// CausalProf report (`None` unless `cluster.causal` is set).
-    pub causal: Option<crate::causal::CausalReport>,
     /// Final per-client counters.
     pub client_counters: Vec<CounterSet>,
     /// Final per-server counters.
@@ -169,9 +158,10 @@ pub struct CounterData {
     /// Self-measurement report for the counter campaign (`None` unless
     /// the study ran with `observe` set).
     pub obs: Option<ObsReport>,
-    /// PlaneCheck race-checker verdict for the counter campaign
-    /// (`None` unless the study ran with `racecheck` set).
-    pub racecheck: Option<RaceStats>,
+    /// Always `None` (the type is uninhabited). Kept only because the
+    /// `benchkit/` harness builds `CounterData` by struct literal; drop
+    /// it when the benchmark is next revised.
+    pub racecheck: Option<std::convert::Infallible>,
 }
 
 /// All study outputs.
@@ -254,20 +244,14 @@ impl Study {
         cluster.preload(&gen.preload_list());
         let ops = gen.generate_day(0);
         // Let trailing delayed writes happen before the trace ends.
-        cluster.run_parallel(ops, SimTime::from_secs(86_400), self.cfg.threads);
+        cluster.run(ops, SimTime::from_secs(86_400));
         let sanitizer = cluster.take_sanitizer_stats();
         let obs = cluster.take_obs_report();
-        let racecheck = cluster.take_race_stats();
-        let causal = cluster
-            .take_causal()
-            .map(|t| crate::causal::analyze(&t, crate::causal::CANONICAL_LANES));
         let (sink, clients, servers) = cluster.into_parts();
         TraceRun {
             records: merge_vecs(sink.per_server),
             sanitizer,
             obs,
-            racecheck,
-            causal,
             client_counters: clients.into_iter().map(|c| c.data.metrics.counters).collect(),
             server_counters: servers.into_iter().map(|s| s.counters).collect(),
         }
@@ -291,8 +275,6 @@ impl Study {
             table12: fused.table12,
             sanitizer: None,
             obs: None,
-            racecheck: None,
-            causal: None,
         }
     }
 
@@ -311,8 +293,6 @@ impl Study {
             table12: table12(records),
             sanitizer: None,
             obs: None,
-            racecheck: None,
-            causal: None,
         }
     }
 
@@ -346,8 +326,6 @@ impl Study {
                     let mut analysis = self.analyze_trace(spec, &run.records);
                     analysis.sanitizer = run.sanitizer;
                     analysis.obs = run.obs;
-                    analysis.racecheck = run.racecheck;
-                    analysis.causal = run.causal;
                     *slots[i].lock().expect("slot lock poisoned") = Some(analysis);
                 });
             }
@@ -375,7 +353,7 @@ impl Study {
         let mut per_day: Vec<Vec<CounterSet>> = Vec::new();
         for day in 0..self.cfg.counter_days {
             let ops = gen.generate_day(day);
-            cluster.run_parallel(ops, SimTime::from_secs((day as u64 + 1) * 86_400), self.cfg.threads);
+            cluster.run(ops, SimTime::from_secs((day as u64 + 1) * 86_400));
             // Delta in place: counters are monotonic, so folding the
             // day's delta back into the running snapshot reproduces the
             // current totals without cloning every set every day.
@@ -389,7 +367,6 @@ impl Study {
         }
         let sanitizer = cluster.take_sanitizer_stats();
         let obs = cluster.take_obs_report();
-        let racecheck = cluster.take_race_stats();
         let (_sink, clients, servers) = cluster.into_parts();
         let metrics: Vec<MachineMetrics> = clients.into_iter().map(|c| c.data.metrics).collect();
         let mut total = CounterSet::new();
@@ -403,7 +380,7 @@ impl Study {
             servers: servers.into_iter().map(|s| s.counters).collect(),
             sanitizer,
             obs,
-            racecheck,
+            racecheck: None,
         }
     }
 
@@ -469,25 +446,6 @@ impl StudyResults {
         acc
     }
 
-    /// Merged PlaneCheck race-checker verdict across the trace and
-    /// counter campaigns (`None` unless the study ran with `racecheck`
-    /// set).
-    pub fn racecheck_summary(&self) -> Option<RaceStats> {
-        let mut acc: Option<RaceStats> = None;
-        for r in self
-            .traces
-            .iter()
-            .filter_map(|t| t.racecheck.as_ref())
-            .chain(self.counters.racecheck.as_ref())
-        {
-            match &mut acc {
-                Some(a) => a.merge(r),
-                None => acc = Some(r.clone()),
-            }
-        }
-        acc
-    }
-
     /// Merged self-measurement report across the trace and counter
     /// campaigns (`None` unless the study ran with `observe` set).
     pub fn obs_summary(&self) -> Option<ObsReport> {
@@ -502,16 +460,6 @@ impl StudyResults {
                 Some(a) => a.merge(o),
                 None => acc = Some(o.clone()),
             }
-        }
-        acc
-    }
-
-    /// Aggregated CausalProf summary across the trace campaign (`None`
-    /// unless the study ran with `causal` set).
-    pub fn causal_summary(&self) -> Option<crate::causal::CausalSummary> {
-        let mut acc: Option<crate::causal::CausalSummary> = None;
-        for r in self.traces.iter().filter_map(|t| t.causal.as_ref()) {
-            acc.get_or_insert_with(Default::default).add(r);
         }
         acc
     }

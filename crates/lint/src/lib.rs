@@ -1,5 +1,4 @@
-//! `sdfs-lint`: project-specific determinism lints and the PlaneCheck
-//! static analyzer.
+//! `sdfs-lint`: project-specific determinism lints.
 //!
 //! The scorecard (`core::check`) validates the simulator's *outputs*
 //! against the paper; this crate guards the *sources* against the ways
@@ -7,19 +6,16 @@
 //! tokenizes each workspace source file, and a rule engine ([`rules`])
 //! flags wall-clock reads, OS entropy, default-hasher maps, library
 //! `.unwrap()`s, `f32` statistics, and detached threads — each scoped
-//! to the crates where it matters. On top of the lexer, a small parser
-//! ([`parse`]) recovers items, [`graph`] builds a per-crate call and
-//! field-access graph, and [`planes`] statically verifies the parallel
-//! engine's worker/coordinator ownership rule (DESIGN.md §14). Run it
-//! as `repro lint`; `scripts/verify.sh` gates on it.
+//! to the crates where it matters. [`parse`] reads the `lint:allow`
+//! directives and recovers items (functions, impls, structs) from the
+//! token stream. Run it as `repro lint`; `scripts/verify.sh` gates on
+//! it.
 //!
 //! Zero dependencies by design: the linter must never be the thing that
 //! drags a nondeterministic dependency into the workspace.
 
-pub mod graph;
 pub mod lexer;
 pub mod parse;
-pub mod planes;
 pub mod rules;
 
 pub use rules::{AllowSite, Rule, ScanOutput, Violation};
@@ -30,8 +26,7 @@ use std::path::{Path, PathBuf};
 
 /// Lints a single source string as if it lived in crate `crate_name` at
 /// `rel_path`. This is the unit-testable core; [`lint_workspace`] is the
-/// filesystem walker over it. Plane analysis is whole-crate, so it is
-/// not run here — see [`lint_workspace`] / [`planes::check`].
+/// filesystem walker over it.
 pub fn lint_str(crate_name: &str, rel_path: &str, source: &str) -> Vec<Violation> {
     rules::scan(&lexer::lex(source), crate_name, rel_path)
 }
@@ -86,34 +81,13 @@ fn collect_workspace(root: &Path) -> io::Result<Vec<WorkspaceFile>> {
     Ok(out)
 }
 
-/// Lints every workspace file against the rules scoped to its crate,
-/// then runs the PlaneCheck analysis ([`planes::check`]) over the
-/// `spritefs` sources and appends its findings.
+/// Lints every workspace file against the rules scoped to its crate.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let files = collect_workspace(root)?;
-    let mut out = Vec::new();
-    let mut spritefs: Vec<graph::SourceFile> = Vec::new();
-    for f in &files {
-        out.extend(rules::scan(&lexer::lex(&f.source), &f.crate_name, &f.rel));
-        if f.crate_name == "spritefs" {
-            spritefs.push(graph::SourceFile::new(&f.rel, &f.source));
-        }
-    }
-    out.extend(planes::check(&spritefs));
-    Ok(out)
-}
-
-/// The worker-plane reachability set for the workspace's `spritefs`
-/// crate, as `(file, line, fn name)` sorted — the `repro lint` summary
-/// prints its size, and tests pin its roots.
-pub fn workspace_worker_plane(root: &Path) -> io::Result<Vec<(String, u32, String)>> {
-    let files = collect_workspace(root)?;
-    let spritefs: Vec<graph::SourceFile> = files
+    Ok(files
         .iter()
-        .filter(|f| f.crate_name == "spritefs")
-        .map(|f| graph::SourceFile::new(&f.rel, &f.source))
-        .collect();
-    Ok(planes::worker_plane(&spritefs))
+        .flat_map(|f| rules::scan(&lexer::lex(&f.source), &f.crate_name, &f.rel))
+        .collect())
 }
 
 /// Lists every `lint:allow` / `lint:allow-file` site in the workspace
@@ -192,24 +166,6 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::DefaultHasher);
         assert_eq!(v[0].file, "crates/bench/benches/tables.rs");
-    }
-
-    #[test]
-    fn plane_violation_in_fake_spritefs_tree_is_caught() {
-        let base = std::env::temp_dir().join(format!("sdfs_lint_plane_{}", std::process::id()));
-        let src = base.join("crates/spritefs/src");
-        fs::create_dir_all(&src).expect("create temp tree");
-        fs::write(
-            src.join("lib.rs"),
-            "pub fn worker_main() { data_read(); }\n\
-             pub fn data_read() { let t: &FileTable = table(); let _ = t; }\n",
-        )
-        .expect("write seed file");
-        let v = lint_workspace(&base).expect("walk temp tree");
-        fs::remove_dir_all(&base).ok();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::PlaneSafety);
-        assert_eq!(v[0].line, 2);
     }
 
     #[test]

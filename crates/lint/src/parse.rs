@@ -1,22 +1,23 @@
-//! Item recovery on top of the lexer: functions, impl blocks, and
-//! structs with their fields.
+//! Directive parsing and item recovery on top of the lexer.
 //!
-//! The plane-safety analysis ([`crate::planes`]) needs to know *which
-//! function* a token belongs to, which type owns a method, and where a
-//! function's body starts and ends. This module recovers exactly that —
-//! no types, no expressions — by walking the [`crate::lexer::Event`]
-//! stream with a brace-depth counter. Item spans are stored as index
-//! ranges into the caller's event slice, so nothing is copied.
+//! [`directive_names`] extracts the rule names from `lint:allow(...)`
+//! comments for the rule engine ([`crate::rules`]).
 //!
-//! Annotation grammar recognized here (see DESIGN.md §14):
+//! [`parse`] recovers functions, impl blocks, and structs with their
+//! fields: *which function* a token belongs to, which type owns a
+//! method, and where a function's body starts and ends — no types, no
+//! expressions — by walking the [`crate::lexer::Event`] stream with a
+//! brace-depth counter. Item spans are stored as index ranges into the
+//! caller's event slice, so nothing is copied. No current rule needs
+//! this item model; it is the base a whole-crate analysis would build
+//! on.
+//!
+//! Item annotations recognized by [`parse`]:
 //!
 //! - `// plane:coordinator-only` immediately before a `fn`, `impl`, or
-//!   `trait` marks the item (and, for blocks, every method inside) as
-//!   coordinator-plane: the reachability analysis will not traverse
-//!   call edges into it.
-//! - `// plane:allow(<ident>)` silences a plane violation whose subject
-//!   is `<ident>` on the comment's own line and the following line,
-//!   mirroring the `lint:allow` grammar.
+//!   `trait` marks the item (and, for blocks, every method inside).
+//! - `// plane:allow(<ident>)` names `<ident>` on the comment's own
+//!   line and the following line, mirroring the `lint:allow` grammar.
 
 use std::collections::BTreeSet;
 use std::ops::Range;

@@ -37,15 +37,10 @@ pub enum Rule {
     FloatStats,
     /// No detached `thread::spawn` in simulation or analysis code: a
     /// worker that can outlive its caller breaks the deterministic
-    /// join-then-merge discipline the parallel engine depends on. Use
+    /// join-then-merge discipline the trace workers depend on. Use
     /// `std::thread::scope` (whose `s.spawn` is allowed) so every
     /// worker provably joins before results are read.
     UnscopedThread,
-    /// Worker-plane code (statically reachable from `ClientTask`
-    /// execution in the parallel engine) may not touch
-    /// coordinator-owned state. Produced by the [`crate::planes`]
-    /// analysis, not by the per-file token scan.
-    PlaneSafety,
     /// A `lint:allow(<name>)` / `lint:allow-file(<name>)` directive
     /// names a rule that does not exist: the suppression silently does
     /// nothing, which is worse than no suppression at all.
@@ -54,14 +49,13 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::WallClock,
         Rule::OsEntropy,
         Rule::DefaultHasher,
         Rule::Unwrap,
         Rule::FloatStats,
         Rule::UnscopedThread,
-        Rule::PlaneSafety,
         Rule::UnknownAllow,
     ];
 
@@ -79,7 +73,6 @@ impl Rule {
             Rule::Unwrap => "unwrap",
             Rule::FloatStats => "float-stats",
             Rule::UnscopedThread => "unscoped-thread",
-            Rule::PlaneSafety => "plane-safety",
             Rule::UnknownAllow => "unknown-allow",
         }
     }
@@ -102,7 +95,6 @@ impl Rule {
                 DETERMINISM_AND_BENCH
             }
             Rule::FloatStats => STATISTICS,
-            Rule::PlaneSafety => &["spritefs"],
             Rule::UnknownAllow => WORKSPACE,
         }
     }
@@ -123,7 +115,6 @@ impl Rule {
             Rule::Unwrap => &[], // matched as `.unwrap`, not a bare ident
             Rule::FloatStats => &["f32"],
             Rule::UnscopedThread => &[], // matched as `thread::spawn`, not a bare ident
-            Rule::PlaneSafety => &[],    // produced by the planes analysis
             Rule::UnknownAllow => &[],   // produced by the allow-directive parse
         }
     }
@@ -156,10 +147,6 @@ impl Rule {
                 "detached thread::spawn; use std::thread::scope so every worker \
                  joins before results are merged"
             }
-            Rule::PlaneSafety => {
-                "worker-plane code touches coordinator-owned state; route the \
-                 effect through the logged SrvEvent channel (DESIGN.md \u{a7}14)"
-            }
             Rule::UnknownAllow => {
                 "lint:allow names an unknown rule, so it suppresses nothing; \
                  fix the name or remove the directive"
@@ -183,8 +170,8 @@ pub struct Violation {
     pub line: u32,
     /// The rule violated.
     pub rule: Rule,
-    /// Finding-specific detail (plane-safety and unknown-allow findings
-    /// name their subject here); `None` for plain token-scan findings.
+    /// Finding-specific detail (unknown-allow findings name the unknown
+    /// rule here); `None` for plain token-scan findings.
     pub detail: Option<String>,
 }
 
@@ -632,7 +619,7 @@ mod tests {
 
     #[test]
     fn scoped_threads_allowed() {
-        // The parallel engine's shape: thread::scope + s.spawn joins
+        // The trace workers' shape: thread::scope + s.spawn joins
         // every worker before results are merged — not a violation.
         let src = r#"
             fn f() {
@@ -648,7 +635,7 @@ mod tests {
     #[test]
     fn wall_clock_still_banned_alongside_scoped_threads() {
         // Allowing thread::scope must not relax the other rules in the
-        // same (parallel) module.
+        // same module.
         let src = r#"
             fn f() {
                 std::thread::scope(|s| {

@@ -1,17 +1,19 @@
-//! Fixture tests for the PlaneCheck static analyzer: the seeded
-//! mutation is caught with file/line, the real `spritefs` tree passes
-//! clean, and reports are byte-deterministic.
+//! Fixture tests for the determinism linter over the real workspace
+//! sources: the workspace lints clean with no stale allows, a seeded
+//! mutation in the real `spritefs` tree is caught with file and line,
+//! and reports are byte-deterministic.
 
 use std::path::Path;
 
-use sdfs_lint::{graph::SourceFile, planes, Rule};
+use sdfs_lint::{lint_str, Rule, Violation};
 
 fn repo_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// Reads the real `spritefs` sources into analyzer input.
-fn real_spritefs() -> Vec<SourceFile> {
+/// The real `spritefs` sources as `(workspace-relative path, source)`,
+/// sorted by path.
+fn real_spritefs() -> Vec<(String, String)> {
     let src = repo_root().join("crates/spritefs/src");
     let mut paths: Vec<_> = std::fs::read_dir(&src)
         .expect("read spritefs src")
@@ -27,121 +29,60 @@ fn real_spritefs() -> Vec<SourceFile> {
                 "crates/spritefs/src/{}",
                 p.file_name().expect("file name").to_string_lossy()
             );
-            let source = std::fs::read_to_string(p).expect("read source");
-            SourceFile::new(&rel, &source)
+            (rel, std::fs::read_to_string(p).expect("read source"))
         })
         .collect()
 }
 
-#[test]
-fn real_spritefs_tree_is_plane_clean() {
-    let files = real_spritefs();
-    let v = planes::check(&files);
-    assert!(
-        v.is_empty(),
-        "plane violations on main:\n{}",
-        v.iter().map(|x| x.to_string()).collect::<Vec<_>>().join("\n")
-    );
-}
-
-#[test]
-fn real_worker_plane_is_nonempty_and_rooted() {
-    let files = real_spritefs();
-    let wp = planes::worker_plane(&files);
-    let names: Vec<&str> = wp.iter().map(|(_, _, n)| n.as_str()).collect();
-    for root in planes::ROOTS {
-        assert!(
-            names.contains(root),
-            "root `{root}` missing from worker plane: {names:?}"
-        );
-    }
-    // The data-plane cache path must be in the worker plane — if it is
-    // not, the analysis is vacuously passing.
-    assert!(
-        names.contains(&"data_cached_read"),
-        "data_cached_read not reached: {names:?}"
-    );
-    assert!(wp.len() >= 5, "implausibly small worker plane: {wp:?}");
+/// Lints the real `spritefs` tree plus one seeded file.
+fn lint_with_seed(seed: &str) -> Vec<Violation> {
+    let mut files = real_spritefs();
+    files.push((
+        "crates/spritefs/src/seeded.rs".to_string(),
+        seed.to_string(),
+    ));
+    files
+        .iter()
+        .flat_map(|(rel, source)| lint_str("spritefs", rel, source))
+        .collect()
 }
 
 #[test]
 fn seeded_mutation_is_caught_with_file_and_line() {
-    // The acceptance fixture: the real tree, plus one seeded mutation
-    // that moves a SrvFileState read into a worker-reachable fn.
-    let mut files = real_spritefs();
-    files.push(SourceFile::new(
-        "crates/spritefs/src/seeded.rs",
-        "pub fn run_client_task_probe() {}\n\
-         pub fn worker_main_seeded() { run_client_task(); }\n\
-         pub fn run_client_task() { peek_state(); }\n\
-         pub fn peek_state() {\n\
-             let st: &SrvFileState = coordinator_state();\n\
-             let _ = st.opens;\n\
+    // The real tree is clean, so every finding must come from the one
+    // seeded mutation: an iteration-order-leaking map on line 5.
+    let v = lint_with_seed(
+        "pub fn tally(ops: &[u64]) -> u64 {\n\
+             let mut total = 0;\n\
+             for op in ops { total += op; }\n\
+             let _ = total;\n\
+             let m: std::collections::HashMap<u64, u64> = Default::default();\n\
+             m.len() as u64\n\
          }\n",
-    ));
-    let v = planes::check(&files);
-    assert!(!v.is_empty(), "seeded mutation not caught");
-    let hit = v
-        .iter()
-        .find(|x| x.file == "crates/spritefs/src/seeded.rs" && x.line == 5)
-        .unwrap_or_else(|| panic!("no finding at seeded.rs:5: {v:?}"));
-    assert_eq!(hit.rule, Rule::PlaneSafety);
-    assert!(
-        hit.detail.as_deref().is_some_and(|d| d.contains("SrvFileState")),
-        "{hit:?}"
     );
-}
-
-#[test]
-fn seeded_causal_trace_touch_is_caught_statically() {
-    // The CausalProf plane fixture: worker-side event buffering must
-    // stay per-shard; a worker-plane helper that flushes straight into
-    // the coordinator-owned `CausalTrace` is the bug class PlaneCheck
-    // exists for (the runtime half of this fixture lives in
-    // `spritefs::causal`'s `--racecheck` test).
-    let mut files = real_spritefs();
-    files.push(SourceFile::new(
-        "crates/spritefs/src/seeded.rs",
-        "pub fn worker_main_seeded() { run_client_task(); }\n\
-         pub fn run_client_task() { flush_events(); }\n\
-         pub fn flush_events() {\n\
-             let c: &mut CausalTrace = trace();\n\
-             c.record_event(0, 0, 0);\n\
-         }\n",
-    ));
-    let v = planes::check(&files);
-    let hit = v
-        .iter()
-        .find(|x| x.file == "crates/spritefs/src/seeded.rs")
-        .unwrap_or_else(|| panic!("seeded CausalTrace touch not caught: {v:?}"));
-    assert_eq!(hit.rule, Rule::PlaneSafety);
-    assert_eq!(hit.line, 4, "{hit:?}");
-    assert!(
-        hit.detail.as_deref().is_some_and(|d| d.contains("CausalTrace")),
-        "{hit:?}"
-    );
+    assert_eq!(v.len(), 1, "exactly the seeded finding: {v:?}");
+    assert_eq!(v[0].file, "crates/spritefs/src/seeded.rs");
+    assert_eq!(v[0].line, 5);
+    assert_eq!(v[0].rule, Rule::DefaultHasher);
 }
 
 #[test]
 fn report_bytes_are_deterministic() {
     let render = || {
-        let mut files = real_spritefs();
-        files.push(SourceFile::new(
-            "crates/spritefs/src/seeded.rs",
-            "pub fn worker_main_x() { run_client_task(); }\n\
-             pub fn bad(t: &FileTable, s: &SrvFileState) {}\n\
-             pub fn run_client_task() { bad(); }\n",
-        ));
-        planes::check(&files)
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        lint_with_seed(
+            "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n\
+             pub fn g(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )
+        .iter()
+        .map(|v| v.to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
     };
     let a = render();
     let b = render();
     assert_eq!(a, b);
-    assert!(!a.is_empty());
+    assert!(a.contains("seeded.rs:1: [wall-clock]"), "{a}");
+    assert!(a.contains("seeded.rs:2: [unwrap]"), "{a}");
 }
 
 #[test]
@@ -158,6 +99,9 @@ fn full_workspace_lint_is_clean() {
     assert!(
         v.is_empty(),
         "lint violations on main:\n{}",
-        v.iter().map(|x| x.to_string()).collect::<Vec<_>>().join("\n")
+        v.iter()
+            .map(|x| x.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }

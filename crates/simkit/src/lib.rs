@@ -15,6 +15,7 @@
 //!   weighted CDFs used to build the paper's figures.
 //! * [`counters`] — named counter sets mirroring Sprite's ~50 kernel
 //!   counters.
+//! * [`merge_sorted_by`] — a deterministic k-way merge of sorted streams.
 //! * [`obs`] — self-measurement primitives: a fixed-capacity structured
 //!   event ring and span aggregates, stamped with [`SimTime`] only.
 //!
@@ -34,7 +35,7 @@ pub mod time;
 pub use counters::CounterSet;
 pub use hash::{FastMap, FastSet};
 pub use merge::merge_sorted_by;
-pub use obs::{EventRing, ObsEvent, SpanStat, Timeline};
+pub use obs::{EventRing, ObsEvent, SpanStat};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Histogram, LogHistogram, Summary, WeightedCdf};

@@ -1,8 +1,7 @@
 //! Deterministic k-way merge of sorted streams.
 //!
-//! The parallel simulation engine collects per-shard event logs, each
-//! already sorted by a global dispatch key; reconstructing the one
-//! sequential order must be exact and independent of thread timing.
+//! Each trace server logs its own time-ordered stream; the analysis
+//! reads them as one stream whose order must be exact and reproducible.
 //! This is a plain binary-heap merge keyed by a caller-provided sort
 //! key, with the stream index as the tie-break, so the result is a
 //! total order even if keys collide.

@@ -145,69 +145,6 @@ impl SpanStat {
     }
 }
 
-/// A busy/idle occupancy timeline for one execution lane (a coordinator
-/// or worker plane), built from busy intervals in simulated time.
-///
-/// Intervals are pushed in non-decreasing start order; back-to-back or
-/// overlapping intervals coalesce, so `busy_us` counts each simulated
-/// microsecond at most once. Used by the CausalProf analyzer to turn a
-/// virtual schedule into per-plane utilization percentages; everything
-/// is integer arithmetic, so timelines built from the same schedule are
-/// identical across runs and thread counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Timeline {
-    /// Coalesced busy intervals `[start_us, end_us)`, sorted by start.
-    pub intervals: Vec<(u64, u64)>,
-    busy_us: u64,
-}
-
-impl Timeline {
-    /// Creates an empty timeline.
-    pub fn new() -> Self {
-        Timeline::default()
-    }
-
-    /// Adds a busy interval `[start_us, end_us)`. Starts must be pushed
-    /// in non-decreasing order; empty intervals are ignored.
-    pub fn push_busy(&mut self, start_us: u64, end_us: u64) {
-        if end_us <= start_us {
-            return;
-        }
-        if let Some(last) = self.intervals.last_mut() {
-            debug_assert!(start_us >= last.0, "intervals pushed out of order");
-            if start_us <= last.1 {
-                // Coalesce; only the extension beyond the current end
-                // adds new busy time.
-                let ext = end_us.saturating_sub(last.1);
-                last.1 = last.1.max(end_us);
-                self.busy_us += ext;
-                return;
-            }
-        }
-        self.intervals.push((start_us, end_us));
-        self.busy_us += end_us - start_us;
-    }
-
-    /// Total busy time in microseconds (each instant counted once).
-    pub fn busy_us(&self) -> u64 {
-        self.busy_us
-    }
-
-    /// Time of the last busy instant, in microseconds (0 if empty).
-    pub fn end_us(&self) -> u64 {
-        self.intervals.last().map_or(0, |iv| iv.1)
-    }
-
-    /// Busy time as a percentage of `span_us` (0 if the span is empty).
-    pub fn utilization_pct(&self, span_us: u64) -> f64 {
-        if span_us == 0 {
-            0.0
-        } else {
-            self.busy_us as f64 * 100.0 / span_us as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,21 +181,6 @@ mod tests {
         assert_eq!(r.dropped(), 0);
         let times: Vec<u64> = r.iter_in_order().map(|e| e.time.as_micros()).collect();
         assert_eq!(times, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn timeline_coalesces_and_measures_utilization() {
-        let mut t = Timeline::new();
-        t.push_busy(10, 20);
-        t.push_busy(20, 30); // back-to-back: coalesces
-        t.push_busy(25, 28); // fully contained: no new busy time
-        t.push_busy(40, 50);
-        t.push_busy(50, 50); // empty: ignored
-        assert_eq!(t.intervals, vec![(10, 30), (40, 50)]);
-        assert_eq!(t.busy_us(), 30);
-        assert_eq!(t.end_us(), 50);
-        assert!((t.utilization_pct(100) - 30.0).abs() < 1e-12);
-        assert_eq!(Timeline::new().utilization_pct(0), 0.0);
     }
 
     #[test]

@@ -86,21 +86,10 @@ pub struct ProcState {
     pub data_pages: u64,
 }
 
-/// The data plane of one client: the block cache, the memory manager,
+/// The data side of one client: the block cache, the memory manager,
 /// the VM process table, and the kernel counters.
-///
-/// This is the state a shard worker owns exclusively when the cluster
-/// runs under the parallel engine ([`crate::parallel`]): everything a
-/// data-movement task (block fetch, cached write, write-back, flush,
-/// invalidate, process start/exit) reads or writes lives here, while
-/// the control plane (open-file table, version stamps, activity clock)
-/// stays on [`Client`] with the coordinator.
 #[derive(Debug)]
 pub struct ClientData {
-    /// The client's identity (duplicated from [`Client::id`] so the
-    /// data plane can stamp sanitizer and observability hooks without
-    /// reaching back to the control plane).
-    pub id: ClientId,
     /// The file block cache.
     pub cache: BlockCache,
     /// Physical-memory accounting (file cache ↔ VM trade).
@@ -116,23 +105,20 @@ pub struct ClientData {
     /// Scratch buffer reused for per-file block index lists on the
     /// flush and invalidate paths.
     pub scratch_blocks: Vec<u64>,
-    /// Scratch buffer reused for the write-back daemon's dirty-file scan.
-    pub scratch_files: Vec<FileId>,
 }
 
 /// One diskless client workstation.
 ///
-/// The struct itself holds the control-plane state consulted by the
-/// cluster coordinator on every operation; the data plane lives behind
-/// [`Client::data`] and is reachable through `Deref`, so `client.cache`
-/// and `client.metrics` keep working everywhere.
+/// The struct itself holds the open-file and consistency bookkeeping
+/// consulted on every operation; the cache, memory and counters live in
+/// [`Client::data`] and are reachable through `Deref`, so
+/// `client.cache` and `client.metrics` work everywhere.
 #[derive(Debug)]
 pub struct Client {
     /// The client's identity.
     pub id: ClientId,
-    /// Data-plane state (cache, memory, processes, counters). Swapped
-    /// out wholesale when a shard worker takes ownership.
-    pub data: Box<ClientData>,
+    /// Cache, memory, processes, and counters.
+    pub data: ClientData,
     /// Open file table.
     pub fds: FastMap<Handle, FdState>,
     /// Last file version this client observed, per file; used for the
@@ -159,9 +145,8 @@ impl std::ops::DerefMut for Client {
 }
 
 impl ClientData {
-    /// Creates the data plane with the given memory geometry.
+    /// Creates the data side with the given memory geometry.
     pub fn new(
-        id: ClientId,
         mem_bytes: u64,
         reserved_bytes: u64,
         page_size: u64,
@@ -169,7 +154,6 @@ impl ClientData {
         code_retention: SimDuration,
     ) -> Self {
         ClientData {
-            id,
             cache: BlockCache::new(),
             mem: MemoryManager::new(
                 mem_bytes,
@@ -182,7 +166,6 @@ impl ClientData {
             shared_text: FastMap::default(),
             metrics: MachineMetrics::new(),
             scratch_blocks: Vec::new(),
-            scratch_files: Vec::new(),
         }
     }
 
@@ -204,40 +187,18 @@ impl Client {
     ) -> Self {
         Client {
             id,
-            data: Box::new(ClientData::new(
-                id,
+            data: ClientData::new(
                 mem_bytes,
                 reserved_bytes,
                 page_size,
                 preference,
                 code_retention,
-            )),
+            ),
             fds: FastMap::default(),
             seen_version: FastMap::default(),
             last_validate: FastMap::default(),
             last_activity: SimTime::ZERO,
         }
-    }
-
-    /// Detaches the data plane, leaving a minimal placeholder in its
-    /// place. The coordinator must not touch data-plane state until
-    /// [`Client::attach_data`] restores it.
-    pub fn detach_data(&mut self) -> Box<ClientData> {
-        let placeholder = Box::new(ClientData::new(
-            self.id,
-            4096,
-            0,
-            4096,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        ));
-        std::mem::replace(&mut self.data, placeholder)
-    }
-
-    /// Restores a data plane previously taken by [`Client::detach_data`].
-    pub fn attach_data(&mut self, data: Box<ClientData>) {
-        debug_assert_eq!(data.id, self.id, "data plane belongs to this client");
-        self.data = data;
     }
 
     /// Returns `true` if this client holds any open handle on `file`.

@@ -13,14 +13,13 @@
 //! cache-disable scheme, the modified variant, a token scheme, or
 //! NFS-style polling.
 
-use sdfs_simkit::{CounterSet, FastMap, SimDuration, SimRng, SimTime};
-use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, Record, RecordKind, ServerId};
+use sdfs_simkit::{CounterSet, SimDuration, SimRng, SimTime};
+use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Record, RecordKind, ServerId};
 
 use crate::cache::BlockKey;
-use crate::client::{Client, ClientData, FdState, ProcState};
+use crate::client::{Client, FdState, ProcState};
 use crate::config::{Config, ConsistencyPolicy, FaultPlan};
 use crate::fs::{assign_server, FileTable};
-use crate::parallel::{ClientTask, Route, SrvEventKind};
 use crate::metrics::{
     cache as mc, clean, consist, fault, mig, raw, replace, restart, srv, SanitizerStats,
 };
@@ -84,7 +83,7 @@ impl TraceSink for NullSink {
 /// Why a dirty block was cleaned (Table 9's four reasons, plus the
 /// never-in-practice dirty LRU eviction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CleanReason {
+enum CleanReason {
     Delay,
     Fsync,
     Recall,
@@ -314,24 +313,25 @@ impl FaultState {
 /// assert_eq!(cluster.into_sink().len(), 2);
 /// ```
 pub struct Cluster<S: TraceSink> {
-    pub(crate) cfg: Config,
+    cfg: Config,
     files: FileTable,
-    pub(crate) clients: Vec<Client>,
-    pub(crate) servers: Vec<Server>,
+    clients: Vec<Client>,
+    servers: Vec<Server>,
     sink: S,
     now: SimTime,
     next_tick: SimTime,
     next_sample: SimTime,
     /// Count of operations applied (for sanity checks and progress).
     ops_applied: u64,
-    /// Scratch buffer reused by the write-back daemon's per-client scan.
+    /// Scratch buffer reused by the write-back daemon's per-client scan
+    /// (and by the other whole-client dirty-file walks).
     daemon_files: Vec<FileId>,
     /// Scratch buffer reused for holder/reader client lists on the
     /// consistency paths.
     scratch_clients: Vec<ClientId>,
     /// SpriteSan shadow-state oracle ([`Config::sanitize`]). Boxed so
     /// the disabled (default) case costs one pointer.
-    pub(crate) san: Option<Box<Sanitizer>>,
+    san: Option<Box<Sanitizer>>,
     /// Per-server "currently crashed" flags (all false in fault-free
     /// runs; also settable manually via [`Cluster::crash_server`]).
     server_down: Vec<bool>,
@@ -341,19 +341,12 @@ pub struct Cluster<S: TraceSink> {
     /// Per-server time of the most recent crash, meaningful while down.
     crashed_at: Vec<SimTime>,
     /// Fault-injection runtime ([`Config::faults`]).
-    pub(crate) fault: Option<FaultState>,
+    fault: Option<FaultState>,
     /// Scratch buffer for draining server disk-flush logs to SpriteSan.
     scratch_keys: Vec<BlockKey>,
     /// sdfs-obs self-measurement collector ([`Config::observe`]). Boxed
     /// so the disabled (default) case costs one pointer.
-    pub(crate) obs: Option<Box<Obs>>,
-    /// Where data-plane work goes: executed inline (the sequential
-    /// engine) or queued to shard workers (the parallel engine,
-    /// [`crate::parallel`]). Inline outside of `run_parallel`.
-    pub(crate) route: Route,
-    /// Work-division statistics of the most recent `run_parallel`
-    /// invocation (`None` after sequential runs).
-    pub(crate) last_parallel: Option<crate::parallel::ParallelStats>,
+    obs: Option<Box<Obs>>,
     /// Global conflict epoch for the control-plane fast path
     /// ([`Config::consistency_fast_path`]). Bumped by every event that
     /// can invalidate calm summaries or pass-through memos wholesale:
@@ -364,15 +357,7 @@ pub struct Cluster<S: TraceSink> {
     /// Fast-path decision counts. Deliberately *not* part of any
     /// [`CounterSet`]: counters are byte-compared between fast-path-on
     /// and fast-path-off runs, and these necessarily differ.
-    pub(crate) fastpath: FastPathStats,
-    /// PlaneCheck dynamic race checker verdict, accumulated across runs
-    /// ([`Config::racecheck`]). Boxed so the disabled (default) case
-    /// costs one pointer.
-    pub(crate) race: Option<Box<crate::racecheck::RaceStats>>,
-    /// CausalProf dependency-DAG recorder ([`Config::causal`]),
-    /// coordinator-owned like the sink and the consistency state. Boxed
-    /// so the disabled (default) case costs one pointer.
-    pub(crate) causal: Option<Box<crate::causal::CausalTrace>>,
+    fastpath: FastPathStats,
 }
 
 /// Hit/miss counts for the control-plane consistency fast path
@@ -452,12 +437,6 @@ impl<S: TraceSink> Cluster<S> {
             .faults
             .as_ref()
             .map(|p| FaultState::new(p, cfg.num_clients as usize, cfg.num_servers as usize));
-        let race = cfg
-            .racecheck
-            .then(|| Box::new(crate::racecheck::RaceStats::default()));
-        let causal = cfg
-            .causal
-            .then(|| Box::new(crate::causal::CausalTrace::new(&cfg)));
         let n = cfg.num_servers as usize;
         Cluster {
             cfg,
@@ -478,12 +457,8 @@ impl<S: TraceSink> Cluster<S> {
             fault,
             scratch_keys: Vec::new(),
             obs,
-            route: Route::Inline,
-            last_parallel: None,
             conflict_epoch: 0,
             fastpath: FastPathStats::default(),
-            race,
-            causal,
         }
     }
 
@@ -491,14 +466,6 @@ impl<S: TraceSink> Cluster<S> {
     /// [`Config::consistency_fast_path`] is off).
     pub fn fastpath_stats(&self) -> FastPathStats {
         self.fastpath
-    }
-
-    /// Work-division statistics of the most recent [`run_parallel`]
-    /// invocation, or `None` if the last run was sequential.
-    ///
-    /// [`run_parallel`]: Cluster::run_parallel
-    pub fn parallel_stats(&self) -> Option<&crate::parallel::ParallelStats> {
-        self.last_parallel.as_ref()
     }
 
     /// Pre-populates the namespace with files that exist before the trace
@@ -513,28 +480,11 @@ impl<S: TraceSink> Cluster<S> {
     /// Executes an operation stream to completion, then advances internal
     /// daemons to `end` so trailing delayed writes and samples happen.
     pub fn run<I: IntoIterator<Item = AppOp>>(&mut self, ops: I, end: SimTime) {
-        // Under the race checker this thread is the coordinator plane:
-        // guards on coordinator-owned state count (and would flag a
-        // worker context; here they never do).
-        let checking = self.race.is_some();
-        if checking {
-            crate::racecheck::install(crate::racecheck::Plane::Coordinator);
-        }
         for op in ops {
             self.advance_to(op.time);
             self.apply(&op);
         }
         self.advance_to(end);
-        if checking {
-            let (checks, violations, first) = crate::racecheck::uninstall();
-            if let Some(race) = self.race.as_deref_mut() {
-                race.accesses_checked += checks;
-                race.plane_violations += violations;
-                if race.first_violation.is_none() {
-                    race.first_violation = first;
-                }
-            }
-        }
     }
 
     /// Current simulated time.
@@ -578,18 +528,6 @@ impl<S: TraceSink> Cluster<S> {
         self.san.take().map(|s| s.into_stats())
     }
 
-    /// The race checker's verdict so far, when [`Config::racecheck`]
-    /// is set.
-    pub fn race_stats(&self) -> Option<&crate::racecheck::RaceStats> {
-        self.race.as_deref()
-    }
-
-    /// Removes and returns the race checker's verdict (checking stops
-    /// afterwards). `None` unless [`Config::racecheck`] was set.
-    pub fn take_race_stats(&mut self) -> Option<crate::racecheck::RaceStats> {
-        self.race.take().map(|r| *r)
-    }
-
     /// The live sdfs-obs collector, when [`Config::observe`] is set.
     pub fn obs(&self) -> Option<&Obs> {
         self.obs.as_deref()
@@ -601,26 +539,11 @@ impl<S: TraceSink> Cluster<S> {
         self.obs.take().map(|o| o.into_report())
     }
 
-    /// Removes and returns the CausalProf dependency DAG (recording
-    /// stops afterwards). `None` unless [`Config::causal`] was set.
-    pub fn take_causal(&mut self) -> Option<Box<crate::causal::CausalTrace>> {
-        self.causal.take()
-    }
-
     /// Records one completed RPC with its modeled latency: network time
     /// for the payload, plus a server disk access when the server cache
     /// missed. No-op unless observing.
     #[inline]
     fn obs_rpc(&mut self, kind: RpcKind, ci: usize, si: usize, bytes: u64, disk_miss: bool) {
-        if let Some(c) = self.causal.as_deref_mut() {
-            // The causal weight deliberately ignores `disk_miss`: under
-            // `Route::Queued` the inline hit flag is a placeholder, so a
-            // miss-dependent weight would differ across engines and
-            // break the byte-identity of the recorded trace. Disk time
-            // is attributed to the replay lanes instead, where hit/miss
-            // evolves identically in both engines.
-            c.rpc(kind, bytes);
-        }
         if let Some(obs) = self.obs.as_deref_mut() {
             let mut lat = self.cfg.net.rpc_time(bytes);
             if disk_miss {
@@ -638,157 +561,10 @@ impl<S: TraceSink> Cluster<S> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Control/data routing.
-    //
-    // Every handler below is split along the paper's own RPC boundary:
-    // the *control plane* (open-file tables, version stamps, server
-    // consistency state, trace-record emission) runs on the coordinator
-    // in global operation order, while the *data plane* (client block
-    // caches, the VM model, kernel counters, write-backs) is packaged
-    // as `ClientTask`s. Under `Route::Inline` a task executes
-    // immediately at its dispatch point, reproducing the sequential
-    // engine statement for statement; under `Route::Queued` it is
-    // enqueued to the shard worker owning the client, and server-cache
-    // effects are logged and replayed in dispatch order afterwards.
-    // ------------------------------------------------------------------
-
-    /// Control-plane counter sink for client `ci`. Inline this is the
-    /// client's own counter set; under the parallel engine it is a
-    /// coordinator-owned set merged in (exactly — counter addition is
-    /// commutative) when the shard workers join.
+    /// Client `ci`'s kernel counters.
     #[inline]
-    fn ctl(&mut self, ci: usize) -> &mut CounterSet {
-        match &mut self.route {
-            Route::Inline => &mut self.clients[ci].data.metrics.counters,
-            Route::Queued(q) => &mut q.ctl[ci],
-        }
-    }
-
-    /// Routes one data-plane task for client `ci`.
-    fn dispatch(&mut self, ci: usize, task: ClientTask) {
-        let now = self.now;
-        // CausalProf mirrors the global dispatch-id counter here, at the
-        // same chokepoint `QueuedState::push_task` bumps it, so the
-        // recorded id is the engine's id at any thread count.
-        let id = match self.causal.as_deref_mut() {
-            Some(c) => c.task(ci, &task),
-            None => 0,
-        };
-        match &mut self.route {
-            Route::Inline => run_client_task(
-                &mut self.clients[ci].data,
-                &mut crate::causal::CausalSrv {
-                    inner: DirectServers {
-                        servers: &mut self.servers,
-                    },
-                    causal: self.causal.as_deref_mut(),
-                    id,
-                },
-                &self.files,
-                &self.cfg,
-                now,
-                &task,
-                self.san.as_deref_mut(),
-                self.fault.as_mut(),
-                &self.server_down,
-                &self.down_until,
-                self.obs.as_deref_mut(),
-            ),
-            Route::Queued(q) => q.push_task(ci, now, task),
-        }
-    }
-
-    /// A server-cache read on behalf of the control plane (paging).
-    /// Returns whether the server cache hit; under the parallel engine
-    /// the access is deferred to replay and the hit flag is a
-    /// placeholder (its only consumer, obs, is off in that mode).
-    #[inline]
-    fn server_read(&mut self, si: usize, key: BlockKey, bytes: u64) -> bool {
-        let now = self.now;
-        // CausalProf mirrors the dispatch-id bump `push_srv_event` does;
-        // under Inline the event is applied now (apply=true), under
-        // Queued it is recorded later by the replay-stream fold.
-        let causal = self.causal.as_deref_mut();
-        match &mut self.route {
-            Route::Inline => {
-                if let Some(c) = causal {
-                    c.coord_event(si, bytes, true);
-                }
-                self.servers[si].serve_read(key, bytes, now)
-            }
-            Route::Queued(q) => {
-                if let Some(c) = causal {
-                    c.coord_event(si, bytes, false);
-                }
-                q.push_srv_event(si, SrvEventKind::Read { key, bytes }, now);
-                true
-            }
-        }
-    }
-
-    /// A server-cache write on behalf of the control plane (paging).
-    #[inline]
-    fn server_write(&mut self, si: usize, key: BlockKey, bytes: u64) {
-        let now = self.now;
-        let causal = self.causal.as_deref_mut();
-        match &mut self.route {
-            Route::Inline => {
-                if let Some(c) = causal {
-                    c.coord_event(si, bytes, true);
-                }
-                self.servers[si].accept_write(key, bytes, now);
-            }
-            Route::Queued(q) => {
-                if let Some(c) = causal {
-                    c.coord_event(si, bytes, false);
-                }
-                q.push_srv_event(si, SrvEventKind::Write { key, bytes }, now);
-            }
-        }
-    }
-
-    /// Drops a file's blocks from a server cache (delete/truncate).
-    #[inline]
-    fn server_drop_file(&mut self, si: usize, file: FileId) {
-        let now = self.now;
-        let causal = self.causal.as_deref_mut();
-        match &mut self.route {
-            Route::Inline => {
-                if let Some(c) = causal {
-                    c.coord_event(si, 0, true);
-                }
-                self.servers[si].drop_file_blocks(file);
-            }
-            Route::Queued(q) => {
-                if let Some(c) = causal {
-                    c.coord_event(si, 0, false);
-                }
-                q.push_srv_event(si, SrvEventKind::DropFile { file }, now);
-            }
-        }
-    }
-
-    /// The server's own delayed write-back of expired dirty blocks.
-    #[inline]
-    fn server_tick_flush(&mut self, si: usize, cutoff: SimTime) {
-        let now = self.now;
-        let block_size = self.cfg.block_size;
-        let causal = self.causal.as_deref_mut();
-        match &mut self.route {
-            Route::Inline => {
-                if let Some(c) = causal {
-                    c.coord_event(si, 0, true);
-                }
-                self.servers[si].flush_dirty_before(cutoff, block_size);
-            }
-            Route::Queued(q) => {
-                if let Some(c) = causal {
-                    c.coord_event(si, 0, false);
-                }
-                q.push_srv_event(si, SrvEventKind::TickFlush { cutoff }, now);
-            }
-        }
+    fn counters(&mut self, ci: usize) -> &mut CounterSet {
+        &mut self.clients[ci].metrics.counters
     }
 
     /// Consumes the cluster, returning the sink.
@@ -828,22 +604,7 @@ impl<S: TraceSink> Cluster<S> {
             .cache
             .files_with_dirty_before_into(SimTime::MAX, &mut files);
         for &file in &files {
-            flush_file(
-                &mut self.clients[ci].data,
-                &mut DirectServers {
-                    servers: &mut self.servers,
-                },
-                &self.files,
-                &self.cfg,
-                file,
-                self.now,
-                CleanReason::Fsync,
-                self.san.as_deref_mut(),
-                self.fault.as_mut(),
-                &self.server_down,
-                &self.down_until,
-                self.obs.as_deref_mut(),
-            );
+            self.flush_file(ci, file, CleanReason::Fsync);
         }
         files.clear();
         self.daemon_files = files;
@@ -883,7 +644,7 @@ impl<S: TraceSink> Cluster<S> {
                     san.on_crash_lost(client, key);
                 }
             }
-            invalidate_file(&mut self.clients[ci].data, file, false, self.san.as_deref_mut());
+            self.invalidate_file(ci, file, false);
         }
         if crash {
             self.clients[ci]
@@ -1232,25 +993,83 @@ impl<S: TraceSink> Cluster<S> {
         self.scratch_keys = keys;
     }
 
-    /// Applies fault accounting to one client→server RPC: stalls against
-    /// a down server (bounded by the retry budget; the op itself is
-    /// queued and delivered at recovery) and seeded message drops with
-    /// retransmission/backoff cost. No-op without a [`FaultPlan`].
+    /// Applies fault accounting to one client→server RPC: a down server
+    /// stalls the caller for up to the retry budget (the operation itself
+    /// is queued and delivered — data is not lost, time is), a cut edge
+    /// stalls it until the heal, and an up server may still drop
+    /// messages, costing seeded retransmissions with exponential backoff.
+    /// No-op without a [`FaultPlan`].
     fn fault_rpc(&mut self, ci: usize, si: usize, kind: RpcKind) {
         let Some(fstate) = self.fault.as_mut() else {
             return;
         };
-        fault_rpc_account(
-            fstate,
-            &self.server_down,
-            &self.down_until,
-            &mut self.clients[ci].metrics.counters,
-            ci as u16,
-            si,
-            kind,
-            self.now,
-            self.obs.as_deref_mut(),
-        );
+        let now = self.now;
+        let counters = &mut self.clients[ci].data.metrics.counters;
+        let mut obs = self.obs.as_deref_mut();
+        if self.server_down[si] {
+            let remaining = self.down_until[si].since(now);
+            let stall = remaining.min(fstate.retry_budget);
+            counters.bump(fault::STALLED_RPCS);
+            counters.add(fault::STALL_US, stall.as_micros());
+            if remaining > fstate.retry_budget {
+                counters.bump(fault::FAILED_RPCS);
+                if let Some(obs) = obs.as_deref_mut() {
+                    obs.exhaust(kind);
+                }
+            }
+            if let Some(obs) = obs {
+                obs.span(SpanKind::Stall, stall);
+                obs.retry(now, ci as u16, si as u16, 0, stall);
+            }
+            return;
+        }
+        if fstate.has_partitions {
+            let e = fstate.edge(ci as u16, si);
+            if fstate.cut[e] > 0 {
+                // The edge is cut: the RPC times out and is retried until
+                // the heal or the retry budget runs out. Like outage
+                // stalls, the operation itself still executes — the cost
+                // is time, not data (DESIGN.md §15).
+                let remaining = fstate.cut_until[e].since(now);
+                let stall = remaining.min(fstate.retry_budget);
+                counters.bump(fault::PART_STALLED_RPCS);
+                counters.add(fault::PART_STALL_US, stall.as_micros());
+                if remaining > fstate.retry_budget {
+                    counters.bump(fault::PART_FAILED_RPCS);
+                    if let Some(obs) = obs.as_deref_mut() {
+                        obs.exhaust(kind);
+                    }
+                }
+                if let Some(obs) = obs {
+                    obs.span(SpanKind::Stall, stall);
+                    obs.retry(now, ci as u16, si as u16, 0, stall);
+                }
+                return;
+            }
+            // An RPC that reaches the server implicitly renews the
+            // client's lease on this edge.
+            fstate.lease_until[e] = now + fstate.plan.lease_ttl;
+        }
+        if fstate.plan.drop_prob > 0.0 {
+            let mut tries = 0u32;
+            while tries < fstate.plan.max_retries && fstate.rng.chance(fstate.plan.drop_prob) {
+                tries += 1;
+            }
+            if tries > 0 {
+                let stall = fstate.plan.retry_stall(tries);
+                counters.add(fault::RETRANS_MSGS, u64::from(tries));
+                counters.add(fault::STALL_US, stall.as_micros());
+                if tries == fstate.plan.max_retries {
+                    counters.bump(fault::FAILED_RPCS);
+                    if let Some(obs) = obs.as_deref_mut() {
+                        obs.exhaust(kind);
+                    }
+                }
+                if let Some(obs) = obs {
+                    obs.retry(now, ci as u16, si as u16, u64::from(tries), stall);
+                }
+            }
+        }
     }
 
     /// Fires the next scheduled fault transition (already known due and
@@ -1599,7 +1418,7 @@ impl<S: TraceSink> Cluster<S> {
                 san.on_crash_lost(client, key);
             }
         }
-        invalidate_file(&mut self.clients[ci].data, file, false, self.san.as_deref_mut());
+        self.invalidate_file(ci, file, false);
         {
             let c = &mut self.servers[si].counters;
             c.bump(fault::LEASE_EXPIRY_RECALLS);
@@ -1672,20 +1491,18 @@ impl<S: TraceSink> Cluster<S> {
     }
 
     /// The write-back daemon: every 5 seconds, write out all dirty blocks
-    /// of any file that has had a block dirty for 30 seconds. The
-    /// per-client dirty scan and flush is a data-plane task (the
-    /// coordinator cannot see shard-owned caches); the server-side
-    /// flush is a control-ordered server event.
+    /// of any file that has had a block dirty for 30 seconds.
     fn daemon_tick(&mut self, now: SimTime) {
         let cutoff = now - self.cfg.writeback_delay;
         for ci in 0..self.clients.len() {
-            self.dispatch(ci, ClientTask::DaemonFlush { cutoff });
+            self.daemon_flush(ci, cutoff);
         }
         // Servers run their own delayed write to disk (a crashed server
         // has no cache to flush).
+        let block_size = self.cfg.block_size;
         for si in 0..self.servers.len() {
             if !self.server_down[si] {
-                self.server_tick_flush(si, cutoff);
+                self.servers[si].flush_dirty_before(cutoff, block_size);
             }
         }
         self.drain_disk_flush_logs();
@@ -1708,7 +1525,8 @@ impl<S: TraceSink> Cluster<S> {
             // zero default must not look like activity at time zero.
             let last = self.clients[ci].last_activity;
             let active = last > SimTime::ZERO && now.since(last) <= period;
-            self.dispatch(ci, ClientTask::Sample { active });
+            let bytes = self.clients[ci].cache_bytes(self.cfg.page_size);
+            self.clients[ci].metrics.sample(now, bytes, active);
         }
         if let Some(san) = self.san.as_deref_mut() {
             san.deep_audit(&self.clients, now);
@@ -1763,7 +1581,6 @@ impl<S: TraceSink> Cluster<S> {
     }
 
     fn emit(&mut self, server: ServerId, op: &AppOp, kind: RecordKind) {
-        crate::racecheck::guard(crate::racecheck::Resource::TraceEmit);
         self.sink.emit(
             server,
             Record {
@@ -1788,7 +1605,7 @@ impl<S: TraceSink> Cluster<S> {
             // (the workload should always create first).
             let server = assign_server(file, self.cfg.num_servers);
             self.files.create(file, server, false, self.now);
-            self.ctl(ci).bump("implicit.creates");
+            self.counters(ci).bump("implicit.creates");
         }
         let meta = self.files.get_mut(file).expect("file exists");
         let server_id = meta.server;
@@ -1802,11 +1619,11 @@ impl<S: TraceSink> Cluster<S> {
         let si = server_id.raw() as usize;
 
         self.fault_rpc(ci, si, RpcKind::Open);
-        count_rpc(self.ctl(ci), RpcKind::Open, 0);
+        count_rpc(self.counters(ci), RpcKind::Open, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Open, 0);
         self.obs_rpc(RpcKind::Open, ci, si, 0, false);
         if !is_dir {
-            self.ctl(ci).bump(consist::FILE_OPENS);
+            self.counters(ci).bump(consist::FILE_OPENS);
         }
 
         // Control-plane fast path: a calm file (sole client, no remote
@@ -1904,7 +1721,7 @@ impl<S: TraceSink> Cluster<S> {
             // I/O keeps every interleaving of their ops coherent
             // (found by SpriteSan under the partition fuzzer).
             if !is_dir && st.write_shared() {
-                self.ctl(ci).bump(consist::CWS_OPENS);
+                self.counters(ci).bump(consist::CWS_OPENS);
                 let strong = matches!(
                     self.cfg.consistency,
                     ConsistencyPolicy::Sprite
@@ -1960,7 +1777,7 @@ impl<S: TraceSink> Cluster<S> {
             // hook: dropping this invalidation must surface as a stale
             // read.
             if seen != prev_version && !self.cfg.fault_skip_invalidate {
-                self.dispatch(ci, ClientTask::Invalidate { file, stale: true });
+                self.invalidate_file(ci, file, true);
                 self.obs_event(ObsEventKind::Invalidate, ci as u16, si as u16, file.raw());
             }
         }
@@ -1977,18 +1794,12 @@ impl<S: TraceSink> Cluster<S> {
                 // A writer behind a cut edge may lose its grant to
                 // lease expiry instead of answering the recall.
                 if self.partition_action(wi, si, ci, file) {
-                    self.ctl(ci).bump(consist::RECALL_OPENS);
+                    self.counters(ci).bump(consist::RECALL_OPENS);
                     count_rpc(&mut self.servers[si].counters, RpcKind::Recall, 0);
-                    count_rpc(self.ctl(wi), RpcKind::Recall, 0);
+                    count_rpc(self.counters(wi), RpcKind::Recall, 0);
                     self.obs_rpc(RpcKind::Recall, wi, si, 0, false);
                     self.obs_event(ObsEventKind::Recall, wi as u16, si as u16, file.raw());
-                    self.dispatch(
-                        wi,
-                        ClientTask::FlushFile {
-                            file,
-                            reason: CleanReason::Recall,
-                        },
-                    );
+                    self.flush_file(wi, file, CleanReason::Recall);
                     self.servers[si].file_state(file).last_writer = None;
                 }
             }
@@ -2017,15 +1828,9 @@ impl<S: TraceSink> Cluster<S> {
                     // edge, in which case the revocation did the work).
                     let wi = w.raw() as usize;
                     if self.partition_action(wi, si, ci, file) {
-                        count_rpc(self.ctl(wi), RpcKind::TokenRecall, 0);
-                        self.dispatch(
-                            wi,
-                            ClientTask::FlushFile {
-                                file,
-                                reason: CleanReason::Recall,
-                            },
-                        );
-                        self.dispatch(wi, ClientTask::Invalidate { file, stale: false });
+                        count_rpc(self.counters(wi), RpcKind::TokenRecall, 0);
+                        self.flush_file(wi, file, CleanReason::Recall);
+                        self.invalidate_file(wi, file, false);
                         self.obs_rpc(RpcKind::TokenRecall, wi, si, 0, false);
                         self.obs_event(ObsEventKind::Recall, wi as u16, si as u16, file.raw());
                     }
@@ -2034,8 +1839,8 @@ impl<S: TraceSink> Cluster<S> {
                     if r != me {
                         let ri = r.raw() as usize;
                         if self.partition_action(ri, si, ci, file) {
-                            count_rpc(self.ctl(ri), RpcKind::TokenRecall, 0);
-                            self.dispatch(ri, ClientTask::Invalidate { file, stale: false });
+                            count_rpc(self.counters(ri), RpcKind::TokenRecall, 0);
+                            self.invalidate_file(ri, file, false);
                             self.obs_rpc(RpcKind::TokenRecall, ri, si, 0, false);
                             self.obs_event(
                                 ObsEventKind::Invalidate,
@@ -2049,7 +1854,7 @@ impl<S: TraceSink> Cluster<S> {
                 let st = self.servers[si].file_state(file);
                 st.tokens.readers.clear();
                 st.tokens.writer = Some(me);
-                count_rpc(self.ctl(ci), RpcKind::TokenAcquire, 0);
+                count_rpc(self.counters(ci), RpcKind::TokenAcquire, 0);
                 self.obs_rpc(RpcKind::TokenAcquire, ci, si, 0, false);
             }
         } else {
@@ -2062,14 +1867,8 @@ impl<S: TraceSink> Cluster<S> {
                     // Downgrade the writer: flush dirty, keep its blocks,
                     // writer becomes a reader.
                     let wi = w.raw() as usize;
-                    count_rpc(self.ctl(wi), RpcKind::TokenRecall, 0);
-                    self.dispatch(
-                        wi,
-                        ClientTask::FlushFile {
-                            file,
-                            reason: CleanReason::Recall,
-                        },
-                    );
+                    count_rpc(self.counters(wi), RpcKind::TokenRecall, 0);
+                    self.flush_file(wi, file, CleanReason::Recall);
                     let st = self.servers[si].file_state(file);
                     st.tokens.writer = None;
                     st.tokens.readers.insert(w);
@@ -2078,7 +1877,7 @@ impl<S: TraceSink> Cluster<S> {
                 }
                 let st = self.servers[si].file_state(file);
                 st.tokens.readers.insert(me);
-                count_rpc(self.ctl(ci), RpcKind::TokenAcquire, 0);
+                count_rpc(self.counters(ci), RpcKind::TokenAcquire, 0);
                 self.obs_rpc(RpcKind::TokenAcquire, ci, si, 0, false);
             }
         }
@@ -2103,7 +1902,7 @@ impl<S: TraceSink> Cluster<S> {
         };
         if due {
             self.fault_rpc(ci, si, RpcKind::GetAttr);
-            count_rpc(self.ctl(ci), RpcKind::GetAttr, 0);
+            count_rpc(self.counters(ci), RpcKind::GetAttr, 0);
             count_rpc(&mut self.servers[si].counters, RpcKind::GetAttr, 0);
             self.obs_rpc(RpcKind::GetAttr, ci, si, 0, false);
             let stale = self.clients[ci]
@@ -2111,7 +1910,7 @@ impl<S: TraceSink> Cluster<S> {
                 .get(&file)
                 .is_some_and(|&v| v != version);
             if stale {
-                self.dispatch(ci, ClientTask::Invalidate { file, stale: true });
+                self.invalidate_file(ci, file, true);
                 self.obs_event(ObsEventKind::Invalidate, ci as u16, si as u16, file.raw());
             }
             self.clients[ci].seen_version.insert(file, version);
@@ -2212,15 +2011,9 @@ impl<S: TraceSink> Cluster<S> {
             if !self.partition_action(ci, si, requester, file) {
                 continue; // Lease revoked: the holder's cache is gone.
             }
-            count_rpc(self.ctl(ci), RpcKind::Invalidate, 0);
-            self.dispatch(
-                ci,
-                ClientTask::FlushFile {
-                    file,
-                    reason: CleanReason::Recall,
-                },
-            );
-            self.dispatch(ci, ClientTask::Invalidate { file, stale: false });
+            count_rpc(self.counters(ci), RpcKind::Invalidate, 0);
+            self.flush_file(ci, file, CleanReason::Recall);
+            self.invalidate_file(ci, file, false);
             self.obs_rpc(RpcKind::Invalidate, ci, si, 0, false);
             self.obs_event(ObsEventKind::Invalidate, ci as u16, si as u16, file.raw());
         }
@@ -2243,7 +2036,7 @@ impl<S: TraceSink> Cluster<S> {
         let version = meta.version;
         let si = server_id.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Close);
-        count_rpc(self.ctl(ci), RpcKind::Close, 0);
+        count_rpc(self.counters(ci), RpcKind::Close, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Close, 0);
         self.obs_rpc(RpcKind::Close, ci, si, 0, false);
         if let Some(obs) = self.obs.as_deref_mut() {
@@ -2383,7 +2176,7 @@ impl<S: TraceSink> Cluster<S> {
         if uncacheable {
             // Pass-through read on a write-shared file.
             self.fault_rpc(ci, si, RpcKind::SharedRead);
-            let c = self.ctl(ci);
+            let c = self.counters(ci);
             c.add(raw::SHARED_READ, eff);
             c.add(srv::SHARED_READ, eff);
             count_rpc(c, RpcKind::SharedRead, eff);
@@ -2399,18 +2192,8 @@ impl<S: TraceSink> Cluster<S> {
                 },
             );
         } else {
-            self.ctl(ci).add(raw::FILE_READ, eff);
-            self.dispatch(
-                ci,
-                ClientTask::Read {
-                    file,
-                    offset: fdst.offset,
-                    len: eff,
-                    si,
-                    paging: false,
-                    migrated: op.migrated,
-                },
-            );
+            self.counters(ci).add(raw::FILE_READ, eff);
+            self.cached_read(op, si, file, fdst.offset, eff, false);
             // Polling mode: a cache read may silently return stale data.
             if matches!(self.cfg.consistency, ConsistencyPolicy::Polling { .. }) {
                 let current = self.files.get(file).map(|m| m.version).unwrap_or(0);
@@ -2420,7 +2203,7 @@ impl<S: TraceSink> Cluster<S> {
                     .copied()
                     .unwrap_or(current);
                 if seen != current {
-                    let c = self.ctl(ci);
+                    let c = self.counters(ci);
                     c.bump(consist::STALE_READ_OPS);
                     c.add(consist::STALE_READ_BYTES, eff);
                 }
@@ -2462,11 +2245,10 @@ impl<S: TraceSink> Cluster<S> {
             meta.size = offset + len;
         }
         meta.note_write(self.now, was_empty);
-        let new_size = meta.size;
 
         if uncacheable {
             self.fault_rpc(ci, si, RpcKind::SharedWrite);
-            let c = self.ctl(ci);
+            let c = self.counters(ci);
             c.add(raw::SHARED_WRITE, len);
             c.add(srv::SHARED_WRITE, len);
             count_rpc(c, RpcKind::SharedWrite, len);
@@ -2480,20 +2262,7 @@ impl<S: TraceSink> Cluster<S> {
             }
             self.emit(server_id, op, RecordKind::SharedWrite { file, offset, len });
         } else {
-            let polling = matches!(self.cfg.consistency, ConsistencyPolicy::Polling { .. });
-            self.dispatch(
-                ci,
-                ClientTask::Write {
-                    file,
-                    offset,
-                    len,
-                    old_size,
-                    new_size,
-                    si,
-                    write_through: polling,
-                    migrated: op.migrated,
-                },
-            );
+            self.cached_write(op, si, file, offset, len, old_size);
         }
 
         let fdst = self.clients[ci].fds.get_mut(&fd).expect("fd exists");
@@ -2540,19 +2309,13 @@ impl<S: TraceSink> Cluster<S> {
             return;
         };
         let file = fdst.file;
-        count_rpc(self.ctl(ci), RpcKind::Fsync, 0);
+        count_rpc(self.counters(ci), RpcKind::Fsync, 0);
         if let Some(meta) = self.files.get(file) {
             let si = meta.server.raw() as usize;
             self.fault_rpc(ci, si, RpcKind::Fsync);
             self.obs_rpc(RpcKind::Fsync, ci, si, 0, false);
         }
-        self.dispatch(
-            ci,
-            ClientTask::FlushFile {
-                file,
-                reason: CleanReason::Fsync,
-            },
-        );
+        self.flush_file(ci, file, CleanReason::Fsync);
     }
 
     // ------------------------------------------------------------------
@@ -2575,16 +2338,16 @@ impl<S: TraceSink> Cluster<S> {
                 st.calm.live = false;
             }
             for c in 0..self.clients.len() {
-                self.dispatch(c, ClientTask::DropFile { file });
+                self.invalidate_file(c, file, false);
             }
             if let Some(san) = self.san.as_deref_mut() {
                 san.on_file_erased(file);
             }
-            self.server_drop_file(si, file);
+            self.servers[si].drop_file_blocks(file);
         }
         self.files.create(file, server, is_dir, self.now);
         self.fault_rpc(ci, server.raw() as usize, RpcKind::Create);
-        count_rpc(self.ctl(ci), RpcKind::Create, 0);
+        count_rpc(self.counters(ci), RpcKind::Create, 0);
         count_rpc(
             &mut self.servers[server.raw() as usize].counters,
             RpcKind::Create,
@@ -2637,19 +2400,19 @@ impl<S: TraceSink> Cluster<S> {
         };
         let si = meta.server.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Delete);
-        count_rpc(self.ctl(ci), RpcKind::Delete, 0);
+        count_rpc(self.counters(ci), RpcKind::Delete, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Delete, 0);
         self.obs_rpc(RpcKind::Delete, ci, si, 0, false);
         // Drop the file's blocks everywhere; dirty data is cancelled and
         // never written back (this is where short lifetimes save write
         // traffic).
         for c in 0..self.clients.len() {
-            self.dispatch(c, ClientTask::DropFile { file });
+            self.invalidate_file(c, file, false);
         }
         if let Some(san) = self.san.as_deref_mut() {
             san.on_file_erased(file);
         }
-        self.server_drop_file(si, file);
+        self.servers[si].drop_file_blocks(file);
         // The entry (and any calm summary in it) dies with the file. An
         // open fd's pass-through memo only goes stale if the entry was
         // uncacheable (memo true, but a lookup of the absent entry says
@@ -2697,16 +2460,16 @@ impl<S: TraceSink> Cluster<S> {
             st.calm.live = false;
         }
         self.fault_rpc(ci, si, RpcKind::Truncate);
-        count_rpc(self.ctl(ci), RpcKind::Truncate, 0);
+        count_rpc(self.counters(ci), RpcKind::Truncate, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Truncate, 0);
         self.obs_rpc(RpcKind::Truncate, ci, si, 0, false);
         for c in 0..self.clients.len() {
-            self.dispatch(c, ClientTask::DropFile { file });
+            self.invalidate_file(c, file, false);
         }
         if let Some(san) = self.san.as_deref_mut() {
             san.on_file_erased(file);
         }
-        self.server_drop_file(si, file);
+        self.servers[si].drop_file_blocks(file);
         self.emit(
             server_id,
             op,
@@ -2730,7 +2493,7 @@ impl<S: TraceSink> Cluster<S> {
         let server_id = meta.server;
         let si = server_id.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::ReadDir);
-        let c = self.ctl(ci);
+        let c = self.counters(ci);
         c.add(raw::DIR_READ, bytes);
         c.add(srv::DIR_READ, bytes);
         count_rpc(c, RpcKind::ReadDir, bytes);
@@ -2743,6 +2506,9 @@ impl<S: TraceSink> Cluster<S> {
     // Virtual memory.
     // ------------------------------------------------------------------
 
+    /// One process start: shared-text accounting, VM page acquisition
+    /// (stealing from the file cache if needed), code and
+    /// initialized-data faults.
     fn do_proc_start(
         &mut self,
         op: &AppOp,
@@ -2761,23 +2527,133 @@ impl<S: TraceSink> Cluster<S> {
         }
         let meta = self.files.get(exec).expect("exec exists");
         let si = meta.server.raw() as usize;
-        self.dispatch(
-            ci,
-            ClientTask::ProcStart {
-                pid: op.pid,
+        let now = self.now;
+        let ps = self.cfg.page_size;
+        let code_pages = code_bytes.div_ceil(ps);
+        // Data pages include the heap/stack the process will grow to;
+        // only the initialized-data portion is faulted from the file.
+        let data_pages = (data_bytes + heap_bytes).div_ceil(ps).max(1);
+
+        // Shared program text: if another instance of this program is
+        // already running here, its code pages are shared — no code
+        // faults and no additional code memory.
+        let client = &mut self.clients[ci];
+        let sharing = {
+            let entry = client.shared_text.entry(exec).or_insert((0, 0));
+            entry.0 += 1;
+            entry.0 > 1
+        };
+        let fault_code_pages = if sharing {
+            0
+        } else {
+            // Retained code from a previous run of the same program?
+            let reused = client.mem.code_hit(exec, now);
+            client.shared_text.insert(exec, (1, code_pages));
+            code_pages.saturating_sub(reused)
+        };
+
+        // Obtain physical pages for the process image.
+        let steal = client.mem.vm_acquire(fault_code_pages + data_pages);
+        for _ in 0..steal {
+            if self.evict_lru(ci, replace::VM_BLOCKS, replace::VM_AGE_US) {
+                self.clients[ci].mem.steal_from_fc();
+            } else {
+                // Nothing cached to evict: the machine is overcommitted.
+                self.clients[ci].mem.force_grow(1);
+            }
+        }
+
+        // Fault in code pages. Sprite checks the file cache on code
+        // faults (recompilation can leave new code there) but does not
+        // *install* code blocks in the file cache on a miss; a cached
+        // code block is released after its contents are copied to VM.
+        let code_fault_bytes = fault_code_pages * ps;
+        if code_fault_bytes > 0 {
+            self.counters(ci)
+                .add(raw::PAGING_CODE_READ, code_fault_bytes);
+            for index in 0..fault_code_pages {
+                let key = BlockKey { file: exec, index };
+                {
+                    let c = self.counters(ci);
+                    c.bump(mc::PAGING_READ_OPS);
+                    if op.migrated {
+                        c.bump(mig::PAGING_READ_OPS);
+                    }
+                }
+                if self.clients[ci].cache.touch(key, now) {
+                    // Copy to VM; the block stays cached so a future
+                    // invocation on this machine can find it again.
+                    if let Some(san) = self.san.as_deref_mut() {
+                        san.on_read_hit(op.client, key, true, now);
+                    }
+                    continue;
+                }
+                self.fault_rpc(ci, si, RpcKind::PageIn);
+                {
+                    let c = self.counters(ci);
+                    c.bump(mc::PAGING_READ_MISS_OPS);
+                    c.add(srv::PAGING_READ, ps);
+                    count_rpc(c, RpcKind::PageIn, ps);
+                    if op.migrated {
+                        c.bump(mig::PAGING_READ_MISS_OPS);
+                    }
+                }
+                let srv_hit = self.servers[si].serve_read(key, ps, now);
+                self.obs_rpc(RpcKind::PageIn, ci, si, ps, !srv_hit);
+                self.insert_block(ci, key);
+                if let Some(san) = self.san.as_deref_mut() {
+                    let inserted = self.clients[ci].cache.contains(key);
+                    san.on_fetch(op.client, key, inserted, true, now);
+                }
+            }
+        }
+
+        // Fault in initialized data through the file cache (blocks stay
+        // cached so a re-run finds clean copies).
+        if data_bytes > 0 {
+            self.counters(ci).add(raw::PAGING_INITDATA_READ, data_bytes);
+            self.cached_read(op, si, exec, code_bytes, data_bytes, true);
+        }
+
+        self.clients[ci].procs.insert(
+            op.pid,
+            ProcState {
                 exec,
-                code_bytes,
-                data_bytes,
-                heap_bytes,
-                si,
-                migrated: op.migrated,
+                code_pages,
+                data_pages,
             },
         );
     }
 
+    /// One process exit: release private pages, and shared code when the
+    /// last instance leaves (retaining it for the paper's code-reuse
+    /// effect).
     fn do_proc_exit(&mut self, op: &AppOp) {
-        let ci = op.client.raw() as usize;
-        self.dispatch(ci, ClientTask::ProcExit { pid: op.pid });
+        let now = self.now;
+        let client = &mut self.clients[op.client.raw() as usize];
+        let Some(proc) = client.procs.remove(&op.pid) else {
+            return; // Unknown process: tolerate (migrant bookkeeping).
+        };
+        // Data and stack pages are always private.
+        client.mem.vm_release(now, proc.data_pages);
+        // Code is shared; the last instance out releases and retains it.
+        let last = {
+            let entry = client
+                .shared_text
+                .get_mut(&proc.exec)
+                .expect("shared text entry exists for running process");
+            entry.0 = entry.0.saturating_sub(1);
+            if entry.0 == 0 {
+                Some(entry.1)
+            } else {
+                None
+            }
+        };
+        if let Some(code_pages) = last {
+            client.shared_text.remove(&proc.exec);
+            client.mem.vm_release(now, code_pages);
+            client.mem.retain_code(proc.exec, code_pages, now);
+        }
     }
 
     fn do_page(&mut self, op: &AppOp, file: FileId, offset: u64, bytes: u64, read: bool) {
@@ -2791,14 +2667,14 @@ impl<S: TraceSink> Cluster<S> {
         let bs = self.cfg.block_size;
         if read {
             self.fault_rpc(ci, si, RpcKind::PageIn);
-            let c = self.ctl(ci);
+            let c = self.counters(ci);
             c.add(raw::PAGING_BACKING_READ, bytes);
             c.add(srv::PAGING_READ, bytes);
             count_rpc(c, RpcKind::PageIn, bytes);
             count_rpc(&mut self.servers[si].counters, RpcKind::PageIn, bytes);
             let mut all_hit = true;
             for index in offset / bs..=(offset + bytes.max(1) - 1) / bs {
-                all_hit &= self.server_read(si, BlockKey { file, index }, bs);
+                all_hit &= self.servers[si].serve_read(BlockKey { file, index }, bs, self.now);
             }
             self.obs_rpc(RpcKind::PageIn, ci, si, bytes, !all_hit);
         } else {
@@ -2808,1114 +2684,380 @@ impl<S: TraceSink> Cluster<S> {
             }
             meta.note_write(self.now, was_empty);
             self.fault_rpc(ci, si, RpcKind::PageOut);
-            let c = self.ctl(ci);
+            let c = self.counters(ci);
             c.add(raw::PAGING_BACKING_WRITE, bytes);
             c.add(srv::PAGING_WRITE, bytes);
             count_rpc(c, RpcKind::PageOut, bytes);
             count_rpc(&mut self.servers[si].counters, RpcKind::PageOut, bytes);
             self.obs_rpc(RpcKind::PageOut, ci, si, bytes, false);
             for index in offset / bs..=(offset + bytes.max(1) - 1) / bs {
-                self.server_write(si, BlockKey { file, index }, bs);
+                self.servers[si].accept_write(BlockKey { file, index }, bs, self.now);
             }
         }
     }
-}
 
-// ----------------------------------------------------------------------
-// Free helpers (split borrows across clients / servers / files).
-// ----------------------------------------------------------------------
+    // ------------------------------------------------------------------
+    // Client data path: block cache, write-back, and invalidation.
+    // ------------------------------------------------------------------
 
-/// Client-side fault accounting for one RPC to server `si`: a down
-/// server stalls the caller for up to the retry budget (the operation
-/// itself is queued and delivered — data is not lost, time is); an up
-/// server may still drop messages, costing seeded retransmissions with
-/// exponential backoff. A free function so the write-back path (which
-/// has `self` split into field borrows) can share it with
-/// [`Cluster::fault_rpc`].
-#[allow(clippy::too_many_arguments)]
-fn fault_rpc_account(
-    fstate: &mut FaultState,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    counters: &mut CounterSet,
-    ci: u16,
-    si: usize,
-    kind: RpcKind,
-    now: SimTime,
-    mut obs: Option<&mut Obs>,
-) {
-    if server_down[si] {
-        let remaining = down_until[si].since(now);
-        let stall = remaining.min(fstate.retry_budget);
-        counters.bump(fault::STALLED_RPCS);
-        counters.add(fault::STALL_US, stall.as_micros());
-        if remaining > fstate.retry_budget {
-            counters.bump(fault::FAILED_RPCS);
-            if let Some(obs) = obs.as_deref_mut() {
-                obs.exhaust(kind);
-            }
-        }
-        if let Some(obs) = obs {
-            obs.span(SpanKind::Stall, stall);
-            obs.retry(now, ci, si as u16, 0, stall);
-        }
-        return;
-    }
-    if fstate.has_partitions {
-        let e = fstate.edge(ci, si);
-        if fstate.cut[e] > 0 {
-            // The edge is cut: the RPC times out and is retried until
-            // the heal or the retry budget runs out. Like outage
-            // stalls, the operation itself still executes — the cost
-            // is time, not data (DESIGN.md §15).
-            let remaining = fstate.cut_until[e].since(now);
-            let stall = remaining.min(fstate.retry_budget);
-            counters.bump(fault::PART_STALLED_RPCS);
-            counters.add(fault::PART_STALL_US, stall.as_micros());
-            if remaining > fstate.retry_budget {
-                counters.bump(fault::PART_FAILED_RPCS);
-                if let Some(obs) = obs.as_deref_mut() {
-                    obs.exhaust(kind);
+    /// Reads `len` bytes at `offset` of `file` (on server `si`) through
+    /// the issuing client's block cache. `paging` selects the paging
+    /// counter family (code and initialized-data faults).
+    fn cached_read(
+        &mut self,
+        op: &AppOp,
+        si: usize,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        paging: bool,
+    ) {
+        let ci = op.client.raw() as usize;
+        let now = self.now;
+        let bs = self.cfg.block_size;
+        let first = offset / bs;
+        let last = (offset + len - 1) / bs;
+        {
+            let c = self.counters(ci);
+            if paging {
+                c.add(mc::PAGING_READ_OPS, last - first + 1);
+                if op.migrated {
+                    c.add(mig::PAGING_READ_OPS, last - first + 1);
+                }
+            } else {
+                c.add(mc::READ_OPS, last - first + 1);
+                c.add(mc::READ_REQ_BYTES, len);
+                if op.migrated {
+                    c.add(mig::READ_OPS, last - first + 1);
+                    c.add(mig::READ_REQ_BYTES, len);
                 }
             }
-            if let Some(obs) = obs {
-                obs.span(SpanKind::Stall, stall);
-                obs.retry(now, ci, si as u16, 0, stall);
+        }
+        for index in first..=last {
+            let key = BlockKey { file, index };
+            if self.clients[ci].cache.touch(key, now) {
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_read_hit(op.client, key, paging, now);
+                }
+                self.obs_event(ObsEventKind::CacheHit, ci as u16, si as u16, file.raw());
+                continue; // Hit.
+            }
+            // Miss: fetch the whole block from the server.
+            self.fault_rpc(ci, si, RpcKind::ReadBlock);
+            {
+                let c = self.counters(ci);
+                if paging {
+                    c.bump(mc::PAGING_READ_MISS_OPS);
+                    c.add(srv::PAGING_READ, bs);
+                    if op.migrated {
+                        c.bump(mig::PAGING_READ_MISS_OPS);
+                    }
+                } else {
+                    c.bump(mc::READ_MISS_OPS);
+                    c.add(mc::READ_MISS_BYTES, bs);
+                    c.add(srv::FILE_READ, bs);
+                    if op.migrated {
+                        c.bump(mig::READ_MISS_OPS);
+                        c.add(mig::READ_MISS_BYTES, bs);
+                    }
+                }
+                count_rpc(c, RpcKind::ReadBlock, bs);
+            }
+            let srv_hit = self.servers[si].serve_read(key, bs, now);
+            self.obs_event(ObsEventKind::CacheMiss, ci as u16, si as u16, file.raw());
+            self.obs_rpc(RpcKind::ReadBlock, ci, si, bs, !srv_hit);
+            self.insert_block(ci, key);
+            if let Some(san) = self.san.as_deref_mut() {
+                let inserted = self.clients[ci].cache.contains(key);
+                san.on_fetch(op.client, key, inserted, paging, now);
+            }
+        }
+    }
+
+    /// Writes `len` bytes at `offset` of `file` (on server `si`, `old_size`
+    /// bytes long before this write) through the issuing client's cache.
+    /// Under polling consistency data also goes to the server immediately
+    /// and blocks stay clean (NFS-style write-through).
+    fn cached_write(
+        &mut self,
+        op: &AppOp,
+        si: usize,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        old_size: u64,
+    ) {
+        let ci = op.client.raw() as usize;
+        let now = self.now;
+        let bs = self.cfg.block_size;
+        let write_through = matches!(self.cfg.consistency, ConsistencyPolicy::Polling { .. });
+        let first = offset / bs;
+        let last = (offset + len - 1) / bs;
+        {
+            let c = self.counters(ci);
+            c.add(raw::FILE_WRITE, len);
+            c.add(mc::WRITE_OPS, last - first + 1);
+            c.add(mc::WRITE_BYTES, len);
+            if op.migrated {
+                c.add(mig::WRITE_OPS, last - first + 1);
+            }
+        }
+        for index in first..=last {
+            let key = BlockKey { file, index };
+            let block_start = index * bs;
+            let block_end = block_start + bs;
+            let wstart = offset.max(block_start);
+            let wend = (offset + len).min(block_end);
+            let app_bytes = wend - wstart;
+            let full_block = app_bytes == bs;
+            // Fast path: cached block under delayed write — probe, touch
+            // and dirty in one cache lookup.
+            if !write_through
+                && self.clients[ci]
+                    .cache
+                    .mark_dirty_if_present(key, now, app_bytes)
+            {
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_cached_write(op.client, key, WriteKind::Dirty, now);
+                }
+                continue;
+            }
+            if !self.clients[ci].cache.contains(key) {
+                // Partial write of a block with pre-existing content
+                // requires a write fetch.
+                if block_start < old_size && !full_block {
+                    self.fault_rpc(ci, si, RpcKind::ReadBlock);
+                    {
+                        let c = self.counters(ci);
+                        c.bump(mc::WRITE_FETCH_OPS);
+                        if op.migrated {
+                            c.bump(mig::WRITE_FETCH_OPS);
+                        }
+                        c.add(srv::FILE_READ, bs);
+                        count_rpc(c, RpcKind::ReadBlock, bs);
+                    }
+                    let srv_hit = self.servers[si].serve_read(key, bs, now);
+                    self.obs_rpc(RpcKind::ReadBlock, ci, si, bs, !srv_hit);
+                }
+                self.insert_block(ci, key);
+            } else {
+                self.clients[ci].cache.touch(key, now);
+            }
+            if !self.clients[ci].cache.contains(key) {
+                // The VM system holds every physical page and nothing
+                // could be evicted: this write goes straight through.
+                self.write_block_through(ci, si, key, app_bytes);
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_server_write(key);
+                }
+            } else if write_through {
+                // NFS-style: data goes straight through; the cached copy
+                // stays clean, so no cleaning bookkeeping is needed.
+                self.write_block_through(ci, si, key, app_bytes);
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_cached_write(op.client, key, WriteKind::Through, now);
+                }
+            } else {
+                self.clients[ci].cache.mark_dirty(key, now, app_bytes);
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_cached_write(op.client, key, WriteKind::Dirty, now);
+                }
+            }
+        }
+    }
+
+    /// Sends `app_bytes` of block `key` from client `ci` straight to
+    /// server `si`, bypassing the delayed-write path.
+    fn write_block_through(&mut self, ci: usize, si: usize, key: BlockKey, app_bytes: u64) {
+        self.fault_rpc(ci, si, RpcKind::WriteBlock);
+        let c = self.counters(ci);
+        c.add(mc::WRITEBACK_BYTES, app_bytes);
+        c.add(srv::FILE_WRITE, app_bytes);
+        count_rpc(c, RpcKind::WriteBlock, app_bytes);
+        self.servers[si].accept_write(key, app_bytes, self.now);
+        self.obs_rpc(RpcKind::WriteBlock, ci, si, app_bytes, false);
+    }
+
+    /// Inserts a block into client `ci`'s cache, obtaining a physical
+    /// page from the memory manager (free page, idle VM page, or LRU
+    /// eviction).
+    fn insert_block(&mut self, ci: usize, key: BlockKey) {
+        use crate::vm::FcGrant;
+        let now = self.now;
+        match self.clients[ci].mem.fc_acquire(now) {
+            FcGrant::FromFree | FcGrant::FromIdleVm => {
+                self.clients[ci].cache.insert(key, now);
+            }
+            FcGrant::MustEvict => {
+                if self.evict_lru(ci, replace::FILE_BLOCKS, replace::FILE_AGE_US) {
+                    // Page reused in place; no memory-manager traffic.
+                    self.clients[ci].cache.insert(key, now);
+                }
+                // If the cache was empty there is nothing to evict and
+                // the block simply is not cached.
+            }
+        }
+    }
+
+    /// Evicts client `ci`'s LRU block, writing it back first if dirty.
+    /// Returns `false` if the cache was empty.
+    fn evict_lru(&mut self, ci: usize, blocks_key: &'static str, age_key: &'static str) -> bool {
+        let Some((key, entry)) = self.clients[ci]
+            .cache
+            .peek_lru()
+            .map(|(k, e)| (k, e.clone()))
+        else {
+            return false;
+        };
+        if entry.dirty {
+            let reason = if blocks_key == replace::VM_BLOCKS {
+                CleanReason::Vm
+            } else {
+                CleanReason::Evict
+            };
+            self.writeback_block(ci, key, reason);
+        }
+        let age = self.now.since(entry.last_ref);
+        let c = self.counters(ci);
+        c.bump(blocks_key);
+        c.add(age_key, age.as_micros());
+        self.clients[ci].cache.remove(key);
+        self.obs_event(ObsEventKind::CacheEvict, ci as u16, 0, age.as_micros());
+        if let Some(san) = self.san.as_deref_mut() {
+            san.on_drop_block(self.clients[ci].id, key);
+        }
+        true
+    }
+
+    /// Client `ci`'s half of a write-back daemon tick: flush every file
+    /// with a block dirty since before `cutoff`. A file on a down server
+    /// is queued instead (degraded mode) — its blocks stay dirty,
+    /// extending the loss window.
+    fn daemon_flush(&mut self, ci: usize, cutoff: SimTime) {
+        let any_down = self.server_down.iter().any(|&d| d);
+        let any_cut = self.fault.as_ref().is_some_and(|f| f.has_partitions);
+        let mut files = std::mem::take(&mut self.daemon_files);
+        self.clients[ci]
+            .cache
+            .files_with_dirty_before_into(cutoff, &mut files);
+        for &file in &files {
+            if any_down || any_cut {
+                let si = assign_server(file, self.cfg.num_servers).raw() as usize;
+                // A cut edge queues the write-back just like a down
+                // server: the blocks stay dirty until the heal (or until
+                // a lapsed lease revokes them).
+                let queued = if self.server_down[si] {
+                    Some(fault::QUEUED_WRITEBACKS)
+                } else if self
+                    .fault
+                    .as_ref()
+                    .is_some_and(|f| f.edge_cut(ci as u16, si))
+                {
+                    Some(fault::PART_QUEUED_WRITEBACKS)
+                } else {
+                    None
+                };
+                if let Some(counter) = queued {
+                    self.counters(ci).bump(counter);
+                    self.obs_event(
+                        ObsEventKind::QueuedWriteBack,
+                        ci as u16,
+                        si as u16,
+                        file.raw(),
+                    );
+                    continue;
+                }
+            }
+            self.flush_file(ci, file, CleanReason::Delay);
+        }
+        files.clear();
+        self.daemon_files = files;
+    }
+
+    /// Writes one dirty block of client `ci` back to its server,
+    /// recording the cleaning reason and age.
+    fn writeback_block(&mut self, ci: usize, key: BlockKey, reason: CleanReason) {
+        let now = self.now;
+        let Some(before) = self.clients[ci].cache.clean(key) else {
+            return;
+        };
+        let id = self.clients[ci].id;
+        let bs = self.cfg.block_size;
+        // A file deleted (or cut short) with dirty data still cached:
+        // the write is cancelled.
+        let bytes = self
+            .files
+            .get(key.file)
+            .map_or(0, |m| bs.min(m.size.saturating_sub(key.index * bs)));
+        if bytes == 0 {
+            self.counters(ci)
+                .add(mc::CANCELLED_BYTES, before.dirty_app_bytes);
+            if let Some(san) = self.san.as_deref_mut() {
+                san.on_writeback(id, key, false);
             }
             return;
         }
-        // An RPC that reaches the server implicitly renews the
-        // client's lease on this edge.
-        fstate.lease_until[e] = now + fstate.plan.lease_ttl;
-    }
-    if fstate.plan.drop_prob > 0.0 {
-        let mut tries = 0u32;
-        while tries < fstate.plan.max_retries && fstate.rng.chance(fstate.plan.drop_prob) {
-            tries += 1;
+        let c = self.counters(ci);
+        c.add(mc::WRITEBACK_BYTES, bytes);
+        c.add(srv::FILE_WRITE, bytes);
+        count_rpc(c, RpcKind::WriteBlock, bytes);
+        c.bump(reason.blocks_key());
+        c.add(reason.age_key(), now.since(before.last_write).as_micros());
+        let si = assign_server(key.file, self.cfg.num_servers).raw() as usize;
+        self.fault_rpc(ci, si, RpcKind::WriteBlock);
+        self.servers[si].accept_write(key, bytes, now);
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.writeback(now, ci as u16, si as u16, before.dwell(now));
         }
-        if tries > 0 {
-            let stall = fstate.plan.retry_stall(tries);
-            counters.add(fault::RETRANS_MSGS, u64::from(tries));
-            counters.add(fault::STALL_US, stall.as_micros());
-            if tries == fstate.plan.max_retries {
-                counters.bump(fault::FAILED_RPCS);
-                if let Some(obs) = obs.as_deref_mut() {
-                    obs.exhaust(kind);
+        self.obs_rpc(RpcKind::WriteBlock, ci, si, bytes, false);
+        if let Some(san) = self.san.as_deref_mut() {
+            san.on_writeback(id, key, true);
+        }
+    }
+
+    /// Flushes every dirty block client `ci` holds for `file`.
+    fn flush_file(&mut self, ci: usize, file: FileId, reason: CleanReason) {
+        let mut blocks = std::mem::take(&mut self.clients[ci].scratch_blocks);
+        self.clients[ci]
+            .cache
+            .dirty_blocks_of_into(file, &mut blocks);
+        for &index in &blocks {
+            self.writeback_block(ci, BlockKey { file, index }, reason);
+        }
+        self.clients[ci].scratch_blocks = blocks;
+    }
+
+    /// Drops every cached block of `file` from client `ci`, releasing
+    /// the pages. Dirty data is cancelled (never written). `stale`
+    /// selects the staleness counter (consistency invalidation) over
+    /// silent dropping.
+    fn invalidate_file(&mut self, ci: usize, file: FileId, stale: bool) {
+        let client = &mut self.clients[ci];
+        let mut indices = std::mem::take(&mut client.scratch_blocks);
+        client.cache.blocks_of_into(file, &mut indices);
+        let n = indices.len() as u64;
+        for &index in &indices {
+            let key = BlockKey { file, index };
+            if let Some(entry) = client.cache.remove(key) {
+                if entry.dirty {
+                    client
+                        .metrics
+                        .counters
+                        .add(mc::CANCELLED_BYTES, entry.dirty_app_bytes);
                 }
-            }
-            if let Some(obs) = obs {
-                obs.retry(now, ci, si as u16, u64::from(tries), stall);
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Data plane. Every function below operates on one client's
-// [`ClientData`] plus abstract server/size views, so the *same* bodies
-// run inline on the coordinator (sequential engine, with
-// sanitizer/fault/obs hooks live) and on shard workers (parallel
-// engine, hooks `None` because those modes force threads=1).
-// ----------------------------------------------------------------------
-
-/// How the data plane reaches server block caches: directly (inline) or
-/// through a deferred per-task event log replayed in dispatch order
-/// after the workers join (parallel).
-pub(crate) trait ServerAccess {
-    /// A block read served from the server's cache or disk. Returns
-    /// whether the server cache hit; deferred implementations return
-    /// `true` (the flag's only consumer is obs, off in parallel runs).
-    fn serve_read(&mut self, si: usize, key: BlockKey, bytes: u64, now: SimTime) -> bool;
-    /// A block write accepted into the server's cache.
-    fn accept_write(&mut self, si: usize, key: BlockKey, bytes: u64, now: SimTime);
-}
-
-/// Inline access to the real server array.
-pub(crate) struct DirectServers<'a> {
-    /// The cluster's servers.
-    pub servers: &'a mut [Server],
-}
-
-// plane:coordinator-only — the inline path runs on the coordinator
-// thread only; shard workers always get the deferred `EventLog`.
-impl ServerAccess for DirectServers<'_> {
-    fn serve_read(&mut self, si: usize, key: BlockKey, bytes: u64, now: SimTime) -> bool {
-        self.servers[si].serve_read(key, bytes, now)
-    }
-
-    fn accept_write(&mut self, si: usize, key: BlockKey, bytes: u64, now: SimTime) {
-        self.servers[si].accept_write(key, bytes, now)
-    }
-}
-
-/// Current file sizes as the write-back path sees them: the
-/// authoritative [`FileTable`] inline, or a worker-local mirror built
-/// from the sizes carried on `Write`/`DropFile` tasks. The mirror is
-/// exact for every file a client holds dirty blocks of: a client only
-/// dirties a block through its own `Write` tasks (which carry the new
-/// size), and any other writer is ordered behind a flush/invalidate
-/// task in this client's own queue first (recall, token downgrade,
-/// cache disable, truncate, delete).
-pub(crate) trait SizeView {
-    /// The file's size, or `None` if it is gone.
-    fn size_of(&self, file: FileId) -> Option<u64>;
-}
-
-impl SizeView for FileTable {
-    fn size_of(&self, file: FileId) -> Option<u64> {
-        self.get(file).map(|m| m.size)
-    }
-}
-
-impl SizeView for FastMap<FileId, u64> {
-    fn size_of(&self, file: FileId) -> Option<u64> {
-        self.get(&file).copied()
-    }
-}
-
-/// Executes one data-plane task against `data`. This is *the* data
-/// path: the sequential engine runs it at the dispatch point, shard
-/// workers run it in per-client queue order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_client_task<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    now: SimTime,
-    task: &ClientTask,
-    san: Option<&mut Sanitizer>,
-    fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    obs: Option<&mut Obs>,
-) {
-    match *task {
-        ClientTask::Read {
-            file,
-            offset,
-            len,
-            si,
-            paging,
-            migrated,
-        } => data_cached_read(
-            data, srv, sizes, cfg, now, file, offset, len, si, paging, migrated, san, fstate,
-            server_down, down_until, obs,
-        ),
-        ClientTask::Write {
-            file,
-            offset,
-            len,
-            old_size,
-            new_size: _,
-            si,
-            write_through,
-            migrated,
-        } => data_cached_write(
-            data,
-            srv,
-            sizes,
-            cfg,
-            now,
-            file,
-            offset,
-            len,
-            old_size,
-            si,
-            write_through,
-            migrated,
-            san,
-            fstate,
-            server_down,
-            down_until,
-            obs,
-        ),
-        ClientTask::FlushFile { file, reason } => flush_file(
-            data,
-            srv,
-            sizes,
-            cfg,
-            file,
-            now,
-            reason,
-            san,
-            fstate,
-            server_down,
-            down_until,
-            obs,
-        ),
-        ClientTask::Invalidate { file, stale } => invalidate_file(data, file, stale, san),
-        ClientTask::DropFile { file } => invalidate_file(data, file, false, san),
-        ClientTask::ProcStart {
-            pid,
-            exec,
-            code_bytes,
-            data_bytes,
-            heap_bytes,
-            si,
-            migrated,
-        } => data_proc_start(
-            data, srv, sizes, cfg, now, pid, exec, code_bytes, data_bytes, heap_bytes, si,
-            migrated, san, fstate, server_down, down_until, obs,
-        ),
-        ClientTask::ProcExit { pid } => data_proc_exit(data, now, pid),
-        ClientTask::DaemonFlush { cutoff } => data_daemon_flush(
-            data,
-            srv,
-            sizes,
-            cfg,
-            now,
-            cutoff,
-            san,
-            fstate,
-            server_down,
-            down_until,
-            obs,
-        ),
-        ClientTask::Sample { active } => data_sample(data, cfg, now, active),
-    }
-}
-
-/// Reads `len` bytes at `offset` of `file` through the client block
-/// cache. `paging` selects the paging counter family (code and
-/// initialized-data faults).
-#[allow(clippy::too_many_arguments)]
-fn data_cached_read<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    now: SimTime,
-    file: FileId,
-    offset: u64,
-    len: u64,
-    si: usize,
-    paging: bool,
-    migrated: bool,
-    mut san: Option<&mut Sanitizer>,
-    mut fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    mut obs: Option<&mut Obs>,
-) {
-    let bs = cfg.block_size;
-    let first = offset / bs;
-    let last = (offset + len - 1) / bs;
-    {
-        let c = &mut data.metrics.counters;
-        if paging {
-            c.add(mc::PAGING_READ_OPS, last - first + 1);
-            if migrated {
-                c.add(mig::PAGING_READ_OPS, last - first + 1);
-            }
-        } else {
-            c.add(mc::READ_OPS, last - first + 1);
-            c.add(mc::READ_REQ_BYTES, len);
-            if migrated {
-                c.add(mig::READ_OPS, last - first + 1);
-                c.add(mig::READ_REQ_BYTES, len);
-            }
-        }
-    }
-    let ci = data.id.raw();
-    for index in first..=last {
-        let key = BlockKey { file, index };
-        if data.cache.touch(key, now) {
-            if let Some(san) = san.as_deref_mut() {
-                san.on_read_hit(data.id, key, paging, now);
-            }
-            if let Some(obs) = obs.as_deref_mut() {
-                obs.event(ObsEventKind::CacheHit, now, ci, si as u16, file.raw());
-            }
-            continue; // Hit.
-        }
-        // Miss: fetch the whole block from the server.
-        let block_bytes = bs;
-        if let Some(f) = fstate.as_deref_mut() {
-            fault_rpc_account(
-                f,
-                server_down,
-                down_until,
-                &mut data.metrics.counters,
-                ci,
-                si,
-                RpcKind::ReadBlock,now,
-                obs.as_deref_mut(),
-            );
-        }
-        {
-            let c = &mut data.metrics.counters;
-            if paging {
-                c.bump(mc::PAGING_READ_MISS_OPS);
-                c.add(srv::PAGING_READ, block_bytes);
-                if migrated {
-                    c.bump(mig::PAGING_READ_MISS_OPS);
-                }
-            } else {
-                c.bump(mc::READ_MISS_OPS);
-                c.add(mc::READ_MISS_BYTES, block_bytes);
-                c.add(srv::FILE_READ, block_bytes);
-                if migrated {
-                    c.bump(mig::READ_MISS_OPS);
-                    c.add(mig::READ_MISS_BYTES, block_bytes);
-                }
-            }
-            count_rpc(c, RpcKind::ReadBlock, block_bytes);
-        }
-        let srv_hit = srv.serve_read(si, key, block_bytes, now);
-        if let Some(obs) = obs.as_deref_mut() {
-            obs.event(ObsEventKind::CacheMiss, now, ci, si as u16, file.raw());
-            let mut lat = cfg.net.rpc_time(block_bytes);
-            if !srv_hit {
-                lat += cfg.disk.access_time(block_bytes);
-            }
-            obs.rpc(RpcKind::ReadBlock, now, ci, si as u16, block_bytes, lat);
-        }
-        data_insert_block(
-            data,
-            srv,
-            sizes,
-            cfg,
-            now,
-            key,
-            san.as_deref_mut(),
-            fstate.as_deref_mut(),
-            server_down,
-            down_until,
-            obs.as_deref_mut(),
-        );
-        if let Some(san) = san.as_deref_mut() {
-            let inserted = data.cache.contains(key);
-            san.on_fetch(data.id, key, inserted, paging, now);
-        }
-    }
-}
-
-/// Writes through the client cache. With `write_through` (polling
-/// mode) data also goes to the server immediately and blocks stay
-/// clean.
-#[allow(clippy::too_many_arguments)]
-fn data_cached_write<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    now: SimTime,
-    file: FileId,
-    offset: u64,
-    len: u64,
-    old_size: u64,
-    si: usize,
-    write_through: bool,
-    migrated: bool,
-    mut san: Option<&mut Sanitizer>,
-    mut fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    mut obs: Option<&mut Obs>,
-) {
-    let bs = cfg.block_size;
-    let first = offset / bs;
-    let last = (offset + len - 1) / bs;
-    {
-        let c = &mut data.metrics.counters;
-        c.add(raw::FILE_WRITE, len);
-        c.add(mc::WRITE_OPS, last - first + 1);
-        c.add(mc::WRITE_BYTES, len);
-        if migrated {
-            c.add(mig::WRITE_OPS, last - first + 1);
-        }
-    }
-    let ci = data.id.raw();
-    for index in first..=last {
-        let key = BlockKey { file, index };
-        let block_start = index * bs;
-        let block_end = block_start + bs;
-        let wstart = offset.max(block_start);
-        let wend = (offset + len).min(block_end);
-        let app_bytes = wend - wstart;
-        let full_block = app_bytes == bs;
-        // Fast path: cached block under delayed write — probe, touch
-        // and dirty in one cache lookup.
-        if !write_through && data.cache.mark_dirty_if_present(key, now, app_bytes) {
-            if let Some(san) = san.as_deref_mut() {
-                san.on_cached_write(data.id, key, WriteKind::Dirty, now);
-            }
-            continue;
-        }
-        if !data.cache.contains(key) {
-            // Partial write of a block with pre-existing content
-            // requires a write fetch.
-            let has_existing = block_start < old_size && !full_block;
-            if has_existing {
-                if let Some(f) = fstate.as_deref_mut() {
-                    fault_rpc_account(
-                        f,
-                        server_down,
-                        down_until,
-                        &mut data.metrics.counters,
-                        ci,
-                        si,
-                        RpcKind::ReadBlock,now,
-                        obs.as_deref_mut(),
-                    );
-                }
-                {
-                    let c = &mut data.metrics.counters;
-                    c.bump(mc::WRITE_FETCH_OPS);
-                    if migrated {
-                        c.bump(mig::WRITE_FETCH_OPS);
-                    }
-                    c.add(srv::FILE_READ, bs);
-                    count_rpc(c, RpcKind::ReadBlock, bs);
-                }
-                let srv_hit = srv.serve_read(si, key, bs, now);
-                if let Some(obs) = obs.as_deref_mut() {
-                    let mut lat = cfg.net.rpc_time(bs);
-                    if !srv_hit {
-                        lat += cfg.disk.access_time(bs);
-                    }
-                    obs.rpc(RpcKind::ReadBlock, now, ci, si as u16, bs, lat);
-                }
-            }
-            data_insert_block(
-                data,
-                srv,
-                sizes,
-                cfg,
-                now,
-                key,
-                san.as_deref_mut(),
-                fstate.as_deref_mut(),
-                server_down,
-                down_until,
-                obs.as_deref_mut(),
-            );
-        } else {
-            data.cache.touch(key, now);
-        }
-        if !data.cache.contains(key) {
-            // The VM system holds every physical page and nothing
-            // could be evicted: this write goes straight through.
-            if let Some(f) = fstate.as_deref_mut() {
-                fault_rpc_account(
-                    f,
-                    server_down,
-                    down_until,
-                    &mut data.metrics.counters,
-                    ci,
-                    si,
-                    RpcKind::WriteBlock,now,
-                    obs.as_deref_mut(),
-                );
-            }
-            let c = &mut data.metrics.counters;
-            c.add(mc::WRITEBACK_BYTES, app_bytes);
-            c.add(srv::FILE_WRITE, app_bytes);
-            count_rpc(c, RpcKind::WriteBlock, app_bytes);
-            srv.accept_write(si, key, app_bytes, now);
-            if let Some(obs) = obs.as_deref_mut() {
-                obs.rpc(
-                    RpcKind::WriteBlock,
-                    now,
-                    ci,
-                    si as u16,
-                    app_bytes,
-                    cfg.net.rpc_time(app_bytes),
-                );
-            }
-            if let Some(san) = san.as_deref_mut() {
-                san.on_server_write(key);
-            }
-            continue;
-        }
-        if write_through {
-            // NFS-style: data goes straight through; the cached copy
-            // stays clean.
-            if let Some(f) = fstate.as_deref_mut() {
-                fault_rpc_account(
-                    f,
-                    server_down,
-                    down_until,
-                    &mut data.metrics.counters,
-                    ci,
-                    si,
-                    RpcKind::WriteBlock,now,
-                    obs.as_deref_mut(),
-                );
-            }
-            let c = &mut data.metrics.counters;
-            c.add(mc::WRITEBACK_BYTES, app_bytes);
-            c.add(srv::FILE_WRITE, app_bytes);
-            count_rpc(c, RpcKind::WriteBlock, app_bytes);
-            srv.accept_write(si, key, app_bytes, now);
-            if let Some(obs) = obs.as_deref_mut() {
-                obs.rpc(
-                    RpcKind::WriteBlock,
-                    now,
-                    ci,
-                    si as u16,
-                    app_bytes,
-                    cfg.net.rpc_time(app_bytes),
-                );
-            }
-            // Cleaning bookkeeping not needed: block never dirty.
-            if let Some(san) = san.as_deref_mut() {
-                san.on_cached_write(data.id, key, WriteKind::Through, now);
-            }
-        } else {
-            data.cache.mark_dirty(key, now, app_bytes);
-            if let Some(san) = san.as_deref_mut() {
-                san.on_cached_write(data.id, key, WriteKind::Dirty, now);
-            }
-        }
-    }
-}
-
-/// Inserts a block into the client cache, obtaining a physical page
-/// from the memory manager (free page, idle VM page, or LRU eviction).
-#[allow(clippy::too_many_arguments)]
-fn data_insert_block<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    now: SimTime,
-    key: BlockKey,
-    san: Option<&mut Sanitizer>,
-    fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    obs: Option<&mut Obs>,
-) {
-    use crate::vm::FcGrant;
-    match data.mem.fc_acquire(now) {
-        FcGrant::FromFree | FcGrant::FromIdleVm => {
-            data.cache.insert(key, now);
-        }
-        FcGrant::MustEvict => {
-            if data_evict_lru(
-                data,
-                srv,
-                sizes,
-                cfg,
-                now,
-                replace::FILE_BLOCKS,
-                replace::FILE_AGE_US,
-                san,
-                fstate,
-                server_down,
-                down_until,
-                obs,
-            ) {
-                // Page reused in place; no memory-manager traffic.
-                data.cache.insert(key, now);
-            }
-            // If the cache was empty there is nothing to evict and
-            // the block simply is not cached.
-        }
-    }
-}
-
-/// Evicts the client's LRU block, writing it back first if dirty.
-/// Returns `false` if the cache was empty.
-#[allow(clippy::too_many_arguments)]
-fn data_evict_lru<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    now: SimTime,
-    blocks_key: &'static str,
-    age_key: &'static str,
-    mut san: Option<&mut Sanitizer>,
-    fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    mut obs: Option<&mut Obs>,
-) -> bool {
-    let Some((key, entry)) = data.cache.peek_lru().map(|(k, e)| (k, e.clone())) else {
-        return false;
-    };
-    if entry.dirty {
-        let reason = if blocks_key == replace::VM_BLOCKS {
-            CleanReason::Vm
-        } else {
-            CleanReason::Evict
-        };
-        writeback_block(
-            data,
-            srv,
-            sizes,
-            cfg,
-            key,
-            now,
-            reason,
-            san.as_deref_mut(),
-            fstate,
-            server_down,
-            down_until,
-            obs.as_deref_mut(),
-        );
-    }
-    let age = now.since(entry.last_ref);
-    let c = &mut data.metrics.counters;
-    c.bump(blocks_key);
-    c.add(age_key, age.as_micros());
-    data.cache.remove(key);
-    if let Some(obs) = obs {
-        obs.event(ObsEventKind::CacheEvict, now, data.id.raw(), 0, age.as_micros());
-    }
-    if let Some(san) = san {
-        san.on_drop_block(data.id, key);
-    }
-    true
-}
-
-/// One process start on this client: shared-text accounting, VM page
-/// acquisition (stealing from the file cache if needed), code and
-/// initialized-data faults.
-#[allow(clippy::too_many_arguments)]
-fn data_proc_start<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    now: SimTime,
-    pid: Pid,
-    exec: FileId,
-    code_bytes: u64,
-    data_bytes: u64,
-    heap_bytes: u64,
-    si: usize,
-    migrated: bool,
-    mut san: Option<&mut Sanitizer>,
-    mut fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    mut obs: Option<&mut Obs>,
-) {
-    let ps = cfg.page_size;
-    let code_pages = code_bytes.div_ceil(ps);
-    // Data pages include the heap/stack the process will grow to;
-    // only the initialized-data portion is faulted from the file.
-    let data_pages = (data_bytes + heap_bytes).div_ceil(ps).max(1);
-
-    // Shared program text: if another instance of this program is
-    // already running here, its code pages are shared — no code
-    // faults and no additional code memory.
-    let sharing = {
-        let entry = data.shared_text.entry(exec).or_insert((0, 0));
-        entry.0 += 1;
-        entry.0 > 1
-    };
-    let fault_code_pages = if sharing {
-        0
-    } else {
-        // Retained code from a previous run of the same program?
-        let reused = data.mem.code_hit(exec, now);
-        data.shared_text.insert(exec, (1, code_pages));
-        code_pages.saturating_sub(reused)
-    };
-
-    // Obtain physical pages for the process image.
-    let need = fault_code_pages + data_pages;
-    let steal = data.mem.vm_acquire(need);
-    for _ in 0..steal {
-        if data_evict_lru(
-            data,
-            srv,
-            sizes,
-            cfg,
-            now,
-            replace::VM_BLOCKS,
-            replace::VM_AGE_US,
-            san.as_deref_mut(),
-            fstate.as_deref_mut(),
-            server_down,
-            down_until,
-            obs.as_deref_mut(),
-        ) {
-            data.mem.steal_from_fc();
-        } else {
-            // Nothing cached to evict: the machine is overcommitted.
-            data.mem.force_grow(1);
-        }
-    }
-
-    // Fault in code pages. Sprite checks the file cache on code
-    // faults (recompilation can leave new code there) but does not
-    // *install* code blocks in the file cache on a miss; a cached
-    // code block is released after its contents are copied to VM.
-    let code_fault_bytes = fault_code_pages * ps;
-    if code_fault_bytes > 0 {
-        data.metrics
-            .counters
-            .add(raw::PAGING_CODE_READ, code_fault_bytes);
-        let ci = data.id.raw();
-        for index in 0..fault_code_pages {
-            let key = BlockKey { file: exec, index };
-            {
-                let c = &mut data.metrics.counters;
-                c.bump(mc::PAGING_READ_OPS);
-                if migrated {
-                    c.bump(mig::PAGING_READ_OPS);
-                }
-            }
-            if data.cache.touch(key, now) {
-                // Copy to VM; the block stays cached so a future
-                // invocation on this machine can find it again.
-                if let Some(san) = san.as_deref_mut() {
-                    san.on_read_hit(data.id, key, true, now);
-                }
-            } else {
-                if let Some(f) = fstate.as_deref_mut() {
-                    fault_rpc_account(
-                        f,
-                        server_down,
-                        down_until,
-                        &mut data.metrics.counters,
-                        ci,
-                        si,
-                        RpcKind::PageIn,now,
-                        obs.as_deref_mut(),
-                    );
-                }
-                {
-                    let c = &mut data.metrics.counters;
-                    c.bump(mc::PAGING_READ_MISS_OPS);
-                    c.add(srv::PAGING_READ, ps);
-                    count_rpc(c, RpcKind::PageIn, ps);
-                    if migrated {
-                        c.bump(mig::PAGING_READ_MISS_OPS);
-                    }
-                }
-                let srv_hit = srv.serve_read(si, key, ps, now);
-                if let Some(obs) = obs.as_deref_mut() {
-                    let mut lat = cfg.net.rpc_time(ps);
-                    if !srv_hit {
-                        lat += cfg.disk.access_time(ps);
-                    }
-                    obs.rpc(RpcKind::PageIn, now, ci, si as u16, ps, lat);
-                }
-                data_insert_block(
-                    data,
-                    srv,
-                    sizes,
-                    cfg,
-                    now,
-                    key,
-                    san.as_deref_mut(),
-                    fstate.as_deref_mut(),
-                    server_down,
-                    down_until,
-                    obs.as_deref_mut(),
-                );
-                if let Some(san) = san.as_deref_mut() {
-                    let inserted = data.cache.contains(key);
-                    san.on_fetch(data.id, key, inserted, true, now);
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_drop_block(client.id, key);
                 }
             }
         }
-    }
-
-    // Fault in initialized data through the file cache (blocks stay
-    // cached so a re-run finds clean copies).
-    if data_bytes > 0 {
-        data.metrics
-            .counters
-            .add(raw::PAGING_INITDATA_READ, data_bytes);
-        data_cached_read(
-            data,
-            srv,
-            sizes,
-            cfg,
-            now,
-            exec,
-            code_bytes,
-            data_bytes,
-            si,
-            true,
-            migrated,
-            san,
-            fstate,
-            server_down,
-            down_until,
-            obs,
-        );
-    }
-
-    data.procs.insert(
-        pid,
-        ProcState {
-            exec,
-            code_pages,
-            data_pages,
-        },
-    );
-}
-
-/// One process exit: release private pages, and shared code when the
-/// last instance leaves (retaining it for the paper's code-reuse
-/// effect).
-fn data_proc_exit(data: &mut ClientData, now: SimTime, pid: Pid) {
-    let Some(proc) = data.procs.remove(&pid) else {
-        return; // Unknown process: tolerate (migrant bookkeeping).
-    };
-    // Data and stack pages are always private.
-    data.mem.vm_release(now, proc.data_pages);
-    // Code is shared; the last instance out releases and retains it.
-    let last = {
-        let entry = data
-            .shared_text
-            .get_mut(&proc.exec)
-            .expect("shared text entry exists for running process");
-        entry.0 = entry.0.saturating_sub(1);
-        if entry.0 == 0 {
-            Some(entry.1)
-        } else {
-            None
+        client.scratch_blocks = indices;
+        if n == 0 {
+            return;
         }
-    };
-    if let Some(code_pages) = last {
-        data.shared_text.remove(&proc.exec);
-        data.mem.vm_release(now, code_pages);
-        data.mem.retain_code(proc.exec, code_pages, now);
-    }
-}
-
-/// The per-client half of a write-back daemon tick: flush every file
-/// with a block dirty since before `cutoff`. A file on a down server is
-/// queued instead (degraded mode) — its blocks stay dirty, extending
-/// the loss window.
-#[allow(clippy::too_many_arguments)]
-fn data_daemon_flush<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    now: SimTime,
-    cutoff: SimTime,
-    mut san: Option<&mut Sanitizer>,
-    mut fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    mut obs: Option<&mut Obs>,
-) {
-    let any_down = server_down.iter().any(|&d| d);
-    let any_cut = fstate.as_deref().is_some_and(|f| f.has_partitions);
-    let mut files = std::mem::take(&mut data.scratch_files);
-    data.cache.files_with_dirty_before_into(cutoff, &mut files);
-    for &file in &files {
-        if any_down || any_cut {
-            let down_si = assign_server(file, cfg.num_servers).raw() as usize;
-            if server_down[down_si] {
-                data.metrics.counters.bump(fault::QUEUED_WRITEBACKS);
-                if let Some(obs) = obs.as_deref_mut() {
-                    obs.event(
-                        ObsEventKind::QueuedWriteBack,
-                        now,
-                        data.id.raw(),
-                        down_si as u16,
-                        file.raw(),
-                    );
-                }
-                continue;
-            }
-            // A cut edge queues the write-back just like a down
-            // server: the blocks stay dirty until the heal (or until a
-            // lapsed lease revokes them).
-            if fstate
-                .as_deref()
-                .is_some_and(|f| f.edge_cut(data.id.raw(), down_si))
-            {
-                data.metrics.counters.bump(fault::PART_QUEUED_WRITEBACKS);
-                if let Some(obs) = obs.as_deref_mut() {
-                    obs.event(
-                        ObsEventKind::QueuedWriteBack,
-                        now,
-                        data.id.raw(),
-                        down_si as u16,
-                        file.raw(),
-                    );
-                }
-                continue;
-            }
+        client.mem.fc_release(n);
+        if stale {
+            client.metrics.counters.add(consist::STALE_BLOCKS, n);
         }
-        flush_file(
-            data,
-            srv,
-            sizes,
-            cfg,
-            file,
-            now,
-            CleanReason::Delay,
-            san.as_deref_mut(),
-            fstate.as_deref_mut(),
-            server_down,
-            down_until,
-            obs.as_deref_mut(),
-        );
-    }
-    data.scratch_files = files;
-}
-
-/// One Table 4 cache-size sample for this client.
-fn data_sample(data: &mut ClientData, cfg: &Config, now: SimTime, active: bool) {
-    let bytes = data.cache_bytes(cfg.page_size);
-    data.metrics.sample(now, bytes, active);
-}
-
-/// Writes one dirty block of the client back to its server, recording
-/// the cleaning reason and age.
-#[allow(clippy::too_many_arguments)]
-fn writeback_block<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    key: BlockKey,
-    now: SimTime,
-    reason: CleanReason,
-    san: Option<&mut Sanitizer>,
-    fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    obs: Option<&mut Obs>,
-) {
-    let Some(before) = data.cache.clean(key) else {
-        return;
-    };
-    let Some(fsize) = sizes.size_of(key.file) else {
-        // File deleted with dirty data still cached: cancelled write.
-        data.metrics
-            .counters
-            .add(mc::CANCELLED_BYTES, before.dirty_app_bytes);
-        if let Some(san) = san {
-            san.on_writeback(data.id, key, false);
-        }
-        return;
-    };
-    let bs = cfg.block_size;
-    let block_start = key.index * bs;
-    let bytes = bs.min(fsize.saturating_sub(block_start));
-    if bytes == 0 {
-        data.metrics
-            .counters
-            .add(mc::CANCELLED_BYTES, before.dirty_app_bytes);
-        if let Some(san) = san {
-            san.on_writeback(data.id, key, false);
-        }
-        return;
-    }
-    let c = &mut data.metrics.counters;
-    c.add(mc::WRITEBACK_BYTES, bytes);
-    c.add(srv::FILE_WRITE, bytes);
-    count_rpc(c, RpcKind::WriteBlock, bytes);
-    c.bump(reason.blocks_key());
-    c.add(reason.age_key(), now.since(before.last_write).as_micros());
-    let si = assign_server(key.file, cfg.num_servers).raw() as usize;
-    let mut obs = obs;
-    if let Some(fstate) = fstate {
-        fault_rpc_account(
-            fstate,
-            server_down,
-            down_until,
-            &mut data.metrics.counters,
-            data.id.raw(),
-            si,
-            RpcKind::WriteBlock,now,
-            obs.as_deref_mut(),
-        );
-    }
-    srv.accept_write(si, key, bytes, now);
-    if let Some(obs) = obs {
-        let ci = data.id.raw();
-        obs.writeback(now, ci, si as u16, before.dwell(now));
-        obs.rpc(
-            RpcKind::WriteBlock,
-            now,
-            ci,
-            si as u16,
-            bytes,
-            cfg.net.rpc_time(bytes),
-        );
-    }
-    if let Some(san) = san {
-        san.on_writeback(data.id, key, true);
-    }
-}
-
-/// Flushes every dirty block the client holds for `file`.
-#[allow(clippy::too_many_arguments)]
-fn flush_file<A: ServerAccess, M: SizeView>(
-    data: &mut ClientData,
-    srv: &mut A,
-    sizes: &M,
-    cfg: &Config,
-    file: FileId,
-    now: SimTime,
-    reason: CleanReason,
-    mut san: Option<&mut Sanitizer>,
-    mut fstate: Option<&mut FaultState>,
-    server_down: &[bool],
-    down_until: &[SimTime],
-    mut obs: Option<&mut Obs>,
-) {
-    let mut blocks = std::mem::take(&mut data.scratch_blocks);
-    data.cache.dirty_blocks_of_into(file, &mut blocks);
-    for &index in &blocks {
-        writeback_block(
-            data,
-            srv,
-            sizes,
-            cfg,
-            BlockKey { file, index },
-            now,
-            reason,
-            san.as_deref_mut(),
-            fstate.as_deref_mut(),
-            server_down,
-            down_until,
-            obs.as_deref_mut(),
-        );
-    }
-    data.scratch_blocks = blocks;
-}
-
-/// Drops every cached block of `file` from the client, releasing the
-/// pages. Dirty data is cancelled (never written). `stale` selects the
-/// staleness counter (consistency invalidation) over silent dropping.
-fn invalidate_file(
-    data: &mut ClientData,
-    file: FileId,
-    stale: bool,
-    mut san: Option<&mut Sanitizer>,
-) {
-    let mut indices = std::mem::take(&mut data.scratch_blocks);
-    data.cache.blocks_of_into(file, &mut indices);
-    let n = indices.len() as u64;
-    if n == 0 {
-        data.scratch_blocks = indices;
-        return;
-    }
-    for &index in &indices {
-        let key = BlockKey { file, index };
-        if let Some(entry) = data.cache.remove(key) {
-            if entry.dirty {
-                data.metrics
-                    .counters
-                    .add(mc::CANCELLED_BYTES, entry.dirty_app_bytes);
-            }
-            if let Some(san) = san.as_deref_mut() {
-                san.on_drop_block(data.id, key);
-            }
-        }
-    }
-    data.scratch_blocks = indices;
-    data.mem.fc_release(n);
-    if stale {
-        data.metrics.counters.add(consist::STALE_BLOCKS, n);
     }
 }
 

@@ -244,14 +244,6 @@ pub struct Config {
     /// latency histograms. Off by default; when off, output is
     /// byte-identical to builds that predate the layer.
     pub observe: bool,
-    /// Run the PlaneCheck dynamic race checker alongside the
-    /// simulation: plane-guard hooks on coordinator-owned state plus
-    /// happens-before verification of the parallel engine's
-    /// dispatch/replay ordering. Unlike the sanitizer, race checking
-    /// runs *on* the parallel engine (that is the point); bookkeeping
-    /// stays outside every counter set, so output is byte-identical to
-    /// a plain run and the verdict is reported out of band.
-    pub racecheck: bool,
     /// Capacity of the sdfs-obs structured event ring. Only the newest
     /// `obs_ring_capacity` events are retained; earlier ones are counted
     /// as dropped in the report. Irrelevant unless `observe` is set.
@@ -280,14 +272,6 @@ pub struct Config {
     /// slow path stays alive as the oracle and `verify.sh` cmp-gates
     /// the two against each other.
     pub consistency_fast_path: bool,
-    /// Record the CausalProf dependency DAG alongside the run
-    /// ([`crate::causal`]): coordinator op → dispatch round → worker
-    /// task → deferred server-event replay, keyed by the engine's
-    /// global dispatch ids and weighted in modeled sim time. Off by
-    /// default; recording never changes simulation output (the trace is
-    /// reported out of band), and the recorded bytes are identical at
-    /// any thread count.
-    pub causal: bool,
 }
 
 impl Default for Config {
@@ -320,13 +304,11 @@ impl Default for Config {
             },
             sanitize: false,
             observe: false,
-            racecheck: false,
             obs_ring_capacity: crate::obs::RING_CAPACITY,
             fault_skip_invalidate: false,
             faults: None,
             server_nvram_bytes: 0,
             consistency_fast_path: true,
-            causal: false,
         }
     }
 }

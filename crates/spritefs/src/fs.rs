@@ -83,7 +83,6 @@ impl FileTable {
 
     /// Creates (or re-creates) a file.
     pub fn create(&mut self, id: FileId, server: ServerId, is_dir: bool, now: SimTime) {
-        crate::racecheck::guard(crate::racecheck::Resource::FileTable);
         let idx = id.raw() as usize;
         if idx >= self.files.len() {
             self.files.resize(idx + 1, None);
@@ -103,7 +102,6 @@ impl FileTable {
 
     /// Returns the metadata for `id` if the file exists.
     pub fn get(&self, id: FileId) -> Option<&FileMeta> {
-        crate::racecheck::guard(crate::racecheck::Resource::FileTable);
         self.files
             .get(id.raw() as usize)
             .and_then(|m| m.as_ref())
@@ -112,7 +110,6 @@ impl FileTable {
 
     /// Mutable access to the metadata for `id` if the file exists.
     pub fn get_mut(&mut self, id: FileId) -> Option<&mut FileMeta> {
-        crate::racecheck::guard(crate::racecheck::Resource::FileTable);
         self.files
             .get_mut(id.raw() as usize)
             .and_then(|m| m.as_mut())
@@ -121,7 +118,6 @@ impl FileTable {
 
     /// Marks `id` deleted, returning its final metadata.
     pub fn delete(&mut self, id: FileId) -> Option<FileMeta> {
-        crate::racecheck::guard(crate::racecheck::Resource::FileTable);
         let slot = self.files.get_mut(id.raw() as usize)?.as_mut()?;
         if !slot.exists {
             return None;

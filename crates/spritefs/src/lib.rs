@@ -33,7 +33,6 @@
 //! per-machine counters behind Tables 4–9 of the paper.
 
 pub mod cache;
-pub mod causal;
 pub mod client;
 pub mod cluster;
 pub mod config;
@@ -41,18 +40,13 @@ pub mod fs;
 pub mod metrics;
 pub mod obs;
 pub mod ops;
-pub mod parallel;
-pub mod racecheck;
 pub mod rpc;
 pub mod sanitizer;
 pub mod server;
 pub mod vm;
 
-pub use causal::{CausalOp, CausalTask, CausalTrace, EvAgg, SrvAgg};
 pub use cluster::{Cluster, FastPathStats, TraceSink, VecSink};
 pub use config::{Config, ConsistencyPolicy, FaultPlan, Partition, ServerOutage};
 pub use metrics::SanitizerStats;
 pub use obs::{Obs, ObsEventKind, ObsReport, SpanKind};
 pub use ops::{AppOp, OpKind, PageClass};
-pub use parallel::ParallelStats;
-pub use racecheck::RaceStats;

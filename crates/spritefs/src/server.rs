@@ -256,7 +256,6 @@ impl Server {
     /// Mutable access to the consistency state for `file`, creating it on
     /// first touch.
     pub fn file_state(&mut self, file: FileId) -> &mut SrvFileState {
-        crate::racecheck::guard(crate::racecheck::Resource::SrvFileState);
         self.files.entry(file).or_default()
     }
 

@@ -7,7 +7,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use sdfs_simkit::FastSet;
+use sdfs_simkit::{merge_sorted_by, FastSet};
 
 use crate::ids::UserId;
 use crate::record::Record;
@@ -98,13 +98,10 @@ impl<I: Iterator<Item = Result<Record>>> Iterator for Merge<I> {
 }
 
 /// Merges already-materialized record vectors (convenience for tests and
-/// in-memory pipelines).
+/// in-memory pipelines), in the same order as [`Merge`]: by time, ties
+/// by source index, then input order.
 pub fn merge_vecs(sources: Vec<Vec<Record>>) -> Vec<Record> {
-    let iters: Vec<_> = sources.into_iter().map(|v| v.into_iter().map(Ok)).collect();
-    Merge::new(iters)
-        .expect("in-memory sources cannot fail")
-        .map(|r| r.expect("in-memory sources cannot fail"))
-        .collect()
+    merge_sorted_by(sources, |r| r.time)
 }
 
 /// Removes records that are artifacts of measurement or maintenance: the

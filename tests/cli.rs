@@ -63,8 +63,9 @@ fn observe_never_changes_stdout() {
 
 #[test]
 fn profile_trace_out_unwritable_exits_2_without_panic() {
-    // CausalProf hardening: an unwritable --trace-out path is a usage
-    // error, diagnosed before any simulation runs, never a panic.
+    // `profile` takes no file argument: `--trace-out` is an unknown
+    // flag, diagnosed before any simulation runs and before the path
+    // is touched, never a panic.
     let out = repro(&[
         "--quick",
         "--traces",
@@ -72,13 +73,13 @@ fn profile_trace_out_unwritable_exits_2_without_panic() {
         "--days",
         "1",
         "profile",
-        "--causal",
         "--trace-out",
         "/nonexistent-dir-for-cli-test/trace.json",
     ]);
-    assert_eq!(out.status.code(), Some(2), "unwritable --trace-out exits 2");
+    assert_eq!(out.status.code(), Some(2), "--trace-out exits 2");
+    assert!(out.stdout.is_empty(), "no profile on stdout");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("cannot open --trace-out"), "{err}");
+    assert!(err.contains("unknown flag `--trace-out`"), "{err}");
     assert!(err.contains("usage: repro"), "usage synopsis on stderr:\n{err}");
     assert!(!err.contains("panicked"), "must not panic:\n{err}");
 }
@@ -88,18 +89,64 @@ fn trace_out_missing_value_exits_2() {
     let out = repro(&["--quick", "profile", "--trace-out"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--trace-out requires a file argument"), "{err}");
+    assert!(err.contains("unknown flag `--trace-out`"), "{err}");
 }
 
 #[test]
 fn unknown_causal_family_flags_are_rejected() {
-    // `--causal` is exact-match; near-misses must not silently parse as
-    // a profiled run (worse: as an unprofiled one).
-    for flag in ["--causally", "--causal-path", "--causal=1"] {
+    // No `--causal` flag exists; neither it nor its near-misses may
+    // parse as a profiled run (worse: silently as an unprofiled one).
+    for flag in ["--causal", "--causally", "--causal-path", "--causal=1"] {
         let out = repro(&["--quick", flag, "profile"]);
         assert_eq!(out.status.code(), Some(2), "`{flag}` exits 2");
+        assert!(out.stdout.is_empty(), "`{flag}`: nothing on stdout");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("unknown flag"), "`{flag}`:\n{err}");
+        assert!(
+            err.contains(&format!("unknown flag `{flag}`")),
+            "`{flag}`:\n{err}"
+        );
+    }
+}
+
+#[test]
+fn rejected_input_exits_2_with_usage() {
+    // Input the parser does not understand is a usage error, diagnosed
+    // before any simulation runs — never silently ignored. Each case
+    // names the token the diagnostic must quote.
+    let cases: &[(&[&str], &str)] = &[
+        // Typos of real flags.
+        (&["--quick", "--sanitise", "all"], "--sanitise"),
+        (&["--quik", "table1"], "--quik"),
+        (&["--quick", "--observ", "table1"], "--observ"),
+        // A flag whose subject was removed.
+        (&["--quick", "--racecheck", "all"], "--racecheck"),
+        // Unparseable, zero, and missing values.
+        (&["--quick", "--traces", "abc", "table1"], "abc"),
+        (&["--quick", "--threads", "two", "table1"], "two"),
+        (&["--quick", "--traces", "0", "all"], "--traces"),
+        (&["--quick", "--threads", "0", "all"], "--threads"),
+        (&["--quick", "--days", "-1", "table1"], "--days"),
+        (&["--quick", "table1", "--traces"], "--traces"),
+        // A stray positional argument.
+        (&["--quick", "table1", "table2"], "table2"),
+    ];
+    for &(args, token) in cases {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing on stdout");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(token),
+            "{args:?}: diagnostic names `{token}`:\n{err}"
+        );
+        assert!(
+            err.contains("usage: repro"),
+            "{args:?}: usage on stderr:\n{err}"
+        );
+        assert!(
+            !err.contains("panicked"),
+            "{args:?}: must not panic:\n{err}"
+        );
     }
 }
 

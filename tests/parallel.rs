@@ -1,60 +1,74 @@
-//! Equivalence regression for the sharded (parallel) simulation engine.
+//! Equivalence regression for the trace workers.
 //!
-//! The parallel engine splits each cluster's data plane across shard
-//! workers and replays deferred server-cache effects after the join
-//! (`spritefs::parallel`). Its whole contract is *byte identity*: the
-//! rendered campaign, every counter, the sanitizer verdict, and the obs
-//! report must match the sequential engine exactly at any thread count
-//! — including a non-power-of-two, which exercises the remainder shard
-//! (8 clients % 7 workers leaves one worker owning two clients).
+//! `Study::run_traces` simulates up to `parallelism` traces at once,
+//! each on its own cluster, and `Study::run_all` runs the counter
+//! campaign alongside them. The contract is *byte identity*: the
+//! rendered campaign, every counter, the trace records, the sanitizer
+//! verdict, and the obs report must not depend on the worker count or
+//! on which worker ran which trace. Three traces make the split uneven
+//! at two workers, and seven workers exceed the trace count. The traces
+//! are ordinary (not heavy-simulation) days and the counter campaign is
+//! one day, to keep the debug-build runtime small.
+
+use std::fmt::Debug;
 
 use sdfs_core::report;
 use sdfs_core::{Study, StudyConfig};
-use sdfs_simkit::{SimRng, SimTime};
-use sdfs_spritefs::cluster::NullSink;
-use sdfs_spritefs::{Cluster, VecSink};
-use sdfs_workload::Generator;
+use sdfs_workload::TraceSpec;
 
-fn quick_config(threads: usize) -> StudyConfig {
+fn quick_config(workers: usize) -> StudyConfig {
     let mut cfg = StudyConfig::quick();
     cfg.workload.activity_scale = 0.3;
-    cfg.threads = threads;
+    cfg.traces = (1..=3)
+        .map(|seed| TraceSpec {
+            seed,
+            heavy_sim: false,
+        })
+        .collect();
+    cfg.counter_days = 1;
+    cfg.parallelism = workers;
     cfg
 }
 
-fn render_with_threads(threads: usize) -> String {
-    let study = Study::new(quick_config(threads));
+fn render_with_workers(workers: usize) -> String {
+    let study = Study::new(quick_config(workers));
     let mut results = study.run_all();
     report::render_all(&mut results)
 }
 
+/// `Debug` renders every float in its shortest round-trip form, so two
+/// equal renderings mean bit-identical values.
+fn debug_of<T: Debug>(x: &T) -> String {
+    format!("{x:?}")
+}
+
 #[test]
 fn full_campaign_is_byte_identical_at_any_thread_count() {
-    let sequential = render_with_threads(1);
-    for threads in [2, 4, 7] {
-        let sharded = render_with_threads(threads);
+    let sequential = render_with_workers(1);
+    for workers in [2, 7] {
+        let parallel = render_with_workers(workers);
         assert_eq!(
-            sequential, sharded,
-            "threads={threads} must render the identical campaign"
+            sequential, parallel,
+            "{workers} trace workers must render the identical campaign"
         );
     }
 }
 
 #[test]
 fn counters_and_samples_match_the_sequential_engine() {
-    let run = |threads: usize| {
-        let study = Study::new(quick_config(threads));
-        study.run_counters()
-    };
-    let seq = run(1);
-    let par = run(4);
-    assert_eq!(seq.total, par.total, "merged client counters must match");
-    assert_eq!(seq.per_day, par.per_day, "per-day deltas must match");
+    // `run_all` runs the counter campaign concurrently with the trace
+    // workers; the result must equal the campaign run on its own.
+    let study = Study::new(quick_config(3));
+    let alone = study.run_counters();
+    let shared = study.run_all().counters;
     assert_eq!(
-        seq.servers, par.servers,
-        "server counters must match after event replay"
+        alone.total, shared.total,
+        "merged client counters must match"
     );
-    for (a, b) in seq.clients.iter().zip(par.clients.iter()) {
+    assert_eq!(alone.per_day, shared.per_day, "per-day deltas must match");
+    assert_eq!(alone.servers, shared.servers, "server counters must match");
+    assert_eq!(alone.clients.len(), shared.clients.len());
+    for (a, b) in alone.clients.iter().zip(shared.clients.iter()) {
         assert_eq!(a.counters, b.counters, "per-client counters must match");
         assert_eq!(a.samples, b.samples, "cache-size samples must match");
     }
@@ -62,176 +76,53 @@ fn counters_and_samples_match_the_sequential_engine() {
 
 #[test]
 fn trace_records_match_across_thread_counts() {
-    let run = |threads: usize| {
-        let cfg = quick_config(threads);
-        let spec = cfg.traces[0];
-        let study = Study::new(cfg);
-        study.run_trace_full(spec)
-    };
-    let seq = run(1);
-    for threads in [2, 7] {
-        let par = run(threads);
-        assert_eq!(
-            seq.records, par.records,
-            "threads={threads} must emit identical trace records"
-        );
-        assert_eq!(seq.client_counters, par.client_counters);
-        assert_eq!(seq.server_counters, par.server_counters);
+    // Trace workers share nothing but the `Study`: the same trace
+    // simulated on several threads at once must emit exactly what a
+    // lone run emits.
+    let study = Study::new(quick_config(1));
+    let spec = study.config().traces[0];
+    let seq = study.run_trace_full(spec);
+    assert!(!seq.records.is_empty(), "the trace recorded activity");
+    for threads in [2, 3] {
+        let runs: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| s.spawn(|| study.run_trace_full(spec)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("trace worker panicked"))
+                .collect()
+        });
+        for par in runs {
+            assert_eq!(
+                seq.records, par.records,
+                "{threads} concurrent runs must emit identical trace records"
+            );
+            assert_eq!(seq.client_counters, par.client_counters);
+            assert_eq!(seq.server_counters, par.server_counters);
+        }
     }
 }
 
 #[test]
 fn sanitizer_and_obs_summaries_match() {
-    // Sanitized and observed runs force the sequential engine, so their
-    // summaries must be untouched by any `threads` setting — and the
-    // verdict itself must stay clean.
-    let run = |threads: usize| {
-        let mut cfg = quick_config(threads);
+    let run = |workers: usize| {
+        let mut cfg = quick_config(workers);
         cfg.cluster.sanitize = true;
         cfg.cluster.observe = true;
-        let study = Study::new(cfg);
-        let results = study.run_all();
+        let results = Study::new(cfg).run_all();
+        let per_trace: Vec<String> = results.traces.iter().map(debug_of).collect();
         (
             results.sanitizer_summary().expect("sanitized run"),
             results.obs_summary().expect("observed run"),
+            per_trace,
         )
     };
-    let (san_seq, obs_seq) = run(1);
-    let (san_par, obs_par) = run(4);
-    assert!(san_seq.is_clean(), "sequential sanitizer verdict clean");
-    assert!(san_par.is_clean(), "threads=4 sanitizer verdict clean");
+    let (san_seq, obs_seq, traces_seq) = run(1);
+    let (san_par, obs_par, traces_par) = run(3);
+    assert!(san_seq.is_clean(), "one-worker sanitizer verdict clean");
+    assert!(san_par.is_clean(), "three-worker sanitizer verdict clean");
     assert_eq!(san_seq, san_par, "sanitizer summaries must match");
     assert_eq!(obs_seq, obs_par, "obs reports must match");
-}
-
-/// Seeded property test: cross-shard consistency actions (recalls and
-/// invalidates, which the coordinator routes into *other* clients'
-/// queues) must land in a stable order. Two clients ping-pong writes and
-/// reads on a shared file under randomized interleavings, which makes
-/// every open trigger recall/invalidate traffic; records and counters
-/// must be identical sequential vs sharded for every seed.
-#[test]
-fn cross_shard_recall_order_is_stable() {
-    use sdfs_spritefs::{AppOp, OpKind};
-    use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, UserId};
-
-    let cfg = quick_config(1).cluster;
-    let shared = FileId(7);
-    let build_ops = |seed: u64| {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut ops = Vec::new();
-        let mut t = 1_000_000u64;
-        for round in 0u64..400 {
-            // Alternate writers/readers across all 8 clients so recalls
-            // cross every shard boundary at any worker count.
-            let ci = (rng.next_u64() % 8) as u16;
-            let writer = rng.next_u64() % 2 == 0;
-            t += 50_000 + rng.next_u64() % 200_000;
-            let mk = |kind, time: u64| AppOp {
-                time: SimTime::from_micros(time),
-                client: ClientId(ci),
-                user: UserId(ci as u32),
-                pid: Pid(ci as u32 + 1),
-                migrated: false,
-                kind,
-            };
-            let h = Handle(round + 1);
-            ops.push(mk(
-                OpKind::Open {
-                    fd: h,
-                    file: shared,
-                    mode: if writer {
-                        OpenMode::ReadWrite
-                    } else {
-                        OpenMode::Read
-                    },
-                },
-                t,
-            ));
-            if writer {
-                ops.push(mk(OpKind::Write { fd: h, len: 8_192 }, t + 10_000));
-            } else {
-                ops.push(mk(OpKind::Read { fd: h, len: 8_192 }, t + 10_000));
-            }
-            ops.push(mk(OpKind::Close { fd: h }, t + 20_000));
-        }
-        ops
-    };
-
-    for seed in [3u64, 17, 99] {
-        let run = |threads: usize| {
-            let mut cluster = Cluster::new(cfg.clone(), VecSink::new(cfg.num_servers));
-            cluster.preload(&[(shared, 65_536, false)]);
-            cluster.run_parallel(build_ops(seed), SimTime::from_secs(3_600), threads);
-            let (sink, clients, servers) = cluster.into_parts();
-            (
-                sink.per_server,
-                clients
-                    .into_iter()
-                    .map(|c| c.data.metrics.counters)
-                    .collect::<Vec<_>>(),
-                servers.into_iter().map(|s| s.counters).collect::<Vec<_>>(),
-            )
-        };
-        let seq = run(1);
-        for threads in [2, 4, 7] {
-            let par = run(threads);
-            assert_eq!(
-                seq, par,
-                "seed {seed}, threads {threads}: recall/invalidate order leaked into results"
-            );
-        }
-    }
-}
-
-#[test]
-fn work_division_stats_are_deterministic() {
-    let cfg = quick_config(1);
-    let spec = cfg.traces[0];
-    let run = || {
-        let wl = cfg.workload.for_trace(spec);
-        let mut gen = Generator::new(wl);
-        let mut cluster = Cluster::new(cfg.cluster.clone(), NullSink);
-        cluster.preload(&gen.preload_list());
-        cluster.run_parallel(gen.generate_day(0), SimTime::from_secs(86_400), 3);
-        let stats = cluster.parallel_stats().expect("parallel run").clone();
-        (stats.workers, stats.tasks_per_worker, stats.srv_events)
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "task routing must not depend on thread timing");
-    assert_eq!(a.0, 3);
-    assert!(a.1.iter().sum::<u64>() > 0, "the run dispatched tasks");
-}
-
-#[test]
-fn causal_trace_is_byte_identical_across_engines() {
-    // CausalProf's whole contract: the recorded DAG (ops, tasks, event
-    // aggregates, replay lanes) must not depend on the engine or the
-    // thread count — the coordinator walks ops in the same order
-    // everywhere and event aggregation is order-insensitive.
-    let cfg = quick_config(1);
-    let spec = cfg.traces[0];
-    let run = |threads: usize| {
-        let wl = cfg.workload.for_trace(spec);
-        let mut gen = Generator::new(wl);
-        let mut cluster = {
-            let mut c = cfg.cluster.clone();
-            c.causal = true;
-            Cluster::new(c, NullSink)
-        };
-        cluster.preload(&gen.preload_list());
-        cluster.run_parallel(gen.generate_day(0), SimTime::from_secs(86_400), threads);
-        cluster.take_causal().expect("causal trace recorded")
-    };
-    let seq = run(1);
-    assert!(!seq.ops.is_empty(), "coordinator recorded control-plane ops");
-    assert!(!seq.tasks.is_empty(), "coordinator recorded task dispatches");
-    for threads in [2, 4, 7] {
-        let par = run(threads);
-        assert_eq!(
-            seq, par,
-            "threads={threads} must record the identical causal trace"
-        );
-    }
+    assert_eq!(traces_seq, traces_par, "per-trace analyses must match");
 }
