@@ -619,8 +619,8 @@ pub struct NvramRow {
 }
 
 /// Sweeps the server NVRAM write-buffer size under the same mid-day
-/// crash: Section 5.4's proposed fix for delayed-write loss. The
-/// newest-dirty-first `nvram_bytes` of unflushed data survive the
+/// crash: Section 5.4's proposed fix for delayed-write loss. The most
+/// recently written `nvram_bytes` of unflushed data survive the
 /// crash as if flushed, so lost bytes fall monotonically to zero as
 /// the buffer grows past the server's dirty exposure — with zero
 /// effect on write-back traffic, because the buffer only matters at

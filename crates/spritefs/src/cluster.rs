@@ -25,7 +25,7 @@ use crate::metrics::{
 };
 use crate::obs::{Obs, ObsEventKind, ObsReport, SpanKind};
 use crate::ops::{AppOp, OpKind};
-use crate::rpc::{count_rpc, RpcKind};
+use crate::rpc::{count_rpc, count_rpcs, RpcKind};
 use crate::sanitizer::{Sanitizer, WriteKind};
 use crate::server::{CalmState, OpenEntry, Server};
 
@@ -1499,10 +1499,9 @@ impl<S: TraceSink> Cluster<S> {
         }
         // Servers run their own delayed write to disk (a crashed server
         // has no cache to flush).
-        let block_size = self.cfg.block_size;
         for si in 0..self.servers.len() {
             if !self.server_down[si] {
-                self.servers[si].flush_dirty_before(cutoff, block_size);
+                self.servers[si].flush_dirty_before(cutoff);
             }
         }
         self.drain_disk_flush_logs();
@@ -1529,7 +1528,7 @@ impl<S: TraceSink> Cluster<S> {
             self.clients[ci].metrics.sample(now, bytes, active);
         }
         if let Some(san) = self.san.as_deref_mut() {
-            san.deep_audit(&self.clients, now);
+            san.deep_audit(&self.clients, &self.servers, now);
         }
     }
 
@@ -2702,7 +2701,8 @@ impl<S: TraceSink> Cluster<S> {
 
     /// Reads `len` bytes at `offset` of `file` (on server `si`) through
     /// the issuing client's block cache. `paging` selects the paging
-    /// counter family (code and initialized-data faults).
+    /// counter family (code and initialized-data faults). Counters are
+    /// sums, so the per-block deltas are added once, after the loop.
     fn cached_read(
         &mut self,
         op: &AppOp,
@@ -2733,6 +2733,7 @@ impl<S: TraceSink> Cluster<S> {
                 }
             }
         }
+        let mut misses = 0;
         for index in first..=last {
             let key = BlockKey { file, index };
             if self.clients[ci].cache.touch(key, now) {
@@ -2744,25 +2745,7 @@ impl<S: TraceSink> Cluster<S> {
             }
             // Miss: fetch the whole block from the server.
             self.fault_rpc(ci, si, RpcKind::ReadBlock);
-            {
-                let c = self.counters(ci);
-                if paging {
-                    c.bump(mc::PAGING_READ_MISS_OPS);
-                    c.add(srv::PAGING_READ, bs);
-                    if op.migrated {
-                        c.bump(mig::PAGING_READ_MISS_OPS);
-                    }
-                } else {
-                    c.bump(mc::READ_MISS_OPS);
-                    c.add(mc::READ_MISS_BYTES, bs);
-                    c.add(srv::FILE_READ, bs);
-                    if op.migrated {
-                        c.bump(mig::READ_MISS_OPS);
-                        c.add(mig::READ_MISS_BYTES, bs);
-                    }
-                }
-                count_rpc(c, RpcKind::ReadBlock, bs);
-            }
+            misses += 1;
             let srv_hit = self.servers[si].serve_read(key, bs, now);
             self.obs_event(ObsEventKind::CacheMiss, ci as u16, si as u16, file.raw());
             self.obs_rpc(RpcKind::ReadBlock, ci, si, bs, !srv_hit);
@@ -2772,12 +2755,33 @@ impl<S: TraceSink> Cluster<S> {
                 san.on_fetch(op.client, key, inserted, paging, now);
             }
         }
+        if misses == 0 {
+            return;
+        }
+        let c = self.counters(ci);
+        if paging {
+            c.add(mc::PAGING_READ_MISS_OPS, misses);
+            c.add(srv::PAGING_READ, misses * bs);
+            if op.migrated {
+                c.add(mig::PAGING_READ_MISS_OPS, misses);
+            }
+        } else {
+            c.add(mc::READ_MISS_OPS, misses);
+            c.add(mc::READ_MISS_BYTES, misses * bs);
+            c.add(srv::FILE_READ, misses * bs);
+            if op.migrated {
+                c.add(mig::READ_MISS_OPS, misses);
+                c.add(mig::READ_MISS_BYTES, misses * bs);
+            }
+        }
+        count_rpcs(c, RpcKind::ReadBlock, misses, misses * bs);
     }
 
     /// Writes `len` bytes at `offset` of `file` (on server `si`, `old_size`
     /// bytes long before this write) through the issuing client's cache.
     /// Under polling consistency data also goes to the server immediately
-    /// and blocks stay clean (NFS-style write-through).
+    /// and blocks stay clean (NFS-style write-through). Per-block counter
+    /// deltas are summed and added once, after the loop.
     fn cached_write(
         &mut self,
         op: &AppOp,
@@ -2802,6 +2806,8 @@ impl<S: TraceSink> Cluster<S> {
                 c.add(mig::WRITE_OPS, last - first + 1);
             }
         }
+        // Write fetches, and blocks (with their bytes) sent through.
+        let (mut fetches, mut through, mut through_bytes) = (0, 0, 0);
         for index in first..=last {
             let key = BlockKey { file, index };
             let block_start = index * bs;
@@ -2827,15 +2833,7 @@ impl<S: TraceSink> Cluster<S> {
                 // requires a write fetch.
                 if block_start < old_size && !full_block {
                     self.fault_rpc(ci, si, RpcKind::ReadBlock);
-                    {
-                        let c = self.counters(ci);
-                        c.bump(mc::WRITE_FETCH_OPS);
-                        if op.migrated {
-                            c.bump(mig::WRITE_FETCH_OPS);
-                        }
-                        c.add(srv::FILE_READ, bs);
-                        count_rpc(c, RpcKind::ReadBlock, bs);
-                    }
+                    fetches += 1;
                     let srv_hit = self.servers[si].serve_read(key, bs, now);
                     self.obs_rpc(RpcKind::ReadBlock, ci, si, bs, !srv_hit);
                 }
@@ -2847,6 +2845,8 @@ impl<S: TraceSink> Cluster<S> {
                 // The VM system holds every physical page and nothing
                 // could be evicted: this write goes straight through.
                 self.write_block_through(ci, si, key, app_bytes);
+                through += 1;
+                through_bytes += app_bytes;
                 if let Some(san) = self.san.as_deref_mut() {
                     san.on_server_write(key);
                 }
@@ -2854,6 +2854,8 @@ impl<S: TraceSink> Cluster<S> {
                 // NFS-style: data goes straight through; the cached copy
                 // stays clean, so no cleaning bookkeeping is needed.
                 self.write_block_through(ci, si, key, app_bytes);
+                through += 1;
+                through_bytes += app_bytes;
                 if let Some(san) = self.san.as_deref_mut() {
                     san.on_cached_write(op.client, key, WriteKind::Through, now);
                 }
@@ -2864,16 +2866,27 @@ impl<S: TraceSink> Cluster<S> {
                 }
             }
         }
+        let c = self.counters(ci);
+        if fetches > 0 {
+            c.add(mc::WRITE_FETCH_OPS, fetches);
+            if op.migrated {
+                c.add(mig::WRITE_FETCH_OPS, fetches);
+            }
+            c.add(srv::FILE_READ, fetches * bs);
+            count_rpcs(c, RpcKind::ReadBlock, fetches, fetches * bs);
+        }
+        if through > 0 {
+            c.add(mc::WRITEBACK_BYTES, through_bytes);
+            c.add(srv::FILE_WRITE, through_bytes);
+            count_rpcs(c, RpcKind::WriteBlock, through, through_bytes);
+        }
     }
 
     /// Sends `app_bytes` of block `key` from client `ci` straight to
-    /// server `si`, bypassing the delayed-write path.
+    /// server `si`, bypassing the delayed-write path. The caller counts
+    /// the write.
     fn write_block_through(&mut self, ci: usize, si: usize, key: BlockKey, app_bytes: u64) {
         self.fault_rpc(ci, si, RpcKind::WriteBlock);
-        let c = self.counters(ci);
-        c.add(mc::WRITEBACK_BYTES, app_bytes);
-        c.add(srv::FILE_WRITE, app_bytes);
-        count_rpc(c, RpcKind::WriteBlock, app_bytes);
         self.servers[si].accept_write(key, app_bytes, self.now);
         self.obs_rpc(RpcKind::WriteBlock, ci, si, app_bytes, false);
     }
@@ -3132,6 +3145,50 @@ mod tests {
         // Trace records: create, open, close on server 0 or 1.
         let total: usize = cl.into_sink().len();
         assert_eq!(total, 3);
+    }
+
+    /// A block far out in a sparse file costs one cached block, not
+    /// memory proportional to its index.
+    #[test]
+    fn far_offset_block_is_cached_and_cleaned() {
+        let mut cl = cluster();
+        let far = 1u64 << 50;
+        let fd = Handle(1);
+        cl.apply(&op(
+            1,
+            0,
+            OpKind::Create {
+                file: FileId(0),
+                is_dir: false,
+            },
+        ));
+        cl.apply(&op(
+            2,
+            0,
+            OpKind::Open {
+                fd,
+                file: FileId(0),
+                mode: OpenMode::ReadWrite,
+            },
+        ));
+        cl.apply(&op(2, 0, OpKind::Seek { fd, to: far }));
+        cl.apply(&op(3, 0, OpKind::Write { fd, len: 4096 }));
+        cl.apply(&op(3, 0, OpKind::Seek { fd, to: far }));
+        cl.apply(&op(4, 0, OpKind::Read { fd, len: 4096 }));
+        cl.apply(&op(5, 0, OpKind::Close { fd }));
+        cl.run(std::iter::empty(), SimTime::from_secs(60));
+        let cache = &cl.clients()[0].cache;
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.blocks_of(FileId(0)), vec![far / 4096]);
+        assert_eq!(cache.dirty_len(), 0, "the daemon cleaned the block");
+        let c = counters(&cl, 0);
+        assert_eq!(
+            c.get(mc::READ_MISS_OPS),
+            0,
+            "the read hit the written block"
+        );
+        assert_eq!(c.get(clean::DELAY_BLOCKS), 1);
+        assert_eq!(c.get(mc::WRITEBACK_BYTES), 4096);
     }
 
     #[test]

@@ -258,7 +258,7 @@ pub struct Config {
     /// to builds that predate the fault subsystem.
     pub faults: Option<FaultPlan>,
     /// Size of a battery-backed (NVRAM) server write buffer, in bytes.
-    /// On a crash, the newest-dirty-first `server_nvram_bytes` of
+    /// On a crash, the most recently written `server_nvram_bytes` of
     /// not-yet-on-disk data survive as if flushed — Section 5.4's
     /// proposed fix for delayed-write loss. `0` (the default) disables
     /// the buffer; delayed-write traffic savings are unaffected either

@@ -186,7 +186,15 @@ impl RpcKind {
 
 /// Records one RPC of `kind` carrying `bytes` of payload into `counters`.
 pub fn count_rpc(counters: &mut CounterSet, kind: RpcKind, bytes: u64) {
-    counters.bump(kind.msgs_key());
+    count_rpcs(counters, kind, 1, bytes);
+}
+
+/// Records `msgs` RPCs of `kind` carrying `bytes` of payload in total.
+/// Zero deltas are skipped, so an empty batch creates no counter.
+pub(crate) fn count_rpcs(counters: &mut CounterSet, kind: RpcKind, msgs: u64, bytes: u64) {
+    if msgs > 0 {
+        counters.add(kind.msgs_key(), msgs);
+    }
     if bytes > 0 {
         counters.add(kind.bytes_key(), bytes);
     }
@@ -220,6 +228,17 @@ mod tests {
         assert_eq!(c.get("rpc.open.bytes"), 0);
         assert_eq!(total_msgs(&c), 3);
         assert_eq!(total_bytes(&c), 8192);
+    }
+
+    #[test]
+    fn batched_counting_skips_zero_deltas() {
+        let mut c = CounterSet::new();
+        count_rpcs(&mut c, RpcKind::WriteBlock, 0, 0);
+        assert!(c.is_empty(), "an empty batch creates no counter");
+        count_rpcs(&mut c, RpcKind::ReadBlock, 3, 3 * 4096);
+        count_rpc(&mut c, RpcKind::ReadBlock, 4096);
+        assert_eq!(c.get("rpc.read_block.msgs"), 4);
+        assert_eq!(c.get("rpc.read_block.bytes"), 4 * 4096);
     }
 
     #[test]

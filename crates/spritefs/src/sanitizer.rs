@@ -41,6 +41,7 @@ use crate::client::Client;
 use crate::config::{Config, ConsistencyPolicy};
 use crate::fs::FileTable;
 use crate::metrics::SanitizerStats;
+use crate::server::Server;
 
 /// How a cached write left the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -381,11 +382,20 @@ impl Sanitizer {
         }
     }
 
-    /// Deep audit, run at sample points: the cache's internal indexes
-    /// must be mutually consistent and the oracle's `held` table must
-    /// mirror reality exactly.
-    pub fn deep_audit(&mut self, clients: &[Client], now: SimTime) {
+    /// Deep audit, run at sample points: every client's and server's
+    /// cache indexes must be mutually consistent, and the oracle's
+    /// `held` table must mirror the client caches exactly.
+    pub fn deep_audit(&mut self, clients: &[Client], servers: &[Server], now: SimTime) {
         self.stats.ops_checked += 1;
+        for server in servers {
+            if let Err(problem) = server.cache.audit() {
+                let s = server.id;
+                self.note(
+                    |s| &mut s.accounting,
+                    format!("cache index audit at {now}: server {s}: {problem}"),
+                );
+            }
+        }
         for client in clients {
             let c = client.id;
             if let Err(problem) = client.cache.audit() {

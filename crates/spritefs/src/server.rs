@@ -147,6 +147,8 @@ pub struct Server {
     pub cache: BlockCache,
     /// Cache capacity in blocks.
     pub capacity_blocks: u64,
+    /// Bytes per cache block: what a block's disk write costs.
+    block_size: u64,
     /// Per-file consistency state (only for files with activity).
     pub files: FastMap<FileId, SrvFileState>,
     /// Server-side counters (disk traffic, RPCs served).
@@ -170,6 +172,7 @@ impl Server {
             id,
             cache: BlockCache::new(),
             capacity_blocks: capacity_bytes / block_size,
+            block_size,
             files: FastMap::default(),
             counters: CounterSet::new(),
             scratch_files: Vec::new(),
@@ -201,13 +204,14 @@ impl Server {
     /// stable log, and wiping them would break campaign accounting).
     ///
     /// `nvram_bytes` models a battery-backed write buffer
-    /// ([`crate::Config::server_nvram_bytes`]): the newest
-    /// `nvram_bytes` of dirty data survive the crash — appended to
-    /// `saved` instead of `lost` — and replay to disk at reboot, so
-    /// they are as durable as a disk flush. With a buffer at least as
-    /// large as the dirty working set, crash loss drops to zero while
-    /// the delayed-write traffic savings are untouched (the buffer only
-    /// matters at crash time).
+    /// ([`crate::Config::server_nvram_bytes`]): the most recently
+    /// written `nvram_bytes` of dirty data (by each block's last write,
+    /// ties by key) survive the crash — appended to `saved` instead of
+    /// `lost` — and replay to disk at reboot, so they are as durable as
+    /// a disk flush. With a buffer at least as large as the dirty
+    /// working set, crash loss drops to zero while the delayed-write
+    /// traffic savings are untouched (the buffer only matters at crash
+    /// time).
     pub fn crash(
         &mut self,
         lost: &mut Vec<(BlockKey, u64)>,
@@ -217,22 +221,21 @@ impl Server {
         let mut files = std::mem::take(&mut self.scratch_files);
         let mut blocks = std::mem::take(&mut self.scratch_blocks);
         self.cache.files_with_dirty_before_into(SimTime::MAX, &mut files);
-        let first_lost = lost.len();
+        let mut dirty = Vec::new();
         for &file in &files {
             self.cache.dirty_blocks_of_into(file, &mut blocks);
             for &index in &blocks {
                 let key = BlockKey { file, index };
-                let bytes = self
-                    .cache
-                    .get(key)
-                    .map(|e| e.dirty_app_bytes)
-                    .unwrap_or(0);
-                lost.push((key, bytes));
+                let e = self.cache.get(key).expect("dirty block is cached");
+                dirty.push((e.last_write, key, e.dirty_app_bytes));
             }
         }
-        // The scan runs oldest-dirty first, so the buffer's contents —
-        // the newest writes — sit at the tail: move entries from the
-        // tail to `saved` until the buffer budget runs out.
+        // Oldest write first, so the buffer's contents — the newest
+        // writes — sit at the tail: move entries from the tail to
+        // `saved` until the buffer budget runs out.
+        dirty.sort_unstable_by_key(|&(written, key, _)| (written, key));
+        let first_lost = lost.len();
+        lost.extend(dirty.iter().map(|&(_, key, bytes)| (key, bytes)));
         let mut budget = nvram_bytes;
         while nvram_bytes > 0 && lost.len() > first_lost {
             let &(_, bytes) = lost.last().expect("tail entry");
@@ -282,7 +285,8 @@ impl Server {
         } else {
             self.counters.bump("server.cache.read.miss");
             self.counters.add("server.disk.read.bytes", block_bytes);
-            self.insert_block(key, now);
+            self.cache.insert(key, now);
+            self.evict_past_capacity();
             false
         }
     }
@@ -291,18 +295,18 @@ impl Server {
     /// server itself uses a 30-second delayed write to disk).
     pub fn accept_write(&mut self, key: BlockKey, block_bytes: u64, now: SimTime) {
         self.counters.add("server.write.bytes", block_bytes);
-        self.insert_block(key, now);
-        self.cache.mark_dirty(key, now, block_bytes);
+        self.cache.insert_dirty(key, now, block_bytes);
+        self.evict_past_capacity();
     }
 
-    /// Inserts a block, evicting LRU blocks past capacity (dirty
+    /// Evicts LRU blocks until the cache fits its capacity (dirty
     /// evictions are written to disk first).
-    fn insert_block(&mut self, key: BlockKey, now: SimTime) {
-        self.cache.insert(key, now);
+    fn evict_past_capacity(&mut self) {
         while self.cache.len() as u64 > self.capacity_blocks {
             if let Some((evicted, entry)) = self.cache.pop_lru() {
                 if entry.dirty {
-                    self.counters.add("server.disk.write.bytes", 4096);
+                    self.counters
+                        .add("server.disk.write.bytes", self.block_size);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(evicted);
                     }
@@ -316,7 +320,7 @@ impl Server {
 
     /// The server's delayed-write daemon: flush blocks dirty since
     /// `cutoff` to disk.
-    pub fn flush_dirty_before(&mut self, cutoff: SimTime, block_size: u64) {
+    pub fn flush_dirty_before(&mut self, cutoff: SimTime) {
         let mut files = std::mem::take(&mut self.scratch_files);
         let mut blocks = std::mem::take(&mut self.scratch_blocks);
         self.cache.files_with_dirty_before_into(cutoff, &mut files);
@@ -325,7 +329,8 @@ impl Server {
             for &index in &blocks {
                 let key = BlockKey { file, index };
                 if self.cache.clean(key).is_some() {
-                    self.counters.add("server.disk.write.bytes", block_size);
+                    self.counters
+                        .add("server.disk.write.bytes", self.block_size);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(key);
                     }
@@ -432,7 +437,7 @@ mod tests {
         let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
         srv.accept_write(key(1, 0), 4096, t(0));
         srv.accept_write(key(2, 0), 4096, t(50));
-        srv.flush_dirty_before(t(30), 4096);
+        srv.flush_dirty_before(t(30));
         assert_eq!(srv.counters.get("server.disk.write.bytes"), 4096);
         assert_eq!(srv.cache.dirty_len(), 1);
     }
@@ -445,7 +450,7 @@ mod tests {
         srv.accept_write(key(2, 0), 4096, t(50));
         // The daemon flushes the old block to disk; the young one stays
         // dirty in the volatile cache.
-        srv.flush_dirty_before(t(30), 4096);
+        srv.flush_dirty_before(t(30));
         let mut flushed = Vec::new();
         srv.take_disk_flush_log(&mut flushed);
         assert_eq!(flushed, vec![key(1, 0)]);
@@ -489,6 +494,31 @@ mod tests {
         assert_eq!(lost_bytes, 0);
         assert!(lost.is_empty());
         assert_eq!(saved.len(), 2);
+    }
+
+    #[test]
+    fn disk_writes_charge_the_block_size() {
+        let mut srv = Server::new(ServerId(0), 2 * 8192, 8192);
+        srv.accept_write(key(1, 0), 8192, t(1));
+        srv.accept_write(key(1, 1), 8192, t(2));
+        // A capacity eviction writes the dirty (1,0) to disk.
+        srv.serve_read(key(2, 0), 8192, t(3));
+        assert_eq!(srv.counters.get("server.disk.write.bytes"), 8192);
+        // The daemon writes the still-dirty (1,1).
+        srv.flush_dirty_before(t(40));
+        assert_eq!(srv.counters.get("server.disk.write.bytes"), 2 * 8192);
+    }
+
+    #[test]
+    fn nvram_buffer_keeps_the_newest_write_not_the_highest_file() {
+        let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
+        srv.accept_write(key(3, 0), 4096, t(0));
+        srv.accept_write(key(1, 0), 4096, t(50));
+        let mut lost = Vec::new();
+        let mut saved = Vec::new();
+        assert_eq!(srv.crash(&mut lost, 4096, &mut saved), 4096);
+        assert_eq!(saved, vec![(key(1, 0), 4096)], "t=50 write saved");
+        assert_eq!(lost, vec![(key(3, 0), 4096)], "t=0 write lost");
     }
 
     #[test]

@@ -460,3 +460,210 @@ fn memory_manager_conserves_pages() {
         }
     }
 }
+
+/// The differential test of the block cache: a reference model built
+/// from ordered std collections, with the semantics the cache must keep
+/// — LRU order by `(last_ref, insertion sequence)`, dirty blocks ordered
+/// by `(dirty_since, key)`.
+mod cache_model {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use sdfs_simkit::{SimRng, SimTime};
+    use sdfs_spritefs::cache::{BlockCache, BlockEntry, BlockKey};
+    use sdfs_trace::FileId;
+
+    /// `(last_ref, dirty, dirty_since, last_write, dirty_app_bytes)`.
+    type Fields = (SimTime, bool, SimTime, SimTime, u64);
+
+    fn fields(e: &BlockEntry) -> Fields {
+        (
+            e.last_ref,
+            e.dirty,
+            e.dirty_since,
+            e.last_write,
+            e.dirty_app_bytes,
+        )
+    }
+
+    #[derive(Default)]
+    struct Model {
+        /// Key → (entry fields, LRU sequence number).
+        entries: BTreeMap<BlockKey, (Fields, u64)>,
+        lru: BTreeSet<(SimTime, u64, BlockKey)>,
+        dirty: BTreeSet<(SimTime, BlockKey)>,
+        seq: u64,
+    }
+
+    impl Model {
+        fn touch(&mut self, key: BlockKey, now: SimTime) -> bool {
+            let Some((f, seq)) = self.entries.get_mut(&key) else {
+                return false;
+            };
+            self.lru.remove(&(f.0, *seq, key));
+            self.seq += 1;
+            (f.0, *seq) = (now, self.seq);
+            self.lru.insert((now, self.seq, key));
+            true
+        }
+
+        fn insert(&mut self, key: BlockKey, now: SimTime) {
+            if self.touch(key, now) {
+                return;
+            }
+            self.seq += 1;
+            let f = (now, false, SimTime::ZERO, SimTime::ZERO, 0);
+            self.entries.insert(key, (f, self.seq));
+            self.lru.insert((now, self.seq, key));
+        }
+
+        fn mark_dirty(&mut self, key: BlockKey, now: SimTime, bytes: u64) -> bool {
+            if !self.touch(key, now) {
+                return false;
+            }
+            let f = &mut self.entries.get_mut(&key).expect("touched").0;
+            if !f.1 {
+                (f.1, f.2, f.4) = (true, now, 0);
+                self.dirty.insert((now, key));
+            }
+            f.3 = now;
+            f.4 += bytes;
+            true
+        }
+
+        fn clean(&mut self, key: BlockKey) -> Option<Fields> {
+            let f = &mut self.entries.get_mut(&key)?.0;
+            if !f.1 {
+                return None;
+            }
+            let before = *f;
+            (f.1, f.4) = (false, 0);
+            self.dirty.remove(&(before.2, key));
+            Some(before)
+        }
+
+        fn remove(&mut self, key: BlockKey) -> Option<Fields> {
+            let (f, seq) = self.entries.remove(&key)?;
+            self.lru.remove(&(f.0, seq, key));
+            if f.1 {
+                self.dirty.remove(&(f.2, key));
+            }
+            Some(f)
+        }
+
+        fn peek_lru(&self) -> Option<BlockKey> {
+            self.lru.first().map(|&(_, _, k)| k)
+        }
+
+        fn blocks_of(&self, file: FileId, dirty_only: bool) -> Vec<u64> {
+            self.entries
+                .iter()
+                .filter(|(k, (f, _))| k.file == file && (!dirty_only || f.1))
+                .map(|(k, _)| k.index)
+                .collect()
+        }
+
+        fn files_with_dirty_before(&self, cutoff: SimTime) -> Vec<FileId> {
+            let files: BTreeSet<FileId> = self
+                .dirty
+                .iter()
+                .take_while(|&&(t, _)| t <= cutoff)
+                .map(|&(_, k)| k.file)
+                .collect();
+            files.into_iter().collect()
+        }
+    }
+
+    const FILES: u64 = 4;
+    /// Far-apart indices: distant groups, and the last group of all.
+    const FAR: [u64; 5] = [1 << 20, (1 << 20) + 63, 1 << 50, u64::MAX - 1, u64::MAX];
+
+    /// Half the time a cached key (so clean, remove and touch find
+    /// something), otherwise any key.
+    fn random_key(rng: &mut SimRng, model: &Model) -> BlockKey {
+        if !model.entries.is_empty() && rng.chance(0.5) {
+            let n = rng.below(model.entries.len() as u64) as usize;
+            return *model.entries.keys().nth(n).expect("n < len");
+        }
+        let file = FileId(rng.below(FILES));
+        // Mostly three adjacent 64-block groups, sometimes a far index.
+        let index = if rng.chance(0.85) {
+            rng.below(3 * 64)
+        } else {
+            *rng.pick(&FAR)
+        };
+        BlockKey { file, index }
+    }
+
+    fn compare(cache: &BlockCache, model: &Model, now: SimTime, step: usize) {
+        let at = format!("step {step} at {now}");
+        assert_eq!(cache.audit(), Ok(()), "{at}");
+        assert_eq!(cache.len(), model.entries.len(), "{at}");
+        assert_eq!(cache.dirty_len(), model.dirty.len(), "{at}");
+        assert_eq!(cache.peek_lru().map(|(k, _)| k), model.peek_lru(), "{at}");
+        if let Some((k, e)) = cache.peek_lru() {
+            assert_eq!(fields(e), model.entries[&k].0, "{at}");
+        }
+        for f in 0..FILES {
+            let file = FileId(f);
+            assert_eq!(cache.blocks_of(file), model.blocks_of(file, false), "{at}");
+            assert_eq!(
+                cache.dirty_blocks_of(file),
+                model.blocks_of(file, true),
+                "{at}"
+            );
+        }
+        for back in [0, 1, 3, 10] {
+            let cutoff = SimTime::from_secs(now.as_secs().saturating_sub(back));
+            assert_eq!(
+                cache.files_with_dirty_before(cutoff),
+                model.files_with_dirty_before(cutoff),
+                "{at}, cutoff {cutoff}"
+            );
+        }
+        assert_eq!(cache.oldest_dirty(), model.dirty.first().copied(), "{at}");
+    }
+
+    /// Random `insert`/`touch`/`mark_dirty`/`clean`/`remove`/`pop_lru`
+    /// sequences with repeated timestamps leave the cache observably
+    /// identical to the model after every step.
+    #[test]
+    fn cache_matches_ordered_reference_model() {
+        let mut rng = SimRng::seed_from_u64(0x4752_4f55_5053);
+        for _ in 0..48 {
+            let mut cache = BlockCache::new();
+            let mut model = Model::default();
+            let mut secs = 0;
+            for step in 0..250 {
+                // Time stands still about a third of the time.
+                secs += rng.below(3);
+                let now = SimTime::from_secs(secs);
+                let key = random_key(&mut rng, &model);
+                match rng.below(7) {
+                    0 | 1 => {
+                        cache.insert(key, now);
+                        model.insert(key, now);
+                    }
+                    2 => assert_eq!(cache.touch(key, now), model.touch(key, now)),
+                    3 => {
+                        let bytes = rng.below(4096);
+                        assert_eq!(
+                            cache.mark_dirty_if_present(key, now, bytes),
+                            model.mark_dirty(key, now, bytes)
+                        );
+                    }
+                    4 => assert_eq!(cache.clean(key).as_ref().map(fields), model.clean(key)),
+                    5 => assert_eq!(cache.remove(key).as_ref().map(fields), model.remove(key)),
+                    _ => {
+                        let want = model.peek_lru();
+                        let got = cache.pop_lru();
+                        assert_eq!(got.as_ref().map(|(k, _)| *k), want);
+                        if let Some((k, e)) = got {
+                            assert_eq!(Some(fields(&e)), model.remove(k));
+                        }
+                    }
+                }
+                compare(&cache, &model, now, step);
+            }
+        }
+    }
+}

@@ -89,10 +89,11 @@ test ! -s /tmp/verify_badflag_out.txt
 grep -q "unknown flag \`--sanitise\`" /tmp/verify_badflag.txt
 grep -q "usage: repro" /tmp/verify_badflag.txt
 
-echo "==> fault matrix: repro --quick --sanitize faults (clean, deterministic, nonzero)"
+echo "==> fault matrix: repro --quick --sanitize faults (clean, deterministic, nonzero, matches scripts/golden/quick_faults_stdout.txt)"
 ./target/release/repro --quick --sanitize faults > /tmp/verify_faults_1.txt
 ./target/release/repro --quick --sanitize faults > /tmp/verify_faults_2.txt
 cmp /tmp/verify_faults_1.txt /tmp/verify_faults_2.txt
+cmp scripts/golden/quick_faults_stdout.txt /tmp/verify_faults_1.txt
 grep -q "recovery storm RPCs: [1-9]" /tmp/verify_faults_1.txt
 grep -q "data lost at server crash: [1-9]" /tmp/verify_faults_1.txt
 # Partition study: leases must recall state (TTL < cut) and beat the
