@@ -20,15 +20,25 @@
 //! not understand — an unknown flag, a malformed value, a zero trace or
 //! worker count — prints the usage synopsis and exits 2.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use sdfs_core::access::AccessScanner;
+use sdfs_core::activity::Table2Accumulator;
+use sdfs_core::consistency::Table10Builder;
 use sdfs_core::extensions::{
     crash_exposure_ablation, policy_matrix, render_crash_exposure, render_policy_matrix,
 };
+use sdfs_core::figures::FiguresAccumulator;
 use sdfs_core::latency::latency_report;
+use sdfs_core::overhead::Table12Builder;
+use sdfs_core::patterns::AccessPatterns;
 use sdfs_core::report;
+use sdfs_core::staleness::PollingSim;
 use sdfs_core::study::writeback_delay_ablation;
 use sdfs_core::Study;
+use sdfs_simkit::SimDuration;
+use sdfs_trace::{Record, TraceStatsBuilder};
 
 /// Every subcommand the CLI accepts, for validation and the usage
 /// synopsis. Aliases (`fig1`, `table5`, ...) are listed explicitly so a
@@ -783,11 +793,67 @@ fn run_fastpath_bench() {
     eprintln!("wrote BENCH_0004.json");
 }
 
+/// Feeds every record to one streaming consumer, the way the fused pass
+/// does, and returns it for finishing.
+fn feed<C>(records: &[Record], mut consumer: C, record: impl Fn(&mut C, &Record)) -> C {
+    for rec in records {
+        record(&mut consumer, rec);
+    }
+    consumer
+}
+
+/// Builds one analysis consumer, feeds it a trace's records and
+/// finishes it.
+type RunConsumer = fn(&[Record]);
+
+/// Every consumer the fused analysis pass drives, by the name `repro
+/// profile` prints.
+const CONSUMERS: [(&str, RunConsumer); 8] = [
+    ("stats", |r| {
+        black_box(feed(r, TraceStatsBuilder::new(), TraceStatsBuilder::record).finish());
+    }),
+    ("table2", |r| {
+        black_box(feed(r, Table2Accumulator::new(), Table2Accumulator::record).finish());
+    }),
+    ("access scan + table3 + fig1-3", |r| {
+        let state = (
+            AccessScanner::new(),
+            AccessPatterns::default(),
+            FiguresAccumulator::new(),
+        );
+        let (_, patterns, figures) = feed(r, state, |(scanner, patterns, figures), rec| {
+            if let Some(access) = scanner.record(rec) {
+                patterns.add(&access);
+                figures.access(&access);
+            }
+        });
+        black_box((patterns, figures.finish()));
+    }),
+    ("fig4", |r| {
+        black_box(feed(r, FiguresAccumulator::new(), FiguresAccumulator::record).finish());
+    }),
+    ("table10", |r| {
+        black_box(feed(r, Table10Builder::new(), Table10Builder::record).finish());
+    }),
+    ("table11 60 s", |r| {
+        let sim = PollingSim::new(SimDuration::from_secs(60));
+        black_box(feed(r, sim, PollingSim::record).finish());
+    }),
+    ("table11 3 s", |r| {
+        let sim = PollingSim::new(SimDuration::from_secs(3));
+        black_box(feed(r, sim, PollingSim::record).finish());
+    }),
+    ("table12", |r| {
+        black_box(feed(r, Table12Builder::new(), Table12Builder::record).finish());
+    }),
+];
+
 /// `repro profile`: wall-clock breakdown of the pipeline stages on the
-/// configured study — where a full run actually spends its time. This is
-/// deliberately the only observability surface that reads the host
-/// clock, and it lives in the bench crate, outside the determinism
-/// lint's scope.
+/// configured study — where a full run actually spends its time — and of
+/// the fused analysis by consumer, each timed alone over the same
+/// records. This is deliberately the only observability surface that
+/// reads the host clock, and it lives in the bench crate, outside the
+/// determinism lint's scope.
 fn run_profile(study: &Study) {
     let t_total = Instant::now();
 
@@ -820,6 +886,7 @@ fn run_profile(study: &Study) {
     let total = t_total.elapsed().as_secs_f64();
 
     let pct = |secs: f64| 100.0 * secs / total.max(1e-9);
+    let per_record = |secs: f64| secs * 1e9 / records.max(1) as f64;
     println!(
         "repro profile ({} traces, {} counter days, {} records):",
         per_trace.len(),
@@ -834,4 +901,22 @@ fn run_profile(study: &Study) {
     );
     println!("  {:<18} {:>8.3} s  ({:>4.1}%)", "render", render_secs, pct(render_secs));
     println!("  {:<18} {:>8.3} s", "total", total);
+
+    println!(
+        "analysis by consumer, each alone over the same records (fused: {:.0} ns/record):",
+        per_record(analyze)
+    );
+    for (name, run) in CONSUMERS {
+        let t = Instant::now();
+        for (_, recs) in &per_trace {
+            run(recs);
+        }
+        let secs = t.elapsed().as_secs_f64();
+        println!(
+            "  {:<30} {:>8.3} s  {:>6.0} ns/record",
+            name,
+            secs,
+            per_record(secs)
+        );
+    }
 }

@@ -74,7 +74,8 @@ fn record_bytes(rec: &Record) -> u64 {
 pub struct ActivityAccumulator {
     width: SimDuration,
     migrated_only: bool,
-    per_interval_users: FastMap<u64, Vec<UserId>>,
+    /// Bytes per (interval, user), with an entry (possibly zero bytes)
+    /// for every user active in an interval.
     user_interval_bytes: FastMap<(u64, UserId), u64>,
     end: SimTime,
 }
@@ -87,7 +88,6 @@ impl ActivityAccumulator {
         ActivityAccumulator {
             width,
             migrated_only,
-            per_interval_users: FastMap::default(),
             user_interval_bytes: FastMap::default(),
             end: SimTime::ZERO,
         }
@@ -100,59 +100,39 @@ impl ActivityAccumulator {
             return;
         }
         let idx = rec.time.interval_index(self.width);
-        self.per_interval_users
-            .entry(idx)
-            .or_default()
-            .push(rec.user);
-        let bytes = record_bytes(rec);
-        if bytes > 0 {
-            *self
-                .user_interval_bytes
-                .entry((idx, rec.user))
-                .or_insert(0) += bytes;
-        }
+        *self.user_interval_bytes.entry((idx, rec.user)).or_insert(0) += record_bytes(rec);
     }
 
-    /// Finalizes the statistics. User-interval throughputs are folded in
+    /// Finalizes the statistics. User-interval entries are walked in
     /// sorted key order so the floating-point summaries are bit-identical
     /// across runs regardless of hash-map iteration order.
     pub fn finish(self) -> ActivityStats {
         let n_intervals = self.end.interval_index(self.width) + 1;
         let secs = self.width.as_secs_f64();
 
+        let mut entries: Vec<((u64, UserId), u64)> = self.user_interval_bytes.into_iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
         let mut active_users = Summary::new();
         let mut max_active = 0u64;
-        for idx in 0..n_intervals {
-            let count = self
-                .per_interval_users
-                .get(&idx)
-                .map(|users| {
-                    let mut u = users.clone();
-                    u.sort_unstable();
-                    u.dedup();
-                    u.len() as u64
-                })
-                .unwrap_or(0);
-            active_users.add(count as f64);
-            max_active = max_active.max(count);
-        }
-
-        let mut entries: Vec<((u64, UserId), u64)> =
-            self.user_interval_bytes.into_iter().collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
         let mut throughput = Summary::new();
         let mut peak_user = 0.0f64;
-        let mut interval_totals: FastMap<u64, u64> = FastMap::default();
-        for &((idx, _user), bytes) in &entries {
-            let rate = bytes as f64 / secs;
-            throughput.add(rate);
-            peak_user = peak_user.max(rate);
-            *interval_totals.entry(idx).or_insert(0) += bytes;
+        let mut peak_total = 0.0f64;
+        let mut rest = entries.as_slice();
+        for idx in 0..n_intervals {
+            let n = rest.iter().take_while(|&&((i, _), _)| i == idx).count();
+            let (here, tail) = rest.split_at(n);
+            rest = tail;
+            active_users.add(n as f64);
+            max_active = max_active.max(n as u64);
+            let mut total = 0u64;
+            for &(_, bytes) in here.iter().filter(|&&(_, bytes)| bytes > 0) {
+                let rate = bytes as f64 / secs;
+                throughput.add(rate);
+                peak_user = peak_user.max(rate);
+                total += bytes;
+            }
+            peak_total = peak_total.max(total as f64 / secs);
         }
-        let peak_total = interval_totals
-            .values()
-            .map(|&b| b as f64 / secs)
-            .fold(0.0, f64::max);
 
         ActivityStats {
             width: self.width,

@@ -48,16 +48,14 @@ struct FileState {
     last_writer: Option<ClientId>,
 }
 
-impl FileState {
-    fn write_shared(&self) -> bool {
-        if !self.opens.iter().any(|&(_, _, w)| w) {
-            return false;
-        }
-        let mut clients: Vec<ClientId> = self.opens.iter().map(|&(_, c, _)| c).collect();
-        clients.sort_unstable();
-        clients.dedup();
-        clients.len() >= 2
-    }
+/// Whether a file's open handles `(handle, client, writes)` are in
+/// concurrent write-sharing: some handle writes, and the handles span at
+/// least two clients.
+pub(crate) fn write_shared(opens: &[(Handle, ClientId, bool)]) -> bool {
+    let Some(&(_, first, _)) = opens.first() else {
+        return false;
+    };
+    opens.iter().any(|&(_, _, w)| w) && opens.iter().any(|&(_, c, _)| c != first)
 }
 
 /// Streaming Table 10 builder: feed records in time order, then call
@@ -98,7 +96,7 @@ impl Table10Builder {
                     }
                 }
                 st.opens.push((*fd, rec.client, mode.writes()));
-                if st.write_shared() {
+                if write_shared(&st.opens) {
                     self.t.cws_opens += 1;
                 }
             }

@@ -23,6 +23,8 @@ use sdfs_simkit::{FastMap, FastSet};
 use sdfs_simkit::{SimDuration, SimTime};
 use sdfs_trace::{ClientId, FileId, Handle, Record, RecordKind};
 
+use crate::consistency::write_shared;
+
 /// The algorithm to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
@@ -79,18 +81,6 @@ struct SimFile {
     /// Token state (token mode only).
     writer_token: Option<ClientId>,
     reader_tokens: FastSet<ClientId>,
-}
-
-impl SimFile {
-    fn write_shared(&self) -> bool {
-        if !self.opens.iter().any(|&(_, _, w)| w) {
-            return false;
-        }
-        let mut clients: Vec<ClientId> = self.opens.iter().map(|&(_, c, _)| c).collect();
-        clients.sort_unstable();
-        clients.dedup();
-        clients.len() >= 2
-    }
 }
 
 /// The simulator.
@@ -172,9 +162,9 @@ impl Sim {
     fn on_open(&mut self, rec: &Record, fd: Handle, file: FileId, writes: bool) {
         let alg = self.alg;
         let st = self.files.entry(file).or_default();
-        let was_shared = st.write_shared();
+        let was_shared = write_shared(&st.opens);
         st.opens.push((fd, rec.client, writes));
-        let now_shared = st.write_shared();
+        let now_shared = write_shared(&st.opens);
         if alg != Algorithm::Token && now_shared && !was_shared {
             // Entering concurrent write-sharing: flush all dirty data and
             // disable caching (both Sprite variants).
@@ -210,7 +200,7 @@ impl Sim {
         };
         match self.alg {
             Algorithm::Sprite => !st.opens.is_empty(),
-            Algorithm::SpriteModified => st.write_shared(),
+            Algorithm::SpriteModified => write_shared(&st.opens),
             Algorithm::Token => false,
         }
     }

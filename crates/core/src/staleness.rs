@@ -71,14 +71,55 @@ impl PollingOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One client's cached copy of a file.
+#[derive(Debug, Clone, Copy)]
 struct ClientView {
+    client: ClientId,
     cached_version: u64,
     last_check: SimTime,
-    has_cache: bool,
     /// The newest server version this client has already been charged an
     /// error for; repeated reads of the same stale content count once.
     flagged_version: u64,
+    /// The client wrote through shared events since its last close of
+    /// the file, so that close must not bump the version again.
+    wrote_through: bool,
+}
+
+/// The server's version of one file and every client view of it. A
+/// delete or truncate drops the whole entry, so its cost never depends
+/// on how many views the rest of the trace has created.
+#[derive(Debug, Default)]
+struct FileViews {
+    version: u64,
+    views: Vec<ClientView>,
+}
+
+impl FileViews {
+    fn view(&mut self, client: ClientId) -> Option<&mut ClientView> {
+        self.views.iter_mut().find(|v| v.client == client)
+    }
+
+    /// Makes `client`'s copy current at `now`: a first fetch, or a write
+    /// through to the server, which leaves the writer's cache current.
+    fn refresh(&mut self, client: ClientId, now: SimTime) -> &mut ClientView {
+        let i = match self.views.iter().position(|v| v.client == client) {
+            Some(i) => i,
+            None => {
+                self.views.push(ClientView {
+                    client,
+                    cached_version: 0,
+                    last_check: now,
+                    flagged_version: 0,
+                    wrote_through: false,
+                });
+                self.views.len() - 1
+            }
+        };
+        let v = &mut self.views[i];
+        v.cached_version = self.version;
+        v.last_check = now;
+        v
+    }
 }
 
 /// Streaming polling-scheme simulator: feed records in time order, then
@@ -87,17 +128,13 @@ struct ClientView {
 #[derive(Debug)]
 pub struct PollingSim {
     interval: SimDuration,
-    versions: FastMap<FileId, u64>,
-    views: FastMap<(ClientId, FileId), ClientView>,
+    files: FastMap<FileId, FileViews>,
     users: FastSet<UserId>,
     affected: FastSet<UserId>,
     // Open currently erroneous, keyed by (client, file): counts opens
     // during which any stale use happened.
     open_error: FastMap<(ClientId, FileId), bool>,
     stale_events: u64,
-    // A client that wrote through shared events must not double-bump the
-    // version at close.
-    shared_writer: FastSet<(ClientId, FileId)>,
     file_opens: u64,
     opens_with_error: u64,
     migrated_opens: u64,
@@ -111,13 +148,11 @@ impl PollingSim {
     pub fn new(interval: SimDuration) -> Self {
         PollingSim {
             interval,
-            versions: FastMap::default(),
-            views: FastMap::default(),
+            files: FastMap::default(),
             users: FastSet::default(),
             affected: FastSet::default(),
             open_error: FastMap::default(),
             stale_events: 0,
-            shared_writer: FastSet::default(),
             file_opens: 0,
             opens_with_error: 0,
             migrated_opens: 0,
@@ -128,15 +163,13 @@ impl PollingSim {
     }
 
     fn read_access(&mut self, client: ClientId, file: FileId, user: UserId, now: SimTime) -> bool {
-        let current = self.versions.get(&file).copied().unwrap_or(0);
-        let v = self.views.entry((client, file)).or_default();
-        if !v.has_cache {
+        let f = self.files.entry(file).or_default();
+        let current = f.version;
+        let Some(v) = f.view(client) else {
             // First contact: fetch fresh data.
-            v.has_cache = true;
-            v.cached_version = current;
-            v.last_check = now;
+            f.refresh(client, now);
             return false;
-        }
+        };
         if now.since(v.last_check) > self.interval {
             // Poll the server: refresh if changed.
             v.last_check = now;
@@ -185,30 +218,25 @@ impl PollingSim {
                 }
             }
             RecordKind::SharedWrite { file, .. } => {
-                let v = self.versions.entry(*file).or_insert(0);
-                *v += 1;
-                let current = *v;
-                let view = self.views.entry((rec.client, *file)).or_default();
+                let f = self.files.entry(*file).or_default();
+                f.version += 1;
                 // Write-through: the writer's cache matches the server.
-                view.has_cache = true;
-                view.cached_version = current;
-                view.last_check = rec.time;
-                self.shared_writer.insert((rec.client, *file));
+                f.refresh(rec.client, rec.time).wrote_through = true;
             }
             RecordKind::Close {
                 file,
                 total_written,
                 ..
             } => {
-                let wrote_through = self.shared_writer.remove(&(rec.client, *file));
+                let wrote_through = self
+                    .files
+                    .get_mut(file)
+                    .and_then(|f| f.view(rec.client))
+                    .is_some_and(|v| std::mem::take(&mut v.wrote_through));
                 if *total_written > 0 && !wrote_through {
-                    let v = self.versions.entry(*file).or_insert(0);
-                    *v += 1;
-                    let current = *v;
-                    let view = self.views.entry((rec.client, *file)).or_default();
-                    view.has_cache = true;
-                    view.cached_version = current;
-                    view.last_check = rec.time;
+                    let f = self.files.entry(*file).or_default();
+                    f.version += 1;
+                    f.refresh(rec.client, rec.time);
                 }
                 if let Some(err) = self.open_error.remove(&(rec.client, *file)) {
                     if err {
@@ -220,9 +248,7 @@ impl PollingSim {
                 }
             }
             RecordKind::Delete { file, .. } | RecordKind::Truncate { file, .. } => {
-                self.versions.remove(file);
-                self.views.retain(|&(_, f), _| f != *file);
-                self.shared_writer.retain(|&(_, f)| f != *file);
+                self.files.remove(file);
             }
             _ => {}
         }
@@ -323,6 +349,20 @@ mod tests {
         )
     }
 
+    fn delete(t: u64, client: u16, file: u64) -> Record {
+        rec(
+            t,
+            client,
+            RecordKind::Delete {
+                file: FileId(file),
+                size: 100,
+                is_dir: false,
+                oldest_age: SimDuration::from_secs(1),
+                newest_age: SimDuration::from_secs(1),
+            },
+        )
+    }
+
     /// Client 1 caches at t=0; client 0 writes at t=10; client 1 rereads
     /// at t=20 — stale under a 60 s interval, fresh under 3 s.
     fn scenario() -> Vec<Record> {
@@ -404,24 +444,60 @@ mod tests {
     #[test]
     fn delete_clears_versions() {
         let mut records = scenario();
-        records.insert(
-            2,
-            rec(
-                5,
-                0,
-                RecordKind::Delete {
-                    file: FileId(7),
-                    size: 100,
-                    is_dir: false,
-                    oldest_age: SimDuration::from_secs(1),
-                    newest_age: SimDuration::from_secs(1),
-                },
-            ),
-        );
+        records.insert(2, delete(5, 0, 7));
         // After deletion everything resets; the rewrite and reread start
         // from scratch, so no stale use.
         let out = simulate_polling(&records, SimDuration::from_secs(60));
         assert_eq!(out.errors, 0);
+    }
+
+    #[test]
+    fn delete_clears_the_write_through_mark() {
+        // Client 0 writes through before the delete; its later close
+        // with written bytes is a fresh write to the new file, so client
+        // 1's reread within 60 s is stale. A mark surviving the delete
+        // would swallow that write and report no error.
+        let records = vec![
+            open(0, 0, 1, 7, OpenMode::Write),
+            rec(
+                1,
+                0,
+                RecordKind::SharedWrite {
+                    file: FileId(7),
+                    offset: 0,
+                    len: 50,
+                },
+            ),
+            delete(2, 0, 7),
+            open(3, 1, 2, 7, OpenMode::Read),
+            close(4, 1, 2, 7, 0),
+            close(5, 0, 1, 7, 100),
+            open(10, 1, 3, 7, OpenMode::Read),
+            close(11, 1, 3, 7, 0),
+        ];
+        let out = simulate_polling(&records, SimDuration::from_secs(60));
+        assert_eq!(out.errors, 1);
+    }
+
+    #[test]
+    fn delete_leaves_other_files_views() {
+        // Client 1's stale copy of file 7 outlives a delete of file 8,
+        // which both clients had cached.
+        let records = vec![
+            open(0, 1, 1, 7, OpenMode::Read),
+            open(0, 0, 4, 8, OpenMode::Read),
+            open(0, 1, 5, 8, OpenMode::Read),
+            close(1, 1, 1, 7, 0),
+            close(1, 0, 4, 8, 0),
+            close(1, 1, 5, 8, 0),
+            open(9, 0, 2, 7, OpenMode::Write),
+            close(10, 0, 2, 7, 100),
+            delete(15, 0, 8),
+            open(20, 1, 3, 7, OpenMode::Read),
+            close(21, 1, 3, 7, 0),
+        ];
+        let out = simulate_polling(&records, SimDuration::from_secs(60));
+        assert_eq!(out.errors, 1);
     }
 
     #[test]

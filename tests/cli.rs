@@ -85,6 +85,33 @@ fn profile_trace_out_unwritable_exits_2_without_panic() {
 }
 
 #[test]
+fn profile_prints_one_row_per_analysis_consumer() {
+    let out = repro(&["--quick", "--traces", "1", "--days", "1", "profile"]);
+    assert!(
+        out.status.success(),
+        "profile exits 0: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let txt = String::from_utf8_lossy(&out.stdout);
+    for consumer in [
+        "stats",
+        "table2",
+        "access scan + table3 + fig1-3",
+        "fig4",
+        "table10",
+        "table11 60 s",
+        "table11 3 s",
+        "table12",
+    ] {
+        let rows = txt
+            .lines()
+            .filter(|l| l.trim_start().starts_with(consumer) && l.ends_with(" ns/record"))
+            .count();
+        assert_eq!(rows, 1, "one `{consumer}` row:\n{txt}");
+    }
+}
+
+#[test]
 fn trace_out_missing_value_exits_2() {
     let out = repro(&["--quick", "profile", "--trace-out"]);
     assert_eq!(out.status.code(), Some(2));
