@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize]
-//!       [--observe] [--no-fastpath]
+//!       [--observe]
 //!       [all|table1|table2|table3|table10|table11|table12|cache|
 //!        figures [--csv DIR]|bsd|check|lint [--root DIR] [--audit]|
 //!        ablations|extensions|faults|latency|gen-trace OUT|
@@ -83,7 +83,6 @@ const SWITCHES: &[&str] = &[
     "--quick",
     "--sanitize",
     "--observe",
-    "--no-fastpath",
     "--json",
     "--audit",
 ];
@@ -93,7 +92,7 @@ const VALUE_FLAGS: &[&str] = &["--traces", "--days", "--threads", "--csv", "--ro
 
 /// The usage synopsis printed on any command line the parser rejects.
 fn usage() -> String {
-    "usage: repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize] [--observe] [--no-fastpath] [SUBCOMMAND]\n\
+    "usage: repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize] [--observe] [SUBCOMMAND]\n\
      \n\
      options:\n\
      \x20 --quick             reduced study (2 traces, 8 clients, 2 counter days)\n\
@@ -102,7 +101,6 @@ fn usage() -> String {
      \x20 --threads N|auto    trace workers: traces simulated at once (auto = host CPUs)\n\
      \x20 --sanitize          run SpriteSan; verdict on stderr, exit 1 on a violation\n\
      \x20 --observe           run the self-measurement layer; report on stderr\n\
-     \x20 --no-fastpath       force every open/close through the full consistency walk\n\
      \n\
      subcommands:\n\
      \x20 all                 full study, every table and figure (default)\n\
@@ -121,7 +119,7 @@ fn usage() -> String {
      \x20 obs [--json]        self-measurement report (implies --observe)\n\
      \x20 profile             wall-clock breakdown of the pipeline stages\n\
      \x20 selftrace           simulator self-trace cross-check (exit 1 on disagreement)\n\
-     \x20 bench               timed stages -> BENCH_0001.json, BENCH_0002.json, BENCH_0004.json\n"
+     \x20 bench               timed stages -> BENCH_0001.json, BENCH_0002.json\n"
         .to_string()
 }
 
@@ -298,13 +296,6 @@ fn main() {
     // parallelism. Output is byte-identical at any value.
     if let Some(n) = cli.threads {
         cfg.parallelism = n;
-    }
-    // `--no-fastpath` turns the control-plane consistency fast path off,
-    // forcing every open and close through the full consistency walk.
-    // Output is byte-identical either way — the flag exists so CI can
-    // prove it with `cmp`.
-    if cli.has("--no-fastpath") {
-        cfg.cluster.consistency_fast_path = false;
     }
     // `--sanitize` runs SpriteSan alongside the simulation. The verdict
     // goes to stderr so stdout stays byte-identical to a plain run.
@@ -552,8 +543,7 @@ fn main() {
 const BASELINE_QUICK_ALL_SECS: f64 = 6.55;
 
 /// `repro bench`: time each pipeline stage on the quick configuration
-/// and write the results to `BENCH_0001.json` / `BENCH_0002.json` /
-/// `BENCH_0004.json`.
+/// and write the results to `BENCH_0001.json` / `BENCH_0002.json`.
 ///
 /// Stages are timed in isolation (simulate, fused analysis, the old
 /// separate-pass analysis for comparison, the counter campaign, report
@@ -668,129 +658,6 @@ fn run_bench() {
     std::fs::write("BENCH_0002.json", &json2).expect("write BENCH_0002.json");
     print!("{json2}");
     eprintln!("wrote BENCH_0002.json");
-
-    run_fastpath_bench();
-}
-
-/// The BENCH_0004 fast-path report: the simulate stage of the quick
-/// campaign timed with the control-plane consistency fast path on and
-/// off (the slow path stays live as the oracle), plus the proof that
-/// both produce identical records and the hit rate the calm summaries
-/// achieved. Runs interleave and each side keeps its best of two so
-/// transient host noise doesn't decide the ratio.
-fn run_fastpath_bench() {
-    use sdfs_simkit::SimTime;
-    use sdfs_spritefs::cluster::NullSink;
-    use sdfs_spritefs::{AppOp, Cluster, OpKind};
-    use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, UserId};
-    use sdfs_workload::Generator;
-
-    let mk = |fast: bool| {
-        let mut c = sdfs_bench::bench_config();
-        c.cluster.consistency_fast_path = fast;
-        c
-    };
-    let sim = |fast: bool| {
-        let study = Study::new(mk(fast));
-        let t = Instant::now();
-        let recs: Vec<_> = study
-            .config()
-            .traces
-            .iter()
-            .map(|&spec| study.run_trace_records(spec))
-            .collect();
-        (t.elapsed().as_secs_f64(), recs)
-    };
-    let (off_a, recs_off) = sim(false);
-    let (on_a, recs_on) = sim(true);
-    let (off_b, _) = sim(false);
-    let (on_b, _) = sim(true);
-    let off_secs = off_a.min(off_b);
-    let on_secs = on_a.min(on_b);
-    let identical = recs_on == recs_off;
-    let speedup = off_secs / on_secs.max(1e-9);
-
-    // Hit rate: the same traces run through the cluster directly, where
-    // the fast-path counters are observable (they live outside the
-    // byte-compared counter sets precisely so on and off stay
-    // comparable).
-    let base = mk(true);
-    let end = SimTime::from_secs(86_400);
-    let mut fp = sdfs_spritefs::FastPathStats::default();
-    for &spec in &base.traces {
-        let wl = base.workload.for_trace(spec);
-        let mut gen = Generator::new(wl);
-        let mut cluster = Cluster::new(base.cluster.clone(), NullSink);
-        cluster.preload(&gen.preload_list());
-        cluster.run(gen.generate_day(0), end);
-        let s = cluster.fastpath_stats();
-        fp.open_hits += s.open_hits;
-        fp.open_misses += s.open_misses;
-        fp.close_hits += s.close_hits;
-        fp.close_misses += s.close_misses;
-    }
-
-    // Decision-path benchmark: the open/close control path in its calm
-    // steady state (one client re-opening a small working set), isolated
-    // from data-plane block work. This stream is almost entirely the
-    // consistency decision the fast path replaces, so its ratio measures
-    // the optimization itself; the full-campaign wall ratio above is
-    // diluted by block-cache and VM work that is byte-identical on both
-    // sides by construction.
-    let decision_ops: Vec<AppOp> = {
-        let mk_op = |t: u64, kind: OpKind| AppOp {
-            time: SimTime::from_micros(t),
-            client: ClientId(0),
-            user: UserId(0),
-            pid: Pid(1),
-            migrated: false,
-            kind,
-        };
-        let files = 64u64;
-        let mut ops: Vec<AppOp> = (0..files)
-            .map(|f| mk_op(f, OpKind::Create { file: FileId(500 + f), is_dir: false }))
-            .collect();
-        for i in 0..200_000u64 {
-            let file = FileId(500 + (i % files));
-            let fd = Handle(1000 + i);
-            ops.push(mk_op(files + i * 2, OpKind::Open { fd, file, mode: OpenMode::Read }));
-            ops.push(mk_op(files + i * 2 + 1, OpKind::Close { fd }));
-        }
-        ops
-    };
-    let run_decision = |fast: bool| {
-        let cfg = mk(fast).cluster;
-        let mut best = f64::MAX;
-        for _ in 0..3 {
-            let mut cluster = Cluster::new(cfg.clone(), NullSink);
-            let t = Instant::now();
-            cluster.run(decision_ops.clone(), end);
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best * 1e9 / decision_ops.len() as f64
-    };
-    let dec_off = run_decision(false);
-    let dec_on = run_decision(true);
-    let dec_speedup = dec_off / dec_on.max(1e-9);
-
-    let json4 = format!(
-        "{{\n  \"config\": \"quick\",\n  \"simulate_secs_fastpath_off\": {:.3},\n  \"simulate_secs_fastpath_on\": {:.3},\n  \"simulate_wall_speedup_on_vs_off\": {:.2},\n  \"open_close_decision_ns_per_op_off\": {:.1},\n  \"open_close_decision_ns_per_op_on\": {:.1},\n  \"open_close_decision_speedup_on_vs_off\": {:.2},\n  \"records_identical_on_vs_off\": {},\n  \"fastpath_open_hits\": {},\n  \"fastpath_open_misses\": {},\n  \"fastpath_close_hits\": {},\n  \"fastpath_close_misses\": {},\n  \"fastpath_hit_rate_pct\": {:.1},\n  \"note\": \"full-campaign simulate wall time is dominated by data-plane block work that is byte-identical on vs off by design; the decision benchmark isolates the open/close consistency path the fast path replaces\"\n}}\n",
-        off_secs,
-        on_secs,
-        speedup,
-        dec_off,
-        dec_on,
-        dec_speedup,
-        identical,
-        fp.open_hits,
-        fp.open_misses,
-        fp.close_hits,
-        fp.close_misses,
-        fp.hit_rate_pct(),
-    );
-    std::fs::write("BENCH_0004.json", &json4).expect("write BENCH_0004.json");
-    print!("{json4}");
-    eprintln!("wrote BENCH_0004.json");
 }
 
 /// Feeds every record to one streaming consumer, the way the fused pass

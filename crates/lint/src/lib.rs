@@ -6,10 +6,9 @@
 //! tokenizes each workspace source file, and a rule engine ([`rules`])
 //! flags wall-clock reads, OS entropy, default-hasher maps, library
 //! `.unwrap()`s, `f32` statistics, and detached threads — each scoped
-//! to the crates where it matters. [`parse`] reads the `lint:allow`
-//! directives and recovers items (functions, impls, structs) from the
-//! token stream. Run it as `repro lint`; `scripts/verify.sh` gates on
-//! it.
+//! to the crates where it matters. [`parse`] reads the rule names out
+//! of `lint:allow` directives. Run it as `repro lint`;
+//! `scripts/verify.sh` gates on it.
 //!
 //! Zero dependencies by design: the linter must never be the thing that
 //! drags a nondeterministic dependency into the workspace.

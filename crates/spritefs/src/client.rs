@@ -35,14 +35,6 @@ pub struct FdState {
     pub total_written: u64,
     /// Whether the open was issued by a migrated process.
     pub migrated: bool,
-    /// Conflict epoch at which `pass_through` was memoized (control-plane
-    /// fast path). `u64::MAX` = never valid; the cluster stamps it at
-    /// open time when the fast path is enabled.
-    pub(crate) pass_epoch: u64,
-    /// Memoized "reads/writes bypass the cache" flag (the file's
-    /// `uncacheable` state), trusted while `pass_epoch` matches the
-    /// cluster's conflict epoch — every `uncacheable` flip bumps it.
-    pub(crate) pass_through: bool,
 }
 
 impl FdState {
@@ -58,8 +50,6 @@ impl FdState {
             total_read: 0,
             total_written: 0,
             migrated,
-            pass_epoch: u64::MAX,
-            pass_through: false,
         }
     }
 

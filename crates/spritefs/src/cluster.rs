@@ -27,7 +27,7 @@ use crate::obs::{Obs, ObsEventKind, ObsReport, SpanKind};
 use crate::ops::{AppOp, OpKind};
 use crate::rpc::{count_rpc, count_rpcs, RpcKind};
 use crate::sanitizer::{Sanitizer, WriteKind};
-use crate::server::{CalmState, OpenEntry, Server};
+use crate::server::{OpenEntry, Server};
 
 /// Receives trace records as the cluster emits them, tagged with the
 /// server that logged them (the paper gathered traces on the servers).
@@ -347,54 +347,6 @@ pub struct Cluster<S: TraceSink> {
     /// sdfs-obs self-measurement collector ([`Config::observe`]). Boxed
     /// so the disabled (default) case costs one pointer.
     obs: Option<Box<Obs>>,
-    /// Global conflict epoch for the control-plane fast path
-    /// ([`Config::consistency_fast_path`]). Bumped by every event that
-    /// can invalidate calm summaries or pass-through memos wholesale:
-    /// cache disabling and re-enabling, client restarts, server crashes
-    /// and recoveries, deletes, and truncates. A [`CalmState`] or an
-    /// [`FdState`] memo is trusted only while its stamped epoch matches.
-    conflict_epoch: u64,
-    /// Fast-path decision counts. Deliberately *not* part of any
-    /// [`CounterSet`]: counters are byte-compared between fast-path-on
-    /// and fast-path-off runs, and these necessarily differ.
-    fastpath: FastPathStats,
-}
-
-/// Hit/miss counts for the control-plane consistency fast path
-/// ([`Config::consistency_fast_path`]). All zero when the fast path is
-/// disabled. Kept outside the byte-compared counter sets on purpose.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FastPathStats {
-    /// Opens admitted by a calm summary (full consistency walk skipped).
-    pub open_hits: u64,
-    /// Opens that fell back to the slow path.
-    pub open_misses: u64,
-    /// Closes admitted by a calm summary.
-    pub close_hits: u64,
-    /// Closes that fell back to the slow path.
-    pub close_misses: u64,
-}
-
-impl FastPathStats {
-    /// Total fast-path admissions.
-    pub fn hits(&self) -> u64 {
-        self.open_hits + self.close_hits
-    }
-
-    /// Total slow-path fallbacks (while the fast path was enabled).
-    pub fn misses(&self) -> u64 {
-        self.open_misses + self.close_misses
-    }
-
-    /// Hit rate in percent (0 when no decisions were taken).
-    pub fn hit_rate_pct(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * self.hits() as f64 / total as f64
-        }
-    }
 }
 
 impl<S: TraceSink> Cluster<S> {
@@ -457,15 +409,7 @@ impl<S: TraceSink> Cluster<S> {
             fault,
             scratch_keys: Vec::new(),
             obs,
-            conflict_epoch: 0,
-            fastpath: FastPathStats::default(),
         }
-    }
-
-    /// Fast-path decision counts so far (all zero when
-    /// [`Config::consistency_fast_path`] is off).
-    pub fn fastpath_stats(&self) -> FastPathStats {
-        self.fastpath
     }
 
     /// Pre-populates the namespace with files that exist before the trace
@@ -618,10 +562,6 @@ impl<S: TraceSink> Cluster<S> {
     fn restart_client(&mut self, client: ClientId, crash: bool) -> u64 {
         let ci = client.raw() as usize;
         assert!(ci < self.clients.len(), "unknown client {client}");
-        // The restart tears down opens, tokens, and writer-of-record
-        // state across every server and can re-enable caching: kill all
-        // calm summaries and pass-through memos at once.
-        self.conflict_epoch += 1;
         let mut lost = 0u64;
         let files: Vec<FileId> = {
             let cache = &self.clients[ci].cache;
@@ -745,9 +685,6 @@ impl<S: TraceSink> Cluster<S> {
         if self.server_down[si] {
             return 0;
         }
-        // The crash wipes and rebuilds per-file consistency state; no
-        // calm summary or pass-through memo may survive it.
-        self.conflict_epoch += 1;
         // Stamp what reached disk before the volatile state vanishes.
         self.drain_disk_flush_logs();
         let mut lost_blocks = Vec::new();
@@ -883,10 +820,6 @@ impl<S: TraceSink> Cluster<S> {
         if !self.server_down[si] {
             return 0;
         }
-        // Conservative: recovery re-registration does not flip any
-        // consistency state today, but bump anyway so summaries never
-        // straddle a recovery storm.
-        self.conflict_epoch += 1;
         self.server_down[si] = false;
         self.down_until[si] = SimTime::MAX;
         let downtime = self.now.since(self.crashed_at[si]);
@@ -1102,10 +1035,6 @@ impl<S: TraceSink> Cluster<S> {
     /// actions *toward* a cut client go through
     /// [`Cluster::partition_action`] instead.
     fn partition_start(&mut self, idx: usize) {
-        // Any calm summary may be invalidated by lease revocations that
-        // follow from this cut; force every decision onto the slow path
-        // for the duration.
-        self.conflict_epoch += 1;
         let (edges, heal_at) = {
             let f = self.fault.as_ref().expect("partition without plan");
             let p = &f.plan.partitions[idx];
@@ -1134,7 +1063,6 @@ impl<S: TraceSink> Cluster<S> {
     /// one Reopen per live handle), the lease protocol sends one
     /// renewal plus one [`RpcKind::Reassert`] per revoked grant.
     fn partition_heal(&mut self, idx: usize) {
-        self.conflict_epoch += 1;
         let (edges, cut_at) = {
             let f = self.fault.as_ref().expect("partition without plan");
             let p = &f.plan.partitions[idx];
@@ -1404,7 +1332,6 @@ impl<S: TraceSink> Cluster<S> {
     /// revocation), and [`FaultState::file_revoked`] keeps the data
     /// path synchronous until the heal drains the revocation list.
     fn revoke_client_file(&mut self, ci: usize, si: usize, file: FileId, requester: usize) {
-        self.conflict_epoch += 1;
         let client = self.clients[ci].id;
         // Roll the oracle back before dropping the blocks, exactly as
         // a client crash does — the server's copy is the truth again.
@@ -1623,128 +1550,50 @@ impl<S: TraceSink> Cluster<S> {
         self.obs_rpc(RpcKind::Open, ci, si, 0, false);
         if !is_dir {
             self.counters(ci).bump(consist::FILE_OPENS);
-        }
-
-        // Control-plane fast path: a calm file (sole client, no remote
-        // dirty data, version as expected, policy bookkeeping current)
-        // admits the open with an O(1) decision — the slow walk below
-        // would provably dispatch nothing and change no counter. See
-        // DESIGN.md §13 for the invariant and its proof obligations.
-        let use_fast = self.cfg.consistency_fast_path;
-        let mut fast = false;
-        if use_fast && !is_dir {
-            if let Some(st) = self.servers[si].files.get_mut(&file) {
-                let calm = st.calm;
-                if calm.live && calm.epoch == self.conflict_epoch && calm.client == op.client {
-                    let ok = match self.cfg.consistency {
-                        // The client's cache tracks the pre-open version:
-                        // no invalidate, and any last writer is itself.
-                        ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified => {
-                            calm.seen_version == prev_version
-                        }
-                        // Already holding the needed token: the slow
-                        // path would do nothing at all.
-                        ConsistencyPolicy::Token => {
-                            if mode.writes() {
-                                calm.holds_write
-                            } else {
-                                calm.holds_write || calm.holds_read
-                            }
-                        }
-                        // Inside the trust interval: no GetAttr due.
-                        ConsistencyPolicy::Polling { interval_secs } => {
-                            self.now.since(calm.last_validate)
-                                <= SimDuration::from_secs(interval_secs as u64)
-                        }
-                    };
-                    if ok {
-                        st.opens.push(OpenEntry {
-                            client: op.client,
-                            handle: fd,
-                            mode,
-                        });
-                        if mode.writes() {
-                            st.calm.seen_version = version;
-                        }
-                        fast = true;
-                    }
+            match self.cfg.consistency {
+                ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified => {
+                    self.sprite_open_consistency(op, file, prev_version, version, si);
                 }
-            }
-            if fast {
-                self.fastpath.open_hits += 1;
-                // Mirror the slow path's unconditional version-stamp
-                // insert. For calm files freshly established by
-                // `refresh_calm` this rewrites the same value; for a
-                // calm summary set up at create time it records the
-                // first stamp, exactly as the slow walk would have.
-                if matches!(
-                    self.cfg.consistency,
-                    ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified
-                ) {
-                    self.clients[ci].seen_version.insert(file, version);
+                ConsistencyPolicy::Token => {
+                    self.token_open_consistency(op, file, mode, si);
                 }
-            } else {
-                self.fastpath.open_misses += 1;
+                ConsistencyPolicy::Polling { interval_secs } => {
+                    self.polling_validate(op, file, version, interval_secs, si);
+                }
             }
         }
 
-        let mut pass_through = false;
-        if !fast {
-            if !is_dir {
-                match self.cfg.consistency {
-                    ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified => {
-                        self.sprite_open_consistency(op, file, prev_version, version, si);
-                    }
-                    ConsistencyPolicy::Token => {
-                        self.token_open_consistency(op, file, mode, si);
-                    }
-                    ConsistencyPolicy::Polling { interval_secs } => {
-                        self.polling_validate(op, file, version, interval_secs, si);
-                    }
-                }
-            }
+        // Register the open with the server.
+        let st = self.servers[si].file_state(file);
+        st.opens.push(OpenEntry {
+            client: op.client,
+            handle: fd,
+            mode,
+        });
 
-            // Register the open with the server.
-            let st = self.servers[si].file_state(file);
-            st.opens.push(OpenEntry {
-                client: op.client,
-                handle: fd,
-                mode,
-            });
-
-            // Concurrent write-sharing: detect and, under the strongly
-            // consistent policies, disable caching. Sprite does so by
-            // design; token mode must as well, because tokens are
-            // enforced at open granularity here — once a writer and a
-            // reader hold the file open together, only pass-through
-            // I/O keeps every interleaving of their ops coherent
-            // (found by SpriteSan under the partition fuzzer).
-            if !is_dir && st.write_shared() {
-                self.counters(ci).bump(consist::CWS_OPENS);
-                let strong = matches!(
-                    self.cfg.consistency,
-                    ConsistencyPolicy::Sprite
-                        | ConsistencyPolicy::SpriteModified
-                        | ConsistencyPolicy::Token
-                );
-                if strong && !self.servers[si].file_state(file).uncacheable {
-                    self.disable_caching(file, si, ci);
-                }
-            }
-
-            if use_fast && !is_dir {
-                pass_through = self.refresh_calm(file, si, version);
+        // Concurrent write-sharing: detect and, under the strongly
+        // consistent policies, disable caching. Sprite does so by
+        // design; token mode must as well, because tokens are
+        // enforced at open granularity here — once a writer and a
+        // reader hold the file open together, only pass-through
+        // I/O keeps every interleaving of their ops coherent
+        // (found by SpriteSan under the partition fuzzer).
+        if !is_dir && st.write_shared() {
+            self.counters(ci).bump(consist::CWS_OPENS);
+            let strong = matches!(
+                self.cfg.consistency,
+                ConsistencyPolicy::Sprite
+                    | ConsistencyPolicy::SpriteModified
+                    | ConsistencyPolicy::Token
+            );
+            if strong && !self.servers[si].file_state(file).uncacheable {
+                self.disable_caching(file, si, ci);
             }
         }
 
-        let mut fdst = FdState::new(file, mode, self.now, op.migrated);
-        if use_fast {
-            // Memoize the pass-through flag for the data path (a calm
-            // admission implies cacheable).
-            fdst.pass_epoch = self.conflict_epoch;
-            fdst.pass_through = pass_through;
-        }
-        self.clients[ci].fds.insert(fd, fdst);
+        self.clients[ci]
+            .fds
+            .insert(fd, FdState::new(file, mode, self.now, op.migrated));
         self.emit(
             server_id,
             op,
@@ -1917,85 +1766,11 @@ impl<S: TraceSink> Cluster<S> {
         }
     }
 
-    /// Recomputes a file's calm summary from its actual server state at
-    /// the end of a slow-path open or close (`version` is the file's
-    /// current version stamp). Returns the file's `uncacheable` flag so
-    /// the open path can memoize it without a second lookup.
-    ///
-    /// The summary is established only when *every* piece of per-file
-    /// consistency state — opens, writer of record, token holders —
-    /// belongs to one client, caching is enabled, and that client's own
-    /// policy bookkeeping is current (version seen under Sprite, poll
-    /// time recorded under polling). Anything else leaves the summary
-    /// dead and the file on the slow path.
-    fn refresh_calm(&mut self, file: FileId, si: usize, version: u64) -> bool {
-        let epoch = self.conflict_epoch;
-        let Some(st) = self.servers[si].files.get_mut(&file) else {
-            return false; // GC'd: quiescent, nothing to summarize.
-        };
-        st.calm.live = false;
-        let mut owner: Option<ClientId> = None;
-        let mut sole = |c: ClientId| match owner {
-            None => {
-                owner = Some(c);
-                true
-            }
-            Some(o) => o == c,
-        };
-        let mut one_client = true;
-        for o in &st.opens {
-            one_client &= sole(o.client);
-        }
-        if let Some(w) = st.last_writer {
-            one_client &= sole(w);
-        }
-        if let Some(w) = st.tokens.writer {
-            one_client &= sole(w);
-        }
-        for &r in st.tokens.readers.iter() {
-            one_client &= sole(r);
-        }
-        let uncacheable = st.uncacheable;
-        let (Some(owner), true, false) = (owner, one_client, uncacheable) else {
-            return uncacheable;
-        };
-        let holds_write = st.tokens.writer == Some(owner);
-        let holds_read = st.tokens.readers.contains(&owner);
-        let oi = owner.raw() as usize;
-        let mut last_validate = SimTime::ZERO;
-        match self.cfg.consistency {
-            ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified => {
-                if self.clients[oi].seen_version.get(&file) != Some(&version) {
-                    return false;
-                }
-            }
-            ConsistencyPolicy::Token => {}
-            ConsistencyPolicy::Polling { .. } => {
-                match self.clients[oi].last_validate.get(&file) {
-                    Some(&at) => last_validate = at,
-                    None => return false,
-                }
-            }
-        }
-        st.calm = CalmState {
-            live: true,
-            epoch,
-            client: owner,
-            seen_version: version,
-            holds_write,
-            holds_read,
-            last_validate,
-        };
-        false
-    }
-
     /// Disables client caching for a write-shared file: every client with
     /// an open flushes dirty data and invalidates its cache.
     /// `requester` is the client whose open triggered the disable (it
     /// absorbs any partition wait for unreachable holders).
     fn disable_caching(&mut self, file: FileId, si: usize, requester: usize) {
-        // The flip invalidates every open handle's pass-through memo.
-        self.conflict_epoch += 1;
         let mut holders = std::mem::take(&mut self.scratch_clients);
         holders.clear();
         {
@@ -2032,7 +1807,6 @@ impl<S: TraceSink> Cluster<S> {
         };
         let server_id = meta.server;
         let size = meta.size;
-        let version = meta.version;
         let si = server_id.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Close);
         count_rpc(self.counters(ci), RpcKind::Close, 0);
@@ -2042,67 +1816,28 @@ impl<S: TraceSink> Cluster<S> {
             obs.span(SpanKind::FileOpen, fdst.open_duration(self.now));
         }
 
-        // Fast path: calm ⇒ sole opener and cacheable, so the policy
-        // re-evaluation below is a no-op. Skipping `gc_file` on purpose
-        // keeps the (possibly quiescent) entry and its live summary
-        // around for the client's next open — quiescent entries are
-        // behaviorally identical to absent ones everywhere they are
-        // read, so the retained entry cannot change a byte.
-        let use_fast = self.cfg.consistency_fast_path;
-        let mut fast = false;
-        if use_fast {
-            if let Some(st) = self.servers[si].files.get_mut(&file) {
-                let calm = st.calm;
-                if calm.live && calm.epoch == self.conflict_epoch && calm.client == op.client {
-                    st.remove_open(fd);
-                    if fdst.wrote() {
-                        st.last_writer = Some(op.client);
-                    }
-                    fast = true;
-                }
-            }
-            if fast {
-                self.fastpath.close_hits += 1;
-            } else {
-                self.fastpath.close_misses += 1;
-            }
+        let st = self.servers[si].file_state(file);
+        st.remove_open(fd);
+        if fdst.wrote() && !st.uncacheable {
+            st.last_writer = Some(op.client);
         }
-        if !fast {
-            let mut re_enabled = false;
-            let st = self.servers[si].file_state(file);
-            st.remove_open(fd);
-            let was_uncacheable = st.uncacheable;
-            if fdst.wrote() && !was_uncacheable {
-                st.last_writer = Some(op.client);
-            }
-            match self.cfg.consistency {
-                ConsistencyPolicy::Sprite => {
-                    if st.uncacheable && st.opens.is_empty() {
-                        st.uncacheable = false;
-                        re_enabled = true;
-                    }
+        match self.cfg.consistency {
+            ConsistencyPolicy::Sprite => {
+                if st.uncacheable && st.opens.is_empty() {
+                    st.uncacheable = false;
                 }
-                // Token re-grants caching once the conflicting open
-                // ends, like a delegation returned and re-issued — the
-                // same condition Modified Sprite uses.
-                ConsistencyPolicy::SpriteModified | ConsistencyPolicy::Token => {
-                    if st.uncacheable && !st.write_shared() {
-                        st.uncacheable = false;
-                        re_enabled = true;
-                    }
+            }
+            // Token re-grants caching once the conflicting open
+            // ends, like a delegation returned and re-issued — the
+            // same condition Modified Sprite uses.
+            ConsistencyPolicy::SpriteModified | ConsistencyPolicy::Token => {
+                if st.uncacheable && !st.write_shared() {
+                    st.uncacheable = false;
                 }
-                ConsistencyPolicy::Polling { .. } => {}
             }
-            if re_enabled {
-                // Open handles may hold a pass-through memo for this
-                // file; the re-enable flip must invalidate them.
-                self.conflict_epoch += 1;
-            }
-            self.servers[si].gc_file(file);
-            if use_fast {
-                self.refresh_calm(file, si, version);
-            }
+            ConsistencyPolicy::Polling { .. } => {}
         }
+        self.servers[si].gc_file(file);
 
         self.emit(
             server_id,
@@ -2125,32 +1860,17 @@ impl<S: TraceSink> Cluster<S> {
     // Data path.
     // ------------------------------------------------------------------
 
-    /// Whether data ops on `fd` bypass the client cache (the file is
-    /// uncacheable, or a lease revocation on it is outstanding). With
-    /// the fast path on, the answer is memoized on the [`FdState`] and
-    /// trusted while the conflict epoch is unchanged — every
-    /// `uncacheable` flip, lease revocation, partition cut, and heal
-    /// bumps the epoch — saving one server file-state lookup on the
-    /// hottest ops in the simulator.
-    fn fd_pass_through(&mut self, ci: usize, fd: Handle, fdst: &FdState, file: FileId, si: usize) -> bool {
-        if self.cfg.consistency_fast_path && fdst.pass_epoch == self.conflict_epoch {
-            return fdst.pass_through;
-        }
-        let uncacheable = self.servers[si]
+    /// Whether data ops on `file` bypass the client cache: the file is
+    /// uncacheable, or a lease revocation on it is outstanding.
+    fn pass_through(&self, si: usize, file: FileId) -> bool {
+        self.servers[si]
             .files
             .get(&file)
             .is_some_and(|st| st.uncacheable)
             || self
                 .fault
                 .as_ref()
-                .is_some_and(|f| f.file_revoked(si, file));
-        if self.cfg.consistency_fast_path {
-            if let Some(f) = self.clients[ci].fds.get_mut(&fd) {
-                f.pass_epoch = self.conflict_epoch;
-                f.pass_through = uncacheable;
-            }
-        }
-        uncacheable
+                .is_some_and(|f| f.file_revoked(si, file))
     }
 
     fn do_read(&mut self, op: &AppOp, fd: Handle, len: u64) {
@@ -2170,7 +1890,7 @@ impl<S: TraceSink> Cluster<S> {
         if eff == 0 {
             return;
         }
-        let uncacheable = self.fd_pass_through(ci, fd, &fdst, file, si);
+        let uncacheable = self.pass_through(si, file);
 
         if uncacheable {
             // Pass-through read on a write-shared file.
@@ -2231,7 +1951,7 @@ impl<S: TraceSink> Cluster<S> {
         let server_id = meta.server;
         let si = server_id.raw() as usize;
         let offset = fdst.offset;
-        let uncacheable = self.fd_pass_through(ci, fd, &fdst, file, si);
+        let uncacheable = self.pass_through(si, file);
 
         // Update metadata before moving any data: a mid-write LRU
         // eviction writes the dirty block back, and the write-back sizes
@@ -2333,9 +2053,6 @@ impl<S: TraceSink> Cluster<S> {
         let overwrite = self.files.get(file).is_some();
         if overwrite {
             let si = server.raw() as usize;
-            if let Some(st) = self.servers[si].files.get_mut(&file) {
-                st.calm.live = false;
-            }
             for c in 0..self.clients.len() {
                 self.invalidate_file(c, file, false);
             }
@@ -2353,41 +2070,6 @@ impl<S: TraceSink> Cluster<S> {
             0,
         );
         self.obs_rpc(RpcKind::Create, ci, server.raw() as usize, 0, false);
-        // Fast path: a fresh file is calm by construction — no opens, no
-        // last writer, no cached copy, no version stamp on any client —
-        // so the creating client's first open can take the O(1) decision
-        // without ever running the slow walk. Only the Sprite policies
-        // qualify: polling must still pay its first GetAttr and token
-        // mode its first acquire, so their first opens stay slow.
-        // An overwrite-create does NOT qualify: other clients may still
-        // hold open handles on the reborn file (their `st.opens` entries
-        // survive the truncate), so the first open must run the slow
-        // walk to detect write sharing.
-        if self.cfg.consistency_fast_path
-            && !is_dir
-            && !overwrite
-            && matches!(
-                self.cfg.consistency,
-                ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified
-            )
-        {
-            let epoch = self.conflict_epoch;
-            // A freshly created file always carries version stamp 1
-            // (`FileMeta::new`); asserting instead of re-reading keeps
-            // the create path to a single map touch.
-            let version = 1;
-            debug_assert_eq!(self.files.get(file).map(|m| m.version), Some(version));
-            let st = self.servers[server.raw() as usize].file_state(file);
-            st.calm = CalmState {
-                live: true,
-                epoch,
-                client: op.client,
-                seen_version: version,
-                holds_write: false,
-                holds_read: false,
-                last_validate: SimTime::ZERO,
-            };
-        }
         self.emit(server, op, RecordKind::Create { file, is_dir });
     }
 
@@ -2412,17 +2094,7 @@ impl<S: TraceSink> Cluster<S> {
             san.on_file_erased(file);
         }
         self.servers[si].drop_file_blocks(file);
-        // The entry (and any calm summary in it) dies with the file. An
-        // open fd's pass-through memo only goes stale if the entry was
-        // uncacheable (memo true, but a lookup of the absent entry says
-        // false), so only that rare case pays a global epoch bump —
-        // deletes of ordinary cacheable files, the overwhelmingly common
-        // case in this workload, leave every other summary alive.
-        if let Some(st) = self.servers[si].files.remove(&file) {
-            if st.uncacheable {
-                self.conflict_epoch += 1;
-            }
-        }
+        self.servers[si].files.remove(&file);
         self.emit(
             meta.server,
             op,
@@ -2451,13 +2123,6 @@ impl<S: TraceSink> Cluster<S> {
         meta.newest_write = self.now;
         let server_id = meta.server;
         let si = server_id.raw() as usize;
-        // Version jumped and every cached copy is dropped: this file's
-        // calm summary must die. `uncacheable` is untouched, so open
-        // fds' pass-through memos stay valid and no other file's
-        // summary is disturbed.
-        if let Some(st) = self.servers[si].files.get_mut(&file) {
-            st.calm.live = false;
-        }
         self.fault_rpc(ci, si, RpcKind::Truncate);
         count_rpc(self.counters(ci), RpcKind::Truncate, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Truncate, 0);

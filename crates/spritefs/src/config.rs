@@ -264,14 +264,6 @@ pub struct Config {
     /// the buffer; delayed-write traffic savings are unaffected either
     /// way because the buffer only matters at crash time.
     pub server_nvram_bytes: u64,
-    /// Control-plane consistency fast path: epoch-guarded per-file
-    /// "calm" summaries let opens and closes of unshared files take an
-    /// O(1) decision instead of the full consistency walk. Pure
-    /// optimization — every output byte (trace records, counters,
-    /// sanitizer verdict, obs report) is identical with it off; the
-    /// slow path stays alive as the oracle and `verify.sh` cmp-gates
-    /// the two against each other.
-    pub consistency_fast_path: bool,
 }
 
 impl Default for Config {
@@ -308,7 +300,6 @@ impl Default for Config {
             fault_skip_invalidate: false,
             faults: None,
             server_nvram_bytes: 0,
-            consistency_fast_path: true,
         }
     }
 }

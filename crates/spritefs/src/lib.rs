@@ -45,7 +45,7 @@ pub mod sanitizer;
 pub mod server;
 pub mod vm;
 
-pub use cluster::{Cluster, FastPathStats, TraceSink, VecSink};
+pub use cluster::{Cluster, TraceSink, VecSink};
 pub use config::{Config, ConsistencyPolicy, FaultPlan, Partition, ServerOutage};
 pub use metrics::SanitizerStats;
 pub use obs::{Obs, ObsEventKind, ObsReport, SpanKind};

@@ -35,51 +35,6 @@ pub struct TokenState {
     pub writer: Option<ClientId>,
 }
 
-/// Epoch-guarded summary of a *calm* file: a single client using the
-/// file with no conflicting state, which lets the cluster's control
-/// plane admit an open or close with an O(1) decision instead of the
-/// full consistency walk (DESIGN.md §13).
-///
-/// The summary is trusted only while `live` is set **and** `epoch`
-/// matches the cluster's current conflict epoch. Every slow-path walk
-/// recomputes it from the actual state, and cluster-wide disruptions
-/// (cache-mode flips, client restarts, server crashes and recoveries,
-/// deletes, truncates) bump the epoch, killing every summary at once.
-#[derive(Debug, Clone, Copy)]
-pub struct CalmState {
-    /// Whether the summary is meaningful at all (`false` forces the
-    /// slow path, which recomputes it).
-    pub live: bool,
-    /// Conflict epoch at establishment.
-    pub epoch: u64,
-    /// The sole client using the file.
-    pub client: ClientId,
-    /// Version stamp the client's cache tracks (Sprite policies):
-    /// equals both the file's current version and the client's
-    /// `seen_version` entry while the summary holds.
-    pub seen_version: u64,
-    /// The client holds the write token (token policy).
-    pub holds_write: bool,
-    /// The client holds a read token (token policy).
-    pub holds_read: bool,
-    /// The client's most recent attribute poll (polling policy).
-    pub last_validate: SimTime,
-}
-
-impl Default for CalmState {
-    fn default() -> Self {
-        CalmState {
-            live: false,
-            epoch: 0,
-            client: ClientId(0),
-            seen_version: 0,
-            holds_write: false,
-            holds_read: false,
-            last_validate: SimTime::ZERO,
-        }
-    }
-}
-
 /// Per-file consistency state kept by the owning server.
 #[derive(Debug, Clone, Default)]
 pub struct SrvFileState {
@@ -92,9 +47,6 @@ pub struct SrvFileState {
     pub last_writer: Option<ClientId>,
     /// Token holders (token mode).
     pub tokens: TokenState,
-    /// Fast-path summary. Bookkeeping only: no output-visible code path
-    /// reads it, so a stale (dead) summary can never change a byte.
-    pub calm: CalmState,
 }
 
 impl SrvFileState {

@@ -48,21 +48,11 @@ cmp scripts/golden/quick_all_stdout.txt /tmp/verify_report_t1.txt
 ./target/release/repro --quick --threads auto all > /tmp/verify_report_tauto.txt
 cmp scripts/golden/quick_all_stdout.txt /tmp/verify_report_tauto.txt
 
-echo "==> fast path off: repro --quick --no-fastpath all (byte-identical to fast path on)"
-./target/release/repro --quick --no-fastpath all > /tmp/verify_report_nofp.txt
-cmp /tmp/verify_report.txt /tmp/verify_report_nofp.txt
-
-echo "==> fast path off + sanitize/faults/observe (byte-identical across the matrix)"
-./target/release/repro --quick --no-fastpath --sanitize all > /tmp/verify_report_nofp_san.txt
-cmp /tmp/verify_report.txt /tmp/verify_report_nofp_san.txt
-./target/release/repro --quick --sanitize faults > /tmp/verify_faults_fp.txt
-./target/release/repro --quick --no-fastpath --sanitize faults > /tmp/verify_faults_nofp.txt
-cmp /tmp/verify_faults_fp.txt /tmp/verify_faults_nofp.txt
-./target/release/repro --quick --no-fastpath --observe all > /tmp/verify_report_nofp_obs.txt 2> /tmp/verify_nofp_obs_stderr.txt
-cmp /tmp/verify_report.txt /tmp/verify_report_nofp_obs.txt
+echo "==> observer: a second --observe run renders the same report"
+./target/release/repro --quick --observe all > /dev/null 2> /tmp/verify_obs_stderr_2.txt
 # The obs report is deterministic except the wall-clock timing line.
 grep -v "study complete in" /tmp/verify_obs_stderr.txt > /tmp/verify_obs_a.txt
-grep -v "study complete in" /tmp/verify_nofp_obs_stderr.txt > /tmp/verify_obs_b.txt
+grep -v "study complete in" /tmp/verify_obs_stderr_2.txt > /tmp/verify_obs_b.txt
 cmp /tmp/verify_obs_a.txt /tmp/verify_obs_b.txt
 
 echo "==> selftrace: repro --quick selftrace (round trip exact, identities agree)"
@@ -116,21 +106,6 @@ grep -q '"end_to_end"' "$tmpdir/BENCH_0001.json"
 test -s "$tmpdir/BENCH_0002.json"
 grep -q '"end_to_end_obs_off_secs"' "$tmpdir/BENCH_0002.json"
 grep -q '"report_bytes_identical": true' "$tmpdir/BENCH_0002.json"
-test -s "$tmpdir/BENCH_0004.json"
-grep -q '"records_identical_on_vs_off": true' "$tmpdir/BENCH_0004.json"
-python3 - "$tmpdir/BENCH_0004.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-# The calm summaries must carry most of the open/close traffic.
-hit = doc["fastpath_hit_rate_pct"]
-assert hit > 50.0, f"fast-path hit rate {hit}% too low"
-# The open/close decision path — the code the fast path replaces —
-# must be at least 1.3x faster. (The full-campaign wall ratio is
-# diluted by data-plane block work that is byte-identical on both
-# sides by design, so it is reported but not gated.)
-dec = doc["open_close_decision_speedup_on_vs_off"]
-assert dec >= 1.3, f"open/close decision speedup {dec} < 1.3"
-EOF
 rm -rf "$tmpdir"
 
 echo "==> full scale: repro all stdout matches scripts/golden/full_all_stdout.sha256"

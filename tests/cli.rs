@@ -145,8 +145,9 @@ fn rejected_input_exits_2_with_usage() {
         (&["--quick", "--sanitise", "all"], "--sanitise"),
         (&["--quik", "table1"], "--quik"),
         (&["--quick", "--observ", "table1"], "--observ"),
-        // A flag whose subject was removed.
+        // Flags whose subject was removed.
         (&["--quick", "--racecheck", "all"], "--racecheck"),
+        (&["--quick", "--no-fastpath", "all"], "--no-fastpath"),
         // Unparseable, zero, and missing values.
         (&["--quick", "--traces", "abc", "table1"], "abc"),
         (&["--quick", "--threads", "two", "table1"], "two"),
