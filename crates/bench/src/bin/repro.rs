@@ -8,7 +8,7 @@
 //!       [all|table1|table2|table3|table10|table11|table12|cache|
 //!        figures [--csv DIR]|bsd|check|lint [--root DIR] [--audit]|
 //!        ablations|extensions|faults|latency|gen-trace OUT|
-//!        obs [--json]|profile|selftrace|bench]
+//!        obs [--json]|profile|selftrace]
 //! ```
 //!
 //! With no arguments the full study runs at paper scale (eight 24-hour
@@ -74,7 +74,6 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "obs",
     "profile",
     "selftrace",
-    "bench",
 ];
 
 /// Flags that take no value. Subcommand-specific ones (`--json`,
@@ -118,8 +117,7 @@ fn usage() -> String {
      \x20 gen-trace OUT       write one trace as a binary trace file\n\
      \x20 obs [--json]        self-measurement report (implies --observe)\n\
      \x20 profile             wall-clock breakdown of the pipeline stages\n\
-     \x20 selftrace           simulator self-trace cross-check (exit 1 on disagreement)\n\
-     \x20 bench               timed stages -> BENCH_0001.json, BENCH_0002.json\n"
+     \x20 selftrace           simulator self-trace cross-check (exit 1 on disagreement)\n"
         .to_string()
 }
 
@@ -307,9 +305,17 @@ fn main() {
     cfg.cluster.observe = observe;
     let study = Study::new(cfg);
 
-    if what == "bench" {
-        run_bench();
-        return;
+    // Open the output paths before any simulation runs, so an
+    // unwritable one fails at once rather than after the whole study.
+    let trace_out = (what == "gen-trace").then(|| {
+        let out = cli.out.clone().unwrap_or_else(|| "trace1.bin".to_string());
+        let writer =
+            sdfs_trace::TraceWriter::create(&out).unwrap_or_else(|e| cannot_write(&out, e));
+        (out, writer)
+    });
+    let figures = matches!(what, "figures" | "fig1" | "fig2" | "fig3" | "fig4");
+    if let Some(dir) = cli.csv.as_ref().filter(|_| figures) {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
     }
 
     if what == "profile" {
@@ -421,18 +427,16 @@ fn main() {
         return;
     }
 
-    if what == "gen-trace" {
+    if let Some((out, mut writer)) = trace_out {
         // Generate one trace and write it as a binary trace file, for
         // use with `tracetool`.
-        let out = cli.out.unwrap_or_else(|| "trace1.bin".to_string());
         let spec = study.config().traces[0];
         let records = study.run_trace_records(spec);
-        let mut writer = sdfs_trace::TraceWriter::create(&out).expect("create trace file");
         for rec in &records {
-            writer.write(rec).expect("write record");
+            writer.write(rec).unwrap_or_else(|e| cannot_write(&out, e));
         }
         let n = writer.count();
-        writer.finish().expect("flush");
+        writer.finish().unwrap_or_else(|e| cannot_write(&out, e));
         eprintln!("wrote {n} records to {out}");
         return;
     }
@@ -455,14 +459,6 @@ fn main() {
         let report = results
             .obs_summary()
             .expect("observe is forced on for `repro obs`");
-        if report.drop_rate_pct() > 50.0 {
-            eprintln!(
-                "repro obs: warning: {:.1}% of events dropped by the ring (capacity {}); \
-                 raise Config::obs_ring_capacity to retain a longer tail",
-                report.drop_rate_pct(),
-                report.ring_capacity,
-            );
-        }
         if cli.has("--json") {
             println!("{}", report.to_json());
         } else {
@@ -497,13 +493,13 @@ fn main() {
             report::render_cache_tables(&results)
         }
         "table10" | "table11" | "table12" => report::render_consistency_tables(&results),
-        "figures" | "fig1" | "fig2" | "fig3" | "fig4" => {
+        _ if figures => {
             let mut s = report::render_figure_checkpoints(&mut results.traces);
             if let Some(dir) = &cli.csv {
                 for (i, t) in results.traces.iter_mut().enumerate() {
                     let dir = std::path::Path::new(dir).join(format!("trace{}", i + 1));
-                    let written =
-                        report::export_figures(&mut t.figures, &dir).expect("write figure CSVs");
+                    let written = report::export_figures(&mut t.figures, &dir)
+                        .unwrap_or_else(|e| cannot_write(dir.display(), e));
                     eprintln!("wrote {} CSVs to {}", written.len(), dir.display());
                 }
             }
@@ -537,127 +533,11 @@ fn main() {
     }
 }
 
-/// Pre-optimization wall clock of `repro --quick all` on the reference
-/// machine, for the speedup figure in the bench report. Measured before
-/// the fused-analysis / allocation-diet work landed.
-const BASELINE_QUICK_ALL_SECS: f64 = 6.55;
-
-/// `repro bench`: time each pipeline stage on the quick configuration
-/// and write the results to `BENCH_0001.json` / `BENCH_0002.json`.
-///
-/// Stages are timed in isolation (simulate, fused analysis, the old
-/// separate-pass analysis for comparison, the counter campaign, report
-/// rendering) and then the whole `run_all` + render path end to end.
-/// `run_all` overlaps the trace campaign and the counter campaign
-/// across threads, so the isolated stage times are *not* components of
-/// `end_to_end` — each stage record carries `isolated_secs` and its
-/// `share_of_end_to_end` ratio explicitly (shares can exceed 1 and need
-/// not sum to 1).
-fn run_bench() {
-    let study = Study::new(sdfs_bench::bench_config());
-
-    // Stage 1: simulate — synthesize and execute every trace.
-    let t = Instant::now();
-    let per_trace: Vec<_> = study
-        .config()
-        .traces
-        .iter()
-        .map(|&spec| (spec, study.run_trace_records(spec)))
-        .collect();
-    let simulate_secs = t.elapsed().as_secs_f64();
-    let total_records: usize = per_trace.iter().map(|(_, r)| r.len()).sum();
-
-    // Stage 2: fused single-pass analysis.
-    let t = Instant::now();
-    let fused: Vec<_> = per_trace
-        .iter()
-        .map(|(spec, records)| study.analyze_trace(*spec, records))
-        .collect();
-    let fused_secs = t.elapsed().as_secs_f64();
-
-    // Stage 3: the old one-scan-per-table analysis, for comparison.
-    let t = Instant::now();
-    for (spec, records) in &per_trace {
-        let _ = study.analyze_trace_separate(*spec, records);
-    }
-    let separate_secs = t.elapsed().as_secs_f64();
-    drop(fused);
-
-    // Stage 4: the counter campaign.
-    let t = Instant::now();
-    let _ = study.run_counters();
-    let counters_secs = t.elapsed().as_secs_f64();
-
-    // Stage 5: the full pipeline end to end, rendered.
-    let t = Instant::now();
-    let mut results = study.run_all();
-    let rendered = report::render_all(&mut results);
-    let end_to_end_secs = t.elapsed().as_secs_f64();
-
-    let rps = |secs: f64| {
-        if secs > 0.0 {
-            total_records as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    let speedup = BASELINE_QUICK_ALL_SECS / end_to_end_secs.max(1e-9);
-    let share = |secs: f64| secs / end_to_end_secs.max(1e-9);
-
-    let json = format!(
-        "{{\n  \"config\": \"quick\",\n  \"traces\": {},\n  \"total_records\": {},\n  \"note\": \"stages are timed in isolation; end_to_end overlaps the trace and counter campaigns across threads, so shares can exceed 1 and need not sum to 1\",\n  \"stages\": [\n    {{ \"name\": \"simulate\", \"isolated_secs\": {:.3}, \"share_of_end_to_end\": {:.2}, \"records_per_sec\": {:.0} }},\n    {{ \"name\": \"analyze_fused\", \"isolated_secs\": {:.3}, \"share_of_end_to_end\": {:.2}, \"records_per_sec\": {:.0} }},\n    {{ \"name\": \"analyze_separate\", \"isolated_secs\": {:.3}, \"share_of_end_to_end\": {:.2}, \"records_per_sec\": {:.0}, \"in_end_to_end\": false }},\n    {{ \"name\": \"counter_campaign\", \"isolated_secs\": {:.3}, \"share_of_end_to_end\": {:.2} }},\n    {{ \"name\": \"end_to_end\", \"secs\": {:.3} }}\n  ],\n  \"analyze_speedup_fused_vs_separate\": {:.2},\n  \"baseline_end_to_end_secs\": {:.2},\n  \"end_to_end_speedup_vs_baseline\": {:.2},\n  \"report_bytes\": {}\n}}\n",
-        per_trace.len(),
-        total_records,
-        simulate_secs,
-        share(simulate_secs),
-        rps(simulate_secs),
-        fused_secs,
-        share(fused_secs),
-        rps(fused_secs),
-        separate_secs,
-        share(separate_secs),
-        rps(separate_secs),
-        counters_secs,
-        share(counters_secs),
-        end_to_end_secs,
-        separate_secs / fused_secs.max(1e-9),
-        BASELINE_QUICK_ALL_SECS,
-        speedup,
-        rendered.len(),
-    );
-    std::fs::write("BENCH_0001.json", &json).expect("write BENCH_0001.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_0001.json");
-
-    // Stage 6: observer overhead. The same end-to-end pipeline with the
-    // self-measurement layer on; `end_to_end_secs` above is the obs-off
-    // number (the layer is always compiled, just disabled), so the pair
-    // bounds what `--observe` costs.
-    let mut cfg_on = sdfs_bench::bench_config();
-    cfg_on.cluster.observe = true;
-    let study_on = Study::new(cfg_on);
-    let t = Instant::now();
-    let mut results_on = study_on.run_all();
-    let rendered_on = report::render_all(&mut results_on);
-    let obs_on_secs = t.elapsed().as_secs_f64();
-    let obs = results_on
-        .obs_summary()
-        .expect("observed study yields a report");
-    let overhead_pct = 100.0 * (obs_on_secs - end_to_end_secs) / end_to_end_secs.max(1e-9);
-
-    let json2 = format!(
-        "{{\n  \"config\": \"quick\",\n  \"end_to_end_obs_off_secs\": {:.3},\n  \"end_to_end_obs_on_secs\": {:.3},\n  \"observe_overhead_pct\": {:.1},\n  \"events_recorded\": {},\n  \"events_dropped\": {},\n  \"rpc_latency_samples\": {},\n  \"report_bytes_identical\": {}\n}}\n",
-        end_to_end_secs,
-        obs_on_secs,
-        overhead_pct,
-        obs.events_recorded,
-        obs.events_dropped,
-        obs.rpc_samples(),
-        rendered_on.len() == rendered.len(),
-    );
-    std::fs::write("BENCH_0002.json", &json2).expect("write BENCH_0002.json");
-    print!("{json2}");
-    eprintln!("wrote BENCH_0002.json");
+/// Reports an output path that cannot be written and exits 2, like
+/// `repro lint` on a root it cannot walk.
+fn cannot_write(path: impl std::fmt::Display, e: impl std::fmt::Display) -> ! {
+    eprintln!("repro: cannot write {path}: {e}");
+    std::process::exit(2);
 }
 
 /// Feeds every record to one streaming consumer, the way the fused pass

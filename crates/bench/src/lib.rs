@@ -1,11 +1,10 @@
-//! Benchmark harness support for the SDFS study.
+//! The study configurations shared by the `repro` report binary and
+//! the BenchKit benchmark (`benchkit/`).
 //!
-//! The crate hosts the benchmark binaries (one per paper table and
-//! figure group), the `repro` report binary, the workspace examples, and
-//! the cross-crate integration tests. The library itself provides small
-//! shared helpers for those targets.
+//! The crate also hosts the workspace examples and the cross-crate
+//! integration tests.
 
-use sdfs_core::{Study, StudyConfig};
+use sdfs_core::StudyConfig;
 
 /// A study configuration scaled down enough for benchmark iterations and
 /// CI runs while still exercising every code path: a smaller cluster,
@@ -20,11 +19,6 @@ pub fn bench_config() -> StudyConfig {
 /// 4 heavy) and a 14-day counter campaign on a 36-client cluster.
 pub fn paper_config() -> StudyConfig {
     StudyConfig::default()
-}
-
-/// Builds a study over the bench configuration.
-pub fn bench_study() -> Study {
-    Study::new(bench_config())
 }
 
 #[cfg(test)]

@@ -106,10 +106,9 @@ impl SelftraceReport {
 }
 
 /// Runs one trace with the given study configuration and cross-checks
-/// it against itself. The study's `cluster.observe` setting is
-/// irrelevant here — the identities compare counters, which are always
-/// maintained — but the caller typically enables it so the run also
-/// yields an [`sdfs_spritefs::ObsReport`].
+/// it against itself. The identities compare counters, which are always
+/// maintained, so the study's `cluster.observe` setting does not
+/// change the result.
 pub fn run(study: &Study, spec: TraceSpec) -> SelftraceReport {
     let run = study.run_trace_full(spec);
     cross_check(&run)
@@ -200,8 +199,7 @@ pub fn cross_check(run: &TraceRun) -> SelftraceReport {
 /// configuration independent of whatever study size the caller ran, so
 /// its rows are byte-identical across quick and full campaigns.
 pub fn probe() -> SelftraceReport {
-    let mut cfg = StudyConfig::quick();
-    cfg.cluster.observe = true;
+    let cfg = StudyConfig::quick();
     let spec = cfg.traces[0];
     run(&Study::new(cfg), spec)
 }

@@ -217,17 +217,7 @@ impl Study {
     /// Synthesizes and executes one trace, returning the merged,
     /// time-ordered record stream.
     pub fn run_trace_records(&self, spec: TraceSpec) -> Vec<Record> {
-        self.run_trace_records_sanitized(spec).0
-    }
-
-    /// Like [`Study::run_trace_records`], but also returns SpriteSan's
-    /// verdict for the run (`None` unless `cluster.sanitize` is set).
-    pub fn run_trace_records_sanitized(
-        &self,
-        spec: TraceSpec,
-    ) -> (Vec<Record>, Option<SanitizerStats>) {
-        let run = self.run_trace_full(spec);
-        (run.records, run.sanitizer)
+        self.run_trace_full(spec).records
     }
 
     /// Synthesizes and executes one trace, returning the merged record

@@ -16,8 +16,8 @@
 //! * [`counters`] — named counter sets mirroring Sprite's ~50 kernel
 //!   counters.
 //! * [`merge_sorted_by`] — a deterministic k-way merge of sorted streams.
-//! * [`obs`] — self-measurement primitives: a fixed-capacity structured
-//!   event ring and span aggregates, stamped with [`SimTime`] only.
+//! * [`obs`] — self-measurement primitives: span aggregates over
+//!   simulated durations.
 //!
 //! Everything here is deterministic given a seed: no wall-clock time, no
 //! global state, no threads.
@@ -35,7 +35,7 @@ pub mod time;
 pub use counters::CounterSet;
 pub use hash::{FastMap, FastSet};
 pub use merge::merge_sorted_by;
-pub use obs::{EventRing, ObsEvent, SpanStat};
+pub use obs::SpanStat;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Histogram, LogHistogram, Summary, WeightedCdf};

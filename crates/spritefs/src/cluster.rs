@@ -382,9 +382,7 @@ impl<S: TraceSink> Cluster<S> {
         let next_tick = SimTime::ZERO + cfg.daemon_period;
         let next_sample = SimTime::ZERO + cfg.sample_period;
         let san = cfg.sanitize.then(|| Box::new(Sanitizer::new(&cfg)));
-        let obs = cfg
-            .observe
-            .then(|| Box::new(Obs::with_capacity(cfg.obs_ring_capacity)));
+        let obs = cfg.observe.then(|| Box::new(Obs::new()));
         let fault = cfg
             .faults
             .as_ref()
@@ -472,11 +470,6 @@ impl<S: TraceSink> Cluster<S> {
         self.san.take().map(|s| s.into_stats())
     }
 
-    /// The live sdfs-obs collector, when [`Config::observe`] is set.
-    pub fn obs(&self) -> Option<&Obs> {
-        self.obs.as_deref()
-    }
-
     /// Removes and returns the sdfs-obs report (observation stops
     /// afterwards). `None` unless [`Config::observe`] was set.
     pub fn take_obs_report(&mut self) -> Option<ObsReport> {
@@ -487,21 +480,21 @@ impl<S: TraceSink> Cluster<S> {
     /// for the payload, plus a server disk access when the server cache
     /// missed. No-op unless observing.
     #[inline]
-    fn obs_rpc(&mut self, kind: RpcKind, ci: usize, si: usize, bytes: u64, disk_miss: bool) {
+    fn obs_rpc(&mut self, kind: RpcKind, bytes: u64, disk_miss: bool) {
         if let Some(obs) = self.obs.as_deref_mut() {
             let mut lat = self.cfg.net.rpc_time(bytes);
             if disk_miss {
                 lat += self.cfg.disk.access_time(bytes);
             }
-            obs.rpc(kind, self.now, ci as u16, si as u16, bytes, lat);
+            obs.rpc(kind, lat);
         }
     }
 
-    /// Records one structured event. No-op unless observing.
+    /// Counts one event. No-op unless observing.
     #[inline]
-    fn obs_event(&mut self, kind: ObsEventKind, src: u16, dst: u16, arg: u64) {
+    fn obs_event(&mut self, kind: ObsEventKind) {
         if let Some(obs) = self.obs.as_deref_mut() {
-            obs.event(kind, self.now, src, dst, arg);
+            obs.event(kind);
         }
     }
 
@@ -712,7 +705,7 @@ impl<S: TraceSink> Cluster<S> {
         self.server_down[si] = true;
         self.down_until[si] = until;
         self.crashed_at[si] = self.now;
-        self.obs_event(ObsEventKind::ServerCrash, 0, si as u16, lost);
+        self.obs_event(ObsEventKind::ServerCrash);
         self.rebuild_server_state(si);
         lost
     }
@@ -867,20 +860,9 @@ impl<S: TraceSink> Cluster<S> {
             }
             reregisters += 1;
             if let Some(obs) = self.obs.as_deref_mut() {
-                obs.event(
-                    ObsEventKind::Reregister,
-                    self.now,
-                    ci as u16,
-                    si as u16,
-                    reopens,
-                );
+                obs.event(ObsEventKind::Reregister);
                 for k in 0..reopens {
-                    obs.reopen(
-                        self.now,
-                        ci as u16,
-                        si as u16,
-                        storm_unit * (reopens_total + k + 1),
-                    );
+                    obs.reopen(storm_unit * (reopens_total + k + 1));
                 }
             }
             reopens_total += reopens;
@@ -892,7 +874,7 @@ impl<S: TraceSink> Cluster<S> {
         c.add(fault::STORM_RPCS, storm);
         c.add(fault::STORM_REOPENS, reopens_total);
         c.add(fault::STORM_REREGISTERS, reregisters);
-        self.obs_event(ObsEventKind::ServerRecover, 0, si as u16, storm);
+        self.obs_event(ObsEventKind::ServerRecover);
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.span(SpanKind::ServerOutage, downtime);
             obs.span(SpanKind::RecoveryStorm, storm_unit * storm);
@@ -952,7 +934,7 @@ impl<S: TraceSink> Cluster<S> {
             }
             if let Some(obs) = obs {
                 obs.span(SpanKind::Stall, stall);
-                obs.retry(now, ci as u16, si as u16, 0, stall);
+                obs.retry(stall);
             }
             return;
         }
@@ -975,7 +957,7 @@ impl<S: TraceSink> Cluster<S> {
                 }
                 if let Some(obs) = obs {
                     obs.span(SpanKind::Stall, stall);
-                    obs.retry(now, ci as u16, si as u16, 0, stall);
+                    obs.retry(stall);
                 }
                 return;
             }
@@ -999,7 +981,7 @@ impl<S: TraceSink> Cluster<S> {
                     }
                 }
                 if let Some(obs) = obs {
-                    obs.retry(now, ci as u16, si as u16, u64::from(tries), stall);
+                    obs.retry(stall);
                 }
             }
         }
@@ -1052,7 +1034,7 @@ impl<S: TraceSink> Cluster<S> {
             self.servers[s as usize]
                 .counters
                 .bump(fault::PART_CUT_EDGES);
-            self.obs_event(ObsEventKind::PartitionCut, c, s, heal_at.as_micros());
+            self.obs_event(ObsEventKind::PartitionCut);
         }
     }
 
@@ -1087,7 +1069,7 @@ impl<S: TraceSink> Cluster<S> {
             self.servers[s as usize]
                 .counters
                 .add(fault::PART_CUT_US, dur.as_micros());
-            self.obs_event(ObsEventKind::PartitionHeal, c, s, dur.as_micros());
+            self.obs_event(ObsEventKind::PartitionHeal);
             if conservative {
                 self.conservative_heal(c as usize, s as usize);
             } else {
@@ -1157,7 +1139,7 @@ impl<S: TraceSink> Cluster<S> {
         sc.add(fault::HEAL_REREGISTERS, 1);
         sc.add(fault::HEAL_REOPENS, roundtrips);
         sc.add(fault::HEAL_STORM_RPCS, 1 + roundtrips);
-        self.obs_event(ObsEventKind::Reregister, ci as u16, si as u16, roundtrips);
+        self.obs_event(ObsEventKind::Reregister);
     }
 
     /// Lease-protocol heal storm for one edge: one lease renewal if the
@@ -1185,7 +1167,7 @@ impl<S: TraceSink> Cluster<S> {
             sc.add(fault::HEAL_RENEWALS, 1);
             sc.add(fault::HEAL_STORM_RPCS, 1);
         }
-        self.obs_rpc(RpcKind::LeaseRenew, ci, si, 0, false);
+        self.obs_rpc(RpcKind::LeaseRenew, 0, false);
         for file in revoked {
             count_rpc(&mut self.clients[ci].metrics.counters, RpcKind::Reassert, 0);
             count_rpc(&mut self.servers[si].counters, RpcKind::Reassert, 0);
@@ -1194,8 +1176,8 @@ impl<S: TraceSink> Cluster<S> {
                 sc.add(fault::HEAL_REASSERTS, 1);
                 sc.add(fault::HEAL_STORM_RPCS, 1);
             }
-            self.obs_rpc(RpcKind::Reassert, ci, si, 0, false);
-            self.obs_event(ObsEventKind::Reassert, ci as u16, si as u16, file.raw());
+            self.obs_rpc(RpcKind::Reassert, 0, false);
+            self.obs_event(ObsEventKind::Reassert);
             self.reassert_file(ci, si, file);
         }
     }
@@ -1370,7 +1352,7 @@ impl<S: TraceSink> Cluster<S> {
             self.disable_caching(file, si, requester);
         }
         self.servers[si].gc_file(file);
-        self.obs_event(ObsEventKind::LeaseRevoke, ci as u16, si as u16, file.raw());
+        self.obs_event(ObsEventKind::LeaseRevoke);
         let f = self.fault.as_mut().expect("revocation requires a plan");
         let e = f.edge(ci as u16, si);
         if !f.revoked[e].contains(&file) {
@@ -1547,7 +1529,7 @@ impl<S: TraceSink> Cluster<S> {
         self.fault_rpc(ci, si, RpcKind::Open);
         count_rpc(self.counters(ci), RpcKind::Open, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Open, 0);
-        self.obs_rpc(RpcKind::Open, ci, si, 0, false);
+        self.obs_rpc(RpcKind::Open, 0, false);
         if !is_dir {
             self.counters(ci).bump(consist::FILE_OPENS);
             match self.cfg.consistency {
@@ -1626,7 +1608,7 @@ impl<S: TraceSink> Cluster<S> {
             // read.
             if seen != prev_version && !self.cfg.fault_skip_invalidate {
                 self.invalidate_file(ci, file, true);
-                self.obs_event(ObsEventKind::Invalidate, ci as u16, si as u16, file.raw());
+                self.obs_event(ObsEventKind::Invalidate);
             }
         }
         self.clients[ci].seen_version.insert(file, version);
@@ -1645,8 +1627,8 @@ impl<S: TraceSink> Cluster<S> {
                     self.counters(ci).bump(consist::RECALL_OPENS);
                     count_rpc(&mut self.servers[si].counters, RpcKind::Recall, 0);
                     count_rpc(self.counters(wi), RpcKind::Recall, 0);
-                    self.obs_rpc(RpcKind::Recall, wi, si, 0, false);
-                    self.obs_event(ObsEventKind::Recall, wi as u16, si as u16, file.raw());
+                    self.obs_rpc(RpcKind::Recall, 0, false);
+                    self.obs_event(ObsEventKind::Recall);
                     self.flush_file(wi, file, CleanReason::Recall);
                     self.servers[si].file_state(file).last_writer = None;
                 }
@@ -1679,8 +1661,8 @@ impl<S: TraceSink> Cluster<S> {
                         count_rpc(self.counters(wi), RpcKind::TokenRecall, 0);
                         self.flush_file(wi, file, CleanReason::Recall);
                         self.invalidate_file(wi, file, false);
-                        self.obs_rpc(RpcKind::TokenRecall, wi, si, 0, false);
-                        self.obs_event(ObsEventKind::Recall, wi as u16, si as u16, file.raw());
+                        self.obs_rpc(RpcKind::TokenRecall, 0, false);
+                        self.obs_event(ObsEventKind::Recall);
                     }
                 }
                 for &r in &readers {
@@ -1689,13 +1671,8 @@ impl<S: TraceSink> Cluster<S> {
                         if self.partition_action(ri, si, ci, file) {
                             count_rpc(self.counters(ri), RpcKind::TokenRecall, 0);
                             self.invalidate_file(ri, file, false);
-                            self.obs_rpc(RpcKind::TokenRecall, ri, si, 0, false);
-                            self.obs_event(
-                                ObsEventKind::Invalidate,
-                                ri as u16,
-                                si as u16,
-                                file.raw(),
-                            );
+                            self.obs_rpc(RpcKind::TokenRecall, 0, false);
+                            self.obs_event(ObsEventKind::Invalidate);
                         }
                     }
                 }
@@ -1703,7 +1680,7 @@ impl<S: TraceSink> Cluster<S> {
                 st.tokens.readers.clear();
                 st.tokens.writer = Some(me);
                 count_rpc(self.counters(ci), RpcKind::TokenAcquire, 0);
-                self.obs_rpc(RpcKind::TokenAcquire, ci, si, 0, false);
+                self.obs_rpc(RpcKind::TokenAcquire, 0, false);
             }
         } else {
             let holds = writer == Some(me) || {
@@ -1720,13 +1697,13 @@ impl<S: TraceSink> Cluster<S> {
                     let st = self.servers[si].file_state(file);
                     st.tokens.writer = None;
                     st.tokens.readers.insert(w);
-                    self.obs_rpc(RpcKind::TokenRecall, wi, si, 0, false);
-                    self.obs_event(ObsEventKind::Recall, wi as u16, si as u16, file.raw());
+                    self.obs_rpc(RpcKind::TokenRecall, 0, false);
+                    self.obs_event(ObsEventKind::Recall);
                 }
                 let st = self.servers[si].file_state(file);
                 st.tokens.readers.insert(me);
                 count_rpc(self.counters(ci), RpcKind::TokenAcquire, 0);
-                self.obs_rpc(RpcKind::TokenAcquire, ci, si, 0, false);
+                self.obs_rpc(RpcKind::TokenAcquire, 0, false);
             }
         }
         self.scratch_clients = readers;
@@ -1752,14 +1729,14 @@ impl<S: TraceSink> Cluster<S> {
             self.fault_rpc(ci, si, RpcKind::GetAttr);
             count_rpc(self.counters(ci), RpcKind::GetAttr, 0);
             count_rpc(&mut self.servers[si].counters, RpcKind::GetAttr, 0);
-            self.obs_rpc(RpcKind::GetAttr, ci, si, 0, false);
+            self.obs_rpc(RpcKind::GetAttr, 0, false);
             let stale = self.clients[ci]
                 .seen_version
                 .get(&file)
                 .is_some_and(|&v| v != version);
             if stale {
                 self.invalidate_file(ci, file, true);
-                self.obs_event(ObsEventKind::Invalidate, ci as u16, si as u16, file.raw());
+                self.obs_event(ObsEventKind::Invalidate);
             }
             self.clients[ci].seen_version.insert(file, version);
             self.clients[ci].last_validate.insert(file, self.now);
@@ -1788,8 +1765,8 @@ impl<S: TraceSink> Cluster<S> {
             count_rpc(self.counters(ci), RpcKind::Invalidate, 0);
             self.flush_file(ci, file, CleanReason::Recall);
             self.invalidate_file(ci, file, false);
-            self.obs_rpc(RpcKind::Invalidate, ci, si, 0, false);
-            self.obs_event(ObsEventKind::Invalidate, ci as u16, si as u16, file.raw());
+            self.obs_rpc(RpcKind::Invalidate, 0, false);
+            self.obs_event(ObsEventKind::Invalidate);
         }
         self.scratch_clients = holders;
         self.servers[si].file_state(file).last_writer = None;
@@ -1811,7 +1788,7 @@ impl<S: TraceSink> Cluster<S> {
         self.fault_rpc(ci, si, RpcKind::Close);
         count_rpc(self.counters(ci), RpcKind::Close, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Close, 0);
-        self.obs_rpc(RpcKind::Close, ci, si, 0, false);
+        self.obs_rpc(RpcKind::Close, 0, false);
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.span(SpanKind::FileOpen, fdst.open_duration(self.now));
         }
@@ -1900,7 +1877,7 @@ impl<S: TraceSink> Cluster<S> {
             c.add(srv::SHARED_READ, eff);
             count_rpc(c, RpcKind::SharedRead, eff);
             count_rpc(&mut self.servers[si].counters, RpcKind::SharedRead, eff);
-            self.obs_rpc(RpcKind::SharedRead, ci, si, eff, false);
+            self.obs_rpc(RpcKind::SharedRead, eff, false);
             self.emit(
                 server_id,
                 op,
@@ -1972,7 +1949,7 @@ impl<S: TraceSink> Cluster<S> {
             c.add(srv::SHARED_WRITE, len);
             count_rpc(c, RpcKind::SharedWrite, len);
             count_rpc(&mut self.servers[si].counters, RpcKind::SharedWrite, len);
-            self.obs_rpc(RpcKind::SharedWrite, ci, si, len, false);
+            self.obs_rpc(RpcKind::SharedWrite, len, false);
             if let Some(san) = self.san.as_deref_mut() {
                 let bs = self.cfg.block_size;
                 for index in offset / bs..=(offset + len - 1) / bs {
@@ -2032,7 +2009,7 @@ impl<S: TraceSink> Cluster<S> {
         if let Some(meta) = self.files.get(file) {
             let si = meta.server.raw() as usize;
             self.fault_rpc(ci, si, RpcKind::Fsync);
-            self.obs_rpc(RpcKind::Fsync, ci, si, 0, false);
+            self.obs_rpc(RpcKind::Fsync, 0, false);
         }
         self.flush_file(ci, file, CleanReason::Fsync);
     }
@@ -2069,7 +2046,7 @@ impl<S: TraceSink> Cluster<S> {
             RpcKind::Create,
             0,
         );
-        self.obs_rpc(RpcKind::Create, ci, server.raw() as usize, 0, false);
+        self.obs_rpc(RpcKind::Create, 0, false);
         self.emit(server, op, RecordKind::Create { file, is_dir });
     }
 
@@ -2083,7 +2060,7 @@ impl<S: TraceSink> Cluster<S> {
         self.fault_rpc(ci, si, RpcKind::Delete);
         count_rpc(self.counters(ci), RpcKind::Delete, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Delete, 0);
-        self.obs_rpc(RpcKind::Delete, ci, si, 0, false);
+        self.obs_rpc(RpcKind::Delete, 0, false);
         // Drop the file's blocks everywhere; dirty data is cancelled and
         // never written back (this is where short lifetimes save write
         // traffic).
@@ -2126,7 +2103,7 @@ impl<S: TraceSink> Cluster<S> {
         self.fault_rpc(ci, si, RpcKind::Truncate);
         count_rpc(self.counters(ci), RpcKind::Truncate, 0);
         count_rpc(&mut self.servers[si].counters, RpcKind::Truncate, 0);
-        self.obs_rpc(RpcKind::Truncate, ci, si, 0, false);
+        self.obs_rpc(RpcKind::Truncate, 0, false);
         for c in 0..self.clients.len() {
             self.invalidate_file(c, file, false);
         }
@@ -2162,7 +2139,7 @@ impl<S: TraceSink> Cluster<S> {
         c.add(srv::DIR_READ, bytes);
         count_rpc(c, RpcKind::ReadDir, bytes);
         count_rpc(&mut self.servers[si].counters, RpcKind::ReadDir, bytes);
-        self.obs_rpc(RpcKind::ReadDir, ci, si, bytes, false);
+        self.obs_rpc(RpcKind::ReadDir, bytes, false);
         self.emit(server_id, op, RecordKind::DirRead { file: dir, bytes });
     }
 
@@ -2263,7 +2240,7 @@ impl<S: TraceSink> Cluster<S> {
                     }
                 }
                 let srv_hit = self.servers[si].serve_read(key, ps, now);
-                self.obs_rpc(RpcKind::PageIn, ci, si, ps, !srv_hit);
+                self.obs_rpc(RpcKind::PageIn, ps, !srv_hit);
                 self.insert_block(ci, key);
                 if let Some(san) = self.san.as_deref_mut() {
                     let inserted = self.clients[ci].cache.contains(key);
@@ -2340,7 +2317,7 @@ impl<S: TraceSink> Cluster<S> {
             for index in offset / bs..=(offset + bytes.max(1) - 1) / bs {
                 all_hit &= self.servers[si].serve_read(BlockKey { file, index }, bs, self.now);
             }
-            self.obs_rpc(RpcKind::PageIn, ci, si, bytes, !all_hit);
+            self.obs_rpc(RpcKind::PageIn, bytes, !all_hit);
         } else {
             let was_empty = meta.size == 0;
             if offset + bytes > meta.size {
@@ -2353,7 +2330,7 @@ impl<S: TraceSink> Cluster<S> {
             c.add(srv::PAGING_WRITE, bytes);
             count_rpc(c, RpcKind::PageOut, bytes);
             count_rpc(&mut self.servers[si].counters, RpcKind::PageOut, bytes);
-            self.obs_rpc(RpcKind::PageOut, ci, si, bytes, false);
+            self.obs_rpc(RpcKind::PageOut, bytes, false);
             for index in offset / bs..=(offset + bytes.max(1) - 1) / bs {
                 self.servers[si].accept_write(BlockKey { file, index }, bs, self.now);
             }
@@ -2405,15 +2382,15 @@ impl<S: TraceSink> Cluster<S> {
                 if let Some(san) = self.san.as_deref_mut() {
                     san.on_read_hit(op.client, key, paging, now);
                 }
-                self.obs_event(ObsEventKind::CacheHit, ci as u16, si as u16, file.raw());
+                self.obs_event(ObsEventKind::CacheHit);
                 continue; // Hit.
             }
             // Miss: fetch the whole block from the server.
             self.fault_rpc(ci, si, RpcKind::ReadBlock);
             misses += 1;
             let srv_hit = self.servers[si].serve_read(key, bs, now);
-            self.obs_event(ObsEventKind::CacheMiss, ci as u16, si as u16, file.raw());
-            self.obs_rpc(RpcKind::ReadBlock, ci, si, bs, !srv_hit);
+            self.obs_event(ObsEventKind::CacheMiss);
+            self.obs_rpc(RpcKind::ReadBlock, bs, !srv_hit);
             self.insert_block(ci, key);
             if let Some(san) = self.san.as_deref_mut() {
                 let inserted = self.clients[ci].cache.contains(key);
@@ -2500,7 +2477,7 @@ impl<S: TraceSink> Cluster<S> {
                     self.fault_rpc(ci, si, RpcKind::ReadBlock);
                     fetches += 1;
                     let srv_hit = self.servers[si].serve_read(key, bs, now);
-                    self.obs_rpc(RpcKind::ReadBlock, ci, si, bs, !srv_hit);
+                    self.obs_rpc(RpcKind::ReadBlock, bs, !srv_hit);
                 }
                 self.insert_block(ci, key);
             } else {
@@ -2553,7 +2530,7 @@ impl<S: TraceSink> Cluster<S> {
     fn write_block_through(&mut self, ci: usize, si: usize, key: BlockKey, app_bytes: u64) {
         self.fault_rpc(ci, si, RpcKind::WriteBlock);
         self.servers[si].accept_write(key, app_bytes, self.now);
-        self.obs_rpc(RpcKind::WriteBlock, ci, si, app_bytes, false);
+        self.obs_rpc(RpcKind::WriteBlock, app_bytes, false);
     }
 
     /// Inserts a block into client `ci`'s cache, obtaining a physical
@@ -2600,7 +2577,7 @@ impl<S: TraceSink> Cluster<S> {
         c.bump(blocks_key);
         c.add(age_key, age.as_micros());
         self.clients[ci].cache.remove(key);
-        self.obs_event(ObsEventKind::CacheEvict, ci as u16, 0, age.as_micros());
+        self.obs_event(ObsEventKind::CacheEvict);
         if let Some(san) = self.san.as_deref_mut() {
             san.on_drop_block(self.clients[ci].id, key);
         }
@@ -2637,12 +2614,7 @@ impl<S: TraceSink> Cluster<S> {
                 };
                 if let Some(counter) = queued {
                     self.counters(ci).bump(counter);
-                    self.obs_event(
-                        ObsEventKind::QueuedWriteBack,
-                        ci as u16,
-                        si as u16,
-                        file.raw(),
-                    );
+                    self.obs_event(ObsEventKind::QueuedWriteBack);
                     continue;
                 }
             }
@@ -2685,9 +2657,9 @@ impl<S: TraceSink> Cluster<S> {
         self.fault_rpc(ci, si, RpcKind::WriteBlock);
         self.servers[si].accept_write(key, bytes, now);
         if let Some(obs) = self.obs.as_deref_mut() {
-            obs.writeback(now, ci as u16, si as u16, before.dwell(now));
+            obs.writeback(before.dwell(now));
         }
-        self.obs_rpc(RpcKind::WriteBlock, ci, si, bytes, false);
+        self.obs_rpc(RpcKind::WriteBlock, bytes, false);
         if let Some(san) = self.san.as_deref_mut() {
             san.on_writeback(id, key, true);
         }

@@ -240,14 +240,10 @@ pub struct Config {
     /// results are unchanged (violations are reported out of band).
     pub sanitize: bool,
     /// Run the sdfs-obs self-measurement layer alongside the
-    /// simulation: sim-time spans, structured events, and per-RPC-kind
-    /// latency histograms. Off by default; when off, output is
+    /// simulation: sim-time spans, per-kind event counts, and
+    /// per-RPC-kind latency histograms. Off by default; when off, output is
     /// byte-identical to builds that predate the layer.
     pub observe: bool,
-    /// Capacity of the sdfs-obs structured event ring. Only the newest
-    /// `obs_ring_capacity` events are retained; earlier ones are counted
-    /// as dropped in the report. Irrelevant unless `observe` is set.
-    pub obs_ring_capacity: usize,
     /// Fault injection for sanitizer tests: skip the cache invalidation
     /// that Sprite consistency performs when an open detects a stale
     /// cached version. Never enable outside tests.
@@ -296,7 +292,6 @@ impl Default for Config {
             },
             sanitize: false,
             observe: false,
-            obs_ring_capacity: crate::obs::RING_CAPACITY,
             fault_skip_invalidate: false,
             faults: None,
             server_nvram_bytes: 0,

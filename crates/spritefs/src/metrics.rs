@@ -244,10 +244,8 @@ pub mod restart {
 /// to a plain one; these names key the obs report's rendered summary and
 /// JSON export instead.
 pub mod obs {
-    /// Structured events recorded into the ring (including overwritten).
+    /// Events recorded, summed over every kind.
     pub const EVENTS_RECORDED: &str = "obs.events.recorded";
-    /// Events lost to ring overwrite.
-    pub const EVENTS_DROPPED: &str = "obs.events.dropped";
     /// Closed file-open spans (open → close of one handle).
     pub const SPAN_FILE_OPEN: &str = "obs.span.file.open";
     /// Closed RPC-stall spans (client blocked on a down server).
@@ -480,7 +478,6 @@ mod tests {
             restart::CRASH_COUNT,
             restart::REBOOT_COUNT,
             obs::EVENTS_RECORDED,
-            obs::EVENTS_DROPPED,
             obs::SPAN_FILE_OPEN,
             obs::SPAN_STALL,
             obs::SPAN_SERVER_OUTAGE,

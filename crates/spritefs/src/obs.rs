@@ -6,10 +6,9 @@
 //! `observe` is set, the cluster carries an [`Obs`] collector that
 //! records:
 //!
-//! * **structured events** (RPC issue/retry/complete, cache
+//! * **per-kind event counts** (RPC issue/retry/complete, cache
 //!   hit/miss/evict/write-back, consistency recall/invalidate,
-//!   crash/reregister/reopen) into a pre-allocated
-//!   [`sdfs_simkit::obs::EventRing`] — no allocation on the hot path;
+//!   crash/reregister/reopen) — no allocation on the hot path;
 //! * **integer log-bucketed latency histograms**
 //!   ([`sdfs_simkit::LogHistogram`]) for per-[`RpcKind`] latency,
 //!   retry/backoff waits, write-back queue dwell, and recovery-storm
@@ -17,67 +16,57 @@
 //! * **span aggregates** (file-open, RPC stall, server outage,
 //!   recovery storm) as count/total/max triples.
 //!
-//! Every stamp is [`SimTime`] — simulated microseconds, never the wall
-//! clock — so the determinism lint stays clean and an observed run is
-//! replayable bit-for-bit. With `observe` off the collector is never
+//! Every duration is simulated microseconds, never the wall clock, so
+//! the determinism lint stays clean and an observed run is replayable
+//! bit-for-bit. With `observe` off the collector is never
 //! allocated and stdout is byte-identical to an unobserved build.
 
-use sdfs_simkit::obs::{EventRing, ObsEvent, SpanStat};
-use sdfs_simkit::{LogHistogram, SimDuration, SimTime};
+use sdfs_simkit::obs::SpanStat;
+use sdfs_simkit::{LogHistogram, SimDuration};
 
 use crate::metrics;
 use crate::rpc::RpcKind;
 
-/// Event-ring capacity: enough to keep the full tail of a recovery
-/// storm while bounding memory; older events are overwritten and
-/// counted as dropped.
-pub const RING_CAPACITY: usize = 65_536;
-
-/// The structured-event vocabulary of the self-measurement layer.
+/// The event vocabulary of the self-measurement layer; the report
+/// counts each kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEventKind {
-    /// An RPC left a client (argument: payload bytes).
+    /// An RPC left a client.
     RpcIssue,
-    /// An RPC was retransmitted after a drop or stall (argument: retry
-    /// ordinal).
+    /// An RPC was retransmitted after a drop or stall.
     RpcRetry,
-    /// An RPC finished (argument: modeled latency in microseconds).
+    /// An RPC finished.
     RpcComplete,
-    /// A client cache read hit (argument: file id).
+    /// A client cache read hit.
     CacheHit,
-    /// A client cache read miss (argument: file id).
+    /// A client cache read miss.
     CacheMiss,
-    /// A client cache block was evicted (argument: file id).
+    /// A client cache block was evicted.
     CacheEvict,
-    /// A dirty block was written back (argument: dwell in microseconds).
+    /// A dirty block was written back.
     WriteBack,
-    /// A write-back was queued because the server was down (argument:
-    /// file id).
+    /// A write-back was queued because the server was down.
     QueuedWriteBack,
-    /// The server recalled dirty data from the last writer (argument:
-    /// file id).
+    /// The server recalled dirty data from the last writer.
     Recall,
-    /// The server invalidated a client's cached copy (argument: file id).
+    /// The server invalidated a client's cached copy.
     Invalidate,
-    /// A server crashed (argument: dirty bytes lost).
+    /// A server crashed.
     ServerCrash,
-    /// A server finished recovering (argument: downtime in microseconds).
+    /// A server finished recovering.
     ServerRecover,
     /// A client re-registered with a rebooted server.
     Reregister,
-    /// A client reopened a handle at a rebooted server (argument:
-    /// modeled reopen latency in microseconds).
+    /// A client reopened a handle at a rebooted server.
     Reopen,
-    /// A partition cut a client↔server edge (argument: heal time in
-    /// microseconds).
+    /// A partition cut a client↔server edge.
     PartitionCut,
-    /// A cut edge healed (argument: cut duration in microseconds).
+    /// A cut edge healed.
     PartitionHeal,
     /// The server revoked a grant after the holder's lease lapsed
-    /// behind a partition (argument: file id).
+    /// behind a partition.
     LeaseRevoke,
-    /// A client reasserted a revoked grant across a healed edge
-    /// (argument: file id).
+    /// A client reasserted a revoked grant across a healed edge.
     Reassert,
 }
 
@@ -104,10 +93,10 @@ impl ObsEventKind {
         ObsEventKind::Reassert,
     ];
 
-    /// The `u8` code stored in [`ObsEvent::kind`].
+    /// Dense index into the per-kind event counts.
     #[inline]
-    pub fn code(self) -> u8 {
-        self as u8
+    pub fn index(self) -> usize {
+        self as usize
     }
 
     /// Dotted lowercase name, following the counter-name grammar.
@@ -202,19 +191,12 @@ pub struct ObsReport {
     pub reopen_latency: LogHistogram,
     /// Span aggregates, indexed by [`SpanKind::index`].
     pub spans: Vec<SpanStat>,
-    /// Event counts, indexed by [`ObsEventKind`] code.
+    /// Event counts, indexed by [`ObsEventKind::index`].
     pub event_counts: Vec<u64>,
     /// RPCs that exhausted their retry budget, indexed by
     /// [`RpcKind::index`] — the per-kind breakdown of what the cluster
     /// counters only report as aggregate unavailability.
     pub retry_exhausted: Vec<u64>,
-    /// Total events pushed into the ring (including overwritten).
-    pub events_recorded: u64,
-    /// Events lost to ring overwrite.
-    pub events_dropped: u64,
-    /// Capacity of the event ring that produced this report (the
-    /// largest, when reports from differently-sized rings merge).
-    pub ring_capacity: u64,
 }
 
 impl Default for ObsReport {
@@ -234,9 +216,6 @@ impl ObsReport {
             spans: vec![SpanStat::default(); SpanKind::ALL.len()],
             event_counts: vec![0; ObsEventKind::ALL.len()],
             retry_exhausted: vec![0; RpcKind::ALL.len()],
-            events_recorded: 0,
-            events_dropped: 0,
-            ring_capacity: RING_CAPACITY as u64,
         }
     }
 
@@ -252,7 +231,12 @@ impl ObsReport {
 
     /// The count of one event kind.
     pub fn events(&self, kind: ObsEventKind) -> u64 {
-        self.event_counts[kind.code() as usize]
+        self.event_counts[kind.index()]
+    }
+
+    /// Total events recorded across all kinds.
+    pub fn events_recorded(&self) -> u64 {
+        self.event_counts.iter().sum()
     }
 
     /// Total RPC latency samples across all kinds.
@@ -287,30 +271,6 @@ impl ObsReport {
         for (a, b) in self.retry_exhausted.iter_mut().zip(other.retry_exhausted.iter()) {
             *a += b;
         }
-        self.events_recorded += other.events_recorded;
-        self.events_dropped += other.events_dropped;
-        self.ring_capacity = self.ring_capacity.max(other.ring_capacity);
-    }
-
-    /// Percentage of recorded events lost to ring overwrite.
-    pub fn drop_rate_pct(&self) -> f64 {
-        if self.events_recorded == 0 {
-            0.0
-        } else {
-            100.0 * self.events_dropped as f64 / self.events_recorded as f64
-        }
-    }
-
-    /// One-line verdict used when `--observe` is passed to a report run
-    /// (printed to stderr, like the sanitizer's).
-    pub fn verdict(&self) -> String {
-        format!(
-            "sdfs-obs: {} events ({} dropped), {} rpc latency samples, {} spans",
-            self.events_recorded,
-            self.events_dropped,
-            self.rpc_samples(),
-            self.spans.iter().map(|s| s.count).sum::<u64>(),
-        )
     }
 
     /// Renders the full human-readable report.
@@ -318,13 +278,9 @@ impl ObsReport {
         let mut out = String::new();
         out.push_str("sdfs-obs self-measurement report\n");
         out.push_str(&format!(
-            "  {} = {}, {} = {} ({:.1}% drop rate, ring capacity {})\n",
+            "  {} = {}\n",
             metrics::obs::EVENTS_RECORDED,
-            self.events_recorded,
-            metrics::obs::EVENTS_DROPPED,
-            self.events_dropped,
-            self.drop_rate_pct(),
-            self.ring_capacity,
+            self.events_recorded(),
         ));
         out.push_str("\n  events by kind:\n");
         for k in ObsEventKind::ALL {
@@ -418,11 +374,9 @@ impl ObsReport {
         }
         let mut out = String::from("{");
         out.push_str(&format!(
-            "\"summary\":{{\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{}",
+            "\"summary\":{{\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{}",
             metrics::obs::EVENTS_RECORDED,
-            self.events_recorded,
-            metrics::obs::EVENTS_DROPPED,
-            self.events_dropped,
+            self.events_recorded(),
             metrics::obs::RPC_SAMPLES,
             self.rpc_samples(),
             metrics::obs::RETRY_SAMPLES,
@@ -436,11 +390,6 @@ impl ObsReport {
             ",\"{}\":{}",
             metrics::obs::EXHAUSTED_RPCS,
             self.exhausted_total(),
-        ));
-        out.push_str(&format!(
-            ",\"obs.ring.capacity\":{},\"obs.ring.drop_rate_pct\":{:.1}",
-            self.ring_capacity,
-            self.drop_rate_pct(),
         ));
         for k in SpanKind::ALL {
             out.push_str(&format!(",\"{}\":{}", k.metrics_key(), self.span(k).count));
@@ -509,89 +458,43 @@ impl ObsReport {
 }
 
 /// The live collector carried by an observed cluster: an [`ObsReport`]
-/// under construction plus the bounded event ring.
-#[derive(Debug, Clone)]
+/// under construction.
+#[derive(Debug, Clone, Default)]
 pub struct Obs {
     report: ObsReport,
-    ring: EventRing,
-}
-
-impl Default for Obs {
-    fn default() -> Self {
-        Obs::new()
-    }
 }
 
 impl Obs {
-    /// Creates a collector with the default ring capacity. All buffers
-    /// are allocated here; the record paths never allocate.
+    /// Creates an empty collector. All buffers are allocated here; the
+    /// record paths never allocate.
     pub fn new() -> Self {
-        Obs::with_capacity(RING_CAPACITY)
+        Obs::default()
     }
 
-    /// Creates a collector with an explicit event-ring capacity
-    /// ([`crate::Config::obs_ring_capacity`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let mut report = ObsReport::new();
-        report.ring_capacity = capacity as u64;
-        Obs {
-            report,
-            ring: EventRing::with_capacity(capacity),
-        }
-    }
-
-    /// Records one structured event.
+    /// Counts one event.
     #[inline]
-    pub fn event(&mut self, kind: ObsEventKind, time: SimTime, src: u16, dst: u16, arg: u64) {
-        self.report.event_counts[kind.code() as usize] += 1;
-        self.ring.push(ObsEvent {
-            time,
-            kind: kind.code(),
-            src,
-            dst,
-            arg,
-        });
+    pub fn event(&mut self, kind: ObsEventKind) {
+        self.report.event_counts[kind.index()] += 1;
     }
 
     /// Records one completed RPC: issue + complete events plus a
     /// latency sample in the per-kind histogram.
-    pub fn rpc(
-        &mut self,
-        kind: RpcKind,
-        time: SimTime,
-        client: u16,
-        server: u16,
-        bytes: u64,
-        latency: SimDuration,
-    ) {
-        self.event(ObsEventKind::RpcIssue, time, client, server, bytes);
-        self.event(
-            ObsEventKind::RpcComplete,
-            time,
-            client,
-            server,
-            latency.as_micros(),
-        );
+    pub fn rpc(&mut self, kind: RpcKind, latency: SimDuration) {
+        self.event(ObsEventKind::RpcIssue);
+        self.event(ObsEventKind::RpcComplete);
         self.report.rpc[kind.index()].record(latency.as_micros());
     }
 
     /// Records one retry/backoff wait (a dropped message or a stall
     /// slice against a down server).
-    pub fn retry(&mut self, time: SimTime, client: u16, server: u16, ordinal: u64, wait: SimDuration) {
-        self.event(ObsEventKind::RpcRetry, time, client, server, ordinal);
+    pub fn retry(&mut self, wait: SimDuration) {
+        self.event(ObsEventKind::RpcRetry);
         self.report.retry_wait.record(wait.as_micros());
     }
 
     /// Records a write-back with the time the block dwelled dirty.
-    pub fn writeback(&mut self, time: SimTime, client: u16, server: u16, dwell: SimDuration) {
-        self.event(
-            ObsEventKind::WriteBack,
-            time,
-            client,
-            server,
-            dwell.as_micros(),
-        );
+    pub fn writeback(&mut self, dwell: SimDuration) {
+        self.event(ObsEventKind::WriteBack);
         self.report.writeback_dwell.record(dwell.as_micros());
     }
 
@@ -602,14 +505,8 @@ impl Obs {
     }
 
     /// Records one storm reopen with its modeled latency.
-    pub fn reopen(&mut self, time: SimTime, client: u16, server: u16, latency: SimDuration) {
-        self.event(
-            ObsEventKind::Reopen,
-            time,
-            client,
-            server,
-            latency.as_micros(),
-        );
+    pub fn reopen(&mut self, latency: SimDuration) {
+        self.event(ObsEventKind::Reopen);
         self.report.reopen_latency.record(latency.as_micros());
     }
 
@@ -619,15 +516,8 @@ impl Obs {
         self.report.spans[kind.index()].record(d);
     }
 
-    /// The retained event tail.
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
-    }
-
     /// Finalizes the collector into its mergeable report.
-    pub fn into_report(mut self) -> ObsReport {
-        self.report.events_recorded = self.ring.recorded();
-        self.report.events_dropped = self.ring.dropped();
+    pub fn into_report(self) -> ObsReport {
         self.report
     }
 }
@@ -636,10 +526,6 @@ impl Obs {
 mod tests {
     use super::*;
 
-    fn t(us: u64) -> SimTime {
-        SimTime::from_micros(us)
-    }
-
     fn d(us: u64) -> SimDuration {
         SimDuration::from_micros(us)
     }
@@ -647,7 +533,7 @@ mod tests {
     #[test]
     fn kind_codes_match_all_order() {
         for (i, k) in ObsEventKind::ALL.iter().enumerate() {
-            assert_eq!(k.code() as usize, i);
+            assert_eq!(k.index(), i);
         }
         for (i, k) in SpanKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
@@ -675,11 +561,11 @@ mod tests {
     #[test]
     fn collector_roundtrip() {
         let mut obs = Obs::new();
-        obs.rpc(RpcKind::Open, t(10), 1, 0, 0, d(1_500));
-        obs.rpc(RpcKind::ReadBlock, t(20), 1, 0, 4_096, d(6_415));
-        obs.retry(t(30), 2, 0, 1, d(50_000));
-        obs.writeback(t(40), 3, 0, d(30_000_000));
-        obs.reopen(t(50), 1, 0, d(3_000));
+        obs.rpc(RpcKind::Open, d(1_500));
+        obs.rpc(RpcKind::ReadBlock, d(6_415));
+        obs.retry(d(50_000));
+        obs.writeback(d(30_000_000));
+        obs.reopen(d(3_000));
         obs.span(SpanKind::FileOpen, d(123_000));
         let rep = obs.into_report();
         assert_eq!(rep.events(ObsEventKind::RpcIssue), 2);
@@ -692,8 +578,9 @@ mod tests {
         assert_eq!(rep.reopen_latency.count(), 1);
         assert_eq!(rep.span(SpanKind::FileOpen).count, 1);
         // 2 rpcs x (issue + complete) + retry + writeback + reopen.
-        assert_eq!(rep.events_recorded, 7);
-        assert_eq!(rep.events_dropped, 0);
+        assert_eq!(rep.events_recorded(), 7);
+        let per_kind: u64 = ObsEventKind::ALL.iter().map(|&k| rep.events(k)).sum();
+        assert_eq!(rep.events_recorded(), per_kind);
         let txt = rep.render();
         assert!(txt.contains("read_block"));
         assert!(txt.contains("obs.events.recorded"));
@@ -724,16 +611,16 @@ mod tests {
     #[test]
     fn merge_is_exact() {
         let mut a = Obs::new();
-        a.rpc(RpcKind::Open, t(1), 0, 0, 0, d(1_500));
+        a.rpc(RpcKind::Open, d(1_500));
         a.span(SpanKind::Stall, d(10));
         let mut b = Obs::new();
-        b.rpc(RpcKind::Open, t(2), 1, 0, 0, d(2_500));
-        b.retry(t(3), 1, 0, 2, d(100));
+        b.rpc(RpcKind::Open, d(2_500));
+        b.retry(d(100));
         let mut whole = Obs::new();
-        whole.rpc(RpcKind::Open, t(1), 0, 0, 0, d(1_500));
+        whole.rpc(RpcKind::Open, d(1_500));
         whole.span(SpanKind::Stall, d(10));
-        whole.rpc(RpcKind::Open, t(2), 1, 0, 0, d(2_500));
-        whole.retry(t(3), 1, 0, 2, d(100));
+        whole.rpc(RpcKind::Open, d(2_500));
+        whole.retry(d(100));
         let mut merged = a.into_report();
         merged.merge(&b.into_report());
         assert_eq!(merged, whole.into_report());

@@ -26,7 +26,7 @@ fn unknown_subcommand_prints_usage_and_exits_2() {
     // observability surface added with the self-measurement layer.
     for name in [
         "all", "cache", "figures", "bsd", "check", "lint", "ablations", "extensions", "faults",
-        "latency", "gen-trace", "obs", "profile", "selftrace", "bench",
+        "latency", "gen-trace", "obs", "profile", "selftrace",
     ] {
         assert!(err.contains(name), "usage must list `{name}`:\n{err}");
     }
@@ -82,6 +82,34 @@ fn profile_trace_out_unwritable_exits_2_without_panic() {
     assert!(err.contains("unknown flag `--trace-out`"), "{err}");
     assert!(err.contains("usage: repro"), "usage synopsis on stderr:\n{err}");
     assert!(!err.contains("panicked"), "must not panic:\n{err}");
+}
+
+#[test]
+fn unwritable_output_path_exits_2_before_the_study() {
+    // An output path that cannot be created is diagnosed before any
+    // simulation runs: exit 2 naming the path, never a panic after the
+    // whole study. A directory below a regular file cannot be created
+    // even by a privileged user.
+    let trace = "/nonexistent-dir-for-cli-test/trace.bin";
+    let csv = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/csv");
+    let cases: &[(&[&str], &str)] = &[
+        (&["gen-trace", trace], trace),
+        (&["figures", "--csv", csv], csv),
+    ];
+    for &(sub, path) in cases {
+        let mut args = vec!["--quick", "--traces", "1", "--days", "1"];
+        args.extend_from_slice(sub);
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing on stdout");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("repro: cannot write {path}: ")),
+            "{args:?}: diagnostic names the path:\n{err}"
+        );
+        assert!(!err.contains("running study"), "{args:?}: fails first:\n{err}");
+        assert!(!err.contains("panicked"), "{args:?}: must not panic:\n{err}");
+    }
 }
 
 #[test]
@@ -148,6 +176,8 @@ fn rejected_input_exits_2_with_usage() {
         // Flags whose subject was removed.
         (&["--quick", "--racecheck", "all"], "--racecheck"),
         (&["--quick", "--no-fastpath", "all"], "--no-fastpath"),
+        // A subcommand whose subject was removed.
+        (&["--quick", "bench"], "bench"),
         // Unparseable, zero, and missing values.
         (&["--quick", "--traces", "abc", "table1"], "abc"),
         (&["--quick", "--threads", "two", "table1"], "two"),
