@@ -628,7 +628,7 @@ fn run_profile(study: &Study) {
     let t = Instant::now();
     let mut s = report::render_table1(&analyses);
     s.push_str(&report::render_figure_checkpoints(&mut analyses));
-    let _ = counters.total.get("cache.read.ops");
+    let _ = counters.total.get(sdfs_spritefs::metrics::cache::READ_OPS);
     let render_secs = t.elapsed().as_secs_f64();
     let total = t_total.elapsed().as_secs_f64();
 

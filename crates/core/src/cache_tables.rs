@@ -8,7 +8,7 @@
 //! snapshots counters at day boundaries.
 
 use sdfs_simkit::{CounterSet, SimDuration, Summary};
-use sdfs_spritefs::metrics::{cache as mc, clean, mig, raw, replace, srv, MachineMetrics};
+use sdfs_spritefs::metrics::{cache as mc, clean, mig, raw, replace, server, srv, MachineMetrics};
 
 /// Table 4: client cache sizes and their variation over time.
 #[derive(Debug, Clone, Default)]
@@ -455,11 +455,11 @@ impl ServerCacheStats {
 pub fn server_cache_stats(servers: &[CounterSet]) -> ServerCacheStats {
     let mut out = ServerCacheStats::default();
     for c in servers {
-        out.read_hits += c.get("server.cache.read.hit");
-        out.read_misses += c.get("server.cache.read.miss");
-        out.disk_read_bytes += c.get("server.disk.read.bytes");
-        out.disk_write_bytes += c.get("server.disk.write.bytes");
-        out.served_read_bytes += c.get("server.read.bytes");
+        out.read_hits += c.get(server::CACHE_READ_HIT);
+        out.read_misses += c.get(server::CACHE_READ_MISS);
+        out.disk_read_bytes += c.get(server::DISK_READ_BYTES);
+        out.disk_write_bytes += c.get(server::DISK_WRITE_BYTES);
+        out.served_read_bytes += c.get(server::READ_BYTES);
     }
     out
 }

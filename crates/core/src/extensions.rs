@@ -5,6 +5,7 @@
 
 use sdfs_simkit::{SimDuration, SimTime, Summary};
 use sdfs_spritefs::cluster::NullSink;
+use sdfs_spritefs::metrics::{cache as mc, consist, srv};
 use sdfs_spritefs::rpc;
 use sdfs_spritefs::{Cluster, ConsistencyPolicy};
 use sdfs_trace::ClientId;
@@ -62,7 +63,7 @@ pub fn crash_exposure_ablation(base: &StudyConfig, delays_secs: &[u64]) -> Vec<C
             let writeback_bytes: u64 = cluster
                 .clients()
                 .iter()
-                .map(|c| c.metrics.counters.get("cache.writeback.bytes"))
+                .map(|c| c.metrics.counters.get(mc::WRITEBACK_BYTES))
                 .sum();
             CrashExposure {
                 delay_secs: delay,
@@ -117,10 +118,10 @@ pub fn policy_matrix(base: &StudyConfig) -> Vec<PolicyOutcome> {
             let mut shared_bytes = 0u64;
             for client in cluster.clients() {
                 let c = &client.metrics.counters;
-                server_bytes += c.sum_prefix("srv.");
+                server_bytes += c.sum_prefix(srv::PREFIX);
                 rpc_messages += rpc::total_msgs(c);
-                stale_reads += c.get("consist.stale.read.ops");
-                shared_bytes += c.get("srv.shared.read.bytes") + c.get("srv.shared.write.bytes");
+                stale_reads += c.get(consist::STALE_READ_OPS);
+                shared_bytes += c.get(srv::SHARED_READ) + c.get(srv::SHARED_WRITE);
             }
             PolicyOutcome {
                 policy,

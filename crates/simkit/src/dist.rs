@@ -1,119 +1,10 @@
-//! Random distributions used by the workload generator.
+//! File popularity for the workload generator.
 //!
-//! The study's workload is dominated by a few heavy-tailed quantities —
-//! file sizes (most files are a few kilobytes but simulation inputs reach
-//! 20 Mbytes), inter-arrival times, and session lengths. This module
-//! provides:
-//!
-//! * [`Exponential`] — memoryless inter-arrival times.
-//! * [`LogNormal`] — the body of the file-size distribution.
-//! * [`BoundedPareto`] — the heavy tail of file sizes and burst lengths.
-//! * [`Zipf`] — file popularity (a few files absorb most opens).
-//! * [`Empirical`] — piecewise-linear sampling from measured CDF points,
-//!   used to pin a distribution to the exact curves in the paper's figures.
-//! * [`Mixture`] — weighted combination of components (e.g. small-file
-//!   body plus large-file tail).
+//! A few files absorb most opens (shared headers, fonts); [`Zipf`] draws
+//! a popularity rank for them. Sizes and think times are drawn inline by
+//! the generator straight from [`SimRng`].
 
 use crate::rng::SimRng;
-
-/// A sampleable distribution over `f64`.
-pub trait Distribution {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut SimRng) -> f64;
-}
-
-/// Exponential distribution with the given mean.
-#[derive(Debug, Clone, Copy)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with mean `mean`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive and finite.
-    pub fn new(mean: f64) -> Self {
-        assert!(mean > 0.0 && mean.is_finite(), "invalid mean {mean}");
-        Exponential { mean }
-    }
-
-    /// Returns the configured mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        -self.mean * rng.f64_open().ln()
-    }
-}
-
-/// Log-normal distribution parameterized by the median and the shape
-/// (`sigma` of the underlying normal).
-#[derive(Debug, Clone, Copy)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal with the given median and shape parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `median` is not positive or `sigma` is negative.
-    pub fn from_median(median: f64, sigma: f64) -> Self {
-        assert!(median > 0.0, "median must be positive");
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        LogNormal {
-            mu: median.ln(),
-            sigma,
-        }
-    }
-}
-
-impl Distribution for LogNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        (self.mu + self.sigma * rng.normal()).exp()
-    }
-}
-
-/// Pareto distribution truncated to `[min, max]`.
-///
-/// Sampled by inverting the truncated CDF, so every draw lies in range —
-/// there is no rejection loop.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedPareto {
-    min: f64,
-    max: f64,
-    alpha: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto on `[min, max]` with tail index `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < min < max` and `alpha > 0`.
-    pub fn new(min: f64, max: f64, alpha: f64) -> Self {
-        assert!(min > 0.0 && min < max, "invalid bounds [{min}, {max}]");
-        assert!(alpha > 0.0, "alpha must be positive");
-        BoundedPareto { min, max, alpha }
-    }
-}
-
-impl Distribution for BoundedPareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = rng.f64();
-        let la = self.min.powf(self.alpha);
-        let ha = self.max.powf(self.alpha);
-        // Inverse CDF of the truncated Pareto.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
-    }
-}
 
 /// Zipf distribution over ranks `1..=n` with exponent `s`.
 ///
@@ -154,275 +45,20 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Returns `true` if the distribution has no ranks (never true for a
-    /// constructed value; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-}
-
-impl Distribution for Zipf {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_rank(rng) as f64
-    }
-}
-
-/// Piecewise-linear empirical distribution defined by CDF points.
-///
-/// Points are `(value, cumulative_probability)` pairs with strictly
-/// increasing values and non-decreasing probabilities ending at 1.0.
-/// Sampling inverts the CDF with linear interpolation between points;
-/// values are interpolated in log space when `log_interp` is set, which
-/// suits size-like quantities spanning several orders of magnitude.
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    points: Vec<(f64, f64)>,
-    log_interp: bool,
-}
-
-impl Empirical {
-    /// Creates an empirical distribution from CDF points with linear
-    /// interpolation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the points are not a valid CDF (see type docs).
-    pub fn new(points: Vec<(f64, f64)>) -> Self {
-        Self::build(points, false)
-    }
-
-    /// Creates an empirical distribution interpolated in log-value space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the points are not a valid CDF or any value is
-    /// non-positive.
-    pub fn new_log(points: Vec<(f64, f64)>) -> Self {
-        let d = Self::build(points, true);
-        assert!(
-            d.points.iter().all(|&(v, _)| v > 0.0),
-            "log interpolation requires positive values"
-        );
-        d
-    }
-
-    fn build(points: Vec<(f64, f64)>, log_interp: bool) -> Self {
-        assert!(points.len() >= 2, "need at least two CDF points");
-        for w in points.windows(2) {
-            assert!(w[0].0 < w[1].0, "values must be strictly increasing");
-            assert!(w[0].1 <= w[1].1, "probabilities must be non-decreasing");
-        }
-        let first = points.first().expect("non-empty");
-        let last = points.last().expect("non-empty");
-        assert!(first.1 >= 0.0, "first probability must be >= 0");
-        assert!(
-            (last.1 - 1.0).abs() < 1e-9,
-            "last probability must be 1.0, got {}",
-            last.1
-        );
-        Empirical { points, log_interp }
-    }
-
-    /// Evaluates the CDF at `x` (fraction of mass at or below `x`).
-    pub fn cdf(&self, x: f64) -> f64 {
-        let pts = &self.points;
-        if x <= pts[0].0 {
-            return if x < pts[0].0 { 0.0 } else { pts[0].1 };
-        }
-        if x >= pts[pts.len() - 1].0 {
-            return 1.0;
-        }
-        let i = pts.partition_point(|&(v, _)| v <= x);
-        let (x0, p0) = pts[i - 1];
-        let (x1, p1) = pts[i];
-        let t = if self.log_interp {
-            (x.ln() - x0.ln()) / (x1.ln() - x0.ln())
-        } else {
-            (x - x0) / (x1 - x0)
-        };
-        p0 + t * (p1 - p0)
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = rng.f64();
-        let pts = &self.points;
-        if u <= pts[0].1 {
-            return pts[0].0;
-        }
-        let i = pts.partition_point(|&(_, p)| p < u);
-        let i = i.clamp(1, pts.len() - 1);
-        let (x0, p0) = pts[i - 1];
-        let (x1, p1) = pts[i];
-        if p1 <= p0 {
-            return x1;
-        }
-        let t = (u - p0) / (p1 - p0);
-        if self.log_interp {
-            (x0.ln() + t * (x1.ln() - x0.ln())).exp()
-        } else {
-            x0 + t * (x1 - x0)
-        }
-    }
-}
-
-/// A weighted mixture of component distributions.
-pub struct Mixture {
-    components: Vec<(f64, Box<dyn Distribution + Send + Sync>)>,
-    weights: Vec<f64>,
-}
-
-impl Mixture {
-    /// Creates a mixture from `(weight, component)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty or if weights do not have a positive sum.
-    pub fn new(components: Vec<(f64, Box<dyn Distribution + Send + Sync>)>) -> Self {
-        assert!(!components.is_empty(), "empty mixture");
-        let weights: Vec<f64> = components.iter().map(|(w, _)| *w).collect();
-        assert!(
-            weights.iter().sum::<f64>() > 0.0 && weights.iter().all(|&w| w >= 0.0),
-            "weights must be non-negative with positive sum"
-        );
-        Mixture {
-            components,
-            weights,
-        }
-    }
-}
-
-impl std::fmt::Debug for Mixture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mixture")
-            .field("weights", &self.weights)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Distribution for Mixture {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let i = rng.pick_weighted(&self.weights);
-        self.components[i].1.sample(rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rng() -> SimRng {
-        SimRng::seed_from_u64(0xDEC0DE)
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let d = Exponential::new(5.0);
-        let mut r = rng();
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn lognormal_median() {
-        let d = LogNormal::from_median(4096.0, 1.5);
-        let mut r = rng();
-        let mut v: Vec<f64> = (0..50_001).map(|_| d.sample(&mut r)).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        let median = v[25_000];
-        assert!(
-            (median / 4096.0 - 1.0).abs() < 0.1,
-            "median {median} vs 4096"
-        );
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let d = BoundedPareto::new(1e5, 2e7, 1.1);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((1e5..=2e7).contains(&x), "sample {x}");
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_is_heavy_tailed() {
-        let d = BoundedPareto::new(1.0, 1e6, 1.0);
-        let mut r = rng();
-        let n = 100_000;
-        let big = (0..n).filter(|_| d.sample(&mut r) > 1e3).count();
-        // P(X > 1e3) for alpha=1 truncated at 1e6 is about 1e-3 relative
-        // to the untruncated tail; just check the tail exists but is small.
-        let frac = big as f64 / n as f64;
-        assert!(frac > 0.0001 && frac < 0.01, "tail fraction {frac}");
-    }
-
     #[test]
     fn zipf_head_dominates() {
         let z = Zipf::new(1000, 1.0);
-        let mut r = rng();
+        let mut r = SimRng::seed_from_u64(0xDEC0DE);
         let n = 100_000;
         let head = (0..n).filter(|_| z.sample_rank(&mut r) < 10).count();
         let frac = head as f64 / n as f64;
         // With s=1 and n=1000, the top 10 ranks carry ~39% of the mass.
         assert!((0.35..0.45).contains(&frac), "head fraction {frac}");
-    }
-
-    #[test]
-    fn empirical_inverts_cdf() {
-        let d = Empirical::new(vec![(0.0, 0.0), (10.0, 0.5), (100.0, 1.0)]);
-        let mut r = rng();
-        let n = 100_000;
-        let below10 = (0..n).filter(|_| d.sample(&mut r) <= 10.0).count();
-        let frac = below10 as f64 / n as f64;
-        assert!((0.48..0.52).contains(&frac), "fraction below 10: {frac}");
-    }
-
-    #[test]
-    fn empirical_cdf_evaluation() {
-        let d = Empirical::new(vec![(0.0, 0.0), (10.0, 0.5), (100.0, 1.0)]);
-        assert_eq!(d.cdf(-1.0), 0.0);
-        assert!((d.cdf(5.0) - 0.25).abs() < 1e-12);
-        assert!((d.cdf(10.0) - 0.5).abs() < 1e-12);
-        assert_eq!(d.cdf(1000.0), 1.0);
-    }
-
-    #[test]
-    fn empirical_log_spans_orders_of_magnitude() {
-        let d = Empirical::new_log(vec![(1e3, 0.0), (1e4, 0.8), (1e7, 1.0)]);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((1e3..=1e7).contains(&x), "sample {x}");
-        }
-    }
-
-    #[test]
-    fn mixture_respects_weights() {
-        let m = Mixture::new(vec![
-            (0.9, Box::new(Exponential::new(1.0))),
-            (0.1, Box::new(Exponential::new(1_000.0))),
-        ]);
-        let mut r = rng();
-        let n = 100_000;
-        let big = (0..n).filter(|_| m.sample(&mut r) > 50.0).count();
-        let frac = big as f64 / n as f64;
-        // Essentially only tail-component draws exceed 50.
-        assert!((0.07..0.13).contains(&frac), "tail fraction {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "values must be strictly increasing")]
-    fn empirical_rejects_unsorted() {
-        let _ = Empirical::new(vec![(5.0, 0.0), (1.0, 1.0)]);
     }
 }

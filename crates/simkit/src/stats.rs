@@ -2,7 +2,8 @@
 //!
 //! * [`Summary`] — Welford's online mean/variance, the workhorse behind
 //!   every "value (standard deviation)" cell in the paper's tables.
-//! * [`Histogram`] — log-spaced bins for latency- and size-like data.
+//! * [`LogHistogram`] — integer log-bucketed histograms for the
+//!   observability layer's simulated latencies.
 //! * [`WeightedCdf`] — an exact weighted cumulative distribution, used for
 //!   the figures (each figure in the paper is a CDF weighted either by
 //!   count or by bytes).
@@ -111,83 +112,6 @@ impl Summary {
 impl fmt::Display for Summary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2} ({:.2})", self.mean(), self.stddev())
-    }
-}
-
-/// A histogram with logarithmically spaced bins.
-///
-/// Bin `i` covers `[base * ratio^i, base * ratio^(i+1))`; an underflow bin
-/// catches values below `base`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    base: f64,
-    log_ratio: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram starting at `base` with bins growing by
-    /// `ratio`, covering `bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `base > 0`, `ratio > 1`, and `bins > 0`.
-    pub fn log_spaced(base: f64, ratio: f64, bins: usize) -> Self {
-        assert!(base > 0.0 && ratio > 1.0 && bins > 0, "invalid histogram");
-        Histogram {
-            base,
-            log_ratio: ratio.ln(),
-            counts: vec![0; bins],
-            underflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.base {
-            self.underflow += 1;
-            return;
-        }
-        let bin = ((x / self.base).ln() / self.log_ratio) as usize;
-        let bin = bin.min(self.counts.len() - 1);
-        self.counts[bin] += 1;
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Returns the fraction of observations at or below `x` based on bin
-    /// boundaries (values within a bin count as below its upper edge).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut acc = self.underflow;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let upper = self.base * ((i + 1) as f64 * self.log_ratio).exp();
-            // Tolerate floating-point error in the computed bin edge.
-            if upper <= x * (1.0 + 1e-9) {
-                acc += c;
-            } else {
-                break;
-            }
-        }
-        acc as f64 / self.total as f64
-    }
-
-    /// Iterates over `(bin_lower_edge, count)` for non-empty bins.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (self.base * (i as f64 * self.log_ratio).exp(), c))
     }
 }
 
@@ -337,9 +261,10 @@ pub const LOG_HIST_BUCKETS: usize = (64 - LOG_HIST_SUB_BITS as usize + 1) * LOG_
 /// An integer log-bucketed histogram (HDR-style) for latency-like `u64`
 /// values — the observability layer records simulated microseconds.
 ///
-/// Values below [`LOG_HIST_SUB`] land in exact unit buckets; above that,
-/// each power of two is split into [`LOG_HIST_SUB`] linear sub-buckets,
-/// bounding the relative quantile error at `1/LOG_HIST_SUB` (~6%). All
+/// Values below `LOG_HIST_SUB` (`2^`[`LOG_HIST_SUB_BITS`]) land in exact
+/// unit buckets; above that, each power of two is split into
+/// `LOG_HIST_SUB` linear sub-buckets, bounding the relative quantile
+/// error at `1/LOG_HIST_SUB` (~6%). All
 /// state is integer counters, so [`LogHistogram::merge`] is exact
 /// (bucket-wise addition) and every reported quantile is a pure function
 /// of the recorded multiset: identical across runs, merge orders, and
@@ -508,16 +433,6 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Iterates non-empty buckets as `(upper_bound, count)` pairs in
-    /// increasing value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (log_bucket_upper(i), c))
-    }
 }
 
 #[cfg(test)]
@@ -577,30 +492,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!((a.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_fractions() {
-        let mut h = Histogram::log_spaced(1.0, 10.0, 8);
-        for x in [0.5, 5.0, 50.0, 500.0, 5_000.0] {
-            h.add(x);
-        }
-        assert_eq!(h.total(), 5);
-        assert!((h.fraction_below(1.0) - 0.2).abs() < 1e-12); // just the underflow
-        assert!((h.fraction_below(10.0) - 0.4).abs() < 1e-12);
-        assert!((h.fraction_below(1e6) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bins_iteration() {
-        let mut h = Histogram::log_spaced(1.0, 10.0, 4);
-        h.add(2.0);
-        h.add(3.0);
-        h.add(200.0);
-        let bins: Vec<(f64, u64)> = h.bins().collect();
-        assert_eq!(bins.len(), 2);
-        assert_eq!(bins[0].1, 2);
-        assert_eq!(bins[1].1, 1);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl SimDuration {
         SimDuration(m * 60 * 1_000_000)
     }
 
-    /// Creates a duration from an hour count.
-    pub const fn from_hours(h: u64) -> Self {
-        SimDuration(h * 3_600 * 1_000_000)
-    }
-
     /// Creates a duration from a fractional second count.
     ///
     /// Negative inputs clamp to [`SimDuration::ZERO`].
@@ -136,11 +131,6 @@ impl SimDuration {
     /// Returns the duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Returns the duration as fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60e6
     }
 
     /// Returns the duration as fractional hours.
@@ -267,7 +257,7 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimDuration::from_mins(2).as_secs(), 120);
-        assert_eq!(SimDuration::from_hours(1).as_secs(), 3600);
+        assert_eq!(SimDuration::from_mins(60).as_secs(), 3600);
     }
 
     #[test]
@@ -318,6 +308,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(250).to_string(), "250.0ms");
         assert_eq!(SimDuration::from_secs(30).to_string(), "30.00s");
         assert_eq!(SimDuration::from_mins(20).to_string(), "20.0min");
-        assert_eq!(SimDuration::from_hours(3).to_string(), "3.0h");
+        assert_eq!(SimDuration::from_mins(180).to_string(), "3.0h");
     }
 }

@@ -1,7 +1,7 @@
 //! Randomized tests for the simulation substrate, driven by the crate's
 //! own seeded `SimRng` so the suite is hermetic and reproducible offline.
 
-use sdfs_simkit::{EventQueue, SimDuration, SimRng, SimTime, Summary, WeightedCdf};
+use sdfs_simkit::{SimDuration, SimRng, SimTime, Summary, WeightedCdf};
 
 const CASES: usize = 256;
 
@@ -53,35 +53,6 @@ fn interval_index_monotone() {
         for pair in idx.windows(2) {
             assert!(pair[0] <= pair[1]);
         }
-    }
-}
-
-/// The event queue returns events in non-decreasing time order, with all
-/// payloads preserved.
-#[test]
-fn event_queue_sorts() {
-    let mut rng = SimRng::seed_from_u64(0x5349_4d04);
-    for _ in 0..CASES {
-        let n = rng.below(200) as usize;
-        let events: Vec<(u64, u32)> = (0..n)
-            .map(|_| (rng.below(1_000_000), rng.below(1000) as u32))
-            .collect();
-        let mut q = EventQueue::new();
-        for &(t, p) in &events {
-            q.push(SimTime::from_micros(t), p);
-        }
-        let mut out = Vec::new();
-        let mut last = SimTime::ZERO;
-        while let Some((t, p)) = q.pop() {
-            assert!(t >= last);
-            last = t;
-            out.push(p);
-        }
-        assert_eq!(out.len(), events.len());
-        let mut want: Vec<u32> = events.iter().map(|&(_, p)| p).collect();
-        want.sort_unstable();
-        out.sort_unstable();
-        assert_eq!(out, want);
     }
 }
 

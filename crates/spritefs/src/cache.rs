@@ -503,11 +503,6 @@ impl BlockCache {
         out.dedup();
     }
 
-    /// Age since last reference for `key` at `now` (for Table 8).
-    pub fn ref_age(&self, key: BlockKey, now: SimTime) -> Option<SimDuration> {
-        self.get(key).map(|e| now.since(e.last_ref))
-    }
-
     /// The block that has been dirty longest, with the start of its
     /// dirty episode; among blocks dirtied at that same time, the
     /// smallest key. Walks only that head cohort of the dirty list; used
@@ -772,17 +767,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         let (lru, _) = c.peek_lru().expect("non-empty");
         assert_eq!(lru, key(2, 0));
-    }
-
-    #[test]
-    fn ref_age() {
-        let mut c = BlockCache::new();
-        c.insert(key(1, 0), t(10));
-        assert_eq!(
-            c.ref_age(key(1, 0), t(70)),
-            Some(SimDuration::from_secs(60))
-        );
-        assert_eq!(c.ref_age(key(9, 9), t(70)), None);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl Client {
             last_activity: SimTime::ZERO,
         }
     }
-
-    /// Returns `true` if this client holds any open handle on `file`.
-    pub fn has_open(&self, file: FileId) -> bool {
-        self.fds.values().any(|fd| fd.file == file)
-    }
 }
 
 #[cfg(test)]
@@ -218,13 +213,12 @@ mod tests {
         let fd = FdState::new(FileId(3), OpenMode::ReadWrite, SimTime::from_secs(1), false);
         assert!(!fd.wrote());
         c.fds.insert(Handle(1), fd);
-        assert!(c.has_open(FileId(3)));
-        assert!(!c.has_open(FileId(4)));
+        assert!(c.fds.contains_key(&Handle(1)));
         let st = c.fds.get_mut(&Handle(1)).expect("fd present");
         st.total_written = 10;
         assert!(st.wrote());
         c.fds.remove(&Handle(1));
-        assert!(!c.has_open(FileId(3)));
+        assert!(c.fds.is_empty());
     }
 
     #[test]

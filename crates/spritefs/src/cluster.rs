@@ -21,7 +21,7 @@ use crate::client::{Client, FdState, ProcState};
 use crate::config::{Config, ConsistencyPolicy, FaultPlan};
 use crate::fs::{assign_server, FileTable};
 use crate::metrics::{
-    cache as mc, clean, consist, fault, mig, raw, replace, restart, srv, SanitizerStats,
+    cache as mc, clean, consist, fault, implicit, mig, raw, replace, restart, srv, SanitizerStats,
 };
 use crate::obs::{Obs, ObsEventKind, ObsReport, SpanKind};
 use crate::ops::{AppOp, OpKind};
@@ -321,8 +321,6 @@ pub struct Cluster<S: TraceSink> {
     now: SimTime,
     next_tick: SimTime,
     next_sample: SimTime,
-    /// Count of operations applied (for sanity checks and progress).
-    ops_applied: u64,
     /// Scratch buffer reused by the write-back daemon's per-client scan
     /// (and by the other whole-client dirty-file walks).
     daemon_files: Vec<FileId>,
@@ -363,7 +361,7 @@ impl<S: TraceSink> Cluster<S> {
                     ClientId(i),
                     cfg.client_mem(i),
                     cfg.reserved_bytes,
-                    cfg.page_size,
+                    cfg.block_size,
                     cfg.vm_preference_window,
                     cfg.code_retention,
                 )
@@ -397,7 +395,6 @@ impl<S: TraceSink> Cluster<S> {
             now: SimTime::ZERO,
             next_tick,
             next_sample,
-            ops_applied: 0,
             daemon_files: Vec::new(),
             scratch_clients: Vec::new(),
             san,
@@ -432,11 +429,6 @@ impl<S: TraceSink> Cluster<S> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of operations applied so far.
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied
     }
 
     /// The configuration in force.
@@ -525,34 +517,6 @@ impl<S: TraceSink> Cluster<S> {
     /// Table 4 methodology screens such reboots out of the size-change
     /// statistics, so the sampler marks the next interval inactive.
     pub fn crash_client(&mut self, client: ClientId) -> u64 {
-        self.restart_client(client, true)
-    }
-
-    /// Reboots a client workstation in an orderly fashion: all dirty
-    /// data is flushed to the server first, then the machine restarts
-    /// with cold caches and empty fd/process tables. Nothing is lost
-    /// (the return value is the lost-byte count, always zero here) and
-    /// the crash counters do not move — only `reboot.count` does.
-    pub fn reboot_client(&mut self, client: ClientId) -> u64 {
-        let ci = client.raw() as usize;
-        assert!(ci < self.clients.len(), "unknown client {client}");
-        let mut files = std::mem::take(&mut self.daemon_files);
-        self.clients[ci]
-            .cache
-            .files_with_dirty_before_into(SimTime::MAX, &mut files);
-        for &file in &files {
-            self.flush_file(ci, file, CleanReason::Fsync);
-        }
-        files.clear();
-        self.daemon_files = files;
-        self.clients[ci].metrics.counters.bump(restart::REBOOT_COUNT);
-        self.restart_client(client, false)
-    }
-
-    /// Shared crash/reboot tail: cached blocks vanish (dirty ones are
-    /// *lost* if `crash`), server-side state for the machine is torn
-    /// down, and the client restarts cold. Returns lost dirty bytes.
-    fn restart_client(&mut self, client: ClientId, crash: bool) -> u64 {
         let ci = client.raw() as usize;
         assert!(ci < self.clients.len(), "unknown client {client}");
         let mut lost = 0u64;
@@ -579,15 +543,11 @@ impl<S: TraceSink> Cluster<S> {
             }
             self.invalidate_file(ci, file, false);
         }
-        if crash {
-            self.clients[ci]
-                .metrics
-                .counters
-                .add(restart::CRASH_LOST_BYTES, lost);
-            self.clients[ci].metrics.counters.bump(restart::CRASH_COUNT);
-        } else {
-            debug_assert_eq!(lost, 0, "orderly reboot flushed everything first");
-        }
+        self.clients[ci]
+            .metrics
+            .counters
+            .add(restart::CRASH_LOST_BYTES, lost);
+        self.clients[ci].metrics.counters.bump(restart::CRASH_COUNT);
         // Server-side cleanup: the crashed client's opens disappear and
         // its consistency state is forgotten.
         for server in &mut self.servers {
@@ -627,7 +587,7 @@ impl<S: TraceSink> Cluster<S> {
             client,
             mem_bytes,
             self.cfg.reserved_bytes,
-            self.cfg.page_size,
+            self.cfg.block_size,
             self.cfg.vm_preference_window,
             self.cfg.code_retention,
         );
@@ -1433,7 +1393,7 @@ impl<S: TraceSink> Cluster<S> {
             // zero default must not look like activity at time zero.
             let last = self.clients[ci].last_activity;
             let active = last > SimTime::ZERO && now.since(last) <= period;
-            let bytes = self.clients[ci].cache_bytes(self.cfg.page_size);
+            let bytes = self.clients[ci].cache_bytes(self.cfg.block_size);
             self.clients[ci].metrics.sample(now, bytes, active);
         }
         if let Some(san) = self.san.as_deref_mut() {
@@ -1450,7 +1410,6 @@ impl<S: TraceSink> Cluster<S> {
         debug_assert!(op.time >= self.now, "operations must arrive in order");
         self.advance_to(op.time);
         self.now = op.time;
-        self.ops_applied += 1;
         let ci = op.client.raw() as usize;
         assert!(ci < self.clients.len(), "unknown client {}", op.client);
         self.clients[ci].last_activity = op.time;
@@ -1513,7 +1472,7 @@ impl<S: TraceSink> Cluster<S> {
             // (the workload should always create first).
             let server = assign_server(file, self.cfg.num_servers);
             self.files.create(file, server, false, self.now);
-            self.counters(ci).bump("implicit.creates");
+            self.counters(ci).bump(implicit::CREATES);
         }
         let meta = self.files.get_mut(file).expect("file exists");
         let server_id = meta.server;
@@ -2169,7 +2128,7 @@ impl<S: TraceSink> Cluster<S> {
         let meta = self.files.get(exec).expect("exec exists");
         let si = meta.server.raw() as usize;
         let now = self.now;
-        let ps = self.cfg.page_size;
+        let ps = self.cfg.block_size;
         let code_pages = code_bytes.div_ceil(ps);
         // Data pages include the heap/stack the process will grow to;
         // only the initialized-data portion is faulted from the file.
@@ -3910,21 +3869,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ops_applied_counts() {
-        let mut cl = cluster();
-        assert_eq!(cl.ops_applied(), 0);
-        cl.apply(&op(
-            1,
-            0,
-            OpKind::Create {
-                file: FileId(0),
-                is_dir: false,
-            },
-        ));
-        assert_eq!(cl.ops_applied(), 1);
-    }
-
     /// Cross-client sequential write sharing: client 1 caches a block,
     /// client 0 rewrites the file, client 1 rereads. Exercises the
     /// version-stamp invalidation and dirty-data recall paths.
@@ -4221,46 +4165,5 @@ mod tests {
         assert!(total(fault::SRV_RECOVERIES) == 1, "the reboot fired");
         assert!(total(fault::RETRANS_MSGS) > 0, "message drops happened");
         assert!(total(fault::STALL_US) > 0, "retries cost time");
-    }
-
-    #[test]
-    fn reboot_client_flushes_then_restarts_cold() {
-        let mut cl = cluster();
-        cl.apply(&op(
-            1,
-            0,
-            OpKind::Create {
-                file: FileId(0),
-                is_dir: false,
-            },
-        ));
-        cl.apply(&op(
-            1,
-            0,
-            OpKind::Open {
-                fd: Handle(1),
-                file: FileId(0),
-                mode: OpenMode::Write,
-            },
-        ));
-        cl.apply(&op(
-            2,
-            0,
-            OpKind::Write {
-                fd: Handle(1),
-                len: 10_000,
-            },
-        ));
-        assert_eq!(cl.dirty_exposure(ClientId(0)), 10_000);
-        let lost = cl.reboot_client(ClientId(0));
-        assert_eq!(lost, 0, "an orderly reboot loses nothing");
-        let c = counters(&cl, 0);
-        assert_eq!(c.get(mc::WRITEBACK_BYTES), 10_000, "flushed on the way down");
-        assert_eq!(c.get(restart::REBOOT_COUNT), 1);
-        assert_eq!(c.get(restart::CRASH_COUNT), 0);
-        assert_eq!(c.get(restart::CRASH_LOST_BYTES), 0);
-        assert_eq!(cl.clients()[0].cache.len(), 0, "cold cache");
-        assert!(cl.clients()[0].fds.is_empty(), "fd table gone");
-        assert_eq!(cl.dirty_exposure(ClientId(0)), 0);
     }
 }

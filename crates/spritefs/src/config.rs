@@ -200,10 +200,10 @@ impl FaultPlan {
 /// Full cluster configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// File cache block size in bytes (Sprite used 4 Kbytes).
+    /// File cache block size in bytes (Sprite used 4 Kbytes). It is
+    /// also the virtual-memory page size: the file cache and VM trade
+    /// pages 1:1.
     pub block_size: u64,
-    /// Virtual memory page size in bytes (also 4 Kbytes).
-    pub page_size: u64,
     /// Number of diskless client workstations.
     pub num_clients: u16,
     /// Number of file servers.
@@ -266,7 +266,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             block_size: 4096,
-            page_size: 4096,
             num_clients: 36,
             num_servers: 4,
             client_mem_bytes: 24 << 20,
@@ -324,11 +323,6 @@ impl Config {
         }
     }
 
-    /// Number of whole blocks in `bytes`.
-    pub fn blocks_in(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.block_size)
-    }
-
     /// Validates internal consistency, returning a description of the
     /// first problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -337,9 +331,6 @@ impl Config {
                 "block_size {} must be a power of two",
                 self.block_size
             ));
-        }
-        if self.page_size != self.block_size {
-            return Err("page_size must equal block_size (pages trade 1:1)".into());
         }
         if self.num_clients == 0 {
             return Err("need at least one client".into());
@@ -449,15 +440,6 @@ mod tests {
         assert_eq!(c.client_mem(0), 24 << 20);
         assert_eq!(c.client_mem(1), 24 << 20);
         assert_eq!(c.client_mem(2), 32 << 20);
-    }
-
-    #[test]
-    fn block_math() {
-        let c = Config::default();
-        assert_eq!(c.blocks_in(0), 0);
-        assert_eq!(c.blocks_in(1), 1);
-        assert_eq!(c.blocks_in(4096), 1);
-        assert_eq!(c.blocks_in(4097), 2);
     }
 
     #[test]

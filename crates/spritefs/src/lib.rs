@@ -49,4 +49,4 @@ pub use cluster::{Cluster, TraceSink, VecSink};
 pub use config::{Config, ConsistencyPolicy, FaultPlan, Partition, ServerOutage};
 pub use metrics::SanitizerStats;
 pub use obs::{Obs, ObsEventKind, ObsReport, SpanKind};
-pub use ops::{AppOp, OpKind, PageClass};
+pub use ops::{AppOp, OpKind};

@@ -99,6 +99,28 @@ pub mod srv {
     pub const SHARED_WRITE: &str = "srv.shared.write.bytes";
     /// Directory bytes read from servers.
     pub const DIR_READ: &str = "srv.dir.read.bytes";
+    /// The prefix every name above shares: summing it gives a client's
+    /// total server traffic.
+    pub const PREFIX: &str = "srv.";
+}
+
+/// Counter names kept by each file server for its own cache and disk.
+pub mod server {
+    /// Block bytes served to client reads.
+    pub const READ_BYTES: &str = "server.read.bytes";
+    /// Client block reads that hit in the server cache.
+    pub const CACHE_READ_HIT: &str = "server.cache.read.hit";
+    /// Client block reads that missed the server cache.
+    pub const CACHE_READ_MISS: &str = "server.cache.read.miss";
+    /// Bytes read from disk to fill server-cache misses.
+    pub const DISK_READ_BYTES: &str = "server.disk.read.bytes";
+    /// Block bytes written back by clients into the server cache.
+    pub const WRITE_BYTES: &str = "server.write.bytes";
+    /// Dirty server-cache bytes written to disk (delayed write or
+    /// eviction).
+    pub const DISK_WRITE_BYTES: &str = "server.disk.write.bytes";
+    /// Blocks evicted from the server cache.
+    pub const CACHE_EVICTIONS: &str = "server.cache.evictions";
 }
 
 /// Counter names for cache block replacement — Table 8.
@@ -227,14 +249,19 @@ pub mod fault {
     pub const NVRAM_SAVED_BYTES: &str = "fault.nvram.saved.bytes";
 }
 
-/// Counter names for client restarts (crash vs. orderly reboot).
+/// Counter name for opens of files the workload never created.
+pub mod implicit {
+    /// Opens of an unknown file, which the simulator treats as creating
+    /// it (the workload should always create first).
+    pub const CREATES: &str = "implicit.creates";
+}
+
+/// Counter names for client crashes.
 pub mod restart {
     /// Dirty client-cache bytes destroyed by a client crash.
     pub const CRASH_LOST_BYTES: &str = "crash.lost.bytes";
     /// Client crash events.
     pub const CRASH_COUNT: &str = "crash.count";
-    /// Orderly client reboots (dirty data flushed, then cold cache).
-    pub const REBOOT_COUNT: &str = "reboot.count";
 }
 
 /// Self-measurement bookkeeping names used by the sdfs-obs layer.
@@ -426,6 +453,13 @@ mod tests {
             srv::SHARED_READ,
             srv::SHARED_WRITE,
             srv::DIR_READ,
+            server::READ_BYTES,
+            server::CACHE_READ_HIT,
+            server::CACHE_READ_MISS,
+            server::DISK_READ_BYTES,
+            server::WRITE_BYTES,
+            server::DISK_WRITE_BYTES,
+            server::CACHE_EVICTIONS,
             replace::FILE_BLOCKS,
             replace::VM_BLOCKS,
             replace::FILE_AGE_US,
@@ -474,9 +508,9 @@ mod tests {
             fault::HEAL_REREGISTERS,
             fault::HEAL_REOPENS,
             fault::NVRAM_SAVED_BYTES,
+            implicit::CREATES,
             restart::CRASH_LOST_BYTES,
             restart::CRASH_COUNT,
-            restart::REBOOT_COUNT,
             obs::EVENTS_RECORDED,
             obs::SPAN_FILE_OPEN,
             obs::SPAN_STALL,

@@ -8,21 +8,6 @@
 use sdfs_simkit::SimTime;
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, UserId};
 
-/// The class of a virtual-memory page, per Section 5.3 of the paper.
-///
-/// Code and unmodified initialized data page *from the executable file*
-/// (and may hit the client file cache); modified data and stack pages
-/// page *to and from backing files*, which are never cached on clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PageClass {
-    /// Read-only program text.
-    Code,
-    /// Initialized data not yet modified (copied from the executable).
-    InitData,
-    /// Modified data or stack, backed by a backing file.
-    Backing,
-}
-
 /// One application-level operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppOp {

@@ -14,6 +14,7 @@ use sdfs_simkit::{CounterSet, SimTime};
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, ServerId};
 
 use crate::cache::{BlockCache, BlockKey};
+use crate::metrics::server as names;
 
 /// One client's open of a file, as the server sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,13 +231,13 @@ impl Server {
     /// server-cache hit — the observability layer uses this to decide
     /// whether the RPC's modeled latency includes a disk access.
     pub fn serve_read(&mut self, key: BlockKey, block_bytes: u64, now: SimTime) -> bool {
-        self.counters.add("server.read.bytes", block_bytes);
+        self.counters.add(names::READ_BYTES, block_bytes);
         if self.cache.touch(key, now) {
-            self.counters.bump("server.cache.read.hit");
+            self.counters.bump(names::CACHE_READ_HIT);
             true
         } else {
-            self.counters.bump("server.cache.read.miss");
-            self.counters.add("server.disk.read.bytes", block_bytes);
+            self.counters.bump(names::CACHE_READ_MISS);
+            self.counters.add(names::DISK_READ_BYTES, block_bytes);
             self.cache.insert(key, now);
             self.evict_past_capacity();
             false
@@ -246,7 +247,7 @@ impl Server {
     /// Accepts a block write from a client into the server cache (the
     /// server itself uses a 30-second delayed write to disk).
     pub fn accept_write(&mut self, key: BlockKey, block_bytes: u64, now: SimTime) {
-        self.counters.add("server.write.bytes", block_bytes);
+        self.counters.add(names::WRITE_BYTES, block_bytes);
         self.cache.insert_dirty(key, now, block_bytes);
         self.evict_past_capacity();
     }
@@ -257,13 +258,12 @@ impl Server {
         while self.cache.len() as u64 > self.capacity_blocks {
             if let Some((evicted, entry)) = self.cache.pop_lru() {
                 if entry.dirty {
-                    self.counters
-                        .add("server.disk.write.bytes", self.block_size);
+                    self.counters.add(names::DISK_WRITE_BYTES, self.block_size);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(evicted);
                     }
                 }
-                self.counters.bump("server.cache.evictions");
+                self.counters.bump(names::CACHE_EVICTIONS);
             } else {
                 break;
             }
@@ -281,8 +281,7 @@ impl Server {
             for &index in &blocks {
                 let key = BlockKey { file, index };
                 if self.cache.clean(key).is_some() {
-                    self.counters
-                        .add("server.disk.write.bytes", self.block_size);
+                    self.counters.add(names::DISK_WRITE_BYTES, self.block_size);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(key);
                     }

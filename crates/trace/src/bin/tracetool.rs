@@ -11,7 +11,12 @@
 //! This is the workflow the paper describes in Section 3: per-server
 //! trace files are merged into one ordered list, and records produced by
 //! the tracing itself or the nightly backup are scrubbed by user id.
+//!
+//! Everything printed on stdout goes through one buffered writer. When
+//! the reader goes away early (`tracetool dump t.bin | head`), the
+//! command stops and exits 0.
 
+use std::io::{self, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use sdfs_trace::codec::to_text_line;
@@ -19,11 +24,47 @@ use sdfs_trace::file::{read_all, TraceWriter};
 use sdfs_trace::merge::{Merge, Scrub};
 use sdfs_trace::{TraceReader, TraceStats, UserId};
 
+/// Why a command stopped early.
+enum Error {
+    /// Bad arguments, or a trace file that cannot be read or written.
+    Msg(String),
+    /// Writing stdout failed.
+    Stdout(io::Error),
+}
+
+impl From<String> for Error {
+    fn from(msg: String) -> Self {
+        Error::Msg(msg)
+    }
+}
+
+impl From<&str> for Error {
+    fn from(msg: &str) -> Self {
+        Error::Msg(msg.to_string())
+    }
+}
+
+/// Only stdout writes convert implicitly: trace-file errors are mapped
+/// to [`Error::Msg`] where they occur.
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Self {
+        Error::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = BufWriter::new(io::stdout().lock());
+    let ran = run(&args, &mut out);
+    let flushed = out.flush().map_err(Error::Stdout);
+    match ran.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Error::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Error::Stdout(e)) => {
+            eprintln!("tracetool: cannot write stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Error::Msg(msg)) => {
             eprintln!("tracetool: {msg}");
             eprintln!("usage: tracetool dump|head|stats|merge|scrub <files...>");
             ExitCode::FAILURE
@@ -31,24 +72,24 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], stdout: &mut impl Write) -> Result<(), Error> {
     let cmd = args.first().ok_or("missing subcommand")?;
     match cmd.as_str() {
-        "dump" => dump(args.get(1).ok_or("dump: missing file")?, usize::MAX),
+        "dump" => dump(stdout, args.get(1).ok_or("dump: missing file")?, usize::MAX),
         "head" => {
             let n = args
                 .get(2)
                 .map(|s| s.parse().map_err(|_| "head: bad count".to_string()))
                 .transpose()?
                 .unwrap_or(20);
-            dump(args.get(1).ok_or("head: missing file")?, n)
+            dump(stdout, args.get(1).ok_or("head: missing file")?, n)
         }
         "stats" => {
             if args.len() < 2 {
                 return Err("stats: need at least one file".into());
             }
             for path in &args[1..] {
-                stats(path)?;
+                stats(stdout, path)?;
             }
             Ok(())
         }
@@ -57,7 +98,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if args.len() < 3 {
                 return Err("merge: need at least one input".into());
             }
-            merge(out, &args[2..])
+            merge(out, &args[2..]).map_err(Error::Msg)
         }
         "scrub" => {
             let out = args.get(1).ok_or("scrub: missing output")?;
@@ -67,47 +108,51 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             let users: Result<Vec<u32>, _> = args[3..].iter().map(|s| s.parse::<u32>()).collect();
             let users = users.map_err(|_| "scrub: bad user id".to_string())?;
-            scrub(out, input, &users)
+            scrub(out, input, &users).map_err(Error::Msg)
         }
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => Err(format!("unknown subcommand `{other}`").into()),
     }
 }
 
-fn dump(path: &str, limit: usize) -> Result<(), String> {
+fn dump(out: &mut impl Write, path: &str, limit: usize) -> Result<(), Error> {
     let reader = TraceReader::open(path).map_err(|e| e.to_string())?;
     for (i, rec) in reader.enumerate() {
         if i >= limit {
             break;
         }
         let rec = rec.map_err(|e| e.to_string())?;
-        println!("{}", to_text_line(&rec));
+        writeln!(out, "{}", to_text_line(&rec))?;
     }
     Ok(())
 }
 
-fn stats(path: &str) -> Result<(), String> {
+fn stats(out: &mut impl Write, path: &str) -> Result<(), Error> {
     let records = read_all(path).map_err(|e| e.to_string())?;
     let s = TraceStats::compute(records.iter());
-    println!("{path}:");
-    println!("  duration:        {:.1} h", s.duration_hours());
-    println!(
+    writeln!(out, "{path}:")?;
+    writeln!(out, "  duration:        {:.1} h", s.duration_hours())?;
+    writeln!(
+        out,
         "  users:           {} ({} with migration)",
         s.different_users, s.users_of_migration
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  MB read/written: {:.1} / {:.1}",
         s.mbytes_read_files(),
         s.mbytes_written_files()
-    );
-    println!("  MB from dirs:    {:.1}", s.mbytes_read_dirs());
-    println!(
+    )?;
+    writeln!(out, "  MB from dirs:    {:.1}", s.mbytes_read_dirs())?;
+    writeln!(
+        out,
         "  events: {} opens, {} closes, {} seeks, {} deletes, {} truncates",
         s.open_events, s.close_events, s.reposition_events, s.delete_events, s.truncate_events
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  shared: {} reads, {} writes",
         s.shared_read_events, s.shared_write_events
-    );
+    )?;
     Ok(())
 }
 

@@ -139,16 +139,6 @@ impl<R: Read> Iterator for TraceReader<R> {
     }
 }
 
-/// Writes a whole slice of records to `path` as one trace file.
-pub fn write_all<P: AsRef<Path>>(path: P, records: &[Record]) -> Result<()> {
-    let mut w = TraceWriter::create(path)?;
-    for r in records {
-        w.write(r)?;
-    }
-    w.finish()?;
-    Ok(())
-}
-
 /// Reads every record from the trace file at `path`.
 pub fn read_all<P: AsRef<Path>>(path: P) -> Result<Vec<Record>> {
     TraceReader::open(path)?.collect()
@@ -211,7 +201,11 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("t.trace");
         let records = vec![rec(1, 1), rec(3, 2)];
-        write_all(&path, &records).expect("write file");
+        let mut w = TraceWriter::create(&path).expect("create file");
+        for r in &records {
+            w.write(r).expect("write");
+        }
+        w.finish().expect("finish file");
         let back = read_all(&path).expect("read file");
         assert_eq!(back, records);
         std::fs::remove_file(&path).ok();

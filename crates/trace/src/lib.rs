@@ -10,9 +10,9 @@
 //! This crate is the Rust incarnation of that machinery:
 //!
 //! * [`Record`] / [`RecordKind`] — the event vocabulary.
-//! * [`codec`] — a compact deterministic binary encoding plus a
-//!   tab-separated text form.
-//! * [`file`] — buffered trace-file readers and writers.
+//! * [`codec`] — a compact deterministic binary encoding, plus the
+//!   tab-separated text rendering that `tracetool dump` prints.
+//! * [`mod@file`] — buffered trace-file readers and writers.
 //! * [`merge`] — k-way timestamp merge of per-server streams and the
 //!   scrub filters.
 //! * [`stats`] — the overall per-trace statistics of Table 1.

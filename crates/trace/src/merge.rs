@@ -3,7 +3,7 @@
 //! Section 3 of the paper: each of the four servers logged to its own set
 //! of trace files; the analysis merged them into one time-ordered list and
 //! removed records caused by the tracing itself and by the nightly tape
-//! backup. [`merge`] is the k-way merge; [`Scrub`] is the filter.
+//! backup. [`Merge`] is the k-way merge; [`Scrub`] is the filter.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

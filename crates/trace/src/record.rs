@@ -201,25 +201,6 @@ impl Record {
             RecordKind::DirRead { .. } => "dir_read",
         }
     }
-
-    /// Total bytes this record accounts for as *read by the application*,
-    /// zero for non-transfer records. `Close` totals already include any
-    /// pass-through (shared) reads made under this handle, so summing
-    /// closes alone gives whole-trace read volume without double counting.
-    pub fn bytes_read_at_close(&self) -> u64 {
-        match self.kind {
-            RecordKind::Close { total_read, .. } => total_read,
-            _ => 0,
-        }
-    }
-
-    /// Counterpart of [`Record::bytes_read_at_close`] for writes.
-    pub fn bytes_written_at_close(&self) -> u64 {
-        match self.kind {
-            RecordKind::Close { total_written, .. } => total_written,
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -257,30 +238,5 @@ mod tests {
         });
         assert_eq!(r.file(), FileId(9));
         assert_eq!(r.kind_name(), "delete");
-    }
-
-    #[test]
-    fn close_byte_totals() {
-        let r = rec(RecordKind::Close {
-            fd: Handle(1),
-            file: FileId(2),
-            offset: 300,
-            run_read: 100,
-            run_written: 0,
-            total_read: 300,
-            total_written: 50,
-            size: 300,
-            opened_at: SimTime::ZERO,
-        });
-        assert_eq!(r.bytes_read_at_close(), 300);
-        assert_eq!(r.bytes_written_at_close(), 50);
-        let open = rec(RecordKind::Open {
-            fd: Handle(1),
-            file: FileId(2),
-            mode: OpenMode::Read,
-            size: 300,
-            is_dir: false,
-        });
-        assert_eq!(open.bytes_read_at_close(), 0);
     }
 }

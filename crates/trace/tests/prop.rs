@@ -1,12 +1,11 @@
 //! Randomized tests for the trace format: arbitrary records must survive
-//! both encodings, and merging must preserve order and content.
+//! the binary encoding, and merging must preserve order and content.
 //!
 //! The cases are generated with the workspace's own seeded `SimRng`
 //! rather than an external property-testing crate so the suite runs
 //! hermetically offline; every failure reproduces from the fixed seed.
 
 use sdfs_simkit::{SimDuration, SimRng, SimTime};
-use sdfs_trace::codec::{from_text_line, to_text_line};
 use sdfs_trace::file::{from_bytes, to_bytes};
 use sdfs_trace::merge::merge_vecs;
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, Record, RecordKind, UserId};
@@ -117,17 +116,6 @@ fn binary_round_trip() {
         let bytes = to_bytes(&records).expect("encode");
         let back = from_bytes(&bytes).expect("decode");
         assert_eq!(back, records);
-    }
-}
-
-#[test]
-fn text_round_trip() {
-    let mut rng = SimRng::seed_from_u64(0x7261_6365_0002);
-    for _ in 0..CASES * 4 {
-        let rec = random_record(&mut rng);
-        let line = to_text_line(&rec);
-        let back = from_text_line(&line).expect("parse");
-        assert_eq!(back, rec);
     }
 }
 

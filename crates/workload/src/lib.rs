@@ -26,7 +26,6 @@ pub mod apps;
 pub mod config;
 pub mod gen;
 pub mod namespace;
-pub mod summary;
 pub mod user;
 
 pub use config::{TraceSpec, WorkloadConfig};

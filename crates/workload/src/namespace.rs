@@ -106,14 +106,6 @@ impl Namespace {
         self.set_size(file, 0);
     }
 
-    /// Marks `file` recreated with size zero.
-    pub fn mark_created(&mut self, file: FileId) {
-        if let Some(e) = self.exists.get_mut(file.raw() as usize) {
-            *e = true;
-        }
-        self.set_size(file, 0);
-    }
-
     /// The files that exist before the trace begins, for
     /// `Cluster::preload`.
     pub fn preload_list(&self) -> &[(FileId, u64, bool)] {
@@ -170,15 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_recreate() {
+    fn delete_clears_existence_and_size() {
         let mut ns = Namespace::new();
         let f = ns.alloc(42, false, false);
         assert!(ns.exists(f));
         ns.mark_deleted(f);
         assert!(!ns.exists(f));
         assert_eq!(ns.size(f), 0);
-        ns.mark_created(f);
-        assert!(ns.exists(f));
     }
 
     #[test]

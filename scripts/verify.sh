@@ -24,6 +24,9 @@ grep -q ", 0 stale" /tmp/verify_audit.txt
 echo "==> static: cargo clippy -D warnings"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+echo "==> static: cargo doc -D warnings (no broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> end-to-end: repro --quick all"
 start_ms=$(date +%s%3N)
 ./target/release/repro --quick all > /tmp/verify_report.txt

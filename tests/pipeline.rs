@@ -4,10 +4,11 @@
 use sdfs_core::access::reconstruct;
 use sdfs_core::{Study, StudyConfig};
 use sdfs_simkit::SimTime;
+use sdfs_spritefs::{Cluster, TraceSink, VecSink};
 use sdfs_trace::file::{from_bytes, to_bytes};
-use sdfs_trace::merge::Scrub;
-use sdfs_trace::{RecordKind, TraceStats};
-use sdfs_workload::TraceSpec;
+use sdfs_trace::merge::{merge_vecs, Scrub};
+use sdfs_trace::{Record, RecordKind, ServerId, TraceStats};
+use sdfs_workload::{Generator, TraceSpec};
 
 fn tiny_study() -> Study {
     let mut cfg = StudyConfig::quick();
@@ -142,4 +143,56 @@ fn cluster_time_is_monotone_through_daemons() {
     let records = study.run_trace_records(spec);
     let last = records.last().expect("records").time;
     assert!(last <= SimTime::from_secs(86_400), "trace fits in a day");
+}
+
+/// Keeps every record in emission order, besides the per-server vectors
+/// the study merges.
+struct Recording {
+    emitted: Vec<(ServerId, Record)>,
+    servers: VecSink,
+}
+
+impl TraceSink for Recording {
+    fn emit(&mut self, server: ServerId, rec: Record) {
+        self.emitted.push((server, rec.clone()));
+        self.servers.emit(server, rec);
+    }
+}
+
+/// The cluster emits records in time order across all servers, so the
+/// merged trace is the emission order with equal times grouped by
+/// server. Streaming records straight from the simulator into analysis
+/// relies on the first property.
+#[test]
+fn cluster_emits_records_in_time_order() {
+    let cfg = StudyConfig::quick();
+    for &spec in &cfg.traces {
+        let mut gen = Generator::new(cfg.workload.for_trace(spec));
+        let sink = Recording {
+            emitted: Vec::new(),
+            servers: VecSink::new(cfg.cluster.num_servers),
+        };
+        let mut cluster = Cluster::new(cfg.cluster.clone(), sink);
+        cluster.preload(&gen.preload_list());
+        cluster.run(gen.generate_day(0), SimTime::from_secs(86_400));
+        let sink = cluster.into_sink();
+        assert!(sink.emitted.len() > 1_000, "{spec:?}: too few records");
+
+        let mut server_ties_reversed = 0;
+        for w in sink.emitted.windows(2) {
+            let ((s0, r0), (s1, r1)) = (&w[0], &w[1]);
+            assert!(r0.time <= r1.time, "{spec:?}: emitted {r1:?} after {r0:?}");
+            if r0.time == r1.time && s0.raw() > s1.raw() {
+                server_ties_reversed += 1;
+            }
+        }
+        // Without such pairs the comparison below would not exercise the
+        // merge's tie-break.
+        assert!(server_ties_reversed > 0, "{spec:?}: no reversed ties");
+
+        let mut want = sink.emitted;
+        want.sort_by_key(|(server, rec)| (rec.time, server.raw()));
+        let want: Vec<Record> = want.into_iter().map(|(_, rec)| rec).collect();
+        assert_eq!(merge_vecs(sink.servers.per_server), want, "{spec:?}");
+    }
 }
