@@ -18,7 +18,8 @@
 //! alongside any study subcommand, printing its report to stderr so
 //! stdout stays byte-identical to a plain run. Anything the parser does
 //! not understand — an unknown flag, a malformed value, a zero trace or
-//! worker count — prints the usage synopsis and exits 2.
+//! worker count, a flag its subcommand does not take, `gen-trace`
+//! without OUT — prints the usage synopsis and exits 2.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -76,8 +77,8 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "selftrace",
 ];
 
-/// Flags that take no value. Subcommand-specific ones (`--json`,
-/// `--audit`) are accepted anywhere, like the global ones.
+/// Flags that take no value. `--json` and `--audit` belong to one
+/// subcommand each ([`SCOPED_FLAGS`]); the rest apply to any.
 const SWITCHES: &[&str] = &[
     "--quick",
     "--sanitize",
@@ -88,6 +89,19 @@ const SWITCHES: &[&str] = &[
 
 /// Flags that take one value.
 const VALUE_FLAGS: &[&str] = &["--traces", "--days", "--threads", "--csv", "--root"];
+
+/// The subcommands that render Figures 1-4.
+const FIGURES: &[&str] = &["figures", "fig1", "fig2", "fig3", "fig4"];
+
+/// Flags that only some subcommands take, with those subcommands.
+/// Given with any other subcommand they would do nothing, so the parser
+/// rejects them.
+const SCOPED_FLAGS: &[(&str, &[&str])] = &[
+    ("--csv", FIGURES),
+    ("--json", &["obs"]),
+    ("--audit", &["lint"]),
+    ("--root", &["lint"]),
+];
 
 /// The usage synopsis printed on any command line the parser rejects.
 fn usage() -> String {
@@ -125,7 +139,7 @@ fn usage() -> String {
 struct Cli {
     /// The subcommand (`all` when none is given).
     what: String,
-    /// `gen-trace OUT`'s output path.
+    /// `gen-trace OUT`'s output path (always set for `gen-trace`).
     out: Option<String>,
     /// The switches given (members of [`SWITCHES`]).
     switches: Vec<String>,
@@ -148,8 +162,9 @@ impl Cli {
 }
 
 /// Parses the command line, rejecting unknown flags, malformed or
-/// missing values, zero trace/worker counts, unknown subcommands, and
-/// stray positional arguments. The error is the one-line diagnostic.
+/// missing values, zero trace/worker counts, unknown subcommands, flags
+/// the subcommand does not take, a missing `gen-trace` OUT, and stray
+/// positional arguments. The error is the one-line diagnostic.
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let count = |flag: &str, v: &str| match v.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
@@ -209,8 +224,18 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if !KNOWN_SUBCOMMANDS.contains(&cli.what.as_str()) {
         return Err(format!("unknown subcommand `{}`", cli.what));
     }
+    // A value never starts with `--`, so any argument equal to a flag is
+    // that flag.
+    for &(flag, takers) in SCOPED_FLAGS {
+        if args.iter().any(|a| a == flag) && !takers.contains(&cli.what.as_str()) {
+            return Err(format!("`{flag}` does not apply to `{}`", cli.what));
+        }
+    }
     if cli.what == "gen-trace" {
-        cli.out = positional.next().cloned();
+        let out = positional
+            .next()
+            .ok_or("`gen-trace` requires an output path OUT")?;
+        cli.out = Some(out.clone());
     }
     if let Some(extra) = positional.next() {
         return Err(format!("unexpected argument `{extra}`"));
@@ -307,14 +332,11 @@ fn main() {
 
     // Open the output paths before any simulation runs, so an
     // unwritable one fails at once rather than after the whole study.
-    let trace_out = (what == "gen-trace").then(|| {
-        let out = cli.out.clone().unwrap_or_else(|| "trace1.bin".to_string());
-        let writer =
-            sdfs_trace::TraceWriter::create(&out).unwrap_or_else(|e| cannot_write(&out, e));
+    let trace_out = cli.out.as_ref().map(|out| {
+        let writer = sdfs_trace::TraceWriter::create(out).unwrap_or_else(|e| cannot_write(out, e));
         (out, writer)
     });
-    let figures = matches!(what, "figures" | "fig1" | "fig2" | "fig3" | "fig4");
-    if let Some(dir) = cli.csv.as_ref().filter(|_| figures) {
+    if let Some(dir) = &cli.csv {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
     }
 
@@ -433,10 +455,10 @@ fn main() {
         let spec = study.config().traces[0];
         let records = study.run_trace_records(spec);
         for rec in &records {
-            writer.write(rec).unwrap_or_else(|e| cannot_write(&out, e));
+            writer.write(rec).unwrap_or_else(|e| cannot_write(out, e));
         }
         let n = writer.count();
-        writer.finish().unwrap_or_else(|e| cannot_write(&out, e));
+        writer.finish().unwrap_or_else(|e| cannot_write(out, e));
         eprintln!("wrote {n} records to {out}");
         return;
     }
@@ -444,7 +466,7 @@ fn main() {
     if what == "latency" {
         let data = study.run_counters();
         let secs = study.config().counter_days as f64 * 86_400.0;
-        let report = latency_report(&study.config().cluster, &data.total, secs);
+        let report = latency_report(&data.total, secs);
         println!("{}", report.render());
         return;
     }
@@ -493,7 +515,7 @@ fn main() {
             report::render_cache_tables(&results)
         }
         "table10" | "table11" | "table12" => report::render_consistency_tables(&results),
-        _ if figures => {
+        _ if FIGURES.contains(&what) => {
             let mut s = report::render_figure_checkpoints(&mut results.traces);
             if let Some(dir) = &cli.csv {
                 for (i, t) in results.traces.iter_mut().enumerate() {

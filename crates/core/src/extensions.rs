@@ -37,8 +37,6 @@ pub fn crash_exposure_ablation(base: &StudyConfig, delays_secs: &[u64]) -> Vec<C
         .map(|&delay| {
             let mut cfg = base.clone();
             cfg.cluster.writeback_delay = SimDuration::from_secs(delay);
-            cfg.cluster.daemon_period =
-                SimDuration::from_secs(cfg.cluster.daemon_period.as_secs().clamp(1, delay.max(1)));
             let mut gen = Generator::new(cfg.workload.clone());
             let mut cluster = Cluster::new(cfg.cluster.clone(), NullSink);
             cluster.preload(&gen.preload_list());

@@ -1,16 +1,16 @@
 //! Section 5.3's latency and saturation arguments, computed from the
-//! configured hardware models and the measured traffic.
+//! cluster's hardware models and the measured traffic.
 //!
 //! The paper argues against local disks for paging: fetching a 4-Kbyte
 //! page from a server's cache over the Ethernet takes 6–7 ms — already
 //! far below a local disk's 20–30 ms — and the whole cluster's paging
 //! load is a few percent of the network, so saturation is not a concern
-//! either. This module reproduces those numbers from our own config and
+//! either. This module reproduces those numbers from our own models and
 //! counters.
 
 use sdfs_simkit::CounterSet;
+use sdfs_spritefs::config::{disk_time, rpc_time, BLOCK_SIZE};
 use sdfs_spritefs::metrics::srv;
-use sdfs_spritefs::Config;
 
 /// The latency/saturation summary of Section 5.3.
 #[derive(Debug, Clone)]
@@ -32,11 +32,11 @@ pub struct LatencyReport {
 /// Raw bandwidth of the measured cluster's Ethernet (10 Mbit/s).
 pub const ETHERNET_BYTES_PER_SEC: f64 = 10_000_000.0 / 8.0;
 
-/// Computes the report from the cluster config and a counter campaign of
-/// `campaign_secs` simulated seconds.
-pub fn latency_report(cfg: &Config, totals: &CounterSet, campaign_secs: f64) -> LatencyReport {
-    let network_fetch_ms = cfg.net.rpc_time(cfg.block_size).as_secs_f64() * 1e3;
-    let local_disk_ms = cfg.disk.access_time(cfg.block_size).as_secs_f64() * 1e3;
+/// Computes the report from the cluster's latency models and a counter
+/// campaign of `campaign_secs` simulated seconds.
+pub fn latency_report(totals: &CounterSet, campaign_secs: f64) -> LatencyReport {
+    let network_fetch_ms = rpc_time(BLOCK_SIZE).as_secs_f64() * 1e3;
+    let local_disk_ms = disk_time(BLOCK_SIZE).as_secs_f64() * 1e3;
     let paging_bytes = (totals.get(srv::PAGING_READ) + totals.get(srv::PAGING_WRITE)) as f64;
     let server_bytes = [
         srv::FILE_READ,
@@ -104,13 +104,12 @@ mod tests {
 
     #[test]
     fn paper_constants_hold_for_default_config() {
-        let cfg = Config::default();
         let mut c = CounterSet::new();
         // 42 KB/s of paging for a day.
         let day = 86_400.0;
         c.add(srv::PAGING_READ, (42_000.0 * day * 0.6) as u64);
         c.add(srv::PAGING_WRITE, (42_000.0 * day * 0.4) as u64);
-        let r = latency_report(&cfg, &c, day);
+        let r = latency_report(&c, day);
         assert!(
             (6.0..7.5).contains(&r.network_fetch_ms),
             "{}",
@@ -128,8 +127,7 @@ mod tests {
 
     #[test]
     fn empty_counters_are_safe() {
-        let cfg = Config::default();
-        let r = latency_report(&cfg, &CounterSet::new(), 0.0);
+        let r = latency_report(&CounterSet::new(), 0.0);
         assert_eq!(r.paging_bytes_per_sec, 0.0);
         assert!(!r.render().is_empty());
     }

@@ -20,7 +20,8 @@
 
 use sdfs_simkit::{FastMap, FastSet};
 
-use sdfs_simkit::{SimDuration, SimTime};
+use sdfs_simkit::SimTime;
+use sdfs_spritefs::config::{BLOCK_SIZE, WRITEBACK_DELAY};
 use sdfs_trace::{ClientId, FileId, Handle, Record, RecordKind};
 
 use crate::consistency::write_shared;
@@ -83,49 +84,44 @@ struct SimFile {
     reader_tokens: FastSet<ClientId>,
 }
 
-/// The simulator.
+/// The simulator, with the cluster's block size and default write-back
+/// delay ([`BLOCK_SIZE`], [`WRITEBACK_DELAY`]).
 #[derive(Debug)]
 struct Sim {
     alg: Algorithm,
-    block: u64,
-    delay: SimDuration,
     files: FastMap<FileId, SimFile>,
     result: OverheadResult,
 }
 
 impl Sim {
-    fn new(alg: Algorithm, block: u64, delay: SimDuration) -> Self {
+    fn new(alg: Algorithm) -> Self {
         Sim {
             alg,
-            block,
-            delay,
             files: FastMap::default(),
             result: OverheadResult::default(),
         }
     }
 
     fn blocks_of(&self, offset: u64, len: u64) -> std::ops::RangeInclusive<u64> {
-        let first = offset / self.block;
-        let last = (offset + len.max(1) - 1) / self.block;
+        let first = offset / BLOCK_SIZE;
+        let last = (offset + len.max(1) - 1) / BLOCK_SIZE;
         first..=last
     }
 
     /// Flush dirty blocks whose delay expired by `now`.
     fn flush_expired(&mut self, file: FileId, now: SimTime) {
-        let block = self.block;
-        let delay = self.delay;
         let Some(st) = self.files.get_mut(&file) else {
             return;
         };
         let expired: Vec<(ClientId, u64)> = st
             .dirty
             .iter()
-            .filter(|(_, &since)| now.since(since) >= delay)
+            .filter(|(_, &since)| now.since(since) >= WRITEBACK_DELAY)
             .map(|(&k, _)| k)
             .collect();
         for k in expired {
             st.dirty.remove(&k);
-            self.result.alg_bytes += block;
+            self.result.alg_bytes += BLOCK_SIZE;
             self.result.alg_rpcs += 1;
         }
     }
@@ -133,7 +129,6 @@ impl Sim {
     /// Flush every dirty block a client holds for `file`; `piggyback`
     /// folds the flush into an already-counted recall RPC.
     fn flush_client(&mut self, file: FileId, client: ClientId, piggyback: bool) {
-        let block = self.block;
         let Some(st) = self.files.get_mut(&file) else {
             return;
         };
@@ -145,7 +140,7 @@ impl Sim {
             .collect();
         for k in mine {
             st.dirty.remove(&k);
-            self.result.alg_bytes += block;
+            self.result.alg_bytes += BLOCK_SIZE;
             if !piggyback {
                 self.result.alg_rpcs += 1;
             }
@@ -218,12 +213,11 @@ impl Sim {
             self.acquire_read_token(rec.client, file);
         }
         let blocks: Vec<u64> = self.blocks_of(offset, len).collect();
-        let block = self.block;
         let st = self.files.entry(file).or_default();
         let mine = st.cached.entry(rec.client).or_default();
         for b in blocks {
             if mine.insert(b) {
-                self.result.alg_bytes += block;
+                self.result.alg_bytes += BLOCK_SIZE;
                 self.result.alg_rpcs += 1;
             }
         }
@@ -242,14 +236,13 @@ impl Sim {
             self.acquire_write_token(rec.client, file);
         }
         let blocks: Vec<u64> = self.blocks_of(offset, len).collect();
-        let block = self.block;
         let st = self.files.entry(file).or_default();
         let mine = st.cached.entry(rec.client).or_default();
         for b in blocks {
-            let whole = len >= block && offset % block == 0;
+            let whole = len >= BLOCK_SIZE && offset % BLOCK_SIZE == 0;
             if mine.insert(b) && !whole {
                 // Partial write of an uncached block: fetch it first.
-                self.result.alg_bytes += block;
+                self.result.alg_bytes += BLOCK_SIZE;
                 self.result.alg_rpcs += 1;
             }
             st.dirty.insert((rec.client, b), rec.time);
@@ -344,14 +337,10 @@ impl Sim {
     }
 }
 
-/// Runs one algorithm over a trace. Only files that ever see shared
+/// Runs one algorithm over a trace with the paper's parameters (4-Kbyte
+/// blocks, 30-second delayed writes). Only files that ever see shared
 /// events contribute (the paper's simulator scanned exactly those).
-pub fn simulate(
-    records: &[Record],
-    alg: Algorithm,
-    block_size: u64,
-    delay: SimDuration,
-) -> OverheadResult {
+pub fn simulate(records: &[Record], alg: Algorithm) -> OverheadResult {
     // First pass: which files undergo write sharing at all?
     let mut shared_files: FastSet<FileId> = FastSet::default();
     for rec in records {
@@ -362,7 +351,7 @@ pub fn simulate(
             _ => {}
         }
     }
-    let mut sim = Sim::new(alg, block_size, delay);
+    let mut sim = Sim::new(alg);
     for rec in records {
         match &rec.kind {
             RecordKind::Open { fd, file, mode, .. } if shared_files.contains(file) => {
@@ -409,11 +398,10 @@ pub struct Table12Builder {
 impl Table12Builder {
     /// Creates a builder with the paper's parameters.
     pub fn new() -> Self {
-        let delay = SimDuration::from_secs(30);
         Table12Builder {
-            sprite: Sim::new(Algorithm::Sprite, 4096, delay),
-            modified: Sim::new(Algorithm::SpriteModified, 4096, delay),
-            token: Sim::new(Algorithm::Token, 4096, delay),
+            sprite: Sim::new(Algorithm::Sprite),
+            modified: Sim::new(Algorithm::SpriteModified),
+            token: Sim::new(Algorithm::Token),
         }
     }
 
@@ -443,11 +431,10 @@ impl Default for Table12Builder {
 /// Computes Table 12 with the paper's parameters (4-Kbyte blocks,
 /// 30-second delayed writes).
 pub fn table12(records: &[Record]) -> Table12 {
-    let delay = SimDuration::from_secs(30);
     Table12 {
-        sprite: simulate(records, Algorithm::Sprite, 4096, delay),
-        modified: simulate(records, Algorithm::SpriteModified, 4096, delay),
-        token: simulate(records, Algorithm::Token, 4096, delay),
+        sprite: simulate(records, Algorithm::Sprite),
+        modified: simulate(records, Algorithm::SpriteModified),
+        token: simulate(records, Algorithm::Token),
     }
 }
 
@@ -521,12 +508,7 @@ mod tests {
 
     #[test]
     fn sprite_ratios_are_unity() {
-        let r = simulate(
-            &cws_trace(),
-            Algorithm::Sprite,
-            4096,
-            SimDuration::from_secs(30),
-        );
+        let r = simulate(&cws_trace(), Algorithm::Sprite);
         assert_eq!(r.app_events, 20);
         assert_eq!(r.app_bytes, 2_000);
         assert!((r.bytes_ratio() - 1.0).abs() < 1e-9);
@@ -537,24 +519,14 @@ mod tests {
     fn modified_matches_sprite_during_cws() {
         // All events occur during active sharing, so modified Sprite
         // behaves identically.
-        let r = simulate(
-            &cws_trace(),
-            Algorithm::SpriteModified,
-            4096,
-            SimDuration::from_secs(30),
-        );
+        let r = simulate(&cws_trace(), Algorithm::SpriteModified);
         assert!((r.bytes_ratio() - 1.0).abs() < 1e-9);
         assert!((r.rpc_ratio() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn token_amplifies_fine_grain_alternation() {
-        let r = simulate(
-            &cws_trace(),
-            Algorithm::Token,
-            4096,
-            SimDuration::from_secs(30),
-        );
+        let r = simulate(&cws_trace(), Algorithm::Token);
         // Every alternation recalls a token and moves whole blocks for
         // 100-byte requests: far more bytes than the application asked.
         assert!(r.bytes_ratio() > 2.0, "ratio {}", r.bytes_ratio());
@@ -568,7 +540,7 @@ mod tests {
         for i in 0..20u64 {
             v.push(sread(1 + i, 0, 0, 100));
         }
-        let r = simulate(&v, Algorithm::Token, 4096, SimDuration::from_secs(30));
+        let r = simulate(&v, Algorithm::Token);
         // 1 block fetch + 1 token acquire over 20 events.
         assert!(r.rpc_ratio() < 0.2, "rpc ratio {}", r.rpc_ratio());
         assert!(r.bytes_ratio() < 2.5, "bytes ratio {}", r.bytes_ratio());
@@ -582,7 +554,7 @@ mod tests {
             // Much later read by the same client triggers expiry.
             sread(100, 0, 0, 100),
         ];
-        let r = simulate(&v, Algorithm::Token, 4096, SimDuration::from_secs(30));
+        let r = simulate(&v, Algorithm::Token);
         // Whole-block write (no fetch), then one delayed flush.
         assert!(r.alg_bytes >= 4096, "flush counted: {}", r.alg_bytes);
     }
@@ -607,7 +579,7 @@ mod tests {
                 },
             ),
         ];
-        let r = simulate(&v, Algorithm::Sprite, 4096, SimDuration::from_secs(30));
+        let r = simulate(&v, Algorithm::Sprite);
         assert_eq!(r.app_events, 0);
         assert_eq!(r.alg_rpcs, 0);
     }

@@ -155,8 +155,6 @@ pub fn loss_vs_writeback_delay(
         .map(|&delay| {
             let mut cfg = base.clone();
             cfg.cluster.writeback_delay = SimDuration::from_secs(delay);
-            cfg.cluster.daemon_period =
-                SimDuration::from_secs(cfg.cluster.daemon_period.as_secs().clamp(1, delay.max(1)));
             let o = run_outage_day(&cfg, plan, false, false);
             LossVsDelay {
                 delay_secs: delay,

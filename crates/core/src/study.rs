@@ -485,8 +485,6 @@ pub fn writeback_delay_ablation(base: &StudyConfig, delays_secs: &[u64]) -> Vec<
         .map(|&d| {
             let mut cfg = base.clone();
             cfg.cluster.writeback_delay = SimDuration::from_secs(d);
-            cfg.cluster.daemon_period =
-                SimDuration::from_secs(cfg.cluster.daemon_period.as_secs().min(d.max(1)));
             cfg.counter_days = cfg.counter_days.min(2);
             let study = Study::new(cfg);
             let counters = study.run_counters();

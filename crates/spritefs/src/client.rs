@@ -11,6 +11,7 @@ use sdfs_simkit::{SimDuration, SimTime};
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid};
 
 use crate::cache::BlockCache;
+use crate::config::BLOCK_SIZE;
 use crate::metrics::MachineMetrics;
 use crate::vm::MemoryManager;
 
@@ -136,22 +137,10 @@ impl std::ops::DerefMut for Client {
 
 impl ClientData {
     /// Creates the data side with the given memory geometry.
-    pub fn new(
-        mem_bytes: u64,
-        reserved_bytes: u64,
-        page_size: u64,
-        preference: SimDuration,
-        code_retention: SimDuration,
-    ) -> Self {
+    pub fn new(mem_bytes: u64, reserved_bytes: u64) -> Self {
         ClientData {
             cache: BlockCache::new(),
-            mem: MemoryManager::new(
-                mem_bytes,
-                reserved_bytes,
-                page_size,
-                preference,
-                code_retention,
-            ),
+            mem: MemoryManager::new(mem_bytes, reserved_bytes),
             procs: FastMap::default(),
             shared_text: FastMap::default(),
             metrics: MachineMetrics::new(),
@@ -160,30 +149,17 @@ impl ClientData {
     }
 
     /// Current file cache size in bytes.
-    pub fn cache_bytes(&self, page_size: u64) -> u64 {
-        self.mem.fc_pages() * page_size
+    pub fn cache_bytes(&self) -> u64 {
+        self.mem.fc_pages() * BLOCK_SIZE
     }
 }
 
 impl Client {
     /// Creates a client with the given memory geometry.
-    pub fn new(
-        id: ClientId,
-        mem_bytes: u64,
-        reserved_bytes: u64,
-        page_size: u64,
-        preference: SimDuration,
-        code_retention: SimDuration,
-    ) -> Self {
+    pub fn new(id: ClientId, mem_bytes: u64, reserved_bytes: u64) -> Self {
         Client {
             id,
-            data: ClientData::new(
-                mem_bytes,
-                reserved_bytes,
-                page_size,
-                preference,
-                code_retention,
-            ),
+            data: ClientData::new(mem_bytes, reserved_bytes),
             fds: FastMap::default(),
             seen_version: FastMap::default(),
             last_validate: FastMap::default(),
@@ -197,14 +173,7 @@ mod tests {
     use super::*;
 
     fn client() -> Client {
-        Client::new(
-            ClientId(1),
-            24 << 20,
-            6 << 20,
-            4096,
-            SimDuration::from_mins(20),
-            SimDuration::from_mins(20),
-        )
+        Client::new(ClientId(1), 24 << 20, 6 << 20)
     }
 
     #[test]
@@ -224,9 +193,9 @@ mod tests {
     #[test]
     fn cache_bytes_follow_memory_manager() {
         let mut c = client();
-        assert_eq!(c.cache_bytes(4096), 0);
+        assert_eq!(c.cache_bytes(), 0);
         c.mem.fc_acquire(SimTime::ZERO);
         c.mem.fc_acquire(SimTime::ZERO);
-        assert_eq!(c.cache_bytes(4096), 8192);
+        assert_eq!(c.cache_bytes(), 8192);
     }
 }

@@ -18,7 +18,10 @@ use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Record, RecordKind, ServerI
 
 use crate::cache::BlockKey;
 use crate::client::{Client, FdState, ProcState};
-use crate::config::{Config, ConsistencyPolicy, FaultPlan};
+use crate::config::{
+    disk_time, retry_budget, retry_stall, rpc_time, Config, ConsistencyPolicy, FaultPlan,
+    BLOCK_SIZE, DAEMON_PERIOD, DROP_SEED, MAX_RETRIES, SAMPLE_PERIOD,
+};
 use crate::fs::{assign_server, FileTable};
 use crate::metrics::{
     cache as mc, clean, consist, fault, implicit, mig, raw, replace, restart, srv, SanitizerStats,
@@ -159,9 +162,6 @@ pub(crate) struct FaultState {
     events: Vec<FaultEvent>,
     /// Index of the next unfired event.
     next_event: usize,
-    /// Cached [`FaultPlan::retry_budget`]: the longest a client stalls
-    /// on an unresponsive server before giving up.
-    retry_budget: SimDuration,
     /// Number of servers: the stride of the per-edge vectors below
     /// (edge index = `ci * num_servers + si`).
     num_servers: usize,
@@ -229,10 +229,9 @@ impl FaultState {
         let lease_ttl = plan.lease_ttl;
         FaultState {
             plan: plan.clone(),
-            rng: SimRng::seed_from_u64(plan.drop_seed),
+            rng: SimRng::seed_from_u64(DROP_SEED),
             events,
             next_event: 0,
-            retry_budget: plan.retry_budget(),
             num_servers,
             has_partitions,
             cut: vec![0; edges],
@@ -356,19 +355,10 @@ impl<S: TraceSink> Cluster<S> {
     pub fn new(cfg: Config, sink: S) -> Self {
         cfg.validate().expect("invalid cluster configuration");
         let clients = (0..cfg.num_clients)
-            .map(|i| {
-                Client::new(
-                    ClientId(i),
-                    cfg.client_mem(i),
-                    cfg.reserved_bytes,
-                    cfg.block_size,
-                    cfg.vm_preference_window,
-                    cfg.code_retention,
-                )
-            })
+            .map(|i| Client::new(ClientId(i), cfg.client_mem(i), cfg.reserved_bytes))
             .collect();
         let mut servers: Vec<Server> = (0..cfg.num_servers)
-            .map(|i| Server::new(ServerId(i), cfg.server_cache_bytes, cfg.block_size))
+            .map(|i| Server::new(ServerId(i), cfg.server_cache_bytes))
             .collect();
         if cfg.sanitize {
             // SpriteSan needs to know which block versions reached disk
@@ -377,8 +367,8 @@ impl<S: TraceSink> Cluster<S> {
                 server.set_disk_flush_logging(true);
             }
         }
-        let next_tick = SimTime::ZERO + cfg.daemon_period;
-        let next_sample = SimTime::ZERO + cfg.sample_period;
+        let next_tick = SimTime::ZERO + DAEMON_PERIOD;
+        let next_sample = SimTime::ZERO + SAMPLE_PERIOD;
         let san = cfg.sanitize.then(|| Box::new(Sanitizer::new(&cfg)));
         let obs = cfg.observe.then(|| Box::new(Obs::new()));
         let fault = cfg
@@ -474,9 +464,9 @@ impl<S: TraceSink> Cluster<S> {
     #[inline]
     fn obs_rpc(&mut self, kind: RpcKind, bytes: u64, disk_miss: bool) {
         if let Some(obs) = self.obs.as_deref_mut() {
-            let mut lat = self.cfg.net.rpc_time(bytes);
+            let mut lat = rpc_time(bytes);
             if disk_miss {
-                lat += self.cfg.disk.access_time(bytes);
+                lat += disk_time(bytes);
             }
             obs.rpc(kind, lat);
         }
@@ -583,14 +573,7 @@ impl<S: TraceSink> Cluster<S> {
         // The client reboots: fd table, process table, and VM state are
         // re-initialized.
         let mem_bytes = self.cfg.client_mem(client.raw());
-        let fresh = Client::new(
-            client,
-            mem_bytes,
-            self.cfg.reserved_bytes,
-            self.cfg.block_size,
-            self.cfg.vm_preference_window,
-            self.cfg.code_retention,
-        );
+        let fresh = Client::new(client, mem_bytes, self.cfg.reserved_bytes);
         let old = std::mem::replace(&mut self.clients[ci], fresh);
         // Keep the accumulated metrics (counters survive in the study's
         // collector, as the real measurement infrastructure did).
@@ -778,7 +761,7 @@ impl<S: TraceSink> Cluster<S> {
         let downtime = self.now.since(self.crashed_at[si]);
         // Unit cost of one empty recovery RPC; the reborn server
         // serializes the storm, so the k-th reopen waits k+1 units.
-        let storm_unit = self.cfg.net.rpc_time(0);
+        let storm_unit = rpc_time(0);
         let mut storm = 0u64;
         let mut reopens_total = 0u64;
         let mut reregisters = 0u64;
@@ -883,10 +866,10 @@ impl<S: TraceSink> Cluster<S> {
         let mut obs = self.obs.as_deref_mut();
         if self.server_down[si] {
             let remaining = self.down_until[si].since(now);
-            let stall = remaining.min(fstate.retry_budget);
+            let stall = remaining.min(retry_budget());
             counters.bump(fault::STALLED_RPCS);
             counters.add(fault::STALL_US, stall.as_micros());
-            if remaining > fstate.retry_budget {
+            if remaining > retry_budget() {
                 counters.bump(fault::FAILED_RPCS);
                 if let Some(obs) = obs.as_deref_mut() {
                     obs.exhaust(kind);
@@ -906,10 +889,10 @@ impl<S: TraceSink> Cluster<S> {
                 // stalls, the operation itself still executes — the cost
                 // is time, not data (DESIGN.md §15).
                 let remaining = fstate.cut_until[e].since(now);
-                let stall = remaining.min(fstate.retry_budget);
+                let stall = remaining.min(retry_budget());
                 counters.bump(fault::PART_STALLED_RPCS);
                 counters.add(fault::PART_STALL_US, stall.as_micros());
-                if remaining > fstate.retry_budget {
+                if remaining > retry_budget() {
                     counters.bump(fault::PART_FAILED_RPCS);
                     if let Some(obs) = obs.as_deref_mut() {
                         obs.exhaust(kind);
@@ -927,14 +910,14 @@ impl<S: TraceSink> Cluster<S> {
         }
         if fstate.plan.drop_prob > 0.0 {
             let mut tries = 0u32;
-            while tries < fstate.plan.max_retries && fstate.rng.chance(fstate.plan.drop_prob) {
+            while tries < MAX_RETRIES && fstate.rng.chance(fstate.plan.drop_prob) {
                 tries += 1;
             }
             if tries > 0 {
-                let stall = fstate.plan.retry_stall(tries);
+                let stall = retry_stall(tries);
                 counters.add(fault::RETRANS_MSGS, u64::from(tries));
                 counters.add(fault::STALL_US, stall.as_micros());
-                if tries == fstate.plan.max_retries {
+                if tries == MAX_RETRIES {
                     counters.bump(fault::FAILED_RPCS);
                     if let Some(obs) = obs.as_deref_mut() {
                         obs.exhaust(kind);
@@ -1224,12 +1207,12 @@ impl<S: TraceSink> Cluster<S> {
                 // Semantics are unchanged — the simulator models the
                 // eventual delivery by executing the action now and
                 // charging the wait.
-                Verdict::Wait(f.cut_until[e].since(now).min(f.retry_budget))
+                Verdict::Wait(f.cut_until[e].since(now).min(retry_budget()))
             } else {
                 // Lease protocol and the target's lease lapses before
                 // the heal: wait out whatever remains of the lease,
                 // then revoke the grant unilaterally.
-                Verdict::Revoke(f.lease_until[e].since(now).min(f.retry_budget))
+                Verdict::Revoke(f.lease_until[e].since(now).min(retry_budget()))
             }
         };
         match verdict {
@@ -1350,10 +1333,10 @@ impl<S: TraceSink> Cluster<S> {
                 self.fire_fault_event();
             } else if self.next_tick <= self.next_sample {
                 self.daemon_tick(next);
-                self.next_tick = next + self.cfg.daemon_period;
+                self.next_tick = next + DAEMON_PERIOD;
             } else {
                 self.take_samples(next);
-                self.next_sample = next + self.cfg.sample_period;
+                self.next_sample = next + SAMPLE_PERIOD;
             }
         }
         self.now = self.now.max(t);
@@ -1387,13 +1370,12 @@ impl<S: TraceSink> Cluster<S> {
     }
 
     fn take_samples(&mut self, now: SimTime) {
-        let period = self.cfg.sample_period;
         for ci in 0..self.clients.len() {
             // A client that has never issued an operation is idle; the
             // zero default must not look like activity at time zero.
             let last = self.clients[ci].last_activity;
-            let active = last > SimTime::ZERO && now.since(last) <= period;
-            let bytes = self.clients[ci].cache_bytes(self.cfg.block_size);
+            let active = last > SimTime::ZERO && now.since(last) <= SAMPLE_PERIOD;
+            let bytes = self.clients[ci].cache_bytes();
             self.clients[ci].metrics.sample(now, bytes, active);
         }
         if let Some(san) = self.san.as_deref_mut() {
@@ -1910,8 +1892,7 @@ impl<S: TraceSink> Cluster<S> {
             count_rpc(&mut self.servers[si].counters, RpcKind::SharedWrite, len);
             self.obs_rpc(RpcKind::SharedWrite, len, false);
             if let Some(san) = self.san.as_deref_mut() {
-                let bs = self.cfg.block_size;
-                for index in offset / bs..=(offset + len - 1) / bs {
+                for index in offset / BLOCK_SIZE..=(offset + len - 1) / BLOCK_SIZE {
                     san.on_server_write(BlockKey { file, index });
                 }
             }
@@ -2128,11 +2109,10 @@ impl<S: TraceSink> Cluster<S> {
         let meta = self.files.get(exec).expect("exec exists");
         let si = meta.server.raw() as usize;
         let now = self.now;
-        let ps = self.cfg.block_size;
-        let code_pages = code_bytes.div_ceil(ps);
+        let code_pages = code_bytes.div_ceil(BLOCK_SIZE);
         // Data pages include the heap/stack the process will grow to;
         // only the initialized-data portion is faulted from the file.
-        let data_pages = (data_bytes + heap_bytes).div_ceil(ps).max(1);
+        let data_pages = (data_bytes + heap_bytes).div_ceil(BLOCK_SIZE).max(1);
 
         // Shared program text: if another instance of this program is
         // already running here, its code pages are shared — no code
@@ -2167,7 +2147,7 @@ impl<S: TraceSink> Cluster<S> {
         // faults (recompilation can leave new code there) but does not
         // *install* code blocks in the file cache on a miss; a cached
         // code block is released after its contents are copied to VM.
-        let code_fault_bytes = fault_code_pages * ps;
+        let code_fault_bytes = fault_code_pages * BLOCK_SIZE;
         if code_fault_bytes > 0 {
             self.counters(ci)
                 .add(raw::PAGING_CODE_READ, code_fault_bytes);
@@ -2192,14 +2172,14 @@ impl<S: TraceSink> Cluster<S> {
                 {
                     let c = self.counters(ci);
                     c.bump(mc::PAGING_READ_MISS_OPS);
-                    c.add(srv::PAGING_READ, ps);
-                    count_rpc(c, RpcKind::PageIn, ps);
+                    c.add(srv::PAGING_READ, BLOCK_SIZE);
+                    count_rpc(c, RpcKind::PageIn, BLOCK_SIZE);
                     if op.migrated {
                         c.bump(mig::PAGING_READ_MISS_OPS);
                     }
                 }
-                let srv_hit = self.servers[si].serve_read(key, ps, now);
-                self.obs_rpc(RpcKind::PageIn, ps, !srv_hit);
+                let srv_hit = self.servers[si].serve_read(key, now);
+                self.obs_rpc(RpcKind::PageIn, BLOCK_SIZE, !srv_hit);
                 self.insert_block(ci, key);
                 if let Some(san) = self.san.as_deref_mut() {
                     let inserted = self.clients[ci].cache.contains(key);
@@ -2264,7 +2244,6 @@ impl<S: TraceSink> Cluster<S> {
         }
         let meta = self.files.get_mut(file).expect("backing file exists");
         let si = meta.server.raw() as usize;
-        let bs = self.cfg.block_size;
         if read {
             self.fault_rpc(ci, si, RpcKind::PageIn);
             let c = self.counters(ci);
@@ -2273,8 +2252,8 @@ impl<S: TraceSink> Cluster<S> {
             count_rpc(c, RpcKind::PageIn, bytes);
             count_rpc(&mut self.servers[si].counters, RpcKind::PageIn, bytes);
             let mut all_hit = true;
-            for index in offset / bs..=(offset + bytes.max(1) - 1) / bs {
-                all_hit &= self.servers[si].serve_read(BlockKey { file, index }, bs, self.now);
+            for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
+                all_hit &= self.servers[si].serve_read(BlockKey { file, index }, self.now);
             }
             self.obs_rpc(RpcKind::PageIn, bytes, !all_hit);
         } else {
@@ -2290,8 +2269,8 @@ impl<S: TraceSink> Cluster<S> {
             count_rpc(c, RpcKind::PageOut, bytes);
             count_rpc(&mut self.servers[si].counters, RpcKind::PageOut, bytes);
             self.obs_rpc(RpcKind::PageOut, bytes, false);
-            for index in offset / bs..=(offset + bytes.max(1) - 1) / bs {
-                self.servers[si].accept_write(BlockKey { file, index }, bs, self.now);
+            for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
+                self.servers[si].accept_write(BlockKey { file, index }, BLOCK_SIZE, self.now);
             }
         }
     }
@@ -2315,9 +2294,8 @@ impl<S: TraceSink> Cluster<S> {
     ) {
         let ci = op.client.raw() as usize;
         let now = self.now;
-        let bs = self.cfg.block_size;
-        let first = offset / bs;
-        let last = (offset + len - 1) / bs;
+        let first = offset / BLOCK_SIZE;
+        let last = (offset + len - 1) / BLOCK_SIZE;
         {
             let c = self.counters(ci);
             if paging {
@@ -2347,9 +2325,9 @@ impl<S: TraceSink> Cluster<S> {
             // Miss: fetch the whole block from the server.
             self.fault_rpc(ci, si, RpcKind::ReadBlock);
             misses += 1;
-            let srv_hit = self.servers[si].serve_read(key, bs, now);
+            let srv_hit = self.servers[si].serve_read(key, now);
             self.obs_event(ObsEventKind::CacheMiss);
-            self.obs_rpc(RpcKind::ReadBlock, bs, !srv_hit);
+            self.obs_rpc(RpcKind::ReadBlock, BLOCK_SIZE, !srv_hit);
             self.insert_block(ci, key);
             if let Some(san) = self.san.as_deref_mut() {
                 let inserted = self.clients[ci].cache.contains(key);
@@ -2362,20 +2340,20 @@ impl<S: TraceSink> Cluster<S> {
         let c = self.counters(ci);
         if paging {
             c.add(mc::PAGING_READ_MISS_OPS, misses);
-            c.add(srv::PAGING_READ, misses * bs);
+            c.add(srv::PAGING_READ, misses * BLOCK_SIZE);
             if op.migrated {
                 c.add(mig::PAGING_READ_MISS_OPS, misses);
             }
         } else {
             c.add(mc::READ_MISS_OPS, misses);
-            c.add(mc::READ_MISS_BYTES, misses * bs);
-            c.add(srv::FILE_READ, misses * bs);
+            c.add(mc::READ_MISS_BYTES, misses * BLOCK_SIZE);
+            c.add(srv::FILE_READ, misses * BLOCK_SIZE);
             if op.migrated {
                 c.add(mig::READ_MISS_OPS, misses);
-                c.add(mig::READ_MISS_BYTES, misses * bs);
+                c.add(mig::READ_MISS_BYTES, misses * BLOCK_SIZE);
             }
         }
-        count_rpcs(c, RpcKind::ReadBlock, misses, misses * bs);
+        count_rpcs(c, RpcKind::ReadBlock, misses, misses * BLOCK_SIZE);
     }
 
     /// Writes `len` bytes at `offset` of `file` (on server `si`, `old_size`
@@ -2394,10 +2372,9 @@ impl<S: TraceSink> Cluster<S> {
     ) {
         let ci = op.client.raw() as usize;
         let now = self.now;
-        let bs = self.cfg.block_size;
         let write_through = matches!(self.cfg.consistency, ConsistencyPolicy::Polling { .. });
-        let first = offset / bs;
-        let last = (offset + len - 1) / bs;
+        let first = offset / BLOCK_SIZE;
+        let last = (offset + len - 1) / BLOCK_SIZE;
         {
             let c = self.counters(ci);
             c.add(raw::FILE_WRITE, len);
@@ -2411,12 +2388,12 @@ impl<S: TraceSink> Cluster<S> {
         let (mut fetches, mut through, mut through_bytes) = (0, 0, 0);
         for index in first..=last {
             let key = BlockKey { file, index };
-            let block_start = index * bs;
-            let block_end = block_start + bs;
+            let block_start = index * BLOCK_SIZE;
+            let block_end = block_start + BLOCK_SIZE;
             let wstart = offset.max(block_start);
             let wend = (offset + len).min(block_end);
             let app_bytes = wend - wstart;
-            let full_block = app_bytes == bs;
+            let full_block = app_bytes == BLOCK_SIZE;
             // Fast path: cached block under delayed write — probe, touch
             // and dirty in one cache lookup.
             if !write_through
@@ -2435,8 +2412,8 @@ impl<S: TraceSink> Cluster<S> {
                 if block_start < old_size && !full_block {
                     self.fault_rpc(ci, si, RpcKind::ReadBlock);
                     fetches += 1;
-                    let srv_hit = self.servers[si].serve_read(key, bs, now);
-                    self.obs_rpc(RpcKind::ReadBlock, bs, !srv_hit);
+                    let srv_hit = self.servers[si].serve_read(key, now);
+                    self.obs_rpc(RpcKind::ReadBlock, BLOCK_SIZE, !srv_hit);
                 }
                 self.insert_block(ci, key);
             } else {
@@ -2473,8 +2450,8 @@ impl<S: TraceSink> Cluster<S> {
             if op.migrated {
                 c.add(mig::WRITE_FETCH_OPS, fetches);
             }
-            c.add(srv::FILE_READ, fetches * bs);
-            count_rpcs(c, RpcKind::ReadBlock, fetches, fetches * bs);
+            c.add(srv::FILE_READ, fetches * BLOCK_SIZE);
+            count_rpcs(c, RpcKind::ReadBlock, fetches, fetches * BLOCK_SIZE);
         }
         if through > 0 {
             c.add(mc::WRITEBACK_BYTES, through_bytes);
@@ -2591,13 +2568,11 @@ impl<S: TraceSink> Cluster<S> {
             return;
         };
         let id = self.clients[ci].id;
-        let bs = self.cfg.block_size;
         // A file deleted (or cut short) with dirty data still cached:
         // the write is cancelled.
-        let bytes = self
-            .files
-            .get(key.file)
-            .map_or(0, |m| bs.min(m.size.saturating_sub(key.index * bs)));
+        let bytes = self.files.get(key.file).map_or(0, |m| {
+            BLOCK_SIZE.min(m.size.saturating_sub(key.index * BLOCK_SIZE))
+        });
         if bytes == 0 {
             self.counters(ci)
                 .add(mc::CANCELLED_BYTES, before.dirty_app_bytes);

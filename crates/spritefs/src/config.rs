@@ -4,9 +4,51 @@
 //! diskless workstations with 24–32 Mbytes of memory, four file servers
 //! with the main one holding 128 Mbytes, 4-Kbyte blocks, a 30-second
 //! delayed-write policy scanned every 5 seconds, and a 20-minute virtual
-//! memory preference window.
+//! memory preference window. Each setting is a named constant, or a
+//! field of [`Config`] or [`FaultPlan`] when some run varies it.
 
 use sdfs_simkit::{SimDuration, SimTime};
+
+/// File cache block size in bytes (Sprite used 4 Kbytes). It is also
+/// the virtual-memory page size: the file cache and VM trade pages 1:1.
+pub const BLOCK_SIZE: u64 = 4096;
+
+/// The default age at which dirty data is written back (30 seconds in
+/// Sprite); runs vary it through [`Config::writeback_delay`].
+pub const WRITEBACK_DELAY: SimDuration = SimDuration::from_secs(30);
+
+/// How often the write-back daemon scans for dirty data older than the
+/// write-back delay (every 5 seconds in Sprite).
+pub const DAEMON_PERIOD: SimDuration = SimDuration::from_secs(5);
+
+/// How long a VM page must sit unreferenced before the file cache may
+/// claim it (20 minutes in Sprite).
+pub const VM_PREFERENCE_WINDOW: SimDuration = SimDuration::from_mins(20);
+
+/// How long code pages of an exited program remain usable by a new
+/// invocation before the memory is reclaimed.
+pub const CODE_RETENTION: SimDuration = SimDuration::from_mins(180);
+
+/// How often per-client cache sizes are sampled for Table 4.
+pub const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(60);
+
+/// Modeled time to move `bytes` in one client–server RPC: ~1.5 ms per
+/// RPC plus 1.2 µs per byte over the 10 Mbit/s Ethernet, which yields
+/// ~6.5 ms for a 4-Kbyte block, matching Section 5.3's 6–7 ms.
+///
+/// The simulator does not feed latency back into the workload timing
+/// (the workload generator owns timestamps); the model prices RPCs for
+/// the latency report and the self-measurement layer.
+pub const fn rpc_time(bytes: u64) -> SimDuration {
+    SimDuration::from_micros(1_500 + bytes * 1_200 / 1000)
+}
+
+/// Modeled time for a server disk to service one access of `bytes`: a
+/// 1991-era disk with ~20 ms positioning and ~1.5 Mbyte/s media
+/// (Section 5.3 cites 20–30 ms for a local 4-Kbyte page).
+pub const fn disk_time(bytes: u64) -> SimDuration {
+    SimDuration::from_micros(20_000 + bytes * 650 / 1000)
+}
 
 /// Which cache-consistency mechanism the cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,44 +74,6 @@ pub enum ConsistencyPolicy {
         /// seconds (the paper simulates 3 and 60).
         interval_secs: u32,
     },
-}
-
-/// Latency model for the network between clients and servers.
-///
-/// The simulator does not feed latency back into the workload timing (the
-/// workload generator owns timestamps), but the constants are used to
-/// report latency estimates and mirror the paper's Section 5.3 argument
-/// (a 4-Kbyte page fetch takes 6–7 ms over the Ethernet; a local disk
-/// takes 20–30 ms).
-#[derive(Debug, Clone, Copy)]
-pub struct NetModel {
-    /// Fixed cost per RPC, in microseconds.
-    pub per_rpc_us: u64,
-    /// Per-byte transfer cost, in nanoseconds per byte.
-    pub per_byte_ns: u64,
-}
-
-impl NetModel {
-    /// Time to move `bytes` in one RPC.
-    pub fn rpc_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_micros(self.per_rpc_us + bytes * self.per_byte_ns / 1000)
-    }
-}
-
-/// Latency model for a server disk.
-#[derive(Debug, Clone, Copy)]
-pub struct DiskModel {
-    /// Average positioning time per access, in microseconds.
-    pub access_us: u64,
-    /// Per-byte transfer cost, in nanoseconds per byte.
-    pub per_byte_ns: u64,
-}
-
-impl DiskModel {
-    /// Time to service one access of `bytes`.
-    pub fn access_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_micros(self.access_us + bytes * self.per_byte_ns / 1000)
-    }
 }
 
 /// One scheduled server outage: the server crashes at `at` and reboots
@@ -135,16 +139,6 @@ pub struct FaultPlan {
     /// dropped and must be retransmitted after a timeout. `0.0` disables
     /// the drop machinery (and its RNG draws) entirely.
     pub drop_prob: f64,
-    /// Seed for the per-RPC drop RNG.
-    pub drop_seed: u64,
-    /// How long a client waits for a reply before retransmitting.
-    pub rpc_timeout: SimDuration,
-    /// Base of the exponential backoff added before retry `k`
-    /// (`retry_backoff * 2^k`).
-    pub retry_backoff: SimDuration,
-    /// Retransmissions attempted before the client declares the server
-    /// unreachable and queues the operation for recovery.
-    pub max_retries: u32,
     /// Lease TTL for cached-state grants. Every successful RPC on a
     /// client↔server edge implicitly renews the edge's lease; once a
     /// partition has kept the edge silent past the TTL, the server may
@@ -165,45 +159,47 @@ impl Default for FaultPlan {
             outages: Vec::new(),
             partitions: Vec::new(),
             drop_prob: 0.0,
-            drop_seed: 0x5350_5249_5445_4653, // "SPRITEFS"
-            rpc_timeout: SimDuration::from_secs(1),
-            retry_backoff: SimDuration::from_secs(1),
-            max_retries: 5,
             lease_ttl: SimDuration::from_secs(60),
             conservative_recovery: false,
         }
     }
 }
 
-impl FaultPlan {
-    /// Total time a client spends before giving up on an unreachable
-    /// server: every timeout plus the exponential backoff between tries.
-    /// This bounds the stall charged to any one RPC during an outage.
-    pub fn retry_budget(&self) -> SimDuration {
-        let mut budget = SimDuration::ZERO;
-        for k in 0..self.max_retries {
-            budget += self.rpc_timeout + self.retry_backoff * (1u64 << k.min(16));
-        }
-        budget
-    }
+/// Seed for the per-RPC drop RNG ("SPRITEFS").
+pub const DROP_SEED: u64 = 0x5350_5249_5445_4653;
 
-    /// Stall incurred by `retries` retransmissions of one RPC.
-    pub fn retry_stall(&self, retries: u32) -> SimDuration {
-        let mut stall = SimDuration::ZERO;
-        for k in 0..retries.min(self.max_retries) {
-            stall += self.rpc_timeout + self.retry_backoff * (1u64 << k.min(16));
-        }
-        stall
+/// How long a client waits for a reply before retransmitting.
+pub const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+/// Base of the exponential backoff added before retry `k`
+/// (`RETRY_BACKOFF * 2^k`).
+pub const RETRY_BACKOFF: SimDuration = SimDuration::from_secs(1);
+
+/// Retransmissions attempted before the client declares the server
+/// unreachable and queues the operation for recovery.
+pub const MAX_RETRIES: u32 = 5;
+
+/// Stall incurred by `retries` retransmissions of one RPC: each waits
+/// out [`RPC_TIMEOUT`] plus the backoff. Retries past [`MAX_RETRIES`]
+/// are not attempted, so they add nothing.
+pub(crate) fn retry_stall(retries: u32) -> SimDuration {
+    let mut stall = SimDuration::ZERO;
+    for k in 0..retries.min(MAX_RETRIES) {
+        stall += RPC_TIMEOUT + RETRY_BACKOFF * (1u64 << k);
     }
+    stall
+}
+
+/// Total time a client spends before giving up on an unreachable
+/// server: every timeout plus the exponential backoff between tries.
+/// This bounds the stall charged to any one RPC during an outage.
+pub(crate) fn retry_budget() -> SimDuration {
+    retry_stall(MAX_RETRIES)
 }
 
 /// Full cluster configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// File cache block size in bytes (Sprite used 4 Kbytes). It is
-    /// also the virtual-memory page size: the file cache and VM trade
-    /// pages 1:1.
-    pub block_size: u64,
     /// Number of diskless client workstations.
     pub num_clients: u16,
     /// Number of file servers.
@@ -217,24 +213,11 @@ pub struct Config {
     pub reserved_bytes: u64,
     /// Server cache size in bytes (the main Sun 4 server had 128 Mbytes).
     pub server_cache_bytes: u64,
-    /// Age at which dirty data is written back (30 seconds in Sprite).
+    /// Age at which dirty data is written back ([`WRITEBACK_DELAY`] by
+    /// default); at least [`DAEMON_PERIOD`].
     pub writeback_delay: SimDuration,
-    /// Period of the write-back daemon scan (5 seconds in Sprite).
-    pub daemon_period: SimDuration,
-    /// How long a VM page must sit unreferenced before the file cache may
-    /// claim it (20 minutes in Sprite).
-    pub vm_preference_window: SimDuration,
-    /// How long code pages of an exited program remain usable by a new
-    /// invocation before the memory is reclaimed.
-    pub code_retention: SimDuration,
     /// The consistency mechanism in force.
     pub consistency: ConsistencyPolicy,
-    /// How often per-client cache sizes are sampled for Table 4.
-    pub sample_period: SimDuration,
-    /// Network latency model.
-    pub net: NetModel,
-    /// Server disk latency model.
-    pub disk: DiskModel,
     /// Run the SpriteSan shadow-state sanitizer alongside the
     /// simulation. Adds a ground-truth oracle checked on every operation;
     /// results are unchanged (violations are reported out of band).
@@ -265,30 +248,14 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            block_size: 4096,
             num_clients: 36,
             num_servers: 4,
             client_mem_bytes: 24 << 20,
             client_mem_alt_bytes: 32 << 20,
             reserved_bytes: 6 << 20,
             server_cache_bytes: 128 << 20,
-            writeback_delay: SimDuration::from_secs(30),
-            daemon_period: SimDuration::from_secs(5),
-            vm_preference_window: SimDuration::from_mins(20),
-            code_retention: SimDuration::from_mins(180),
+            writeback_delay: WRITEBACK_DELAY,
             consistency: ConsistencyPolicy::Sprite,
-            sample_period: SimDuration::from_secs(60),
-            net: NetModel {
-                // ~1.5 ms per RPC plus 10 Mbit/s Ethernet ≈ 0.8 µs/byte;
-                // yields ~6.5 ms for a 4-Kbyte block, matching Section 5.3.
-                per_rpc_us: 1_500,
-                per_byte_ns: 1_200,
-            },
-            disk: DiskModel {
-                // 1991-era disk: ~20 ms positioning, ~1.5 Mbyte/s media.
-                access_us: 20_000,
-                per_byte_ns: 650,
-            },
             sanitize: false,
             observe: false,
             fault_skip_invalidate: false,
@@ -326,12 +293,6 @@ impl Config {
     /// Validates internal consistency, returning a description of the
     /// first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.block_size == 0 || !self.block_size.is_power_of_two() {
-            return Err(format!(
-                "block_size {} must be a power of two",
-                self.block_size
-            ));
-        }
         if self.num_clients == 0 {
             return Err("need at least one client".into());
         }
@@ -343,15 +304,12 @@ impl Config {
         {
             return Err("reserved_bytes exceeds client memory".into());
         }
-        if self.daemon_period > self.writeback_delay {
-            return Err("daemon_period should not exceed writeback_delay".into());
+        if self.writeback_delay < DAEMON_PERIOD {
+            return Err("writeback_delay must not be shorter than DAEMON_PERIOD".into());
         }
         if let Some(plan) = &self.faults {
             if !(0.0..1.0).contains(&plan.drop_prob) {
                 return Err(format!("drop_prob {} must be in [0, 1)", plan.drop_prob));
-            }
-            if plan.drop_prob > 0.0 && plan.max_retries == 0 {
-                return Err("drop_prob > 0 requires max_retries >= 1".into());
             }
             // Outages of one server must be listed chronologically and
             // must not overlap: the fault scheduler fires them in plan
@@ -426,10 +384,10 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = Config::default();
-        assert_eq!(c.block_size, 4096);
+        assert_eq!(BLOCK_SIZE, 4096);
         assert_eq!(c.writeback_delay, SimDuration::from_secs(30));
-        assert_eq!(c.daemon_period, SimDuration::from_secs(5));
-        assert_eq!(c.vm_preference_window, SimDuration::from_mins(20));
+        assert_eq!(DAEMON_PERIOD, SimDuration::from_secs(5));
+        assert_eq!(VM_PREFERENCE_WINDOW, SimDuration::from_mins(20));
         assert_eq!(c.server_cache_bytes, 128 << 20);
         assert_eq!(c.consistency, ConsistencyPolicy::Sprite);
     }
@@ -445,12 +403,6 @@ mod tests {
     #[test]
     fn validation_catches_bad_configs() {
         let c = Config {
-            block_size: 1000,
-            ..Config::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = Config {
             num_clients: 0,
             ..Config::default()
         };
@@ -463,7 +415,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let c = Config {
-            daemon_period: SimDuration::from_secs(60),
+            writeback_delay: SimDuration::from_secs(1),
             ..Config::default()
         };
         assert!(c.validate().is_err());
@@ -601,26 +553,24 @@ mod tests {
 
     #[test]
     fn retry_budget_is_monotone_and_bounds_stall() {
-        let plan = FaultPlan::default();
         let mut prev = SimDuration::ZERO;
-        for k in 0..=plan.max_retries {
-            let s = plan.retry_stall(k);
+        for k in 0..=MAX_RETRIES {
+            let s = retry_stall(k);
             assert!(s >= prev, "stall not monotone at retry {k}");
             prev = s;
         }
-        assert_eq!(plan.retry_stall(plan.max_retries), plan.retry_budget());
+        assert_eq!(retry_stall(MAX_RETRIES), retry_budget());
         // Asking past the cap clamps to the budget.
-        assert_eq!(plan.retry_stall(plan.max_retries + 7), plan.retry_budget());
+        assert_eq!(retry_stall(MAX_RETRIES + 7), retry_budget());
     }
 
     #[test]
     fn latency_models() {
-        let c = Config::default();
-        let fetch = c.net.rpc_time(4096);
+        let fetch = rpc_time(BLOCK_SIZE);
         // Section 5.3: a 4-Kbyte page fetch takes about 6 to 7 ms.
         let ms = fetch.as_secs_f64() * 1e3;
         assert!((6.0..7.5).contains(&ms), "block fetch {ms} ms");
-        let disk = c.disk.access_time(4096);
+        let disk = disk_time(BLOCK_SIZE);
         let dms = disk.as_secs_f64() * 1e3;
         assert!((20.0..30.0).contains(&dms), "disk access {dms} ms");
     }

@@ -14,6 +14,7 @@ use sdfs_simkit::{CounterSet, SimTime};
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, ServerId};
 
 use crate::cache::{BlockCache, BlockKey};
+use crate::config::BLOCK_SIZE;
 use crate::metrics::server as names;
 
 /// One client's open of a file, as the server sees it.
@@ -100,8 +101,6 @@ pub struct Server {
     pub cache: BlockCache,
     /// Cache capacity in blocks.
     pub capacity_blocks: u64,
-    /// Bytes per cache block: what a block's disk write costs.
-    block_size: u64,
     /// Per-file consistency state (only for files with activity).
     pub files: FastMap<FileId, SrvFileState>,
     /// Server-side counters (disk traffic, RPCs served).
@@ -119,13 +118,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Creates a server with the given cache capacity.
-    pub fn new(id: ServerId, capacity_bytes: u64, block_size: u64) -> Self {
+    /// Creates a server with the given cache capacity. Each block's disk
+    /// write costs [`BLOCK_SIZE`] bytes.
+    pub fn new(id: ServerId, capacity_bytes: u64) -> Self {
         Server {
             id,
             cache: BlockCache::new(),
-            capacity_blocks: capacity_bytes / block_size,
-            block_size,
+            capacity_blocks: capacity_bytes / BLOCK_SIZE,
             files: FastMap::default(),
             counters: CounterSet::new(),
             scratch_files: Vec::new(),
@@ -227,17 +226,17 @@ impl Server {
     }
 
     /// Serves a block read from a client: hit in the server cache or a
-    /// disk read. `block_bytes` is the payload size. Returns `true` on a
+    /// disk read, each of [`BLOCK_SIZE`] bytes. Returns `true` on a
     /// server-cache hit — the observability layer uses this to decide
     /// whether the RPC's modeled latency includes a disk access.
-    pub fn serve_read(&mut self, key: BlockKey, block_bytes: u64, now: SimTime) -> bool {
-        self.counters.add(names::READ_BYTES, block_bytes);
+    pub fn serve_read(&mut self, key: BlockKey, now: SimTime) -> bool {
+        self.counters.add(names::READ_BYTES, BLOCK_SIZE);
         if self.cache.touch(key, now) {
             self.counters.bump(names::CACHE_READ_HIT);
             true
         } else {
             self.counters.bump(names::CACHE_READ_MISS);
-            self.counters.add(names::DISK_READ_BYTES, block_bytes);
+            self.counters.add(names::DISK_READ_BYTES, BLOCK_SIZE);
             self.cache.insert(key, now);
             self.evict_past_capacity();
             false
@@ -258,7 +257,7 @@ impl Server {
         while self.cache.len() as u64 > self.capacity_blocks {
             if let Some((evicted, entry)) = self.cache.pop_lru() {
                 if entry.dirty {
-                    self.counters.add(names::DISK_WRITE_BYTES, self.block_size);
+                    self.counters.add(names::DISK_WRITE_BYTES, BLOCK_SIZE);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(evicted);
                     }
@@ -281,7 +280,7 @@ impl Server {
             for &index in &blocks {
                 let key = BlockKey { file, index };
                 if self.cache.clean(key).is_some() {
-                    self.counters.add(names::DISK_WRITE_BYTES, self.block_size);
+                    self.counters.add(names::DISK_WRITE_BYTES, BLOCK_SIZE);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(key);
                     }
@@ -346,7 +345,7 @@ mod tests {
 
     #[test]
     fn quiescence_and_gc() {
-        let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
+        let mut srv = Server::new(ServerId(0), 1 << 20);
         let st = srv.file_state(FileId(1));
         st.opens.push(OpenEntry {
             client: ClientId(0),
@@ -362,21 +361,21 @@ mod tests {
 
     #[test]
     fn server_cache_hit_miss() {
-        let mut srv = Server::new(ServerId(0), 8 * 4096, 4096);
-        srv.serve_read(key(1, 0), 4096, t(1));
+        let mut srv = Server::new(ServerId(0), 8 * 4096);
+        srv.serve_read(key(1, 0), t(1));
         assert_eq!(srv.counters.get("server.cache.read.miss"), 1);
         assert_eq!(srv.counters.get("server.disk.read.bytes"), 4096);
-        srv.serve_read(key(1, 0), 4096, t(2));
+        srv.serve_read(key(1, 0), t(2));
         assert_eq!(srv.counters.get("server.cache.read.hit"), 1);
     }
 
     #[test]
     fn capacity_eviction_writes_dirty_to_disk() {
-        let mut srv = Server::new(ServerId(0), 2 * 4096, 4096);
+        let mut srv = Server::new(ServerId(0), 2 * 4096);
         srv.accept_write(key(1, 0), 4096, t(1));
         srv.accept_write(key(1, 1), 4096, t(2));
         assert_eq!(srv.cache.len(), 2);
-        srv.serve_read(key(2, 0), 4096, t(3));
+        srv.serve_read(key(2, 0), t(3));
         assert_eq!(srv.cache.len(), 2, "capacity enforced");
         assert_eq!(srv.counters.get("server.cache.evictions"), 1);
         // The evicted block (1,0) was dirty → disk write.
@@ -385,7 +384,7 @@ mod tests {
 
     #[test]
     fn daemon_flush() {
-        let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
+        let mut srv = Server::new(ServerId(0), 1 << 20);
         srv.accept_write(key(1, 0), 4096, t(0));
         srv.accept_write(key(2, 0), 4096, t(50));
         srv.flush_dirty_before(t(30));
@@ -395,7 +394,7 @@ mod tests {
 
     #[test]
     fn crash_destroys_dirty_blocks_but_not_disk() {
-        let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
+        let mut srv = Server::new(ServerId(0), 1 << 20);
         srv.set_disk_flush_logging(true);
         srv.accept_write(key(1, 0), 4096, t(0));
         srv.accept_write(key(2, 0), 4096, t(50));
@@ -423,7 +422,7 @@ mod tests {
 
     #[test]
     fn nvram_buffer_saves_newest_dirty_data() {
-        let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
+        let mut srv = Server::new(ServerId(0), 1 << 20);
         srv.accept_write(key(1, 0), 4096, t(0));
         srv.accept_write(key(2, 0), 4096, t(50));
         srv.accept_write(key(3, 0), 4096, t(90));
@@ -449,20 +448,22 @@ mod tests {
 
     #[test]
     fn disk_writes_charge_the_block_size() {
-        let mut srv = Server::new(ServerId(0), 2 * 8192, 8192);
-        srv.accept_write(key(1, 0), 8192, t(1));
-        srv.accept_write(key(1, 1), 8192, t(2));
+        // Clients write 100 bytes of each block; the disk writes whole
+        // blocks.
+        let mut srv = Server::new(ServerId(0), 2 * BLOCK_SIZE);
+        srv.accept_write(key(1, 0), 100, t(1));
+        srv.accept_write(key(1, 1), 100, t(2));
         // A capacity eviction writes the dirty (1,0) to disk.
-        srv.serve_read(key(2, 0), 8192, t(3));
-        assert_eq!(srv.counters.get("server.disk.write.bytes"), 8192);
+        srv.serve_read(key(2, 0), t(3));
+        assert_eq!(srv.counters.get("server.disk.write.bytes"), BLOCK_SIZE);
         // The daemon writes the still-dirty (1,1).
         srv.flush_dirty_before(t(40));
-        assert_eq!(srv.counters.get("server.disk.write.bytes"), 2 * 8192);
+        assert_eq!(srv.counters.get("server.disk.write.bytes"), 2 * BLOCK_SIZE);
     }
 
     #[test]
     fn nvram_buffer_keeps_the_newest_write_not_the_highest_file() {
-        let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
+        let mut srv = Server::new(ServerId(0), 1 << 20);
         srv.accept_write(key(3, 0), 4096, t(0));
         srv.accept_write(key(1, 0), 4096, t(50));
         let mut lost = Vec::new();
@@ -474,7 +475,7 @@ mod tests {
 
     #[test]
     fn drop_file_blocks() {
-        let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
+        let mut srv = Server::new(ServerId(0), 1 << 20);
         srv.accept_write(key(1, 0), 4096, t(0));
         srv.accept_write(key(1, 1), 4096, t(0));
         srv.accept_write(key(2, 0), 4096, t(0));

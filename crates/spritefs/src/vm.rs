@@ -21,8 +21,10 @@ use std::collections::VecDeque;
 
 use sdfs_simkit::FastMap;
 
-use sdfs_simkit::{SimDuration, SimTime};
+use sdfs_simkit::SimTime;
 use sdfs_trace::FileId;
+
+use crate::config::{BLOCK_SIZE, CODE_RETENTION, VM_PREFERENCE_WINDOW};
 
 /// How a file-cache page request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,35 +52,22 @@ pub struct MemoryManager {
     /// Retained code pages by executable: (pages, last_exit).
     retained: FastMap<FileId, (u64, SimTime)>,
     retained_total: u64,
-    /// VM preference window (20 minutes in Sprite).
-    preference: SimDuration,
-    /// How long retained code stays usable.
-    code_retention: SimDuration,
 }
 
 impl MemoryManager {
     /// Creates a manager for a machine with `total_bytes` of memory, of
-    /// which `reserved_bytes` is kernel/fixed, with the given page size.
-    pub fn new(
-        total_bytes: u64,
-        reserved_bytes: u64,
-        page_size: u64,
-        preference: SimDuration,
-        code_retention: SimDuration,
-    ) -> Self {
-        assert!(page_size > 0, "page size must be positive");
+    /// which `reserved_bytes` is kernel/fixed, in [`BLOCK_SIZE`] pages.
+    pub fn new(total_bytes: u64, reserved_bytes: u64) -> Self {
         assert!(reserved_bytes < total_bytes, "reservation exceeds memory");
         MemoryManager {
-            total_pages: total_bytes / page_size,
-            reserved_pages: reserved_bytes / page_size,
+            total_pages: total_bytes / BLOCK_SIZE,
+            reserved_pages: reserved_bytes / BLOCK_SIZE,
             vm_pages: 0,
             fc_pages: 0,
             idle: VecDeque::new(),
             idle_total: 0,
             retained: FastMap::default(),
             retained_total: 0,
-            preference,
-            code_retention,
         }
     }
 
@@ -113,7 +102,7 @@ impl MemoryManager {
         }
         // VM preference: only idle-past-window pages may be converted.
         if let Some(&(since, _)) = self.idle.front() {
-            if now.since(since) >= self.preference {
+            if now.since(since) >= VM_PREFERENCE_WINDOW {
                 self.consume_idle_oldest(1);
                 self.vm_pages -= 1;
                 self.fc_pages += 1;
@@ -201,7 +190,7 @@ impl MemoryManager {
         let Some(&(pages, last_exit)) = self.retained.get(&exec) else {
             return 0;
         };
-        if now.since(last_exit) > self.code_retention {
+        if now.since(last_exit) > CODE_RETENTION {
             self.retained.remove(&exec);
             self.recompute_retained_total();
             return 0;
@@ -270,15 +259,10 @@ impl MemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdfs_simkit::SimDuration;
 
     fn mm(total_pages: u64) -> MemoryManager {
-        MemoryManager::new(
-            total_pages * 4096,
-            0,
-            4096,
-            SimDuration::from_mins(20),
-            SimDuration::from_mins(20),
-        )
+        MemoryManager::new(total_pages * BLOCK_SIZE, 0)
     }
 
     fn t(s: u64) -> SimTime {
@@ -353,7 +337,8 @@ mod tests {
 
         // Expired retention.
         m.retain_code(FileId(9), 4, t(300));
-        assert_eq!(m.code_hit(FileId(9), t(300 + 2000)), 0);
+        let expired = t(300) + CODE_RETENTION + SimDuration::from_secs(1);
+        assert_eq!(m.code_hit(FileId(9), expired), 0);
     }
 
     #[test]
@@ -384,13 +369,7 @@ mod tests {
 
     #[test]
     fn reserved_memory_is_untouchable() {
-        let m = MemoryManager::new(
-            10 * 4096,
-            4 * 4096,
-            4096,
-            SimDuration::from_mins(20),
-            SimDuration::from_mins(20),
-        );
+        let m = MemoryManager::new(10 * BLOCK_SIZE, 4 * BLOCK_SIZE);
         assert_eq!(m.free_pages(), 6);
     }
 }

@@ -1,8 +1,9 @@
 //! Randomized tests for the cache and memory-manager invariants, driven
 //! by the workspace's seeded `SimRng` so the suite is hermetic offline.
 
-use sdfs_simkit::{SimDuration, SimRng, SimTime};
+use sdfs_simkit::{SimRng, SimTime};
 use sdfs_spritefs::cache::{BlockCache, BlockKey};
+use sdfs_spritefs::config::BLOCK_SIZE;
 use sdfs_spritefs::vm::{FcGrant, MemoryManager};
 use sdfs_trace::FileId;
 
@@ -397,13 +398,7 @@ fn memory_manager_conserves_pages() {
     for _ in 0..256 {
         let n_ops = rng.below(100) as usize;
         let total_pages = 64u64;
-        let mut mm = MemoryManager::new(
-            total_pages * 4096,
-            0,
-            4096,
-            SimDuration::from_mins(20),
-            SimDuration::from_mins(20),
-        );
+        let mut mm = MemoryManager::new(total_pages * BLOCK_SIZE, 0);
         let mut t = 0u64;
         let mut active = 0u64; // VM pages we believe are active
         for _ in 0..n_ops {

@@ -12,6 +12,11 @@
 //! trace files are merged into one ordered list, and records produced by
 //! the tracing itself or the nightly backup are scrubbed by user id.
 //!
+//! `merge` and `scrub` read every input before they create the output,
+//! so the output may name one of the inputs. Like `stats`, they hold the
+//! whole trace in memory; `merge` holds its inputs and the merged copy
+//! at once, about twice the size of the records.
+//!
 //! Everything printed on stdout goes through one buffered writer. When
 //! the reader goes away early (`tracetool dump t.bin | head`), the
 //! command stops and exits 0.
@@ -21,7 +26,7 @@ use std::process::ExitCode;
 
 use sdfs_trace::codec::to_text_line;
 use sdfs_trace::file::{read_all, TraceWriter};
-use sdfs_trace::merge::{Merge, Scrub};
+use sdfs_trace::merge::{merge_vecs, Scrub};
 use sdfs_trace::{TraceReader, TraceStats, UserId};
 
 /// Why a command stopped early.
@@ -157,13 +162,12 @@ fn stats(out: &mut impl Write, path: &str) -> Result<(), Error> {
 }
 
 fn merge(out: &str, inputs: &[String]) -> Result<(), String> {
-    let readers: Result<Vec<_>, _> = inputs.iter().map(TraceReader::open).collect();
-    let readers = readers.map_err(|e| e.to_string())?;
-    let merged = Merge::new(readers).map_err(|e| e.to_string())?;
+    // Read every input before creating OUT, which may be one of them.
+    let sources: Result<Vec<_>, _> = inputs.iter().map(read_all).collect();
+    let merged = merge_vecs(sources.map_err(|e| e.to_string())?);
     let mut writer = TraceWriter::create(out).map_err(|e| e.to_string())?;
-    for rec in merged {
-        let rec = rec.map_err(|e| e.to_string())?;
-        writer.write(&rec).map_err(|e| e.to_string())?;
+    for rec in &merged {
+        writer.write(rec).map_err(|e| e.to_string())?;
     }
     let n = writer.count();
     writer.finish().map_err(|e| e.to_string())?;

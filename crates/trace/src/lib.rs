@@ -13,8 +13,8 @@
 //! * [`codec`] — a compact deterministic binary encoding, plus the
 //!   tab-separated text rendering that `tracetool dump` prints.
 //! * [`mod@file`] — buffered trace-file readers and writers.
-//! * [`merge`] — k-way timestamp merge of per-server streams and the
-//!   scrub filters.
+//! * [`merge`] — [`merge::merge_vecs`], the k-way timestamp merge of
+//!   per-server record vectors, and the scrub filter.
 //! * [`stats`] — the overall per-trace statistics of Table 1.
 
 pub mod codec;

@@ -3,103 +3,15 @@
 //! Section 3 of the paper: each of the four servers logged to its own set
 //! of trace files; the analysis merged them into one time-ordered list and
 //! removed records caused by the tracing itself and by the nightly tape
-//! backup. [`Merge`] is the k-way merge; [`Scrub`] is the filter.
+//! backup. [`merge_vecs`] is the k-way merge; [`Scrub`] is the filter.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use sdfs_simkit::{merge_sorted_by, FastSet};
 
 use crate::ids::UserId;
 use crate::record::Record;
-use crate::Result;
 
-struct HeapItem {
-    rec: Record,
-    source: usize,
-    seq: u64,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (time, source, seq): invert for BinaryHeap.
-        other
-            .rec
-            .time
-            .cmp(&self.rec.time)
-            .then_with(|| other.source.cmp(&self.source))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A k-way merge of per-server record streams into one time-ordered
-/// stream. Each input must itself be time-ordered (trace writers enforce
-/// that); ties break deterministically by source index, then input order.
-pub struct Merge<I: Iterator<Item = Result<Record>>> {
-    sources: Vec<I>,
-    heap: BinaryHeap<HeapItem>,
-    seq: u64,
-    failed: bool,
-}
-
-impl<I: Iterator<Item = Result<Record>>> Merge<I> {
-    /// Creates a merge over the given streams.
-    pub fn new(sources: Vec<I>) -> Result<Self> {
-        let mut m = Merge {
-            sources,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            failed: false,
-        };
-        for i in 0..m.sources.len() {
-            m.refill(i)?;
-        }
-        Ok(m)
-    }
-
-    fn refill(&mut self, source: usize) -> Result<()> {
-        if let Some(next) = self.sources[source].next() {
-            let rec = next?;
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(HeapItem { rec, source, seq });
-        }
-        Ok(())
-    }
-}
-
-impl<I: Iterator<Item = Result<Record>>> Iterator for Merge<I> {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let item = self.heap.pop()?;
-        if let Err(e) = self.refill(item.source) {
-            self.failed = true;
-            return Some(Err(e));
-        }
-        Some(Ok(item.rec))
-    }
-}
-
-/// Merges already-materialized record vectors (convenience for tests and
-/// in-memory pipelines), in the same order as [`Merge`]: by time, ties
-/// by source index, then input order.
+/// Merges per-server record vectors, each itself time-ordered, into one
+/// time-ordered vector. Ties break by source index, then input order.
 pub fn merge_vecs(sources: Vec<Vec<Record>>) -> Vec<Record> {
     merge_sorted_by(sources, |r| r.time)
 }

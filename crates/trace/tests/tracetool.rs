@@ -1,34 +1,51 @@
 //! End-to-end checks of the `tracetool` binary.
 
 use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use sdfs_simkit::SimTime;
+use sdfs_trace::file::read_all;
+use sdfs_trace::merge::merge_vecs;
 use sdfs_trace::{ClientId, FileId, Pid, Record, RecordKind, TraceWriter, UserId};
+
+/// A per-process scratch path, so parallel test runs do not collide.
+fn temp_trace(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("sdfs-tracetool-{name}-{}.bin", std::process::id()))
+}
+
+/// A create of file `file` by `user` at `millis`.
+fn create(millis: u64, user: u32, file: u64) -> Record {
+    Record {
+        time: SimTime::from_millis(millis),
+        client: ClientId(1),
+        user: UserId(user),
+        pid: Pid(3),
+        migrated: false,
+        kind: RecordKind::Create {
+            file: FileId(file),
+            is_dir: false,
+        },
+    }
+}
+
+fn write_trace(path: &Path, records: &[Record]) {
+    let mut w = TraceWriter::create(path).expect("create trace");
+    for rec in records {
+        w.write(rec).expect("write record");
+    }
+    w.finish().expect("finish trace");
+}
 
 /// `tracetool dump t.bin | head -1`: the reader closes the pipe after one
 /// line, long before the dump is done. The tool must stop quietly with
 /// exit 0 rather than panic on the broken pipe.
 #[test]
 fn dump_into_a_closed_pipe_exits_0_without_panic() {
-    let path = std::env::temp_dir().join(format!("sdfs-tracetool-pipe-{}.bin", std::process::id()));
-    let mut w = TraceWriter::create(&path).expect("create trace");
+    let path = temp_trace("pipe");
     // ~1 MB of text, far more than a pipe buffers.
-    for i in 0..20_000u64 {
-        w.write(&Record {
-            time: SimTime::from_millis(i),
-            client: ClientId(1),
-            user: UserId(2),
-            pid: Pid(3),
-            migrated: false,
-            kind: RecordKind::Create {
-                file: FileId(i),
-                is_dir: false,
-            },
-        })
-        .expect("write record");
-    }
-    w.finish().expect("finish trace");
+    let records: Vec<Record> = (0..20_000).map(|i| create(i, 2, i)).collect();
+    write_trace(&path, &records);
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_tracetool"))
         .arg("dump")
@@ -52,4 +69,31 @@ fn dump_into_a_closed_pipe_exits_0_without_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+/// `tracetool merge a.bin a.bin b.bin` names an input as the output.
+/// Each input is far larger than one read buffer, and the two share
+/// every sixth millisecond. Creating the output must not truncate an
+/// input that is still being read: `a.bin` ends up holding the merge.
+#[test]
+fn merge_into_one_of_its_inputs() {
+    let (a, b) = (temp_trace("merge-a"), temp_trace("merge-b"));
+    let ra: Vec<Record> = (0..20_000).map(|i| create(2 * i, 1, i)).collect();
+    let rb: Vec<Record> = (0..20_000).map(|i| create(3 * i, 2, i)).collect();
+    write_trace(&a, &ra);
+    write_trace(&b, &rb);
+
+    let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
+        .arg("merge")
+        .args([&a, &a, &b])
+        .output()
+        .expect("run tracetool");
+    let merged = read_all(&a);
+    std::fs::remove_file(&a).ok();
+    std::fs::remove_file(&b).ok();
+
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let merged = merged.expect("merged trace reads back");
+    assert!(merged == merge_vecs(vec![ra, rb]), "merge differs");
 }

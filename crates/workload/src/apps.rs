@@ -21,7 +21,7 @@ use sdfs_simkit::{SimDuration, SimRng, SimTime};
 use sdfs_spritefs::ops::{AppOp, OpKind};
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, UserId};
 
-use crate::config::WorkloadConfig;
+use crate::config::{WorkloadConfig, OPEN_OVERHEAD_SECS, PMAKE_FANOUT, PROC_RATE};
 use crate::namespace::{ExecImage, Namespace};
 use crate::user::{sample_small_size, UserFiles};
 
@@ -129,7 +129,7 @@ impl Ctx<'_> {
 
     /// Time for the application to process `bytes` of file data.
     pub fn io_secs(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.cfg.proc_rate * self.io_scale
+        bytes as f64 / PROC_RATE * self.io_scale
     }
 
     /// Per-call application processing delay: heavy-tailed (log-normal),
@@ -145,8 +145,7 @@ impl Ctx<'_> {
     pub fn open(&mut self, file: FileId, mode: OpenMode) -> Handle {
         let fd = self.ns.alloc_handle();
         self.emit(OpKind::Open { fd, file, mode });
-        let overhead = self.cfg.open_overhead_secs;
-        self.pause(overhead * 0.6, overhead * 0.8);
+        self.pause(OPEN_OVERHEAD_SECS * 0.6, OPEN_OVERHEAD_SECS * 0.8);
         fd
     }
 
@@ -179,7 +178,7 @@ impl Ctx<'_> {
     /// Closes an open file.
     pub fn close(&mut self, fd: Handle) {
         self.emit(OpKind::Close { fd });
-        self.advance(self.cfg.open_overhead_secs * 0.4);
+        self.advance(OPEN_OVERHEAD_SECS * 0.4);
     }
 
     /// Forces an open file's dirty data through to the server.
@@ -764,7 +763,6 @@ pub fn sim_burst(ctx: &mut Ctx<'_>, uf: &mut UserFiles, sys: &SystemFiles, profi
     uf.sim_cursor += 1;
     let simulator = sys.simulator;
     let backing = sys.backing[ctx.client.raw() as usize];
-    let paging_scale = ctx.cfg.paging_scale;
     let out = ctx.ns.alloc(0, false, false);
     ctx.with_process(simulator, |ctx| {
         let in_size = ctx.ns.size(input);
@@ -787,7 +785,7 @@ pub fn sim_burst(ctx: &mut Ctx<'_>, uf: &mut UserFiles, sys: &SystemFiles, profi
         for _ in 0..chunks {
             ctx.read(fd, take / chunks);
             ctx.pause(0.5, pace);
-            if ctx.rng.chance(0.4 * paging_scale) {
+            if ctx.rng.chance(0.4) {
                 let pages = ctx.rng.range(16, 256);
                 ctx.backing_io(backing, pages * 4096);
             }
@@ -861,7 +859,7 @@ pub fn parallel_sim_burst(
     let home = ctx.client;
     let base = ctx.now;
     let mut latest = base;
-    let fanout = (ctx.cfg.pmake_fanout as usize).min(idle_hosts.len()).max(1);
+    let fanout = PMAKE_FANOUT.min(idle_hosts.len()).max(1);
     // A parameter sweep: every host runs the simulator over the same
     // input several times. After the first pass the input is warm in
     // each host's cache, so the re-reads stream at near-memory speed —

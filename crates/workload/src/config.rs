@@ -3,8 +3,38 @@
 //! The defaults are calibrated so the downstream analyses land in the
 //! neighbourhood of the paper's numbers (see `EXPERIMENTS.md` for the
 //! paper-vs-measured comparison). Everything that controls a measurable
-//! quantity is a named field here rather than a literal buried in an
-//! application model.
+//! quantity is named here rather than a literal buried in an
+//! application model: a named constant, or a field of
+//! [`WorkloadConfig`] when some run varies it.
+
+/// Probability that a given regular user appears on a given day (the
+/// traces saw 33–50 distinct users out of ~70).
+pub const DAILY_PRESENCE: f64 = 0.85;
+
+/// Fraction of users who are day-to-day regulars (about 30 of 70); the
+/// rest are occasional and appear with a third of the presence.
+pub const REGULAR_FRACTION: f64 = 0.45;
+
+/// Mean think time between application bursts, in seconds, at
+/// [`WorkloadConfig::activity_scale`] 1.0.
+pub const THINK_MEAN_SECS: f64 = 25.0;
+
+/// Mean number of work sessions per present user per day.
+pub const SESSIONS_PER_DAY: f64 = 1.8;
+
+/// Mean session length, in hours.
+pub const SESSION_HOURS: f64 = 3.5;
+
+/// Effective application processing rate for file data, bytes/sec
+/// (sets open durations; 1991 workstations were ~10 MIPS).
+pub const PROC_RATE: f64 = 2.0e6;
+
+/// Open/close kernel-call overhead on a network file system, seconds
+/// (the paper cites a 4–5x penalty over local file systems).
+pub const OPEN_OVERHEAD_SECS: f64 = 0.004;
+
+/// Number of idle hosts a migrated pmake fans out to.
+pub const PMAKE_FANOUT: usize = 6;
 
 /// Identifies one 24-hour trace to generate.
 #[derive(Debug, Clone, Copy)]
@@ -40,39 +70,17 @@ pub struct WorkloadConfig {
     pub num_clients: u16,
     /// Total user population (the cluster had about 70 accounts).
     pub num_users: u32,
-    /// Probability that a given regular user appears on a given day
-    /// (the traces saw 33–50 distinct users out of ~70).
-    pub daily_presence: f64,
-    /// Fraction of users who are day-to-day regulars (about 30 of 70);
-    /// the rest are occasional and appear with a third of the presence.
-    pub regular_fraction: f64,
     /// Whether the two heavy simulation users are active.
     pub heavy_sim: bool,
     /// Global activity multiplier (1.0 reproduces paper-scale volume;
     /// smaller values make quick tests cheap).
     pub activity_scale: f64,
-    /// Mean think time between application bursts, in seconds.
-    pub think_mean_secs: f64,
-    /// Mean number of work sessions per present user per day.
-    pub sessions_per_day: f64,
-    /// Mean session length, in hours.
-    pub session_hours: f64,
-    /// Effective application processing rate for file data, bytes/sec
-    /// (sets open durations; 1991 workstations were ~10 MIPS).
-    pub proc_rate: f64,
-    /// Open/close kernel-call overhead on a network file system, seconds
-    /// (the paper cites a 4–5x penalty over local file systems).
-    pub open_overhead_secs: f64,
     /// Probability that a compile burst uses pmake with process
     /// migration (10–30% of cycles ran migrated).
     pub migration_fraction: f64,
-    /// Number of idle hosts a migrated pmake fans out to.
-    pub pmake_fanout: u32,
     /// Rate multiplier for the shared-database activity that produces
     /// write sharing (Tables 10–12).
     pub sharing_scale: f64,
-    /// Rate multiplier for paging activity.
-    pub paging_scale: f64,
 }
 
 impl Default for WorkloadConfig {
@@ -81,19 +89,10 @@ impl Default for WorkloadConfig {
             seed: 0x5DF5_1991,
             num_clients: 36,
             num_users: 70,
-            daily_presence: 0.85,
-            regular_fraction: 0.45,
             heavy_sim: false,
             activity_scale: 1.0,
-            think_mean_secs: 25.0,
-            sessions_per_day: 1.8,
-            session_hours: 3.5,
-            proc_rate: 2.0e6,
-            open_overhead_secs: 0.004,
             migration_fraction: 0.25,
-            pmake_fanout: 6,
             sharing_scale: 1.0,
-            paging_scale: 1.0,
         }
     }
 }
@@ -126,14 +125,11 @@ impl WorkloadConfig {
         if self.num_users == 0 {
             return Err("need at least one user".into());
         }
-        if !(0.0..=1.0).contains(&self.daily_presence) {
-            return Err("daily_presence must be a probability".into());
-        }
         if !(0.0..=1.0).contains(&self.migration_fraction) {
             return Err("migration_fraction must be a probability".into());
         }
-        if self.proc_rate <= 0.0 || self.activity_scale <= 0.0 {
-            return Err("rates must be positive".into());
+        if self.activity_scale <= 0.0 {
+            return Err("activity_scale must be positive".into());
         }
         Ok(())
     }
@@ -179,11 +175,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_values() {
-        let c = WorkloadConfig {
-            daily_presence: 1.5,
-            ..WorkloadConfig::default()
-        };
-        assert!(c.validate().is_err());
         let c = WorkloadConfig {
             num_users: 0,
             ..WorkloadConfig::default()

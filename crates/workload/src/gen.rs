@@ -15,7 +15,9 @@ use sdfs_trace::{ClientId, FileId, Pid, UserId};
 use crate::apps::{
     self, build_group_files, build_system_files, Ctx, GroupFiles, SimProfile, SystemFiles,
 };
-use crate::config::WorkloadConfig;
+use crate::config::{
+    WorkloadConfig, DAILY_PRESENCE, PMAKE_FANOUT, REGULAR_FRACTION, THINK_MEAN_SECS,
+};
 use crate::namespace::Namespace;
 use crate::user::{build_user_files, schedule_sessions, Group, User};
 
@@ -62,7 +64,7 @@ impl Generator {
             let home_client = ClientId(i as u16 % cfg.num_clients);
             let uses_migration = rng.chance(0.25);
             let uses_db = rng.chance(0.5);
-            let n_hosts = rng.range(2, 1 + cfg.pmake_fanout.max(2) as u64) as usize;
+            let n_hosts = rng.range(2, 1 + PMAKE_FANOUT as u64) as usize;
             let migration_hosts = (0..n_hosts)
                 .map(|_| {
                     // Prefer a stable set of hosts distinct from home.
@@ -77,7 +79,7 @@ impl Generator {
                 id: UserId(i),
                 home_client,
                 group,
-                regular: (i as f64 / cfg.num_users as f64) < cfg.regular_fraction,
+                regular: (i as f64 / cfg.num_users as f64) < REGULAR_FRACTION,
                 heavy_sim,
                 uses_migration,
                 uses_db,
@@ -122,9 +124,9 @@ impl Generator {
                 let presence = if user.heavy_sim {
                     1.0
                 } else if user.regular {
-                    self.cfg.daily_presence
+                    DAILY_PRESENCE
                 } else {
-                    self.cfg.daily_presence / 3.0
+                    DAILY_PRESENCE / 3.0
                 };
                 let present = user.rng.chance(presence);
                 let sessions = if user.heavy_sim {
@@ -134,7 +136,7 @@ impl Generator {
                         len_secs: 3600.0 * 20.0,
                     }]
                 } else {
-                    schedule_sessions(&self.cfg, &mut self.users[ui].rng)
+                    schedule_sessions(&mut self.users[ui].rng)
                         .into_iter()
                         .map(|mut s| {
                             s.start = day_start + (s.start - SimTime::ZERO);
@@ -264,7 +266,7 @@ impl Generator {
             None
         };
         let mut now = session.start;
-        let think_mean = self.cfg.think_mean_secs / self.cfg.activity_scale;
+        let think_mean = THINK_MEAN_SECS / self.cfg.activity_scale;
 
         // Session environment: the user logs in, the window system and
         // shell start (steady VM pressure for the whole session), and the

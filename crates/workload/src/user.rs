@@ -10,7 +10,7 @@
 use sdfs_simkit::{SimRng, SimTime};
 use sdfs_trace::{ClientId, FileId, UserId};
 
-use crate::config::WorkloadConfig;
+use crate::config::{SESSIONS_PER_DAY, SESSION_HOURS};
 use crate::namespace::Namespace;
 
 /// The four user groups.
@@ -160,10 +160,10 @@ pub struct Session {
 
 /// Schedules a user's sessions for one day with a diurnal shape: most
 /// sessions start mid-morning or early afternoon, a few in the evening.
-pub fn schedule_sessions(cfg: &WorkloadConfig, rng: &mut SimRng) -> Vec<Session> {
+pub fn schedule_sessions(rng: &mut SimRng) -> Vec<Session> {
     let mut sessions = Vec::new();
     // Poisson-ish count with the configured mean.
-    let mut expected = cfg.sessions_per_day;
+    let mut expected = SESSIONS_PER_DAY;
     while expected > 0.0 {
         if rng.f64() < expected.min(1.0) {
             let peak = rng.pick_weighted(&[0.55, 0.33, 0.12]);
@@ -176,7 +176,7 @@ pub fn schedule_sessions(cfg: &WorkloadConfig, rng: &mut SimRng) -> Vec<Session>
             // overruns its session still lands inside this day's trace
             // (day batches must stay time-ordered).
             let start_h = (center_h + rng.normal() * 1.4).clamp(0.2, 22.0);
-            let len_h = (cfg.session_hours * (0.3 + 1.4 * rng.f64())).max(0.2);
+            let len_h = (SESSION_HOURS * (0.3 + 1.4 * rng.f64())).max(0.2);
             let len_secs = (len_h * 3600.0).min((23.2 - start_h) * 3600.0);
             if len_secs > 60.0 {
                 sessions.push(Session {
@@ -240,11 +240,10 @@ mod tests {
 
     #[test]
     fn sessions_fit_in_day() {
-        let cfg = WorkloadConfig::default();
         let mut rng = SimRng::seed_from_u64(11);
         let midnight = SimTime::from_secs(24 * 3600);
         for _ in 0..200 {
-            for s in schedule_sessions(&cfg, &mut rng) {
+            for s in schedule_sessions(&mut rng) {
                 let end = s.start + sdfs_simkit::SimDuration::from_secs_f64(s.len_secs);
                 assert!(end <= midnight, "session past midnight");
                 assert!(s.len_secs > 0.0);

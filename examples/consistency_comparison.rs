@@ -55,7 +55,7 @@ fn main() {
         ("Modified Sprite", Algorithm::SpriteModified),
         ("Token-based", Algorithm::Token),
     ] {
-        let r = simulate(&records, alg, 4096, SimDuration::from_secs(30));
+        let r = simulate(&records, alg);
         println!(
             "{:<18} {:>12} {:>12} {:>12.2} {:>12.2}",
             name,

@@ -27,6 +27,10 @@ cargo clippy --workspace --offline --all-targets -- -D warnings
 echo "==> static: cargo doc -D warnings (no broken intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> benchkit: builds against the workspace API and passes its own tests"
+cargo test --offline -q --manifest-path benchkit/Cargo.toml
+python3 -m unittest discover benchkit
+
 echo "==> end-to-end: repro --quick all"
 start_ms=$(date +%s%3N)
 ./target/release/repro --quick all > /tmp/verify_report.txt

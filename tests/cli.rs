@@ -187,6 +187,13 @@ fn rejected_input_exits_2_with_usage() {
         (&["--quick", "table1", "--traces"], "--traces"),
         // A stray positional argument.
         (&["--quick", "table1", "table2"], "table2"),
+        // Flags the subcommand does not take would do nothing.
+        (&["--quick", "--csv", "x", "table1"], "`--csv`"),
+        (&["--quick", "--json", "table1"], "`--json`"),
+        (&["--quick", "--audit", "all"], "`--audit`"),
+        (&["--quick", "--root", ".", "all"], "`--root`"),
+        // `gen-trace` without its output path.
+        (&["--quick", "gen-trace"], "`gen-trace`"),
     ];
     for &(args, token) in cases {
         let out = repro(args);

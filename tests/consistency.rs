@@ -306,12 +306,7 @@ fn sprite_overhead_is_exactly_unity() {
         seed: 13,
         heavy_sim: false,
     });
-    let r = simulate(
-        &records,
-        Algorithm::Sprite,
-        4096,
-        SimDuration::from_secs(30),
-    );
+    let r = simulate(&records, Algorithm::Sprite);
     if r.app_events > 0 {
         assert!((r.bytes_ratio() - 1.0).abs() < 1e-9);
         assert!((r.rpc_ratio() - 1.0).abs() < 1e-9);
