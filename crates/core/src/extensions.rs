@@ -11,15 +11,16 @@ use sdfs_spritefs::{Cluster, ConsistencyPolicy};
 use sdfs_trace::ClientId;
 use sdfs_workload::Generator;
 
-use crate::study::StudyConfig;
+use crate::study::{simulate_day, StudyConfig};
 
 /// Crash-exposure measurement for one write-back delay.
 #[derive(Debug, Clone)]
 pub struct CrashExposure {
     /// The write-back delay simulated, seconds.
     pub delay_secs: u64,
-    /// Dirty bytes at risk across the cluster, sampled every simulated
-    /// minute during the day.
+    /// Dirty bytes at risk across the cluster, sampled before the first
+    /// operation of each simulated minute that has one (idle minutes
+    /// are not sampled).
     pub exposure: Summary,
     /// Bytes actually lost when every client crashes at end of day.
     pub end_of_day_loss: u64,
@@ -105,28 +106,13 @@ pub fn policy_matrix(base: &StudyConfig) -> Vec<PolicyOutcome> {
         .map(|&policy| {
             let mut cfg = base.clone();
             cfg.cluster.consistency = policy;
-            let mut gen = Generator::new(cfg.workload.clone());
-            let mut cluster = Cluster::new(cfg.cluster.clone(), NullSink);
-            cluster.preload(&gen.preload_list());
-            let ops = gen.generate_day(0);
-            cluster.run(ops, SimTime::from_secs(86_400));
-            let mut server_bytes = 0u64;
-            let mut rpc_messages = 0u64;
-            let mut stale_reads = 0u64;
-            let mut shared_bytes = 0u64;
-            for client in cluster.clients() {
-                let c = &client.metrics.counters;
-                server_bytes += c.sum_prefix(srv::PREFIX);
-                rpc_messages += rpc::total_msgs(c);
-                stale_reads += c.get(consist::STALE_READ_OPS);
-                shared_bytes += c.get(srv::SHARED_READ) + c.get(srv::SHARED_WRITE);
-            }
+            let c = simulate_day(&cfg).clients;
             PolicyOutcome {
                 policy,
-                server_bytes,
-                rpc_messages,
-                stale_reads,
-                shared_bytes,
+                server_bytes: c.sum_prefix(srv::PREFIX),
+                rpc_messages: rpc::total_msgs(&c),
+                stale_reads: c.get(consist::STALE_READ_OPS),
+                shared_bytes: c.get(srv::SHARED_READ) + c.get(srv::SHARED_WRITE),
             }
         })
         .collect()

@@ -12,12 +12,10 @@
 //! size of the storm versus cluster size and write-back delay.
 
 use sdfs_simkit::{SimDuration, SimTime};
-use sdfs_spritefs::cluster::NullSink;
 use sdfs_spritefs::metrics::fault;
-use sdfs_spritefs::{Cluster, FaultPlan, ObsReport, Partition, SanitizerStats, ServerOutage};
-use sdfs_workload::Generator;
+use sdfs_spritefs::{FaultPlan, ObsReport, Partition, SanitizerStats, ServerOutage};
 
-use crate::study::StudyConfig;
+use crate::study::{simulate_day, DayTotals, StudyConfig};
 
 /// The canned mid-day outage used by `repro faults` and the scorecard:
 /// server 0 (the hot server, holding ~70% of files) crashes at 1 PM —
@@ -73,6 +71,15 @@ pub struct OutageOutcome {
     pub obs: Option<ObsReport>,
 }
 
+/// Simulates one generated day of `base` under `plan`.
+fn fault_day(base: &StudyConfig, plan: &FaultPlan, sanitize: bool, observe: bool) -> DayTotals {
+    let mut cfg = base.clone();
+    cfg.cluster.faults = Some(plan.clone());
+    cfg.cluster.sanitize = sanitize;
+    cfg.cluster.observe = observe;
+    simulate_day(&cfg)
+}
+
 /// Runs one generated day under `plan` and harvests the availability
 /// counters.
 pub fn run_outage_day(
@@ -81,52 +88,24 @@ pub fn run_outage_day(
     sanitize: bool,
     observe: bool,
 ) -> OutageOutcome {
-    let mut cfg = base.clone();
-    cfg.cluster.faults = Some(plan.clone());
-    cfg.cluster.sanitize = sanitize;
-    cfg.cluster.observe = observe;
-    let mut gen = Generator::new(cfg.workload.clone());
-    let mut cluster = Cluster::new(cfg.cluster.clone(), NullSink);
-    cluster.preload(&gen.preload_list());
-    let ops = gen.generate_day(0);
-    cluster.run(ops, SimTime::from_secs(86_400));
-
-    let mut o = OutageOutcome {
+    let day = fault_day(base, plan, sanitize, observe);
+    let (c, s) = (&day.clients, &day.servers);
+    OutageOutcome {
         scheduled_down_secs: plan.outages.iter().map(|x| x.down_for.as_secs()).sum(),
-        unavail_secs: 0.0,
-        lost_bytes: 0,
-        saved_bytes: 0,
-        stalled_rpcs: 0,
-        stall_secs: 0.0,
-        queued_writebacks: 0,
-        retrans_msgs: 0,
-        failed_rpcs: 0,
-        storm_rpcs: 0,
-        storm_reopens: 0,
-        storm_reregisters: 0,
-        sanitizer: None,
-        obs: None,
-    };
-    for client in cluster.clients() {
-        let c = &client.metrics.counters;
-        o.stalled_rpcs += c.get(fault::STALLED_RPCS);
-        o.stall_secs += c.get(fault::STALL_US) as f64 / 1e6;
-        o.queued_writebacks += c.get(fault::QUEUED_WRITEBACKS);
-        o.retrans_msgs += c.get(fault::RETRANS_MSGS);
-        o.failed_rpcs += c.get(fault::FAILED_RPCS);
+        unavail_secs: s.get(fault::SRV_UNAVAIL_US) as f64 / 1e6,
+        lost_bytes: s.get(fault::SRV_LOST_BYTES),
+        saved_bytes: s.get(fault::NVRAM_SAVED_BYTES),
+        stalled_rpcs: c.get(fault::STALLED_RPCS),
+        stall_secs: c.get(fault::STALL_US) as f64 / 1e6,
+        queued_writebacks: c.get(fault::QUEUED_WRITEBACKS),
+        retrans_msgs: c.get(fault::RETRANS_MSGS),
+        failed_rpcs: c.get(fault::FAILED_RPCS),
+        storm_rpcs: s.get(fault::STORM_RPCS),
+        storm_reopens: s.get(fault::STORM_REOPENS),
+        storm_reregisters: s.get(fault::STORM_REREGISTERS),
+        sanitizer: day.sanitizer,
+        obs: day.obs,
     }
-    for server in cluster.servers() {
-        let c = &server.counters;
-        o.lost_bytes += c.get(fault::SRV_LOST_BYTES);
-        o.saved_bytes += c.get(fault::NVRAM_SAVED_BYTES);
-        o.unavail_secs += c.get(fault::SRV_UNAVAIL_US) as f64 / 1e6;
-        o.storm_rpcs += c.get(fault::STORM_RPCS);
-        o.storm_reopens += c.get(fault::STORM_REOPENS);
-        o.storm_reregisters += c.get(fault::STORM_REREGISTERS);
-    }
-    o.sanitizer = cluster.take_sanitizer_stats();
-    o.obs = cluster.take_obs_report();
-    o
 }
 
 /// One row of the loss-vs-delay sweep.
@@ -402,58 +381,27 @@ pub fn run_partition_day(
     sanitize: bool,
     observe: bool,
 ) -> PartitionOutcome {
-    let mut cfg = base.clone();
-    cfg.cluster.faults = Some(plan.clone());
-    cfg.cluster.sanitize = sanitize;
-    cfg.cluster.observe = observe;
-    let mut gen = Generator::new(cfg.workload.clone());
-    let mut cluster = Cluster::new(cfg.cluster.clone(), NullSink);
-    cluster.preload(&gen.preload_list());
-    let ops = gen.generate_day(0);
-    cluster.run(ops, SimTime::from_secs(86_400));
-
-    let mut o = PartitionOutcome {
+    let day = fault_day(base, plan, sanitize, observe);
+    let (c, s) = (&day.clients, &day.servers);
+    PartitionOutcome {
         scheduled_cut_secs: plan.partitions.iter().map(|p| p.heal_after.as_secs()).sum(),
-        cut_edge_secs: 0.0,
-        stalled_rpcs: 0,
-        stall_secs: 0.0,
-        failed_rpcs: 0,
-        queued_writebacks: 0,
-        undelivered_actions: 0,
-        lease_recalls: 0,
-        lease_lost_bytes: 0,
-        lease_wait_secs: 0.0,
-        heal_storm_rpcs: 0,
-        heal_renewals: 0,
-        heal_reasserts: 0,
-        heal_reregisters: 0,
-        heal_reopens: 0,
-        sanitizer: None,
-        obs: None,
-    };
-    for client in cluster.clients() {
-        let c = &client.metrics.counters;
-        o.stalled_rpcs += c.get(fault::PART_STALLED_RPCS);
-        o.stall_secs += c.get(fault::PART_STALL_US) as f64 / 1e6;
-        o.failed_rpcs += c.get(fault::PART_FAILED_RPCS);
-        o.queued_writebacks += c.get(fault::PART_QUEUED_WRITEBACKS);
-        o.undelivered_actions += c.get(fault::PART_UNDELIVERED);
-        o.lease_wait_secs += c.get(fault::LEASE_WAIT_US) as f64 / 1e6;
+        cut_edge_secs: s.get(fault::PART_CUT_US) as f64 / 1e6,
+        stalled_rpcs: c.get(fault::PART_STALLED_RPCS),
+        stall_secs: c.get(fault::PART_STALL_US) as f64 / 1e6,
+        failed_rpcs: c.get(fault::PART_FAILED_RPCS),
+        queued_writebacks: c.get(fault::PART_QUEUED_WRITEBACKS),
+        undelivered_actions: c.get(fault::PART_UNDELIVERED),
+        lease_recalls: s.get(fault::LEASE_EXPIRY_RECALLS),
+        lease_lost_bytes: s.get(fault::LEASE_LOST_BYTES),
+        lease_wait_secs: c.get(fault::LEASE_WAIT_US) as f64 / 1e6,
+        heal_storm_rpcs: s.get(fault::HEAL_STORM_RPCS),
+        heal_renewals: s.get(fault::HEAL_RENEWALS),
+        heal_reasserts: s.get(fault::HEAL_REASSERTS),
+        heal_reregisters: s.get(fault::HEAL_REREGISTERS),
+        heal_reopens: s.get(fault::HEAL_REOPENS),
+        sanitizer: day.sanitizer,
+        obs: day.obs,
     }
-    for server in cluster.servers() {
-        let c = &server.counters;
-        o.cut_edge_secs += c.get(fault::PART_CUT_US) as f64 / 1e6;
-        o.lease_recalls += c.get(fault::LEASE_EXPIRY_RECALLS);
-        o.lease_lost_bytes += c.get(fault::LEASE_LOST_BYTES);
-        o.heal_storm_rpcs += c.get(fault::HEAL_STORM_RPCS);
-        o.heal_renewals += c.get(fault::HEAL_RENEWALS);
-        o.heal_reasserts += c.get(fault::HEAL_REASSERTS);
-        o.heal_reregisters += c.get(fault::HEAL_REREGISTERS);
-        o.heal_reopens += c.get(fault::HEAL_REOPENS);
-    }
-    o.sanitizer = cluster.take_sanitizer_stats();
-    o.obs = cluster.take_obs_report();
-    o
 }
 
 /// One row of the partition-duration × lease-TTL sweep: the same cut

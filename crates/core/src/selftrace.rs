@@ -10,9 +10,8 @@
 //! event in the trace must correspond to exactly one `rpc.open.msgs`
 //! tick on some client.
 //!
-//! All identities are sums over *client* counters only: servers count
-//! the same RPCs a second time on arrival, so including them would
-//! double every right-hand side.
+//! All identities are sums over *client* counters: every RPC is counted
+//! once, by the client that issues it (servers keep no RPC tally).
 //!
 //! [`probe`] runs the whole pass at a fixed quick scale so the
 //! scorecard rows it feeds are identical whether the surrounding study

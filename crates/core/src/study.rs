@@ -476,6 +476,45 @@ impl StudyResults {
     }
 }
 
+/// What one simulated day counted: every client's counters summed,
+/// every server's counters summed, and SpriteSan's and sdfs-obs's
+/// reports when the cluster ran with them.
+#[derive(Debug)]
+pub(crate) struct DayTotals {
+    /// All client counters, summed.
+    pub(crate) clients: CounterSet,
+    /// All server counters, summed.
+    pub(crate) servers: CounterSet,
+    /// SpriteSan's verdict ([`Config::sanitize`]).
+    pub(crate) sanitizer: Option<SanitizerStats>,
+    /// The self-measurement report ([`Config::observe`]).
+    pub(crate) obs: Option<ObsReport>,
+}
+
+/// Simulates day 0 of `cfg`'s generated workload on a counter-only
+/// cluster through midnight, and sums what it counted. The fault-day
+/// experiments and the live policy matrix run their days here.
+pub(crate) fn simulate_day(cfg: &StudyConfig) -> DayTotals {
+    let mut gen = Generator::new(cfg.workload.clone());
+    let mut cluster = Cluster::new(cfg.cluster.clone(), NullSink);
+    cluster.preload(&gen.preload_list());
+    cluster.run(gen.generate_day(0), SimTime::from_secs(86_400));
+    let mut clients = CounterSet::new();
+    for client in cluster.clients() {
+        clients.merge(&client.metrics.counters);
+    }
+    let mut servers = CounterSet::new();
+    for server in cluster.servers() {
+        servers.merge(&server.counters);
+    }
+    DayTotals {
+        clients,
+        servers,
+        sanitizer: cluster.take_sanitizer_stats(),
+        obs: cluster.take_obs_report(),
+    }
+}
+
 /// A convenience: the simulated writeback-delay ablation from DESIGN.md.
 /// Runs the counter campaign at several delayed-write ages and reports
 /// the write-back traffic ratio for each.

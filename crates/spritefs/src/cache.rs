@@ -429,6 +429,26 @@ impl BlockCache {
         Some((key, entry))
     }
 
+    /// The files with at least one cached block, sorted.
+    pub(crate) fn files(&self) -> Vec<FileId> {
+        let mut files: Vec<FileId> = self.files.keys().copied().collect();
+        files.sort_unstable();
+        files
+    }
+
+    /// Application bytes held dirty across the cache: what a crash
+    /// right now would destroy. Walks only the dirty list.
+    pub(crate) fn dirty_app_bytes(&self) -> u64 {
+        let mut bytes = 0;
+        let mut i = self.ends[DIRTY].head;
+        while i != NIL {
+            let s = &self.slots[i as usize];
+            bytes += s.entry.dirty_app_bytes;
+            i = s.links[DIRTY].next;
+        }
+        bytes
+    }
+
     /// All cached block indices of `file`, sorted.
     pub fn blocks_of(&self, file: FileId) -> Vec<u64> {
         let mut v = Vec::new();

@@ -278,6 +278,48 @@ impl FaultState {
     }
 }
 
+/// The counters charged when a client cannot reach a server: RPCs that
+/// stalled, the stall time, RPCs that outlasted the retry budget, and
+/// write-backs the daemon queued.
+struct Blocked {
+    stalled: &'static str,
+    stall_us: &'static str,
+    failed: &'static str,
+    queued: &'static str,
+}
+
+/// The server is down (crashed, not yet rebooted).
+const SERVER_DOWN: Blocked = Blocked {
+    stalled: fault::STALLED_RPCS,
+    stall_us: fault::STALL_US,
+    failed: fault::FAILED_RPCS,
+    queued: fault::QUEUED_WRITEBACKS,
+};
+
+/// The client↔server edge is cut by a partition.
+const EDGE_CUT: Blocked = Blocked {
+    stalled: fault::PART_STALLED_RPCS,
+    stall_us: fault::PART_STALL_US,
+    failed: fault::PART_FAILED_RPCS,
+    queued: fault::PART_QUEUED_WRITEBACKS,
+};
+
+/// What one client holds at one server ([`Cluster::stake`]).
+struct Stake {
+    /// Live handles on the server's files, sorted by handle.
+    handles: Vec<(Handle, FileId, OpenMode)>,
+    /// The server's files with blocks in the client's cache, sorted by
+    /// id.
+    files: Vec<FileId>,
+}
+
+impl Stake {
+    /// Whether the client holds nothing at the server.
+    fn is_empty(&self) -> bool {
+        self.handles.is_empty() && self.files.is_empty()
+    }
+}
+
 /// The simulated cluster.
 ///
 /// # Examples
@@ -320,8 +362,7 @@ pub struct Cluster<S: TraceSink> {
     now: SimTime,
     next_tick: SimTime,
     next_sample: SimTime,
-    /// Scratch buffer reused by the write-back daemon's per-client scan
-    /// (and by the other whole-client dirty-file walks).
+    /// Scratch buffer reused by the write-back daemon's per-client scan.
     daemon_files: Vec<FileId>,
     /// Scratch buffer reused for holder/reader client lists on the
     /// consistency paths.
@@ -510,28 +551,8 @@ impl<S: TraceSink> Cluster<S> {
         let ci = client.raw() as usize;
         assert!(ci < self.clients.len(), "unknown client {client}");
         let mut lost = 0u64;
-        let files: Vec<FileId> = {
-            let cache = &self.clients[ci].cache;
-            let mut v: Vec<FileId> = Vec::new();
-            // Collect per-file so the removal helper can do the work.
-            for file in self.files.iter().map(|(id, _)| id) {
-                if !cache.blocks_of(file).is_empty() {
-                    v.push(file);
-                }
-            }
-            v
-        };
-        for file in files {
-            for index in self.clients[ci].cache.dirty_blocks_of(file) {
-                let key = BlockKey { file, index };
-                if let Some(entry) = self.clients[ci].cache.get(key) {
-                    lost += entry.dirty_app_bytes;
-                }
-                if let Some(san) = self.san.as_deref_mut() {
-                    san.on_crash_lost(client, key);
-                }
-            }
-            self.invalidate_file(ci, file, false);
+        for file in self.clients[ci].cache.files() {
+            lost += self.discard_file(ci, file);
         }
         self.clients[ci]
             .metrics
@@ -544,24 +565,12 @@ impl<S: TraceSink> Cluster<S> {
             let touched: Vec<FileId> = server
                 .files
                 .iter()
-                .filter(|(_, st)| {
-                    st.opens.iter().any(|o| o.client == client)
-                        || st.last_writer == Some(client)
-                        || st.tokens.writer == Some(client)
-                        || st.tokens.readers.contains(&client)
-                })
+                .filter(|(_, st)| st.involves(client))
                 .map(|(&f, _)| f)
                 .collect();
             for file in touched {
                 let st = server.file_state(file);
-                st.opens.retain(|o| o.client != client);
-                if st.last_writer == Some(client) {
-                    st.last_writer = None;
-                }
-                if st.tokens.writer == Some(client) {
-                    st.tokens.writer = None;
-                }
-                st.tokens.readers.remove(&client);
+                st.forget(client);
                 // Re-evaluate cache disabling now that the crash ended
                 // any sharing this client participated in.
                 if st.uncacheable && !st.write_shared() && st.opens.is_empty() {
@@ -584,19 +593,48 @@ impl<S: TraceSink> Cluster<S> {
     /// Total dirty bytes currently exposed to loss on `client` (what a
     /// crash right now would destroy).
     pub fn dirty_exposure(&self, client: ClientId) -> u64 {
-        let ci = client.raw() as usize;
-        let cache = &self.clients[ci].cache;
-        self.files
+        self.clients[client.raw() as usize].cache.dirty_app_bytes()
+    }
+
+    /// Drops client `ci`'s cached copy of `file` the way a crash does:
+    /// its dirty blocks never reach the server (SpriteSan rolls their
+    /// expected contents back to the server's copy) and the file is
+    /// invalidated. Returns the dirty bytes lost.
+    fn discard_file(&mut self, ci: usize, file: FileId) -> u64 {
+        let client = self.clients[ci].id;
+        let mut lost = 0u64;
+        for index in self.clients[ci].cache.dirty_blocks_of(file) {
+            let key = BlockKey { file, index };
+            if let Some(entry) = self.clients[ci].cache.get(key) {
+                lost += entry.dirty_app_bytes;
+            }
+            if let Some(san) = self.san.as_deref_mut() {
+                san.on_crash_lost(client, key);
+            }
+        }
+        self.invalidate_file(ci, file, false);
+        lost
+    }
+
+    /// What client `ci` holds at server `si`, as Sprite's recovery
+    /// protocol re-registers it: the crash rebuild, the recovery storm
+    /// and both heal storms are all priced from this one query. A file
+    /// belongs to `si` when the file table says so, so handles on
+    /// deleted files are not counted.
+    fn stake(&self, ci: usize, si: usize) -> Stake {
+        let sid = self.servers[si].id;
+        let on_server = |file| self.files.get(file).is_some_and(|m| m.server == sid);
+        let client = &self.clients[ci];
+        let mut handles: Vec<(Handle, FileId, OpenMode)> = client
+            .fds
             .iter()
-            .map(|(file, _)| {
-                cache
-                    .dirty_blocks_of(file)
-                    .into_iter()
-                    .filter_map(|index| cache.get(BlockKey { file, index }))
-                    .map(|e| e.dirty_app_bytes)
-                    .sum::<u64>()
-            })
-            .sum()
+            .filter(|(_, f)| on_server(f.file))
+            .map(|(&h, f)| (h, f.file, f.mode))
+            .collect();
+        handles.sort_unstable_by_key(|&(h, ..)| h);
+        let mut files = client.cache.files();
+        files.retain(|&file| on_server(file));
+        Stake { handles, files }
     }
 
     // ------------------------------------------------------------------
@@ -663,27 +701,19 @@ impl<S: TraceSink> Cluster<S> {
     /// state; the RPC *cost* of the recovery storm is charged at reboot
     /// by [`Cluster::recover_server`].
     fn rebuild_server_state(&mut self, si: usize) {
-        let sid = self.servers[si].id;
         let token_mode = matches!(self.cfg.consistency, ConsistencyPolicy::Token);
         let sprite_family = matches!(
             self.cfg.consistency,
             ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified
         );
-        let mut opens: Vec<(Handle, FileId, OpenMode)> = Vec::new();
-        let mut dirty = std::mem::take(&mut self.daemon_files);
-        for ci in 0..self.clients.len() {
+        let stakes: Vec<Stake> = (0..self.clients.len())
+            .map(|ci| self.stake(ci, si))
+            .collect();
+        for (ci, stake) in stakes.iter().enumerate() {
             let client = self.clients[ci].id;
             // Live opens come back in (client, handle) order so the
             // rebuilt open lists are deterministic.
-            opens.clear();
-            opens.extend(self.clients[ci].fds.iter().filter_map(|(&h, f)| {
-                self.files
-                    .get(f.file)
-                    .filter(|m| m.server == sid)
-                    .map(|_| (h, f.file, f.mode))
-            }));
-            opens.sort_unstable_by_key(|&(h, ..)| h);
-            for &(handle, file, mode) in &opens {
+            for &(handle, file, mode) in &stake.handles {
                 self.servers[si].file_state(file).opens.push(OpenEntry {
                     client,
                     handle,
@@ -695,11 +725,8 @@ impl<S: TraceSink> Cluster<S> {
             // triggers a recall. At most one client can hold dirty
             // blocks of a file under the recall policies, so "first
             // client scanned wins" never races a real conflict.
-            self.clients[ci]
-                .cache
-                .files_with_dirty_before_into(SimTime::MAX, &mut dirty);
-            for &file in &dirty {
-                if !self.files.get(file).is_some_and(|m| m.server == sid) {
+            for &file in &stake.files {
+                if self.clients[ci].cache.dirty_blocks_of(file).is_empty() {
                     continue;
                 }
                 let st = self.servers[si].file_state(file);
@@ -712,22 +739,13 @@ impl<S: TraceSink> Cluster<S> {
                 }
             }
         }
-        dirty.clear();
-        self.daemon_files = dirty;
         if token_mode {
             // Read tokens: every client still caching blocks of a file
-            // re-registers as a reader (unless it is the writer).
-            let mut indices: Vec<u64> = Vec::new();
-            for (file, meta) in self.files.iter() {
-                if meta.server != sid {
-                    continue;
-                }
-                for ci in 0..self.clients.len() {
-                    self.clients[ci].cache.blocks_of_into(file, &mut indices);
-                    if indices.is_empty() {
-                        continue;
-                    }
-                    let client = self.clients[ci].id;
+            // re-registers as a reader (unless it is the writer), client
+            // by client.
+            for (ci, stake) in stakes.iter().enumerate() {
+                let client = self.clients[ci].id;
+                for &file in &stake.files {
                     let st = self.servers[si].file_state(file);
                     if st.tokens.writer != Some(client) {
                         st.tokens.readers.insert(client);
@@ -765,42 +783,17 @@ impl<S: TraceSink> Cluster<S> {
         let mut storm = 0u64;
         let mut reopens_total = 0u64;
         let mut reregisters = 0u64;
-        let mut indices: Vec<u64> = Vec::new();
         for ci in 0..self.clients.len() {
-            let mut reopens = 0u64;
-            for f in self.clients[ci].fds.values() {
-                if self.files.get(f.file).is_some_and(|m| m.server == server) {
-                    reopens += 1;
-                }
-            }
-            let mut involved = reopens > 0;
-            if !involved {
-                // Cached blocks alone also force re-registration: the
-                // reborn server must learn who caches its files.
-                for (file, meta) in self.files.iter() {
-                    if meta.server != server {
-                        continue;
-                    }
-                    self.clients[ci].cache.blocks_of_into(file, &mut indices);
-                    if !indices.is_empty() {
-                        involved = true;
-                        break;
-                    }
-                }
-            }
-            if !involved {
+            // Cached blocks alone also force re-registration: the
+            // reborn server must learn who caches its files.
+            let stake = self.stake(ci, si);
+            if stake.is_empty() {
                 continue;
             }
+            let reopens = stake.handles.len() as u64;
             let c = &mut self.clients[ci].metrics.counters;
             count_rpc(c, RpcKind::Reregister, 0);
-            for _ in 0..reopens {
-                count_rpc(c, RpcKind::Reopen, 0);
-            }
-            let sc = &mut self.servers[si].counters;
-            count_rpc(sc, RpcKind::Reregister, 0);
-            for _ in 0..reopens {
-                count_rpc(sc, RpcKind::Reopen, 0);
-            }
+            count_rpcs(c, RpcKind::Reopen, reopens, 0);
             reregisters += 1;
             if let Some(obs) = self.obs.as_deref_mut() {
                 obs.event(ObsEventKind::Reregister);
@@ -851,6 +844,19 @@ impl<S: TraceSink> Cluster<S> {
         self.scratch_keys = keys;
     }
 
+    /// Whether client `ci` cannot reach server `si` right now: `None`
+    /// when it can, else when the outage or cut ends and the counters
+    /// that case charges. A down server takes precedence over a cut
+    /// edge.
+    fn unreachable(&self, ci: usize, si: usize) -> Option<(SimTime, &'static Blocked)> {
+        if self.server_down[si] {
+            return Some((self.down_until[si], &SERVER_DOWN));
+        }
+        let f = self.fault.as_ref()?;
+        f.edge_cut(ci as u16, si)
+            .then(|| (f.cut_until[f.edge(ci as u16, si)], &EDGE_CUT))
+    }
+
     /// Applies fault accounting to one client→server RPC: a down server
     /// stalls the caller for up to the retry budget (the operation itself
     /// is queued and delivered — data is not lost, time is), a cut edge
@@ -858,19 +864,23 @@ impl<S: TraceSink> Cluster<S> {
     /// messages, costing seeded retransmissions with exponential backoff.
     /// No-op without a [`FaultPlan`].
     fn fault_rpc(&mut self, ci: usize, si: usize, kind: RpcKind) {
+        let unreachable = self.unreachable(ci, si);
         let Some(fstate) = self.fault.as_mut() else {
             return;
         };
         let now = self.now;
         let counters = &mut self.clients[ci].data.metrics.counters;
         let mut obs = self.obs.as_deref_mut();
-        if self.server_down[si] {
-            let remaining = self.down_until[si].since(now);
+        if let Some((until, blocked)) = unreachable {
+            // The RPC times out and is retried until the reboot or heal,
+            // or until the retry budget runs out. The operation itself
+            // still executes: the cost is time, not data (DESIGN.md §15).
+            let remaining = until.since(now);
             let stall = remaining.min(retry_budget());
-            counters.bump(fault::STALLED_RPCS);
-            counters.add(fault::STALL_US, stall.as_micros());
+            counters.bump(blocked.stalled);
+            counters.add(blocked.stall_us, stall.as_micros());
             if remaining > retry_budget() {
-                counters.bump(fault::FAILED_RPCS);
+                counters.bump(blocked.failed);
                 if let Some(obs) = obs.as_deref_mut() {
                     obs.exhaust(kind);
                 }
@@ -882,30 +892,9 @@ impl<S: TraceSink> Cluster<S> {
             return;
         }
         if fstate.has_partitions {
-            let e = fstate.edge(ci as u16, si);
-            if fstate.cut[e] > 0 {
-                // The edge is cut: the RPC times out and is retried until
-                // the heal or the retry budget runs out. Like outage
-                // stalls, the operation itself still executes — the cost
-                // is time, not data (DESIGN.md §15).
-                let remaining = fstate.cut_until[e].since(now);
-                let stall = remaining.min(retry_budget());
-                counters.bump(fault::PART_STALLED_RPCS);
-                counters.add(fault::PART_STALL_US, stall.as_micros());
-                if remaining > retry_budget() {
-                    counters.bump(fault::PART_FAILED_RPCS);
-                    if let Some(obs) = obs.as_deref_mut() {
-                        obs.exhaust(kind);
-                    }
-                }
-                if let Some(obs) = obs {
-                    obs.span(SpanKind::Stall, stall);
-                    obs.retry(stall);
-                }
-                return;
-            }
             // An RPC that reaches the server implicitly renews the
             // client's lease on this edge.
+            let e = fstate.edge(ci as u16, si);
             fstate.lease_until[e] = now + fstate.plan.lease_ttl;
         }
         if fstate.plan.drop_prob > 0.0 {
@@ -1021,37 +1010,6 @@ impl<S: TraceSink> Cluster<S> {
         }
     }
 
-    /// Client `ci`'s stake on server `si` at heal time: live handles
-    /// (which a conservative heal reopens, mirroring the
-    /// [`Cluster::recover_server`] rule), cached files with no live
-    /// handle (which a conservative heal must revalidate one by one —
-    /// see [`Cluster::conservative_heal`]), and whether the client has
-    /// any stake at all.
-    fn edge_stake(&self, ci: usize, si: usize) -> (u64, u64, bool) {
-        let sid = self.servers[si].id;
-        let mut reopens = 0u64;
-        for f in self.clients[ci].fds.values() {
-            if self.files.get(f.file).is_some_and(|m| m.server == sid) {
-                reopens += 1;
-            }
-        }
-        let mut revalidations = 0u64;
-        let mut indices: Vec<u64> = Vec::new();
-        for (file, meta) in self.files.iter() {
-            if meta.server != sid {
-                continue;
-            }
-            if self.clients[ci].fds.values().any(|f| f.file == file) {
-                continue; // counted as a reopen above
-            }
-            self.clients[ci].cache.blocks_of_into(file, &mut indices);
-            if !indices.is_empty() {
-                revalidations += 1;
-            }
-        }
-        (reopens, revalidations, reopens > 0 || revalidations > 0)
-    }
-
     /// Conservative heal storm for one edge: the client cannot tell a
     /// partition from a server reboot (both look like timeouts), so it
     /// re-registers and reopens every live handle — the full
@@ -1064,21 +1022,22 @@ impl<S: TraceSink> Cluster<S> {
     /// own round trip. The lease protocol exists to collapse exactly
     /// this per-file revalidation into one renewal.
     fn conservative_heal(&mut self, ci: usize, si: usize) {
-        let (reopens, revalidations, involved) = self.edge_stake(ci, si);
-        if !involved {
+        let stake = self.stake(ci, si);
+        if stake.is_empty() {
             return;
         }
-        let roundtrips = reopens + revalidations;
+        // Live handles are reopened, mirroring the recovery storm; each
+        // cached file with no live handle is revalidated on its own.
+        let revalidations = stake
+            .files
+            .iter()
+            .filter(|&&file| !stake.handles.iter().any(|&(_, f, _)| f == file))
+            .count();
+        let roundtrips = (stake.handles.len() + revalidations) as u64;
         let c = &mut self.clients[ci].metrics.counters;
         count_rpc(c, RpcKind::Reregister, 0);
-        for _ in 0..roundtrips {
-            count_rpc(c, RpcKind::Reopen, 0);
-        }
+        count_rpcs(c, RpcKind::Reopen, roundtrips, 0);
         let sc = &mut self.servers[si].counters;
-        count_rpc(sc, RpcKind::Reregister, 0);
-        for _ in 0..roundtrips {
-            count_rpc(sc, RpcKind::Reopen, 0);
-        }
         sc.add(fault::HEAL_REREGISTERS, 1);
         sc.add(fault::HEAL_REOPENS, roundtrips);
         sc.add(fault::HEAL_STORM_RPCS, 1 + roundtrips);
@@ -1099,26 +1058,19 @@ impl<S: TraceSink> Cluster<S> {
             std::mem::take(&mut f.revoked[e])
         };
         revoked.retain(|&file| self.clients[ci].fds.values().any(|f| f.file == file));
-        let (_, _, involved) = self.edge_stake(ci, si);
-        if !involved && revoked.is_empty() {
+        if self.stake(ci, si).is_empty() && revoked.is_empty() {
             return;
         }
         count_rpc(&mut self.clients[ci].metrics.counters, RpcKind::LeaseRenew, 0);
-        count_rpc(&mut self.servers[si].counters, RpcKind::LeaseRenew, 0);
-        {
-            let sc = &mut self.servers[si].counters;
-            sc.add(fault::HEAL_RENEWALS, 1);
-            sc.add(fault::HEAL_STORM_RPCS, 1);
-        }
+        let sc = &mut self.servers[si].counters;
+        sc.add(fault::HEAL_RENEWALS, 1);
+        sc.add(fault::HEAL_STORM_RPCS, 1);
         self.obs_rpc(RpcKind::LeaseRenew, 0, false);
         for file in revoked {
             count_rpc(&mut self.clients[ci].metrics.counters, RpcKind::Reassert, 0);
-            count_rpc(&mut self.servers[si].counters, RpcKind::Reassert, 0);
-            {
-                let sc = &mut self.servers[si].counters;
-                sc.add(fault::HEAL_REASSERTS, 1);
-                sc.add(fault::HEAL_STORM_RPCS, 1);
-            }
+            let sc = &mut self.servers[si].counters;
+            sc.add(fault::HEAL_REASSERTS, 1);
+            sc.add(fault::HEAL_STORM_RPCS, 1);
             self.obs_rpc(RpcKind::Reassert, 0, false);
             self.obs_event(ObsEventKind::Reassert);
             self.reassert_file(ci, si, file);
@@ -1155,11 +1107,7 @@ impl<S: TraceSink> Cluster<S> {
                 mode,
             });
         }
-        let strong = matches!(
-            self.cfg.consistency,
-            ConsistencyPolicy::Sprite | ConsistencyPolicy::SpriteModified | ConsistencyPolicy::Token
-        );
-        if strong && st.write_shared() {
+        if self.cfg.consistency.is_strong() && st.write_shared() {
             // The reasserted opens may re-create write sharing.
             st.uncacheable = true;
         }
@@ -1258,34 +1206,15 @@ impl<S: TraceSink> Cluster<S> {
     /// path synchronous until the heal drains the revocation list.
     fn revoke_client_file(&mut self, ci: usize, si: usize, file: FileId, requester: usize) {
         let client = self.clients[ci].id;
-        // Roll the oracle back before dropping the blocks, exactly as
-        // a client crash does — the server's copy is the truth again.
-        let mut lost = 0u64;
-        for index in self.clients[ci].cache.dirty_blocks_of(file) {
-            let key = BlockKey { file, index };
-            if let Some(entry) = self.clients[ci].cache.get(key) {
-                lost += entry.dirty_app_bytes;
-            }
-            if let Some(san) = self.san.as_deref_mut() {
-                san.on_crash_lost(client, key);
-            }
-        }
-        self.invalidate_file(ci, file, false);
-        {
-            let c = &mut self.servers[si].counters;
-            c.bump(fault::LEASE_EXPIRY_RECALLS);
-            c.add(fault::LEASE_LOST_BYTES, lost);
-        }
+        // Exactly as a client crash does: the server's copy is the
+        // truth again.
+        let lost = self.discard_file(ci, file);
+        let c = &mut self.servers[si].counters;
+        c.bump(fault::LEASE_EXPIRY_RECALLS);
+        c.add(fault::LEASE_LOST_BYTES, lost);
         // Server side: the grant is forgotten until reasserted on heal.
         let st = self.servers[si].file_state(file);
-        st.opens.retain(|o| o.client != client);
-        if st.last_writer == Some(client) {
-            st.last_writer = None;
-        }
-        if st.tokens.writer == Some(client) {
-            st.tokens.writer = None;
-        }
-        st.tokens.readers.remove(&client);
+        st.forget(client);
         let needs_disable = !st.uncacheable;
         if needs_disable {
             // Idempotence guard doubles as the recursion bound:
@@ -1469,7 +1398,6 @@ impl<S: TraceSink> Cluster<S> {
 
         self.fault_rpc(ci, si, RpcKind::Open);
         count_rpc(self.counters(ci), RpcKind::Open, 0);
-        count_rpc(&mut self.servers[si].counters, RpcKind::Open, 0);
         self.obs_rpc(RpcKind::Open, 0, false);
         if !is_dir {
             self.counters(ci).bump(consist::FILE_OPENS);
@@ -1503,13 +1431,7 @@ impl<S: TraceSink> Cluster<S> {
         // (found by SpriteSan under the partition fuzzer).
         if !is_dir && st.write_shared() {
             self.counters(ci).bump(consist::CWS_OPENS);
-            let strong = matches!(
-                self.cfg.consistency,
-                ConsistencyPolicy::Sprite
-                    | ConsistencyPolicy::SpriteModified
-                    | ConsistencyPolicy::Token
-            );
-            if strong && !self.servers[si].file_state(file).uncacheable {
+            if self.cfg.consistency.is_strong() && !self.servers[si].file_state(file).uncacheable {
                 self.disable_caching(file, si, ci);
             }
         }
@@ -1566,7 +1488,6 @@ impl<S: TraceSink> Cluster<S> {
                 // lease expiry instead of answering the recall.
                 if self.partition_action(wi, si, ci, file) {
                     self.counters(ci).bump(consist::RECALL_OPENS);
-                    count_rpc(&mut self.servers[si].counters, RpcKind::Recall, 0);
                     count_rpc(self.counters(wi), RpcKind::Recall, 0);
                     self.obs_rpc(RpcKind::Recall, 0, false);
                     self.obs_event(ObsEventKind::Recall);
@@ -1669,7 +1590,6 @@ impl<S: TraceSink> Cluster<S> {
         if due {
             self.fault_rpc(ci, si, RpcKind::GetAttr);
             count_rpc(self.counters(ci), RpcKind::GetAttr, 0);
-            count_rpc(&mut self.servers[si].counters, RpcKind::GetAttr, 0);
             self.obs_rpc(RpcKind::GetAttr, 0, false);
             let stale = self.clients[ci]
                 .seen_version
@@ -1728,7 +1648,6 @@ impl<S: TraceSink> Cluster<S> {
         let si = server_id.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Close);
         count_rpc(self.counters(ci), RpcKind::Close, 0);
-        count_rpc(&mut self.servers[si].counters, RpcKind::Close, 0);
         self.obs_rpc(RpcKind::Close, 0, false);
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.span(SpanKind::FileOpen, fdst.open_duration(self.now));
@@ -1817,7 +1736,6 @@ impl<S: TraceSink> Cluster<S> {
             c.add(raw::SHARED_READ, eff);
             c.add(srv::SHARED_READ, eff);
             count_rpc(c, RpcKind::SharedRead, eff);
-            count_rpc(&mut self.servers[si].counters, RpcKind::SharedRead, eff);
             self.obs_rpc(RpcKind::SharedRead, eff, false);
             self.emit(
                 server_id,
@@ -1889,7 +1807,6 @@ impl<S: TraceSink> Cluster<S> {
             c.add(raw::SHARED_WRITE, len);
             c.add(srv::SHARED_WRITE, len);
             count_rpc(c, RpcKind::SharedWrite, len);
-            count_rpc(&mut self.servers[si].counters, RpcKind::SharedWrite, len);
             self.obs_rpc(RpcKind::SharedWrite, len, false);
             if let Some(san) = self.san.as_deref_mut() {
                 for index in offset / BLOCK_SIZE..=(offset + len - 1) / BLOCK_SIZE {
@@ -1967,25 +1884,13 @@ impl<S: TraceSink> Cluster<S> {
         // otherwise a stale dirty block out-versions the reborn file
         // and resurfaces through a later write-back (found by
         // SpriteSan under the partition fuzzer).
-        let overwrite = self.files.get(file).is_some();
-        if overwrite {
-            let si = server.raw() as usize;
-            for c in 0..self.clients.len() {
-                self.invalidate_file(c, file, false);
-            }
-            if let Some(san) = self.san.as_deref_mut() {
-                san.on_file_erased(file);
-            }
-            self.servers[si].drop_file_blocks(file);
+        let si = server.raw() as usize;
+        if self.files.get(file).is_some() {
+            self.erase_file(si, file);
         }
         self.files.create(file, server, is_dir, self.now);
-        self.fault_rpc(ci, server.raw() as usize, RpcKind::Create);
+        self.fault_rpc(ci, si, RpcKind::Create);
         count_rpc(self.counters(ci), RpcKind::Create, 0);
-        count_rpc(
-            &mut self.servers[server.raw() as usize].counters,
-            RpcKind::Create,
-            0,
-        );
         self.obs_rpc(RpcKind::Create, 0, false);
         self.emit(server, op, RecordKind::Create { file, is_dir });
     }
@@ -1999,18 +1904,10 @@ impl<S: TraceSink> Cluster<S> {
         let si = meta.server.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Delete);
         count_rpc(self.counters(ci), RpcKind::Delete, 0);
-        count_rpc(&mut self.servers[si].counters, RpcKind::Delete, 0);
         self.obs_rpc(RpcKind::Delete, 0, false);
-        // Drop the file's blocks everywhere; dirty data is cancelled and
-        // never written back (this is where short lifetimes save write
-        // traffic).
-        for c in 0..self.clients.len() {
-            self.invalidate_file(c, file, false);
-        }
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_file_erased(file);
-        }
-        self.servers[si].drop_file_blocks(file);
+        // Dirty data is cancelled and never written back (this is where
+        // short lifetimes save write traffic).
+        self.erase_file(si, file);
         self.servers[si].files.remove(&file);
         self.emit(
             meta.server,
@@ -2042,15 +1939,8 @@ impl<S: TraceSink> Cluster<S> {
         let si = server_id.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Truncate);
         count_rpc(self.counters(ci), RpcKind::Truncate, 0);
-        count_rpc(&mut self.servers[si].counters, RpcKind::Truncate, 0);
         self.obs_rpc(RpcKind::Truncate, 0, false);
-        for c in 0..self.clients.len() {
-            self.invalidate_file(c, file, false);
-        }
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_file_erased(file);
-        }
-        self.servers[si].drop_file_blocks(file);
+        self.erase_file(si, file);
         self.emit(
             server_id,
             op,
@@ -2078,7 +1968,6 @@ impl<S: TraceSink> Cluster<S> {
         c.add(raw::DIR_READ, bytes);
         c.add(srv::DIR_READ, bytes);
         count_rpc(c, RpcKind::ReadDir, bytes);
-        count_rpc(&mut self.servers[si].counters, RpcKind::ReadDir, bytes);
         self.obs_rpc(RpcKind::ReadDir, bytes, false);
         self.emit(server_id, op, RecordKind::DirRead { file: dir, bytes });
     }
@@ -2143,10 +2032,11 @@ impl<S: TraceSink> Cluster<S> {
             }
         }
 
-        // Fault in code pages. Sprite checks the file cache on code
-        // faults (recompilation can leave new code there) but does not
-        // *install* code blocks in the file cache on a miss; a cached
-        // code block is released after its contents are copied to VM.
+        // Fault in code pages through the file cache. Sprite checks the
+        // cache on code faults (recompilation can leave new code there):
+        // a hit is copied to VM and the block stays cached, and a miss
+        // fetches the block from the server and installs it in the
+        // cache, so a later run on this machine can find it again.
         let code_fault_bytes = fault_code_pages * BLOCK_SIZE;
         if code_fault_bytes > 0 {
             self.counters(ci)
@@ -2250,7 +2140,6 @@ impl<S: TraceSink> Cluster<S> {
             c.add(raw::PAGING_BACKING_READ, bytes);
             c.add(srv::PAGING_READ, bytes);
             count_rpc(c, RpcKind::PageIn, bytes);
-            count_rpc(&mut self.servers[si].counters, RpcKind::PageIn, bytes);
             let mut all_hit = true;
             for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
                 all_hit &= self.servers[si].serve_read(BlockKey { file, index }, self.now);
@@ -2267,7 +2156,6 @@ impl<S: TraceSink> Cluster<S> {
             c.add(raw::PAGING_BACKING_WRITE, bytes);
             c.add(srv::PAGING_WRITE, bytes);
             count_rpc(c, RpcKind::PageOut, bytes);
-            count_rpc(&mut self.servers[si].counters, RpcKind::PageOut, bytes);
             self.obs_rpc(RpcKind::PageOut, bytes, false);
             for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
                 self.servers[si].accept_write(BlockKey { file, index }, BLOCK_SIZE, self.now);
@@ -2525,34 +2413,19 @@ impl<S: TraceSink> Cluster<S> {
     /// is queued instead (degraded mode) — its blocks stay dirty,
     /// extending the loss window.
     fn daemon_flush(&mut self, ci: usize, cutoff: SimTime) {
-        let any_down = self.server_down.iter().any(|&d| d);
-        let any_cut = self.fault.as_ref().is_some_and(|f| f.has_partitions);
         let mut files = std::mem::take(&mut self.daemon_files);
         self.clients[ci]
             .cache
             .files_with_dirty_before_into(cutoff, &mut files);
         for &file in &files {
-            if any_down || any_cut {
-                let si = assign_server(file, self.cfg.num_servers).raw() as usize;
-                // A cut edge queues the write-back just like a down
-                // server: the blocks stay dirty until the heal (or until
-                // a lapsed lease revokes them).
-                let queued = if self.server_down[si] {
-                    Some(fault::QUEUED_WRITEBACKS)
-                } else if self
-                    .fault
-                    .as_ref()
-                    .is_some_and(|f| f.edge_cut(ci as u16, si))
-                {
-                    Some(fault::PART_QUEUED_WRITEBACKS)
-                } else {
-                    None
-                };
-                if let Some(counter) = queued {
-                    self.counters(ci).bump(counter);
-                    self.obs_event(ObsEventKind::QueuedWriteBack);
-                    continue;
-                }
+            let si = assign_server(file, self.cfg.num_servers).raw() as usize;
+            // A cut edge queues the write-back just like a down server:
+            // the blocks stay dirty until the reboot or heal (or until a
+            // lapsed lease revokes them).
+            if let Some((_, blocked)) = self.unreachable(ci, si) {
+                self.counters(ci).bump(blocked.queued);
+                self.obs_event(ObsEventKind::QueuedWriteBack);
+                continue;
             }
             self.flush_file(ci, file, CleanReason::Delay);
         }
@@ -2609,6 +2482,21 @@ impl<S: TraceSink> Cluster<S> {
             self.writeback_block(ci, BlockKey { file, index }, reason);
         }
         self.clients[ci].scratch_blocks = blocks;
+    }
+
+    /// Erases `file`'s data everywhere, for a delete, a truncate or a
+    /// create over a live file: every client drops its cached blocks
+    /// (dirty data is cancelled, never written back), SpriteSan forgets
+    /// the file's block versions, and server `si` drops its cached
+    /// blocks.
+    fn erase_file(&mut self, si: usize, file: FileId) {
+        for c in 0..self.clients.len() {
+            self.invalidate_file(c, file, false);
+        }
+        if let Some(san) = self.san.as_deref_mut() {
+            san.on_file_erased(file);
+        }
+        self.servers[si].drop_file_blocks(file);
     }
 
     /// Drops every cached block of `file` from client `ci`, releasing

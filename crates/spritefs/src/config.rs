@@ -76,6 +76,15 @@ pub enum ConsistencyPolicy {
     },
 }
 
+impl ConsistencyPolicy {
+    /// Whether the policy keeps every client coherent (Sprite, Modified
+    /// Sprite and tokens): these disable caching on concurrent
+    /// write-sharing, while polling tolerates stale reads.
+    pub(crate) fn is_strong(self) -> bool {
+        !matches!(self, ConsistencyPolicy::Polling { .. })
+    }
+}
+
 /// One scheduled server outage: the server crashes at `at` and reboots
 /// `down_for` later. The crash destroys the server's volatile state
 /// (block cache, per-client consistency and open bookkeeping); disk

@@ -82,6 +82,28 @@ impl SrvFileState {
         Some(self.opens.remove(idx))
     }
 
+    /// Whether `client` holds anything here: an open, the writer of
+    /// record, or a token.
+    pub(crate) fn involves(&self, client: ClientId) -> bool {
+        self.opens.iter().any(|o| o.client == client)
+            || self.last_writer == Some(client)
+            || self.tokens.writer == Some(client)
+            || self.tokens.readers.contains(&client)
+    }
+
+    /// Forgets `client`'s opens, writer-of-record role and tokens, as
+    /// after its crash or a revoked grant.
+    pub(crate) fn forget(&mut self, client: ClientId) {
+        self.opens.retain(|o| o.client != client);
+        if self.last_writer == Some(client) {
+            self.last_writer = None;
+        }
+        if self.tokens.writer == Some(client) {
+            self.tokens.writer = None;
+        }
+        self.tokens.readers.remove(&client);
+    }
+
     /// Whether this state carries no information and can be dropped.
     pub fn is_quiescent(&self) -> bool {
         self.opens.is_empty()

@@ -223,14 +223,13 @@ const POLICIES: [ConsistencyPolicy; 4] = [
     ConsistencyPolicy::Polling { interval_secs: 10 },
 ];
 
-/// Property fuzz: random partition plans (random windows, edges, TTLs,
-/// both heal protocols) interleaved with scheduled server outages and
-/// imperative client crashes, under every consistency policy. The
-/// cluster must survive, keep its cache invariants, and — because
-/// revocation rolls the oracle's expectations back like a client crash
-/// does — SpriteSan must stay clean through every interleaving.
-#[test]
-fn fuzz_partitions_interleave_with_crashes() {
+/// The fuzzer's cases, replayed in order from one seeded RNG: random
+/// partition plans (random windows, edges, TTLs, both heal protocols)
+/// interleaved with scheduled server outages and imperative client
+/// crashes, rotating through every consistency policy. Each step checks
+/// the cache bounds; `finish` receives every case's cluster once it has
+/// run far past every heal and reboot, so queued work has drained.
+fn for_each_fuzz_case(mut finish: impl FnMut(u64, Cluster<VecSink>)) {
     let mut rng = SimRng::seed_from_u64(0x4655_5a5a_5041_5254);
     for case in 0..32u64 {
         let mut cfg = Config::small();
@@ -310,13 +309,70 @@ fn fuzz_partitions_interleave_with_crashes() {
                 assert!(client.cache.dirty_len() <= client.cache.len());
             }
         }
-        // Run far past every heal and reboot so queued work drains.
         cl.run(std::iter::empty(), SimTime::from_secs(400));
+        finish(case, cl);
+    }
+}
+
+/// Property fuzz over [`for_each_fuzz_case`]: the cluster must survive
+/// every case, keep its cache invariants, and — because revocation
+/// rolls the oracle's expectations back like a client crash does —
+/// SpriteSan must stay clean through every interleaving.
+#[test]
+fn fuzz_partitions_interleave_with_crashes() {
+    for_each_fuzz_case(|case, mut cl| {
         let san = cl.take_sanitizer_stats().expect("sanitized run");
         assert!(
             san.is_clean(),
             "case {case}: oracle dirty across partition/crash interleaving: {}",
             san.render()
         );
-    }
+    });
+}
+
+/// Pins the exact outcome of every fuzz case: under all four policies
+/// and both heal protocols, each crash rebuild, recovery storm, heal
+/// storm, revocation and client crash must leave the same records and
+/// counters. One digest per case covers each server's records (as text
+/// lines), every client counter, every server counter except `rpc.*`
+/// (RPCs are counted once, at the client), and SpriteSan's violation
+/// count. On a mismatch the message lists this run's digests.
+#[test]
+fn fault_paths_match_golden_digests() {
+    use std::hash::Hasher;
+    let mut got = String::new();
+    for_each_fuzz_case(|case, mut cl| {
+        let mut h = sdfs_simkit::hash::FastHasher::default();
+        let counter = |h: &mut sdfs_simkit::hash::FastHasher, (name, value): (&str, u64)| {
+            h.write(name.as_bytes());
+            h.write_u64(value);
+        };
+        for c in cl.clients() {
+            h.write_u8(b'c');
+            c.metrics.counters.iter().for_each(|kv| counter(&mut h, kv));
+        }
+        for s in cl.servers() {
+            h.write_u8(b's');
+            s.counters
+                .iter()
+                .filter(|(name, _)| !name.starts_with("rpc."))
+                .for_each(|kv| counter(&mut h, kv));
+        }
+        let san = cl.take_sanitizer_stats().expect("sanitized run");
+        h.write_u64(san.violations());
+        for records in cl.into_sink().per_server {
+            h.write_u8(b'r');
+            for rec in &records {
+                h.write(sdfs_trace::codec::to_text_line(rec).as_bytes());
+                h.write_u8(b'\n');
+            }
+        }
+        got.push_str(&format!("case {case:02} {:016x}\n", h.finish()));
+    });
+    let want = include_str!("golden/fault_paths.txt");
+    assert!(
+        got == want,
+        "fault-path digests drifted from tests/golden/fault_paths.txt; \
+         this run produced:\n{got}"
+    );
 }

@@ -80,7 +80,9 @@ fn main() -> ExitCode {
 fn run(args: &[String], stdout: &mut impl Write) -> Result<(), Error> {
     let cmd = args.first().ok_or("missing subcommand")?;
     match cmd.as_str() {
+        "dump" if args.len() > 2 => Err("dump: takes one file".into()),
         "dump" => dump(stdout, args.get(1).ok_or("dump: missing file")?, usize::MAX),
+        "head" if args.len() > 3 => Err("head: takes one file and a count".into()),
         "head" => {
             let n = args
                 .get(2)

@@ -97,3 +97,35 @@ fn merge_into_one_of_its_inputs() {
     let merged = merged.expect("merged trace reads back");
     assert!(merged == merge_vecs(vec![ra, rb]), "merge differs");
 }
+
+/// Runs tracetool with `extra` after a real two-record trace and a
+/// trailing path that does not exist; `dump` takes one file and `head` a
+/// file and a count, so the call must fail as a usage error (exit 1,
+/// the usage line, nothing on stdout) instead of ignoring the extra
+/// argument and succeeding.
+fn assert_trailing_argument_rejected(name: &str, cmd: &str, count: Option<&str>) {
+    let path = temp_trace(name);
+    write_trace(&path, &[create(1, 2, 3), create(2, 2, 4)]);
+    let mut args = vec![cmd.to_string(), path.display().to_string()];
+    args.extend(count.map(str::to_string));
+    args.push(temp_trace("missing").display().to_string());
+    let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
+        .args(&args)
+        .output()
+        .expect("run tracetool");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed records");
+    assert!(stderr.contains("usage: tracetool"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn dump_rejects_a_trailing_argument() {
+    assert_trailing_argument_rejected("dump-trailing", "dump", None);
+}
+
+#[test]
+fn head_rejects_a_trailing_argument() {
+    assert_trailing_argument_rejected("head-trailing", "head", Some("3"));
+}

@@ -40,6 +40,10 @@ echo "    report: $(wc -c < /tmp/verify_report.txt) bytes in $((end_ms - start_m
 echo "==> golden: report byte-identical to scripts/golden/quick_all_stdout.txt"
 cmp scripts/golden/quick_all_stdout.txt /tmp/verify_report.txt
 
+echo "==> golden: repro --quick extensions byte-identical to scripts/golden/quick_extensions_stdout.txt"
+./target/release/repro --quick extensions > /tmp/verify_extensions.txt
+cmp scripts/golden/quick_extensions_stdout.txt /tmp/verify_extensions.txt
+
 echo "==> sanitizer: repro --quick --sanitize all (must be clean and byte-identical)"
 ./target/release/repro --quick --sanitize all > /tmp/verify_report_san.txt
 cmp /tmp/verify_report.txt /tmp/verify_report_san.txt
