@@ -6,9 +6,8 @@
 //! repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize]
 //!       [--observe]
 //!       [all|table1|table2|table3|table10|table11|table12|cache|
-//!        figures [--csv DIR]|bsd|check|lint [--root DIR] [--audit]|
-//!        ablations|extensions|faults|latency|gen-trace OUT|
-//!        obs [--json]|profile|selftrace]
+//!        figures [--csv DIR]|bsd|check|ablations|extensions|faults|
+//!        latency|gen-trace OUT|obs [--json]|profile|selftrace]
 //! ```
 //!
 //! With no arguments the full study runs at paper scale (eight 24-hour
@@ -22,7 +21,6 @@
 //! without OUT — prints the usage synopsis and exits 2.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use sdfs_core::access::AccessScanner;
 use sdfs_core::activity::Table2Accumulator;
@@ -66,7 +64,6 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "fig4",
     "bsd",
     "check",
-    "lint",
     "ablations",
     "extensions",
     "faults",
@@ -77,18 +74,12 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "selftrace",
 ];
 
-/// Flags that take no value. `--json` and `--audit` belong to one
-/// subcommand each ([`SCOPED_FLAGS`]); the rest apply to any.
-const SWITCHES: &[&str] = &[
-    "--quick",
-    "--sanitize",
-    "--observe",
-    "--json",
-    "--audit",
-];
+/// Flags that take no value. `--json` belongs to one subcommand
+/// ([`SCOPED_FLAGS`]); the rest apply to any.
+const SWITCHES: &[&str] = &["--quick", "--sanitize", "--observe", "--json"];
 
 /// Flags that take one value.
-const VALUE_FLAGS: &[&str] = &["--traces", "--days", "--threads", "--csv", "--root"];
+const VALUE_FLAGS: &[&str] = &["--traces", "--days", "--threads", "--csv"];
 
 /// The subcommands that render Figures 1-4.
 const FIGURES: &[&str] = &["figures", "fig1", "fig2", "fig3", "fig4"];
@@ -96,12 +87,7 @@ const FIGURES: &[&str] = &["figures", "fig1", "fig2", "fig3", "fig4"];
 /// Flags that only some subcommands take, with those subcommands.
 /// Given with any other subcommand they would do nothing, so the parser
 /// rejects them.
-const SCOPED_FLAGS: &[(&str, &[&str])] = &[
-    ("--csv", FIGURES),
-    ("--json", &["obs"]),
-    ("--audit", &["lint"]),
-    ("--root", &["lint"]),
-];
+const SCOPED_FLAGS: &[(&str, &[&str])] = &[("--csv", FIGURES), ("--json", &["obs"])];
 
 /// The usage synopsis printed on any command line the parser rejects.
 fn usage() -> String {
@@ -123,7 +109,6 @@ fn usage() -> String {
      \x20 fig1..fig4          alias for figures\n\
      \x20 bsd                 1985 BSD study comparison\n\
      \x20 check               reproduction scorecard (exit 1 on failure)\n\
-     \x20 lint [--root DIR] [--audit]  determinism lints (--audit lists suppressions)\n\
      \x20 ablations           write-back delay ablation\n\
      \x20 extensions          crash-exposure and policy-matrix studies\n\
      \x20 faults              availability under server failure\n\
@@ -151,8 +136,6 @@ struct Cli {
     threads: Option<usize>,
     /// `figures --csv DIR`.
     csv: Option<String>,
-    /// `lint --root DIR`.
-    root: Option<String>,
 }
 
 impl Cli {
@@ -178,7 +161,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         days: None,
         threads: None,
         csv: None,
-        root: None,
     };
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
@@ -213,8 +195,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     count(a, v)?
                 })
             }
-            "--csv" => cli.csv = Some(v.clone()),
-            _ => cli.root = Some(v.clone()),
+            _ => cli.csv = Some(v.clone()),
         }
     }
     let mut positional = positional.into_iter();
@@ -250,56 +231,6 @@ fn main() {
         std::process::exit(2);
     });
     let what = cli.what.as_str();
-
-    if what == "lint" {
-        // `repro lint [--root DIR] [--audit]`: run the determinism
-        // lints over the workspace sources. Exits 1 if any rule fires.
-        // `--audit` instead lists every `lint:allow` site with its
-        // staleness verdict (stale suppressions are warnings, not
-        // failures).
-        let root = cli
-            .root
-            .as_ref()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
-        if cli.has("--audit") {
-            match sdfs_lint::audit_workspace(&root) {
-                Ok(sites) => {
-                    for s in &sites {
-                        println!("{s}");
-                    }
-                    let stale = sites.iter().filter(|s| s.stale).count();
-                    eprintln!(
-                        "repro lint --audit: {} suppression site(s), {} stale",
-                        sites.len(),
-                        stale
-                    );
-                }
-                Err(e) => {
-                    eprintln!("repro lint: cannot walk {}: {e}", root.display());
-                    std::process::exit(2);
-                }
-            }
-            return;
-        }
-        match sdfs_lint::lint_workspace(&root) {
-            Ok(violations) if violations.is_empty() => {
-                eprintln!("repro lint: clean");
-            }
-            Ok(violations) => {
-                for v in &violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("repro lint: {} violation(s)", violations.len());
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("repro lint: cannot walk {}: {e}", root.display());
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
 
     let quick = cli.has("--quick");
     let mut cfg = if quick {
@@ -357,7 +288,7 @@ fn main() {
         return;
     }
 
-    let t0 = Instant::now();
+    let t0 = stopwatch();
     eprintln!(
         "running study: {} traces, {} counter days ({} clients)...",
         study.config().traces.len(),
@@ -555,8 +486,8 @@ fn main() {
     }
 }
 
-/// Reports an output path that cannot be written and exits 2, like
-/// `repro lint` on a root it cannot walk.
+/// Reports an output path that cannot be written and exits 2, like any
+/// other rejected input.
 fn cannot_write(path: impl std::fmt::Display, e: impl std::fmt::Display) -> ! {
     eprintln!("repro: cannot write {path}: {e}");
     std::process::exit(2);
@@ -620,13 +551,12 @@ const CONSUMERS: [(&str, RunConsumer); 8] = [
 /// `repro profile`: wall-clock breakdown of the pipeline stages on the
 /// configured study — where a full run actually spends its time — and of
 /// the fused analysis by consumer, each timed alone over the same
-/// records. This is deliberately the only observability surface that
-/// reads the host clock, and it lives in the bench crate, outside the
-/// determinism lint's scope.
+/// records. Its clock reads go through [`stopwatch`], like the study's
+/// one timing line.
 fn run_profile(study: &Study) {
-    let t_total = Instant::now();
+    let t_total = stopwatch();
 
-    let t = Instant::now();
+    let t = stopwatch();
     let per_trace: Vec<_> = study
         .config()
         .traces
@@ -636,18 +566,18 @@ fn run_profile(study: &Study) {
     let simulate = t.elapsed().as_secs_f64();
     let records: usize = per_trace.iter().map(|(_, r)| r.len()).sum();
 
-    let t = Instant::now();
+    let t = stopwatch();
     let mut analyses: Vec<_> = per_trace
         .iter()
         .map(|(spec, records)| study.analyze_trace(*spec, records))
         .collect();
     let analyze = t.elapsed().as_secs_f64();
 
-    let t = Instant::now();
+    let t = stopwatch();
     let counters = study.run_counters();
     let counters_secs = t.elapsed().as_secs_f64();
 
-    let t = Instant::now();
+    let t = stopwatch();
     let mut s = report::render_table1(&analyses);
     s.push_str(&report::render_figure_checkpoints(&mut analyses));
     let _ = counters.total.get(sdfs_spritefs::metrics::cache::READ_OPS);
@@ -676,7 +606,7 @@ fn run_profile(study: &Study) {
         per_record(analyze)
     );
     for (name, run) in CONSUMERS {
-        let t = Instant::now();
+        let t = stopwatch();
         for (_, recs) in &per_trace {
             run(recs);
         }
@@ -688,4 +618,16 @@ fn run_profile(study: &Study) {
             per_record(secs)
         );
     }
+}
+
+/// Starts a host-clock timer. This is the one place the workspace reads
+/// the wall clock: `repro` prints how long its stages took, and no
+/// reported number depends on it.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "host timing for repro's progress line and `repro profile`, never a reported number"
+)]
+fn stopwatch() -> std::time::Instant {
+    std::time::Instant::now()
 }

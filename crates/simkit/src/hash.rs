@@ -13,8 +13,10 @@
 //! hot internal tables. Do not use them for anything fed by external
 //! untrusted input.
 
-// This module *defines* the deterministic replacements, so it is the
-// one legitimate importer of the std types. lint:allow(default-hasher)
+#[expect(
+    clippy::disallowed_types,
+    reason = "this module defines the deterministic replacements for the std maps"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -83,11 +85,17 @@ impl Hasher for FastHasher {
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// `HashMap` keyed with [`FastHasher`].
-// lint:allow(default-hasher) — explicit FastBuildHasher parameter.
+#[expect(
+    clippy::disallowed_types,
+    reason = "explicit FastBuildHasher parameter"
+)]
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
 /// `HashSet` keyed with [`FastHasher`].
-// lint:allow(default-hasher) — explicit FastBuildHasher parameter.
+#[expect(
+    clippy::disallowed_types,
+    reason = "explicit FastBuildHasher parameter"
+)]
 pub type FastSet<T> = HashSet<T, FastBuildHasher>;
 
 #[cfg(test)]

@@ -553,9 +553,9 @@ mod tests {
 
     #[test]
     fn counter_names_are_unique() {
-        use std::collections::HashSet;
+        use sdfs_simkit::FastSet;
         let names = all_counter_names();
-        let mut set: HashSet<&str> = HashSet::new();
+        let mut set: FastSet<&str> = FastSet::default();
         for n in &names {
             assert!(set.insert(n), "duplicate counter name {n:?}");
         }

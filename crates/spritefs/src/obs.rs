@@ -17,8 +17,8 @@
 //!   recovery storm) as count/total/max triples.
 //!
 //! Every duration is simulated microseconds, never the wall clock, so
-//! the determinism lint stays clean and an observed run is replayable
-//! bit-for-bit. With `observe` off the collector is never
+//! the determinism bans (`clippy.toml`) hold and an observed run is
+//! replayable bit-for-bit. With `observe` off the collector is never
 //! allocated and stdout is byte-identical to an unobserved build.
 
 use sdfs_simkit::obs::SpanStat;

@@ -243,19 +243,19 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        use std::collections::HashSet;
-        let names: HashSet<&str> = RpcKind::ALL.iter().map(|k| k.name()).collect();
+        use sdfs_simkit::FastSet;
+        let names: FastSet<&str> = RpcKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), RpcKind::ALL.len());
-        let keys: HashSet<&str> = RpcKind::ALL.iter().map(|k| k.msgs_key()).collect();
+        let keys: FastSet<&str> = RpcKind::ALL.iter().map(|k| k.msgs_key()).collect();
         assert_eq!(keys.len(), RpcKind::ALL.len());
-        let bkeys: HashSet<&str> = RpcKind::ALL.iter().map(|k| k.bytes_key()).collect();
+        let bkeys: FastSet<&str> = RpcKind::ALL.iter().map(|k| k.bytes_key()).collect();
         assert_eq!(bkeys.len(), RpcKind::ALL.len());
     }
 
     #[test]
     fn all_contains_every_kind_once() {
-        use std::collections::HashSet;
-        let set: HashSet<RpcKind> = RpcKind::ALL.iter().copied().collect();
+        use sdfs_simkit::FastSet;
+        let set: FastSet<RpcKind> = RpcKind::ALL.iter().copied().collect();
         assert_eq!(set.len(), RpcKind::ALL.len(), "duplicate in ALL");
         // Key shape: every msgs/bytes key derives from the short name,
         // so the totals really sum what count_rpc wrote.

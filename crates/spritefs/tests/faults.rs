@@ -2,7 +2,7 @@
 //! lease protocol, and their interaction with crashes. Everything here
 //! is seeded through the workspace `SimRng`, so the suite is hermetic.
 
-use sdfs_simkit::{SimDuration, SimRng, SimTime};
+use sdfs_simkit::{FastSet, SimDuration, SimRng, SimTime};
 use sdfs_spritefs::metrics::fault;
 use sdfs_spritefs::{
     AppOp, Cluster, Config, ConsistencyPolicy, FaultPlan, OpKind, Partition, ServerOutage, VecSink,
@@ -216,6 +216,51 @@ fn conservative_partition_is_pure_accounting() {
     );
 }
 
+/// A conservative heal re-registers once, then revalidates every file
+/// the client still caches at the server, one round trip each: client 0
+/// reads and closes three files before the cut, so the heal storm is one
+/// Reregister plus three Reopens.
+#[test]
+fn conservative_heal_revalidates_every_cached_file() {
+    let mut cfg = Config::small();
+    cfg.faults = Some(FaultPlan {
+        partitions: vec![Partition {
+            at: SimTime::from_secs(30),
+            heal_after: SimDuration::from_secs(60),
+            edges: vec![(0, 0)],
+        }],
+        conservative_recovery: true,
+        ..FaultPlan::default()
+    });
+    let mut cl = Cluster::new(cfg, VecSink::new(1));
+    cl.preload(&[
+        (FileId(0), 4096, false),
+        (FileId(1), 4096, false),
+        (FileId(2), 4096, false),
+    ]);
+    let op = |secs, kind| AppOp {
+        time: SimTime::from_secs(secs),
+        client: ClientId(0),
+        user: UserId(0),
+        pid: Pid(0),
+        migrated: false,
+        kind,
+    };
+    let mut script = Vec::new();
+    for f in 0..3 {
+        let (fd, file) = (Handle(f + 1), FileId(f));
+        let mode = OpenMode::Read;
+        script.push(op(3 * f + 1, OpKind::Open { fd, file, mode }));
+        script.push(op(3 * f + 2, OpKind::Read { fd, len: 4096 }));
+        script.push(op(3 * f + 3, OpKind::Close { fd }));
+    }
+    cl.run(script, SimTime::from_secs(120));
+    let server = &cl.servers()[0].counters;
+    assert_eq!(server.get(fault::HEAL_REREGISTERS), 1);
+    assert_eq!(server.get(fault::HEAL_REOPENS), 3);
+    assert_eq!(server.get(fault::HEAL_STORM_RPCS), 4);
+}
+
 const POLICIES: [ConsistencyPolicy; 4] = [
     ConsistencyPolicy::Sprite,
     ConsistencyPolicy::SpriteModified,
@@ -277,8 +322,7 @@ fn for_each_fuzz_case(mut finish: impl FnMut(u64, Cluster<VecSink>)) {
         // Handles die with their client: skip script ops that target an
         // fd opened before that client's last crash (the kernel would
         // have returned EBADF; do_fsync is strict about it).
-        let mut live_fds: Vec<std::collections::HashSet<Handle>> =
-            vec![std::collections::HashSet::new(); 4];
+        let mut live_fds: Vec<FastSet<Handle>> = vec![FastSet::default(); 4];
         for (i, op) in script.iter().enumerate() {
             let ci = op.client.raw() as usize;
             let alive = match op.kind {

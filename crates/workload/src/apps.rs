@@ -1051,7 +1051,7 @@ pub fn build_group_files(ns: &mut Namespace, rng: &mut SimRng) -> GroupFiles {
 mod tests {
     use super::*;
     use crate::user::{build_user_files, Group};
-    use std::collections::HashSet;
+    use sdfs_simkit::{FastMap, FastSet};
 
     fn harness() -> (Namespace, SimRng, WorkloadConfig) {
         (
@@ -1088,8 +1088,8 @@ mod tests {
     /// Every open must be closed, every read/write/seek must reference an
     /// open handle, and per-handle times must be monotone.
     fn check_stream(ops: &[AppOp]) {
-        let mut open: HashSet<Handle> = HashSet::new();
-        let mut last_time: std::collections::HashMap<Handle, SimTime> = Default::default();
+        let mut open: FastSet<Handle> = FastSet::default();
+        let mut last_time: FastMap<Handle, SimTime> = FastMap::default();
         for op in ops {
             match &op.kind {
                 OpKind::Open { fd, .. } => {
@@ -1258,7 +1258,7 @@ mod tests {
         let hosts = [ClientId(1), ClientId(2), ClientId(3)];
         let (ops, _) = run_burst(|ctx, uf, sys, _gf| parallel_sim_burst(ctx, uf, sys, &hosts));
         check_stream(&ops);
-        let clients: HashSet<ClientId> = ops.iter().map(|o| o.client).collect();
+        let clients: FastSet<ClientId> = ops.iter().map(|o| o.client).collect();
         assert!(clients.len() >= 3, "fans out to several hosts");
         assert!(ops.iter().any(|o| o.migrated));
     }

@@ -398,8 +398,8 @@ impl Generator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdfs_simkit::{FastMap, FastSet};
     use sdfs_spritefs::ops::OpKind;
-    use std::collections::HashSet;
 
     #[test]
     fn day_is_sorted_and_nonempty() {
@@ -464,7 +464,7 @@ mod tests {
     fn handles_are_unique_per_open() {
         let mut gen = Generator::new(WorkloadConfig::small());
         let ops = gen.generate_day(0);
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         for op in &ops {
             if let OpKind::Open { fd, .. } = op.kind {
                 assert!(seen.insert(fd), "handle {fd} reused");
@@ -488,11 +488,9 @@ mod tests {
 
     #[test]
     fn background_processes_start_and_exit_in_pairs() {
-        use sdfs_spritefs::ops::OpKind;
-        use std::collections::HashMap;
         let mut gen = Generator::new(WorkloadConfig::small());
         let ops = gen.generate_day(0);
-        let mut live: HashMap<(u16, u32), u32> = HashMap::new();
+        let mut live: FastMap<(u16, u32), u32> = FastMap::default();
         for op in &ops {
             match op.kind {
                 OpKind::ProcStart { .. } => {
@@ -513,10 +511,8 @@ mod tests {
 
     #[test]
     fn multi_day_generation_keeps_namespace_consistent() {
-        use sdfs_spritefs::ops::OpKind;
-        use std::collections::HashSet;
         let mut gen = Generator::new(WorkloadConfig::small());
-        let mut created: HashSet<u64> = gen
+        let mut created: FastSet<u64> = gen
             .preload_list()
             .iter()
             .map(|&(f, _, _)| f.raw())

@@ -25,8 +25,8 @@ fn unknown_subcommand_prints_usage_and_exits_2() {
     // The synopsis must list every subcommand, including the
     // observability surface added with the self-measurement layer.
     for name in [
-        "all", "cache", "figures", "bsd", "check", "lint", "ablations", "extensions", "faults",
-        "latency", "gen-trace", "obs", "profile", "selftrace",
+        "all", "cache", "figures", "bsd", "check", "ablations", "extensions", "faults", "latency",
+        "gen-trace", "obs", "profile", "selftrace",
     ] {
         assert!(err.contains(name), "usage must list `{name}`:\n{err}");
     }
@@ -176,8 +176,11 @@ fn rejected_input_exits_2_with_usage() {
         // Flags whose subject was removed.
         (&["--quick", "--racecheck", "all"], "--racecheck"),
         (&["--quick", "--no-fastpath", "all"], "--no-fastpath"),
-        // A subcommand whose subject was removed.
+        (&["--quick", "--audit", "all"], "`--audit`"),
+        (&["--quick", "--root", ".", "all"], "`--root`"),
+        // Subcommands whose subject was removed.
         (&["--quick", "bench"], "bench"),
+        (&["lint"], "unknown subcommand `lint`"),
         // Unparseable, zero, and missing values.
         (&["--quick", "--traces", "abc", "table1"], "abc"),
         (&["--quick", "--threads", "two", "table1"], "two"),
@@ -190,8 +193,6 @@ fn rejected_input_exits_2_with_usage() {
         // Flags the subcommand does not take would do nothing.
         (&["--quick", "--csv", "x", "table1"], "`--csv`"),
         (&["--quick", "--json", "table1"], "`--json`"),
-        (&["--quick", "--audit", "all"], "`--audit`"),
-        (&["--quick", "--root", ".", "all"], "`--root`"),
         // `gen-trace` without its output path.
         (&["--quick", "gen-trace"], "`gen-trace`"),
     ];

@@ -3,7 +3,7 @@
 
 use sdfs_core::access::reconstruct;
 use sdfs_core::{Study, StudyConfig};
-use sdfs_simkit::SimTime;
+use sdfs_simkit::{FastSet, SimTime};
 use sdfs_spritefs::{Cluster, TraceSink, VecSink};
 use sdfs_trace::file::{from_bytes, to_bytes};
 use sdfs_trace::merge::{merge_vecs, Scrub};
@@ -49,8 +49,7 @@ fn merged_trace_is_time_ordered_and_consistent() {
 }
 
 fn count_unclosed(records: &[sdfs_trace::Record]) -> u64 {
-    use std::collections::HashSet;
-    let mut open: HashSet<sdfs_trace::Handle> = HashSet::new();
+    let mut open: FastSet<sdfs_trace::Handle> = FastSet::default();
     for r in records {
         match &r.kind {
             RecordKind::Open { fd, .. } => {
