@@ -407,8 +407,8 @@ fn main() {
 
     if what == "obs" {
         // `repro obs [--json]`: just the self-measurement report — the
-        // per-RPC latency histograms, span aggregates, and event counts
-        // from the whole campaign.
+        // per-RPC latency histograms, span aggregates, and retry
+        // exhaustion from the whole campaign.
         let report = results
             .obs_summary()
             .expect("observe is forced on for `repro obs`");

@@ -326,20 +326,20 @@ pub fn scorecard(results: &mut StudyResults) -> Scorecard {
 
     // --- NVRAM durability ablation ---
     // The same crash with and without a battery-backed write buffer:
-    // unbuffered the crash destroys dirty cache, and a buffer sized past
-    // the dirty exposure drives the loss to exactly zero.
-    let nv = crate::recovery::nvram_probe();
+    // unbuffered (the availability probe's run) the crash destroys dirty
+    // cache, and a buffer sized past the dirty exposure drives the loss
+    // to exactly zero.
     add(
         "crash loss without NVRAM, bytes",
         "delayed writes are exposed",
-        nv.lost_without as f64,
+        probe.lost_bytes as f64,
         1.0,
         1e12,
     );
     add(
         "crash loss with 1 GiB NVRAM, bytes",
         "the buffer absorbs the exposure",
-        nv.lost_with as f64,
+        crate::recovery::nvram_probe() as f64,
         0.0,
         0.0,
     );

@@ -643,29 +643,14 @@ pub fn partition_probe() -> PartitionProbe {
     }
 }
 
-/// A fixed-scale NVRAM probe for the scorecard: the [`default_plan`]
-/// crash with no buffer versus a buffer sized past any plausible dirty
-/// exposure.
-#[derive(Debug, Clone)]
-pub struct NvramProbe {
-    /// Bytes the crash destroyed with no NVRAM.
-    pub lost_without: u64,
-    /// Bytes the crash destroyed with a 1 GiB buffer.
-    pub lost_with: u64,
-    /// Bytes the buffer preserved.
-    pub saved_with: u64,
-}
-
-/// Runs the scorecard NVRAM probe (see [`NvramProbe`]).
-pub fn nvram_probe() -> NvramProbe {
+/// A fixed-scale NVRAM probe for the scorecard: the bytes the
+/// [`availability_probe`]'s crash destroys when the server has a buffer
+/// sized past any plausible dirty exposure (1 GiB). The same crash with
+/// no buffer is the availability probe's own `lost_bytes`.
+pub fn nvram_probe() -> u64 {
     let mut cfg = StudyConfig::quick();
     cfg.workload.activity_scale = 0.2;
-    let rows = nvram_ablation(&cfg, &default_plan(), &[0, 1 << 30]);
-    NvramProbe {
-        lost_without: rows[0].lost_bytes,
-        lost_with: rows[1].lost_bytes,
-        saved_with: rows[1].saved_bytes,
-    }
+    nvram_ablation(&cfg, &default_plan(), &[1 << 30])[0].lost_bytes
 }
 
 #[cfg(test)]
@@ -711,8 +696,12 @@ mod tests {
         assert!(obs.span(SpanKind::ServerOutage).count >= 1);
         assert!(obs.span(SpanKind::RecoveryStorm).count >= 1);
         assert!(obs.span(SpanKind::Stall).count > 0, "stalled RPCs timed");
-        // The plain counters and the observer agree on the storm size.
-        assert!(obs.events(sdfs_spritefs::ObsEventKind::Reopen) == o.storm_reopens);
+        // Each storm RPC also carries one RPC latency sample, so the
+        // latency table and the plain counters agree on the storm size.
+        use sdfs_spritefs::rpc::RpcKind;
+        let samples = |kind| obs.rpc_hist(kind).count();
+        assert_eq!(samples(RpcKind::Reopen), o.storm_reopens);
+        assert_eq!(samples(RpcKind::Reregister), o.storm_reregisters);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::fs::{assign_server, FileTable};
 use crate::metrics::{
     cache as mc, clean, consist, fault, implicit, mig, raw, replace, restart, srv, SanitizerStats,
 };
-use crate::obs::{Obs, ObsEventKind, ObsReport, SpanKind};
+use crate::obs::{Obs, ObsReport, SpanKind};
 use crate::ops::{AppOp, OpKind};
 use crate::rpc::{count_rpc, count_rpcs, RpcKind};
 use crate::sanitizer::{Sanitizer, WriteKind};
@@ -499,9 +499,21 @@ impl<S: TraceSink> Cluster<S> {
         self.obs.take().map(|o| o.into_report())
     }
 
-    /// Records one completed RPC with its modeled latency: network time
-    /// for the payload, plus a server disk access when the server cache
-    /// missed. No-op unless observing.
+    /// Charges one RPC of `kind` to client `ci`: its `rpc.<kind>.*`
+    /// counters and, when observing, its latency sample. Every counted
+    /// RPC is charged here except the block fetches and write-throughs
+    /// of [`Cluster::cached_read`] and [`Cluster::cached_write`], which
+    /// sample each message and add their counters once per call. Either
+    /// way a kind's latency-sample count equals its `rpc.<kind>.msgs`.
+    #[inline]
+    fn charge_rpc(&mut self, ci: usize, kind: RpcKind, bytes: u64, disk_miss: bool) {
+        count_rpc(self.counters(ci), kind, bytes);
+        self.obs_rpc(kind, bytes, disk_miss);
+    }
+
+    /// Records one RPC's modeled latency: network time for the payload,
+    /// plus a server disk access when the server cache missed. No-op
+    /// unless observing.
     #[inline]
     fn obs_rpc(&mut self, kind: RpcKind, bytes: u64, disk_miss: bool) {
         if let Some(obs) = self.obs.as_deref_mut() {
@@ -510,14 +522,6 @@ impl<S: TraceSink> Cluster<S> {
                 lat += disk_time(bytes);
             }
             obs.rpc(kind, lat);
-        }
-    }
-
-    /// Counts one event. No-op unless observing.
-    #[inline]
-    fn obs_event(&mut self, kind: ObsEventKind) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.event(kind);
         }
     }
 
@@ -686,7 +690,6 @@ impl<S: TraceSink> Cluster<S> {
         self.server_down[si] = true;
         self.down_until[si] = until;
         self.crashed_at[si] = self.now;
-        self.obs_event(ObsEventKind::ServerCrash);
         self.rebuild_server_state(si);
         lost
     }
@@ -791,16 +794,14 @@ impl<S: TraceSink> Cluster<S> {
                 continue;
             }
             let reopens = stake.handles.len() as u64;
-            let c = &mut self.clients[ci].metrics.counters;
-            count_rpc(c, RpcKind::Reregister, 0);
-            count_rpcs(c, RpcKind::Reopen, reopens, 0);
-            reregisters += 1;
-            if let Some(obs) = self.obs.as_deref_mut() {
-                obs.event(ObsEventKind::Reregister);
-                for k in 0..reopens {
+            self.charge_rpc(ci, RpcKind::Reregister, 0, false);
+            for k in 0..reopens {
+                self.charge_rpc(ci, RpcKind::Reopen, 0, false);
+                if let Some(obs) = self.obs.as_deref_mut() {
                     obs.reopen(storm_unit * (reopens_total + k + 1));
                 }
             }
+            reregisters += 1;
             reopens_total += reopens;
             storm += 1 + reopens;
         }
@@ -810,7 +811,6 @@ impl<S: TraceSink> Cluster<S> {
         c.add(fault::STORM_RPCS, storm);
         c.add(fault::STORM_REOPENS, reopens_total);
         c.add(fault::STORM_REREGISTERS, reregisters);
-        self.obs_event(ObsEventKind::ServerRecover);
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.span(SpanKind::ServerOutage, downtime);
             obs.span(SpanKind::RecoveryStorm, storm_unit * storm);
@@ -947,7 +947,7 @@ impl<S: TraceSink> Cluster<S> {
     /// Cuts every edge of partition `idx`. RPCs on a cut edge stall
     /// (and can exhaust their retry budget) until the heal; consistency
     /// actions *toward* a cut client go through
-    /// [`Cluster::partition_action`] instead.
+    /// [`Cluster::callback`] instead.
     fn partition_start(&mut self, idx: usize) {
         let (edges, heal_at) = {
             let f = self.fault.as_ref().expect("partition without plan");
@@ -966,7 +966,6 @@ impl<S: TraceSink> Cluster<S> {
             self.servers[s as usize]
                 .counters
                 .bump(fault::PART_CUT_EDGES);
-            self.obs_event(ObsEventKind::PartitionCut);
         }
     }
 
@@ -1001,7 +1000,6 @@ impl<S: TraceSink> Cluster<S> {
             self.servers[s as usize]
                 .counters
                 .add(fault::PART_CUT_US, dur.as_micros());
-            self.obs_event(ObsEventKind::PartitionHeal);
             if conservative {
                 self.conservative_heal(c as usize, s as usize);
             } else {
@@ -1034,14 +1032,14 @@ impl<S: TraceSink> Cluster<S> {
             .filter(|&&file| !stake.handles.iter().any(|&(_, f, _)| f == file))
             .count();
         let roundtrips = (stake.handles.len() + revalidations) as u64;
-        let c = &mut self.clients[ci].metrics.counters;
-        count_rpc(c, RpcKind::Reregister, 0);
-        count_rpcs(c, RpcKind::Reopen, roundtrips, 0);
+        self.charge_rpc(ci, RpcKind::Reregister, 0, false);
+        for _ in 0..roundtrips {
+            self.charge_rpc(ci, RpcKind::Reopen, 0, false);
+        }
         let sc = &mut self.servers[si].counters;
         sc.add(fault::HEAL_REREGISTERS, 1);
         sc.add(fault::HEAL_REOPENS, roundtrips);
         sc.add(fault::HEAL_STORM_RPCS, 1 + roundtrips);
-        self.obs_event(ObsEventKind::Reregister);
     }
 
     /// Lease-protocol heal storm for one edge: one lease renewal if the
@@ -1061,18 +1059,15 @@ impl<S: TraceSink> Cluster<S> {
         if self.stake(ci, si).is_empty() && revoked.is_empty() {
             return;
         }
-        count_rpc(&mut self.clients[ci].metrics.counters, RpcKind::LeaseRenew, 0);
+        self.charge_rpc(ci, RpcKind::LeaseRenew, 0, false);
         let sc = &mut self.servers[si].counters;
         sc.add(fault::HEAL_RENEWALS, 1);
         sc.add(fault::HEAL_STORM_RPCS, 1);
-        self.obs_rpc(RpcKind::LeaseRenew, 0, false);
         for file in revoked {
-            count_rpc(&mut self.clients[ci].metrics.counters, RpcKind::Reassert, 0);
+            self.charge_rpc(ci, RpcKind::Reassert, 0, false);
             let sc = &mut self.servers[si].counters;
             sc.add(fault::HEAL_REASSERTS, 1);
             sc.add(fault::HEAL_STORM_RPCS, 1);
-            self.obs_rpc(RpcKind::Reassert, 0, false);
-            self.obs_event(ObsEventKind::Reassert);
             self.reassert_file(ci, si, file);
         }
     }
@@ -1113,58 +1108,57 @@ impl<S: TraceSink> Cluster<S> {
         }
     }
 
-    /// Gate for a server→client consistency action (recall, token
-    /// recall, cache-disable invalidate) whose target may be behind a
-    /// cut edge. Returns `true` when the action should proceed as
-    /// usual (charging any wait to the requesting client), `false`
-    /// when the lease protocol revoked the target's grant instead — in
-    /// that case the target's state is already torn down and the
-    /// caller must skip the action entirely.
-    fn partition_action(
+    /// Sends one server→client callback of `kind` from server `si` to
+    /// client `target` about `file`, on behalf of `requester`, whose
+    /// open triggered it. All five such actions come through here: the
+    /// Sprite recall, the token write recall, the token reader
+    /// invalidate, the token read downgrade and the cache-disable
+    /// invalidate. A target behind a cut edge is gated first (DESIGN.md
+    /// §15): the action waits for the heal, or the target's lapsed lease
+    /// is revoked instead. Returns `true` when the callback was charged
+    /// to `target` and the caller should carry the action out (any wait
+    /// is charged to `requester`), `false` when the lease protocol
+    /// revoked the target's grant instead — the target's state is then
+    /// already torn down and the caller must skip the action entirely.
+    fn callback(
         &mut self,
+        kind: RpcKind,
         target: usize,
         si: usize,
         requester: usize,
         file: FileId,
     ) -> bool {
-        if target == requester {
-            // Self-directed actions ride the requester's own RPC reply,
-            // which already paid the partition stall.
-            return true;
-        }
         let now = self.now;
         enum Verdict {
             Deliver,
             Wait(SimDuration),
             Revoke(SimDuration),
         }
-        let verdict = {
-            let Some(f) = self.fault.as_ref() else {
-                return true;
-            };
-            if !f.has_partitions {
-                return true;
+        let verdict = match self.fault.as_ref() {
+            // Self-directed actions ride the requester's own RPC reply,
+            // which already paid the partition stall.
+            _ if target == requester => Verdict::Deliver,
+            Some(f) if f.edge_cut(target as u16, si) => {
+                let e = f.edge(target as u16, si);
+                if f.plan.conservative_recovery || f.lease_until[e] >= f.cut_until[e] {
+                    // Conservative baseline, or a lease that outlives the
+                    // cut: the action is queued for the heal and the
+                    // requester waits, bounded by its retry budget.
+                    // Semantics are unchanged — the simulator models the
+                    // eventual delivery by executing the action now and
+                    // charging the wait.
+                    Verdict::Wait(f.cut_until[e].since(now).min(retry_budget()))
+                } else {
+                    // Lease protocol and the target's lease lapses before
+                    // the heal: wait out whatever remains of the lease,
+                    // then revoke the grant unilaterally.
+                    Verdict::Revoke(f.lease_until[e].since(now).min(retry_budget()))
+                }
             }
-            let e = f.edge(target as u16, si);
-            if f.cut[e] == 0 {
-                Verdict::Deliver
-            } else if f.plan.conservative_recovery || f.lease_until[e] >= f.cut_until[e] {
-                // Conservative baseline, or a lease that outlives the
-                // cut: the action is queued for the heal and the
-                // requester waits, bounded by its retry budget.
-                // Semantics are unchanged — the simulator models the
-                // eventual delivery by executing the action now and
-                // charging the wait.
-                Verdict::Wait(f.cut_until[e].since(now).min(retry_budget()))
-            } else {
-                // Lease protocol and the target's lease lapses before
-                // the heal: wait out whatever remains of the lease,
-                // then revoke the grant unilaterally.
-                Verdict::Revoke(f.lease_until[e].since(now).min(retry_budget()))
-            }
+            _ => Verdict::Deliver,
         };
         match verdict {
-            Verdict::Deliver => true,
+            Verdict::Deliver => {}
             Verdict::Wait(stall) => {
                 let c = &mut self.clients[requester].metrics.counters;
                 c.bump(fault::PART_UNDELIVERED);
@@ -1172,7 +1166,6 @@ impl<S: TraceSink> Cluster<S> {
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.span(SpanKind::Stall, stall);
                 }
-                true
             }
             Verdict::Revoke(wait) => {
                 let c = &mut self.clients[requester].metrics.counters;
@@ -1183,9 +1176,11 @@ impl<S: TraceSink> Cluster<S> {
                     }
                 }
                 self.revoke_client_file(target, si, file, requester);
-                false
+                return false;
             }
         }
+        self.charge_rpc(target, kind, 0, false);
+        true
     }
 
     /// Unilaterally revokes client `ci`'s grant on `file`: its lease
@@ -1224,7 +1219,6 @@ impl<S: TraceSink> Cluster<S> {
             self.disable_caching(file, si, requester);
         }
         self.servers[si].gc_file(file);
-        self.obs_event(ObsEventKind::LeaseRevoke);
         let f = self.fault.as_mut().expect("revocation requires a plan");
         let e = f.edge(ci as u16, si);
         if !f.revoked[e].contains(&file) {
@@ -1397,8 +1391,7 @@ impl<S: TraceSink> Cluster<S> {
         let si = server_id.raw() as usize;
 
         self.fault_rpc(ci, si, RpcKind::Open);
-        count_rpc(self.counters(ci), RpcKind::Open, 0);
-        self.obs_rpc(RpcKind::Open, 0, false);
+        self.charge_rpc(ci, RpcKind::Open, 0, false);
         if !is_dir {
             self.counters(ci).bump(consist::FILE_OPENS);
             match self.cfg.consistency {
@@ -1471,7 +1464,6 @@ impl<S: TraceSink> Cluster<S> {
             // read.
             if seen != prev_version && !self.cfg.fault_skip_invalidate {
                 self.invalidate_file(ci, file, true);
-                self.obs_event(ObsEventKind::Invalidate);
             }
         }
         self.clients[ci].seen_version.insert(file, version);
@@ -1486,11 +1478,8 @@ impl<S: TraceSink> Cluster<S> {
                 let wi = w.raw() as usize;
                 // A writer behind a cut edge may lose its grant to
                 // lease expiry instead of answering the recall.
-                if self.partition_action(wi, si, ci, file) {
+                if self.callback(RpcKind::Recall, wi, si, ci, file) {
                     self.counters(ci).bump(consist::RECALL_OPENS);
-                    count_rpc(self.counters(wi), RpcKind::Recall, 0);
-                    self.obs_rpc(RpcKind::Recall, 0, false);
-                    self.obs_event(ObsEventKind::Recall);
                     self.flush_file(wi, file, CleanReason::Recall);
                     self.servers[si].file_state(file).last_writer = None;
                 }
@@ -1519,30 +1508,23 @@ impl<S: TraceSink> Cluster<S> {
                     // invalidates (unless its lease lapsed behind a cut
                     // edge, in which case the revocation did the work).
                     let wi = w.raw() as usize;
-                    if self.partition_action(wi, si, ci, file) {
-                        count_rpc(self.counters(wi), RpcKind::TokenRecall, 0);
+                    if self.callback(RpcKind::TokenRecall, wi, si, ci, file) {
                         self.flush_file(wi, file, CleanReason::Recall);
                         self.invalidate_file(wi, file, false);
-                        self.obs_rpc(RpcKind::TokenRecall, 0, false);
-                        self.obs_event(ObsEventKind::Recall);
                     }
                 }
                 for &r in &readers {
                     if r != me {
                         let ri = r.raw() as usize;
-                        if self.partition_action(ri, si, ci, file) {
-                            count_rpc(self.counters(ri), RpcKind::TokenRecall, 0);
+                        if self.callback(RpcKind::TokenRecall, ri, si, ci, file) {
                             self.invalidate_file(ri, file, false);
-                            self.obs_rpc(RpcKind::TokenRecall, 0, false);
-                            self.obs_event(ObsEventKind::Invalidate);
                         }
                     }
                 }
                 let st = self.servers[si].file_state(file);
                 st.tokens.readers.clear();
                 st.tokens.writer = Some(me);
-                count_rpc(self.counters(ci), RpcKind::TokenAcquire, 0);
-                self.obs_rpc(RpcKind::TokenAcquire, 0, false);
+                self.charge_rpc(ci, RpcKind::TokenAcquire, 0, false);
             }
         } else {
             let holds = writer == Some(me) || {
@@ -1552,20 +1534,20 @@ impl<S: TraceSink> Cluster<S> {
             if !holds {
                 if let Some(w) = writer {
                     // Downgrade the writer: flush dirty, keep its blocks,
-                    // writer becomes a reader.
+                    // writer becomes a reader (unless its lease lapsed
+                    // behind a cut edge: the revocation took its token,
+                    // blocks and dirty data).
                     let wi = w.raw() as usize;
-                    count_rpc(self.counters(wi), RpcKind::TokenRecall, 0);
-                    self.flush_file(wi, file, CleanReason::Recall);
-                    let st = self.servers[si].file_state(file);
-                    st.tokens.writer = None;
-                    st.tokens.readers.insert(w);
-                    self.obs_rpc(RpcKind::TokenRecall, 0, false);
-                    self.obs_event(ObsEventKind::Recall);
+                    if self.callback(RpcKind::TokenRecall, wi, si, ci, file) {
+                        self.flush_file(wi, file, CleanReason::Recall);
+                        let st = self.servers[si].file_state(file);
+                        st.tokens.writer = None;
+                        st.tokens.readers.insert(w);
+                    }
                 }
                 let st = self.servers[si].file_state(file);
                 st.tokens.readers.insert(me);
-                count_rpc(self.counters(ci), RpcKind::TokenAcquire, 0);
-                self.obs_rpc(RpcKind::TokenAcquire, 0, false);
+                self.charge_rpc(ci, RpcKind::TokenAcquire, 0, false);
             }
         }
         self.scratch_clients = readers;
@@ -1589,15 +1571,13 @@ impl<S: TraceSink> Cluster<S> {
         };
         if due {
             self.fault_rpc(ci, si, RpcKind::GetAttr);
-            count_rpc(self.counters(ci), RpcKind::GetAttr, 0);
-            self.obs_rpc(RpcKind::GetAttr, 0, false);
+            self.charge_rpc(ci, RpcKind::GetAttr, 0, false);
             let stale = self.clients[ci]
                 .seen_version
                 .get(&file)
                 .is_some_and(|&v| v != version);
             if stale {
                 self.invalidate_file(ci, file, true);
-                self.obs_event(ObsEventKind::Invalidate);
             }
             self.clients[ci].seen_version.insert(file, version);
             self.clients[ci].last_validate.insert(file, self.now);
@@ -1620,14 +1600,11 @@ impl<S: TraceSink> Cluster<S> {
         }
         for &c in &holders {
             let ci = c.raw() as usize;
-            if !self.partition_action(ci, si, requester, file) {
+            if !self.callback(RpcKind::Invalidate, ci, si, requester, file) {
                 continue; // Lease revoked: the holder's cache is gone.
             }
-            count_rpc(self.counters(ci), RpcKind::Invalidate, 0);
             self.flush_file(ci, file, CleanReason::Recall);
             self.invalidate_file(ci, file, false);
-            self.obs_rpc(RpcKind::Invalidate, 0, false);
-            self.obs_event(ObsEventKind::Invalidate);
         }
         self.scratch_clients = holders;
         self.servers[si].file_state(file).last_writer = None;
@@ -1647,8 +1624,7 @@ impl<S: TraceSink> Cluster<S> {
         let size = meta.size;
         let si = server_id.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Close);
-        count_rpc(self.counters(ci), RpcKind::Close, 0);
-        self.obs_rpc(RpcKind::Close, 0, false);
+        self.charge_rpc(ci, RpcKind::Close, 0, false);
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.span(SpanKind::FileOpen, fdst.open_duration(self.now));
         }
@@ -1735,8 +1711,7 @@ impl<S: TraceSink> Cluster<S> {
             let c = self.counters(ci);
             c.add(raw::SHARED_READ, eff);
             c.add(srv::SHARED_READ, eff);
-            count_rpc(c, RpcKind::SharedRead, eff);
-            self.obs_rpc(RpcKind::SharedRead, eff, false);
+            self.charge_rpc(ci, RpcKind::SharedRead, eff, false);
             self.emit(
                 server_id,
                 op,
@@ -1806,8 +1781,7 @@ impl<S: TraceSink> Cluster<S> {
             let c = self.counters(ci);
             c.add(raw::SHARED_WRITE, len);
             c.add(srv::SHARED_WRITE, len);
-            count_rpc(c, RpcKind::SharedWrite, len);
-            self.obs_rpc(RpcKind::SharedWrite, len, false);
+            self.charge_rpc(ci, RpcKind::SharedWrite, len, false);
             if let Some(san) = self.san.as_deref_mut() {
                 for index in offset / BLOCK_SIZE..=(offset + len - 1) / BLOCK_SIZE {
                     san.on_server_write(BlockKey { file, index });
@@ -1862,12 +1836,11 @@ impl<S: TraceSink> Cluster<S> {
             return;
         };
         let file = fdst.file;
-        count_rpc(self.counters(ci), RpcKind::Fsync, 0);
         if let Some(meta) = self.files.get(file) {
             let si = meta.server.raw() as usize;
             self.fault_rpc(ci, si, RpcKind::Fsync);
-            self.obs_rpc(RpcKind::Fsync, 0, false);
         }
+        self.charge_rpc(ci, RpcKind::Fsync, 0, false);
         self.flush_file(ci, file, CleanReason::Fsync);
     }
 
@@ -1890,8 +1863,7 @@ impl<S: TraceSink> Cluster<S> {
         }
         self.files.create(file, server, is_dir, self.now);
         self.fault_rpc(ci, si, RpcKind::Create);
-        count_rpc(self.counters(ci), RpcKind::Create, 0);
-        self.obs_rpc(RpcKind::Create, 0, false);
+        self.charge_rpc(ci, RpcKind::Create, 0, false);
         self.emit(server, op, RecordKind::Create { file, is_dir });
     }
 
@@ -1903,8 +1875,7 @@ impl<S: TraceSink> Cluster<S> {
         };
         let si = meta.server.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Delete);
-        count_rpc(self.counters(ci), RpcKind::Delete, 0);
-        self.obs_rpc(RpcKind::Delete, 0, false);
+        self.charge_rpc(ci, RpcKind::Delete, 0, false);
         // Dirty data is cancelled and never written back (this is where
         // short lifetimes save write traffic).
         self.erase_file(si, file);
@@ -1938,8 +1909,7 @@ impl<S: TraceSink> Cluster<S> {
         let server_id = meta.server;
         let si = server_id.raw() as usize;
         self.fault_rpc(ci, si, RpcKind::Truncate);
-        count_rpc(self.counters(ci), RpcKind::Truncate, 0);
-        self.obs_rpc(RpcKind::Truncate, 0, false);
+        self.charge_rpc(ci, RpcKind::Truncate, 0, false);
         self.erase_file(si, file);
         self.emit(
             server_id,
@@ -1967,8 +1937,7 @@ impl<S: TraceSink> Cluster<S> {
         let c = self.counters(ci);
         c.add(raw::DIR_READ, bytes);
         c.add(srv::DIR_READ, bytes);
-        count_rpc(c, RpcKind::ReadDir, bytes);
-        self.obs_rpc(RpcKind::ReadDir, bytes, false);
+        self.charge_rpc(ci, RpcKind::ReadDir, bytes, false);
         self.emit(server_id, op, RecordKind::DirRead { file: dir, bytes });
     }
 
@@ -2063,13 +2032,12 @@ impl<S: TraceSink> Cluster<S> {
                     let c = self.counters(ci);
                     c.bump(mc::PAGING_READ_MISS_OPS);
                     c.add(srv::PAGING_READ, BLOCK_SIZE);
-                    count_rpc(c, RpcKind::PageIn, BLOCK_SIZE);
                     if op.migrated {
                         c.bump(mig::PAGING_READ_MISS_OPS);
                     }
                 }
                 let srv_hit = self.servers[si].serve_read(key, now);
-                self.obs_rpc(RpcKind::PageIn, BLOCK_SIZE, !srv_hit);
+                self.charge_rpc(ci, RpcKind::PageIn, BLOCK_SIZE, !srv_hit);
                 self.insert_block(ci, key);
                 if let Some(san) = self.san.as_deref_mut() {
                     let inserted = self.clients[ci].cache.contains(key);
@@ -2139,12 +2107,11 @@ impl<S: TraceSink> Cluster<S> {
             let c = self.counters(ci);
             c.add(raw::PAGING_BACKING_READ, bytes);
             c.add(srv::PAGING_READ, bytes);
-            count_rpc(c, RpcKind::PageIn, bytes);
             let mut all_hit = true;
             for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
                 all_hit &= self.servers[si].serve_read(BlockKey { file, index }, self.now);
             }
-            self.obs_rpc(RpcKind::PageIn, bytes, !all_hit);
+            self.charge_rpc(ci, RpcKind::PageIn, bytes, !all_hit);
         } else {
             let was_empty = meta.size == 0;
             if offset + bytes > meta.size {
@@ -2155,8 +2122,7 @@ impl<S: TraceSink> Cluster<S> {
             let c = self.counters(ci);
             c.add(raw::PAGING_BACKING_WRITE, bytes);
             c.add(srv::PAGING_WRITE, bytes);
-            count_rpc(c, RpcKind::PageOut, bytes);
-            self.obs_rpc(RpcKind::PageOut, bytes, false);
+            self.charge_rpc(ci, RpcKind::PageOut, bytes, false);
             for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
                 self.servers[si].accept_write(BlockKey { file, index }, BLOCK_SIZE, self.now);
             }
@@ -2207,14 +2173,12 @@ impl<S: TraceSink> Cluster<S> {
                 if let Some(san) = self.san.as_deref_mut() {
                     san.on_read_hit(op.client, key, paging, now);
                 }
-                self.obs_event(ObsEventKind::CacheHit);
                 continue; // Hit.
             }
             // Miss: fetch the whole block from the server.
             self.fault_rpc(ci, si, RpcKind::ReadBlock);
             misses += 1;
             let srv_hit = self.servers[si].serve_read(key, now);
-            self.obs_event(ObsEventKind::CacheMiss);
             self.obs_rpc(RpcKind::ReadBlock, BLOCK_SIZE, !srv_hit);
             self.insert_block(ci, key);
             if let Some(san) = self.san.as_deref_mut() {
@@ -2401,7 +2365,6 @@ impl<S: TraceSink> Cluster<S> {
         c.bump(blocks_key);
         c.add(age_key, age.as_micros());
         self.clients[ci].cache.remove(key);
-        self.obs_event(ObsEventKind::CacheEvict);
         if let Some(san) = self.san.as_deref_mut() {
             san.on_drop_block(self.clients[ci].id, key);
         }
@@ -2424,7 +2387,6 @@ impl<S: TraceSink> Cluster<S> {
             // lapsed lease revokes them).
             if let Some((_, blocked)) = self.unreachable(ci, si) {
                 self.counters(ci).bump(blocked.queued);
-                self.obs_event(ObsEventKind::QueuedWriteBack);
                 continue;
             }
             self.flush_file(ci, file, CleanReason::Delay);
@@ -2457,7 +2419,6 @@ impl<S: TraceSink> Cluster<S> {
         let c = self.counters(ci);
         c.add(mc::WRITEBACK_BYTES, bytes);
         c.add(srv::FILE_WRITE, bytes);
-        count_rpc(c, RpcKind::WriteBlock, bytes);
         c.bump(reason.blocks_key());
         c.add(reason.age_key(), now.since(before.last_write).as_micros());
         let si = assign_server(key.file, self.cfg.num_servers).raw() as usize;
@@ -2466,7 +2427,7 @@ impl<S: TraceSink> Cluster<S> {
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.writeback(before.dwell(now));
         }
-        self.obs_rpc(RpcKind::WriteBlock, bytes, false);
+        self.charge_rpc(ci, RpcKind::WriteBlock, bytes, false);
         if let Some(san) = self.san.as_deref_mut() {
             san.on_writeback(id, key, true);
         }

@@ -232,8 +232,8 @@ pub struct Config {
     /// results are unchanged (violations are reported out of band).
     pub sanitize: bool,
     /// Run the sdfs-obs self-measurement layer alongside the
-    /// simulation: sim-time spans, per-kind event counts, and
-    /// per-RPC-kind latency histograms. Off by default; when off, output is
+    /// simulation: sim-time spans, per-RPC-kind latency histograms and
+    /// per-kind retry exhaustion. Off by default; when off, output is
     /// byte-identical to builds that predate the layer.
     pub observe: bool,
     /// Fault injection for sanitizer tests: skip the cache invalidation

@@ -271,8 +271,6 @@ pub mod restart {
 /// to a plain one; these names key the obs report's rendered summary and
 /// JSON export instead.
 pub mod obs {
-    /// Events recorded, summed over every kind.
-    pub const EVENTS_RECORDED: &str = "obs.events.recorded";
     /// Closed file-open spans (open → close of one handle).
     pub const SPAN_FILE_OPEN: &str = "obs.span.file.open";
     /// Closed RPC-stall spans (client blocked on a down server).
@@ -511,7 +509,6 @@ mod tests {
             implicit::CREATES,
             restart::CRASH_LOST_BYTES,
             restart::CRASH_COUNT,
-            obs::EVENTS_RECORDED,
             obs::SPAN_FILE_OPEN,
             obs::SPAN_STALL,
             obs::SPAN_SERVER_OUTAGE,

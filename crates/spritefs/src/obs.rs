@@ -2,19 +2,22 @@
 //!
 //! The paper's contribution is instrumentation — kernel tracing plus
 //! ~50 per-machine counters — and this module turns the same
-//! methodology back on the simulator itself. When [`crate::Config`]
-//! `observe` is set, the cluster carries an [`Obs`] collector that
-//! records:
+//! methodology back on the simulator itself. The paper split the job:
+//! always-on counters said "how much", traces said "what happened".
+//! "How much" here has one owner, each machine's
+//! [`sdfs_simkit::CounterSet`]. When [`crate::Config`] `observe` is
+//! set, the cluster carries an [`Obs`] collector for what counters
+//! cannot hold:
 //!
-//! * **per-kind event counts** (RPC issue/retry/complete, cache
-//!   hit/miss/evict/write-back, consistency recall/invalidate,
-//!   crash/reregister/reopen) — no allocation on the hot path;
 //! * **integer log-bucketed latency histograms**
 //!   ([`sdfs_simkit::LogHistogram`]) for per-[`RpcKind`] latency,
 //!   retry/backoff waits, write-back queue dwell, and recovery-storm
-//!   reopen latency, with exact deterministic merge;
+//!   reopen latency, with exact deterministic merge. Every counted RPC
+//!   gets exactly one latency sample, so a kind's sample count equals
+//!   the summed client `rpc.<kind>.msgs`;
 //! * **span aggregates** (file-open, RPC stall, server outage,
-//!   recovery storm) as count/total/max triples.
+//!   recovery storm) as count/total/max triples;
+//! * **per-kind retry exhaustion**, which the counters only total.
 //!
 //! Every duration is simulated microseconds, never the wall clock, so
 //! the determinism bans (`clippy.toml`) hold and an observed run is
@@ -26,103 +29,6 @@ use sdfs_simkit::{LogHistogram, SimDuration};
 
 use crate::metrics;
 use crate::rpc::RpcKind;
-
-/// The event vocabulary of the self-measurement layer; the report
-/// counts each kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObsEventKind {
-    /// An RPC left a client.
-    RpcIssue,
-    /// An RPC was retransmitted after a drop or stall.
-    RpcRetry,
-    /// An RPC finished.
-    RpcComplete,
-    /// A client cache read hit.
-    CacheHit,
-    /// A client cache read miss.
-    CacheMiss,
-    /// A client cache block was evicted.
-    CacheEvict,
-    /// A dirty block was written back.
-    WriteBack,
-    /// A write-back was queued because the server was down.
-    QueuedWriteBack,
-    /// The server recalled dirty data from the last writer.
-    Recall,
-    /// The server invalidated a client's cached copy.
-    Invalidate,
-    /// A server crashed.
-    ServerCrash,
-    /// A server finished recovering.
-    ServerRecover,
-    /// A client re-registered with a rebooted server.
-    Reregister,
-    /// A client reopened a handle at a rebooted server.
-    Reopen,
-    /// A partition cut a client↔server edge.
-    PartitionCut,
-    /// A cut edge healed.
-    PartitionHeal,
-    /// The server revoked a grant after the holder's lease lapsed
-    /// behind a partition.
-    LeaseRevoke,
-    /// A client reasserted a revoked grant across a healed edge.
-    Reassert,
-}
-
-impl ObsEventKind {
-    /// Every event kind, exactly once, in code order.
-    pub const ALL: [ObsEventKind; 18] = [
-        ObsEventKind::RpcIssue,
-        ObsEventKind::RpcRetry,
-        ObsEventKind::RpcComplete,
-        ObsEventKind::CacheHit,
-        ObsEventKind::CacheMiss,
-        ObsEventKind::CacheEvict,
-        ObsEventKind::WriteBack,
-        ObsEventKind::QueuedWriteBack,
-        ObsEventKind::Recall,
-        ObsEventKind::Invalidate,
-        ObsEventKind::ServerCrash,
-        ObsEventKind::ServerRecover,
-        ObsEventKind::Reregister,
-        ObsEventKind::Reopen,
-        ObsEventKind::PartitionCut,
-        ObsEventKind::PartitionHeal,
-        ObsEventKind::LeaseRevoke,
-        ObsEventKind::Reassert,
-    ];
-
-    /// Dense index into the per-kind event counts.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Dotted lowercase name, following the counter-name grammar.
-    pub fn name(self) -> &'static str {
-        match self {
-            ObsEventKind::RpcIssue => "rpc.issue",
-            ObsEventKind::RpcRetry => "rpc.retry",
-            ObsEventKind::RpcComplete => "rpc.complete",
-            ObsEventKind::CacheHit => "cache.hit",
-            ObsEventKind::CacheMiss => "cache.miss",
-            ObsEventKind::CacheEvict => "cache.evict",
-            ObsEventKind::WriteBack => "cache.writeback",
-            ObsEventKind::QueuedWriteBack => "cache.writeback.queued",
-            ObsEventKind::Recall => "consist.recall",
-            ObsEventKind::Invalidate => "consist.invalidate",
-            ObsEventKind::ServerCrash => "fault.server.crash",
-            ObsEventKind::ServerRecover => "fault.server.recover",
-            ObsEventKind::Reregister => "recovery.reregister",
-            ObsEventKind::Reopen => "recovery.reopen",
-            ObsEventKind::PartitionCut => "fault.partition.cut",
-            ObsEventKind::PartitionHeal => "fault.partition.heal",
-            ObsEventKind::LeaseRevoke => "fault.lease.revoke",
-            ObsEventKind::Reassert => "recovery.reassert",
-        }
-    }
-}
 
 /// The span vocabulary: durations the layer aggregates rather than
 /// streams.
@@ -175,10 +81,10 @@ impl SpanKind {
 }
 
 /// The mergeable product of one observed cluster run: histograms, span
-/// aggregates, and event counts. Like [`crate::SanitizerStats`] it is
-/// kept out of the per-machine counter sets so observed runs stay
-/// byte-identical to plain ones; it merges exactly (integer addition)
-/// across clusters, days, and traces.
+/// aggregates, and per-kind retry exhaustion. Like
+/// [`crate::SanitizerStats`] it is kept out of the per-machine counter
+/// sets so observed runs stay byte-identical to plain ones; it merges
+/// exactly (integer addition) across clusters, days, and traces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsReport {
     /// Per-RPC-kind latency histograms, indexed by [`RpcKind::index`].
@@ -191,8 +97,6 @@ pub struct ObsReport {
     pub reopen_latency: LogHistogram,
     /// Span aggregates, indexed by [`SpanKind::index`].
     pub spans: Vec<SpanStat>,
-    /// Event counts, indexed by [`ObsEventKind::index`].
-    pub event_counts: Vec<u64>,
     /// RPCs that exhausted their retry budget, indexed by
     /// [`RpcKind::index`] — the per-kind breakdown of what the cluster
     /// counters only report as aggregate unavailability.
@@ -214,7 +118,6 @@ impl ObsReport {
             writeback_dwell: LogHistogram::new(),
             reopen_latency: LogHistogram::new(),
             spans: vec![SpanStat::default(); SpanKind::ALL.len()],
-            event_counts: vec![0; ObsEventKind::ALL.len()],
             retry_exhausted: vec![0; RpcKind::ALL.len()],
         }
     }
@@ -227,16 +130,6 @@ impl ObsReport {
     /// The aggregate for one span kind.
     pub fn span(&self, kind: SpanKind) -> &SpanStat {
         &self.spans[kind.index()]
-    }
-
-    /// The count of one event kind.
-    pub fn events(&self, kind: ObsEventKind) -> u64 {
-        self.event_counts[kind.index()]
-    }
-
-    /// Total events recorded across all kinds.
-    pub fn events_recorded(&self) -> u64 {
-        self.event_counts.iter().sum()
     }
 
     /// Total RPC latency samples across all kinds.
@@ -265,9 +158,6 @@ impl ObsReport {
         for (a, b) in self.spans.iter_mut().zip(other.spans.iter()) {
             a.merge(b);
         }
-        for (a, b) in self.event_counts.iter_mut().zip(other.event_counts.iter()) {
-            *a += b;
-        }
         for (a, b) in self.retry_exhausted.iter_mut().zip(other.retry_exhausted.iter()) {
             *a += b;
         }
@@ -277,18 +167,6 @@ impl ObsReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("sdfs-obs self-measurement report\n");
-        out.push_str(&format!(
-            "  {} = {}\n",
-            metrics::obs::EVENTS_RECORDED,
-            self.events_recorded(),
-        ));
-        out.push_str("\n  events by kind:\n");
-        for k in ObsEventKind::ALL {
-            let n = self.events(k);
-            if n > 0 {
-                out.push_str(&format!("    {:<24} {:>12}\n", k.name(), n));
-            }
-        }
         out.push_str("\n  RPC latency (simulated microseconds):\n");
         out.push_str(&format!(
             "    {:<14} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
@@ -374,9 +252,7 @@ impl ObsReport {
         }
         let mut out = String::from("{");
         out.push_str(&format!(
-            "\"summary\":{{\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{}",
-            metrics::obs::EVENTS_RECORDED,
-            self.events_recorded(),
+            "\"summary\":{{\"{}\":{},\"{}\":{},\"{}\":{},\"{}\":{}",
             metrics::obs::RPC_SAMPLES,
             self.rpc_samples(),
             metrics::obs::RETRY_SAMPLES,
@@ -393,15 +269,6 @@ impl ObsReport {
         ));
         for k in SpanKind::ALL {
             out.push_str(&format!(",\"{}\":{}", k.metrics_key(), self.span(k).count));
-        }
-        out.push_str("},\"events\":{");
-        let mut first = true;
-        for k in ObsEventKind::ALL {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":{}", k.name(), self.events(k)));
         }
         out.push_str("},\"retry_exhausted\":{");
         let mut first = true;
@@ -471,30 +338,20 @@ impl Obs {
         Obs::default()
     }
 
-    /// Counts one event.
-    #[inline]
-    pub fn event(&mut self, kind: ObsEventKind) {
-        self.report.event_counts[kind.index()] += 1;
-    }
-
-    /// Records one completed RPC: issue + complete events plus a
-    /// latency sample in the per-kind histogram.
+    /// Records one completed RPC's latency sample in the per-kind
+    /// histogram.
     pub fn rpc(&mut self, kind: RpcKind, latency: SimDuration) {
-        self.event(ObsEventKind::RpcIssue);
-        self.event(ObsEventKind::RpcComplete);
         self.report.rpc[kind.index()].record(latency.as_micros());
     }
 
     /// Records one retry/backoff wait (a dropped message or a stall
     /// slice against a down server).
     pub fn retry(&mut self, wait: SimDuration) {
-        self.event(ObsEventKind::RpcRetry);
         self.report.retry_wait.record(wait.as_micros());
     }
 
     /// Records a write-back with the time the block dwelled dirty.
     pub fn writeback(&mut self, dwell: SimDuration) {
-        self.event(ObsEventKind::WriteBack);
         self.report.writeback_dwell.record(dwell.as_micros());
     }
 
@@ -506,7 +363,6 @@ impl Obs {
 
     /// Records one storm reopen with its modeled latency.
     pub fn reopen(&mut self, latency: SimDuration) {
-        self.event(ObsEventKind::Reopen);
         self.report.reopen_latency.record(latency.as_micros());
     }
 
@@ -532,16 +388,13 @@ mod tests {
 
     #[test]
     fn kind_codes_match_all_order() {
-        for (i, k) in ObsEventKind::ALL.iter().enumerate() {
-            assert_eq!(k.index(), i);
-        }
         for (i, k) in SpanKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
         }
     }
 
     #[test]
-    fn event_and_span_names_follow_grammar() {
+    fn span_names_follow_grammar() {
         // Same grammar the metrics hygiene test enforces.
         let ok = |n: &str| {
             !n.is_empty()
@@ -550,9 +403,6 @@ mod tests {
                 && !n.ends_with(['.', '_'])
                 && !n.contains("..")
         };
-        for k in ObsEventKind::ALL {
-            assert!(ok(k.name()), "{:?}", k);
-        }
         for k in SpanKind::ALL {
             assert!(ok(k.name()), "{:?}", k);
         }
@@ -568,22 +418,16 @@ mod tests {
         obs.reopen(d(3_000));
         obs.span(SpanKind::FileOpen, d(123_000));
         let rep = obs.into_report();
-        assert_eq!(rep.events(ObsEventKind::RpcIssue), 2);
-        assert_eq!(rep.events(ObsEventKind::RpcComplete), 2);
-        assert_eq!(rep.events(ObsEventKind::RpcRetry), 1);
+        assert_eq!(rep.rpc_samples(), 2);
         assert_eq!(rep.rpc_hist(RpcKind::Open).p50(), 1_500);
         assert_eq!(rep.rpc_hist(RpcKind::ReadBlock).max(), 6_415);
         assert_eq!(rep.retry_wait.count(), 1);
         assert_eq!(rep.writeback_dwell.max(), 30_000_000);
         assert_eq!(rep.reopen_latency.count(), 1);
         assert_eq!(rep.span(SpanKind::FileOpen).count, 1);
-        // 2 rpcs x (issue + complete) + retry + writeback + reopen.
-        assert_eq!(rep.events_recorded(), 7);
-        let per_kind: u64 = ObsEventKind::ALL.iter().map(|&k| rep.events(k)).sum();
-        assert_eq!(rep.events_recorded(), per_kind);
         let txt = rep.render();
+        assert!(txt.starts_with("sdfs-obs self-measurement report\n"));
         assert!(txt.contains("read_block"));
-        assert!(txt.contains("obs.events.recorded"));
         let json = rep.to_json();
         assert!(json.contains("\"rpc_latency_us\""));
         assert!(json.contains("\"obs.span.file.open\":1"));

@@ -4,6 +4,7 @@
 
 use sdfs_simkit::{FastSet, SimDuration, SimRng, SimTime};
 use sdfs_spritefs::metrics::fault;
+use sdfs_spritefs::rpc::RpcKind;
 use sdfs_spritefs::{
     AppOp, Cluster, Config, ConsistencyPolicy, FaultPlan, OpKind, Partition, ServerOutage, VecSink,
 };
@@ -261,6 +262,54 @@ fn conservative_heal_revalidates_every_cached_file() {
     assert_eq!(server.get(fault::HEAL_STORM_RPCS), 4);
 }
 
+/// A Token-mode read downgrade aimed across a cut edge passes the same
+/// gate as every other server→client action: client 0 writes a file on
+/// server 0, closes it and keeps the write token; a 300 s partition cuts
+/// it off at t=10, and its 30 s lease lapses long before client 1 opens
+/// the file for read at t=100. The server revokes the grant instead of
+/// delivering a token recall, so the dirty 4 KB are lost.
+#[test]
+fn token_read_downgrade_across_a_cut_revokes_the_lapsed_writer() {
+    let mut cfg = Config::small();
+    cfg.consistency = ConsistencyPolicy::Token;
+    cfg.faults = Some(FaultPlan {
+        partitions: vec![Partition {
+            at: SimTime::from_secs(10),
+            heal_after: SimDuration::from_secs(300),
+            edges: vec![(0, 0)],
+        }],
+        lease_ttl: SimDuration::from_secs(30),
+        ..FaultPlan::default()
+    });
+    let mut cl = Cluster::new(cfg, VecSink::new(1));
+    let op = |secs, client, kind| AppOp {
+        time: SimTime::from_secs(secs),
+        client: ClientId(client),
+        user: UserId(u32::from(client)),
+        pid: Pid(0),
+        migrated: false,
+        kind,
+    };
+    let (file, is_dir) = (FileId(0), false);
+    let open = |fd, mode| OpKind::Open { fd, file, mode };
+    let (w, r) = (Handle(1), Handle(2));
+    cl.run(
+        vec![
+            op(1, 0, OpKind::Create { file, is_dir }),
+            op(2, 0, open(w, OpenMode::Write)),
+            op(3, 0, OpKind::Write { fd: w, len: 4096 }),
+            op(4, 0, OpKind::Close { fd: w }),
+            op(100, 1, open(r, OpenMode::Read)),
+        ],
+        SimTime::from_secs(120),
+    );
+    let server = &cl.servers()[0].counters;
+    assert_eq!(server.get(fault::LEASE_EXPIRY_RECALLS), 1);
+    assert_eq!(server.get(fault::LEASE_LOST_BYTES), 4096);
+    let writer = &cl.clients()[0].metrics.counters;
+    assert_eq!(writer.get(RpcKind::TokenRecall.msgs_key()), 0);
+}
+
 const POLICIES: [ConsistencyPolicy; 4] = [
     ConsistencyPolicy::Sprite,
     ConsistencyPolicy::SpriteModified,
@@ -280,6 +329,7 @@ fn for_each_fuzz_case(mut finish: impl FnMut(u64, Cluster<VecSink>)) {
         let mut cfg = Config::small();
         cfg.consistency = POLICIES[case as usize % POLICIES.len()];
         cfg.sanitize = true;
+        cfg.observe = true;
 
         let mut plan = FaultPlan::default();
         // 1-3 partitions with random windows inside the 150 s script.
@@ -361,7 +411,10 @@ fn for_each_fuzz_case(mut finish: impl FnMut(u64, Cluster<VecSink>)) {
 /// Property fuzz over [`for_each_fuzz_case`]: the cluster must survive
 /// every case, keep its cache invariants, and — because revocation
 /// rolls the oracle's expectations back like a client crash does —
-/// SpriteSan must stay clean through every interleaving.
+/// SpriteSan must stay clean through every interleaving. Every counted
+/// RPC, storm and heal RPCs included, carries exactly one latency
+/// sample: each kind's sample count equals its summed client
+/// `rpc.<kind>.msgs`.
 #[test]
 fn fuzz_partitions_interleave_with_crashes() {
     for_each_fuzz_case(|case, mut cl| {
@@ -371,6 +424,21 @@ fn fuzz_partitions_interleave_with_crashes() {
             "case {case}: oracle dirty across partition/crash interleaving: {}",
             san.render()
         );
+        let obs = cl.take_obs_report().expect("observed run");
+        for kind in RpcKind::ALL {
+            let msgs: u64 = cl
+                .clients()
+                .iter()
+                .map(|c| c.metrics.counters.get(kind.msgs_key()))
+                .sum();
+            assert_eq!(
+                obs.rpc_hist(kind).count(),
+                msgs,
+                "case {case}: {} latency samples vs rpc.{}.msgs",
+                kind.name(),
+                kind.name()
+            );
+        }
     });
 }
 

@@ -44,7 +44,7 @@ cmp /tmp/verify_report.txt /tmp/verify_report_san.txt
 echo "==> observer: repro --quick --observe all (report on stderr, stdout byte-identical)"
 ./target/release/repro --quick --observe all > /tmp/verify_report_obs.txt 2> /tmp/verify_obs_stderr.txt
 cmp /tmp/verify_report.txt /tmp/verify_report_obs.txt
-grep -q "obs.events.recorded" /tmp/verify_obs_stderr.txt
+grep -q "sdfs-obs self-measurement report" /tmp/verify_obs_stderr.txt
 
 echo "==> trace workers: repro --quick --threads 1|auto all (byte-identical to the golden)"
 ./target/release/repro --quick --threads 1 all > /tmp/verify_report_t1.txt

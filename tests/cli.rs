@@ -56,7 +56,7 @@ fn observe_never_changes_stdout() {
     );
     let err = String::from_utf8_lossy(&observed.stderr);
     assert!(
-        err.contains("obs.events.recorded"),
+        err.contains("sdfs-obs self-measurement report"),
         "observed run reports on stderr:\n{err}"
     );
 }
