@@ -549,10 +549,13 @@ const CONSUMERS: [(&str, RunConsumer); 8] = [
 ];
 
 /// `repro profile`: wall-clock breakdown of the pipeline stages on the
-/// configured study — where a full run actually spends its time — and of
-/// the fused analysis by consumer, each timed alone over the same
-/// records. Its clock reads go through [`stopwatch`], like the study's
-/// one timing line.
+/// configured study, and of the fused analysis by consumer, each timed
+/// alone over the same records. It times the materialised pipeline
+/// (`run_trace_records`, then `analyze_trace`) so that simulation and
+/// analysis can be timed apart; `run_traces` no longer runs that
+/// pipeline, since it streams each trace into the analysis as the
+/// cluster emits it. Its clock reads go through [`stopwatch`], like the
+/// study's one timing line.
 fn run_profile(study: &Study) {
     let t_total = stopwatch();
 

@@ -218,14 +218,27 @@ impl FiguresAccumulator {
         add_open_time(&mut self.open_times, a);
     }
 
-    /// Returns the finished figures.
+    /// Returns the finished figures, each CDF sealed (sorted, equal
+    /// values merged, spare capacity released).
     pub fn finish(self) -> AllFigures {
-        AllFigures {
+        let mut figures = AllFigures {
             run_lengths: self.run_lengths,
             file_sizes: self.file_sizes,
             open_times: self.open_times,
             lifetimes: self.lifetimes,
+        };
+        for cdf in [
+            &mut figures.run_lengths.by_runs,
+            &mut figures.run_lengths.by_bytes,
+            &mut figures.file_sizes.by_accesses,
+            &mut figures.file_sizes.by_bytes,
+            &mut figures.open_times,
+            &mut figures.lifetimes.by_files,
+            &mut figures.lifetimes.by_bytes,
+        ] {
+            cdf.seal();
         }
+        figures
     }
 }
 

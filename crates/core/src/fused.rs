@@ -16,9 +16,15 @@
 //! floating-point summaries — to the separate passes. The equivalence
 //! regression test in `tests/equivalence.rs` checks this end to end on
 //! rendered output.
+//!
+//! [`FusedSink`] runs the same pass while the cluster simulates, so the
+//! study never materialises a trace: it receives each record as a server
+//! logs it and feeds the analyzer in the order
+//! [`sdfs_trace::merge::merge_vecs`] would have produced.
 
 use sdfs_simkit::SimDuration;
-use sdfs_trace::{Record, TraceStats, TraceStatsBuilder};
+use sdfs_spritefs::TraceSink;
+use sdfs_trace::{Record, ServerId, TraceStats, TraceStatsBuilder};
 
 use crate::access::AccessScanner;
 use crate::activity::{Table2Accumulator, UserActivity};
@@ -128,6 +134,66 @@ impl Default for FusedAnalyzer {
     }
 }
 
+/// A [`TraceSink`] that analyzes records as the cluster emits them.
+///
+/// `merge_vecs` orders the per-server streams by time, then by server,
+/// then by each server's emission order. The cluster emits records in
+/// non-decreasing time across all servers, so that order is the emission
+/// order with each timestamp's records stably sorted by server. The sink
+/// therefore holds only the records of the current timestamp (at most 4
+/// at paper scale) and releases them to [`FusedAnalyzer::record`], stably
+/// sorted by server, when a later timestamp arrives or at
+/// [`FusedSink::finish`].
+///
+/// # Panics
+///
+/// [`TraceSink::emit`] panics, in release builds too, on a record
+/// earlier than the held timestamp: the stream would no longer be the
+/// merged trace, and every analysis downstream would be wrong.
+#[derive(Debug, Default)]
+pub struct FusedSink {
+    analyzer: FusedAnalyzer,
+    /// The current timestamp's records, in emission order.
+    held: Vec<(ServerId, Record)>,
+}
+
+impl FusedSink {
+    /// Creates a sink feeding a fresh [`FusedAnalyzer`].
+    pub fn new() -> Self {
+        FusedSink::default()
+    }
+
+    fn release(&mut self) {
+        self.held.sort_by_key(|(server, _)| server.raw());
+        for (_, rec) in self.held.drain(..) {
+            self.analyzer.record(&rec);
+        }
+    }
+
+    /// Releases the held records and finalizes every consumer.
+    pub fn finish(mut self) -> FusedAnalysis {
+        self.release();
+        self.analyzer.finish()
+    }
+}
+
+impl TraceSink for FusedSink {
+    fn emit(&mut self, server: ServerId, rec: Record) {
+        if let Some((_, first)) = self.held.first() {
+            let held = first.time;
+            assert!(
+                rec.time >= held,
+                "record at {} emitted after one at {held}: the cluster must emit in time order",
+                rec.time
+            );
+            if rec.time > held {
+                self.release();
+            }
+        }
+        self.held.push((server, rec));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +204,7 @@ mod tests {
     use crate::patterns::table3;
     use crate::staleness::table11;
     use sdfs_simkit::SimTime;
+    use sdfs_trace::merge::merge_vecs;
     use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, RecordKind, UserId};
 
     /// A small hand-rolled trace exercising every record kind.
@@ -295,6 +362,42 @@ mod tests {
         assert_eq!(fused.table12.sprite.alg_rpcs, t12.sprite.alg_rpcs);
         assert_eq!(fused.table12.modified.alg_bytes, t12.modified.alg_bytes);
         assert_eq!(fused.table12.token.alg_rpcs, t12.token.alg_rpcs);
+    }
+
+    /// Same-timestamp records from servers 2, 0, 1 and 0 reach the
+    /// analyzer in `merge_vecs`'s order.
+    #[test]
+    fn fused_sink_analyzes_the_merged_order() {
+        let times = [0, 1, 3, 3, 3, 3, 6, 7];
+        let servers = [1, 0, 2, 0, 1, 0, 3, 2];
+        let mut sink = FusedSink::new();
+        let mut per_server: Vec<Vec<Record>> = vec![Vec::new(); 4];
+        let mut emitted = Vec::new();
+        for ((mut rec, t), server) in sample_trace().into_iter().zip(times).zip(servers) {
+            rec.time = SimTime::from_secs(t);
+            per_server[server].push(rec.clone());
+            emitted.push(rec.clone());
+            sink.emit(ServerId(server as u16), rec);
+        }
+        let streamed = format!("{:?}", sink.finish());
+        let merged = FusedAnalyzer::analyze(&merge_vecs(per_server));
+        assert_eq!(streamed, format!("{merged:?}"));
+        // The case is order-sensitive: analyzing the emission order as is
+        // would give a different result.
+        assert_ne!(streamed, format!("{:?}", FusedAnalyzer::analyze(&emitted)));
+    }
+
+    #[test]
+    #[should_panic(expected = "must emit in time order")]
+    fn fused_sink_rejects_a_record_earlier_than_the_held_timestamp() {
+        let mut records = sample_trace().into_iter();
+        let mut sink = FusedSink::new();
+        let mut later = records.next().expect("a record");
+        later.time = SimTime::from_secs(5);
+        sink.emit(ServerId(0), later);
+        let mut earlier = records.next().expect("a second record");
+        earlier.time = SimTime::from_secs(4);
+        sink.emit(ServerId(1), earlier);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! | Table 12 — consistency algorithm overhead | [`overhead`] |
 //!
 //! [`study::Study`] wires the full pipeline: synthesize workload → run the
-//! cluster → merge per-server traces → analyze. [`report`] renders
+//! cluster → analyze the per-server traces, in merged order, as the
+//! servers log them ([`fused::FusedSink`]). [`report`] renders
 //! paper-style tables with the original numbers alongside for comparison.
 
 pub mod access;

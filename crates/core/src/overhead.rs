@@ -70,11 +70,11 @@ impl OverheadResult {
     }
 }
 
-/// Per-file, per-algorithm cache state.
+/// One algorithm's cache and token state for a file. A simulator creates
+/// it at the file's first shared event: before that, only the file's open
+/// handles matter, and those live in the [`OpenTable`].
 #[derive(Debug, Default)]
 struct SimFile {
-    /// Open handles: (handle, client, writes).
-    opens: Vec<(Handle, ClientId, bool)>,
     /// Cached blocks per client.
     cached: FastMap<ClientId, FastSet<u64>>,
     /// Dirty blocks of the current writer: block → dirty since.
@@ -84,8 +84,82 @@ struct SimFile {
     reader_tokens: FastSet<ClientId>,
 }
 
-/// The simulator, with the cluster's block size and default write-back
-/// delay ([`BLOCK_SIZE`], [`WRITEBACK_DELAY`]).
+impl SimFile {
+    /// Writes back one dirty block per entry `flush` selects: a block of
+    /// bytes each, and an RPC each unless `piggyback` folds the data into
+    /// an already-counted recall.
+    fn write_back(
+        &mut self,
+        result: &mut OverheadResult,
+        piggyback: bool,
+        mut flush: impl FnMut(ClientId, SimTime) -> bool,
+    ) {
+        self.dirty.retain(|&(client, _), &mut since| {
+            if !flush(client, since) {
+                return true;
+            }
+            result.alg_bytes += BLOCK_SIZE;
+            if !piggyback {
+                result.alg_rpcs += 1;
+            }
+            false
+        });
+    }
+
+    /// Flush dirty blocks whose delay expired by `now`.
+    fn flush_expired(&mut self, result: &mut OverheadResult, now: SimTime) {
+        self.write_back(result, false, |_, since| {
+            now.since(since) >= WRITEBACK_DELAY
+        });
+    }
+
+    /// Flush every dirty block.
+    fn flush_all(&mut self, result: &mut OverheadResult) {
+        self.write_back(result, false, |_, _| true);
+    }
+
+    /// Flush every dirty block `client` holds.
+    fn flush_client(&mut self, result: &mut OverheadResult, client: ClientId, piggyback: bool) {
+        self.write_back(result, piggyback, |c, _| c == client);
+    }
+
+    fn acquire_read_token(&mut self, result: &mut OverheadResult, client: ClientId) {
+        if self.reader_tokens.contains(&client) || self.writer_token == Some(client) {
+            return;
+        }
+        if let Some(w) = self.writer_token.take() {
+            // Recall the write token; the dirty data rides along.
+            result.alg_rpcs += 1;
+            self.flush_client(result, w, true);
+            self.reader_tokens.insert(w);
+        }
+        self.reader_tokens.insert(client);
+        result.alg_rpcs += 1; // Token acquire.
+    }
+
+    fn acquire_write_token(&mut self, result: &mut OverheadResult, client: ClientId) {
+        if self.writer_token == Some(client) {
+            return;
+        }
+        if let Some(w) = self.writer_token {
+            result.alg_rpcs += 1;
+            self.flush_client(result, w, true);
+            self.cached.remove(&w);
+        }
+        for &r in &self.reader_tokens {
+            if r != client {
+                result.alg_rpcs += 1; // Recall read token.
+                self.cached.remove(&r);
+            }
+        }
+        self.reader_tokens.retain(|&r| r == client);
+        self.writer_token = Some(client);
+        result.alg_rpcs += 1; // Token acquire.
+    }
+}
+
+/// One algorithm's simulator, with the cluster's block size and default
+/// write-back delay ([`BLOCK_SIZE`], [`WRITEBACK_DELAY`]).
 #[derive(Debug)]
 struct Sim {
     alg: Algorithm,
@@ -102,273 +176,134 @@ impl Sim {
         }
     }
 
-    fn blocks_of(&self, offset: u64, len: u64) -> std::ops::RangeInclusive<u64> {
-        let first = offset / BLOCK_SIZE;
-        let last = (offset + len.max(1) - 1) / BLOCK_SIZE;
-        first..=last
-    }
-
-    /// Flush dirty blocks whose delay expired by `now`.
-    fn flush_expired(&mut self, file: FileId, now: SimTime) {
-        let Some(st) = self.files.get_mut(&file) else {
+    /// A file enters concurrent write-sharing: both Sprite variants flush
+    /// all its dirty data and disable caching.
+    fn enter_sharing(&mut self, file: FileId) {
+        if self.alg == Algorithm::Token {
             return;
-        };
-        let expired: Vec<(ClientId, u64)> = st
-            .dirty
-            .iter()
-            .filter(|(_, &since)| now.since(since) >= WRITEBACK_DELAY)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in expired {
-            st.dirty.remove(&k);
-            self.result.alg_bytes += BLOCK_SIZE;
-            self.result.alg_rpcs += 1;
         }
-    }
-
-    /// Flush every dirty block a client holds for `file`; `piggyback`
-    /// folds the flush into an already-counted recall RPC.
-    fn flush_client(&mut self, file: FileId, client: ClientId, piggyback: bool) {
-        let Some(st) = self.files.get_mut(&file) else {
-            return;
-        };
-        let mine: Vec<(ClientId, u64)> = st
-            .dirty
-            .keys()
-            .filter(|&&(c, _)| c == client)
-            .copied()
-            .collect();
-        for k in mine {
-            st.dirty.remove(&k);
-            self.result.alg_bytes += BLOCK_SIZE;
-            if !piggyback {
-                self.result.alg_rpcs += 1;
-            }
-        }
-    }
-
-    /// Drop a client's cached blocks.
-    fn invalidate_client(&mut self, file: FileId, client: ClientId) {
         if let Some(st) = self.files.get_mut(&file) {
-            st.cached.remove(&client);
+            st.flush_all(&mut self.result);
+            st.cached.clear();
         }
     }
 
-    fn on_open(&mut self, rec: &Record, fd: Handle, file: FileId, writes: bool) {
-        let alg = self.alg;
-        let st = self.files.entry(file).or_default();
-        let was_shared = write_shared(&st.opens);
-        st.opens.push((fd, rec.client, writes));
-        let now_shared = write_shared(&st.opens);
-        if alg != Algorithm::Token && now_shared && !was_shared {
-            // Entering concurrent write-sharing: flush all dirty data and
-            // disable caching (both Sprite variants).
-            let clients: Vec<ClientId> = st.cached.keys().copied().collect();
-            let dirty_holders: Vec<ClientId> = st.dirty.keys().map(|&(c, _)| c).collect();
-            for c in dirty_holders {
-                self.flush_client(file, c, false);
-            }
-            for c in clients {
-                self.invalidate_client(file, c);
-            }
-        }
-    }
-
-    fn on_close(&mut self, fd: Handle, file: FileId) {
-        if let Some(st) = self.files.get_mut(&file) {
-            if let Some(i) = st.opens.iter().position(|&(h, _, _)| h == fd) {
-                st.opens.remove(i);
-            }
-        }
-    }
-
-    /// Whether a request on `file` must pass through to the server
-    /// uncached right now.
+    /// A shared read or write of `len` bytes at `offset`, with the file's
+    /// open handles `opens`.
     ///
     /// Shared events only appear in the trace during concurrent
-    /// write-sharing episodes, so: under Sprite the file stays
-    /// uncacheable until every open closes; under modified Sprite only
-    /// while the live sharing condition holds; under tokens, never.
-    fn passthrough_now(&self, file: FileId) -> bool {
-        let Some(st) = self.files.get(&file) else {
-            return false;
-        };
-        match self.alg {
-            Algorithm::Sprite => !st.opens.is_empty(),
-            Algorithm::SpriteModified => write_shared(&st.opens),
+    /// write-sharing episodes, so the request passes through to the server
+    /// uncached under Sprite until every open closes, under modified
+    /// Sprite only while the live sharing condition holds, and under
+    /// tokens never.
+    fn on_shared(
+        &mut self,
+        rec: &Record,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        write: bool,
+        opens: &[(Handle, ClientId, bool)],
+    ) {
+        let result = &mut self.result;
+        result.app_bytes += len;
+        result.app_events += 1;
+        let st = self.files.entry(file).or_default();
+        st.flush_expired(result, rec.time);
+        let passthrough = match self.alg {
+            Algorithm::Sprite => !opens.is_empty(),
+            Algorithm::SpriteModified => write_shared(opens),
             Algorithm::Token => false,
-        }
-    }
-
-    fn on_read(&mut self, rec: &Record, file: FileId, offset: u64, len: u64) {
-        self.result.app_bytes += len;
-        self.result.app_events += 1;
-        self.flush_expired(file, rec.time);
-        if self.passthrough_now(file) {
-            self.result.alg_bytes += len;
-            self.result.alg_rpcs += 1;
+        };
+        if passthrough {
+            result.alg_bytes += len;
+            result.alg_rpcs += 1;
             return;
         }
         if self.alg == Algorithm::Token {
-            self.acquire_read_token(rec.client, file);
-        }
-        let blocks: Vec<u64> = self.blocks_of(offset, len).collect();
-        let st = self.files.entry(file).or_default();
-        let mine = st.cached.entry(rec.client).or_default();
-        for b in blocks {
-            if mine.insert(b) {
-                self.result.alg_bytes += BLOCK_SIZE;
-                self.result.alg_rpcs += 1;
+            if write {
+                st.acquire_write_token(result, rec.client);
+            } else {
+                st.acquire_read_token(result, rec.client);
             }
         }
-    }
-
-    fn on_write(&mut self, rec: &Record, file: FileId, offset: u64, len: u64) {
-        self.result.app_bytes += len;
-        self.result.app_events += 1;
-        self.flush_expired(file, rec.time);
-        if self.passthrough_now(file) {
-            self.result.alg_bytes += len;
-            self.result.alg_rpcs += 1;
-            return;
-        }
-        if self.alg == Algorithm::Token {
-            self.acquire_write_token(rec.client, file);
-        }
-        let blocks: Vec<u64> = self.blocks_of(offset, len).collect();
-        let st = self.files.entry(file).or_default();
         let mine = st.cached.entry(rec.client).or_default();
-        for b in blocks {
-            let whole = len >= BLOCK_SIZE && offset % BLOCK_SIZE == 0;
+        // A whole-block write needs no fetch of the block it overwrites.
+        let whole = write && len >= BLOCK_SIZE && offset % BLOCK_SIZE == 0;
+        for b in offset / BLOCK_SIZE..=(offset + len.max(1) - 1) / BLOCK_SIZE {
             if mine.insert(b) && !whole {
-                // Partial write of an uncached block: fetch it first.
-                self.result.alg_bytes += BLOCK_SIZE;
-                self.result.alg_rpcs += 1;
+                result.alg_bytes += BLOCK_SIZE;
+                result.alg_rpcs += 1;
             }
-            st.dirty.insert((rec.client, b), rec.time);
-        }
-    }
-
-    fn acquire_read_token(&mut self, client: ClientId, file: FileId) {
-        let (writer, holds) = {
-            let st = self.files.entry(file).or_default();
-            (
-                st.writer_token,
-                st.reader_tokens.contains(&client) || st.writer_token == Some(client),
-            )
-        };
-        if holds {
-            return;
-        }
-        if let Some(w) = writer {
-            // Recall the write token; the dirty data rides along.
-            self.result.alg_rpcs += 1;
-            self.flush_client(file, w, true);
-            let st = self.files.entry(file).or_default();
-            st.writer_token = None;
-            st.reader_tokens.insert(w);
-        }
-        let st = self.files.entry(file).or_default();
-        st.reader_tokens.insert(client);
-        self.result.alg_rpcs += 1; // Token acquire.
-    }
-
-    fn acquire_write_token(&mut self, client: ClientId, file: FileId) {
-        let (writer, readers): (Option<ClientId>, Vec<ClientId>) = {
-            let st = self.files.entry(file).or_default();
-            (st.writer_token, st.reader_tokens.iter().copied().collect())
-        };
-        if writer == Some(client) {
-            return;
-        }
-        if let Some(w) = writer {
-            self.result.alg_rpcs += 1;
-            self.flush_client(file, w, true);
-            self.invalidate_client(file, w);
-        }
-        for r in readers {
-            if r != client {
-                self.result.alg_rpcs += 1; // Recall read token.
-                self.invalidate_client(file, r);
+            if write {
+                st.dirty.insert((rec.client, b), rec.time);
             }
-        }
-        let st = self.files.entry(file).or_default();
-        st.reader_tokens.retain(|&r| r == client);
-        st.writer_token = Some(client);
-        self.result.alg_rpcs += 1; // Token acquire.
-    }
-
-    /// Advances the simulation by one record, without pre-filtering for
-    /// files that see shared events.
-    ///
-    /// Equivalent to the gated loop in [`simulate`]: a file with no
-    /// shared events only ever accumulates open/close bookkeeping —
-    /// `cached` and `dirty` stay empty (only reads and writes populate
-    /// them), so the entering-CWS flush/invalidate and the final flush
-    /// are no-ops for it and the counters come out identical.
-    fn record(&mut self, rec: &Record) {
-        match &rec.kind {
-            RecordKind::Open { fd, file, mode, .. } => {
-                self.on_open(rec, *fd, *file, mode.writes());
-            }
-            RecordKind::Close { fd, file, .. } => {
-                self.on_close(*fd, *file);
-            }
-            RecordKind::SharedRead { file, offset, len } => {
-                self.on_read(rec, *file, *offset, *len);
-            }
-            RecordKind::SharedWrite { file, offset, len } => {
-                self.on_write(rec, *file, *offset, *len);
-            }
-            _ => {}
         }
     }
 
     fn finish(mut self) -> OverheadResult {
         // Flush whatever remains dirty so algorithms compare fairly.
-        let files: Vec<FileId> = self.files.keys().copied().collect();
-        for file in files {
-            let holders: Vec<ClientId> = self.files[&file].dirty.keys().map(|&(c, _)| c).collect();
-            for c in holders {
-                self.flush_client(file, c, false);
-            }
+        for st in self.files.values_mut() {
+            st.flush_all(&mut self.result);
         }
         self.result
     }
 }
 
+/// Open handles per file, `(handle, client, writes)`, shared by every
+/// simulator one pass drives. A file's entry goes at its last close, so
+/// the table holds only live files.
+#[derive(Debug, Default)]
+struct OpenTable(FastMap<FileId, Vec<(Handle, ClientId, bool)>>);
+
+impl OpenTable {
+    /// Advances `sims` by one record.
+    fn record(&mut self, rec: &Record, sims: &mut [Sim]) {
+        let (file, offset, len, write) = match &rec.kind {
+            RecordKind::Open { fd, file, mode, .. } => {
+                let opens = self.0.entry(*file).or_default();
+                let was_shared = write_shared(opens);
+                opens.push((*fd, rec.client, mode.writes()));
+                if write_shared(opens) && !was_shared {
+                    for sim in sims {
+                        sim.enter_sharing(*file);
+                    }
+                }
+                return;
+            }
+            RecordKind::Close { fd, file, .. } => {
+                if let Some(opens) = self.0.get_mut(file) {
+                    if let Some(i) = opens.iter().position(|&(h, _, _)| h == *fd) {
+                        opens.remove(i);
+                    }
+                    if opens.is_empty() {
+                        self.0.remove(file);
+                    }
+                }
+                return;
+            }
+            RecordKind::SharedRead { file, offset, len } => (*file, *offset, *len, false),
+            RecordKind::SharedWrite { file, offset, len } => (*file, *offset, *len, true),
+            _ => return,
+        };
+        let opens = self.0.get(&file).map_or(&[][..], Vec::as_slice);
+        for sim in sims {
+            sim.on_shared(rec, file, offset, len, write, opens);
+        }
+    }
+}
+
 /// Runs one algorithm over a trace with the paper's parameters (4-Kbyte
-/// blocks, 30-second delayed writes). Only files that ever see shared
-/// events contribute (the paper's simulator scanned exactly those).
+/// blocks, 30-second delayed writes). Only files that see shared events
+/// contribute (the paper's simulator scanned exactly those): a file's
+/// cache state begins at its first shared event.
 pub fn simulate(records: &[Record], alg: Algorithm) -> OverheadResult {
-    // First pass: which files undergo write sharing at all?
-    let mut shared_files: FastSet<FileId> = FastSet::default();
+    let mut opens = OpenTable::default();
+    let mut sim = [Sim::new(alg)];
     for rec in records {
-        match rec.kind {
-            RecordKind::SharedRead { file, .. } | RecordKind::SharedWrite { file, .. } => {
-                shared_files.insert(file);
-            }
-            _ => {}
-        }
+        opens.record(rec, &mut sim);
     }
-    let mut sim = Sim::new(alg);
-    for rec in records {
-        match &rec.kind {
-            RecordKind::Open { fd, file, mode, .. } if shared_files.contains(file) => {
-                sim.on_open(rec, *fd, *file, mode.writes());
-            }
-            RecordKind::Close { fd, file, .. } if shared_files.contains(file) => {
-                sim.on_close(*fd, *file);
-            }
-            RecordKind::SharedRead { file, offset, len } => {
-                sim.on_read(rec, *file, *offset, *len);
-            }
-            RecordKind::SharedWrite { file, offset, len } => {
-                sim.on_write(rec, *file, *offset, *len);
-            }
-            _ => {}
-        }
-    }
+    let [sim] = sim;
     sim.finish()
 }
 
@@ -385,39 +320,40 @@ pub struct Table12 {
 
 /// Streaming Table 12 builder: drives all three algorithm simulators in
 /// one pass over the record stream, with the paper's parameters
-/// (4-Kbyte blocks, 30-second delayed writes). The fused single-pass
-/// driver uses this; [`table12`] produces identical numbers via three
-/// gated [`simulate`] passes.
+/// (4-Kbyte blocks, 30-second delayed writes) and one open table shared
+/// by the three. [`crate::fused::FusedAnalyzer`] and [`table12`] use this.
 #[derive(Debug)]
 pub struct Table12Builder {
-    sprite: Sim,
-    modified: Sim,
-    token: Sim,
+    opens: OpenTable,
+    /// Sprite, modified Sprite, token.
+    sims: [Sim; 3],
 }
 
 impl Table12Builder {
     /// Creates a builder with the paper's parameters.
     pub fn new() -> Self {
         Table12Builder {
-            sprite: Sim::new(Algorithm::Sprite),
-            modified: Sim::new(Algorithm::SpriteModified),
-            token: Sim::new(Algorithm::Token),
+            opens: OpenTable::default(),
+            sims: [
+                Sim::new(Algorithm::Sprite),
+                Sim::new(Algorithm::SpriteModified),
+                Sim::new(Algorithm::Token),
+            ],
         }
     }
 
     /// Advances all three simulations by one record.
     pub fn record(&mut self, rec: &Record) {
-        self.sprite.record(rec);
-        self.modified.record(rec);
-        self.token.record(rec);
+        self.opens.record(rec, &mut self.sims);
     }
 
     /// Returns the finished table.
     pub fn finish(self) -> Table12 {
+        let [sprite, modified, token] = self.sims;
         Table12 {
-            sprite: self.sprite.finish(),
-            modified: self.modified.finish(),
-            token: self.token.finish(),
+            sprite: sprite.finish(),
+            modified: modified.finish(),
+            token: token.finish(),
         }
     }
 }
@@ -431,11 +367,11 @@ impl Default for Table12Builder {
 /// Computes Table 12 with the paper's parameters (4-Kbyte blocks,
 /// 30-second delayed writes).
 pub fn table12(records: &[Record]) -> Table12 {
-    Table12 {
-        sprite: simulate(records, Algorithm::Sprite),
-        modified: simulate(records, Algorithm::SpriteModified),
-        token: simulate(records, Algorithm::Token),
+    let mut builder = Table12Builder::new();
+    for rec in records {
+        builder.record(rec);
     }
+    builder.finish()
 }
 
 #[cfg(test)]
@@ -582,6 +518,47 @@ mod tests {
         let r = simulate(&v, Algorithm::Sprite);
         assert_eq!(r.app_events, 0);
         assert_eq!(r.alg_rpcs, 0);
+    }
+
+    fn close(t: u64, client: u16, fd: u64) -> Record {
+        rec(
+            t,
+            client,
+            RecordKind::Close {
+                fd: Handle(fd),
+                file: FileId(7),
+                offset: 0,
+                run_read: 0,
+                run_written: 0,
+                total_read: 0,
+                total_written: 0,
+                size: 65536,
+                opened_at: SimTime::ZERO,
+            },
+        )
+    }
+
+    #[test]
+    fn modified_sprite_flushes_dirty_blocks_when_sharing_begins() {
+        let v = vec![
+            open(0, 0, 1, OpenMode::ReadWrite),
+            open(0, 1, 2, OpenMode::Read),
+            // During sharing: passes through (100 bytes, 1 RPC).
+            swrite(1, 0, 0, 100),
+            close(2, 1, 2),
+            // Sharing over: fetch block 0 (1 RPC) and dirty it.
+            swrite(3, 0, 0, 100),
+            // Sharing begins again: flush block 0 (1 RPC), drop caches.
+            open(4, 1, 3, OpenMode::Read),
+            close(5, 1, 3),
+            // Block 0 is fetched again (1 RPC), dirtied, and flushed at
+            // the end (1 RPC): two flushes of it in all, not one.
+            swrite(6, 0, 0, 100),
+        ];
+        let r = simulate(&v, Algorithm::SpriteModified);
+        assert_eq!(r.app_events, 3);
+        assert_eq!(r.alg_rpcs, 5);
+        assert_eq!(r.alg_bytes, 100 + 4 * BLOCK_SIZE);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! One [`Study`] reproduces the paper's two measurement campaigns:
 //!
 //! 1. **Eight 24-hour traces** ([`Study::run_traces`]) — for each
-//!    [`TraceSpec`], synthesize a day of workload, execute it on a fresh
-//!    cluster, merge the per-server trace streams, and run every
-//!    trace-driven analysis (Tables 1–3, 10–12, Figures 1–4).
+//!    [`TraceSpec`], synthesize a day of workload and execute it on a
+//!    fresh cluster whose servers' records stream, in merged order, into
+//!    every trace-driven analysis (Tables 1–3, 10–12, Figures 1–4)
+//!    through a [`FusedSink`]. No trace is kept in memory;
+//!    [`Study::run_trace_full`] materialises one for the tools that need
+//!    the records themselves.
 //! 2. **A multi-day counter run** ([`Study::run_counters`]) — one cluster
 //!    executing day after day with counters snapshotted at day
 //!    boundaries, yielding Tables 4–9.
@@ -13,7 +16,7 @@
 use sdfs_simkit::{CounterSet, SimDuration, SimTime};
 use sdfs_spritefs::cluster::NullSink;
 use sdfs_spritefs::metrics::MachineMetrics;
-use sdfs_spritefs::{Cluster, Config, ObsReport, SanitizerStats, VecSink};
+use sdfs_spritefs::{Cluster, Config, ObsReport, SanitizerStats, TraceSink, VecSink};
 use sdfs_trace::merge::merge_vecs;
 use sdfs_trace::{Record, TraceStats};
 use sdfs_workload::{Generator, TraceSpec, WorkloadConfig};
@@ -24,6 +27,7 @@ use crate::cache_tables::{
 };
 use crate::consistency::{table10, Table10};
 use crate::figures::{all_figures, AllFigures};
+use crate::fused::{FusedAnalysis, FusedAnalyzer, FusedSink};
 use crate::overhead::{table12, Table12};
 use crate::patterns::{table3, AccessPatterns};
 use crate::staleness::{table11, Table11};
@@ -124,6 +128,24 @@ pub struct TraceAnalysis {
     pub obs: Option<ObsReport>,
 }
 
+impl TraceAnalysis {
+    /// Wraps one fused pass's results, with no verdicts attached.
+    fn fused(spec: TraceSpec, fused: FusedAnalysis) -> Self {
+        TraceAnalysis {
+            spec,
+            stats: fused.stats,
+            activity: fused.activity,
+            patterns: fused.patterns,
+            figures: fused.figures,
+            table10: fused.table10,
+            table11: fused.table11,
+            table12: fused.table12,
+            sanitizer: None,
+            obs: None,
+        }
+    }
+}
+
 /// Everything one trace run produces besides the analysis: the merged
 /// record stream, the run's verdicts, and the raw per-machine counters
 /// (the inputs the self-trace cross-check compares against).
@@ -220,21 +242,23 @@ impl Study {
         self.run_trace_full(spec).records
     }
 
+    /// Synthesizes `spec`'s day and executes it on a fresh cluster whose
+    /// servers log into `sink`, through midnight so trailing delayed
+    /// writes happen before the trace ends.
+    fn simulate_trace<S: TraceSink>(&self, spec: TraceSpec, sink: S) -> Cluster<S> {
+        let mut gen = Generator::new(self.cfg.workload.for_trace(spec));
+        let mut cluster = Cluster::new(self.cfg.cluster.clone(), sink);
+        cluster.preload(&gen.preload_list());
+        cluster.run(gen.generate_day(0), SimTime::from_secs(86_400));
+        cluster
+    }
+
     /// Synthesizes and executes one trace, returning the merged record
     /// stream together with the run's verdicts and final counters — the
     /// raw material the self-trace cross-check ([`crate::selftrace`])
     /// compares analysis output against.
     pub fn run_trace_full(&self, spec: TraceSpec) -> TraceRun {
-        let wl = self.cfg.workload.for_trace(spec);
-        let mut gen = Generator::new(wl);
-        let mut cluster = Cluster::new(
-            self.cfg.cluster.clone(),
-            VecSink::new(self.cfg.cluster.num_servers),
-        );
-        cluster.preload(&gen.preload_list());
-        let ops = gen.generate_day(0);
-        // Let trailing delayed writes happen before the trace ends.
-        cluster.run(ops, SimTime::from_secs(86_400));
+        let mut cluster = self.simulate_trace(spec, VecSink::new(self.cfg.cluster.num_servers));
         let sanitizer = cluster.take_sanitizer_stats();
         let obs = cluster.take_obs_report();
         let (sink, clients, servers) = cluster.into_parts();
@@ -253,19 +277,21 @@ impl Study {
     /// both build on the same streaming state machines — while walking
     /// the record stream once instead of ten times.
     pub fn analyze_trace(&self, spec: TraceSpec, records: &[Record]) -> TraceAnalysis {
-        let fused = crate::fused::FusedAnalyzer::analyze(records);
-        TraceAnalysis {
-            spec,
-            stats: fused.stats,
-            activity: fused.activity,
-            patterns: fused.patterns,
-            figures: fused.figures,
-            table10: fused.table10,
-            table11: fused.table11,
-            table12: fused.table12,
-            sanitizer: None,
-            obs: None,
-        }
+        TraceAnalysis::fused(spec, FusedAnalyzer::analyze(records))
+    }
+
+    /// Synthesizes, executes and analyzes one trace without keeping its
+    /// records: the fused pass runs inside the simulation, through a
+    /// [`FusedSink`]. Equal to [`Study::analyze_trace`] over
+    /// [`Study::run_trace_full`]'s records, with that run's verdicts.
+    fn stream_trace(&self, spec: TraceSpec) -> TraceAnalysis {
+        let mut cluster = self.simulate_trace(spec, FusedSink::new());
+        let sanitizer = cluster.take_sanitizer_stats();
+        let obs = cluster.take_obs_report();
+        let mut analysis = TraceAnalysis::fused(spec, cluster.into_sink().finish());
+        analysis.sanitizer = sanitizer;
+        analysis.obs = obs;
+        analysis
     }
 
     /// The original analysis path: one full scan of the record stream
@@ -287,7 +313,8 @@ impl Study {
     }
 
     /// Gathers and analyzes all configured traces on a pool of
-    /// work-stealing workers.
+    /// work-stealing workers, each trace streamed from its cluster into
+    /// the fused analysis.
     ///
     /// Each worker claims the next unclaimed trace from a shared atomic
     /// index, so a long trace (the heavy-simulation day) no longer
@@ -311,11 +338,7 @@ impl Study {
                     if i >= n {
                         break;
                     }
-                    let spec = specs[i];
-                    let run = self.run_trace_full(spec);
-                    let mut analysis = self.analyze_trace(spec, &run.records);
-                    analysis.sanitizer = run.sanitizer;
-                    analysis.obs = run.obs;
+                    let analysis = self.stream_trace(specs[i]);
                     *slots[i].lock().expect("slot lock poisoned") = Some(analysis);
                 });
             }

@@ -115,12 +115,30 @@ impl fmt::Display for Summary {
     }
 }
 
+/// Buffered samples at which a fresh [`WeightedCdf`] first sorts its
+/// buffer and merges equal values.
+pub const CDF_MERGE_AT: usize = 1024;
+
 /// An exact weighted cumulative distribution.
 ///
 /// Collects `(value, weight)` pairs, then answers quantile and
 /// fraction-below queries. Each of the paper's figures is one of these:
 /// Figure 1 is run length weighted by runs and by bytes, Figure 2 is file
 /// size by files and bytes, and so on.
+///
+/// Samples with bit-identical values are merged into one entry that
+/// carries their summed weight. The buffer is sorted and merged each time
+/// it reaches a threshold (first [`CDF_MERGE_AT`]); when that frees less
+/// than half of it, the threshold doubles, so a distribution of mostly
+/// distinct values is not re-sorted for every few samples added.
+///
+/// Merging is exact when every partial sum of the weights is exact in
+/// `f64`, so that the order of the additions cannot change a bit. That
+/// holds when all weights are integers, or integer multiples of one
+/// power of two, and their total stays below 2^53 such units. Every
+/// figure weight is a count, a byte count or a byte count / 16, so the
+/// figures' fractions and quantiles are bit-identical to those of the
+/// unmerged samples, stably sorted and summed left to right.
 ///
 /// # Examples
 ///
@@ -133,11 +151,29 @@ impl fmt::Display for Summary {
 /// // Almost all *bytes* belong to the big file:
 /// assert!(sizes.fraction_below(10_000.0) < 0.01);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WeightedCdf {
+    /// `(value, weight)` entries. When `sorted` is set they are in value
+    /// order, no two with the same value.
     samples: Vec<(f64, f64)>,
     sorted: bool,
     total_weight: f64,
+    /// Samples added, each counted once however many were merged.
+    count: usize,
+    /// Buffer length at which `add_weighted` sorts and merges.
+    merge_at: usize,
+}
+
+impl Default for WeightedCdf {
+    fn default() -> Self {
+        WeightedCdf {
+            samples: Vec::new(),
+            sorted: true,
+            total_weight: 0.0,
+            count: 0,
+            merge_at: CDF_MERGE_AT,
+        }
+    }
 }
 
 impl WeightedCdf {
@@ -157,7 +193,14 @@ impl WeightedCdf {
         if weight > 0.0 {
             self.samples.push((value, weight));
             self.total_weight += weight;
+            self.count += 1;
             self.sorted = false;
+            if self.samples.len() >= self.merge_at {
+                self.ensure_sorted();
+                if self.samples.len() > self.merge_at / 2 {
+                    self.merge_at *= 2;
+                }
+            }
         }
     }
 
@@ -165,25 +208,42 @@ impl WeightedCdf {
     pub fn merge(&mut self, other: &WeightedCdf) {
         self.samples.extend_from_slice(&other.samples);
         self.total_weight += other.total_weight;
+        self.count += other.count;
         self.sorted = false;
     }
 
+    /// Sorts by value (stably) and merges each run of equal values into
+    /// one entry with the run's summed weight.
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.samples
                 .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN value in CDF"));
+            self.samples.dedup_by(|next, kept| {
+                let same = next.0.to_bits() == kept.0.to_bits();
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
             self.sorted = true;
         }
     }
 
-    /// Number of samples.
+    /// Sorts and merges the samples and releases the buffer's spare
+    /// capacity: what a finished distribution keeps.
+    pub fn seal(&mut self) {
+        self.ensure_sorted();
+        self.samples.shrink_to_fit();
+    }
+
+    /// Number of samples added (merging equal values does not lower it).
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// Returns `true` when no samples have been added.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
     /// Total weight.

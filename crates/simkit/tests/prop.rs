@@ -132,6 +132,112 @@ fn cdf_quantile_inverse() {
     }
 }
 
+/// The unmerged reference a [`WeightedCdf`] must match bit for bit: every
+/// sample kept, stably sorted by value, weights summed left to right.
+struct NaiveCdf {
+    sorted: Vec<(f64, f64)>,
+    total: f64,
+}
+
+impl NaiveCdf {
+    fn new(samples: &[(f64, f64)]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+        let total = samples.iter().fold(0.0, |acc, &(_, w)| acc + w);
+        NaiveCdf { sorted, total }
+    }
+
+    fn fraction_below(&self, x: f64) -> f64 {
+        let idx = self.sorted.partition_point(|&(v, _)| v <= x);
+        let below: f64 = self.sorted[..idx].iter().map(|&(_, w)| w).sum();
+        below / self.total
+    }
+
+    fn quantile(&self, q: f64) -> f64 {
+        let target = q * self.total;
+        let mut acc = 0.0;
+        for &(v, w) in &self.sorted {
+            acc += w;
+            if acc >= target {
+                return v;
+            }
+        }
+        self.sorted.last().expect("non-empty").0
+    }
+}
+
+/// Merging equal values is exact for the figures' weights (1, integer
+/// bytes, bytes / 16): fractions and quantiles equal an unmerged,
+/// stably sorted reference by `to_bits`, on heavily duplicated values and
+/// on mostly distinct ones, at sizes on both sides of the merge
+/// threshold, and with queries made while samples are still arriving.
+#[test]
+fn cdf_merging_matches_a_naive_reference_bit_for_bit() {
+    use sdfs_simkit::stats::CDF_MERGE_AT;
+    let mut rng = SimRng::seed_from_u64(0x5349_4d0a);
+    let sizes = [
+        1,
+        17,
+        CDF_MERGE_AT - 1,
+        CDF_MERGE_AT,
+        CDF_MERGE_AT + 1,
+        3 * CDF_MERGE_AT + 5,
+        20_000,
+    ];
+    let bits = |x: f64| x.to_bits();
+    for n in sizes {
+        // Distinct values: 3 (heavy duplication) up to 1e9 (mostly distinct).
+        for distinct in [3, 60, 5_000, 1_000_000_000] {
+            for weights in 0..3 {
+                let samples: Vec<(f64, f64)> = (0..n)
+                    .map(|_| {
+                        let v = rng.range(1, distinct + 1) as f64 * 0.5;
+                        let w = match weights {
+                            0 => 1.0,
+                            1 => rng.range(1, 1 << 30) as f64,
+                            _ => rng.range(1, 1 << 30) as f64 / 16.0,
+                        };
+                        (v, w)
+                    })
+                    .collect();
+                let mut cdf = WeightedCdf::new();
+                for (i, &(v, w)) in samples.iter().enumerate() {
+                    cdf.add_weighted(v, w);
+                    if i == n / 2 {
+                        // A query mid-stream sorts and merges early.
+                        let early = NaiveCdf::new(&samples[..=i]);
+                        assert_eq!(bits(cdf.fraction_below(v)), bits(early.fraction_below(v)));
+                    }
+                }
+                let naive = NaiveCdf::new(&samples);
+                let case = format!("n {n}, {distinct} values, weights {weights}");
+                assert_eq!(cdf.len(), n, "{case}");
+                assert_eq!(bits(cdf.total_weight()), bits(naive.total), "{case}");
+                let mut points: Vec<f64> = samples.iter().map(|&(v, _)| v).collect();
+                points.extend(samples.iter().map(|&(v, _)| v + 0.25));
+                points.extend([0.0, f64::MAX]);
+                for x in points.into_iter().take(4_000) {
+                    assert_eq!(
+                        bits(cdf.fraction_below(x)),
+                        bits(naive.fraction_below(x)),
+                        "{case}: fraction_below({x})"
+                    );
+                }
+                for k in 0..=256 {
+                    let q = f64::from(k) / 256.0;
+                    assert_eq!(
+                        bits(cdf.quantile(q)),
+                        bits(naive.quantile(q)),
+                        "{case}: quantile({q})"
+                    );
+                }
+                cdf.seal();
+                assert_eq!(bits(cdf.quantile(0.5)), bits(naive.quantile(0.5)), "{case}");
+            }
+        }
+    }
+}
+
 /// The RNG's bounded draw stays in bounds, for any bound.
 #[test]
 fn rng_below_in_bounds() {
