@@ -10,9 +10,7 @@ use sdfs_core::StudyConfig;
 /// CI runs while still exercising every code path: a smaller cluster,
 /// lighter activity, one normal and one heavy trace, two counter days.
 pub fn bench_config() -> StudyConfig {
-    let mut cfg = StudyConfig::quick();
-    cfg.workload.activity_scale = 0.5;
-    cfg
+    StudyConfig::quick()
 }
 
 /// A full paper-scale configuration: eight 24-hour traces (traces 3 and

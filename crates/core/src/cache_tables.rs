@@ -228,8 +228,10 @@ pub struct Table6 {
     pub read_miss_pct: (PctCell, PctCell),
     /// Bytes fetched from servers over bytes read by applications.
     pub read_miss_traffic_pct: (PctCell, PctCell),
-    /// Bytes written to servers over bytes written to the cache (can
-    /// exceed 100% because write-back pads to whole blocks).
+    /// Bytes written to servers over bytes written to the cache. It can
+    /// exceed 100%: a cleaned block is sent whole up to end of file, so
+    /// bytes the application did not rewrite in that dirty episode are
+    /// sent again (nothing is padded past end of file).
     pub writeback_pct: PctCell,
     /// Percent of cache writes that required fetching the block first.
     pub write_fetch_pct: (PctCell, PctCell),

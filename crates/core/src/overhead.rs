@@ -21,7 +21,7 @@
 use sdfs_simkit::{FastMap, FastSet};
 
 use sdfs_simkit::SimTime;
-use sdfs_spritefs::config::{BLOCK_SIZE, WRITEBACK_DELAY};
+use sdfs_spritefs::config::{block_span, BLOCK_SIZE, WRITEBACK_DELAY};
 use sdfs_trace::{ClientId, FileId, Handle, Record, RecordKind};
 
 use crate::consistency::write_shared;
@@ -230,7 +230,7 @@ impl Sim {
         let mine = st.cached.entry(rec.client).or_default();
         // A whole-block write needs no fetch of the block it overwrites.
         let whole = write && len >= BLOCK_SIZE && offset % BLOCK_SIZE == 0;
-        for b in offset / BLOCK_SIZE..=(offset + len.max(1) - 1) / BLOCK_SIZE {
+        for b in block_span(offset, len) {
             if mine.insert(b) && !whole {
                 result.alg_bytes += BLOCK_SIZE;
                 result.alg_rpcs += 1;

@@ -54,7 +54,8 @@ pub struct BlockEntry {
     /// When the block was last written by an application.
     pub last_write: SimTime,
     /// Application bytes accumulated in the block since it last became
-    /// dirty; used to account write-back block padding.
+    /// dirty: what cancelling the block, or losing it in a crash,
+    /// destroys.
     pub dirty_app_bytes: u64,
 }
 
@@ -451,36 +452,20 @@ impl BlockCache {
 
     /// All cached block indices of `file`, sorted.
     pub fn blocks_of(&self, file: FileId) -> Vec<u64> {
-        let mut v = Vec::new();
-        self.blocks_of_into(file, &mut v);
-        v
-    }
-
-    /// Fills `out` with the cached block indices of `file`, sorted.
-    /// Clears `out` first, so a caller can reuse one scratch buffer.
-    pub fn blocks_of_into(&self, file: FileId, out: &mut Vec<u64>) {
-        self.file_blocks_into(file, false, out);
+        self.file_blocks(file, false)
     }
 
     /// All dirty block indices of `file`, sorted.
     pub fn dirty_blocks_of(&self, file: FileId) -> Vec<u64> {
-        let mut v = Vec::new();
-        self.dirty_blocks_of_into(file, &mut v);
-        v
-    }
-
-    /// Fills `out` with the dirty block indices of `file`, sorted.
-    /// Clears `out` first, so a caller can reuse one scratch buffer.
-    pub fn dirty_blocks_of_into(&self, file: FileId, out: &mut Vec<u64>) {
-        self.file_blocks_into(file, true, out);
+        self.file_blocks(file, true)
     }
 
     /// Walks `file`'s groups in order, collecting its cached (or only
-    /// its dirty) block indices into `out`, which is cleared first.
-    fn file_blocks_into(&self, file: FileId, dirty_only: bool, out: &mut Vec<u64>) {
-        out.clear();
+    /// its dirty) block indices.
+    fn file_blocks(&self, file: FileId, dirty_only: bool) -> Vec<u64> {
+        let mut out = Vec::new();
         let Some(list) = self.files.get(&file) else {
-            return;
+            return out;
         };
         for &g in list {
             let group = &self.groups[&(file, g)];
@@ -493,23 +478,16 @@ impl BlockCache {
                 }
             }
         }
+        out
     }
 
     /// Files that have at least one block dirty since `cutoff` or
-    /// earlier — the write-back daemon's scan ("all dirty blocks for a
-    /// file are written if any block of the file has been dirty for 30
-    /// seconds").
+    /// earlier, sorted and deduplicated — the write-back daemon's scan
+    /// ("all dirty blocks for a file are written if any block of the
+    /// file has been dirty for 30 seconds"). Walks only the expired
+    /// prefix of the dirty list, so an idle tick is O(1).
     pub fn files_with_dirty_before(&self, cutoff: SimTime) -> Vec<FileId> {
-        let mut files = Vec::new();
-        self.files_with_dirty_before_into(cutoff, &mut files);
-        files
-    }
-
-    /// Fills `out` with the files having a block dirty since `cutoff` or
-    /// earlier, sorted and deduplicated. Clears `out` first. Walks only
-    /// the expired prefix of the dirty list, so an idle tick is O(1).
-    pub fn files_with_dirty_before_into(&self, cutoff: SimTime, out: &mut Vec<FileId>) {
-        out.clear();
+        let mut out = Vec::new();
         let mut i = self.ends[DIRTY].head;
         while i != NIL {
             let s = &self.slots[i as usize];
@@ -521,6 +499,7 @@ impl BlockCache {
         }
         out.sort_unstable();
         out.dedup();
+        out
     }
 
     /// The block that has been dirty longest, with the start of its

@@ -93,9 +93,6 @@ pub struct ClientData {
     pub shared_text: FastMap<FileId, (u32, u64)>,
     /// Kernel counters and cache-size samples.
     pub metrics: MachineMetrics,
-    /// Scratch buffer reused for per-file block index lists on the
-    /// flush and invalidate paths.
-    pub scratch_blocks: Vec<u64>,
 }
 
 /// One diskless client workstation.
@@ -144,7 +141,6 @@ impl ClientData {
             procs: FastMap::default(),
             shared_text: FastMap::default(),
             metrics: MachineMetrics::new(),
-            scratch_blocks: Vec::new(),
         }
     }
 

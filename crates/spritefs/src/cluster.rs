@@ -19,8 +19,8 @@ use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Record, RecordKind, ServerI
 use crate::cache::BlockKey;
 use crate::client::{Client, FdState, ProcState};
 use crate::config::{
-    disk_time, retry_budget, retry_stall, rpc_time, Config, ConsistencyPolicy, FaultPlan,
-    BLOCK_SIZE, DAEMON_PERIOD, DROP_SEED, MAX_RETRIES, SAMPLE_PERIOD,
+    block_span, disk_time, retry_budget, retry_stall, rpc_time, Config, ConsistencyPolicy,
+    FaultPlan, BLOCK_SIZE, DAEMON_PERIOD, DROP_SEED, MAX_RETRIES, SAMPLE_PERIOD,
 };
 use crate::fs::{assign_server, FileTable};
 use crate::metrics::{
@@ -114,6 +114,29 @@ impl CleanReason {
             CleanReason::Evict => clean::EVICT_AGE_US,
         }
     }
+}
+
+/// What [`Cluster::cached_read`] fetches through the client block cache.
+/// It fixes the raw (Table 5) counter, the cache counter family (Table
+/// 6's file or paging rows) and the RPC a miss costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fetch {
+    /// File data an application reads.
+    File,
+    /// Code pages a process start faults in from its executable.
+    Code,
+    /// Initialized data a process start faults in from its executable.
+    InitData,
+}
+
+/// Why a client gives up its LRU block's page (Table 8's replacement
+/// causes).
+#[derive(Debug, Clone, Copy)]
+enum Replacement {
+    /// The page will hold another file block.
+    File,
+    /// The page goes to the virtual-memory system.
+    Vm,
 }
 
 /// What a scheduled fault transition does. `Reboot` sorts before
@@ -362,11 +385,6 @@ pub struct Cluster<S: TraceSink> {
     now: SimTime,
     next_tick: SimTime,
     next_sample: SimTime,
-    /// Scratch buffer reused by the write-back daemon's per-client scan.
-    daemon_files: Vec<FileId>,
-    /// Scratch buffer reused for holder/reader client lists on the
-    /// consistency paths.
-    scratch_clients: Vec<ClientId>,
     /// SpriteSan shadow-state oracle ([`Config::sanitize`]). Boxed so
     /// the disabled (default) case costs one pointer.
     san: Option<Box<Sanitizer>>,
@@ -380,8 +398,6 @@ pub struct Cluster<S: TraceSink> {
     crashed_at: Vec<SimTime>,
     /// Fault-injection runtime ([`Config::faults`]).
     fault: Option<FaultState>,
-    /// Scratch buffer for draining server disk-flush logs to SpriteSan.
-    scratch_keys: Vec<BlockKey>,
     /// sdfs-obs self-measurement collector ([`Config::observe`]). Boxed
     /// so the disabled (default) case costs one pointer.
     obs: Option<Box<Obs>>,
@@ -426,14 +442,11 @@ impl<S: TraceSink> Cluster<S> {
             now: SimTime::ZERO,
             next_tick,
             next_sample,
-            daemon_files: Vec::new(),
-            scratch_clients: Vec::new(),
             san,
             server_down: vec![false; n],
             down_until: vec![SimTime::MAX; n],
             crashed_at: vec![SimTime::ZERO; n],
             fault,
-            scratch_keys: Vec::new(),
             obs,
         }
     }
@@ -501,10 +514,12 @@ impl<S: TraceSink> Cluster<S> {
 
     /// Charges one RPC of `kind` to client `ci`: its `rpc.<kind>.*`
     /// counters and, when observing, its latency sample. Every counted
-    /// RPC is charged here except the block fetches and write-throughs
-    /// of [`Cluster::cached_read`] and [`Cluster::cached_write`], which
-    /// sample each message and add their counters once per call. Either
-    /// way a kind's latency-sample count equals its `rpc.<kind>.msgs`.
+    /// RPC is charged here except the block fetches of
+    /// [`Cluster::cached_read`] (file reads and code and initialized-data
+    /// faults) and the write fetches and write-throughs of
+    /// [`Cluster::cached_write`], which sample each message and add their
+    /// counters once per call. Either way a kind's latency-sample count
+    /// equals its `rpc.<kind>.msgs`.
     #[inline]
     fn charge_rpc(&mut self, ci: usize, kind: RpcKind, bytes: u64, disk_miss: bool) {
         count_rpc(self.counters(ci), kind, bytes);
@@ -833,15 +848,11 @@ impl<S: TraceSink> Cluster<S> {
         let Some(san) = self.san.as_deref_mut() else {
             return;
         };
-        let mut keys = std::mem::take(&mut self.scratch_keys);
         for server in &mut self.servers {
-            server.take_disk_flush_log(&mut keys);
+            for key in server.take_disk_flush_log() {
+                san.on_server_disk_flush(key);
+            }
         }
-        for &key in &keys {
-            san.on_server_disk_flush(key);
-        }
-        keys.clear();
-        self.scratch_keys = keys;
     }
 
     /// Whether client `ci` cannot reach server `si` right now: `None`
@@ -1493,16 +1504,12 @@ impl<S: TraceSink> Cluster<S> {
     fn token_open_consistency(&mut self, op: &AppOp, file: FileId, mode: OpenMode, si: usize) {
         let ci = op.client.raw() as usize;
         let me = op.client;
-        let mut readers = std::mem::take(&mut self.scratch_clients);
-        readers.clear();
-        let writer = {
-            let st = self.servers[si].file_state(file);
-            readers.extend(st.tokens.readers.iter().copied());
-            st.tokens.writer
-        };
+        let writer = self.servers[si].file_state(file).tokens.writer;
         if mode.writes() {
-            let already = writer == Some(me);
-            if !already {
+            if writer != Some(me) {
+                // The readers to recall, listed before any recall runs.
+                let st = self.servers[si].file_state(file);
+                let readers: Vec<ClientId> = st.tokens.readers.iter().copied().collect();
                 if let Some(w) = writer {
                     // Recall the write token: the holder flushes and
                     // invalidates (unless its lease lapsed behind a cut
@@ -1513,7 +1520,7 @@ impl<S: TraceSink> Cluster<S> {
                         self.invalidate_file(wi, file, false);
                     }
                 }
-                for &r in &readers {
+                for r in readers {
                     if r != me {
                         let ri = r.raw() as usize;
                         if self.callback(RpcKind::TokenRecall, ri, si, ci, file) {
@@ -1550,7 +1557,6 @@ impl<S: TraceSink> Cluster<S> {
                 self.charge_rpc(ci, RpcKind::TokenAcquire, 0, false);
             }
         }
-        self.scratch_clients = readers;
     }
 
     /// Polling-mode revalidation: trust cached data for the interval,
@@ -1589,16 +1595,12 @@ impl<S: TraceSink> Cluster<S> {
     /// `requester` is the client whose open triggered the disable (it
     /// absorbs any partition wait for unreachable holders).
     fn disable_caching(&mut self, file: FileId, si: usize, requester: usize) {
-        let mut holders = std::mem::take(&mut self.scratch_clients);
-        holders.clear();
-        {
-            let st = self.servers[si].file_state(file);
-            st.uncacheable = true;
-            holders.extend(st.opens.iter().map(|o| o.client));
-            holders.sort_unstable();
-            holders.dedup();
-        }
-        for &c in &holders {
+        let st = self.servers[si].file_state(file);
+        st.uncacheable = true;
+        let mut holders: Vec<ClientId> = st.opens.iter().map(|o| o.client).collect();
+        holders.sort_unstable();
+        holders.dedup();
+        for c in holders {
             let ci = c.raw() as usize;
             if !self.callback(RpcKind::Invalidate, ci, si, requester, file) {
                 continue; // Lease revoked: the holder's cache is gone.
@@ -1606,7 +1608,6 @@ impl<S: TraceSink> Cluster<S> {
             self.flush_file(ci, file, CleanReason::Recall);
             self.invalidate_file(ci, file, false);
         }
-        self.scratch_clients = holders;
         self.servers[si].file_state(file).last_writer = None;
     }
 
@@ -1722,8 +1723,7 @@ impl<S: TraceSink> Cluster<S> {
                 },
             );
         } else {
-            self.counters(ci).add(raw::FILE_READ, eff);
-            self.cached_read(op, si, file, fdst.offset, eff, false);
+            self.cached_read(op, si, file, fdst.offset, eff, Fetch::File);
             // Polling mode: a cache read may silently return stale data.
             if matches!(self.cfg.consistency, ConsistencyPolicy::Polling { .. }) {
                 let current = self.files.get(file).map(|m| m.version).unwrap_or(0);
@@ -1783,7 +1783,7 @@ impl<S: TraceSink> Cluster<S> {
             c.add(srv::SHARED_WRITE, len);
             self.charge_rpc(ci, RpcKind::SharedWrite, len, false);
             if let Some(san) = self.san.as_deref_mut() {
-                for index in offset / BLOCK_SIZE..=(offset + len - 1) / BLOCK_SIZE {
+                for index in block_span(offset, len) {
                     san.on_server_write(BlockKey { file, index });
                 }
             }
@@ -1993,7 +1993,7 @@ impl<S: TraceSink> Cluster<S> {
         // Obtain physical pages for the process image.
         let steal = client.mem.vm_acquire(fault_code_pages + data_pages);
         for _ in 0..steal {
-            if self.evict_lru(ci, replace::VM_BLOCKS, replace::VM_AGE_US) {
+            if self.evict_lru(ci, Replacement::Vm) {
                 self.clients[ci].mem.steal_from_fc();
             } else {
                 // Nothing cached to evict: the machine is overcommitted.
@@ -2001,56 +2001,16 @@ impl<S: TraceSink> Cluster<S> {
             }
         }
 
-        // Fault in code pages through the file cache. Sprite checks the
-        // cache on code faults (recompilation can leave new code there):
-        // a hit is copied to VM and the block stays cached, and a miss
-        // fetches the block from the server and installs it in the
-        // cache, so a later run on this machine can find it again.
-        let code_fault_bytes = fault_code_pages * BLOCK_SIZE;
-        if code_fault_bytes > 0 {
-            self.counters(ci)
-                .add(raw::PAGING_CODE_READ, code_fault_bytes);
-            for index in 0..fault_code_pages {
-                let key = BlockKey { file: exec, index };
-                {
-                    let c = self.counters(ci);
-                    c.bump(mc::PAGING_READ_OPS);
-                    if op.migrated {
-                        c.bump(mig::PAGING_READ_OPS);
-                    }
-                }
-                if self.clients[ci].cache.touch(key, now) {
-                    // Copy to VM; the block stays cached so a future
-                    // invocation on this machine can find it again.
-                    if let Some(san) = self.san.as_deref_mut() {
-                        san.on_read_hit(op.client, key, true, now);
-                    }
-                    continue;
-                }
-                self.fault_rpc(ci, si, RpcKind::PageIn);
-                {
-                    let c = self.counters(ci);
-                    c.bump(mc::PAGING_READ_MISS_OPS);
-                    c.add(srv::PAGING_READ, BLOCK_SIZE);
-                    if op.migrated {
-                        c.bump(mig::PAGING_READ_MISS_OPS);
-                    }
-                }
-                let srv_hit = self.servers[si].serve_read(key, now);
-                self.charge_rpc(ci, RpcKind::PageIn, BLOCK_SIZE, !srv_hit);
-                self.insert_block(ci, key);
-                if let Some(san) = self.san.as_deref_mut() {
-                    let inserted = self.clients[ci].cache.contains(key);
-                    san.on_fetch(op.client, key, inserted, true, now);
-                }
-            }
+        // Fault in code pages, then initialized data, through the file
+        // cache. Sprite checks the cache on code faults (recompilation
+        // can leave new code there): a hit is copied to VM and the block
+        // stays cached, and a miss fetches the block from the server and
+        // installs it, so a later run on this machine finds it again.
+        if fault_code_pages > 0 {
+            self.cached_read(op, si, exec, 0, fault_code_pages * BLOCK_SIZE, Fetch::Code);
         }
-
-        // Fault in initialized data through the file cache (blocks stay
-        // cached so a re-run finds clean copies).
         if data_bytes > 0 {
-            self.counters(ci).add(raw::PAGING_INITDATA_READ, data_bytes);
-            self.cached_read(op, si, exec, code_bytes, data_bytes, true);
+            self.cached_read(op, si, exec, code_bytes, data_bytes, Fetch::InitData);
         }
 
         self.clients[ci].procs.insert(
@@ -2108,7 +2068,7 @@ impl<S: TraceSink> Cluster<S> {
             c.add(raw::PAGING_BACKING_READ, bytes);
             c.add(srv::PAGING_READ, bytes);
             let mut all_hit = true;
-            for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
+            for index in block_span(offset, bytes) {
                 all_hit &= self.servers[si].serve_read(BlockKey { file, index }, self.now);
             }
             self.charge_rpc(ci, RpcKind::PageIn, bytes, !all_hit);
@@ -2123,7 +2083,7 @@ impl<S: TraceSink> Cluster<S> {
             c.add(raw::PAGING_BACKING_WRITE, bytes);
             c.add(srv::PAGING_WRITE, bytes);
             self.charge_rpc(ci, RpcKind::PageOut, bytes, false);
-            for index in offset / BLOCK_SIZE..=(offset + bytes.max(1) - 1) / BLOCK_SIZE {
+            for index in block_span(offset, bytes) {
                 self.servers[si].accept_write(BlockKey { file, index }, BLOCK_SIZE, self.now);
             }
         }
@@ -2134,9 +2094,9 @@ impl<S: TraceSink> Cluster<S> {
     // ------------------------------------------------------------------
 
     /// Reads `len` bytes at `offset` of `file` (on server `si`) through
-    /// the issuing client's block cache. `paging` selects the paging
-    /// counter family (code and initialized-data faults). Counters are
-    /// sums, so the per-block deltas are added once, after the loop.
+    /// the issuing client's block cache; `fetch` names what is read. Each
+    /// miss samples its RPC's latency, and the counters, being sums, are
+    /// added once per call.
     fn cached_read(
         &mut self,
         op: &AppOp,
@@ -2144,30 +2104,37 @@ impl<S: TraceSink> Cluster<S> {
         file: FileId,
         offset: u64,
         len: u64,
-        paging: bool,
+        fetch: Fetch,
     ) {
         let ci = op.client.raw() as usize;
         let now = self.now;
-        let first = offset / BLOCK_SIZE;
-        let last = (offset + len - 1) / BLOCK_SIZE;
+        let (raw_key, rpc) = match fetch {
+            Fetch::File => (raw::FILE_READ, RpcKind::ReadBlock),
+            Fetch::Code => (raw::PAGING_CODE_READ, RpcKind::PageIn),
+            Fetch::InitData => (raw::PAGING_INITDATA_READ, RpcKind::ReadBlock),
+        };
+        let paging = fetch != Fetch::File;
+        let blocks = block_span(offset, len);
+        let n = blocks.end - blocks.start;
         {
             let c = self.counters(ci);
+            c.add(raw_key, len);
             if paging {
-                c.add(mc::PAGING_READ_OPS, last - first + 1);
+                c.add(mc::PAGING_READ_OPS, n);
                 if op.migrated {
-                    c.add(mig::PAGING_READ_OPS, last - first + 1);
+                    c.add(mig::PAGING_READ_OPS, n);
                 }
             } else {
-                c.add(mc::READ_OPS, last - first + 1);
+                c.add(mc::READ_OPS, n);
                 c.add(mc::READ_REQ_BYTES, len);
                 if op.migrated {
-                    c.add(mig::READ_OPS, last - first + 1);
+                    c.add(mig::READ_OPS, n);
                     c.add(mig::READ_REQ_BYTES, len);
                 }
             }
         }
         let mut misses = 0;
-        for index in first..=last {
+        for index in blocks {
             let key = BlockKey { file, index };
             if self.clients[ci].cache.touch(key, now) {
                 if let Some(san) = self.san.as_deref_mut() {
@@ -2176,10 +2143,10 @@ impl<S: TraceSink> Cluster<S> {
                 continue; // Hit.
             }
             // Miss: fetch the whole block from the server.
-            self.fault_rpc(ci, si, RpcKind::ReadBlock);
+            self.fault_rpc(ci, si, rpc);
             misses += 1;
             let srv_hit = self.servers[si].serve_read(key, now);
-            self.obs_rpc(RpcKind::ReadBlock, BLOCK_SIZE, !srv_hit);
+            self.obs_rpc(rpc, BLOCK_SIZE, !srv_hit);
             self.insert_block(ci, key);
             if let Some(san) = self.san.as_deref_mut() {
                 let inserted = self.clients[ci].cache.contains(key);
@@ -2205,7 +2172,7 @@ impl<S: TraceSink> Cluster<S> {
                 c.add(mig::READ_MISS_BYTES, misses * BLOCK_SIZE);
             }
         }
-        count_rpcs(c, RpcKind::ReadBlock, misses, misses * BLOCK_SIZE);
+        count_rpcs(c, rpc, misses, misses * BLOCK_SIZE);
     }
 
     /// Writes `len` bytes at `offset` of `file` (on server `si`, `old_size`
@@ -2225,20 +2192,20 @@ impl<S: TraceSink> Cluster<S> {
         let ci = op.client.raw() as usize;
         let now = self.now;
         let write_through = matches!(self.cfg.consistency, ConsistencyPolicy::Polling { .. });
-        let first = offset / BLOCK_SIZE;
-        let last = (offset + len - 1) / BLOCK_SIZE;
+        let blocks = block_span(offset, len);
+        let n = blocks.end - blocks.start;
         {
             let c = self.counters(ci);
             c.add(raw::FILE_WRITE, len);
-            c.add(mc::WRITE_OPS, last - first + 1);
+            c.add(mc::WRITE_OPS, n);
             c.add(mc::WRITE_BYTES, len);
             if op.migrated {
-                c.add(mig::WRITE_OPS, last - first + 1);
+                c.add(mig::WRITE_OPS, n);
             }
         }
         // Write fetches, and blocks (with their bytes) sent through.
         let (mut fetches, mut through, mut through_bytes) = (0, 0, 0);
-        for index in first..=last {
+        for index in blocks {
             let key = BlockKey { file, index };
             let block_start = index * BLOCK_SIZE;
             let block_end = block_start + BLOCK_SIZE;
@@ -2271,28 +2238,25 @@ impl<S: TraceSink> Cluster<S> {
             } else {
                 self.clients[ci].cache.touch(key, now);
             }
-            if !self.clients[ci].cache.contains(key) {
-                // The VM system holds every physical page and nothing
-                // could be evicted: this write goes straight through.
-                self.write_block_through(ci, si, key, app_bytes);
-                through += 1;
-                through_bytes += app_bytes;
-                if let Some(san) = self.san.as_deref_mut() {
-                    san.on_server_write(key);
-                }
-            } else if write_through {
-                // NFS-style: data goes straight through; the cached copy
-                // stays clean, so no cleaning bookkeeping is needed.
-                self.write_block_through(ci, si, key, app_bytes);
-                through += 1;
-                through_bytes += app_bytes;
-                if let Some(san) = self.san.as_deref_mut() {
-                    san.on_cached_write(op.client, key, WriteKind::Through, now);
-                }
-            } else {
+            let cached = self.clients[ci].cache.contains(key);
+            if cached && !write_through {
                 self.clients[ci].cache.mark_dirty(key, now, app_bytes);
                 if let Some(san) = self.san.as_deref_mut() {
                     san.on_cached_write(op.client, key, WriteKind::Dirty, now);
+                }
+                continue;
+            }
+            // Straight through to the server: NFS-style polling keeps the
+            // cached copy clean, and a block the VM system left no page
+            // for (nothing could be evicted) has no cached copy at all.
+            self.write_block_through(ci, si, key, app_bytes);
+            through += 1;
+            through_bytes += app_bytes;
+            if let Some(san) = self.san.as_deref_mut() {
+                if cached {
+                    san.on_cached_write(op.client, key, WriteKind::Through, now);
+                } else {
+                    san.on_server_write(key);
                 }
             }
         }
@@ -2332,7 +2296,7 @@ impl<S: TraceSink> Cluster<S> {
                 self.clients[ci].cache.insert(key, now);
             }
             FcGrant::MustEvict => {
-                if self.evict_lru(ci, replace::FILE_BLOCKS, replace::FILE_AGE_US) {
+                if self.evict_lru(ci, Replacement::File) {
                     // Page reused in place; no memory-manager traffic.
                     self.clients[ci].cache.insert(key, now);
                 }
@@ -2342,9 +2306,9 @@ impl<S: TraceSink> Cluster<S> {
         }
     }
 
-    /// Evicts client `ci`'s LRU block, writing it back first if dirty.
-    /// Returns `false` if the cache was empty.
-    fn evict_lru(&mut self, ci: usize, blocks_key: &'static str, age_key: &'static str) -> bool {
+    /// Evicts client `ci`'s LRU block for `cause`, writing it back first
+    /// if dirty. Returns `false` if the cache was empty.
+    fn evict_lru(&mut self, ci: usize, cause: Replacement) -> bool {
         let Some((key, entry)) = self.clients[ci]
             .cache
             .peek_lru()
@@ -2352,12 +2316,15 @@ impl<S: TraceSink> Cluster<S> {
         else {
             return false;
         };
+        let (blocks_key, age_key, reason) = match cause {
+            Replacement::File => (
+                replace::FILE_BLOCKS,
+                replace::FILE_AGE_US,
+                CleanReason::Evict,
+            ),
+            Replacement::Vm => (replace::VM_BLOCKS, replace::VM_AGE_US, CleanReason::Vm),
+        };
         if entry.dirty {
-            let reason = if blocks_key == replace::VM_BLOCKS {
-                CleanReason::Vm
-            } else {
-                CleanReason::Evict
-            };
             self.writeback_block(ci, key, reason);
         }
         let age = self.now.since(entry.last_ref);
@@ -2376,11 +2343,7 @@ impl<S: TraceSink> Cluster<S> {
     /// is queued instead (degraded mode) — its blocks stay dirty,
     /// extending the loss window.
     fn daemon_flush(&mut self, ci: usize, cutoff: SimTime) {
-        let mut files = std::mem::take(&mut self.daemon_files);
-        self.clients[ci]
-            .cache
-            .files_with_dirty_before_into(cutoff, &mut files);
-        for &file in &files {
+        for file in self.clients[ci].cache.files_with_dirty_before(cutoff) {
             let si = assign_server(file, self.cfg.num_servers).raw() as usize;
             // A cut edge queues the write-back just like a down server:
             // the blocks stay dirty until the reboot or heal (or until a
@@ -2391,8 +2354,6 @@ impl<S: TraceSink> Cluster<S> {
             }
             self.flush_file(ci, file, CleanReason::Delay);
         }
-        files.clear();
-        self.daemon_files = files;
     }
 
     /// Writes one dirty block of client `ci` back to its server,
@@ -2435,14 +2396,9 @@ impl<S: TraceSink> Cluster<S> {
 
     /// Flushes every dirty block client `ci` holds for `file`.
     fn flush_file(&mut self, ci: usize, file: FileId, reason: CleanReason) {
-        let mut blocks = std::mem::take(&mut self.clients[ci].scratch_blocks);
-        self.clients[ci]
-            .cache
-            .dirty_blocks_of_into(file, &mut blocks);
-        for &index in &blocks {
+        for index in self.clients[ci].cache.dirty_blocks_of(file) {
             self.writeback_block(ci, BlockKey { file, index }, reason);
         }
-        self.clients[ci].scratch_blocks = blocks;
     }
 
     /// Erases `file`'s data everywhere, for a delete, a truncate or a
@@ -2466,10 +2422,9 @@ impl<S: TraceSink> Cluster<S> {
     /// silent dropping.
     fn invalidate_file(&mut self, ci: usize, file: FileId, stale: bool) {
         let client = &mut self.clients[ci];
-        let mut indices = std::mem::take(&mut client.scratch_blocks);
-        client.cache.blocks_of_into(file, &mut indices);
+        let indices = client.cache.blocks_of(file);
         let n = indices.len() as u64;
-        for &index in &indices {
+        for index in indices {
             let key = BlockKey { file, index };
             if let Some(entry) = client.cache.remove(key) {
                 if entry.dirty {
@@ -2483,7 +2438,6 @@ impl<S: TraceSink> Cluster<S> {
                 }
             }
         }
-        client.scratch_blocks = indices;
         if n == 0 {
             return;
         }
@@ -3036,6 +2990,44 @@ mod tests {
         ));
         let miss_after = counters(&cl, 0).get(mc::PAGING_READ_MISS_OPS);
         assert_eq!(miss_before, miss_after, "re-run has no paging misses");
+    }
+
+    /// Code-page misses travel as `page_in` and initialized-data misses
+    /// as `read_block`, both counted in the paging family, with one
+    /// latency sample per message; a warm restart sends neither.
+    #[test]
+    fn proc_start_sends_code_as_page_in_and_data_as_read_block() {
+        let mut cfg = Config::small();
+        cfg.observe = true;
+        let mut cl = Cluster::new(cfg.clone(), VecSink::new(cfg.num_servers));
+        cl.preload(&[(FileId(0), 100 << 10, false)]);
+        let start = |t| {
+            op(
+                t,
+                0,
+                OpKind::ProcStart {
+                    exec: FileId(0),
+                    code_bytes: 40 << 10,
+                    data_bytes: 20 << 10,
+                    heap_bytes: 0,
+                },
+            )
+        };
+        cl.apply(&start(1));
+        cl.apply(&op(2, 0, OpKind::ProcExit));
+        cl.apply(&start(3));
+        let c = counters(&cl, 0);
+        assert_eq!(c.get(RpcKind::PageIn.msgs_key()), 10, "10 code pages");
+        assert_eq!(c.get(RpcKind::PageIn.bytes_key()), 40960);
+        assert_eq!(c.get(RpcKind::ReadBlock.msgs_key()), 5, "5 data blocks");
+        assert_eq!(c.get(RpcKind::ReadBlock.bytes_key()), 5 * 4096);
+        assert_eq!(c.get(mc::PAGING_READ_OPS), 15 + 5, "restart: data only");
+        assert_eq!(c.get(mc::PAGING_READ_MISS_OPS), 15);
+        assert_eq!(c.get(srv::PAGING_READ), 15 * 4096);
+        assert_eq!(c.get(mc::READ_OPS), 0, "paging is not file traffic");
+        let obs = cl.take_obs_report().expect("observed run");
+        assert_eq!(obs.rpc_hist(RpcKind::PageIn).count(), 10);
+        assert_eq!(obs.rpc_hist(RpcKind::ReadBlock).count(), 5);
     }
 
     #[test]

@@ -13,6 +13,12 @@ use sdfs_simkit::{SimDuration, SimTime};
 /// the virtual-memory page size: the file cache and VM trade pages 1:1.
 pub const BLOCK_SIZE: u64 = 4096;
 
+/// The indices of the blocks that bytes `offset..offset + len` touch. A
+/// zero-length span still names the block holding `offset`.
+pub fn block_span(offset: u64, len: u64) -> std::ops::Range<u64> {
+    offset / BLOCK_SIZE..(offset + len.max(1) - 1) / BLOCK_SIZE + 1
+}
+
 /// The default age at which dirty data is written back (30 seconds in
 /// Sprite); runs vary it through [`Config::writeback_delay`].
 pub const WRITEBACK_DELAY: SimDuration = SimDuration::from_secs(30);

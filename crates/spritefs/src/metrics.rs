@@ -49,8 +49,10 @@ pub mod cache {
     /// Cache writes that required fetching the block first (partial
     /// write of a non-resident block).
     pub const WRITE_FETCH_OPS: &str = "cache.write.fetch.ops";
-    /// Bytes written back to the server (whole blocks, so append padding
-    /// is included — the paper's write-back ratio can exceed 100%).
+    /// Bytes written back to the server. Each cleaned block is sent
+    /// whole up to end of file, never past it, so bytes the application
+    /// did not rewrite in that dirty episode go again — why the paper's
+    /// write-back ratio can exceed 100%.
     pub const WRITEBACK_BYTES: &str = "cache.writeback.bytes";
     /// Dirty bytes discarded before write-back (deleted/truncated data).
     pub const CANCELLED_BYTES: &str = "cache.cancelled.bytes";

@@ -75,8 +75,6 @@ pub struct Sanitizer {
     by_file: FastMap<FileId, FastSet<u64>>,
     /// Strong consistency in force (everything but polling)?
     strong: bool,
-    /// Scratch buffer for the down-server-aware write-back window scan.
-    scratch_files: Vec<FileId>,
     stats: SanitizerStats,
 }
 
@@ -91,7 +89,6 @@ impl Sanitizer {
             dirty_holder: FastMap::default(),
             by_file: FastMap::default(),
             strong: !matches!(cfg.consistency, ConsistencyPolicy::Polling { .. }),
-            scratch_files: Vec::new(),
             stats: SanitizerStats::default(),
         }
     }
@@ -330,7 +327,6 @@ impl Sanitizer {
         };
         let any_excusable =
             down.iter().any(|&d| d) || fault.is_some_and(|f| f.any_partitions());
-        let mut scratch = std::mem::take(&mut self.scratch_files);
         for client in clients {
             let Some((since, key)) = client.cache.oldest_dirty() else {
                 continue;
@@ -343,8 +339,7 @@ impl Sanitizer {
                 // The O(1) witness is excused; look for an overdue block
                 // on a reachable up server the slow way.
                 overdue = None;
-                client.cache.files_with_dirty_before_into(cutoff, &mut scratch);
-                for &file in &scratch {
+                for file in client.cache.files_with_dirty_before(cutoff) {
                     if !excused(client, file) {
                         overdue = Some((since, BlockKey { file, index: 0 }));
                         break;
@@ -361,8 +356,6 @@ impl Sanitizer {
                 );
             }
         }
-        scratch.clear();
-        self.scratch_files = scratch;
     }
 
     /// O(1) per-operation conservation check: the cache holds exactly

@@ -127,10 +127,6 @@ pub struct Server {
     pub files: FastMap<FileId, SrvFileState>,
     /// Server-side counters (disk traffic, RPCs served).
     pub counters: CounterSet,
-    /// Scratch buffer reused by the write-back daemon's file scan.
-    scratch_files: Vec<FileId>,
-    /// Scratch buffer reused for per-file block index lists.
-    scratch_blocks: Vec<u64>,
     /// When set, every block written to disk is appended to
     /// `disk_flush_log` (SpriteSan uses this to track what survives a
     /// crash). Off by default so plain runs pay nothing.
@@ -149,8 +145,6 @@ impl Server {
             capacity_blocks: capacity_bytes / BLOCK_SIZE,
             files: FastMap::default(),
             counters: CounterSet::new(),
-            scratch_files: Vec::new(),
-            scratch_blocks: Vec::new(),
             log_disk_flushes: false,
             disk_flush_log: Vec::new(),
         }
@@ -164,10 +158,10 @@ impl Server {
         }
     }
 
-    /// Drains the disk-flush log into `into` (appending), leaving the log
-    /// empty. No-op unless logging is enabled.
-    pub fn take_disk_flush_log(&mut self, into: &mut Vec<BlockKey>) {
-        into.append(&mut self.disk_flush_log);
+    /// Removes and returns the disk-flush log, leaving it empty (always
+    /// empty unless logging is enabled).
+    pub fn take_disk_flush_log(&mut self) -> Vec<BlockKey> {
+        std::mem::take(&mut self.disk_flush_log)
     }
 
     /// A power failure: the volatile block cache and all per-client
@@ -192,13 +186,9 @@ impl Server {
         nvram_bytes: u64,
         saved: &mut Vec<(BlockKey, u64)>,
     ) -> u64 {
-        let mut files = std::mem::take(&mut self.scratch_files);
-        let mut blocks = std::mem::take(&mut self.scratch_blocks);
-        self.cache.files_with_dirty_before_into(SimTime::MAX, &mut files);
         let mut dirty = Vec::new();
-        for &file in &files {
-            self.cache.dirty_blocks_of_into(file, &mut blocks);
-            for &index in &blocks {
+        for file in self.cache.files_with_dirty_before(SimTime::MAX) {
+            for index in self.cache.dirty_blocks_of(file) {
                 let key = BlockKey { file, index };
                 let e = self.cache.get(key).expect("dirty block is cached");
                 dirty.push((e.last_write, key, e.dirty_app_bytes));
@@ -220,10 +210,6 @@ impl Server {
             saved.push(lost.pop().expect("tail entry"));
         }
         let lost_bytes = lost[first_lost..].iter().map(|&(_, b)| b).sum();
-        files.clear();
-        blocks.clear();
-        self.scratch_files = files;
-        self.scratch_blocks = blocks;
         self.cache = BlockCache::new();
         self.files.clear();
         self.disk_flush_log.clear();
@@ -294,12 +280,8 @@ impl Server {
     /// The server's delayed-write daemon: flush blocks dirty since
     /// `cutoff` to disk.
     pub fn flush_dirty_before(&mut self, cutoff: SimTime) {
-        let mut files = std::mem::take(&mut self.scratch_files);
-        let mut blocks = std::mem::take(&mut self.scratch_blocks);
-        self.cache.files_with_dirty_before_into(cutoff, &mut files);
-        for &file in &files {
-            self.cache.dirty_blocks_of_into(file, &mut blocks);
-            for &index in &blocks {
+        for file in self.cache.files_with_dirty_before(cutoff) {
+            for index in self.cache.dirty_blocks_of(file) {
                 let key = BlockKey { file, index };
                 if self.cache.clean(key).is_some() {
                     self.counters.add(names::DISK_WRITE_BYTES, BLOCK_SIZE);
@@ -309,18 +291,13 @@ impl Server {
                 }
             }
         }
-        self.scratch_files = files;
-        self.scratch_blocks = blocks;
     }
 
     /// Drops all cached blocks of `file` (deletion or truncation).
     pub fn drop_file_blocks(&mut self, file: FileId) {
-        let mut blocks = std::mem::take(&mut self.scratch_blocks);
-        self.cache.blocks_of_into(file, &mut blocks);
-        for &index in &blocks {
+        for index in self.cache.blocks_of(file) {
             self.cache.remove(BlockKey { file, index });
         }
-        self.scratch_blocks = blocks;
     }
 }
 
@@ -423,9 +400,7 @@ mod tests {
         // The daemon flushes the old block to disk; the young one stays
         // dirty in the volatile cache.
         srv.flush_dirty_before(t(30));
-        let mut flushed = Vec::new();
-        srv.take_disk_flush_log(&mut flushed);
-        assert_eq!(flushed, vec![key(1, 0)]);
+        assert_eq!(srv.take_disk_flush_log(), vec![key(1, 0)]);
         srv.file_state(FileId(2)).last_writer = Some(ClientId(3));
 
         let mut lost = Vec::new();

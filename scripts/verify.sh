@@ -37,6 +37,14 @@ echo "==> golden: repro --quick extensions byte-identical to scripts/golden/quic
 ./target/release/repro --quick extensions > /tmp/verify_extensions.txt
 cmp scripts/golden/quick_extensions_stdout.txt /tmp/verify_extensions.txt
 
+echo "==> golden: repro --quick ablations (write-back delays 5-600 s) byte-identical to scripts/golden/quick_ablations_stdout.txt"
+./target/release/repro --quick ablations > /tmp/verify_ablations.txt
+cmp scripts/golden/quick_ablations_stdout.txt /tmp/verify_ablations.txt
+
+echo "==> golden: repro --quick latency (paging and server byte totals) byte-identical to scripts/golden/quick_latency_stdout.txt"
+./target/release/repro --quick latency > /tmp/verify_latency.txt
+cmp scripts/golden/quick_latency_stdout.txt /tmp/verify_latency.txt
+
 echo "==> sanitizer: repro --quick --sanitize all (must be clean and byte-identical)"
 ./target/release/repro --quick --sanitize all > /tmp/verify_report_san.txt
 cmp /tmp/verify_report.txt /tmp/verify_report_san.txt
