@@ -97,7 +97,7 @@ fn usage() -> String {
      \x20 --quick             reduced study (2 traces, 8 clients, 2 counter days)\n\
      \x20 --traces N          keep only the first N traces (N >= 1)\n\
      \x20 --days N            counter-campaign length in days\n\
-     \x20 --threads N|auto    trace workers: traces simulated at once (auto = host CPUs)\n\
+     \x20 --threads N|auto    campaign workers: jobs run at once (default, auto = host CPUs)\n\
      \x20 --sanitize          run SpriteSan; verdict on stderr, exit 1 on a violation\n\
      \x20 --observe           run the self-measurement layer; report on stderr\n\
      \n\
@@ -132,7 +132,7 @@ struct Cli {
     traces: Option<usize>,
     /// `--days N`: counter-campaign length in days.
     days: Option<u32>,
-    /// `--threads N|auto`: trace workers.
+    /// `--threads N|auto`: campaign workers, 0 for `auto`.
     threads: Option<usize>,
     /// `figures --csv DIR`.
     csv: Option<String>,
@@ -188,13 +188,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .map_err(|_| format!("--days expects a whole number, got `{v}`"))?,
                 )
             }
-            "--threads" => {
-                cli.threads = Some(if v == "auto" {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                } else {
-                    count(a, v)?
-                })
-            }
+            "--threads" => cli.threads = Some(if v == "auto" { 0 } else { count(a, v)? }),
             _ => cli.csv = Some(v.clone()),
         }
     }
@@ -245,9 +239,10 @@ fn main() {
     if let Some(n) = cli.days {
         cfg.counter_days = n;
     }
-    // `--threads N|auto` sets how many traces are simulated at once,
-    // each on its own worker; `auto` resolves to the host's available
-    // parallelism. Output is byte-identical at any value.
+    // `--threads N|auto` sets how many campaign jobs (the counter
+    // campaign and each trace) run at once, each on its own worker;
+    // `auto`, like the default, is one worker per host CPU. Output is
+    // byte-identical at any value.
     if let Some(n) = cli.threads {
         cfg.parallelism = n;
     }

@@ -12,6 +12,10 @@
 //! 2. **A multi-day counter run** ([`Study::run_counters`]) — one cluster
 //!    executing day after day with counters snapshotted at day
 //!    boundaries, yielding Tables 4–9.
+//!
+//! The campaigns share nothing, and neither do the traces, so each is one
+//! job on a single pool of worker threads sized to the host
+//! ([`StudyConfig::parallelism`]).
 
 use sdfs_simkit::{CounterSet, SimDuration, SimTime};
 use sdfs_spritefs::cluster::NullSink;
@@ -43,9 +47,11 @@ pub struct StudyConfig {
     pub traces: Vec<TraceSpec>,
     /// Length of the counter campaign in days (two weeks in the paper).
     pub counter_days: u32,
-    /// Maximum traces simulated concurrently (trace-level workers, each
-    /// running one trace's cluster start to finish). Output is
-    /// byte-identical at any value.
+    /// Worker threads in the study's job pool, where the counter campaign
+    /// ([`Study::run_all`]) and each trace are one job, run start to
+    /// finish on one worker. 0 means one worker per host CPU
+    /// ([`std::thread::available_parallelism`]), resolved when the pool
+    /// starts. Output is byte-identical at any value.
     pub parallelism: usize,
     /// Unused and always 1. Kept only because the `benchkit/` harness
     /// reports it as `cluster_threads`; drop it when the benchmark is
@@ -60,7 +66,7 @@ impl Default for StudyConfig {
             workload: WorkloadConfig::default(),
             traces: TraceSpec::paper_eight(0x5DF5_1991),
             counter_days: 14,
-            parallelism: 4,
+            parallelism: 0,
             threads: 1,
         }
     }
@@ -95,10 +101,19 @@ impl StudyConfig {
                 },
             ],
             counter_days: 2,
-            parallelism: 2,
+            parallelism: 0,
             threads: 1,
         }
     }
+}
+
+/// One job on the study's pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Job {
+    /// The counter campaign ([`Study::run_counters`]).
+    Counters,
+    /// The trace at this index of [`StudyConfig::traces`].
+    Trace(usize),
 }
 
 /// Everything computed from one trace.
@@ -312,45 +327,77 @@ impl Study {
         }
     }
 
-    /// Gathers and analyzes all configured traces on a pool of
-    /// work-stealing workers, each trace streamed from its cluster into
-    /// the fused analysis.
-    ///
-    /// Each worker claims the next unclaimed trace from a shared atomic
-    /// index, so a long trace (the heavy-simulation day) no longer
-    /// stalls a whole batch the way fixed chunks did. Output order
-    /// follows the spec order, and every trace seeds its own generator
-    /// from its [`TraceSpec`], so results are byte-identical regardless
-    /// of which worker runs which trace.
+    /// Gathers and analyzes all configured traces on the study's job
+    /// pool, each trace streamed from its cluster into the fused
+    /// analysis. Output follows the spec order.
     pub fn run_traces(&self) -> Vec<TraceAnalysis> {
+        self.run_jobs(false).1
+    }
+
+    /// The pool's jobs in the order workers claim them: the counter
+    /// campaign (when `counters` is set), then the heavy traces, the
+    /// longest, then the other traces in spec order.
+    fn jobs(&self, counters: bool) -> Vec<Job> {
+        let traces = &self.cfg.traces;
+        let heavy = (0..traces.len()).filter(|&i| traces[i].heavy_sim);
+        let other = (0..traces.len()).filter(|&i| !traces[i].heavy_sim);
+        counters
+            .then_some(Job::Counters)
+            .into_iter()
+            .chain(heavy.chain(other).map(Job::Trace))
+            .collect()
+    }
+
+    /// Runs [`Study::jobs`] on a pool of [`StudyConfig::parallelism`]
+    /// workers. Each worker claims the next unclaimed job from a shared
+    /// atomic index, so a long job never stalls a fixed batch, and each
+    /// result lands in its own slot. Every campaign seeds its own
+    /// generator and runs its own cluster, so results are byte-identical
+    /// whichever worker runs which job.
+    fn run_jobs(&self, counters: bool) -> (Option<CounterData>, Vec<TraceAnalysis>) {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
 
-        let specs = self.cfg.traces.clone();
-        let n = specs.len();
-        let workers = self.cfg.parallelism.max(1).min(n.max(1));
+        let jobs = self.jobs(counters);
+        let workers = match self.cfg.parallelism {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<TraceAnalysis>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let counter_slot = Mutex::new(None);
+        let trace_slots: Vec<Mutex<Option<TraceAnalysis>>> =
+            self.cfg.traces.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+            for _ in 0..workers.min(jobs.len()) {
+                scope.spawn(|| {
+                    while let Some(&job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        match job {
+                            Job::Counters => {
+                                let data = self.run_counters();
+                                *counter_slot.lock().expect("slot lock poisoned") = Some(data);
+                            }
+                            Job::Trace(i) => {
+                                let analysis = self.stream_trace(self.cfg.traces[i]);
+                                *trace_slots[i].lock().expect("slot lock poisoned") =
+                                    Some(analysis);
+                            }
+                        }
                     }
-                    let analysis = self.stream_trace(specs[i]);
-                    *slots[i].lock().expect("slot lock poisoned") = Some(analysis);
                 });
             }
         });
-        slots
+        let traces = trace_slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("slot lock poisoned")
                     .expect("all traces ran")
             })
-            .collect()
+            .collect();
+        (
+            counter_slot.into_inner().expect("slot lock poisoned"),
+            traces,
+        )
     }
 
     /// Runs the multi-day counter campaign.
@@ -398,17 +445,11 @@ impl Study {
     }
 
     /// Runs the full study: traces plus counters plus all tables. The
-    /// trace campaign and the counter campaign are independent, so they
-    /// run concurrently; neither reads the other's state.
+    /// counter campaign is the first job on the pool the traces run on;
+    /// no campaign reads another's state.
     pub fn run_all(&self) -> StudyResults {
-        let (traces, counters) = std::thread::scope(|scope| {
-            let counters = scope.spawn(|| self.run_counters());
-            let traces = self.run_traces();
-            (
-                traces,
-                counters.join().expect("counter campaign panicked"),
-            )
-        });
+        let (counters, traces) = self.run_jobs(true);
+        let counters = counters.expect("the pool ran the counter campaign");
         let table4 = table4(&counters.clients);
         let table5 = table5(&counters.total, &counters.per_day);
         let table6 = table6(&counters.total, &counters.per_day);
@@ -600,6 +641,22 @@ mod tests {
             summed.get("cache.read.ops"),
             data.total.get("cache.read.ops")
         );
+    }
+
+    #[test]
+    fn pool_runs_counters_then_heavy_traces_then_the_rest() {
+        let quick = quick_study();
+        assert_eq!(
+            quick.jobs(true),
+            [Job::Counters, Job::Trace(1), Job::Trace(0)]
+        );
+        assert_eq!(quick.jobs(false), [Job::Trace(1), Job::Trace(0)]);
+        // The paper's traces 3 and 4 are the heavy ones.
+        let paper = Study::new(StudyConfig::default());
+        let order = [2, 3, 0, 1, 4, 5, 6, 7].map(Job::Trace);
+        assert_eq!(paper.jobs(true)[0], Job::Counters);
+        assert_eq!(paper.jobs(true)[1..], order);
+        assert_eq!(paper.jobs(false), order);
     }
 
     #[test]

@@ -93,6 +93,152 @@ fn op_script(seed: u64, steps: u64, num_clients: u16) -> Vec<AppOp> {
     ops
 }
 
+/// A second seeded script over the rest of the vocabulary, one op every
+/// 250 ms: process starts and exits (code and initialized data faulted
+/// from two shared executables), page-ins and page-outs to a per-client
+/// backing file, deletes and truncates of the small shared file set,
+/// seeks, and directory reads, mixed with the creates, opens, reads,
+/// writes and closes that give the deletes and truncates cached and
+/// open files to hit.
+fn lifecycle_script(seed: u64, steps: u64, num_clients: u16) -> Vec<AppOp> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut ops = Vec::new();
+    let mut live: Vec<Vec<(Handle, bool)>> = vec![Vec::new(); num_clients as usize];
+    let mut procs: Vec<Vec<Pid>> = vec![Vec::new(); num_clients as usize];
+    let mut exists = [false; 8];
+    let (mut next_fd, mut next_pid) = (1u64, 1u32);
+    for t in 1..=steps {
+        let now = SimTime::from_millis(t * 250);
+        let c = rng.below(num_clients as u64) as u16;
+        let ci = c as usize;
+        let mk = |pid, kind| AppOp {
+            time: now,
+            client: ClientId(c),
+            user: UserId(c as u32),
+            pid,
+            migrated: false,
+            kind,
+        };
+        let f = rng.below(8);
+        let page = |rng: &mut SimRng| (rng.below(64) * 4096, rng.range(1, 8) * 4096);
+        match rng.below(14) {
+            0 => {
+                ops.push(mk(
+                    Pid(0),
+                    OpKind::Create {
+                        file: FileId(f),
+                        is_dir: false,
+                    },
+                ));
+                exists[f as usize] = true;
+            }
+            1 if exists[f as usize] => {
+                let fd = Handle(next_fd);
+                next_fd += 1;
+                let mode =
+                    [OpenMode::Read, OpenMode::Write, OpenMode::ReadWrite][rng.below(3) as usize];
+                ops.push(mk(
+                    Pid(0),
+                    OpKind::Open {
+                        fd,
+                        file: FileId(f),
+                        mode,
+                    },
+                ));
+                live[ci].push((fd, mode != OpenMode::Read));
+            }
+            2 => {
+                if let Some(&(fd, writable)) = live[ci].last() {
+                    let len = rng.range(1, 30_000);
+                    let kind = if writable {
+                        OpKind::Write { fd, len }
+                    } else {
+                        OpKind::Read { fd, len }
+                    };
+                    ops.push(mk(Pid(0), kind));
+                }
+            }
+            3 => {
+                if let Some(&(fd, _)) = live[ci].last() {
+                    ops.push(mk(
+                        Pid(0),
+                        OpKind::Seek {
+                            fd,
+                            to: rng.below(60_000),
+                        },
+                    ));
+                }
+            }
+            4 => {
+                if let Some((fd, _)) = live[ci].pop() {
+                    ops.push(mk(Pid(0), OpKind::Close { fd }));
+                }
+            }
+            5 if exists[f as usize] => {
+                ops.push(mk(Pid(0), OpKind::Delete { file: FileId(f) }));
+                exists[f as usize] = false;
+            }
+            6 if exists[f as usize] => {
+                ops.push(mk(Pid(0), OpKind::Truncate { file: FileId(f) }));
+            }
+            7 | 8 if procs[ci].len() < 3 => {
+                let pid = Pid(next_pid);
+                next_pid += 1;
+                ops.push(mk(
+                    pid,
+                    OpKind::ProcStart {
+                        exec: FileId(100 + rng.below(2)),
+                        code_bytes: rng.range(1, 8) * 4096,
+                        data_bytes: rng.range(0, 4) * 4096,
+                        heap_bytes: rng.range(1, 16) * 4096,
+                    },
+                ));
+                procs[ci].push(pid);
+            }
+            9 => {
+                if let Some(pid) = procs[ci].pop() {
+                    ops.push(mk(pid, OpKind::ProcExit));
+                }
+            }
+            10 | 11 => {
+                let (offset, bytes) = page(&mut rng);
+                let file = FileId(200 + u64::from(c));
+                ops.push(mk(
+                    Pid(0),
+                    OpKind::PageOut {
+                        file,
+                        offset,
+                        bytes,
+                    },
+                ));
+            }
+            12 => {
+                let (offset, bytes) = page(&mut rng);
+                let file = FileId(200 + u64::from(c));
+                ops.push(mk(
+                    Pid(0),
+                    OpKind::PageIn {
+                        file,
+                        offset,
+                        bytes,
+                    },
+                ));
+            }
+            _ => {
+                let bytes = rng.range(512, 4096);
+                ops.push(mk(
+                    Pid(0),
+                    OpKind::ReadDir {
+                        dir: FileId(300),
+                        bytes,
+                    },
+                ));
+            }
+        }
+    }
+    ops
+}
+
 /// Runs `script` on a fresh cluster and returns the emitted trace
 /// records, every counter of every machine (canonically ordered), and
 /// whether the sanitizer (if enabled) came back clean.
@@ -317,13 +463,17 @@ const POLICIES: [ConsistencyPolicy; 4] = [
     ConsistencyPolicy::Polling { interval_secs: 10 },
 ];
 
-/// The fuzzer's cases, replayed in order from one seeded RNG: random
-/// partition plans (random windows, edges, TTLs, both heal protocols)
-/// interleaved with scheduled server outages and imperative client
-/// crashes, rotating through every consistency policy. Each step checks
-/// the cache bounds; `finish` receives every case's cluster once it has
-/// run far past every heal and reboot, so queued work has drained.
-fn for_each_fuzz_case(mut finish: impl FnMut(u64, Cluster<VecSink>)) {
+/// The fuzzer's cases, replayed in order from one seeded RNG: `script`'s
+/// ops under random partition plans (random windows, edges, TTLs, both
+/// heal protocols) interleaved with scheduled server outages and
+/// imperative client crashes, rotating through every consistency
+/// policy. Each step checks the cache bounds; `finish` receives every
+/// case's cluster once it has run far past every heal and reboot, so
+/// queued work has drained.
+fn for_each_fuzz_case(
+    script: fn(u64, u64, u16) -> Vec<AppOp>,
+    mut finish: impl FnMut(u64, Cluster<VecSink>),
+) {
     let mut rng = SimRng::seed_from_u64(0x4655_5a5a_5041_5254);
     for case in 0..32u64 {
         let mut cfg = Config::small();
@@ -365,7 +515,7 @@ fn for_each_fuzz_case(mut finish: impl FnMut(u64, Cluster<VecSink>)) {
         cfg.faults = Some(plan);
         cfg.validate().expect("fuzzed plan is well-formed");
 
-        let script = op_script(0x4655_5a5a ^ case, 600, cfg.num_clients);
+        let script = script(0x4655_5a5a ^ case, 600, cfg.num_clients);
         let total_mem = cfg.client_mem_bytes;
         let sink = VecSink::new(cfg.num_servers);
         let mut cl = Cluster::new(cfg, sink);
@@ -408,16 +558,17 @@ fn for_each_fuzz_case(mut finish: impl FnMut(u64, Cluster<VecSink>)) {
     }
 }
 
-/// Property fuzz over [`for_each_fuzz_case`]: the cluster must survive
-/// every case, keep its cache invariants, and — because revocation
-/// rolls the oracle's expectations back like a client crash does —
-/// SpriteSan must stay clean through every interleaving. Every counted
-/// RPC, storm and heal RPCs included, carries exactly one latency
-/// sample: each kind's sample count equals its summed client
-/// `rpc.<kind>.msgs`.
-#[test]
-fn fuzz_partitions_interleave_with_crashes() {
-    for_each_fuzz_case(|case, mut cl| {
+/// Property fuzz over [`for_each_fuzz_case`] with `script`'s ops: the
+/// cluster must survive every case, keep its cache invariants, and —
+/// because revocation rolls the oracle's expectations back like a client
+/// crash does — SpriteSan must stay clean through every interleaving.
+/// Every counted RPC, storm and heal RPCs included, carries exactly one
+/// latency sample: each kind's sample count equals its summed client
+/// `rpc.<kind>.msgs`. Returns each kind's message count summed over
+/// every case, in [`RpcKind::ALL`] order.
+fn fuzz_stays_clean_and_samples_every_rpc(script: fn(u64, u64, u16) -> Vec<AppOp>) -> Vec<u64> {
+    let mut total = vec![0; RpcKind::ALL.len()];
+    for_each_fuzz_case(script, |case, mut cl| {
         let san = cl.take_sanitizer_stats().expect("sanitized run");
         assert!(
             san.is_clean(),
@@ -425,7 +576,7 @@ fn fuzz_partitions_interleave_with_crashes() {
             san.render()
         );
         let obs = cl.take_obs_report().expect("observed run");
-        for kind in RpcKind::ALL {
+        for (kind, total) in RpcKind::ALL.into_iter().zip(&mut total) {
             let msgs: u64 = cl
                 .clients()
                 .iter()
@@ -438,8 +589,34 @@ fn fuzz_partitions_interleave_with_crashes() {
                 kind.name(),
                 kind.name()
             );
+            *total += msgs;
         }
     });
+    total
+}
+
+#[test]
+fn fuzz_partitions_interleave_with_crashes() {
+    fuzz_stays_clean_and_samples_every_rpc(op_script);
+}
+
+/// The same fuzz over process, paging, delete, truncate, seek and
+/// directory traffic; code-page faults travel as `page_in` RPCs.
+#[test]
+fn fuzz_lifecycle_ops_under_partitions_and_crashes() {
+    let total = fuzz_stays_clean_and_samples_every_rpc(lifecycle_script);
+    for (kind, msgs) in RpcKind::ALL.into_iter().zip(total) {
+        if matches!(
+            kind,
+            RpcKind::PageIn
+                | RpcKind::PageOut
+                | RpcKind::Delete
+                | RpcKind::Truncate
+                | RpcKind::ReadDir
+        ) {
+            assert!(msgs > 0, "the script issued no {} RPC", kind.name());
+        }
+    }
 }
 
 /// Pins the exact outcome of every fuzz case: under all four policies
@@ -453,7 +630,7 @@ fn fuzz_partitions_interleave_with_crashes() {
 fn fault_paths_match_golden_digests() {
     use std::hash::Hasher;
     let mut got = String::new();
-    for_each_fuzz_case(|case, mut cl| {
+    for_each_fuzz_case(op_script, |case, mut cl| {
         let mut h = sdfs_simkit::hash::FastHasher::default();
         let counter = |h: &mut sdfs_simkit::hash::FastHasher, (name, value): (&str, u64)| {
             h.write(name.as_bytes());

@@ -3,10 +3,13 @@
 //! [`Generator::new`] builds the population: ~70 users in four groups,
 //! their personal files, the shared system files, and the per-group
 //! shared files — all "preloaded" (existing before the trace starts).
-//! [`Generator::generate_day`] then produces one day's time-sorted
-//! operation stream: present users get diurnal sessions; within a
-//! session they alternate application bursts and think time; the two
-//! heavy simulation users (when enabled) grind all day.
+//! [`Generator::generate_day`] then produces one day's time-ordered
+//! operation stream ([`DayOps`]): present users get diurnal sessions;
+//! within a session they alternate application bursts and think time;
+//! the two heavy simulation users (when enabled) grind all day.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use sdfs_simkit::{SimDuration, SimRng, SimTime};
 use sdfs_spritefs::ops::AppOp;
@@ -112,9 +115,19 @@ impl Generator {
     }
 
     /// Generates one day's operations (day 0 covers `[0, 24 h)`, day 1
-    /// `[24 h, 48 h)`, ...), sorted by time.
-    pub fn generate_day(&mut self, day: u32) -> Vec<AppOp> {
+    /// `[24 h, 48 h)`, ...), in time order: the order a stable sort by
+    /// time of every stream concatenated would give.
+    pub fn generate_day(&mut self, day: u32) -> DayOps {
+        let (ops, starts) = self.generate_streams(day);
+        DayOps::merge(ops, &starts)
+    }
+
+    /// One day's operations stream by stream, each stream unsorted:
+    /// every present user's sessions, then the housekeeping daemon's.
+    /// Stream `s` starts at `starts[s]` and ends where the next starts.
+    fn generate_streams(&mut self, day: u32) -> (Vec<AppOp>, Vec<usize>) {
         let mut ops: Vec<AppOp> = Vec::new();
+        let mut starts = Vec::new();
         let day_start = SimTime::from_secs(day as u64 * 86_400);
         // Stage per-user plans first (which users appear, their session
         // windows) so user randomness stays in per-user streams.
@@ -149,6 +162,7 @@ impl Generator {
             if !present {
                 continue;
             }
+            starts.push(ops.len());
             // Sessions must not overlap for one user (their personal
             // timeline is sequential); clamp each to start no earlier
             // than the previous one ended, and keep everything inside
@@ -174,11 +188,9 @@ impl Generator {
         // (the measured cluster was never fully quiet; the nightly tape
         // backup was scrubbed from the traces, but other system activity
         // remained). This also gives the traces their ~24-hour span.
+        starts.push(ops.len());
         self.run_daemon(&mut ops, day_start);
-        // Stable sort by time keeps per-handle op order intact for
-        // equal timestamps.
-        ops.sort_by_key(|op| op.time);
-        ops
+        (ops, starts)
     }
 
     /// Hourly housekeeping on client 0 by a system user: read a couple
@@ -395,6 +407,76 @@ impl Generator {
     }
 }
 
+/// One day's operations in time order, merged from the day's streams
+/// as [`Cluster::run`](sdfs_spritefs::Cluster::run) pulls them.
+///
+/// Each stream (a present user's sessions, or the daemon's
+/// housekeeping) is generated on its own and stably sorted by time in
+/// place, so no sort spans the whole day. The merge takes the earliest
+/// stream head through a binary heap keyed by `(time, stream)`: a time
+/// tie across streams goes to the earlier stream, and one within a
+/// stream to the earlier position. The streams lie in the buffer in
+/// stream order, so this is exactly the order a stable sort of the
+/// whole buffer by time gives.
+#[derive(Debug, Clone)]
+pub struct DayOps {
+    ops: Vec<AppOp>,
+    /// Per stream: the index of its next operation, and its end.
+    cursors: Vec<(usize, usize)>,
+    /// The head of every unfinished stream, as `(time, stream)`.
+    heads: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// Operations not yet taken.
+    left: usize,
+}
+
+impl DayOps {
+    /// Stably sorts each stream of `ops` by time (stream `s` starts at
+    /// `starts[s]` and ends where the next starts) and readies the merge.
+    fn merge(mut ops: Vec<AppOp>, starts: &[usize]) -> DayOps {
+        let ends = starts.iter().skip(1).copied().chain([ops.len()]);
+        let cursors: Vec<(usize, usize)> = starts.iter().copied().zip(ends).collect();
+        let mut heads = BinaryHeap::with_capacity(cursors.len());
+        for (s, &(start, end)) in cursors.iter().enumerate() {
+            let stream = &mut ops[start..end];
+            stream.sort_by_key(|op| op.time);
+            if let Some(first) = stream.first() {
+                heads.push(Reverse((first.time, s)));
+            }
+        }
+        DayOps {
+            left: ops.len(),
+            ops,
+            cursors,
+            heads,
+        }
+    }
+}
+
+impl Iterator for DayOps {
+    type Item = AppOp;
+
+    fn next(&mut self) -> Option<AppOp> {
+        let mut head = self.heads.peek_mut()?;
+        let Reverse((_, s)) = *head;
+        let cursor = &mut self.cursors[s];
+        let op = self.ops[cursor.0].clone();
+        cursor.0 += 1;
+        if cursor.0 < cursor.1 {
+            *head = Reverse((self.ops[cursor.0].time, s));
+        } else {
+            PeekMut::pop(head);
+        }
+        self.left -= 1;
+        Some(op)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for DayOps {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,7 +486,7 @@ mod tests {
     #[test]
     fn day_is_sorted_and_nonempty() {
         let mut gen = Generator::new(WorkloadConfig::small());
-        let ops = gen.generate_day(0);
+        let ops: Vec<AppOp> = gen.generate_day(0).collect();
         assert!(ops.len() > 100, "got {} ops", ops.len());
         for w in ops.windows(2) {
             assert!(w[0].time <= w[1].time, "unsorted ops");
@@ -414,10 +496,8 @@ mod tests {
     #[test]
     fn day_boundaries_respected() {
         let mut gen = Generator::new(WorkloadConfig::small());
-        let d0 = gen.generate_day(0);
-        let d1 = gen.generate_day(1);
-        let end0 = d0.last().expect("day 0 ops").time;
-        let start1 = d1.first().expect("day 1 ops").time;
+        let end0 = gen.generate_day(0).last().expect("day 0 ops").time;
+        let start1 = gen.generate_day(1).next().expect("day 1 ops").time;
         assert!(end0 < SimTime::from_secs(86_400), "day 0 spills over");
         assert!(start1 >= SimTime::from_secs(86_400), "day 1 starts early");
     }
@@ -426,7 +506,7 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = Generator::new(WorkloadConfig::small());
         let mut b = Generator::new(WorkloadConfig::small());
-        assert_eq!(a.generate_day(0), b.generate_day(0));
+        assert!(a.generate_day(0).eq(b.generate_day(0)));
     }
 
     #[test]
@@ -435,7 +515,7 @@ mod tests {
         let mut a = Generator::new(cfg.clone());
         cfg.seed ^= 0xFFFF;
         let mut b = Generator::new(cfg);
-        assert_ne!(a.generate_day(0), b.generate_day(0));
+        assert!(a.generate_day(0).ne(b.generate_day(0)));
     }
 
     #[test]
@@ -443,8 +523,7 @@ mod tests {
         let mut cfg = WorkloadConfig::small();
         cfg.heavy_sim = true;
         let mut gen = Generator::new(cfg);
-        let ops = gen.generate_day(0);
-        let big_read = ops.iter().any(|o| match o.kind {
+        let big_read = gen.generate_day(0).any(|o| match o.kind {
             OpKind::Read { len, .. } => len >= (20 << 20) / 8,
             _ => false,
         });
@@ -456,16 +535,14 @@ mod tests {
         let cfg = WorkloadConfig::small();
         let n = cfg.num_clients;
         let mut gen = Generator::new(cfg);
-        let ops = gen.generate_day(0);
-        assert!(ops.iter().all(|o| o.client.raw() < n));
+        assert!(gen.generate_day(0).all(|o| o.client.raw() < n));
     }
 
     #[test]
     fn handles_are_unique_per_open() {
         let mut gen = Generator::new(WorkloadConfig::small());
-        let ops = gen.generate_day(0);
         let mut seen = FastSet::default();
-        for op in &ops {
+        for op in gen.generate_day(0) {
             if let OpKind::Open { fd, .. } = op.kind {
                 assert!(seen.insert(fd), "handle {fd} reused");
             }
@@ -475,9 +552,11 @@ mod tests {
     #[test]
     fn daemon_runs_around_the_clock() {
         let mut gen = Generator::new(WorkloadConfig::small());
-        let ops = gen.generate_day(0);
         let daemon_user = UserId(WorkloadConfig::small().num_users);
-        let daemon_ops: Vec<&AppOp> = ops.iter().filter(|o| o.user == daemon_user).collect();
+        let daemon_ops: Vec<AppOp> = gen
+            .generate_day(0)
+            .filter(|o| o.user == daemon_user)
+            .collect();
         assert!(!daemon_ops.is_empty(), "daemon activity exists");
         // It spans the whole day (first hour and last hour).
         let first = daemon_ops.first().expect("ops").time;
@@ -489,9 +568,8 @@ mod tests {
     #[test]
     fn background_processes_start_and_exit_in_pairs() {
         let mut gen = Generator::new(WorkloadConfig::small());
-        let ops = gen.generate_day(0);
         let mut live: FastMap<(u16, u32), u32> = FastMap::default();
-        for op in &ops {
+        for op in gen.generate_day(0) {
             match op.kind {
                 OpKind::ProcStart { .. } => {
                     *live.entry((op.client.raw(), op.pid.raw())).or_insert(0) += 1;
@@ -551,5 +629,85 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), preload.len());
+    }
+
+    /// Ops tagged with their stream, in the reference order: every
+    /// stream concatenated, then stably sorted by time (the global sort
+    /// `generate_day` replaced).
+    fn reference_order(ops: Vec<AppOp>, starts: &[usize]) -> Vec<(usize, AppOp)> {
+        let stream_of = |i: usize| starts.partition_point(|&s| s <= i) - 1;
+        let mut tagged: Vec<(usize, AppOp)> = ops
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| (stream_of(i), op))
+            .collect();
+        tagged.sort_by_key(|(_, op)| op.time);
+        tagged
+    }
+
+    /// Adjacent reference-order pairs at one time from two streams: the
+    /// ties the merge must resolve to the earlier stream.
+    fn cross_stream_ties(tagged: &[(usize, AppOp)]) -> usize {
+        tagged
+            .windows(2)
+            .filter(|w| w[0].1.time == w[1].1.time && w[0].0 != w[1].0)
+            .count()
+    }
+
+    #[test]
+    fn streamed_day_equals_a_stable_sort_of_the_whole_day() {
+        let mut ties = 0;
+        for heavy_sim in [false, true] {
+            for seed in [0x5DF5, 0x1991] {
+                let cfg = WorkloadConfig {
+                    heavy_sim,
+                    seed,
+                    ..WorkloadConfig::small()
+                };
+                let mut streamed = Generator::new(cfg.clone());
+                let mut reference = Generator::new(cfg);
+                for day in 0..3 {
+                    let got: Vec<AppOp> = streamed.generate_day(day).collect();
+                    let (ops, starts) = reference.generate_streams(day);
+                    let want = reference_order(ops, &starts);
+                    ties += cross_stream_ties(&want);
+                    assert!(
+                        got.iter().eq(want.iter().map(|(_, op)| op)),
+                        "heavy_sim {heavy_sim}, seed {seed:#x}, day {day}: merge order differs"
+                    );
+                }
+            }
+        }
+        assert!(ties > 0, "the sample must tie times across streams");
+    }
+
+    #[test]
+    fn merge_breaks_time_ties_by_stream_then_position() {
+        // Three streams, each out of order, with equal times within and
+        // across streams; `pid` records each op's place in the buffer.
+        let times = [5, 3, 5, 3, 3, 5, 1, 5, 3, 3];
+        let starts = [0, 4, 7];
+        let ops: Vec<AppOp> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| AppOp {
+                time: SimTime::from_secs(t),
+                client: ClientId(0),
+                user: UserId(0),
+                pid: Pid(i as u32),
+                migrated: false,
+                kind: OpKind::ProcExit,
+            })
+            .collect();
+        let got: Vec<u32> = DayOps::merge(ops.clone(), &starts)
+            .map(|op| op.pid.raw())
+            .collect();
+        let want = reference_order(ops, &starts);
+        assert!(cross_stream_ties(&want) > 0);
+        assert_eq!(
+            got,
+            want.iter().map(|(_, op)| op.pid.raw()).collect::<Vec<_>>()
+        );
+        assert_eq!(got, [6, 1, 3, 4, 8, 9, 0, 2, 5, 7]);
     }
 }

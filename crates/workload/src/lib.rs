@@ -20,7 +20,10 @@
 //! Determinism: the generator is a pure function of
 //! [`config::WorkloadConfig`] (including its seed). Day-by-day generation
 //! ([`gen::Generator::generate_day`]) keeps memory bounded for the
-//! two-week counter runs.
+//! two-week counter runs. Each user's day, and the housekeeping daemon's,
+//! is generated and sorted on its own; the day's [`gen::DayOps`] merges
+//! them in time order as the cluster takes operations, in exactly the
+//! order a stable sort of the whole day would give.
 
 pub mod apps;
 pub mod config;

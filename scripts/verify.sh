@@ -54,11 +54,12 @@ echo "==> observer: repro --quick --observe all (report on stderr, stdout byte-i
 cmp /tmp/verify_report.txt /tmp/verify_report_obs.txt
 grep -q "sdfs-obs self-measurement report" /tmp/verify_obs_stderr.txt
 
-echo "==> trace workers: repro --quick --threads 1|auto all (byte-identical to the golden)"
-./target/release/repro --quick --threads 1 all > /tmp/verify_report_t1.txt
-cmp scripts/golden/quick_all_stdout.txt /tmp/verify_report_t1.txt
-./target/release/repro --quick --threads auto all > /tmp/verify_report_tauto.txt
-cmp scripts/golden/quick_all_stdout.txt /tmp/verify_report_tauto.txt
+echo "==> campaign workers: repro --quick all at --threads 1, --threads 3 (every quick job at once) and the default (one per host CPU), each byte-identical to the golden"
+for threads in 1 3; do
+    ./target/release/repro --quick --threads "$threads" all > "/tmp/verify_report_t$threads.txt"
+    cmp scripts/golden/quick_all_stdout.txt "/tmp/verify_report_t$threads.txt"
+done
+cmp scripts/golden/quick_all_stdout.txt /tmp/verify_report.txt
 
 echo "==> observer: a second --observe run renders the same report"
 ./target/release/repro --quick --observe all > /dev/null 2> /tmp/verify_obs_stderr_2.txt

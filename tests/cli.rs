@@ -62,6 +62,22 @@ fn observe_never_changes_stdout() {
 }
 
 #[test]
+fn threads_auto_is_accepted_and_changes_nothing() {
+    // `--threads 0` is rejected (see below); `auto` asks for one worker
+    // per host CPU, like the default.
+    let run = |threads: &str| {
+        let out = repro(&["--quick", "--traces", "1", "--threads", threads, "table1"]);
+        assert!(
+            out.status.success(),
+            "--threads {threads} exits 0:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_eq!(run("1"), run("auto"), "--threads auto changed stdout");
+}
+
+#[test]
 fn profile_trace_out_unwritable_exits_2_without_panic() {
     // `profile` takes no file argument: `--trace-out` is an unknown
     // flag, diagnosed before any simulation runs and before the path

@@ -1,12 +1,13 @@
-//! Determinism regression for the work-stealing trace scheduler.
+//! Determinism regression for the study's work-stealing job pool.
 //!
-//! Workers claim traces from a shared atomic counter, so which thread
-//! simulates which trace varies run to run. Results must not: every
-//! trace seeds its own generator from its `TraceSpec` and lands in its
-//! own output slot, so the same configuration must render the same
-//! report bit for bit, at any worker count. (The full study uses the
-//! paper's fixed master seed 0x5DF5_1991; the quick config's per-trace
-//! seeds exercise the same machinery.)
+//! Workers claim jobs (the counter campaign and each trace) from a
+//! shared atomic counter, so which thread runs which job varies run to
+//! run. Results must not: every trace seeds its own generator from its
+//! `TraceSpec` and lands in its own output slot, so the same
+//! configuration must render the same report bit for bit, at any
+//! worker count. (The full study uses the paper's fixed master seed
+//! 0x5DF5_1991; the quick config's per-trace seeds exercise the same
+//! machinery.)
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 

@@ -1,14 +1,15 @@
-//! Equivalence regression for the trace workers.
+//! Equivalence regression for the study's job pool.
 //!
-//! `Study::run_traces` simulates up to `parallelism` traces at once,
-//! each on its own cluster, and `Study::run_all` runs the counter
-//! campaign alongside them. The contract is *byte identity*: the
-//! rendered campaign, every counter, the trace records, the sanitizer
-//! verdict, and the obs report must not depend on the worker count or
-//! on which worker ran which trace. Three traces make the split uneven
-//! at two workers, and seven workers exceed the trace count. The traces
-//! are ordinary (not heavy-simulation) days and the counter campaign is
-//! one day, to keep the debug-build runtime small.
+//! `Study::run_all` runs the counter campaign and each trace as jobs on
+//! one pool of `parallelism` workers (0: one per host CPU), each job on
+//! its own cluster. The contract is *byte identity*: the rendered
+//! campaign, every counter, the trace records, the sanitizer verdict,
+//! and the obs report must not depend on the worker count or on which
+//! worker ran which job. Four jobs (three traces and the counter
+//! campaign) split unevenly at three workers, and seven workers exceed
+//! the job count. The traces are ordinary (not heavy-simulation) days
+//! and the counter campaign is one day, to keep the test-build runtime
+//! small.
 
 use std::fmt::Debug;
 
@@ -45,19 +46,19 @@ fn debug_of<T: Debug>(x: &T) -> String {
 #[test]
 fn full_campaign_is_byte_identical_at_any_thread_count() {
     let sequential = render_with_workers(1);
-    for workers in [2, 7] {
+    for workers in [0, 2, 7] {
         let parallel = render_with_workers(workers);
         assert_eq!(
             sequential, parallel,
-            "{workers} trace workers must render the identical campaign"
+            "{workers} workers (0: one per host CPU) must render the identical campaign"
         );
     }
 }
 
 #[test]
 fn counters_and_samples_match_the_sequential_engine() {
-    // `run_all` runs the counter campaign concurrently with the trace
-    // workers; the result must equal the campaign run on its own.
+    // `run_all` runs the counter campaign as one job on the pool the
+    // traces run on; the result must equal the campaign run on its own.
     let study = Study::new(quick_config(3));
     let alone = study.run_counters();
     let shared = study.run_all().counters;
