@@ -379,7 +379,7 @@ fn main() {
         // Generate one trace and write it as a binary trace file, for
         // use with `tracetool`.
         let spec = study.config().traces[0];
-        let records = study.run_trace_records(spec);
+        let records = study.run_trace_full(spec).records;
         for rec in &records {
             writer.write(rec).unwrap_or_else(|e| cannot_write(out, e));
         }
@@ -397,7 +397,7 @@ fn main() {
         return;
     }
 
-    let mut results = study.run_all();
+    let results = study.run_all();
     eprintln!("study complete in {:.1}s", t0.elapsed().as_secs_f64());
 
     if what == "obs" {
@@ -417,7 +417,7 @@ fn main() {
 
     let out = match what {
         "check" => {
-            let sc = sdfs_core::check::scorecard(&mut results);
+            let sc = sdfs_core::check::scorecard(&results);
             let text = sc.render();
             if !sc.all_passed() {
                 eprintln!("{text}");
@@ -427,7 +427,7 @@ fn main() {
         }
         "bsd" => {
             let mut s = String::new();
-            for (i, t) in results.traces.iter_mut().enumerate() {
+            for (i, t) in results.traces.iter().enumerate() {
                 s.push_str(&format!("trace {}:\n", i + 1));
                 s.push_str(&sdfs_core::bsd::compare(t).render());
                 s.push('\n');
@@ -442,16 +442,16 @@ fn main() {
         }
         "table10" | "table11" | "table12" => report::render_consistency_tables(&results),
         _ if FIGURES.contains(&what) => {
-            let mut s = report::render_figure_checkpoints(&mut results.traces);
+            let mut s = report::render_figure_checkpoints(&results.traces);
             if let Some(dir) = &cli.csv {
-                for (i, t) in results.traces.iter_mut().enumerate() {
+                for (i, t) in results.traces.iter().enumerate() {
                     let dir = std::path::Path::new(dir).join(format!("trace{}", i + 1));
-                    let written = report::export_figures(&mut t.figures, &dir)
+                    let written = report::export_figures(&t.figures, &dir)
                         .unwrap_or_else(|e| cannot_write(dir.display(), e));
                     eprintln!("wrote {} CSVs to {}", written.len(), dir.display());
                 }
             }
-            for t in results.traces.iter_mut().take(1) {
+            for t in results.traces.iter().take(1) {
                 for fig in t.figures.render() {
                     s.push('\n');
                     s.push_str(&report::render_figure(&fig));
@@ -459,7 +459,7 @@ fn main() {
             }
             s
         }
-        _ => report::render_all(&mut results),
+        _ => report::render_all(&results),
     };
     println!("{out}");
     if sanitize {
@@ -546,7 +546,7 @@ const CONSUMERS: [(&str, RunConsumer); 8] = [
 /// `repro profile`: wall-clock breakdown of the pipeline stages on the
 /// configured study, and of the fused analysis by consumer, each timed
 /// alone over the same records. It times the materialised pipeline
-/// (`run_trace_records`, then `analyze_trace`) so that simulation and
+/// (`run_trace_full`, then `analyze_trace`) so that simulation and
 /// analysis can be timed apart; `run_traces` no longer runs that
 /// pipeline, since it streams each trace into the analysis as the
 /// cluster emits it. Its clock reads go through [`stopwatch`], like the
@@ -559,13 +559,13 @@ fn run_profile(study: &Study) {
         .config()
         .traces
         .iter()
-        .map(|&spec| (spec, study.run_trace_records(spec)))
+        .map(|&spec| (spec, study.run_trace_full(spec).records))
         .collect();
     let simulate = t.elapsed().as_secs_f64();
     let records: usize = per_trace.iter().map(|(_, r)| r.len()).sum();
 
     let t = stopwatch();
-    let mut analyses: Vec<_> = per_trace
+    let analyses: Vec<_> = per_trace
         .iter()
         .map(|(spec, records)| study.analyze_trace(*spec, records))
         .collect();
@@ -577,7 +577,7 @@ fn run_profile(study: &Study) {
 
     let t = stopwatch();
     let mut s = report::render_table1(&analyses);
-    s.push_str(&report::render_figure_checkpoints(&mut analyses));
+    s.push_str(&report::render_figure_checkpoints(&analyses));
     let _ = counters.total.get(sdfs_spritefs::metrics::cache::READ_OPS);
     let render_secs = t.elapsed().as_secs_f64();
     let total = t_total.elapsed().as_secs_f64();

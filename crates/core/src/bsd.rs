@@ -69,11 +69,11 @@ pub struct BsdComparison {
 }
 
 /// Computes the comparison from one trace analysis.
-pub fn compare(analysis: &mut TraceAnalysis) -> BsdComparison {
+pub fn compare(analysis: &TraceAnalysis) -> BsdComparison {
     let tput_10min = analysis.activity.ten_min_all.throughput_per_user.mean();
     let tput_10sec = analysis.activity.ten_sec_all.throughput_per_user.mean();
     let ro = analysis.patterns.read_only.access_percentages();
-    let figures = &mut analysis.figures;
+    let figures = &analysis.figures;
     let bytes_over_1m = 1.0 - figures.run_lengths.by_bytes.fraction_below(1_048_576.0);
     let open_p75 = if figures.open_times.is_empty() {
         0.0
@@ -145,9 +145,8 @@ mod tests {
             seed: 31,
             heavy_sim: false,
         };
-        let records = study.run_trace_records(spec);
-        let mut analysis = study.analyze_trace(spec, &records);
-        let cmp = compare(&mut analysis);
+        let records = study.run_trace_full(spec).records;
+        let cmp = compare(&study.analyze_trace(spec, &records));
         assert!(
             cmp.headline_claims_hold(),
             "Section 4 claims failed: {cmp:?}"

@@ -73,7 +73,7 @@ impl Scorecard {
 }
 
 /// Runs every headline check against study results.
-pub fn scorecard(results: &mut StudyResults) -> Scorecard {
+pub fn scorecard(results: &StudyResults) -> Scorecard {
     let mut sc = Scorecard::default();
     let mut add = |name, paper, measured, lo, hi| {
         sc.checks.push(Check {
@@ -114,7 +114,7 @@ pub fn scorecard(results: &mut StudyResults) -> Scorecard {
     // --- Table 3 ---
     let mut merged = crate::patterns::AccessPatterns::default();
     for t in &results.traces {
-        crate::report::merge_patterns_public(&mut merged, &t.patterns);
+        merged.merge(&t.patterns);
     }
     add(
         "read-only access share, %",
@@ -134,7 +134,7 @@ pub fn scorecard(results: &mut StudyResults) -> Scorecard {
     add("whole-file read share, %", "78%", ro[0], 60.0, 92.0);
 
     // --- Figures ---
-    let mut f = results.traces[0].figures.clone();
+    let f = &results.traces[0].figures;
     add(
         "runs under 10 KB, %",
         "~80%",
@@ -378,8 +378,7 @@ mod tests {
         cfg.workload.activity_scale = 0.8;
         cfg.workload.num_users = 24;
         let study = Study::new(cfg);
-        let mut results = study.run_all();
-        let sc = scorecard(&mut results);
+        let sc = scorecard(&study.run_all());
         assert!(sc.checks.len() >= 18);
         // The quick configuration is small, so allow a couple of misses,
         // but the bulk of the claims must hold even there.

@@ -51,12 +51,14 @@ impl RunLengths {
     }
 }
 
-/// Builds Figure 1's distributions from accesses.
+/// Builds Figure 1's distributions from accesses, sealed.
 pub fn run_lengths<'a>(accesses: impl IntoIterator<Item = &'a Access>) -> RunLengths {
     let mut out = RunLengths::default();
     for a in accesses {
         out.add(a);
     }
+    out.by_runs.seal();
+    out.by_bytes.seal();
     out
 }
 
@@ -85,13 +87,15 @@ impl FileSizes {
     }
 }
 
-/// Builds Figure 2's distributions: file sizes measured when files are
-/// closed, for accesses that actually transferred data.
+/// Builds Figure 2's distributions, sealed: file sizes measured when
+/// files are closed, for accesses that actually transferred data.
 pub fn file_sizes<'a>(accesses: impl IntoIterator<Item = &'a Access>) -> FileSizes {
     let mut out = FileSizes::default();
     for a in accesses {
         out.add(a);
     }
+    out.by_accesses.seal();
+    out.by_bytes.seal();
     out
 }
 
@@ -105,12 +109,13 @@ pub fn add_open_time(cdf: &mut WeightedCdf, a: &Access) {
     cdf.add(a.open_duration().as_secs_f64().max(1e-4));
 }
 
-/// Figure 3: the distribution of open durations, in seconds.
+/// Figure 3: the distribution of open durations, in seconds, sealed.
 pub fn open_times<'a>(accesses: impl IntoIterator<Item = &'a Access>) -> WeightedCdf {
     let mut cdf = WeightedCdf::new();
     for a in accesses {
         add_open_time(&mut cdf, a);
     }
+    cdf.seal();
     cdf
 }
 
@@ -167,17 +172,21 @@ impl Lifetimes {
     }
 }
 
-/// Builds Figure 4's distributions from delete and truncate records.
+/// Builds Figure 4's distributions from delete and truncate records,
+/// sealed.
 pub fn lifetimes<'a>(records: impl IntoIterator<Item = &'a Record>) -> Lifetimes {
     let mut out = Lifetimes::default();
     for rec in records {
         out.add(rec);
     }
+    out.by_files.seal();
+    out.by_bytes.seal();
     out
 }
 
-/// All four figures, rendered on standard log grids.
-#[derive(Debug, Clone)]
+/// All four figures' distributions, every CDF sealed once finished;
+/// rendered on standard log grids.
+#[derive(Debug, Clone, Default)]
 pub struct AllFigures {
     /// Figure 1 raw distributions.
     pub run_lengths: RunLengths,
@@ -194,10 +203,7 @@ pub struct AllFigures {
 /// (Figures 1–3), in the same orders the standalone builders see.
 #[derive(Debug, Default)]
 pub struct FiguresAccumulator {
-    run_lengths: RunLengths,
-    file_sizes: FileSizes,
-    open_times: WeightedCdf,
-    lifetimes: Lifetimes,
+    figures: AllFigures,
 }
 
 impl FiguresAccumulator {
@@ -208,37 +214,32 @@ impl FiguresAccumulator {
 
     /// Feeds one raw record (drives Figure 4).
     pub fn record(&mut self, rec: &Record) {
-        self.lifetimes.add(rec);
+        self.figures.lifetimes.add(rec);
     }
 
     /// Feeds one reconstructed access (drives Figures 1–3).
     pub fn access(&mut self, a: &Access) {
-        self.run_lengths.add(a);
-        self.file_sizes.add(a);
-        add_open_time(&mut self.open_times, a);
+        self.figures.run_lengths.add(a);
+        self.figures.file_sizes.add(a);
+        add_open_time(&mut self.figures.open_times, a);
     }
 
     /// Returns the finished figures, each CDF sealed (sorted, equal
     /// values merged, spare capacity released).
-    pub fn finish(self) -> AllFigures {
-        let mut figures = AllFigures {
-            run_lengths: self.run_lengths,
-            file_sizes: self.file_sizes,
-            open_times: self.open_times,
-            lifetimes: self.lifetimes,
-        };
+    pub fn finish(mut self) -> AllFigures {
+        let f = &mut self.figures;
         for cdf in [
-            &mut figures.run_lengths.by_runs,
-            &mut figures.run_lengths.by_bytes,
-            &mut figures.file_sizes.by_accesses,
-            &mut figures.file_sizes.by_bytes,
-            &mut figures.open_times,
-            &mut figures.lifetimes.by_files,
-            &mut figures.lifetimes.by_bytes,
+            &mut f.run_lengths.by_runs,
+            &mut f.run_lengths.by_bytes,
+            &mut f.file_sizes.by_accesses,
+            &mut f.file_sizes.by_bytes,
+            &mut f.open_times,
+            &mut f.lifetimes.by_files,
+            &mut f.lifetimes.by_bytes,
         ] {
             cdf.seal();
         }
-        figures
+        self.figures
     }
 }
 
@@ -255,7 +256,7 @@ pub fn all_figures(records: &[Record]) -> AllFigures {
 
 impl AllFigures {
     /// Renders the four figures as curve sets on log-spaced grids.
-    pub fn render(&mut self) -> Vec<Figure> {
+    pub fn render(&self) -> Vec<Figure> {
         let size_grid = log_points(100.0, 100e6, 4);
         let time_grid = log_points(0.01, 1e6, 4);
         let open_grid = log_points(0.001, 1e4, 4);
@@ -342,7 +343,7 @@ mod tests {
     #[test]
     fn run_length_weighting() {
         let accesses = vec![access(1_000, 1_000, 10), access(9_000, 9_000, 10)];
-        let mut rl = run_lengths(&accesses);
+        let rl = run_lengths(&accesses);
         // By runs: half the runs are <= 1 000.
         assert!((rl.by_runs.fraction_below(1_000.0) - 0.5).abs() < 1e-9);
         // By bytes: only 10% of bytes are in runs <= 1 000.
@@ -352,7 +353,7 @@ mod tests {
     #[test]
     fn file_size_weighting() {
         let accesses = vec![access(100, 100, 10), access(10_000, 10_000, 10)];
-        let mut fs = file_sizes(&accesses);
+        let fs = file_sizes(&accesses);
         assert!((fs.by_accesses.fraction_below(100.0) - 0.5).abs() < 1e-9);
         let byte_frac = fs.by_bytes.fraction_below(100.0);
         assert!(byte_frac < 0.02, "byte weighting favours the big file");
@@ -361,7 +362,7 @@ mod tests {
     #[test]
     fn open_time_distribution() {
         let accesses = vec![access(10, 10, 100), access(10, 10, 1_000)];
-        let mut ot = open_times(&accesses);
+        let ot = open_times(&accesses);
         assert!((ot.fraction_below(0.5) - 0.5).abs() < 1e-9);
         assert!((ot.fraction_below(2.0) - 1.0).abs() < 1e-9);
     }
@@ -384,11 +385,9 @@ mod tests {
         };
         let records = vec![del(100, 10, 10), del(1_000_000, 600, 600)];
         let lt = lifetimes(&records);
-        let mut by_files = lt.by_files.clone();
-        assert!((by_files.fraction_below(30.0) - 0.5).abs() < 1e-9);
-        let mut by_bytes = lt.by_bytes.clone();
+        assert!((lt.by_files.fraction_below(30.0) - 0.5).abs() < 1e-9);
         // Almost all deleted bytes belong to the 10-minute-old megabyte.
-        assert!(by_bytes.fraction_below(30.0) < 0.001);
+        assert!(lt.by_bytes.fraction_below(30.0) < 0.001);
     }
 
     #[test]
@@ -408,14 +407,13 @@ mod tests {
         };
         let lt = lifetimes(&[rec]);
         assert_eq!(lt.by_files.len(), 1);
-        let mut by_files = lt.by_files.clone();
         // Average of 20 and 4 is 12.
-        assert!((by_files.quantile(0.5) - 12.0).abs() < 1e-9);
+        assert!((lt.by_files.quantile(0.5) - 12.0).abs() < 1e-9);
     }
 
     #[test]
     fn render_produces_four_figures() {
-        let mut all = AllFigures {
+        let all = AllFigures {
             run_lengths: run_lengths(&[access(100, 100, 5)]),
             file_sizes: file_sizes(&[access(100, 100, 5)]),
             open_times: open_times(&[access(100, 100, 5)]),

@@ -24,35 +24,17 @@
 
 use sdfs_simkit::SimDuration;
 use sdfs_spritefs::TraceSink;
-use sdfs_trace::{Record, ServerId, TraceStats, TraceStatsBuilder};
+use sdfs_trace::{Record, ServerId, TraceStatsBuilder};
+use sdfs_workload::TraceSpec;
 
 use crate::access::AccessScanner;
-use crate::activity::{Table2Accumulator, UserActivity};
-use crate::consistency::{Table10, Table10Builder};
-use crate::figures::{AllFigures, FiguresAccumulator};
-use crate::overhead::{Table12, Table12Builder};
+use crate::activity::Table2Accumulator;
+use crate::consistency::Table10Builder;
+use crate::figures::FiguresAccumulator;
+use crate::overhead::Table12Builder;
 use crate::patterns::AccessPatterns;
 use crate::staleness::{PollingSim, Table11};
-
-/// The outputs of one fused pass: everything [`crate::study::TraceAnalysis`]
-/// needs except the spec.
-#[derive(Debug)]
-pub struct FusedAnalysis {
-    /// Table 1 row.
-    pub stats: TraceStats,
-    /// Table 2 contribution.
-    pub activity: UserActivity,
-    /// Table 3 contribution.
-    pub patterns: AccessPatterns,
-    /// Figures 1–4 distributions.
-    pub figures: AllFigures,
-    /// Table 10 counts.
-    pub table10: Table10,
-    /// Table 11 simulation results.
-    pub table11: Table11,
-    /// Table 12 simulation results.
-    pub table12: Table12,
-}
+use crate::study::TraceAnalysis;
 
 /// Single-pass driver: every trace-driven analysis registered on one
 /// record stream.
@@ -102,9 +84,11 @@ impl FusedAnalyzer {
         }
     }
 
-    /// Finalizes every consumer.
-    pub fn finish(self) -> FusedAnalysis {
-        FusedAnalysis {
+    /// Finalizes every consumer into `spec`'s analysis, with no
+    /// verdicts attached.
+    pub fn finish(self, spec: TraceSpec) -> TraceAnalysis {
+        TraceAnalysis {
+            spec,
             stats: self.stats.finish(),
             activity: self.activity.finish(),
             patterns: self.patterns,
@@ -115,16 +99,18 @@ impl FusedAnalyzer {
                 three: self.three.finish(),
             },
             table12: self.table12.finish(),
+            sanitizer: None,
+            obs: None,
         }
     }
 
-    /// Runs the fused pass over a full record stream.
-    pub fn analyze(records: &[Record]) -> FusedAnalysis {
+    /// Runs the fused pass over `spec`'s full record stream.
+    pub fn analyze(spec: TraceSpec, records: &[Record]) -> TraceAnalysis {
         let mut fused = FusedAnalyzer::new();
         for rec in records {
             fused.record(rec);
         }
-        fused.finish()
+        fused.finish(spec)
     }
 }
 
@@ -170,10 +156,11 @@ impl FusedSink {
         }
     }
 
-    /// Releases the held records and finalizes every consumer.
-    pub fn finish(mut self) -> FusedAnalysis {
+    /// Releases the held records and finalizes every consumer into
+    /// `spec`'s analysis, with no verdicts attached.
+    pub fn finish(mut self, spec: TraceSpec) -> TraceAnalysis {
         self.release();
-        self.analyzer.finish()
+        self.analyzer.finish(spec)
     }
 }
 
@@ -197,15 +184,14 @@ impl TraceSink for FusedSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::table2;
-    use crate::consistency::table10;
-    use crate::figures::all_figures;
-    use crate::overhead::table12;
-    use crate::patterns::table3;
-    use crate::staleness::table11;
     use sdfs_simkit::SimTime;
     use sdfs_trace::merge::merge_vecs;
     use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Pid, RecordKind, UserId};
+
+    const SPEC: TraceSpec = TraceSpec {
+        seed: 7,
+        heavy_sim: false,
+    };
 
     /// A small hand-rolled trace exercising every record kind.
     fn sample_trace() -> Vec<Record> {
@@ -314,54 +300,16 @@ mod tests {
         ]
     }
 
+    /// Both passes return a `TraceAnalysis`, so they compare whole:
+    /// every field, and every float to the bit (`Debug` prints floats in
+    /// shortest round-trip form).
     #[test]
     fn fused_matches_separate_passes() {
         let records = sample_trace();
-        let fused = FusedAnalyzer::analyze(&records);
-
-        let stats = TraceStats::compute(records.iter());
-        assert_eq!(fused.stats.open_events, stats.open_events);
-        assert_eq!(fused.stats.bytes_read_files, stats.bytes_read_files);
-        assert_eq!(fused.stats.bytes_written_files, stats.bytes_written_files);
-
-        let act = table2(&records);
-        assert_eq!(
-            fused.activity.ten_sec_all.max_active_users,
-            act.ten_sec_all.max_active_users
-        );
-        assert_eq!(
-            fused.activity.ten_sec_all.peak_total_throughput,
-            act.ten_sec_all.peak_total_throughput
-        );
-
-        let pat = table3(&records);
-        assert_eq!(fused.patterns.total_accesses(), pat.total_accesses());
-        assert_eq!(fused.patterns.total_bytes(), pat.total_bytes());
-
-        let figs = all_figures(&records);
-        assert_eq!(
-            fused.figures.run_lengths.by_runs.len(),
-            figs.run_lengths.by_runs.len()
-        );
-        assert_eq!(
-            fused.figures.lifetimes.by_files.len(),
-            figs.lifetimes.by_files.len()
-        );
-
-        let t10 = table10(&records);
-        assert_eq!(fused.table10.file_opens, t10.file_opens);
-        assert_eq!(fused.table10.cws_opens, t10.cws_opens);
-        assert_eq!(fused.table10.recall_opens, t10.recall_opens);
-
-        let t11 = table11(&records);
-        assert_eq!(fused.table11.sixty.errors, t11.sixty.errors);
-        assert_eq!(fused.table11.three.errors, t11.three.errors);
-        assert_eq!(fused.table11.sixty.file_opens, t11.sixty.file_opens);
-
-        let t12 = table12(&records);
-        assert_eq!(fused.table12.sprite.alg_rpcs, t12.sprite.alg_rpcs);
-        assert_eq!(fused.table12.modified.alg_bytes, t12.modified.alg_bytes);
-        assert_eq!(fused.table12.token.alg_rpcs, t12.token.alg_rpcs);
+        let fused = FusedAnalyzer::analyze(SPEC, &records);
+        let study = crate::Study::new(crate::StudyConfig::quick());
+        let separate = study.analyze_trace_separate(SPEC, &records);
+        assert_eq!(format!("{fused:?}"), format!("{separate:?}"));
     }
 
     /// Same-timestamp records from servers 2, 0, 1 and 0 reach the
@@ -379,12 +327,13 @@ mod tests {
             emitted.push(rec.clone());
             sink.emit(ServerId(server as u16), rec);
         }
-        let streamed = format!("{:?}", sink.finish());
-        let merged = FusedAnalyzer::analyze(&merge_vecs(per_server));
+        let streamed = format!("{:?}", sink.finish(SPEC));
+        let merged = FusedAnalyzer::analyze(SPEC, &merge_vecs(per_server));
         assert_eq!(streamed, format!("{merged:?}"));
         // The case is order-sensitive: analyzing the emission order as is
         // would give a different result.
-        assert_ne!(streamed, format!("{:?}", FusedAnalyzer::analyze(&emitted)));
+        let as_emitted = FusedAnalyzer::analyze(SPEC, &emitted);
+        assert_ne!(streamed, format!("{as_emitted:?}"));
     }
 
     #[test]
@@ -402,7 +351,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_safe() {
-        let fused = FusedAnalyzer::analyze(&[]);
+        let fused = FusedAnalyzer::analyze(SPEC, &[]);
         assert_eq!(fused.stats.open_events, 0);
         assert_eq!(fused.table10.file_opens, 0);
         assert_eq!(fused.patterns.total_accesses(), 0);

@@ -118,6 +118,25 @@ impl AccessPatterns {
         tally(self, access);
     }
 
+    /// Adds every cell of `other` into this table: the cross-trace
+    /// Table 3 and the scorecard sum the traces' tables.
+    pub fn merge(&mut self, other: &AccessPatterns) {
+        for (row, add) in [
+            (&mut self.read_only, &other.read_only),
+            (&mut self.write_only, &other.write_only),
+            (&mut self.read_write, &other.read_write),
+        ] {
+            for (cell, add) in [
+                (&mut row.whole_file, add.whole_file),
+                (&mut row.other_sequential, add.other_sequential),
+                (&mut row.random, add.random),
+            ] {
+                cell.accesses += add.accesses;
+                cell.bytes += add.bytes;
+            }
+        }
+    }
+
     /// Fraction of *all* transferred bytes that moved sequentially
     /// (whole-file or other-sequential runs) — the paper reports >90%.
     pub fn sequential_byte_fraction(&self) -> f64 {
@@ -302,6 +321,25 @@ mod tests {
         );
         let p = from_accesses(&[whole, random]);
         assert!((p.sequential_byte_fraction() - 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merge_sums_every_cell() {
+        let mut p = AccessPatterns::default();
+        p.read_only.whole_file = Cell {
+            accesses: 1,
+            bytes: 2,
+        };
+        p.write_only.other_sequential.bytes = 3;
+        p.read_write.random.accesses = 4;
+        let mut sum = p.clone();
+        sum.merge(&p);
+        assert_eq!(sum.read_only.whole_file.accesses, 2);
+        assert_eq!(sum.read_only.whole_file.bytes, 4);
+        assert_eq!(sum.write_only.other_sequential.bytes, 6);
+        assert_eq!(sum.read_write.random.accesses, 8);
+        assert_eq!(sum.total_accesses(), 2 * p.total_accesses());
+        assert_eq!(sum.total_bytes(), 2 * p.total_bytes());
     }
 
     #[test]

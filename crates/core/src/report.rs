@@ -176,7 +176,7 @@ pub fn render_table2(traces: &[TraceAnalysis]) -> String {
 pub fn render_table3(traces: &[TraceAnalysis]) -> String {
     let mut merged = crate::patterns::AccessPatterns::default();
     for t in traces {
-        merge_patterns_public(&mut merged, &t.patterns);
+        merged.merge(&t.patterns);
     }
     let mut s = String::new();
     let _ = writeln!(
@@ -217,25 +217,6 @@ pub fn render_table3(traces: &[TraceAnalysis]) -> String {
     s
 }
 
-/// Merges one trace's access-pattern cells into an accumulator (used by
-/// the cross-trace Table 3 and the scorecard).
-pub fn merge_patterns_public(
-    dst: &mut crate::patterns::AccessPatterns,
-    src: &crate::patterns::AccessPatterns,
-) {
-    let add = |d: &mut crate::patterns::TypeRow, s: &crate::patterns::TypeRow| {
-        d.whole_file.accesses += s.whole_file.accesses;
-        d.whole_file.bytes += s.whole_file.bytes;
-        d.other_sequential.accesses += s.other_sequential.accesses;
-        d.other_sequential.bytes += s.other_sequential.bytes;
-        d.random.accesses += s.random.accesses;
-        d.random.bytes += s.random.bytes;
-    };
-    add(&mut dst.read_only, &src.read_only);
-    add(&mut dst.write_only, &src.write_only);
-    add(&mut dst.read_write, &src.read_write);
-}
-
 /// Renders one figure as an ASCII-ish table of curve points.
 pub fn render_figure(fig: &Figure) -> String {
     let mut s = String::new();
@@ -254,11 +235,11 @@ pub fn render_figure(fig: &Figure) -> String {
 }
 
 /// Key quantiles the paper calls out in its figure prose.
-pub fn render_figure_checkpoints(traces: &mut [TraceAnalysis]) -> String {
+pub fn render_figure_checkpoints(traces: &[TraceAnalysis]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Figure checkpoints (measured vs paper prose):");
-    for (i, t) in traces.iter_mut().enumerate() {
-        let f = &mut t.figures;
+    for (i, t) in traces.iter().enumerate() {
+        let f = &t.figures;
         let runs10k = f.run_lengths.by_runs.fraction_below(10_240.0) * 100.0;
         let bytes_1m = 100.0 - f.run_lengths.by_bytes.fraction_below(1_048_576.0) * 100.0;
         let small_files = f.file_sizes.by_accesses.fraction_below(10_240.0) * 100.0;
@@ -623,7 +604,7 @@ pub fn write_figure_csv(fig: &Figure, path: &std::path::Path) -> std::io::Result
 /// Exports every figure of a trace analysis into `dir` as
 /// `fig1.csv`..`fig4.csv`.
 pub fn export_figures(
-    figures: &mut crate::figures::AllFigures,
+    figures: &crate::figures::AllFigures,
     dir: &std::path::Path,
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
     std::fs::create_dir_all(dir)?;
@@ -637,7 +618,7 @@ pub fn export_figures(
 }
 
 /// Renders the whole study.
-pub fn render_all(results: &mut StudyResults) -> String {
+pub fn render_all(results: &StudyResults) -> String {
     let mut s = String::new();
     s.push_str(&render_table1(&results.traces));
     s.push('\n');
@@ -645,13 +626,13 @@ pub fn render_all(results: &mut StudyResults) -> String {
     s.push('\n');
     s.push_str(&render_table3(&results.traces));
     s.push('\n');
-    s.push_str(&render_figure_checkpoints(&mut results.traces));
+    s.push_str(&render_figure_checkpoints(&results.traces));
     s.push('\n');
     s.push_str(&render_cache_tables(results));
     s.push('\n');
     s.push_str(&render_consistency_tables(results));
     s.push('\n');
-    if let Some(first) = results.traces.first_mut() {
+    if let Some(first) = results.traces.first() {
         s.push_str(&crate::bsd::compare(first).render());
         s.push('\n');
     }

@@ -109,14 +109,13 @@ impl SelftraceReport {
 /// maintained, so the study's `cluster.observe` setting does not
 /// change the result.
 pub fn run(study: &Study, spec: TraceSpec) -> SelftraceReport {
-    let run = study.run_trace_full(spec);
-    cross_check(&run)
+    cross_check(spec, &study.run_trace_full(spec))
 }
 
-/// The core pass: encode the run's records through the Sprite-format
-/// codec, decode them back, re-analyze, and compare against the run's
-/// own client counters.
-pub fn cross_check(run: &TraceRun) -> SelftraceReport {
+/// The core pass: encode the records of `spec`'s run through the
+/// Sprite-format codec, decode them back, re-analyze, and compare
+/// against the run's own client counters.
+pub fn cross_check(spec: TraceSpec, run: &TraceRun) -> SelftraceReport {
     // The simulator writes its own trace — through the same codec the
     // `repro trace` command uses for on-disk traces — into memory.
     let mut buf: Vec<u8> = Vec::new();
@@ -135,8 +134,7 @@ pub fn cross_check(run: &TraceRun) -> SelftraceReport {
 
     // Re-run the full fused analysis over the decoded stream, exactly as
     // `repro` analyzes an external trace file.
-    let fused = crate::fused::FusedAnalyzer::analyze(&decoded);
-    let stats = fused.stats;
+    let stats = crate::fused::FusedAnalyzer::analyze(spec, &decoded).stats;
 
     let sum = |key: &str| -> u64 { run.client_counters.iter().map(|c| c.get(key)).sum() };
     let id = |name, analysis, counters| SelftraceIdentity {

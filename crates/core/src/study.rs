@@ -31,7 +31,7 @@ use crate::cache_tables::{
 };
 use crate::consistency::{table10, Table10};
 use crate::figures::{all_figures, AllFigures};
-use crate::fused::{FusedAnalysis, FusedAnalyzer, FusedSink};
+use crate::fused::{FusedAnalyzer, FusedSink};
 use crate::overhead::{table12, Table12};
 use crate::patterns::{table3, AccessPatterns};
 use crate::staleness::{table11, Table11};
@@ -116,7 +116,9 @@ enum Job {
     Trace(usize),
 }
 
-/// Everything computed from one trace.
+/// Everything computed from one trace: what the fused pass
+/// ([`FusedAnalyzer::finish`]) and the separate passes
+/// ([`Study::analyze_trace_separate`]) produce.
 #[derive(Debug, Clone)]
 pub struct TraceAnalysis {
     /// The spec that produced the trace.
@@ -141,24 +143,6 @@ pub struct TraceAnalysis {
     /// Self-measurement report for the cluster run that produced this
     /// trace (`None` unless the study ran with `observe` set).
     pub obs: Option<ObsReport>,
-}
-
-impl TraceAnalysis {
-    /// Wraps one fused pass's results, with no verdicts attached.
-    fn fused(spec: TraceSpec, fused: FusedAnalysis) -> Self {
-        TraceAnalysis {
-            spec,
-            stats: fused.stats,
-            activity: fused.activity,
-            patterns: fused.patterns,
-            figures: fused.figures,
-            table10: fused.table10,
-            table11: fused.table11,
-            table12: fused.table12,
-            sanitizer: None,
-            obs: None,
-        }
-    }
 }
 
 /// Everything one trace run produces besides the analysis: the merged
@@ -251,12 +235,6 @@ impl Study {
         &self.cfg
     }
 
-    /// Synthesizes and executes one trace, returning the merged,
-    /// time-ordered record stream.
-    pub fn run_trace_records(&self, spec: TraceSpec) -> Vec<Record> {
-        self.run_trace_full(spec).records
-    }
-
     /// Synthesizes `spec`'s day and executes it on a fresh cluster whose
     /// servers log into `sink`, through midnight so trailing delayed
     /// writes happen before the trace ends.
@@ -292,7 +270,7 @@ impl Study {
     /// both build on the same streaming state machines — while walking
     /// the record stream once instead of ten times.
     pub fn analyze_trace(&self, spec: TraceSpec, records: &[Record]) -> TraceAnalysis {
-        TraceAnalysis::fused(spec, FusedAnalyzer::analyze(records))
+        FusedAnalyzer::analyze(spec, records)
     }
 
     /// Synthesizes, executes and analyzes one trace without keeping its
@@ -301,12 +279,11 @@ impl Study {
     /// [`Study::run_trace_full`]'s records, with that run's verdicts.
     fn stream_trace(&self, spec: TraceSpec) -> TraceAnalysis {
         let mut cluster = self.simulate_trace(spec, FusedSink::new());
-        let sanitizer = cluster.take_sanitizer_stats();
-        let obs = cluster.take_obs_report();
-        let mut analysis = TraceAnalysis::fused(spec, cluster.into_sink().finish());
-        analysis.sanitizer = sanitizer;
-        analysis.obs = obs;
-        analysis
+        TraceAnalysis {
+            sanitizer: cluster.take_sanitizer_stats(),
+            obs: cluster.take_obs_report(),
+            ..cluster.into_sink().finish(spec)
+        }
     }
 
     /// The original analysis path: one full scan of the record stream
@@ -609,7 +586,7 @@ mod tests {
     fn single_trace_produces_records_and_analysis() {
         let study = quick_study();
         let spec = study.config().traces[0];
-        let records = study.run_trace_records(spec);
+        let records = study.run_trace_full(spec).records;
         assert!(records.len() > 1_000, "got {} records", records.len());
         // Time ordered after merge.
         for w in records.windows(2) {
@@ -663,8 +640,8 @@ mod tests {
     fn deterministic_trace_generation() {
         let study = quick_study();
         let spec = study.config().traces[0];
-        let a = study.run_trace_records(spec);
-        let b = study.run_trace_records(spec);
+        let a = study.run_trace_full(spec).records;
+        let b = study.run_trace_full(spec).records;
         assert_eq!(a.len(), b.len());
         assert_eq!(a.first(), b.first());
         assert_eq!(a.last(), b.last());

@@ -130,9 +130,9 @@ fn figure_cdfs_are_sane() {
     for _ in 0..CASES {
         let records = valid_trace(&mut rng);
         let accesses = reconstruct(&records);
-        let mut rl = run_lengths(&accesses);
-        let mut fs = file_sizes(&accesses);
-        let mut ot = open_times(&accesses);
+        let rl = run_lengths(&accesses);
+        let fs = file_sizes(&accesses);
+        let ot = open_times(&accesses);
         for x in [1.0, 1e3, 1e6, 1e9] {
             for f in [
                 rl.by_runs.fraction_below(x),

@@ -13,7 +13,8 @@
 //!   and weighted CDFs used to build the paper's figures.
 //! * [`counters`] — named counter sets mirroring Sprite's ~50 kernel
 //!   counters.
-//! * [`merge_sorted_by`] — a deterministic k-way merge of sorted streams.
+//! * [`MergeSorted`] — the one deterministic k-way merge of sorted
+//!   streams, lazy, over streams laid end to end in one buffer.
 //! * [`obs`] — self-measurement primitives: span aggregates over
 //!   simulated durations.
 //!
@@ -31,7 +32,7 @@ pub mod time;
 
 pub use counters::CounterSet;
 pub use hash::{FastMap, FastSet};
-pub use merge::merge_sorted_by;
+pub use merge::MergeSorted;
 pub use obs::SpanStat;
 pub use rng::SimRng;
 pub use stats::{LogHistogram, Summary, WeightedCdf};

@@ -132,6 +132,10 @@ pub const CDF_MERGE_AT: usize = 1024;
 /// than half of it, the threshold doubles, so a distribution of mostly
 /// distinct values is not re-sorted for every few samples added.
 ///
+/// Queries take `&self` and read a finished distribution: call
+/// [`WeightedCdf::seal`] after the last sample. A query panics on an
+/// unsealed CDF, one whose buffer holds samples not yet sorted.
+///
 /// Merging is exact when every partial sum of the weights is exact in
 /// `f64`, so that the order of the additions cannot change a bit. That
 /// holds when all weights are integers, or integer multiples of one
@@ -148,6 +152,7 @@ pub const CDF_MERGE_AT: usize = 1024;
 /// let mut sizes = WeightedCdf::new();
 /// sizes.add_weighted(1_000.0, 1_000.0); // a 1 KB file, weighted by bytes
 /// sizes.add_weighted(1_000_000.0, 1_000_000.0); // a 1 MB file
+/// sizes.seal();
 /// // Almost all *bytes* belong to the big file:
 /// assert!(sizes.fraction_below(10_000.0) < 0.01);
 /// ```
@@ -204,14 +209,6 @@ impl WeightedCdf {
         }
     }
 
-    /// Merges another CDF into this one.
-    pub fn merge(&mut self, other: &WeightedCdf) {
-        self.samples.extend_from_slice(&other.samples);
-        self.total_weight += other.total_weight;
-        self.count += other.count;
-        self.sorted = false;
-    }
-
     /// Sorts by value (stably) and merges each run of equal values into
     /// one entry with the run's summed weight.
     fn ensure_sorted(&mut self) {
@@ -230,7 +227,8 @@ impl WeightedCdf {
     }
 
     /// Sorts and merges the samples and releases the buffer's spare
-    /// capacity: what a finished distribution keeps.
+    /// capacity: what a finished distribution keeps, and what every
+    /// query needs.
     pub fn seal(&mut self) {
         self.ensure_sorted();
         self.samples.shrink_to_fit();
@@ -252,11 +250,15 @@ impl WeightedCdf {
     }
 
     /// Returns the fraction of total weight with value `<= x`.
-    pub fn fraction_below(&mut self, x: f64) -> f64 {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CDF is unsealed.
+    pub fn fraction_below(&self, x: f64) -> f64 {
+        assert!(self.sorted, "CDF queried before it was sealed");
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.ensure_sorted();
         let idx = self.samples.partition_point(|&(v, _)| v <= x);
         let below: f64 = self.samples[..idx].iter().map(|&(_, w)| w).sum();
         below / self.total_weight
@@ -267,11 +269,11 @@ impl WeightedCdf {
     ///
     /// # Panics
     ///
-    /// Panics if the CDF is empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> f64 {
+    /// Panics if the CDF is empty or unsealed, or `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> f64 {
+        assert!(self.sorted, "CDF queried before it was sealed");
         assert!(!self.samples.is_empty(), "quantile of empty CDF");
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        self.ensure_sorted();
         let target = q * self.total_weight;
         let mut acc = 0.0;
         for &(v, w) in &self.samples {
@@ -285,7 +287,7 @@ impl WeightedCdf {
 
     /// Evaluates the CDF at each of the given points, returning
     /// `(x, fraction_below)` pairs — the series a figure plots.
-    pub fn curve(&mut self, points: &[f64]) -> Vec<(f64, f64)> {
+    pub fn curve(&self, points: &[f64]) -> Vec<(f64, f64)> {
         points
             .iter()
             .map(|&x| (x, self.fraction_below(x)))
@@ -560,6 +562,7 @@ mod tests {
         c.add_weighted(10.0, 1.0);
         c.add_weighted(20.0, 1.0);
         c.add_weighted(30.0, 2.0);
+        c.seal();
         assert!((c.fraction_below(10.0) - 0.25).abs() < 1e-12);
         assert!((c.fraction_below(25.0) - 0.5).abs() < 1e-12);
         assert_eq!(c.quantile(0.5), 20.0);
@@ -567,14 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn weighted_cdf_merge() {
-        let mut a = WeightedCdf::new();
-        a.add(1.0);
-        let mut b = WeightedCdf::new();
-        b.add(3.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.fraction_below(2.0) - 0.5).abs() < 1e-12);
+    #[should_panic(expected = "CDF queried before it was sealed")]
+    fn weighted_cdf_query_before_seal_panics() {
+        let mut c = WeightedCdf::new();
+        c.add(3.0);
+        c.add(1.0);
+        c.fraction_below(2.0);
     }
 
     #[test]
@@ -583,6 +584,7 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0] {
             c.add(x);
         }
+        c.seal();
         let curve = c.curve(&[0.5, 2.0, 10.0]);
         assert_eq!(curve.len(), 3);
         assert_eq!(curve[0].1, 0.0);

@@ -1,7 +1,7 @@
 //! Randomized tests for the simulation substrate, driven by the crate's
 //! own seeded `SimRng` so the suite is hermetic and reproducible offline.
 
-use sdfs_simkit::{SimDuration, SimRng, SimTime, Summary, WeightedCdf};
+use sdfs_simkit::{MergeSorted, SimDuration, SimRng, SimTime, Summary, WeightedCdf};
 
 const CASES: usize = 256;
 
@@ -96,6 +96,7 @@ fn cdf_monotone_and_normalized() {
         for &(v, w) in &samples {
             cdf.add_weighted(v, w);
         }
+        cdf.seal();
         let mut last = 0.0;
         for i in 0..20 {
             let x = 1e9 * i as f64 / 19.0;
@@ -127,6 +128,7 @@ fn cdf_quantile_inverse() {
         for &v in &samples {
             cdf.add(v);
         }
+        cdf.seal();
         let x = cdf.quantile(q);
         assert!(cdf.fraction_below(x) + 1e-12 >= q);
     }
@@ -170,7 +172,8 @@ impl NaiveCdf {
 /// bytes, bytes / 16): fractions and quantiles equal an unmerged,
 /// stably sorted reference by `to_bits`, on heavily duplicated values and
 /// on mostly distinct ones, at sizes on both sides of the merge
-/// threshold, and with queries made while samples are still arriving.
+/// threshold, and with a seal and a query made while samples are still
+/// arriving.
 #[test]
 fn cdf_merging_matches_a_naive_reference_bit_for_bit() {
     use sdfs_simkit::stats::CDF_MERGE_AT;
@@ -204,11 +207,13 @@ fn cdf_merging_matches_a_naive_reference_bit_for_bit() {
                 for (i, &(v, w)) in samples.iter().enumerate() {
                     cdf.add_weighted(v, w);
                     if i == n / 2 {
-                        // A query mid-stream sorts and merges early.
+                        // A seal mid-stream sorts and merges early.
+                        cdf.seal();
                         let early = NaiveCdf::new(&samples[..=i]);
                         assert_eq!(bits(cdf.fraction_below(v)), bits(early.fraction_below(v)));
                     }
                 }
+                cdf.seal();
                 let naive = NaiveCdf::new(&samples);
                 let case = format!("n {n}, {distinct} values, weights {weights}");
                 assert_eq!(cdf.len(), n, "{case}");
@@ -231,11 +236,39 @@ fn cdf_merging_matches_a_naive_reference_bit_for_bit() {
                         "{case}: quantile({q})"
                     );
                 }
-                cdf.seal();
-                assert_eq!(bits(cdf.quantile(0.5)), bits(naive.quantile(0.5)), "{case}");
             }
         }
     }
+}
+
+/// The merge of streams laid end to end equals a stable sort of the
+/// whole buffer, item for item (each item carries its buffer position),
+/// over many streams of few distinct keys, so ties across streams are
+/// common.
+#[test]
+fn merge_equals_a_stable_sort_of_the_buffer() {
+    let mut rng = SimRng::seed_from_u64(0x4d45_5247);
+    let mut ties = 0;
+    for _ in 0..CASES {
+        let mut keys: Vec<u64> = Vec::new();
+        let mut starts = Vec::new();
+        for _ in 0..rng.range(1, 9) {
+            starts.push(keys.len());
+            keys.extend((0..rng.below(12)).map(|_| rng.below(5)));
+            keys[*starts.last().expect("a stream")..].sort_unstable();
+        }
+        let items: Vec<(u64, usize)> = keys.into_iter().zip(0..).collect();
+        let mut want = items.clone();
+        want.sort_by_key(|&(k, _)| k);
+        let stream = |i: usize| starts.partition_point(|&s| s <= i);
+        ties += want
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && stream(w[0].1) != stream(w[1].1))
+            .count();
+        let got: Vec<(u64, usize)> = MergeSorted::new(items, &starts, |&(k, _)| k).collect();
+        assert_eq!(got, want, "streams start at {starts:?}");
+    }
+    assert!(ties > 0, "the sample must tie keys across streams");
 }
 
 /// The RNG's bounded draw stays in bounds, for any bound.

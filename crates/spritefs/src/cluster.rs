@@ -464,7 +464,6 @@ impl<S: TraceSink> Cluster<S> {
     /// daemons to `end` so trailing delayed writes and samples happen.
     pub fn run<I: IntoIterator<Item = AppOp>>(&mut self, ops: I, end: SimTime) {
         for op in ops {
-            self.advance_to(op.time);
             self.apply(&op);
         }
         self.advance_to(end);
@@ -680,13 +679,8 @@ impl<S: TraceSink> Cluster<S> {
         }
         // Stamp what reached disk before the volatile state vanishes.
         self.drain_disk_flush_logs();
-        let mut lost_blocks = Vec::new();
-        let mut saved_blocks = Vec::new();
-        let lost = self.servers[si].crash(
-            &mut lost_blocks,
-            self.cfg.server_nvram_bytes,
-            &mut saved_blocks,
-        );
+        let (lost_blocks, saved_blocks) = self.servers[si].crash(self.cfg.server_nvram_bytes);
+        let lost: u64 = lost_blocks.iter().map(|&(_, b)| b).sum();
         let saved: u64 = saved_blocks.iter().map(|&(_, b)| b).sum();
         if let Some(san) = self.san.as_deref_mut() {
             for &(key, _) in &lost_blocks {

@@ -114,6 +114,10 @@ impl SrvFileState {
     }
 }
 
+/// Dirty blocks a crash destroyed or saved, each with its accumulated
+/// application bytes ([`Server::crash`]).
+pub type CrashBlocks = Vec<(BlockKey, u64)>;
+
 /// One file server.
 #[derive(Debug)]
 pub struct Server {
@@ -165,27 +169,23 @@ impl Server {
     }
 
     /// A power failure: the volatile block cache and all per-client
-    /// consistency state vanish; only what reached disk survives. Dirty
-    /// cached blocks are destroyed — each is appended to `lost` with its
-    /// accumulated application bytes — and the total lost bytes are
-    /// returned. Counters survive (they model the tracing daemon's
-    /// stable log, and wiping them would break campaign accounting).
+    /// consistency state vanish; only what reached disk survives.
+    /// Returns `(lost, saved)`: the dirty cached blocks destroyed, and
+    /// those the write buffer saved, each with its accumulated
+    /// application bytes. Counters survive (they model the tracing
+    /// daemon's stable log, and wiping them would break campaign
+    /// accounting).
     ///
     /// `nvram_bytes` models a battery-backed write buffer
     /// ([`crate::Config::server_nvram_bytes`]): the most recently
     /// written `nvram_bytes` of dirty data (by each block's last write,
-    /// ties by key) survive the crash — appended to `saved` instead of
-    /// `lost` — and replay to disk at reboot, so they are as durable as
-    /// a disk flush. With a buffer at least as large as the dirty
-    /// working set, crash loss drops to zero while the delayed-write
-    /// traffic savings are untouched (the buffer only matters at crash
-    /// time).
-    pub fn crash(
-        &mut self,
-        lost: &mut Vec<(BlockKey, u64)>,
-        nvram_bytes: u64,
-        saved: &mut Vec<(BlockKey, u64)>,
-    ) -> u64 {
+    /// ties by key) survive the crash — returned in `saved`, newest
+    /// first, instead of `lost` — and replay to disk at reboot, so they
+    /// are as durable as a disk flush. With a buffer at least as large
+    /// as the dirty working set, crash loss drops to zero while the
+    /// delayed-write traffic savings are untouched (the buffer only
+    /// matters at crash time).
+    pub fn crash(&mut self, nvram_bytes: u64) -> (CrashBlocks, CrashBlocks) {
         let mut dirty = Vec::new();
         for file in self.cache.files_with_dirty_before(SimTime::MAX) {
             for index in self.cache.dirty_blocks_of(file) {
@@ -198,22 +198,23 @@ impl Server {
         // writes — sit at the tail: move entries from the tail to
         // `saved` until the buffer budget runs out.
         dirty.sort_unstable_by_key(|&(written, key, _)| (written, key));
-        let first_lost = lost.len();
-        lost.extend(dirty.iter().map(|&(_, key, bytes)| (key, bytes)));
+        let mut lost: CrashBlocks = dirty
+            .into_iter()
+            .map(|(_, key, bytes)| (key, bytes))
+            .collect();
+        let mut saved = Vec::new();
         let mut budget = nvram_bytes;
-        while nvram_bytes > 0 && lost.len() > first_lost {
-            let &(_, bytes) = lost.last().expect("tail entry");
-            if bytes > budget {
+        while let Some(&(_, bytes)) = lost.last() {
+            if nvram_bytes == 0 || bytes > budget {
                 break;
             }
             budget -= bytes;
-            saved.push(lost.pop().expect("tail entry"));
+            saved.extend(lost.pop());
         }
-        let lost_bytes = lost[first_lost..].iter().map(|&(_, b)| b).sum();
         self.cache = BlockCache::new();
         self.files.clear();
         self.disk_flush_log.clear();
-        lost_bytes
+        (lost, saved)
     }
 
     /// Mutable access to the consistency state for `file`, creating it on
@@ -403,18 +404,13 @@ mod tests {
         assert_eq!(srv.take_disk_flush_log(), vec![key(1, 0)]);
         srv.file_state(FileId(2)).last_writer = Some(ClientId(3));
 
-        let mut lost = Vec::new();
-        let mut saved = Vec::new();
-        let lost_bytes = srv.crash(&mut lost, 0, &mut saved);
+        let (lost, saved) = srv.crash(0);
         assert_eq!(lost, vec![(key(2, 0), 4096)], "unflushed block destroyed");
-        assert_eq!(lost_bytes, 4096);
         assert!(saved.is_empty(), "no NVRAM, nothing saved");
         assert!(srv.cache.is_empty(), "volatile cache gone");
         assert!(srv.files.is_empty(), "consistency state gone");
         // A second crash right after loses nothing.
-        let mut lost2 = Vec::new();
-        assert_eq!(srv.crash(&mut lost2, 0, &mut saved), 0);
-        assert!(lost2.is_empty());
+        assert_eq!(srv.crash(0), (vec![], vec![]));
     }
 
     #[test]
@@ -425,22 +421,16 @@ mod tests {
         srv.accept_write(key(3, 0), 4096, t(90));
 
         // A one-block buffer carries the newest write across the crash.
-        let mut lost = Vec::new();
-        let mut saved = Vec::new();
-        let lost_bytes = srv.crash(&mut lost, 4096, &mut saved);
-        assert_eq!(lost_bytes, 8192);
-        assert_eq!(lost.len(), 2);
+        let (lost, saved) = srv.crash(4096);
+        assert_eq!(lost, vec![(key(1, 0), 4096), (key(2, 0), 4096)]);
         assert_eq!(saved, vec![(key(3, 0), 4096)], "newest dirty block saved");
 
         // A buffer bigger than the dirty set drops loss to zero.
         srv.accept_write(key(1, 0), 4096, t(200));
         srv.accept_write(key(2, 0), 4096, t(210));
-        let mut lost = Vec::new();
-        let mut saved = Vec::new();
-        let lost_bytes = srv.crash(&mut lost, 1 << 20, &mut saved);
-        assert_eq!(lost_bytes, 0);
+        let (lost, saved) = srv.crash(1 << 20);
         assert!(lost.is_empty());
-        assert_eq!(saved.len(), 2);
+        assert_eq!(saved, vec![(key(2, 0), 4096), (key(1, 0), 4096)]);
     }
 
     #[test]
@@ -463,9 +453,7 @@ mod tests {
         let mut srv = Server::new(ServerId(0), 1 << 20);
         srv.accept_write(key(3, 0), 4096, t(0));
         srv.accept_write(key(1, 0), 4096, t(50));
-        let mut lost = Vec::new();
-        let mut saved = Vec::new();
-        assert_eq!(srv.crash(&mut lost, 4096, &mut saved), 4096);
+        let (lost, saved) = srv.crash(4096);
         assert_eq!(saved, vec![(key(1, 0), 4096)], "t=50 write saved");
         assert_eq!(lost, vec![(key(3, 0), 4096)], "t=0 write lost");
     }

@@ -90,11 +90,15 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Reads records from a binary trace stream.
+/// Reads records from a binary trace stream, in the non-decreasing
+/// time order [`TraceWriter`] enforces.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     inner: R,
     errored: bool,
+    /// Records read so far.
+    count: u64,
+    last_time: SimTime,
 }
 
 impl TraceReader<BufReader<File>> {
@@ -112,12 +116,26 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader {
             inner,
             errored: false,
+            count: 0,
+            last_time: SimTime::ZERO,
         })
     }
 
-    /// Reads the next record, or `Ok(None)` at end of stream.
+    /// Reads the next record, or `Ok(None)` at end of stream. A record
+    /// earlier than the one before it is [`TraceError::Corrupt`].
     pub fn read(&mut self) -> Result<Option<Record>> {
-        codec::read_record(&mut self.inner)
+        let Some(rec) = codec::read_record(&mut self.inner)? else {
+            return Ok(None);
+        };
+        if rec.time < self.last_time {
+            return Err(TraceError::Corrupt(format!(
+                "record {} at {} follows one at {}",
+                self.count, rec.time, self.last_time
+            )));
+        }
+        self.last_time = rec.time;
+        self.count += 1;
+        Ok(Some(rec))
     }
 }
 

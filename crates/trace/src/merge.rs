@@ -5,15 +5,22 @@
 //! removed records caused by the tracing itself and by the nightly tape
 //! backup. [`merge_vecs`] is the k-way merge; [`Scrub`] is the filter.
 
-use sdfs_simkit::{merge_sorted_by, FastSet};
+use sdfs_simkit::{FastSet, MergeSorted};
 
 use crate::ids::UserId;
 use crate::record::Record;
 
 /// Merges per-server record vectors, each itself time-ordered, into one
 /// time-ordered vector. Ties break by source index, then input order.
+/// The sources are laid end to end in one buffer for the merge.
 pub fn merge_vecs(sources: Vec<Vec<Record>>) -> Vec<Record> {
-    merge_sorted_by(sources, |r| r.time)
+    let mut records = Vec::with_capacity(sources.iter().map(Vec::len).sum());
+    let mut starts = Vec::with_capacity(sources.len());
+    for source in sources {
+        starts.push(records.len());
+        records.extend(source);
+    }
+    MergeSorted::new(records, &starts, |r| r.time).collect()
 }
 
 /// Removes records that are artifacts of measurement or maintenance: the

@@ -5,6 +5,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use sdfs_simkit::SimTime;
+use sdfs_trace::codec::{write_magic, write_record};
 use sdfs_trace::file::read_all;
 use sdfs_trace::merge::merge_vecs;
 use sdfs_trace::{ClientId, FileId, Pid, Record, RecordKind, TraceWriter, UserId};
@@ -96,6 +97,45 @@ fn merge_into_one_of_its_inputs() {
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
     let merged = merged.expect("merged trace reads back");
     assert!(merged == merge_vecs(vec![ra, rb]), "merge differs");
+}
+
+/// A trace whose second record (1 s) is earlier than its first (5 s),
+/// which `TraceWriter` would refuse, is corrupt on read: `stats`
+/// fails, and so does `merge B A B`, before it creates B, so input B
+/// keeps its bytes.
+#[test]
+fn a_trace_whose_time_goes_backwards_is_rejected_before_any_output() {
+    let (a, b) = (temp_trace("backwards-a"), temp_trace("backwards-b"));
+    let mut bytes = Vec::new();
+    write_magic(&mut bytes).expect("magic");
+    for rec in [create(5_000, 1, 1), create(1_000, 1, 2)] {
+        write_record(&mut bytes, &rec).expect("record");
+    }
+    std::fs::write(&a, bytes).expect("write crafted trace");
+    write_trace(&b, &[create(2_000, 2, 3), create(3_000, 2, 4)]);
+    let b_before = std::fs::read(&b).expect("read B");
+
+    let tracetool = |args: &[&Path]| {
+        Command::new(env!("CARGO_BIN_EXE_tracetool"))
+            .args(args)
+            .output()
+            .expect("run tracetool")
+    };
+    let stats = tracetool(&[Path::new("stats"), &a]);
+    let merge = tracetool(&[Path::new("merge"), &b, &a, &b]);
+    let b_after = std::fs::read(&b).expect("read B again");
+    std::fs::remove_file(&a).ok();
+    std::fs::remove_file(&b).ok();
+
+    for (cmd, out) in [("stats", &stats), ("merge", &merge)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("record 1 at 00:00:01.000000 follows one at 00:00:05.000000"),
+            "{cmd}: {stderr}"
+        );
+    }
+    assert!(b_after == b_before, "merge rewrote its input B");
 }
 
 /// Runs tracetool with `extra` after a real two-record trace and a

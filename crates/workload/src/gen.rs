@@ -8,10 +8,7 @@
 //! within a session they alternate application bursts and think time;
 //! the two heavy simulation users (when enabled) grind all day.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
-
-use sdfs_simkit::{SimDuration, SimRng, SimTime};
+use sdfs_simkit::{MergeSorted, SimDuration, SimRng, SimTime};
 use sdfs_spritefs::ops::AppOp;
 use sdfs_trace::{ClientId, FileId, Pid, UserId};
 
@@ -119,7 +116,7 @@ impl Generator {
     /// time of every stream concatenated would give.
     pub fn generate_day(&mut self, day: u32) -> DayOps {
         let (ops, starts) = self.generate_streams(day);
-        DayOps::merge(ops, &starts)
+        merge_streams(ops, &starts)
     }
 
     /// One day's operations stream by stream, each stream unsorted:
@@ -408,74 +405,24 @@ impl Generator {
 }
 
 /// One day's operations in time order, merged from the day's streams
-/// as [`Cluster::run`](sdfs_spritefs::Cluster::run) pulls them.
-///
-/// Each stream (a present user's sessions, or the daemon's
-/// housekeeping) is generated on its own and stably sorted by time in
-/// place, so no sort spans the whole day. The merge takes the earliest
-/// stream head through a binary heap keyed by `(time, stream)`: a time
-/// tie across streams goes to the earlier stream, and one within a
-/// stream to the earlier position. The streams lie in the buffer in
-/// stream order, so this is exactly the order a stable sort of the
-/// whole buffer by time gives.
-#[derive(Debug, Clone)]
-pub struct DayOps {
-    ops: Vec<AppOp>,
-    /// Per stream: the index of its next operation, and its end.
-    cursors: Vec<(usize, usize)>,
-    /// The head of every unfinished stream, as `(time, stream)`.
-    heads: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Operations not yet taken.
-    left: usize,
-}
+/// as [`Cluster::run`](sdfs_spritefs::Cluster::run) pulls them: each
+/// stream (a present user's sessions, or the daemon's housekeeping) is
+/// generated on its own and stably sorted by time in place, so no sort
+/// spans the whole day, and simkit's one merge takes the earliest
+/// stream head. The streams stay in the one buffer they were generated
+/// into, so the day is exactly what a stable sort of that buffer by
+/// time gives.
+pub type DayOps = MergeSorted<AppOp, SimTime>;
 
-impl DayOps {
-    /// Stably sorts each stream of `ops` by time (stream `s` starts at
-    /// `starts[s]` and ends where the next starts) and readies the merge.
-    fn merge(mut ops: Vec<AppOp>, starts: &[usize]) -> DayOps {
-        let ends = starts.iter().skip(1).copied().chain([ops.len()]);
-        let cursors: Vec<(usize, usize)> = starts.iter().copied().zip(ends).collect();
-        let mut heads = BinaryHeap::with_capacity(cursors.len());
-        for (s, &(start, end)) in cursors.iter().enumerate() {
-            let stream = &mut ops[start..end];
-            stream.sort_by_key(|op| op.time);
-            if let Some(first) = stream.first() {
-                heads.push(Reverse((first.time, s)));
-            }
-        }
-        DayOps {
-            left: ops.len(),
-            ops,
-            cursors,
-            heads,
-        }
+/// Stably sorts each stream of `ops` by time (stream `s` starts at
+/// `starts[s]` and ends where the next starts) and readies their merge.
+fn merge_streams(mut ops: Vec<AppOp>, starts: &[usize]) -> DayOps {
+    let ends = starts.iter().skip(1).copied().chain([ops.len()]);
+    for (&start, end) in starts.iter().zip(ends) {
+        ops[start..end].sort_by_key(|op| op.time);
     }
+    MergeSorted::new(ops, starts, |op| op.time)
 }
-
-impl Iterator for DayOps {
-    type Item = AppOp;
-
-    fn next(&mut self) -> Option<AppOp> {
-        let mut head = self.heads.peek_mut()?;
-        let Reverse((_, s)) = *head;
-        let cursor = &mut self.cursors[s];
-        let op = self.ops[cursor.0].clone();
-        cursor.0 += 1;
-        if cursor.0 < cursor.1 {
-            *head = Reverse((self.ops[cursor.0].time, s));
-        } else {
-            PeekMut::pop(head);
-        }
-        self.left -= 1;
-        Some(op)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl ExactSizeIterator for DayOps {}
 
 #[cfg(test)]
 mod tests {
@@ -699,7 +646,7 @@ mod tests {
                 kind: OpKind::ProcExit,
             })
             .collect();
-        let got: Vec<u32> = DayOps::merge(ops.clone(), &starts)
+        let got: Vec<u32> = merge_streams(ops.clone(), &starts)
             .map(|op| op.pid.raw())
             .collect();
         let want = reference_order(ops, &starts);

@@ -21,8 +21,10 @@
 //! [`config::WorkloadConfig`] (including its seed). Day-by-day generation
 //! ([`gen::Generator::generate_day`]) keeps memory bounded for the
 //! two-week counter runs. Each user's day, and the housekeeping daemon's,
-//! is generated and sorted on its own; the day's [`gen::DayOps`] merges
-//! them in time order as the cluster takes operations, in exactly the
+//! is generated into one buffer and sorted on its own; the day's
+//! [`gen::DayOps`] is simkit's one k-way merge
+//! ([`sdfs_simkit::MergeSorted`]) over that buffer, which yields the
+//! operations in time order as the cluster takes them, in exactly the
 //! order a stable sort of the whole day would give.
 
 pub mod apps;

@@ -26,7 +26,7 @@ fn main() {
         heavy_sim: false,
     };
     eprintln!("generating trace...");
-    let records = study.run_trace_records(spec);
+    let records = study.run_trace_full(spec).records;
     eprintln!("{} records", records.len());
 
     println!("Stale-data errors vs polling interval (Table 11 extended):");

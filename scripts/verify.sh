@@ -73,6 +73,21 @@ echo "==> selftrace: repro --quick selftrace (round trip exact, identities agree
 grep -q "round trip exact" /tmp/verify_selftrace.txt
 grep -q "Self-trace verdict: agree" /tmp/verify_selftrace.txt
 
+echo "==> tracetool: a generated trace merged with itself (tracetool merge M T T) doubles every events/shared count tracetool stats prints"
+./target/release/repro --quick --traces 1 --days 0 gen-trace /tmp/verify_trace.bin 2> /dev/null
+./target/release/tracetool merge /tmp/verify_trace_merged.bin /tmp/verify_trace.bin /tmp/verify_trace.bin 2> /dev/null
+./target/release/tracetool stats /tmp/verify_trace.bin /tmp/verify_trace_merged.bin > /tmp/verify_tracetool_stats.txt
+python3 - /tmp/verify_tracetool_stats.txt <<'PYEOF'
+import re, sys
+lines = [l for l in open(sys.argv[1]) if l.lstrip().startswith(("events:", "shared:"))]
+assert len(lines) == 4, f"expected events and shared lines for T and M, got {lines}"
+for t_line, m_line in zip(lines[:2], lines[2:]):
+    t = [int(n) for n in re.findall(r"\d+", t_line)]
+    m = [int(n) for n in re.findall(r"\d+", m_line)]
+    assert sum(t) > 0, f"trace counts are all zero: {t_line}"
+    assert m == [2 * n for n in t], f"merged counts {m} are not twice {t}"
+PYEOF
+
 echo "==> cli: unknown subcommand exits 2 with usage"
 set +e
 ./target/release/repro frobnicate > /dev/null 2> /tmp/verify_usage.txt

@@ -12,10 +12,12 @@ use sdfs_workload::TraceSpec;
 fn records() -> Vec<sdfs_trace::Record> {
     let mut cfg = StudyConfig::quick();
     cfg.workload.activity_scale = 0.8;
-    Study::new(cfg).run_trace_records(TraceSpec {
-        seed: 21,
-        heavy_sim: false,
-    })
+    Study::new(cfg)
+        .run_trace_full(TraceSpec {
+            seed: 21,
+            heavy_sim: false,
+        })
+        .records
 }
 
 #[test]
@@ -40,7 +42,7 @@ fn most_accesses_are_read_only_and_sequential() {
 fn small_files_dominate_accesses_but_large_files_dominate_bytes() {
     let recs = records();
     let accesses = reconstruct(&recs);
-    let mut fs = file_sizes(&accesses);
+    let fs = file_sizes(&accesses);
     let small_access = fs.by_accesses.fraction_below(10_240.0);
     let small_bytes = fs.by_bytes.fraction_below(10_240.0);
     assert!(
@@ -59,7 +61,7 @@ fn small_files_dominate_accesses_but_large_files_dominate_bytes() {
 fn runs_are_short_but_long_runs_carry_bytes() {
     let recs = records();
     let accesses = reconstruct(&recs);
-    let mut rl = run_lengths(&accesses);
+    let rl = run_lengths(&accesses);
     let short_runs = rl.by_runs.fraction_below(10_240.0);
     assert!(short_runs > 0.6, "most runs are short: {short_runs}");
     let big_byte_share = 1.0 - rl.by_bytes.fraction_below(1_048_576.0);
@@ -73,7 +75,7 @@ fn runs_are_short_but_long_runs_carry_bytes() {
 fn opens_are_brief() {
     let recs = records();
     let accesses = reconstruct(&recs);
-    let mut ot = open_times(&accesses);
+    let ot = open_times(&accesses);
     let quick = ot.fraction_below(0.25);
     // Paper: ~75% under a quarter second. Accept a broad band.
     assert!((0.5..0.98).contains(&quick), "opens under 0.25 s: {quick}");
@@ -86,8 +88,7 @@ fn opens_are_brief() {
 fn deleted_files_are_young_but_deleted_bytes_are_older() {
     let recs = records();
     let figs = all_figures(&recs);
-    let mut by_files = figs.lifetimes.by_files.clone();
-    let mut by_bytes = figs.lifetimes.by_bytes.clone();
+    let (by_files, by_bytes) = (&figs.lifetimes.by_files, &figs.lifetimes.by_bytes);
     assert!(by_files.len() > 50, "enough deletions to measure");
     let files_young = by_files.fraction_below(30.0);
     let bytes_young = by_bytes.fraction_below(30.0);
@@ -106,10 +107,12 @@ fn migration_increases_burst_intensity() {
     let mut cfg = StudyConfig::quick();
     cfg.workload.activity_scale = 0.8;
     cfg.workload.migration_fraction = 0.5;
-    let recs = Study::new(cfg).run_trace_records(TraceSpec {
-        seed: 23,
-        heavy_sim: false,
-    });
+    let recs = Study::new(cfg)
+        .run_trace_full(TraceSpec {
+            seed: 23,
+            heavy_sim: false,
+        })
+        .records;
     let all = analyze_activity(&recs, SimDuration::from_mins(10), false);
     let mig = analyze_activity(&recs, SimDuration::from_mins(10), true);
     if mig.throughput_per_user.count() > 10 {

@@ -287,8 +287,8 @@ fn json_key_paths(doc: &str) -> Vec<String> {
 
 #[test]
 fn obs_json_schema_matches_golden() {
-    // The `obs --json` document is machine-read by scripts/verify.sh
-    // and external dashboards, so its key set AND ordering are a
+    // The `obs --json` document is for machines to read (dashboards
+    // and other external tools), so its key set AND ordering are a
     // contract. The golden file holds one key path per line; a drift
     // shows up as a readable line diff, not a wall of JSON.
     let out = repro(&["--quick", "--traces", "1", "--days", "1", "obs", "--json"]);

@@ -262,10 +262,12 @@ fn generated_traces_show_paper_scale_consistency_rates() {
     cfg.workload.num_users = 32;
     cfg.workload.sharing_scale = 3.0;
     let study = Study::new(cfg);
-    let records = study.run_trace_records(TraceSpec {
-        seed: 11,
-        heavy_sim: false,
-    });
+    let records = study
+        .run_trace_full(TraceSpec {
+            seed: 11,
+            heavy_sim: false,
+        })
+        .records;
     let t10 = table10(&records);
     assert!(t10.file_opens > 1_000);
     // The paper: CWS 0.18-0.56% of opens, recalls 0.79-3.35%. Allow a
@@ -285,10 +287,12 @@ fn generated_traces_show_paper_scale_consistency_rates() {
 #[test]
 fn shorter_polling_intervals_reduce_errors() {
     let study = Study::new(StudyConfig::quick());
-    let records = study.run_trace_records(TraceSpec {
-        seed: 12,
-        heavy_sim: false,
-    });
+    let records = study
+        .run_trace_full(TraceSpec {
+            seed: 12,
+            heavy_sim: false,
+        })
+        .records;
     let e60 = simulate_polling(&records, SimDuration::from_secs(60));
     let e3 = simulate_polling(&records, SimDuration::from_secs(3));
     assert!(
@@ -302,10 +306,12 @@ fn shorter_polling_intervals_reduce_errors() {
 #[test]
 fn sprite_overhead_is_exactly_unity() {
     let study = Study::new(StudyConfig::quick());
-    let records = study.run_trace_records(TraceSpec {
-        seed: 13,
-        heavy_sim: false,
-    });
+    let records = study
+        .run_trace_full(TraceSpec {
+            seed: 13,
+            heavy_sim: false,
+        })
+        .records;
     let r = simulate(&records, Algorithm::Sprite);
     if r.app_events > 0 {
         assert!((r.bytes_ratio() - 1.0).abs() < 1e-9);

@@ -24,8 +24,7 @@ fn render_with_parallelism(workers: usize) -> String {
     let mut cfg = quick_config();
     cfg.parallelism = workers;
     let study = Study::new(cfg);
-    let mut results = study.run_all();
-    report::render_all(&mut results)
+    report::render_all(&study.run_all())
 }
 
 fn hash_of(s: &str) -> u64 {

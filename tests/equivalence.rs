@@ -31,7 +31,7 @@ fn results_via(study: &Study, fused: bool) -> StudyResults {
         .traces
         .iter()
         .map(|&spec| {
-            let records = study.run_trace_records(spec);
+            let records = study.run_trace_full(spec).records;
             if fused {
                 study.analyze_trace(spec, &records)
             } else {
@@ -61,10 +61,8 @@ fn results_via(study: &Study, fused: bool) -> StudyResults {
 #[test]
 fn fused_and_separate_paths_render_identically() {
     let study = small_study();
-    let mut via_fused = results_via(&study, true);
-    let mut via_separate = results_via(&study, false);
-    let rendered_fused = report::render_all(&mut via_fused);
-    let rendered_separate = report::render_all(&mut via_separate);
+    let rendered_fused = report::render_all(&results_via(&study, true));
+    let rendered_separate = report::render_all(&results_via(&study, false));
     assert!(
         !rendered_fused.is_empty(),
         "report must render something"
@@ -81,11 +79,9 @@ fn run_all_uses_the_fused_path_faithfully() {
     // `run_all` (work-stealing scheduler + fused analysis) must agree
     // with a by-hand serial assembly of the same study.
     let study = small_study();
-    let mut from_run_all = study.run_all();
-    let mut by_hand = results_via(&study, true);
     assert_eq!(
-        report::render_all(&mut from_run_all),
-        report::render_all(&mut by_hand),
+        report::render_all(&study.run_all()),
+        report::render_all(&results_via(&study, true)),
         "run_all must render identically to a serial fused assembly"
     );
 }
@@ -126,25 +122,21 @@ fn streamed_analysis_equals_the_materialised_trace_at_paper_scale() {
 /// Every figure CDF of `traces` at full precision (`Debug` floats): the
 /// curve on its rendered grid, 33 quantiles, and the fraction at or
 /// below each quantile.
-fn figure_cdfs(traces: &mut [TraceAnalysis]) -> String {
+fn figure_cdfs(traces: &[TraceAnalysis]) -> String {
     let size_grid = log_points(100.0, 100e6, 4);
     let time_grid = log_points(0.01, 1e6, 4);
     let open_grid = log_points(0.001, 1e4, 4);
     let mut out = String::new();
     for t in traces {
-        let f = &mut t.figures;
-        let cdfs: [(&str, &mut WeightedCdf, &[f64]); 7] = [
-            ("fig1 by runs", &mut f.run_lengths.by_runs, &size_grid),
-            ("fig1 by bytes", &mut f.run_lengths.by_bytes, &size_grid),
-            (
-                "fig2 by accesses",
-                &mut f.file_sizes.by_accesses,
-                &size_grid,
-            ),
-            ("fig2 by bytes", &mut f.file_sizes.by_bytes, &size_grid),
-            ("fig3", &mut f.open_times, &open_grid),
-            ("fig4 by files", &mut f.lifetimes.by_files, &time_grid),
-            ("fig4 by bytes", &mut f.lifetimes.by_bytes, &time_grid),
+        let f = &t.figures;
+        let cdfs: [(&str, &WeightedCdf, &[f64]); 7] = [
+            ("fig1 by runs", &f.run_lengths.by_runs, &size_grid),
+            ("fig1 by bytes", &f.run_lengths.by_bytes, &size_grid),
+            ("fig2 by accesses", &f.file_sizes.by_accesses, &size_grid),
+            ("fig2 by bytes", &f.file_sizes.by_bytes, &size_grid),
+            ("fig3", &f.open_times, &open_grid),
+            ("fig4 by files", &f.lifetimes.by_files, &time_grid),
+            ("fig4 by bytes", &f.lifetimes.by_bytes, &time_grid),
         ];
         for (name, cdf, grid) in cdfs {
             let _ = writeln!(
@@ -175,8 +167,7 @@ fn figure_cdfs(traces: &mut [TraceAnalysis]) -> String {
 /// to every bit.
 #[test]
 fn figure_cdfs_match_the_golden_to_every_bit() {
-    let mut traces = Study::new(StudyConfig::quick()).run_traces();
-    let got = figure_cdfs(&mut traces);
+    let got = figure_cdfs(&Study::new(StudyConfig::quick()).run_traces());
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/golden/quick_figure_cdfs.txt"

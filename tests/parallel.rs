@@ -33,8 +33,7 @@ fn quick_config(workers: usize) -> StudyConfig {
 
 fn render_with_workers(workers: usize) -> String {
     let study = Study::new(quick_config(workers));
-    let mut results = study.run_all();
-    report::render_all(&mut results)
+    report::render_all(&study.run_all())
 }
 
 /// `Debug` renders every float in its shortest round-trip form, so two

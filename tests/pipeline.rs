@@ -19,10 +19,12 @@ fn tiny_study() -> Study {
 #[test]
 fn trace_round_trips_through_the_binary_format() {
     let study = tiny_study();
-    let records = study.run_trace_records(TraceSpec {
-        seed: 5,
-        heavy_sim: false,
-    });
+    let records = study
+        .run_trace_full(TraceSpec {
+            seed: 5,
+            heavy_sim: false,
+        })
+        .records;
     assert!(records.len() > 500);
     let bytes = to_bytes(&records).expect("encode");
     let back = from_bytes(&bytes).expect("decode");
@@ -32,10 +34,12 @@ fn trace_round_trips_through_the_binary_format() {
 #[test]
 fn merged_trace_is_time_ordered_and_consistent() {
     let study = tiny_study();
-    let records = study.run_trace_records(TraceSpec {
-        seed: 6,
-        heavy_sim: false,
-    });
+    let records = study
+        .run_trace_full(TraceSpec {
+            seed: 6,
+            heavy_sim: false,
+        })
+        .records;
     for w in records.windows(2) {
         assert!(w[0].time <= w[1].time, "merge must be time ordered");
     }
@@ -67,10 +71,12 @@ fn count_unclosed(records: &[sdfs_trace::Record]) -> u64 {
 #[test]
 fn accesses_reconstruct_with_conserved_bytes() {
     let study = tiny_study();
-    let records = study.run_trace_records(TraceSpec {
-        seed: 7,
-        heavy_sim: false,
-    });
+    let records = study
+        .run_trace_full(TraceSpec {
+            seed: 7,
+            heavy_sim: false,
+        })
+        .records;
     let accesses = reconstruct(&records);
     assert!(!accesses.is_empty());
     // Total bytes from closes must equal total bytes from accesses.
@@ -93,10 +99,12 @@ fn accesses_reconstruct_with_conserved_bytes() {
 #[test]
 fn scrubbing_removes_a_user_completely() {
     let study = tiny_study();
-    let records = study.run_trace_records(TraceSpec {
-        seed: 8,
-        heavy_sim: false,
-    });
+    let records = study
+        .run_trace_full(TraceSpec {
+            seed: 8,
+            heavy_sim: false,
+        })
+        .records;
     let victim = records[0].user;
     let scrub = Scrub::new().exclude_user(victim);
     let kept: Vec<_> = scrub.filter(records.iter().cloned()).collect();
@@ -139,7 +147,7 @@ fn cluster_time_is_monotone_through_daemons() {
         seed: 9,
         heavy_sim: false,
     };
-    let records = study.run_trace_records(spec);
+    let records = study.run_trace_full(spec).records;
     let last = records.last().expect("records").time;
     assert!(last <= SimTime::from_secs(86_400), "trace fits in a day");
 }
