@@ -10,79 +10,72 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// A lazy merge of streams laid end to end in one buffer, each sorted
-/// by `key`.
+/// A lazy merge of streams, each an iterator sorted by `key`.
 ///
 /// The heap holds each unfinished stream's head as `(key, stream)`: a
-/// key tie across streams goes to the earlier stream, and one within a
-/// stream to the earlier position. The streams lie in the buffer in
-/// stream order, so the merge yields exactly the order a stable sort of
-/// the whole buffer by `key` gives. Items are cloned out of the buffer,
-/// which is held until the merge is dropped: one allocation for every
-/// stream, however many there are.
+/// key tie across streams goes to the stream given first, and one within
+/// a stream to the earlier item. So the merge yields exactly the order a
+/// stable sort by `key` of every stream laid end to end gives. A stream
+/// is read one item ahead of what the merge has yielded: its head waits
+/// in the merge, and the rest stays in the stream, however it is stored.
+/// `len()` is exact, because each stream's is.
 #[derive(Debug, Clone)]
-pub struct MergeSorted<T, K> {
-    items: Vec<T>,
-    /// Per stream: the index of its next item, and its end.
-    cursors: Vec<(usize, usize)>,
+pub struct MergeSorted<S: Iterator, K> {
+    /// Every stream that was not empty, in the order given, with the
+    /// item it yields next (`None` once it is done).
+    streams: Vec<(Option<S::Item>, S)>,
     /// The head of every unfinished stream, as `(key, stream)`.
     heads: BinaryHeap<Reverse<(K, usize)>>,
-    key: fn(&T) -> K,
+    key: fn(&S::Item) -> K,
     /// Items not yet taken.
     left: usize,
 }
 
-impl<T, K: Ord> MergeSorted<T, K> {
-    /// Readies the merge of `items`, where stream `s` starts at
-    /// `starts[s]` and ends where the next starts (the last at the end
-    /// of `items`). Each stream must already be sorted by `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `starts` rises from 0 and stays within `items`
-    /// (an empty `starts` needs an empty `items`).
-    pub fn new(items: Vec<T>, starts: &[usize], key: fn(&T) -> K) -> Self {
-        assert!(
-            starts.first().map_or(items.is_empty(), |&s| s == 0)
-                && starts.windows(2).all(|w| w[0] <= w[1])
-                && starts.last().map_or(true, |&s| s <= items.len()),
-            "stream starts must rise from 0 within the buffer"
-        );
-        let ends = starts.iter().skip(1).copied().chain([items.len()]);
-        let cursors: Vec<(usize, usize)> = starts.iter().copied().zip(ends).collect();
-        let heads = cursors
+impl<S: ExactSizeIterator, K: Ord> MergeSorted<S, K> {
+    /// Readies the merge of `streams`, each already sorted by `key`.
+    pub fn new(streams: impl IntoIterator<Item = S>, key: fn(&S::Item) -> K) -> Self {
+        let mut left = 0;
+        let streams: Vec<_> = streams
+            .into_iter()
+            .filter_map(|mut stream| {
+                left += stream.len();
+                Some((Some(stream.next()?), stream))
+            })
+            .collect();
+        let heads = streams
             .iter()
             .enumerate()
-            .filter(|(_, &(start, end))| start < end)
-            .map(|(s, &(start, _))| Reverse((key(&items[start]), s)))
+            .filter_map(|(s, (head, _))| Some(Reverse((key(head.as_ref()?), s))))
             .collect();
         MergeSorted {
-            left: items.len(),
-            items,
-            cursors,
+            streams,
             heads,
             key,
+            left,
         }
     }
 }
 
-impl<T: Clone, K: Ord> Iterator for MergeSorted<T, K> {
-    type Item = T;
+impl<S: Iterator, K: Ord> Iterator for MergeSorted<S, K> {
+    type Item = S::Item;
 
-    fn next(&mut self) -> Option<T> {
-        let mut head = self.heads.peek_mut()?;
-        let Reverse((_, s)) = *head;
-        let cursor = &mut self.cursors[s];
-        let item = self.items[cursor.0].clone();
-        cursor.0 += 1;
-        if cursor.0 < cursor.1 {
-            // The stream's next item replaces its head in place.
-            *head = Reverse(((self.key)(&self.items[cursor.0]), s));
-        } else {
-            PeekMut::pop(head);
-        }
+    fn next(&mut self) -> Option<S::Item> {
+        let mut top = self.heads.peek_mut()?;
+        let Reverse((_, s)) = *top;
+        let (head, stream) = &mut self.streams[s];
+        let item = match stream.next() {
+            Some(next) => {
+                // The stream's next item replaces its head in place.
+                *top = Reverse(((self.key)(&next), s));
+                head.replace(next)
+            }
+            None => {
+                PeekMut::pop(top);
+                head.take()
+            }
+        };
         self.left -= 1;
-        Some(item)
+        item
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -90,49 +83,69 @@ impl<T: Clone, K: Ord> Iterator for MergeSorted<T, K> {
     }
 }
 
-impl<T: Clone, K: Ord> ExactSizeIterator for MergeSorted<T, K> {}
+impl<S: Iterator, K: Ord> ExactSizeIterator for MergeSorted<S, K> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `items` cut into streams at `starts`.
+    fn streams<'a, T: Clone>(
+        items: &'a [T],
+        starts: &[usize],
+    ) -> Vec<std::iter::Cloned<std::slice::Iter<'a, T>>> {
+        let ends = starts.iter().skip(1).copied().chain([items.len()]);
+        starts
+            .iter()
+            .zip(ends)
+            .map(|(&start, end)| items[start..end].iter().cloned())
+            .collect()
+    }
+
     #[test]
     fn merges_disjoint_sorted_streams() {
-        let items = vec![1u64, 4, 7, 2, 5, 0, 3, 6, 8];
-        let merged: Vec<u64> = MergeSorted::new(items, &[0, 3, 5], |&x| x).collect();
+        let items = [1u64, 4, 7, 2, 5, 0, 3, 6, 8];
+        let merged: Vec<u64> = MergeSorted::new(streams(&items, &[0, 3, 5]), |&x| x).collect();
         assert_eq!(merged, vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
     fn ties_break_by_stream_index() {
-        let items = vec![(1u64, "b"), (0, "a"), (1, "c")];
-        let merged: Vec<_> = MergeSorted::new(items, &[0, 1], |&(k, _)| k).collect();
+        let items = [(1u64, "b"), (0, "a"), (1, "c")];
+        let merged: Vec<_> = MergeSorted::new(streams(&items, &[0, 1]), |&(k, _)| k).collect();
         assert_eq!(merged, vec![(0, "a"), (1, "b"), (1, "c")]);
     }
 
     #[test]
     fn handles_empty_and_single() {
-        let none: Vec<u64> = MergeSorted::new(Vec::new(), &[], |&x: &u64| x).collect();
+        let none: Vec<u64> = MergeSorted::new(streams(&[], &[]), |&x: &u64| x).collect();
         assert!(none.is_empty());
-        let one: Vec<u64> = MergeSorted::new(vec![3u64, 9], &[0], |&x| x).collect();
+        let one: Vec<u64> = MergeSorted::new(streams(&[3u64, 9], &[0]), |&x| x).collect();
         assert_eq!(one, vec![3, 9]);
-        let sparse: Vec<u64> = MergeSorted::new(vec![1u64], &[0, 0, 1], |&x| x).collect();
+        let sparse: Vec<u64> = MergeSorted::new(streams(&[1u64], &[0, 0, 1]), |&x| x).collect();
         assert_eq!(sparse, vec![1]);
     }
 
+    /// A stream may be any exact-size iterator, not only a vector's.
     #[test]
-    #[should_panic(expected = "stream starts must rise from 0")]
-    fn rejects_items_outside_every_stream() {
-        let _ = MergeSorted::new(vec![1u64, 2], &[1], |&x| x);
+    fn merges_borrowed_and_computed_streams() {
+        let evens = [0u64, 2, 4, 6];
+        let merged: Vec<u64> = MergeSorted::new([evens.iter(), [1u64, 3].iter()], |&&x| x)
+            .copied()
+            .collect();
+        assert_eq!(merged, [0, 1, 2, 3, 4, 6]);
+        let multiples = |k: u32| (0..3).map(move |x| k * x);
+        let merged: Vec<u32> = MergeSorted::new([multiples(2), multiples(3)], |&x| x).collect();
+        assert_eq!(merged, [0, 0, 2, 3, 4, 6]);
     }
 
     /// `len()` is exact after every `next`, and a clone taken mid-stream
     /// yields the same remainder as the original.
     #[test]
     fn length_is_exact_and_a_clone_resumes_where_it_was_taken() {
-        let items: Vec<u64> = vec![2, 4, 4, 9, 1, 4, 7, 0, 3];
+        let items: [u64; 9] = [2, 4, 4, 9, 1, 4, 7, 0, 3];
         let total = items.len();
-        let mut merge = MergeSorted::new(items, &[0, 4, 7], |&x| x);
+        let mut merge = MergeSorted::new(streams(&items, &[0, 4, 7]), |&x| x);
         let mut taken = Vec::new();
         let mut rest = Vec::new();
         while taken.len() < total {

@@ -241,8 +241,8 @@ fn cdf_merging_matches_a_naive_reference_bit_for_bit() {
     }
 }
 
-/// The merge of streams laid end to end equals a stable sort of the
-/// whole buffer, item for item (each item carries its buffer position),
+/// The merge of streams equals a stable sort of the streams laid end to
+/// end, item for item (each item carries its position in that buffer),
 /// over many streams of few distinct keys, so ties across streams are
 /// common.
 #[test]
@@ -265,7 +265,9 @@ fn merge_equals_a_stable_sort_of_the_buffer() {
             .windows(2)
             .filter(|w| w[0].0 == w[1].0 && stream(w[0].1) != stream(w[1].1))
             .count();
-        let got: Vec<(u64, usize)> = MergeSorted::new(items, &starts, |&(k, _)| k).collect();
+        let ends = starts.iter().skip(1).copied().chain([items.len()]);
+        let streams = starts.iter().zip(ends).map(|(&s, e)| items[s..e].iter());
+        let got: Vec<(u64, usize)> = MergeSorted::new(streams, |&&(k, _)| k).copied().collect();
         assert_eq!(got, want, "streams start at {starts:?}");
     }
     assert!(ties > 0, "the sample must tie keys across streams");

@@ -14,47 +14,58 @@
 //!
 //! `merge` and `scrub` read every input before they create the output,
 //! so the output may name one of the inputs. Like `stats`, they hold the
-//! whole trace in memory; `merge` holds its inputs and the merged copy
-//! at once, about twice the size of the records.
+//! whole trace in memory: `merge` holds its inputs, and writes each
+//! record as the merge yields it.
 //!
 //! Everything printed on stdout goes through one buffered writer. When
 //! the reader goes away early (`tracetool dump t.bin | head`), the
 //! command stops and exits 0.
+//!
+//! A usage mistake prints the synopsis and exits 2. A trace file that is
+//! missing, unreadable, corrupt or cannot be written prints only the
+//! error and exits 1.
 
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use sdfs_trace::codec::to_text_line;
 use sdfs_trace::file::{read_all, TraceWriter};
-use sdfs_trace::merge::{merge_vecs, Scrub};
-use sdfs_trace::{TraceReader, TraceStats, UserId};
+use sdfs_trace::merge::{merge_sources, Scrub};
+use sdfs_trace::{TraceError, TraceReader, TraceStats, UserId};
 
 /// Why a command stopped early.
 enum Error {
-    /// Bad arguments, or a trace file that cannot be read or written.
-    Msg(String),
+    /// Bad arguments.
+    Usage(String),
+    /// A trace file that cannot be read or written.
+    Trace(String),
     /// Writing stdout failed.
     Stdout(io::Error),
 }
 
 impl From<String> for Error {
     fn from(msg: String) -> Self {
-        Error::Msg(msg)
+        Error::Usage(msg)
     }
 }
 
 impl From<&str> for Error {
     fn from(msg: &str) -> Self {
-        Error::Msg(msg.to_string())
+        Error::Usage(msg.to_string())
     }
 }
 
-/// Only stdout writes convert implicitly: trace-file errors are mapped
-/// to [`Error::Msg`] where they occur.
+/// Stdout writes convert implicitly; trace files name their path
+/// ([`in_file`]).
 impl From<io::Error> for Error {
     fn from(e: io::Error) -> Self {
         Error::Stdout(e)
     }
+}
+
+/// Tags a trace-file error with the file's path.
+fn in_file(path: &str) -> impl Fn(TraceError) -> Error + '_ {
+    move |e| Error::Trace(format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -69,9 +80,13 @@ fn main() -> ExitCode {
             eprintln!("tracetool: cannot write stdout: {e}");
             ExitCode::FAILURE
         }
-        Err(Error::Msg(msg)) => {
+        Err(Error::Usage(msg)) => {
             eprintln!("tracetool: {msg}");
             eprintln!("usage: tracetool dump|head|stats|merge|scrub <files...>");
+            ExitCode::from(2)
+        }
+        Err(Error::Trace(msg)) => {
+            eprintln!("tracetool: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -105,7 +120,7 @@ fn run(args: &[String], stdout: &mut impl Write) -> Result<(), Error> {
             if args.len() < 3 {
                 return Err("merge: need at least one input".into());
             }
-            merge(out, &args[2..]).map_err(Error::Msg)
+            merge(out, &args[2..])
         }
         "scrub" => {
             let out = args.get(1).ok_or("scrub: missing output")?;
@@ -115,26 +130,26 @@ fn run(args: &[String], stdout: &mut impl Write) -> Result<(), Error> {
             }
             let users: Result<Vec<u32>, _> = args[3..].iter().map(|s| s.parse::<u32>()).collect();
             let users = users.map_err(|_| "scrub: bad user id".to_string())?;
-            scrub(out, input, &users).map_err(Error::Msg)
+            scrub(out, input, &users)
         }
         other => Err(format!("unknown subcommand `{other}`").into()),
     }
 }
 
 fn dump(out: &mut impl Write, path: &str, limit: usize) -> Result<(), Error> {
-    let reader = TraceReader::open(path).map_err(|e| e.to_string())?;
+    let reader = TraceReader::open(path).map_err(in_file(path))?;
     for (i, rec) in reader.enumerate() {
         if i >= limit {
             break;
         }
-        let rec = rec.map_err(|e| e.to_string())?;
+        let rec = rec.map_err(in_file(path))?;
         writeln!(out, "{}", to_text_line(&rec))?;
     }
     Ok(())
 }
 
 fn stats(out: &mut impl Write, path: &str) -> Result<(), Error> {
-    let records = read_all(path).map_err(|e| e.to_string())?;
+    let records = read_all(path).map_err(in_file(path))?;
     let s = TraceStats::compute(records.iter());
     writeln!(out, "{path}:")?;
     writeln!(out, "  duration:        {:.1} h", s.duration_hours())?;
@@ -163,16 +178,18 @@ fn stats(out: &mut impl Write, path: &str) -> Result<(), Error> {
     Ok(())
 }
 
-fn merge(out: &str, inputs: &[String]) -> Result<(), String> {
+fn merge(out: &str, inputs: &[String]) -> Result<(), Error> {
     // Read every input before creating OUT, which may be one of them.
-    let sources: Result<Vec<_>, _> = inputs.iter().map(read_all).collect();
-    let merged = merge_vecs(sources.map_err(|e| e.to_string())?);
-    let mut writer = TraceWriter::create(out).map_err(|e| e.to_string())?;
-    for rec in &merged {
-        writer.write(rec).map_err(|e| e.to_string())?;
+    let sources = inputs
+        .iter()
+        .map(|path| read_all(path).map_err(in_file(path)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut writer = TraceWriter::create(out).map_err(in_file(out))?;
+    for rec in merge_sources(sources) {
+        writer.write(&rec).map_err(in_file(out))?;
     }
     let n = writer.count();
-    writer.finish().map_err(|e| e.to_string())?;
+    writer.finish().map_err(in_file(out))?;
     eprintln!(
         "merged {} records from {} files into {out}",
         n,
@@ -181,19 +198,19 @@ fn merge(out: &str, inputs: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn scrub(out: &str, input: &str, users: &[u32]) -> Result<(), String> {
-    let records = read_all(input).map_err(|e| e.to_string())?;
+fn scrub(out: &str, input: &str, users: &[u32]) -> Result<(), Error> {
+    let records = read_all(input).map_err(in_file(input))?;
     let mut filter = Scrub::new();
     for &u in users {
         filter = filter.exclude_user(UserId(u));
     }
-    let mut writer = TraceWriter::create(out).map_err(|e| e.to_string())?;
+    let mut writer = TraceWriter::create(out).map_err(in_file(out))?;
     let before = records.len();
     for rec in filter.filter(records) {
-        writer.write(&rec).map_err(|e| e.to_string())?;
+        writer.write(&rec).map_err(in_file(out))?;
     }
     let kept = writer.count();
-    writer.finish().map_err(|e| e.to_string())?;
+    writer.finish().map_err(in_file(out))?;
     eprintln!("kept {kept} of {before} records -> {out}");
     Ok(())
 }

@@ -3,24 +3,27 @@
 //! Section 3 of the paper: each of the four servers logged to its own set
 //! of trace files; the analysis merged them into one time-ordered list and
 //! removed records caused by the tracing itself and by the nightly tape
-//! backup. [`merge_vecs`] is the k-way merge; [`Scrub`] is the filter.
+//! backup. [`merge_sources`] is the k-way merge, yielding records as
+//! they are taken, and [`merge_vecs`] collects it; [`Scrub`] is the
+//! filter.
 
 use sdfs_simkit::{FastSet, MergeSorted};
 
 use crate::ids::UserId;
 use crate::record::Record;
 
-/// Merges per-server record vectors, each itself time-ordered, into one
-/// time-ordered vector. Ties break by source index, then input order.
-/// The sources are laid end to end in one buffer for the merge.
+/// Merges per-source record vectors, each itself time-ordered, into one
+/// time-ordered stream: simkit's merge over the vectors' own iterators,
+/// so no record is copied before it is yielded. Ties break by source
+/// index, then input order. Each vector is freed when the stream is
+/// dropped.
+pub fn merge_sources(sources: Vec<Vec<Record>>) -> impl ExactSizeIterator<Item = Record> {
+    MergeSorted::new(sources.into_iter().map(Vec::into_iter), |r| r.time)
+}
+
+/// [`merge_sources`], collected into one vector.
 pub fn merge_vecs(sources: Vec<Vec<Record>>) -> Vec<Record> {
-    let mut records = Vec::with_capacity(sources.iter().map(Vec::len).sum());
-    let mut starts = Vec::with_capacity(sources.len());
-    for source in sources {
-        starts.push(records.len());
-        records.extend(source);
-    }
-    MergeSorted::new(records, &starts, |r| r.time).collect()
+    merge_sources(sources).collect()
 }
 
 /// Removes records that are artifacts of measurement or maintenance: the

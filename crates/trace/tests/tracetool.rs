@@ -140,7 +140,7 @@ fn a_trace_whose_time_goes_backwards_is_rejected_before_any_output() {
 
 /// Runs tracetool with `extra` after a real two-record trace and a
 /// trailing path that does not exist; `dump` takes one file and `head` a
-/// file and a count, so the call must fail as a usage error (exit 1,
+/// file and a count, so the call must fail as a usage error (exit 2,
 /// the usage line, nothing on stdout) instead of ignoring the extra
 /// argument and succeeding.
 fn assert_trailing_argument_rejected(name: &str, cmd: &str, count: Option<&str>) {
@@ -155,9 +155,29 @@ fn assert_trailing_argument_rejected(name: &str, cmd: &str, count: Option<&str>)
         .expect("run tracetool");
     std::fs::remove_file(&path).ok();
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} printed records");
     assert!(stderr.contains("usage: tracetool"), "{args:?}: {stderr}");
+}
+
+/// A trace that does not exist is an input error, not a usage mistake:
+/// exit 1, the error naming the path, and no usage line.
+#[test]
+fn a_missing_input_exits_1_without_usage() {
+    let missing = temp_trace("nonexistent");
+    let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
+        .arg("stats")
+        .arg(&missing)
+        .output()
+        .expect("run tracetool");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "stdout: {:?}", out.stdout);
+    assert!(
+        stderr.contains(&*missing.to_string_lossy()) && stderr.contains("trace I/O error"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "stderr: {stderr}");
 }
 
 #[test]

@@ -8,13 +8,15 @@
 //! within a session they alternate application bursts and think time;
 //! the two heavy simulation users (when enabled) grind all day.
 
-use sdfs_simkit::{MergeSorted, SimDuration, SimRng, SimTime};
+use sdfs_simkit::{SimDuration, SimRng, SimTime};
 use sdfs_spritefs::ops::AppOp;
 use sdfs_trace::{ClientId, FileId, Pid, UserId};
 
 use crate::apps::{
     self, build_group_files, build_system_files, Ctx, GroupFiles, SimProfile, SystemFiles,
 };
+use crate::codec::DayEncoder;
+pub use crate::codec::DayOps;
 use crate::config::{
     WorkloadConfig, DAILY_PRESENCE, PMAKE_FANOUT, REGULAR_FRACTION, THINK_MEAN_SECS,
 };
@@ -113,18 +115,20 @@ impl Generator {
 
     /// Generates one day's operations (day 0 covers `[0, 24 h)`, day 1
     /// `[24 h, 48 h)`, ...), in time order: the order a stable sort by
-    /// time of every stream concatenated would give.
+    /// time of every stream concatenated would give. Each stream is
+    /// encoded as soon as it is generated, so the day is held as bytes
+    /// (DESIGN §7).
     pub fn generate_day(&mut self, day: u32) -> DayOps {
-        let (ops, starts) = self.generate_streams(day);
-        merge_streams(ops, &starts)
+        let mut encoder = DayEncoder::default();
+        self.generate_streams(day, |stream| encoder.push_stream(stream));
+        encoder.finish()
     }
 
-    /// One day's operations stream by stream, each stream unsorted:
-    /// every present user's sessions, then the housekeeping daemon's.
-    /// Stream `s` starts at `starts[s]` and ends where the next starts.
-    fn generate_streams(&mut self, day: u32) -> (Vec<AppOp>, Vec<usize>) {
+    /// Generates one day's operations stream by stream into one reused
+    /// buffer, and hands each stream, unsorted, to `each`: every present
+    /// user's sessions, then the housekeeping daemon's.
+    fn generate_streams(&mut self, day: u32, mut each: impl FnMut(&mut [AppOp])) {
         let mut ops: Vec<AppOp> = Vec::new();
-        let mut starts = Vec::new();
         let day_start = SimTime::from_secs(day as u64 * 86_400);
         // Stage per-user plans first (which users appear, their session
         // windows) so user randomness stays in per-user streams.
@@ -159,7 +163,7 @@ impl Generator {
             if !present {
                 continue;
             }
-            starts.push(ops.len());
+            ops.clear();
             // Sessions must not overlap for one user (their personal
             // timeline is sequential); clamp each to start no earlier
             // than the previous one ended, and keep everything inside
@@ -180,14 +184,15 @@ impl Generator {
                 }
                 cursor = self.run_session(&mut ops, ui, session);
             }
+            each(&mut ops);
         }
         // System housekeeping: an hourly daemon runs around the clock
         // (the measured cluster was never fully quiet; the nightly tape
         // backup was scrubbed from the traces, but other system activity
         // remained). This also gives the traces their ~24-hour span.
-        starts.push(ops.len());
+        ops.clear();
         self.run_daemon(&mut ops, day_start);
-        (ops, starts)
+        each(&mut ops);
     }
 
     /// Hourly housekeeping on client 0 by a system user: read a couple
@@ -404,26 +409,6 @@ impl Generator {
     }
 }
 
-/// One day's operations in time order, merged from the day's streams
-/// as [`Cluster::run`](sdfs_spritefs::Cluster::run) pulls them: each
-/// stream (a present user's sessions, or the daemon's housekeeping) is
-/// generated on its own and stably sorted by time in place, so no sort
-/// spans the whole day, and simkit's one merge takes the earliest
-/// stream head. The streams stay in the one buffer they were generated
-/// into, so the day is exactly what a stable sort of that buffer by
-/// time gives.
-pub type DayOps = MergeSorted<AppOp, SimTime>;
-
-/// Stably sorts each stream of `ops` by time (stream `s` starts at
-/// `starts[s]` and ends where the next starts) and readies their merge.
-fn merge_streams(mut ops: Vec<AppOp>, starts: &[usize]) -> DayOps {
-    let ends = starts.iter().skip(1).copied().chain([ops.len()]);
-    for (&start, end) in starts.iter().zip(ends) {
-        ops[start..end].sort_by_key(|op| op.time);
-    }
-    MergeSorted::new(ops, starts, |op| op.time)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +563,29 @@ mod tests {
         assert_eq!(ids.len(), preload.len());
     }
 
+    /// One day's streams as generated, unsorted, laid end to end:
+    /// stream `s` starts at `starts[s]` and ends where the next starts.
+    fn streams_end_to_end(gen: &mut Generator, day: u32) -> (Vec<AppOp>, Vec<usize>) {
+        let mut ops = Vec::new();
+        let mut starts = Vec::new();
+        gen.generate_streams(day, |stream| {
+            starts.push(ops.len());
+            ops.extend_from_slice(stream);
+        });
+        (ops, starts)
+    }
+
+    /// `ops` cut at `starts`, encoded stream by stream as `generate_day`
+    /// does, and merged.
+    fn encode_and_merge(mut ops: Vec<AppOp>, starts: &[usize]) -> DayOps {
+        let mut encoder = DayEncoder::default();
+        let ends = starts.iter().skip(1).copied().chain([ops.len()]);
+        for (&start, end) in starts.iter().zip(ends) {
+            encoder.push_stream(&mut ops[start..end]);
+        }
+        encoder.finish()
+    }
+
     /// Ops tagged with their stream, in the reference order: every
     /// stream concatenated, then stably sorted by time (the global sort
     /// `generate_day` replaced).
@@ -615,7 +623,7 @@ mod tests {
                 let mut reference = Generator::new(cfg);
                 for day in 0..3 {
                     let got: Vec<AppOp> = streamed.generate_day(day).collect();
-                    let (ops, starts) = reference.generate_streams(day);
+                    let (ops, starts) = streams_end_to_end(&mut reference, day);
                     let want = reference_order(ops, &starts);
                     ties += cross_stream_ties(&want);
                     assert!(
@@ -646,7 +654,7 @@ mod tests {
                 kind: OpKind::ProcExit,
             })
             .collect();
-        let got: Vec<u32> = merge_streams(ops.clone(), &starts)
+        let got: Vec<u32> = encode_and_merge(ops.clone(), &starts)
             .map(|op| op.pid.raw())
             .collect();
         let want = reference_order(ops, &starts);
@@ -656,5 +664,50 @@ mod tests {
             want.iter().map(|(_, op)| op.pid.raw()).collect::<Vec<_>>()
         );
         assert_eq!(got, [6, 1, 3, 4, 8, 9, 0, 2, 5, 7]);
+    }
+
+    /// A day cloned part way resumes exactly where it was taken, and
+    /// `len()` counts down by one per op: a run and its replay (BenchKit,
+    /// `examples/pmake_burst.rs`) read the length and clone the day.
+    #[test]
+    fn a_day_cloned_mid_day_resumes_identically() {
+        let mut gen = Generator::new(WorkloadConfig::small());
+        let mut day = gen.generate_day(0);
+        let total = day.len();
+        let mut taken = Vec::with_capacity(total);
+        let mut rest = Vec::new();
+        while let Some(op) = day.next() {
+            taken.push(op);
+            assert_eq!(day.len(), total - taken.len());
+            if taken.len() == total / 3 {
+                rest = day.clone().collect();
+            }
+        }
+        assert!(total > 100 && rest.len() == total - total / 3);
+        assert_eq!(rest, taken[total / 3..]);
+    }
+
+    /// A paper-scale day (trace 0 of the eight) is held in at most 16
+    /// bytes per op, against 64 for an `AppOp`, in a buffer trimmed to
+    /// what it holds.
+    #[test]
+    fn a_paper_day_encodes_in_at_most_16_bytes_per_op() {
+        let base = WorkloadConfig::default();
+        let spec = crate::TraceSpec::paper_eight(base.seed)[0];
+        let mut gen = Generator::new(base.for_trace(spec));
+        let mut encoder = DayEncoder::default();
+        let mut ops = 0;
+        gen.generate_streams(0, |stream| {
+            ops += stream.len();
+            encoder.push_stream(stream);
+        });
+        let bytes = encoder.seal().0;
+        assert!(ops > 300_000, "a paper day, not {ops} ops");
+        assert!(
+            bytes.len() <= 16 * ops,
+            "{} bytes for {ops} ops",
+            bytes.len()
+        );
+        assert_eq!(bytes.capacity(), bytes.len(), "spare buffer capacity");
     }
 }

@@ -21,13 +21,16 @@
 //! [`config::WorkloadConfig`] (including its seed). Day-by-day generation
 //! ([`gen::Generator::generate_day`]) keeps memory bounded for the
 //! two-week counter runs. Each user's day, and the housekeeping daemon's,
-//! is generated into one buffer and sorted on its own; the day's
-//! [`gen::DayOps`] is simkit's one k-way merge
-//! ([`sdfs_simkit::MergeSorted`]) over that buffer, which yields the
-//! operations in time order as the cluster takes them, in exactly the
-//! order a stable sort of the whole day would give.
+//! is generated into one reused buffer, sorted on its own and appended
+//! to one shared byte buffer ([`codec`]: about 6 bytes an operation,
+//! against 64 for an `AppOp`). The day's [`gen::DayOps`] is
+//! simkit's one k-way merge ([`sdfs_simkit::MergeSorted`]) over a
+//! decoder per stream, which yields the operations in time order as the
+//! cluster takes them, in exactly the order a stable sort of the whole
+//! day would give.
 
 pub mod apps;
+pub mod codec;
 pub mod config;
 pub mod gen;
 pub mod namespace;

@@ -88,6 +88,16 @@ for t_line, m_line in zip(lines[:2], lines[2:]):
     assert m == [2 * n for n in t], f"merged counts {m} are not twice {t}"
 PYEOF
 
+echo "==> tracetool: a trace cut short by one byte fails tracetool stats with exit 1 and no usage line"
+head -c -1 /tmp/verify_trace.bin > /tmp/verify_trace_cut.bin
+set +e
+./target/release/tracetool stats /tmp/verify_trace_cut.bin > /dev/null 2> /tmp/verify_trace_cut.txt
+cut_status=$?
+set -e
+test "$cut_status" -eq 1 || { echo "a truncated trace must exit 1, got $cut_status"; exit 1; }
+grep -q "verify_trace_cut.bin: trace I/O error" /tmp/verify_trace_cut.txt
+if grep -q "usage:" /tmp/verify_trace_cut.txt; then echo "an input error must not print the usage line"; exit 1; fi
+
 echo "==> cli: unknown subcommand exits 2 with usage"
 set +e
 ./target/release/repro frobnicate > /dev/null 2> /tmp/verify_usage.txt
