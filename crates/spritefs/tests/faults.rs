@@ -619,18 +619,18 @@ fn fuzz_lifecycle_ops_under_partitions_and_crashes() {
     }
 }
 
-/// Pins the exact outcome of every fuzz case: under all four policies
-/// and both heal protocols, each crash rebuild, recovery storm, heal
-/// storm, revocation and client crash must leave the same records and
-/// counters. One digest per case covers each server's records (as text
-/// lines), every client counter, every server counter except `rpc.*`
-/// (RPCs are counted once, at the client), and SpriteSan's violation
-/// count. On a mismatch the message lists this run's digests.
-#[test]
-fn fault_paths_match_golden_digests() {
+/// Pins the exact outcome of every fuzz case of `script`: under all
+/// four policies and both heal protocols, each crash rebuild, recovery
+/// storm, heal storm, revocation and client crash must leave the same
+/// records and counters. One digest per case covers each server's
+/// records (as text lines), every client counter, every server counter
+/// except `rpc.*` (RPCs are counted once, at the client), and SpriteSan's
+/// violation count. `golden` is the contents of `tests/golden/{name}`;
+/// on a mismatch the message lists this run's digests.
+fn assert_paths_match_golden(script: fn(u64, u64, u16) -> Vec<AppOp>, name: &str, golden: &str) {
     use std::hash::Hasher;
     let mut got = String::new();
-    for_each_fuzz_case(op_script, |case, mut cl| {
+    for_each_fuzz_case(script, |case, mut cl| {
         let mut h = sdfs_simkit::hash::FastHasher::default();
         let counter = |h: &mut sdfs_simkit::hash::FastHasher, (name, value): (&str, u64)| {
             h.write(name.as_bytes());
@@ -658,10 +658,31 @@ fn fault_paths_match_golden_digests() {
         }
         got.push_str(&format!("case {case:02} {:016x}\n", h.finish()));
     });
-    let want = include_str!("golden/fault_paths.txt");
     assert!(
-        got == want,
-        "fault-path digests drifted from tests/golden/fault_paths.txt; \
+        got == golden,
+        "fault-path digests drifted from tests/golden/{name}; \
          this run produced:\n{got}"
+    );
+}
+
+/// The create, open, read, write, fsync and close paths of
+/// [`op_script`].
+#[test]
+fn fault_paths_match_golden_digests() {
+    assert_paths_match_golden(
+        op_script,
+        "fault_paths.txt",
+        include_str!("golden/fault_paths.txt"),
+    );
+}
+
+/// The process, paging, delete, truncate, seek and directory paths of
+/// [`lifecycle_script`].
+#[test]
+fn lifecycle_paths_match_golden_digests() {
+    assert_paths_match_golden(
+        lifecycle_script,
+        "lifecycle_paths.txt",
+        include_str!("golden/lifecycle_paths.txt"),
     );
 }
