@@ -13,10 +13,13 @@
 //! With no arguments the full study runs at paper scale (eight 24-hour
 //! traces, 14 counter days) and prints every table with the published
 //! values alongside. `--quick` uses the reduced configuration (useful
-//! for smoke tests). `--observe` runs the self-measurement layer
-//! alongside any study subcommand, printing its report to stderr so
-//! stdout stays byte-identical to a plain run. Anything the parser does
-//! not understand — an unknown flag, a malformed value, a zero trace or
+//! for smoke tests). `--sanitize` runs SpriteSan and `--observe` the
+//! self-measurement layer alongside the subcommands that print the
+//! study's report (`all`, the tables and figures, `cache`, `bsd`,
+//! `check`) and the fault study (`faults`), plus `obs` for
+//! `--observe`; the verdict and the report go to stderr so stdout stays
+//! byte-identical to a plain run. Anything the parser does not
+//! understand — an unknown flag, a malformed value, a zero trace or
 //! worker count, a flag its subcommand does not take, `gen-trace`
 //! without OUT — prints the usage synopsis and exits 2.
 
@@ -74,8 +77,8 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "selftrace",
 ];
 
-/// Flags that take no value. `--json` belongs to one subcommand
-/// ([`SCOPED_FLAGS`]); the rest apply to any.
+/// Flags that take no value. `--quick` applies to any subcommand; the
+/// others belong to some ([`SCOPED_FLAGS`]).
 const SWITCHES: &[&str] = &["--quick", "--sanitize", "--observe", "--json"];
 
 /// Flags that take one value.
@@ -84,10 +87,29 @@ const VALUE_FLAGS: &[&str] = &["--traces", "--days", "--threads", "--csv"];
 /// The subcommands that render Figures 1-4.
 const FIGURES: &[&str] = &["figures", "fig1", "fig2", "fig3", "fig4"];
 
-/// Flags that only some subcommands take, with those subcommands.
-/// Given with any other subcommand they would do nothing, so the parser
-/// rejects them.
-const SCOPED_FLAGS: &[(&str, &[&str])] = &[("--csv", FIGURES), ("--json", &["obs"])];
+/// Whether known subcommand `what` prints SpriteSan's verdict and the
+/// observer's report: the study's report, its tables and figures, the
+/// BSD comparison, the scorecard and the fault study do.
+fn reports(what: &str) -> bool {
+    what.starts_with("table") || FIGURES.contains(&what) || REPORTERS.contains(&what)
+}
+
+/// The subcommands [`reports`] names besides the tables and figures.
+const REPORTERS: &[&str] = &["all", "cache", "bsd", "check", "faults"];
+
+/// Whether a subcommand takes a flag.
+type Takes = fn(&str) -> bool;
+
+/// Flags that only some subcommands take, with the test for those
+/// subcommands. Given with any other subcommand they would do nothing,
+/// or run a checker whose verdict nobody prints, so the parser rejects
+/// them.
+const SCOPED_FLAGS: &[(&str, Takes)] = &[
+    ("--csv", |what| FIGURES.contains(&what)),
+    ("--json", |what| what == "obs"),
+    ("--sanitize", reports),
+    ("--observe", |what| what == "obs" || reports(what)),
+];
 
 /// The usage synopsis printed on any command line the parser rejects.
 fn usage() -> String {
@@ -100,6 +122,8 @@ fn usage() -> String {
      \x20 --threads N|auto    campaign workers: jobs run at once (default, auto = host CPUs)\n\
      \x20 --sanitize          run SpriteSan; verdict on stderr, exit 1 on a violation\n\
      \x20 --observe           run the self-measurement layer; report on stderr\n\
+     \x20                     (both with all, table*, cache, fig*, bsd, check, faults;\n\
+     \x20                      --observe also with obs)\n\
      \n\
      subcommands:\n\
      \x20 all                 full study, every table and figure (default)\n\
@@ -201,8 +225,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
     // A value never starts with `--`, so any argument equal to a flag is
     // that flag.
-    for &(flag, takers) in SCOPED_FLAGS {
-        if args.iter().any(|a| a == flag) && !takers.contains(&cli.what.as_str()) {
+    for &(flag, takes) in SCOPED_FLAGS {
+        if args.iter().any(|a| a == flag) && !takes(&cli.what) {
             return Err(format!("`{flag}` does not apply to `{}`", cli.what));
         }
     }

@@ -3,12 +3,12 @@
 //! Baker et al. validated their tracing kernel by comparing trace-derived
 //! counts against the kernel's own counters. This module is the
 //! reproduction-era equivalent: the simulator writes its own kernel-call
-//! records through the *real* Sprite-format codec (`sdfs-trace`), reads
-//! them back, re-runs the full fused analysis over the decoded stream,
-//! and then checks a set of exact integer identities between the
-//! analysis output and the cluster's own RPC counters — e.g. every open
-//! event in the trace must correspond to exactly one `rpc.open.msgs`
-//! tick on some client.
+//! records through the trace-file writer `tracetool` uses (`sdfs-trace`),
+//! reads them back through its reader, computes the Table 1 statistics
+//! over the decoded stream, and then checks a set of exact integer
+//! identities between those statistics and the cluster's own RPC
+//! counters — e.g. every open event in the trace must correspond to
+//! exactly one `rpc.open.msgs` tick on some client.
 //!
 //! All identities are sums over *client* counters: every RPC is counted
 //! once, by the client that issues it (servers keep no RPC tally).
@@ -18,8 +18,8 @@
 //! ran the quick or the full-size campaign.
 
 use sdfs_spritefs::rpc::RpcKind;
-use sdfs_trace::codec::{read_magic, read_record, write_magic, write_record};
-use sdfs_trace::Record;
+use sdfs_trace::file::{from_bytes, to_bytes};
+use sdfs_trace::TraceStats;
 use sdfs_workload::TraceSpec;
 
 use crate::study::{Study, StudyConfig, TraceRun};
@@ -29,7 +29,7 @@ use crate::study::{Study, StudyConfig, TraceRun};
 pub struct SelftraceIdentity {
     /// What is being equated.
     pub name: &'static str,
-    /// The value the re-analysis of the decoded self-trace produced.
+    /// The value the decoded self-trace's statistics give.
     pub analysis: u64,
     /// The value summed from the cluster's own client counters.
     pub counters: u64,
@@ -109,32 +109,20 @@ impl SelftraceReport {
 /// maintained, so the study's `cluster.observe` setting does not
 /// change the result.
 pub fn run(study: &Study, spec: TraceSpec) -> SelftraceReport {
-    cross_check(spec, &study.run_trace_full(spec))
+    cross_check(&study.run_trace_full(spec))
 }
 
-/// The core pass: encode the records of `spec`'s run through the
-/// Sprite-format codec, decode them back, re-analyze, and compare
+/// The core pass: encode a run's records into an in-memory trace file,
+/// decode them back, compute their statistics, and compare those
 /// against the run's own client counters.
-pub fn cross_check(spec: TraceSpec, run: &TraceRun) -> SelftraceReport {
-    // The simulator writes its own trace — through the same codec the
-    // `repro trace` command uses for on-disk traces — into memory.
-    let mut buf: Vec<u8> = Vec::new();
-    write_magic(&mut buf).expect("Vec<u8> writes are infallible");
-    for rec in &run.records {
-        write_record(&mut buf, rec).expect("Vec<u8> writes are infallible");
-    }
-    // And reads it back.
-    let mut r = buf.as_slice();
-    read_magic(&mut r).expect("self-written magic is valid");
-    let mut decoded: Vec<Record> = Vec::with_capacity(run.records.len());
-    while let Some(rec) = read_record(&mut r).expect("self-written records decode") {
-        decoded.push(rec);
-    }
+pub fn cross_check(run: &TraceRun) -> SelftraceReport {
+    // The simulator writes its own trace into memory, through the same
+    // writer (time-order check included) `gen-trace` and `tracetool`
+    // use for trace files, and reads it back.
+    let buf = to_bytes(&run.records).expect("the cluster emits records in time order");
+    let decoded = from_bytes(&buf).expect("self-written records decode");
     let roundtrip_exact = decoded == run.records;
-
-    // Re-run the full fused analysis over the decoded stream, exactly as
-    // `repro` analyzes an external trace file.
-    let stats = crate::fused::FusedAnalyzer::analyze(spec, &decoded).stats;
+    let stats = TraceStats::compute(&decoded);
 
     let sum = |key: &str| -> u64 { run.client_counters.iter().map(|c| c.get(key)).sum() };
     let id = |name, analysis, counters| SelftraceIdentity {

@@ -13,16 +13,17 @@
 //! cache-disable scheme, the modified variant, a token scheme, or
 //! NFS-style polling.
 
-use sdfs_simkit::{CounterSet, SimDuration, SimRng, SimTime};
+use sdfs_simkit::{CounterSet, SimDuration, SimTime};
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Record, RecordKind, ServerId};
 
 use crate::cache::BlockKey;
 use crate::client::{Client, FdState, ProcState};
 use crate::config::{
     block_span, disk_time, retry_budget, retry_stall, rpc_time, Config, ConsistencyPolicy,
-    FaultPlan, BLOCK_SIZE, DAEMON_PERIOD, DROP_SEED, MAX_RETRIES, SAMPLE_PERIOD,
+    BLOCK_SIZE, DAEMON_PERIOD, MAX_RETRIES, SAMPLE_PERIOD,
 };
-use crate::fs::{assign_server, FileTable};
+use crate::faults::{Callback, FaultEvent, Faults};
+use crate::fs::FileTable;
 use crate::metrics::{
     cache as mc, clean, consist, fault, implicit, mig, raw, replace, restart, srv, SanitizerStats,
 };
@@ -139,194 +140,6 @@ enum Replacement {
     Vm,
 }
 
-/// What a scheduled fault transition does. `Reboot` sorts before
-/// `Crash` so back-to-back outages of one server (reboot at `t`, next
-/// crash also at `t`) stay well-formed; partition heals likewise sort
-/// before same-instant cuts so a window that ends exactly when another
-/// begins never sees both active at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FaultEventKind {
-    Reboot,
-    PartitionHeal {
-        /// Index into [`FaultPlan::partitions`].
-        idx: usize,
-    },
-    Crash {
-        /// Scheduled reboot time of this outage.
-        until: SimTime,
-    },
-    PartitionStart {
-        /// Index into [`FaultPlan::partitions`].
-        idx: usize,
-    },
-}
-
-/// One crash or reboot transition, precomputed from the
-/// [`FaultPlan`] outage schedule and consumed in time order by the
-/// event loop.
-#[derive(Debug, Clone, Copy)]
-struct FaultEvent {
-    at: SimTime,
-    kind: FaultEventKind,
-    server: u16,
-}
-
-/// Runtime state of the fault-injection subsystem; present only when
-/// [`Config::faults`] is set, so fault-free runs carry no RNG and take
-/// none of these branches.
-#[derive(Debug)]
-pub(crate) struct FaultState {
-    /// The plan in force.
-    plan: FaultPlan,
-    /// Seeded RNG driving per-RPC message drops (never OS entropy).
-    rng: SimRng,
-    /// Crash/reboot/partition transitions, sorted by (time, kind,
-    /// server).
-    events: Vec<FaultEvent>,
-    /// Index of the next unfired event.
-    next_event: usize,
-    /// Number of servers: the stride of the per-edge vectors below
-    /// (edge index = `ci * num_servers + si`).
-    num_servers: usize,
-    /// Whether the plan schedules any partitions. All per-edge
-    /// bookkeeping below is skipped when false, so crash-only plans
-    /// behave byte-identically to before partitions existed.
-    has_partitions: bool,
-    /// Per-edge cut depth (overlapping partitions may cut one edge
-    /// more than once; the edge heals when the depth returns to zero).
-    cut: Vec<u32>,
-    /// Per-edge latest scheduled heal time among the active cuts:
-    /// how long an RPC issued now would have to wait.
-    cut_until: Vec<SimTime>,
-    /// Per-edge lease expiry: the server trusts the client's cached
-    /// grants on this edge until this instant. Renewed implicitly by
-    /// every RPC that reaches the server, frozen while the edge is cut.
-    lease_until: Vec<SimTime>,
-    /// Per-edge files whose grants the server unilaterally revoked
-    /// during the current partition; the client reasserts each on heal
-    /// ([`RpcKind::Reassert`]) under the lease protocol.
-    revoked: Vec<Vec<FileId>>,
-}
-
-impl FaultState {
-    fn new(plan: &FaultPlan, num_clients: usize, num_servers: usize) -> Self {
-        let mut events: Vec<FaultEvent> = plan
-            .outages
-            .iter()
-            .flat_map(|o| {
-                [
-                    FaultEvent {
-                        at: o.at,
-                        kind: FaultEventKind::Crash {
-                            until: o.reboot_at(),
-                        },
-                        server: o.server,
-                    },
-                    FaultEvent {
-                        at: o.reboot_at(),
-                        kind: FaultEventKind::Reboot,
-                        server: o.server,
-                    },
-                ]
-            })
-            .collect();
-        for (idx, p) in plan.partitions.iter().enumerate() {
-            events.push(FaultEvent {
-                at: p.at,
-                kind: FaultEventKind::PartitionStart { idx },
-                server: 0,
-            });
-            events.push(FaultEvent {
-                at: p.heal_at(),
-                kind: FaultEventKind::PartitionHeal { idx },
-                server: 0,
-            });
-        }
-        events.sort_by_key(|e| (e.at, e.kind, e.server));
-        let has_partitions = !plan.partitions.is_empty();
-        let edges = if has_partitions {
-            num_clients * num_servers
-        } else {
-            0
-        };
-        let lease_ttl = plan.lease_ttl;
-        FaultState {
-            plan: plan.clone(),
-            rng: SimRng::seed_from_u64(DROP_SEED),
-            events,
-            next_event: 0,
-            num_servers,
-            has_partitions,
-            cut: vec![0; edges],
-            cut_until: vec![SimTime::ZERO; edges],
-            lease_until: vec![SimTime::ZERO + lease_ttl; edges],
-            revoked: vec![Vec::new(); edges],
-        }
-    }
-
-    /// The per-edge index of the (client, server) pair.
-    #[inline]
-    fn edge(&self, ci: u16, si: usize) -> usize {
-        ci as usize * self.num_servers + si
-    }
-
-    /// Whether the client↔server edge is currently cut by a partition.
-    #[inline]
-    pub(crate) fn edge_cut(&self, ci: u16, si: usize) -> bool {
-        self.has_partitions && self.cut[self.edge(ci, si)] > 0
-    }
-
-    /// Whether the plan schedules any partitions at all.
-    #[inline]
-    pub(crate) fn any_partitions(&self) -> bool {
-        self.has_partitions
-    }
-
-    /// Whether any client's grant on `file` at server `si` is
-    /// currently revoked (lease lapsed behind a still-open cut). The
-    /// server can no longer account for that client's operations — it
-    /// keeps running behind the cut and its writes land synchronously
-    /// when the overlay delivers them — so the file loses caching
-    /// privileges for *everyone* until the heal drains the revocation
-    /// list and the grant is reasserted or abandoned.
-    fn file_revoked(&self, si: usize, file: FileId) -> bool {
-        if !self.has_partitions {
-            return false;
-        }
-        self.revoked
-            .iter()
-            .skip(si)
-            .step_by(self.num_servers)
-            .any(|files| files.contains(&file))
-    }
-}
-
-/// The counters charged when a client cannot reach a server: RPCs that
-/// stalled, the stall time, RPCs that outlasted the retry budget, and
-/// write-backs the daemon queued.
-struct Blocked {
-    stalled: &'static str,
-    stall_us: &'static str,
-    failed: &'static str,
-    queued: &'static str,
-}
-
-/// The server is down (crashed, not yet rebooted).
-const SERVER_DOWN: Blocked = Blocked {
-    stalled: fault::STALLED_RPCS,
-    stall_us: fault::STALL_US,
-    failed: fault::FAILED_RPCS,
-    queued: fault::QUEUED_WRITEBACKS,
-};
-
-/// The client↔server edge is cut by a partition.
-const EDGE_CUT: Blocked = Blocked {
-    stalled: fault::PART_STALLED_RPCS,
-    stall_us: fault::PART_STALL_US,
-    failed: fault::PART_FAILED_RPCS,
-    queued: fault::PART_QUEUED_WRITEBACKS,
-};
-
 /// What one client holds at one server ([`Cluster::stake`]).
 struct Stake {
     /// Live handles on the server's files, sorted by handle.
@@ -388,16 +201,9 @@ pub struct Cluster<S: TraceSink> {
     /// SpriteSan shadow-state oracle ([`Config::sanitize`]). Boxed so
     /// the disabled (default) case costs one pointer.
     san: Option<Box<Sanitizer>>,
-    /// Per-server "currently crashed" flags (all false in fault-free
-    /// runs; also settable manually via [`Cluster::crash_server`]).
-    server_down: Vec<bool>,
-    /// Per-server scheduled reboot time, meaningful while down
-    /// ([`SimTime::MAX`] for a manual crash with no scheduled reboot).
-    down_until: Vec<SimTime>,
-    /// Per-server time of the most recent crash, meaningful while down.
-    crashed_at: Vec<SimTime>,
-    /// Fault-injection runtime ([`Config::faults`]).
-    fault: Option<FaultState>,
+    /// Outages, partition cuts, leases and revocations: the one owner
+    /// of fault state, under [`Config::faults`] or the inert default.
+    faults: Faults,
     /// sdfs-obs self-measurement collector ([`Config::observe`]). Boxed
     /// so the disabled (default) case costs one pointer.
     obs: Option<Box<Obs>>,
@@ -428,14 +234,14 @@ impl<S: TraceSink> Cluster<S> {
         let next_sample = SimTime::ZERO + SAMPLE_PERIOD;
         let san = cfg.sanitize.then(|| Box::new(Sanitizer::new(&cfg)));
         let obs = cfg.observe.then(|| Box::new(Obs::new()));
-        let fault = cfg
-            .faults
-            .as_ref()
-            .map(|p| FaultState::new(p, cfg.num_clients as usize, cfg.num_servers as usize));
-        let n = cfg.num_servers as usize;
+        let faults = Faults::new(
+            cfg.faults.as_ref(),
+            cfg.num_clients as usize,
+            cfg.num_servers as usize,
+        );
         Cluster {
+            files: FileTable::new(cfg.num_servers),
             cfg,
-            files: FileTable::new(),
             clients,
             servers,
             sink,
@@ -443,10 +249,7 @@ impl<S: TraceSink> Cluster<S> {
             next_tick,
             next_sample,
             san,
-            server_down: vec![false; n],
-            down_until: vec![SimTime::MAX; n],
-            crashed_at: vec![SimTime::ZERO; n],
-            fault,
+            faults,
             obs,
         }
     }
@@ -455,8 +258,7 @@ impl<S: TraceSink> Cluster<S> {
     /// begins (no trace records are emitted).
     pub fn preload(&mut self, files: &[(FileId, u64, bool)]) {
         for &(id, size, is_dir) in files {
-            let server = assign_server(id, self.cfg.num_servers);
-            self.files.preload(id, server, is_dir, size);
+            self.files.preload(id, is_dir, size);
         }
     }
 
@@ -674,7 +476,7 @@ impl<S: TraceSink> Cluster<S> {
     fn crash_server_until(&mut self, server: ServerId, until: SimTime) -> u64 {
         let si = server.raw() as usize;
         assert!(si < self.servers.len(), "unknown server {server}");
-        if self.server_down[si] {
+        if !self.faults.crash(si, self.now, until) {
             return 0;
         }
         // Stamp what reached disk before the volatile state vanishes.
@@ -696,9 +498,6 @@ impl<S: TraceSink> Cluster<S> {
         c.bump(fault::SRV_CRASHES);
         c.add(fault::SRV_LOST_BYTES, lost);
         c.add(fault::NVRAM_SAVED_BYTES, saved);
-        self.server_down[si] = true;
-        self.down_until[si] = until;
-        self.crashed_at[si] = self.now;
         self.rebuild_server_state(si);
         lost
     }
@@ -783,12 +582,9 @@ impl<S: TraceSink> Cluster<S> {
     pub fn recover_server(&mut self, server: ServerId) -> u64 {
         let si = server.raw() as usize;
         assert!(si < self.servers.len(), "unknown server {server}");
-        if !self.server_down[si] {
+        let Some(downtime) = self.faults.reboot(si, self.now) else {
             return 0;
-        }
-        self.server_down[si] = false;
-        self.down_until[si] = SimTime::MAX;
-        let downtime = self.now.since(self.crashed_at[si]);
+        };
         // Unit cost of one empty recovery RPC; the reborn server
         // serializes the storm, so the k-th reopen waits k+1 units.
         let storm_unit = rpc_time(0);
@@ -829,10 +625,8 @@ impl<S: TraceSink> Cluster<S> {
 
     /// Whether `server` is currently crashed.
     pub fn server_is_down(&self, server: ServerId) -> bool {
-        self.server_down
-            .get(server.raw() as usize)
-            .copied()
-            .unwrap_or(false)
+        let si = server.raw() as usize;
+        si < self.servers.len() && self.faults.is_down(si)
     }
 
     /// Feeds the servers' disk-flush logs to SpriteSan so it knows which
@@ -849,34 +643,18 @@ impl<S: TraceSink> Cluster<S> {
         }
     }
 
-    /// Whether client `ci` cannot reach server `si` right now: `None`
-    /// when it can, else when the outage or cut ends and the counters
-    /// that case charges. A down server takes precedence over a cut
-    /// edge.
-    fn unreachable(&self, ci: usize, si: usize) -> Option<(SimTime, &'static Blocked)> {
-        if self.server_down[si] {
-            return Some((self.down_until[si], &SERVER_DOWN));
-        }
-        let f = self.fault.as_ref()?;
-        f.edge_cut(ci as u16, si)
-            .then(|| (f.cut_until[f.edge(ci as u16, si)], &EDGE_CUT))
-    }
-
-    /// Applies fault accounting to one client→server RPC: a down server
-    /// stalls the caller for up to the retry budget (the operation itself
-    /// is queued and delivered — data is not lost, time is), a cut edge
-    /// stalls it until the heal, and an up server may still drop
-    /// messages, costing seeded retransmissions with exponential backoff.
-    /// No-op without a [`FaultPlan`].
-    fn fault_rpc(&mut self, ci: usize, si: usize, kind: RpcKind) {
-        let unreachable = self.unreachable(ci, si);
-        let Some(fstate) = self.fault.as_mut() else {
-            return;
-        };
+    /// Gates one client→server RPC on the fault state: when client `ci`
+    /// cannot reach server `si`, the caller stalls until the reboot or
+    /// heal, for at most the retry budget (the operation itself is
+    /// queued and delivered — data is not lost, time is); an RPC that
+    /// gets through renews the edge's lease and may lose messages to
+    /// seeded drops, costing retransmissions with exponential backoff.
+    fn gate_rpc(&mut self, ci: usize, si: usize, kind: RpcKind) {
         let now = self.now;
         let counters = &mut self.clients[ci].data.metrics.counters;
         let mut obs = self.obs.as_deref_mut();
-        if let Some((until, blocked)) = unreachable {
+        // The stall, and the counter to bump if the RPC gave up.
+        let (stall, failed) = if let Some((until, blocked)) = self.faults.unreachable(ci, si) {
             // The RPC times out and is retried until the reboot or heal,
             // or until the retry budget runs out. The operation itself
             // still executes: the cost is time, not data (DESIGN.md §15).
@@ -884,68 +662,52 @@ impl<S: TraceSink> Cluster<S> {
             let stall = remaining.min(retry_budget());
             counters.bump(blocked.stalled);
             counters.add(blocked.stall_us, stall.as_micros());
-            if remaining > retry_budget() {
-                counters.bump(blocked.failed);
-                if let Some(obs) = obs.as_deref_mut() {
-                    obs.exhaust(kind);
-                }
-            }
-            if let Some(obs) = obs {
+            if let Some(obs) = obs.as_deref_mut() {
                 obs.span(SpanKind::Stall, stall);
-                obs.retry(stall);
             }
-            return;
-        }
-        if fstate.has_partitions {
-            // An RPC that reaches the server implicitly renews the
-            // client's lease on this edge.
-            let e = fstate.edge(ci as u16, si);
-            fstate.lease_until[e] = now + fstate.plan.lease_ttl;
-        }
-        if fstate.plan.drop_prob > 0.0 {
-            let mut tries = 0u32;
-            while tries < MAX_RETRIES && fstate.rng.chance(fstate.plan.drop_prob) {
-                tries += 1;
+            let gave_up = remaining > retry_budget();
+            (stall, gave_up.then_some(blocked.failed))
+        } else {
+            let tries = self.faults.reached(ci, si, now);
+            if tries == 0 {
+                return;
             }
-            if tries > 0 {
-                let stall = retry_stall(tries);
-                counters.add(fault::RETRANS_MSGS, u64::from(tries));
-                counters.add(fault::STALL_US, stall.as_micros());
-                if tries == MAX_RETRIES {
-                    counters.bump(fault::FAILED_RPCS);
-                    if let Some(obs) = obs.as_deref_mut() {
-                        obs.exhaust(kind);
-                    }
-                }
-                if let Some(obs) = obs {
-                    obs.retry(stall);
-                }
-            }
+            let stall = retry_stall(tries);
+            counters.add(fault::RETRANS_MSGS, u64::from(tries));
+            counters.add(fault::STALL_US, stall.as_micros());
+            (stall, (tries == MAX_RETRIES).then_some(fault::FAILED_RPCS))
+        };
+        if let Some(failed) = failed {
+            counters.bump(failed);
         }
+        if let Some(obs) = obs {
+            if failed.is_some() {
+                obs.exhaust(kind);
+            }
+            obs.retry(stall);
+        }
+    }
+
+    /// One client→server RPC of `kind` from client `ci` to server `si`,
+    /// carrying `bytes`: gated on the fault state ([`Cluster::gate_rpc`]),
+    /// then charged ([`Cluster::charge_rpc`]).
+    fn rpc(&mut self, ci: usize, si: usize, kind: RpcKind, bytes: u64, disk_miss: bool) {
+        self.gate_rpc(ci, si, kind);
+        self.charge_rpc(ci, kind, bytes, disk_miss);
     }
 
     /// Fires the next scheduled fault transition (already known due and
     /// timestamped; `self.now` has been advanced to it).
     fn fire_fault_event(&mut self) {
-        let ev = {
-            let fstate = self.fault.as_mut().expect("fault event without plan");
-            let ev = fstate.events[fstate.next_event];
-            fstate.next_event += 1;
-            ev
-        };
-        match ev.kind {
-            FaultEventKind::Crash { until } => {
-                self.crash_server_until(ServerId(ev.server), until);
+        match self.faults.pop_event() {
+            FaultEvent::Crash { until, server } => {
+                self.crash_server_until(ServerId(server), until);
             }
-            FaultEventKind::Reboot => {
-                self.recover_server(ServerId(ev.server));
+            FaultEvent::Reboot { server } => {
+                self.recover_server(ServerId(server));
             }
-            FaultEventKind::PartitionStart { idx } => {
-                self.partition_start(idx);
-            }
-            FaultEventKind::PartitionHeal { idx } => {
-                self.partition_heal(idx);
-            }
+            FaultEvent::PartitionStart { idx } => self.partition_start(idx),
+            FaultEvent::PartitionHeal { idx } => self.partition_heal(idx),
         }
     }
 
@@ -954,20 +716,7 @@ impl<S: TraceSink> Cluster<S> {
     /// actions *toward* a cut client go through
     /// [`Cluster::callback`] instead.
     fn partition_start(&mut self, idx: usize) {
-        let (edges, heal_at) = {
-            let f = self.fault.as_ref().expect("partition without plan");
-            let p = &f.plan.partitions[idx];
-            (p.edges.clone(), p.heal_at())
-        };
-        for (c, s) in edges {
-            {
-                let f = self.fault.as_mut().expect("plan in force");
-                let e = f.edge(c, s as usize);
-                f.cut[e] += 1;
-                if f.cut_until[e] < heal_at {
-                    f.cut_until[e] = heal_at;
-                }
-            }
+        for &(_, s) in self.faults.start_partition(idx) {
             self.servers[s as usize]
                 .counters
                 .bump(fault::PART_CUT_EDGES);
@@ -976,39 +725,23 @@ impl<S: TraceSink> Cluster<S> {
 
     /// Heals every edge of partition `idx`. A fully healed edge runs
     /// the recovery protocol selected by
-    /// [`FaultPlan::conservative_recovery`]: the conservative baseline
-    /// treats the healed edge like a rebooted server (Reregister plus
-    /// one Reopen per live handle), the lease protocol sends one
-    /// renewal plus one [`RpcKind::Reassert`] per revoked grant.
+    /// [`FaultPlan::conservative_recovery`](crate::FaultPlan::conservative_recovery):
+    /// the conservative baseline treats the healed edge like a rebooted
+    /// server (Reregister plus one Reopen per live handle), the lease
+    /// protocol sends one renewal plus one [`RpcKind::Reassert`] per
+    /// revoked grant.
     fn partition_heal(&mut self, idx: usize) {
-        let (edges, cut_at) = {
-            let f = self.fault.as_ref().expect("partition without plan");
-            let p = &f.plan.partitions[idx];
-            (p.edges.clone(), p.at)
-        };
-        for (c, s) in edges {
-            let (healed, conservative) = {
-                let f = self.fault.as_mut().expect("plan in force");
-                let e = f.edge(c, s as usize);
-                f.cut[e] -= 1;
-                // The lease clock restarts from the heal: the client
-                // talks to the server again from this instant on.
-                if f.cut[e] == 0 {
-                    f.lease_until[e] = self.now + f.plan.lease_ttl;
-                }
-                (f.cut[e] == 0, f.plan.conservative_recovery)
-            };
-            if !healed {
-                continue; // Still cut by an overlapping partition.
-            }
-            let dur = self.now.since(cut_at);
-            self.servers[s as usize]
+        let (cut_at, healed) = self.faults.heal_partition(idx, self.now);
+        let dur = self.now.since(cut_at);
+        for (c, s) in healed {
+            let (ci, si) = (c as usize, s as usize);
+            self.servers[si]
                 .counters
                 .add(fault::PART_CUT_US, dur.as_micros());
-            if conservative {
-                self.conservative_heal(c as usize, s as usize);
+            if self.faults.conservative_recovery() {
+                self.conservative_heal(ci, si);
             } else {
-                self.lease_heal(c as usize, s as usize);
+                self.lease_heal(ci, si);
             }
         }
     }
@@ -1055,11 +788,7 @@ impl<S: TraceSink> Cluster<S> {
     /// (both sides already agree the grant is gone) — which is why this
     /// storm is strictly smaller than the conservative one.
     fn lease_heal(&mut self, ci: usize, si: usize) {
-        let mut revoked: Vec<FileId> = {
-            let f = self.fault.as_mut().expect("plan in force");
-            let e = f.edge(ci as u16, si);
-            std::mem::take(&mut f.revoked[e])
-        };
+        let mut revoked = self.faults.take_revoked(ci, si);
         revoked.retain(|&file| self.clients[ci].fds.values().any(|f| f.file == file));
         if self.stake(ci, si).is_empty() && revoked.is_empty() {
             return;
@@ -1133,38 +862,16 @@ impl<S: TraceSink> Cluster<S> {
         requester: usize,
         file: FileId,
     ) -> bool {
-        let now = self.now;
-        enum Verdict {
-            Deliver,
-            Wait(SimDuration),
-            Revoke(SimDuration),
-        }
-        let verdict = match self.fault.as_ref() {
-            // Self-directed actions ride the requester's own RPC reply,
-            // which already paid the partition stall.
-            _ if target == requester => Verdict::Deliver,
-            Some(f) if f.edge_cut(target as u16, si) => {
-                let e = f.edge(target as u16, si);
-                if f.plan.conservative_recovery || f.lease_until[e] >= f.cut_until[e] {
-                    // Conservative baseline, or a lease that outlives the
-                    // cut: the action is queued for the heal and the
-                    // requester waits, bounded by its retry budget.
-                    // Semantics are unchanged — the simulator models the
-                    // eventual delivery by executing the action now and
-                    // charging the wait.
-                    Verdict::Wait(f.cut_until[e].since(now).min(retry_budget()))
-                } else {
-                    // Lease protocol and the target's lease lapses before
-                    // the heal: wait out whatever remains of the lease,
-                    // then revoke the grant unilaterally.
-                    Verdict::Revoke(f.lease_until[e].since(now).min(retry_budget()))
-                }
-            }
-            _ => Verdict::Deliver,
+        // Self-directed actions ride the requester's own RPC reply,
+        // which already paid the partition stall.
+        let verdict = if target == requester {
+            Callback::Deliver
+        } else {
+            self.faults.callback(target, si, self.now)
         };
         match verdict {
-            Verdict::Deliver => {}
-            Verdict::Wait(stall) => {
+            Callback::Deliver => {}
+            Callback::Wait(stall) => {
                 let c = &mut self.clients[requester].metrics.counters;
                 c.bump(fault::PART_UNDELIVERED);
                 c.add(fault::PART_STALL_US, stall.as_micros());
@@ -1172,7 +879,7 @@ impl<S: TraceSink> Cluster<S> {
                     obs.span(SpanKind::Stall, stall);
                 }
             }
-            Verdict::Revoke(wait) => {
+            Callback::Revoke(wait) => {
                 let c = &mut self.clients[requester].metrics.counters;
                 c.add(fault::LEASE_WAIT_US, wait.as_micros());
                 if wait > SimDuration::ZERO {
@@ -1202,7 +909,7 @@ impl<S: TraceSink> Cluster<S> {
     /// are flushed and invalidated through the ordinary write-sharing
     /// machinery ([`Cluster::disable_caching`], charged to
     /// `requester`, whose conflicting action triggered the
-    /// revocation), and [`FaultState::file_revoked`] keeps the data
+    /// revocation), and [`Faults::file_revoked`] keeps the data
     /// path synchronous until the heal drains the revocation list.
     fn revoke_client_file(&mut self, ci: usize, si: usize, file: FileId, requester: usize) {
         let client = self.clients[ci].id;
@@ -1224,19 +931,7 @@ impl<S: TraceSink> Cluster<S> {
             self.disable_caching(file, si, requester);
         }
         self.servers[si].gc_file(file);
-        let f = self.fault.as_mut().expect("revocation requires a plan");
-        let e = f.edge(ci as u16, si);
-        if !f.revoked[e].contains(&file) {
-            f.revoked[e].push(file);
-        }
-    }
-
-    /// Time of the next scheduled crash/reboot, if any remain.
-    fn next_fault_time(&self) -> Option<SimTime> {
-        self.fault
-            .as_ref()
-            .and_then(|f| f.events.get(f.next_event))
-            .map(|e| e.at)
+        self.faults.revoke(ci, si, file);
     }
 
     // ------------------------------------------------------------------
@@ -1245,7 +940,7 @@ impl<S: TraceSink> Cluster<S> {
 
     fn advance_to(&mut self, t: SimTime) {
         loop {
-            let next_fault = self.next_fault_time();
+            let next_fault = self.faults.next_event_at();
             let next_daemon = self.next_tick.min(self.next_sample);
             let next = match next_fault {
                 Some(f) => f.min(next_daemon),
@@ -1280,20 +975,13 @@ impl<S: TraceSink> Cluster<S> {
         // Servers run their own delayed write to disk (a crashed server
         // has no cache to flush).
         for si in 0..self.servers.len() {
-            if !self.server_down[si] {
+            if !self.faults.is_down(si) {
                 self.servers[si].flush_dirty_before(cutoff);
             }
         }
         self.drain_disk_flush_logs();
         if let Some(san) = self.san.as_deref_mut() {
-            san.check_writeback_window(
-                &self.clients,
-                &self.files,
-                &self.server_down,
-                self.fault.as_ref(),
-                &self.cfg,
-                now,
-            );
+            san.check_writeback_window(&self.clients, &self.files, &self.faults, now, cutoff);
         }
     }
 
@@ -1377,14 +1065,12 @@ impl<S: TraceSink> Cluster<S> {
 
     fn do_open(&mut self, op: &AppOp, fd: Handle, file: FileId, mode: OpenMode) {
         let ci = op.client.raw() as usize;
-        if self.files.get(file).is_none() {
-            // Robustness: treat an open of an unknown file as creating it
-            // (the workload should always create first).
-            let server = assign_server(file, self.cfg.num_servers);
-            self.files.create(file, server, false, self.now);
-            self.counters(ci).bump(implicit::CREATES);
+        let (meta, created) = self.files.get_or_create(file, false, self.now);
+        if created {
+            // Robustness: an open of an unknown file creates it (the
+            // workload should always create first).
+            self.clients[ci].metrics.counters.bump(implicit::CREATES);
         }
-        let meta = self.files.get_mut(file).expect("file exists");
         let server_id = meta.server;
         let is_dir = meta.is_dir;
         let size = meta.size;
@@ -1395,8 +1081,7 @@ impl<S: TraceSink> Cluster<S> {
         let version = meta.version;
         let si = server_id.raw() as usize;
 
-        self.fault_rpc(ci, si, RpcKind::Open);
-        self.charge_rpc(ci, RpcKind::Open, 0, false);
+        self.rpc(ci, si, RpcKind::Open, 0, false);
         if !is_dir {
             self.counters(ci).bump(consist::FILE_OPENS);
             match self.cfg.consistency {
@@ -1570,8 +1255,7 @@ impl<S: TraceSink> Cluster<S> {
             None => true,
         };
         if due {
-            self.fault_rpc(ci, si, RpcKind::GetAttr);
-            self.charge_rpc(ci, RpcKind::GetAttr, 0, false);
+            self.rpc(ci, si, RpcKind::GetAttr, 0, false);
             let stale = self.clients[ci]
                 .seen_version
                 .get(&file)
@@ -1618,8 +1302,7 @@ impl<S: TraceSink> Cluster<S> {
         let server_id = meta.server;
         let size = meta.size;
         let si = server_id.raw() as usize;
-        self.fault_rpc(ci, si, RpcKind::Close);
-        self.charge_rpc(ci, RpcKind::Close, 0, false);
+        self.rpc(ci, si, RpcKind::Close, 0, false);
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.span(SpanKind::FileOpen, fdst.open_duration(self.now));
         }
@@ -1675,10 +1358,7 @@ impl<S: TraceSink> Cluster<S> {
             .files
             .get(&file)
             .is_some_and(|st| st.uncacheable)
-            || self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.file_revoked(si, file))
+            || self.faults.file_revoked(si, file)
     }
 
     fn do_read(&mut self, op: &AppOp, fd: Handle, len: u64) {
@@ -1702,11 +1382,10 @@ impl<S: TraceSink> Cluster<S> {
 
         if uncacheable {
             // Pass-through read on a write-shared file.
-            self.fault_rpc(ci, si, RpcKind::SharedRead);
             let c = self.counters(ci);
             c.add(raw::SHARED_READ, eff);
             c.add(srv::SHARED_READ, eff);
-            self.charge_rpc(ci, RpcKind::SharedRead, eff, false);
+            self.rpc(ci, si, RpcKind::SharedRead, eff, false);
             self.emit(
                 server_id,
                 op,
@@ -1771,11 +1450,10 @@ impl<S: TraceSink> Cluster<S> {
         meta.note_write(self.now, was_empty);
 
         if uncacheable {
-            self.fault_rpc(ci, si, RpcKind::SharedWrite);
             let c = self.counters(ci);
             c.add(raw::SHARED_WRITE, len);
             c.add(srv::SHARED_WRITE, len);
-            self.charge_rpc(ci, RpcKind::SharedWrite, len, false);
+            self.rpc(ci, si, RpcKind::SharedWrite, len, false);
             if let Some(san) = self.san.as_deref_mut() {
                 for index in block_span(offset, len) {
                     san.on_server_write(BlockKey { file, index });
@@ -1830,11 +1508,11 @@ impl<S: TraceSink> Cluster<S> {
             return;
         };
         let file = fdst.file;
-        if let Some(meta) = self.files.get(file) {
-            let si = meta.server.raw() as usize;
-            self.fault_rpc(ci, si, RpcKind::Fsync);
+        match self.files.get(file).map(|m| m.server.raw() as usize) {
+            Some(si) => self.rpc(ci, si, RpcKind::Fsync, 0, false),
+            // Deleted while open: charged, but no server to gate on.
+            None => self.charge_rpc(ci, RpcKind::Fsync, 0, false),
         }
-        self.charge_rpc(ci, RpcKind::Fsync, 0, false);
         self.flush_file(ci, file, CleanReason::Fsync);
     }
 
@@ -1844,7 +1522,7 @@ impl<S: TraceSink> Cluster<S> {
 
     fn do_create(&mut self, op: &AppOp, file: FileId, is_dir: bool) {
         let ci = op.client.raw() as usize;
-        let server = assign_server(file, self.cfg.num_servers);
+        let server = self.files.server_of(file);
         // Creating over a live file is an overwrite-truncate: every
         // cached copy (dirty included) belongs to the old incarnation
         // and is dropped everywhere, exactly as in `do_truncate` —
@@ -1855,9 +1533,8 @@ impl<S: TraceSink> Cluster<S> {
         if self.files.get(file).is_some() {
             self.erase_file(si, file);
         }
-        self.files.create(file, server, is_dir, self.now);
-        self.fault_rpc(ci, si, RpcKind::Create);
-        self.charge_rpc(ci, RpcKind::Create, 0, false);
+        self.files.create(file, is_dir, self.now);
+        self.rpc(ci, si, RpcKind::Create, 0, false);
         self.emit(server, op, RecordKind::Create { file, is_dir });
     }
 
@@ -1868,8 +1545,7 @@ impl<S: TraceSink> Cluster<S> {
             return;
         };
         let si = meta.server.raw() as usize;
-        self.fault_rpc(ci, si, RpcKind::Delete);
-        self.charge_rpc(ci, RpcKind::Delete, 0, false);
+        self.rpc(ci, si, RpcKind::Delete, 0, false);
         // Dirty data is cancelled and never written back (this is where
         // short lifetimes save write traffic).
         self.erase_file(si, file);
@@ -1902,8 +1578,7 @@ impl<S: TraceSink> Cluster<S> {
         meta.newest_write = self.now;
         let server_id = meta.server;
         let si = server_id.raw() as usize;
-        self.fault_rpc(ci, si, RpcKind::Truncate);
-        self.charge_rpc(ci, RpcKind::Truncate, 0, false);
+        self.rpc(ci, si, RpcKind::Truncate, 0, false);
         self.erase_file(si, file);
         self.emit(
             server_id,
@@ -1919,19 +1594,14 @@ impl<S: TraceSink> Cluster<S> {
 
     fn do_readdir(&mut self, op: &AppOp, dir: FileId, bytes: u64) {
         let ci = op.client.raw() as usize;
-        if self.files.get(dir).is_none() {
-            let server = assign_server(dir, self.cfg.num_servers);
-            self.files.create(dir, server, true, self.now);
-        }
-        let meta = self.files.get_mut(dir).expect("dir exists");
+        let (meta, _) = self.files.get_or_create(dir, true, self.now);
         meta.size = meta.size.max(bytes);
         let server_id = meta.server;
         let si = server_id.raw() as usize;
-        self.fault_rpc(ci, si, RpcKind::ReadDir);
         let c = self.counters(ci);
         c.add(raw::DIR_READ, bytes);
         c.add(srv::DIR_READ, bytes);
-        self.charge_rpc(ci, RpcKind::ReadDir, bytes, false);
+        self.rpc(ci, si, RpcKind::ReadDir, bytes, false);
         self.emit(server_id, op, RecordKind::DirRead { file: dir, bytes });
     }
 
@@ -1951,14 +1621,10 @@ impl<S: TraceSink> Cluster<S> {
         heap_bytes: u64,
     ) {
         let ci = op.client.raw() as usize;
-        if self.files.get(exec).is_none() {
-            let server = assign_server(exec, self.cfg.num_servers);
-            self.files.create(exec, server, false, self.now);
-            if let Some(m) = self.files.get_mut(exec) {
-                m.size = code_bytes + data_bytes;
-            }
+        let (meta, created) = self.files.get_or_create(exec, false, self.now);
+        if created {
+            meta.size = code_bytes + data_bytes;
         }
-        let meta = self.files.get(exec).expect("exec exists");
         let si = meta.server.raw() as usize;
         let now = self.now;
         let code_pages = code_bytes.div_ceil(BLOCK_SIZE);
@@ -2050,14 +1716,9 @@ impl<S: TraceSink> Cluster<S> {
 
     fn do_page(&mut self, op: &AppOp, file: FileId, offset: u64, bytes: u64, read: bool) {
         let ci = op.client.raw() as usize;
-        if self.files.get(file).is_none() {
-            let server = assign_server(file, self.cfg.num_servers);
-            self.files.create(file, server, false, self.now);
-        }
-        let meta = self.files.get_mut(file).expect("backing file exists");
+        let (meta, _) = self.files.get_or_create(file, false, self.now);
         let si = meta.server.raw() as usize;
         if read {
-            self.fault_rpc(ci, si, RpcKind::PageIn);
             let c = self.counters(ci);
             c.add(raw::PAGING_BACKING_READ, bytes);
             c.add(srv::PAGING_READ, bytes);
@@ -2065,18 +1726,17 @@ impl<S: TraceSink> Cluster<S> {
             for index in block_span(offset, bytes) {
                 all_hit &= self.servers[si].serve_read(BlockKey { file, index }, self.now);
             }
-            self.charge_rpc(ci, RpcKind::PageIn, bytes, !all_hit);
+            self.rpc(ci, si, RpcKind::PageIn, bytes, !all_hit);
         } else {
             let was_empty = meta.size == 0;
             if offset + bytes > meta.size {
                 meta.size = offset + bytes;
             }
             meta.note_write(self.now, was_empty);
-            self.fault_rpc(ci, si, RpcKind::PageOut);
             let c = self.counters(ci);
             c.add(raw::PAGING_BACKING_WRITE, bytes);
             c.add(srv::PAGING_WRITE, bytes);
-            self.charge_rpc(ci, RpcKind::PageOut, bytes, false);
+            self.rpc(ci, si, RpcKind::PageOut, bytes, false);
             for index in block_span(offset, bytes) {
                 self.servers[si].accept_write(BlockKey { file, index }, BLOCK_SIZE, self.now);
             }
@@ -2137,7 +1797,7 @@ impl<S: TraceSink> Cluster<S> {
                 continue; // Hit.
             }
             // Miss: fetch the whole block from the server.
-            self.fault_rpc(ci, si, rpc);
+            self.gate_rpc(ci, si, rpc);
             misses += 1;
             let srv_hit = self.servers[si].serve_read(key, now);
             self.obs_rpc(rpc, BLOCK_SIZE, !srv_hit);
@@ -2223,7 +1883,7 @@ impl<S: TraceSink> Cluster<S> {
                 // Partial write of a block with pre-existing content
                 // requires a write fetch.
                 if block_start < old_size && !full_block {
-                    self.fault_rpc(ci, si, RpcKind::ReadBlock);
+                    self.gate_rpc(ci, si, RpcKind::ReadBlock);
                     fetches += 1;
                     let srv_hit = self.servers[si].serve_read(key, now);
                     self.obs_rpc(RpcKind::ReadBlock, BLOCK_SIZE, !srv_hit);
@@ -2243,7 +1903,9 @@ impl<S: TraceSink> Cluster<S> {
             // Straight through to the server: NFS-style polling keeps the
             // cached copy clean, and a block the VM system left no page
             // for (nothing could be evicted) has no cached copy at all.
-            self.write_block_through(ci, si, key, app_bytes);
+            self.gate_rpc(ci, si, RpcKind::WriteBlock);
+            self.servers[si].accept_write(key, app_bytes, now);
+            self.obs_rpc(RpcKind::WriteBlock, app_bytes, false);
             through += 1;
             through_bytes += app_bytes;
             if let Some(san) = self.san.as_deref_mut() {
@@ -2268,15 +1930,6 @@ impl<S: TraceSink> Cluster<S> {
             c.add(srv::FILE_WRITE, through_bytes);
             count_rpcs(c, RpcKind::WriteBlock, through, through_bytes);
         }
-    }
-
-    /// Sends `app_bytes` of block `key` from client `ci` straight to
-    /// server `si`, bypassing the delayed-write path. The caller counts
-    /// the write.
-    fn write_block_through(&mut self, ci: usize, si: usize, key: BlockKey, app_bytes: u64) {
-        self.fault_rpc(ci, si, RpcKind::WriteBlock);
-        self.servers[si].accept_write(key, app_bytes, self.now);
-        self.obs_rpc(RpcKind::WriteBlock, app_bytes, false);
     }
 
     /// Inserts a block into client `ci`'s cache, obtaining a physical
@@ -2338,11 +1991,11 @@ impl<S: TraceSink> Cluster<S> {
     /// extending the loss window.
     fn daemon_flush(&mut self, ci: usize, cutoff: SimTime) {
         for file in self.clients[ci].cache.files_with_dirty_before(cutoff) {
-            let si = assign_server(file, self.cfg.num_servers).raw() as usize;
+            let si = self.files.server_of(file).raw() as usize;
             // A cut edge queues the write-back just like a down server:
             // the blocks stay dirty until the reboot or heal (or until a
             // lapsed lease revokes them).
-            if let Some((_, blocked)) = self.unreachable(ci, si) {
+            if let Some((_, blocked)) = self.faults.unreachable(ci, si) {
                 self.counters(ci).bump(blocked.queued);
                 continue;
             }
@@ -2360,8 +2013,9 @@ impl<S: TraceSink> Cluster<S> {
         let id = self.clients[ci].id;
         // A file deleted (or cut short) with dirty data still cached:
         // the write is cancelled.
-        let bytes = self.files.get(key.file).map_or(0, |m| {
-            BLOCK_SIZE.min(m.size.saturating_sub(key.index * BLOCK_SIZE))
+        let (si, bytes) = self.files.get(key.file).map_or((0, 0), |m| {
+            let bytes = BLOCK_SIZE.min(m.size.saturating_sub(key.index * BLOCK_SIZE));
+            (m.server.raw() as usize, bytes)
         });
         if bytes == 0 {
             self.counters(ci)
@@ -2376,13 +2030,11 @@ impl<S: TraceSink> Cluster<S> {
         c.add(srv::FILE_WRITE, bytes);
         c.bump(reason.blocks_key());
         c.add(reason.age_key(), now.since(before.last_write).as_micros());
-        let si = assign_server(key.file, self.cfg.num_servers).raw() as usize;
-        self.fault_rpc(ci, si, RpcKind::WriteBlock);
+        self.rpc(ci, si, RpcKind::WriteBlock, bytes, false);
         self.servers[si].accept_write(key, bytes, now);
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.writeback(before.dwell(now));
         }
-        self.charge_rpc(ci, RpcKind::WriteBlock, bytes, false);
         if let Some(san) = self.san.as_deref_mut() {
             san.on_writeback(id, key, true);
         }
@@ -2445,6 +2097,7 @@ impl<S: TraceSink> Cluster<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FaultPlan;
     use sdfs_trace::{Pid, UserId};
 
     fn op(t: u64, client: u16, kind: OpKind) -> AppOp {

@@ -139,10 +139,11 @@ impl Partition {
 ///
 /// Everything here is driven by the simulation clock and a seeded
 /// [`sdfs_simkit::SimRng`] — never wall-clock time or OS entropy — so a
-/// faulted run is exactly as reproducible as a fault-free one. With
-/// [`Config::faults`] set to `None` (the default) no fault code runs and
-/// the simulation output is byte-identical to a build without this
-/// subsystem.
+/// faulted run is exactly as reproducible as a fault-free one. The
+/// default plan schedules no outage or partition and drops nothing, so
+/// a run under it — or with [`Config::faults`] set to `None`, which is
+/// the same — is fault-free, and its fault state costs a few loads and
+/// one store per RPC.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Scheduled server crashes and reboots. Outages of the same server
@@ -158,8 +159,8 @@ pub struct FaultPlan {
     /// client↔server edge implicitly renews the edge's lease; once a
     /// partition has kept the edge silent past the TTL, the server may
     /// unilaterally revoke the client's grants (and the client — whose
-    /// clock agrees — discards them). Only consulted while a partition
-    /// plan is active.
+    /// clock agrees — discards them). Only consulted while an edge is
+    /// cut.
     pub lease_ttl: SimDuration,
     /// Run the pre-lease conservative recovery protocol instead: the
     /// server keeps state for unreachable clients and, on heal,
@@ -248,8 +249,8 @@ pub struct Config {
     pub fault_skip_invalidate: bool,
     /// Deterministic fault-injection plan (server crash/reboot schedule,
     /// network partitions, and per-RPC message drops). `None` — the
-    /// default — runs the cluster fault-free with byte-identical output
-    /// to builds that predate the fault subsystem.
+    /// default — runs the cluster under [`FaultPlan::default`], which
+    /// schedules and drops nothing: the run is fault-free.
     pub faults: Option<FaultPlan>,
     /// Size of a battery-backed (NVRAM) server write buffer, in bytes.
     /// On a crash, the most recently written `server_nvram_bytes` of

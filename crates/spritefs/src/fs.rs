@@ -4,7 +4,8 @@
 //! servers, no local disks. [`FileTable`] holds the authoritative
 //! metadata for every file: existence, size, owning server, a version
 //! stamp used by the consistency machinery, and the write times used to
-//! estimate byte ages for the lifetime analysis (Figure 4).
+//! estimate byte ages for the lifetime analysis (Figure 4). It also
+//! places each file on its server, so no caller computes that itself.
 
 use sdfs_simkit::{SimDuration, SimTime};
 use sdfs_trace::{FileId, ServerId};
@@ -12,8 +13,6 @@ use sdfs_trace::{FileId, ServerId};
 /// Authoritative metadata for one file or directory.
 #[derive(Debug, Clone)]
 pub struct FileMeta {
-    /// Whether the file currently exists.
-    pub exists: bool,
     /// Whether it is a directory.
     pub is_dir: bool,
     /// Current size in bytes.
@@ -36,7 +35,6 @@ pub struct FileMeta {
 impl FileMeta {
     fn new(server: ServerId, is_dir: bool, now: SimTime) -> Self {
         FileMeta {
-            exists: true,
             is_dir,
             size: 0,
             server,
@@ -69,87 +67,89 @@ impl FileMeta {
 /// The global file table, indexed densely by [`FileId`].
 ///
 /// The workload generator allocates `FileId`s sequentially from zero, so
-/// a plain vector suffices.
-#[derive(Debug, Default)]
+/// a plain vector suffices; a slot is `None` until the file is created
+/// and again once it is deleted.
+#[derive(Debug)]
 pub struct FileTable {
     files: Vec<Option<FileMeta>>,
+    /// Servers the table places files on.
+    num_servers: u16,
 }
 
 impl FileTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        FileTable::default()
+    /// Creates an empty table placing files on `num_servers` servers.
+    pub fn new(num_servers: u16) -> Self {
+        FileTable {
+            files: Vec::new(),
+            num_servers,
+        }
     }
 
-    /// Creates (or re-creates) a file.
-    pub fn create(&mut self, id: FileId, server: ServerId, is_dir: bool, now: SimTime) {
+    /// The server that stores `id`, whether or not the file exists.
+    pub fn server_of(&self, id: FileId) -> ServerId {
+        assign_server(id, self.num_servers)
+    }
+
+    /// The slot of `id`, growing the table to reach it.
+    fn slot(&mut self, id: FileId) -> &mut Option<FileMeta> {
         let idx = id.raw() as usize;
         if idx >= self.files.len() {
             self.files.resize(idx + 1, None);
         }
-        self.files[idx] = Some(FileMeta::new(server, is_dir, now));
+        &mut self.files[idx]
+    }
+
+    /// Creates (or re-creates) a file, empty, on its server.
+    pub fn create(&mut self, id: FileId, is_dir: bool, now: SimTime) -> &mut FileMeta {
+        let meta = FileMeta::new(self.server_of(id), is_dir, now);
+        self.slot(id).insert(meta)
+    }
+
+    /// The metadata of `id`, creating the file first as
+    /// [`FileTable::create`] does when it does not exist. The flag says
+    /// whether it did not.
+    pub fn get_or_create(
+        &mut self,
+        id: FileId,
+        is_dir: bool,
+        now: SimTime,
+    ) -> (&mut FileMeta, bool) {
+        let server = self.server_of(id);
+        let slot = self.slot(id);
+        let created = slot.is_none();
+        (
+            slot.get_or_insert_with(|| FileMeta::new(server, is_dir, now)),
+            created,
+        )
     }
 
     /// Installs a pre-existing file without touching trace history: used
     /// to seed the namespace before the trace starts. Pre-existing
     /// content is dated at trace start.
-    pub fn preload(&mut self, id: FileId, server: ServerId, is_dir: bool, size: u64) {
-        self.create(id, server, is_dir, SimTime::ZERO);
-        if let Some(meta) = self.get_mut(id) {
-            meta.size = size;
-        }
+    pub fn preload(&mut self, id: FileId, is_dir: bool, size: u64) {
+        self.create(id, is_dir, SimTime::ZERO).size = size;
     }
 
     /// Returns the metadata for `id` if the file exists.
     pub fn get(&self, id: FileId) -> Option<&FileMeta> {
-        self.files
-            .get(id.raw() as usize)
-            .and_then(|m| m.as_ref())
-            .filter(|m| m.exists)
+        self.files.get(id.raw() as usize)?.as_ref()
     }
 
     /// Mutable access to the metadata for `id` if the file exists.
     pub fn get_mut(&mut self, id: FileId) -> Option<&mut FileMeta> {
-        self.files
-            .get_mut(id.raw() as usize)
-            .and_then(|m| m.as_mut())
-            .filter(|m| m.exists)
+        self.files.get_mut(id.raw() as usize)?.as_mut()
     }
 
-    /// Marks `id` deleted, returning its final metadata.
+    /// Deletes `id`, returning its final metadata.
     pub fn delete(&mut self, id: FileId) -> Option<FileMeta> {
-        let slot = self.files.get_mut(id.raw() as usize)?.as_mut()?;
-        if !slot.exists {
-            return None;
-        }
-        slot.exists = false;
-        Some(slot.clone())
-    }
-
-    /// Number of slots (existing or deleted).
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Returns `true` when the table has no slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
-    /// Iterates over existing files.
-    pub fn iter(&self) -> impl Iterator<Item = (FileId, &FileMeta)> + '_ {
-        self.files
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.as_ref().map(|m| (FileId(i as u64), m)))
-            .filter(|(_, m)| m.exists)
+        self.files.get_mut(id.raw() as usize)?.take()
     }
 }
 
 /// Deterministically assigns a file to a server with the measured skew:
 /// most traffic went to a single Sun 4 server, the rest spread over the
 /// other three.
-pub fn assign_server(id: FileId, num_servers: u16) -> ServerId {
+fn assign_server(id: FileId, num_servers: u16) -> ServerId {
     if num_servers <= 1 {
         return ServerId(0);
     }
@@ -173,8 +173,8 @@ mod tests {
 
     #[test]
     fn create_get_delete() {
-        let mut t = FileTable::new();
-        t.create(FileId(3), ServerId(0), false, SimTime::from_secs(5));
+        let mut t = FileTable::new(1);
+        t.create(FileId(3), false, SimTime::from_secs(5));
         assert!(t.get(FileId(3)).is_some());
         assert!(t.get(FileId(0)).is_none());
         assert!(t.get(FileId(99)).is_none());
@@ -186,10 +186,10 @@ mod tests {
 
     #[test]
     fn recreate_after_delete() {
-        let mut t = FileTable::new();
-        t.create(FileId(1), ServerId(0), false, SimTime::from_secs(1));
+        let mut t = FileTable::new(1);
+        t.create(FileId(1), false, SimTime::from_secs(1));
         t.delete(FileId(1));
-        t.create(FileId(1), ServerId(0), false, SimTime::from_secs(9));
+        t.create(FileId(1), false, SimTime::from_secs(9));
         let m = t.get(FileId(1)).expect("recreated");
         assert_eq!(m.created_at, SimTime::from_secs(9));
         assert_eq!(m.size, 0);
@@ -197,18 +197,19 @@ mod tests {
 
     #[test]
     fn preload_sets_size_and_epoch() {
-        let mut t = FileTable::new();
-        t.preload(FileId(0), ServerId(1), false, 12345);
+        let mut t = FileTable::new(4);
+        t.preload(FileId(0), false, 12345);
         let m = t.get(FileId(0)).expect("preloaded");
         assert_eq!(m.size, 12345);
+        assert_eq!(m.server, t.server_of(FileId(0)));
         assert_eq!(m.created_at, SimTime::ZERO);
         assert_eq!(m.oldest_write, SimTime::ZERO);
     }
 
     #[test]
     fn byte_ages() {
-        let mut t = FileTable::new();
-        t.create(FileId(0), ServerId(0), false, SimTime::from_secs(10));
+        let mut t = FileTable::new(1);
+        t.create(FileId(0), false, SimTime::from_secs(10));
         let m = t.get_mut(FileId(0)).expect("file");
         m.note_write(SimTime::from_secs(10), true);
         m.size = 100;
@@ -219,13 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn iter_skips_deleted() {
-        let mut t = FileTable::new();
-        t.create(FileId(0), ServerId(0), false, SimTime::ZERO);
-        t.create(FileId(1), ServerId(0), false, SimTime::ZERO);
-        t.delete(FileId(0));
-        let ids: Vec<FileId> = t.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![FileId(1)]);
+    fn get_or_create_creates_once_on_the_files_server() {
+        let mut t = FileTable::new(4);
+        let server = t.server_of(FileId(7));
+        let (m, created) = t.get_or_create(FileId(7), true, SimTime::from_secs(3));
+        assert!(created && m.is_dir);
+        assert_eq!(m.server, server);
+        t.get_mut(FileId(7)).expect("created").size = 99;
+        let (m, created) = t.get_or_create(FileId(7), false, SimTime::from_secs(8));
+        assert!(!created, "an existing file is returned as it is");
+        assert_eq!(
+            (m.size, m.is_dir, m.created_at),
+            (99, true, SimTime::from_secs(3))
+        );
     }
 
     #[test]

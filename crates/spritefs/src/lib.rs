@@ -36,6 +36,7 @@ pub mod cache;
 pub mod client;
 pub mod cluster;
 pub mod config;
+mod faults;
 pub mod fs;
 pub mod metrics;
 pub mod obs;

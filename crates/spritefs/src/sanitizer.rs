@@ -39,6 +39,7 @@ use sdfs_trace::{ClientId, FileId};
 use crate::cache::BlockKey;
 use crate::client::Client;
 use crate::config::{Config, ConsistencyPolicy};
+use crate::faults::Faults;
 use crate::fs::FileTable;
 use crate::metrics::SanitizerStats;
 use crate::server::Server;
@@ -297,36 +298,24 @@ impl Sanitizer {
     // Periodic checks.
     // ------------------------------------------------------------------
 
-    /// After a daemon tick at `now`: no block may remain dirty past the
-    /// write-back window (delay + one scan period). Blocks of files
-    /// whose server is currently `down` are excused — the daemon queues
-    /// their write-backs by design — but a down server must never mask a
-    /// genuine violation on an up server, so when the oldest dirty block
-    /// is excused the check falls back to a full scan of that client's
+    /// After a daemon tick at `now` that cleaned what was dirty before
+    /// `cutoff`: no block may remain dirty past the write-back window
+    /// (delay + one scan period). A dirty block whose client cannot
+    /// reach its server ([`Faults::unreachable`]: the server is down or
+    /// the edge is cut) is excused — the daemon queues its write-back by
+    /// design — but an unreachable server must never mask a genuine
+    /// violation on a reachable one, so when the oldest dirty block is
+    /// excused the check falls back to a full scan of that client's
     /// overdue files.
     pub(crate) fn check_writeback_window(
         &mut self,
         clients: &[Client],
         files: &FileTable,
-        down: &[bool],
-        fault: Option<&crate::cluster::FaultState>,
-        cfg: &Config,
+        faults: &Faults,
         now: SimTime,
+        cutoff: SimTime,
     ) {
         self.stats.ops_checked += 1;
-        let cutoff = now - cfg.writeback_delay;
-        // A dirty block is excused from the window when its server is
-        // down *or* the client's edge to that server is cut by a
-        // partition: the daemon queues the write-back either way.
-        let excused = |client: &Client, file: FileId| -> bool {
-            files.get(file).is_some_and(|m| {
-                let si = m.server.raw() as usize;
-                down.get(si) == Some(&true)
-                    || fault.is_some_and(|f| f.edge_cut(client.id.raw(), si))
-            })
-        };
-        let any_excusable =
-            down.iter().any(|&d| d) || fault.is_some_and(|f| f.any_partitions());
         for client in clients {
             let Some((since, key)) = client.cache.oldest_dirty() else {
                 continue;
@@ -334,19 +323,23 @@ impl Sanitizer {
             if since > cutoff {
                 continue;
             }
-            let mut overdue = Some((since, key));
-            if any_excusable && excused(client, key.file) {
+            let ci = client.id.raw() as usize;
+            let si = files.server_of(key.file).raw() as usize;
+            let mut overdue = Some(key);
+            if faults.unreachable(ci, si).is_some() {
                 // The O(1) witness is excused; look for an overdue block
-                // on a reachable up server the slow way.
-                overdue = None;
-                for file in client.cache.files_with_dirty_before(cutoff) {
-                    if !excused(client, file) {
-                        overdue = Some((since, BlockKey { file, index: 0 }));
-                        break;
-                    }
-                }
+                // on a reachable server the slow way.
+                overdue = client
+                    .cache
+                    .files_with_dirty_before(cutoff)
+                    .into_iter()
+                    .find(|&file| {
+                        let si = files.server_of(file).raw() as usize;
+                        faults.unreachable(ci, si).is_none()
+                    })
+                    .map(|file| BlockKey { file, index: 0 });
             }
-            if let Some((since, key)) = overdue {
+            if let Some(key) = overdue {
                 let c = client.id;
                 self.note(
                     |s| &mut s.writeback_window,

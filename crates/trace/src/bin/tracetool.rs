@@ -12,10 +12,10 @@
 //! trace files are merged into one ordered list, and records produced by
 //! the tracing itself or the nightly backup are scrubbed by user id.
 //!
+//! `dump`, `head` and `stats` stream their trace one record at a time.
 //! `merge` and `scrub` read every input before they create the output,
-//! so the output may name one of the inputs. Like `stats`, they hold the
-//! whole trace in memory: `merge` holds its inputs, and writes each
-//! record as the merge yields it.
+//! so the output may name one of the inputs: they hold the whole trace
+//! in memory, and `merge` writes each record as the merge yields it.
 //!
 //! Everything printed on stdout goes through one buffered writer. When
 //! the reader goes away early (`tracetool dump t.bin | head`), the
@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use sdfs_trace::codec::to_text_line;
 use sdfs_trace::file::{read_all, TraceWriter};
 use sdfs_trace::merge::{merge_sources, Scrub};
-use sdfs_trace::{TraceError, TraceReader, TraceStats, UserId};
+use sdfs_trace::{TraceError, TraceReader, TraceStatsBuilder, UserId};
 
 /// Why a command stopped early.
 enum Error {
@@ -149,8 +149,11 @@ fn dump(out: &mut impl Write, path: &str, limit: usize) -> Result<(), Error> {
 }
 
 fn stats(out: &mut impl Write, path: &str) -> Result<(), Error> {
-    let records = read_all(path).map_err(in_file(path))?;
-    let s = TraceStats::compute(records.iter());
+    let mut builder = TraceStatsBuilder::new();
+    for rec in TraceReader::open(path).map_err(in_file(path))? {
+        builder.record(&rec.map_err(in_file(path))?);
+    }
+    let s = builder.finish();
     writeln!(out, "{path}:")?;
     writeln!(out, "  duration:        {:.1} h", s.duration_hours())?;
     writeln!(

@@ -209,6 +209,27 @@ fn rejected_input_exits_2_with_usage() {
         // Flags the subcommand does not take would do nothing.
         (&["--quick", "--csv", "x", "table1"], "`--csv`"),
         (&["--quick", "--json", "table1"], "`--json`"),
+        // SpriteSan's verdict and the observer's report are printed
+        // only by the report subcommands and `faults` (and `obs`).
+        (&["--quick", "--sanitize", "extensions"], "`--sanitize`"),
+        (&["--quick", "--sanitize", "ablations"], "`--sanitize`"),
+        (&["--quick", "--sanitize", "latency"], "`--sanitize`"),
+        (
+            &["--quick", "--sanitize", "gen-trace", "x.bin"],
+            "`--sanitize`",
+        ),
+        (&["--quick", "--sanitize", "selftrace"], "`--sanitize`"),
+        (&["--quick", "--sanitize", "profile"], "`--sanitize`"),
+        (&["--quick", "--sanitize", "obs"], "`--sanitize`"),
+        (&["--quick", "--observe", "extensions"], "`--observe`"),
+        (&["--quick", "--observe", "ablations"], "`--observe`"),
+        (&["--quick", "--observe", "latency"], "`--observe`"),
+        (
+            &["--quick", "--observe", "gen-trace", "x.bin"],
+            "`--observe`",
+        ),
+        (&["--quick", "--observe", "selftrace"], "`--observe`"),
+        (&["--quick", "--observe", "profile"], "`--observe`"),
         // `gen-trace` without its output path.
         (&["--quick", "gen-trace"], "`gen-trace`"),
     ];
