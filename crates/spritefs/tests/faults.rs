@@ -463,18 +463,27 @@ const POLICIES: [ConsistencyPolicy; 4] = [
     ConsistencyPolicy::Polling { interval_secs: 10 },
 ];
 
-/// The fuzzer's cases, replayed in order from one seeded RNG: `script`'s
-/// ops under random partition plans (random windows, edges, TTLs, both
+/// The seed of the fuzz cases the sanitizer, sample-count and first
+/// digest checks replay.
+const FUZZ_SEED: u64 = 0x4655_5a5a_5041_5254;
+
+/// A second seed, whose plans, heal protocols and client crashes the
+/// second pair of digest goldens pins.
+const FUZZ_SEED_2: u64 = 0x5345_4544_5457_4f00;
+
+/// The fuzzer's cases, replayed in order from an RNG seeded with `seed`:
+/// `script`'s ops under random partition plans (random windows, edges, TTLs, both
 /// heal protocols) interleaved with scheduled server outages and
 /// imperative client crashes, rotating through every consistency
 /// policy. Each step checks the cache bounds; `finish` receives every
 /// case's cluster once it has run far past every heal and reboot, so
 /// queued work has drained.
 fn for_each_fuzz_case(
+    seed: u64,
     script: fn(u64, u64, u16) -> Vec<AppOp>,
     mut finish: impl FnMut(u64, Cluster<VecSink>),
 ) {
-    let mut rng = SimRng::seed_from_u64(0x4655_5a5a_5041_5254);
+    let mut rng = SimRng::seed_from_u64(seed);
     for case in 0..32u64 {
         let mut cfg = Config::small();
         cfg.consistency = POLICIES[case as usize % POLICIES.len()];
@@ -568,7 +577,7 @@ fn for_each_fuzz_case(
 /// every case, in [`RpcKind::ALL`] order.
 fn fuzz_stays_clean_and_samples_every_rpc(script: fn(u64, u64, u16) -> Vec<AppOp>) -> Vec<u64> {
     let mut total = vec![0; RpcKind::ALL.len()];
-    for_each_fuzz_case(script, |case, mut cl| {
+    for_each_fuzz_case(FUZZ_SEED, script, |case, mut cl| {
         let san = cl.take_sanitizer_stats().expect("sanitized run");
         assert!(
             san.is_clean(),
@@ -619,7 +628,7 @@ fn fuzz_lifecycle_ops_under_partitions_and_crashes() {
     }
 }
 
-/// Pins the exact outcome of every fuzz case of `script`: under all
+/// Pins the exact outcome of every fuzz case of `script` at `seed`: under all
 /// four policies and both heal protocols, each crash rebuild, recovery
 /// storm, heal storm, revocation and client crash must leave the same
 /// records and counters. One digest per case covers each server's
@@ -627,10 +636,15 @@ fn fuzz_lifecycle_ops_under_partitions_and_crashes() {
 /// except `rpc.*` (RPCs are counted once, at the client), and SpriteSan's
 /// violation count. `golden` is the contents of `tests/golden/{name}`;
 /// on a mismatch the message lists this run's digests.
-fn assert_paths_match_golden(script: fn(u64, u64, u16) -> Vec<AppOp>, name: &str, golden: &str) {
+fn assert_paths_match_golden(
+    seed: u64,
+    script: fn(u64, u64, u16) -> Vec<AppOp>,
+    name: &str,
+    golden: &str,
+) {
     use std::hash::Hasher;
     let mut got = String::new();
-    for_each_fuzz_case(script, |case, mut cl| {
+    for_each_fuzz_case(seed, script, |case, mut cl| {
         let mut h = sdfs_simkit::hash::FastHasher::default();
         let counter = |h: &mut sdfs_simkit::hash::FastHasher, (name, value): (&str, u64)| {
             h.write(name.as_bytes());
@@ -670,9 +684,21 @@ fn assert_paths_match_golden(script: fn(u64, u64, u16) -> Vec<AppOp>, name: &str
 #[test]
 fn fault_paths_match_golden_digests() {
     assert_paths_match_golden(
+        FUZZ_SEED,
         op_script,
         "fault_paths.txt",
         include_str!("golden/fault_paths.txt"),
+    );
+}
+
+/// [`op_script`]'s paths under the second seed's plans and crashes.
+#[test]
+fn fault_paths_match_golden_digests_at_a_second_seed() {
+    assert_paths_match_golden(
+        FUZZ_SEED_2,
+        op_script,
+        "fault_paths_seed2.txt",
+        include_str!("golden/fault_paths_seed2.txt"),
     );
 }
 
@@ -681,8 +707,21 @@ fn fault_paths_match_golden_digests() {
 #[test]
 fn lifecycle_paths_match_golden_digests() {
     assert_paths_match_golden(
+        FUZZ_SEED,
         lifecycle_script,
         "lifecycle_paths.txt",
         include_str!("golden/lifecycle_paths.txt"),
+    );
+}
+
+/// [`lifecycle_script`]'s paths under the second seed's plans and
+/// crashes.
+#[test]
+fn lifecycle_paths_match_golden_digests_at_a_second_seed() {
+    assert_paths_match_golden(
+        FUZZ_SEED_2,
+        lifecycle_script,
+        "lifecycle_paths_seed2.txt",
+        include_str!("golden/lifecycle_paths_seed2.txt"),
     );
 }
