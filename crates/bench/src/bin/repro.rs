@@ -37,9 +37,10 @@ use sdfs_core::overhead::Table12Builder;
 use sdfs_core::patterns::AccessPatterns;
 use sdfs_core::report;
 use sdfs_core::staleness::PollingSim;
-use sdfs_core::study::writeback_delay_ablation;
+use sdfs_core::study::{merged, writeback_delay_ablation};
 use sdfs_core::Study;
 use sdfs_simkit::SimDuration;
+use sdfs_spritefs::{Config, ObsReport, SanitizerStats};
 use sdfs_trace::{Record, TraceStatsBuilder};
 
 /// Every subcommand the CLI accepts, for validation and the usage
@@ -272,12 +273,10 @@ fn main() {
     }
     // `--sanitize` runs SpriteSan alongside the simulation. The verdict
     // goes to stderr so stdout stays byte-identical to a plain run.
-    let sanitize = cli.has("--sanitize");
-    cfg.cluster.sanitize = sanitize;
+    cfg.cluster.sanitize = cli.has("--sanitize");
     // `--observe` runs the self-measurement layer the same way: report
     // to stderr, stdout untouched. `repro obs` implies it.
-    let observe = cli.has("--observe") || what == "obs";
-    cfg.cluster.observe = observe;
+    cfg.cluster.observe = cli.has("--observe") || what == "obs";
     let study = Study::new(cfg);
 
     // Open the output paths before any simulation runs, so an
@@ -336,15 +335,17 @@ fn main() {
     }
 
     if what == "faults" {
-        // `repro faults [--sanitize]`: the availability study — one day
-        // under a deterministic fault plan, plus the loss-vs-delay and
+        // `repro faults`: the availability study — one day under a
+        // deterministic fault plan, plus the loss-vs-delay and
         // storm-vs-cluster-size sweeps, the partition/lease comparison
         // with its duration × TTL sweep, and the NVRAM ablation.
+        // `--sanitize` and `--observe` check the outage day and both
+        // partition days; the sweep days run unchecked.
         use sdfs_core::recovery;
         let mut cfg = study.config().clone();
         cfg.workload.activity_scale = cfg.workload.activity_scale.min(0.5);
         let plan = recovery::default_plan();
-        let outcome = recovery::run_outage_day(&cfg, &plan, sanitize, observe);
+        let outcome = recovery::run_outage_day(&cfg, &plan);
         let loss = recovery::loss_vs_writeback_delay(&cfg, &plan, &[5, 30, 120, 600]);
         let storm = recovery::storm_vs_cluster_size(&cfg, &plan, &[4, 8, 16, 32]);
         println!(
@@ -352,15 +353,12 @@ fn main() {
             recovery::render_availability(&plan, &outcome, &loss, &storm)
         );
         let n = cfg.cluster.num_clients;
-        let part_plan = recovery::partition_plan(n);
-        let lease = recovery::run_partition_day(&cfg, &part_plan, sanitize, false);
-        let mut cons_plan = part_plan.clone();
-        cons_plan.conservative_recovery = true;
-        let cons = recovery::run_partition_day(&cfg, &cons_plan, false, false);
+        let [lease, cons] = [false, true]
+            .map(|c| recovery::run_partition_day(&cfg, &recovery::partition_plan(n, c)));
         let sweep = recovery::lease_ttl_sweep(&cfg, &[120, 600, 1800], &[60, 900]);
         println!(
             "{}",
-            recovery::render_partition(&part_plan, &lease, &cons, &sweep)
+            recovery::render_partition(&recovery::partition_plan(n, false), &lease, &cons, &sweep)
         );
         println!(
             "{}",
@@ -370,32 +368,11 @@ fn main() {
                 &[0, 1 << 16, 1 << 20, 1 << 30],
             ))
         );
-        if sanitize {
-            let mut clean = true;
-            match &outcome.sanitizer {
-                Some(san) => {
-                    eprintln!("{}", san.render());
-                    clean &= san.is_clean();
-                }
-                None => eprintln!("sanitizer: no verdict collected"),
-            }
-            match &lease.sanitizer {
-                Some(san) => {
-                    eprintln!("{}", san.render());
-                    clean &= san.is_clean();
-                }
-                None => eprintln!("sanitizer: no partition verdict collected"),
-            }
-            if !clean {
-                std::process::exit(1);
-            }
-        }
-        if observe {
-            match &outcome.obs {
-                Some(o) => eprint!("{}", o.render()),
-                None => eprintln!("observer: no report collected"),
-            }
-        }
+        print_checks(
+            &cfg.cluster,
+            [&outcome.sanitizer, &lease.sanitizer, &cons.sanitizer],
+            [&outcome.obs, &lease.obs, &cons.obs],
+        );
         return;
     }
 
@@ -428,8 +405,7 @@ fn main() {
         // `repro obs [--json]`: just the self-measurement report — the
         // per-RPC latency histograms, span aggregates, and retry
         // exhaustion from the whole campaign.
-        let report = results
-            .obs_summary()
+        let report = merged(results.checks().map(|(_, o)| o), ObsReport::merge)
             .expect("observe is forced on for `repro obs`");
         if cli.has("--json") {
             println!("{}", report.to_json());
@@ -486,8 +462,22 @@ fn main() {
         _ => report::render_all(&results),
     };
     println!("{out}");
-    if sanitize {
-        match results.sanitizer_summary() {
+    let (sanitizers, reports): (Vec<_>, Vec<_>) = results.checks().unzip();
+    print_checks(&study.config().cluster, sanitizers, reports);
+}
+
+/// Prints on stderr SpriteSan's verdict and the observer's report, each
+/// merged over every run that produced one, for whichever of the two
+/// `cluster` turned on, and exits 1 on a violation. Every subcommand
+/// that takes `--sanitize` or `--observe` reports through here, so its
+/// stdout stays byte-identical to a plain run.
+fn print_checks<'a>(
+    cluster: &Config,
+    sanitizers: impl IntoIterator<Item = &'a Option<SanitizerStats>>,
+    reports: impl IntoIterator<Item = &'a Option<ObsReport>>,
+) {
+    if cluster.sanitize {
+        match merged(sanitizers, SanitizerStats::merge) {
             Some(san) => {
                 eprintln!("{}", san.render());
                 if !san.is_clean() {
@@ -497,8 +487,8 @@ fn main() {
             None => eprintln!("sanitizer: no verdict collected"),
         }
     }
-    if observe {
-        match results.obs_summary() {
+    if cluster.observe {
+        match merged(reports, ObsReport::merge) {
             Some(o) => eprint!("{}", o.render()),
             None => eprintln!("observer: no report collected"),
         }

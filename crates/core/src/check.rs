@@ -6,6 +6,11 @@
 //! reproduction-era equivalent of a regression test suite over the
 //! science rather than the code.
 
+use sdfs_spritefs::SanitizerStats;
+
+use crate::recovery::{
+    default_plan, partition_plan, probe_config, run_outage_day, run_partition_day,
+};
 use crate::study::StudyResults;
 
 /// One verified claim.
@@ -257,7 +262,8 @@ pub fn scorecard(results: &StudyResults) -> Scorecard {
     );
 
     // --- SpriteSan (present only when the study ran sanitized) ---
-    if let Some(san) = results.sanitizer_summary() {
+    let sanitizers = results.checks().map(|(s, _)| s);
+    if let Some(san) = crate::study::merged(sanitizers, SanitizerStats::merge) {
         add(
             "SpriteSan violations",
             "consistency oracle: none",
@@ -267,79 +273,91 @@ pub fn scorecard(results: &StudyResults) -> Scorecard {
         );
     }
 
-    // --- Crash/recovery subsystem ---
-    // A deterministic availability probe at a fixed quick scale (so it is
-    // identical whether the surrounding study ran quick or full size):
-    // the crash must destroy volatile server data, the reboot must draw a
-    // recovery storm, and the oracle must stay clean across the failure.
-    let probe = crate::recovery::availability_probe();
+    // --- Fault study ---
+    // Four probe days at the fixed scale of `probe_config`, so they are
+    // identical whether the surrounding study ran quick or full size,
+    // and each under SpriteSan: the mid-day crash without and with a
+    // 1 GiB NVRAM buffer, and the mid-day partition healed by each
+    // protocol. Each SpriteSan row sums the violations of its two days.
+    let probe = probe_config();
+    let crash = run_outage_day(&probe, &default_plan());
+    let mut buffered = probe.clone();
+    buffered.cluster.server_nvram_bytes = 1 << 30;
+    let nvram = run_outage_day(&buffered, &default_plan());
+    let n = probe.cluster.num_clients;
+    let [lease, conservative] =
+        [false, true].map(|c| run_partition_day(&probe, &partition_plan(n, c)));
+    let violations = |days: [&Option<SanitizerStats>; 2]| {
+        days.iter()
+            .map(|s| s.as_ref().expect("probe days run sanitized").violations())
+            .sum::<u64>() as f64
+    };
+
+    // Crash/recovery: the crash must destroy volatile server data, the
+    // reboot must draw a recovery storm, and the oracle must stay clean
+    // across the failure.
     add(
         "recovery storm RPCs after crash",
         "clients re-register and reopen",
-        probe.storm_rpcs as f64,
+        crash.storm_rpcs as f64,
         1.0,
         1e9,
     );
     add(
         "server crash loses dirty cache, bytes",
         "volatile state is lost; disk survives",
-        probe.lost_bytes as f64,
+        crash.lost_bytes as f64,
         1.0,
         1e12,
     );
     add(
         "SpriteSan violations across crash",
         "recovery restores consistency",
-        probe.violations as f64,
+        violations([&crash.sanitizer, &nvram.sanitizer]),
         0.0,
         0.0,
     );
 
-    // --- Partition/lease subsystem ---
-    // A mid-day partition at the same fixed quick scale, run once per
-    // heal protocol: the lease heal must draw strictly less traffic than
-    // the conservative per-file revalidation storm, leases must actually
-    // lapse and revoke during the ten-minute cut, and the oracle must
-    // stay clean across the cut and the heal.
-    let part = crate::recovery::partition_probe();
+    // Partition/lease: the lease heal must draw strictly less traffic
+    // than the conservative per-file revalidation storm, leases must
+    // actually lapse and revoke during the ten-minute cut, and the
+    // oracle must stay clean across the cut and the heal.
     add(
         "lease heal beats conservative storm",
         "renewal replaces per-file revalidation",
-        (part.conservative_storm_rpcs as f64) - (part.lease_storm_rpcs as f64),
+        (conservative.heal_storm_rpcs as f64) - (lease.heal_storm_rpcs as f64),
         1.0,
         1e9,
     );
     add(
         "lease-expiry recalls during partition",
         "a 600 s cut outlives the 60 s TTL",
-        part.lease_recalls as f64,
+        lease.lease_recalls as f64,
         1.0,
         1e9,
     );
     add(
         "SpriteSan violations across partition",
         "revocation keeps the oracle clean",
-        part.violations as f64,
+        violations([&lease.sanitizer, &conservative.sanitizer]),
         0.0,
         0.0,
     );
 
-    // --- NVRAM durability ablation ---
-    // The same crash with and without a battery-backed write buffer:
-    // unbuffered (the availability probe's run) the crash destroys dirty
-    // cache, and a buffer sized past the dirty exposure drives the loss
-    // to exactly zero.
+    // NVRAM durability: unbuffered the crash destroys dirty cache, and
+    // a buffer sized past the dirty exposure drives the loss to exactly
+    // zero.
     add(
         "crash loss without NVRAM, bytes",
         "delayed writes are exposed",
-        probe.lost_bytes as f64,
+        crash.lost_bytes as f64,
         1.0,
         1e12,
     );
     add(
         "crash loss with 1 GiB NVRAM, bytes",
         "the buffer absorbs the exposure",
-        crate::recovery::nvram_probe() as f64,
+        nvram.lost_bytes as f64,
         0.0,
         0.0,
     );
@@ -347,7 +365,7 @@ pub fn scorecard(results: &StudyResults) -> Scorecard {
     // --- Self-trace cross-check ---
     // The simulator writes its own Sprite-format trace, re-analyzes it,
     // and compares the analysis against its own RPC counters. Like the
-    // availability probe this runs at a fixed quick scale, so the rows
+    // fault-study probes this runs at a fixed quick scale, so the rows
     // are identical whichever study size produced `results`.
     let st = crate::selftrace::probe();
     add(

@@ -34,11 +34,20 @@ pub fn default_plan() -> FaultPlan {
     }
 }
 
+/// The scorecard's fault-study scale: a quick-config day at 0.2 of the
+/// usual activity, under SpriteSan. It is fixed whatever scale the
+/// surrounding study ran at, so `repro check` reads the same
+/// deterministic numbers at paper scale and at quick scale.
+pub fn probe_config() -> StudyConfig {
+    let mut cfg = StudyConfig::quick();
+    cfg.workload.activity_scale = 0.2;
+    cfg.cluster.sanitize = true;
+    cfg
+}
+
 /// Everything measured from one faulted day.
 #[derive(Debug, Clone)]
 pub struct OutageOutcome {
-    /// Scheduled downtime across all outages, seconds.
-    pub scheduled_down_secs: u64,
     /// Measured server unavailability, seconds (from the recovery
     /// counters; equals the schedule when every reboot fires).
     pub unavail_secs: f64,
@@ -71,27 +80,40 @@ pub struct OutageOutcome {
     pub obs: Option<ObsReport>,
 }
 
-/// Simulates one generated day of `base` under `plan`.
-fn fault_day(base: &StudyConfig, plan: &FaultPlan, sanitize: bool, observe: bool) -> DayTotals {
+/// Simulates one generated day of `base` under `plan`, with SpriteSan
+/// and the observer as `base.cluster` sets them.
+fn fault_day(base: &StudyConfig, plan: &FaultPlan) -> DayTotals {
     let mut cfg = base.clone();
     cfg.cluster.faults = Some(plan.clone());
-    cfg.cluster.sanitize = sanitize;
-    cfg.cluster.observe = observe;
     simulate_day(&cfg)
+}
+
+/// Runs `day` once per value of `values` on a copy of `base` with
+/// SpriteSan and the observer off, and pairs each value with its
+/// outcome. This is the one place that decides sweep days run
+/// unchecked: the headline days already take both checks through the
+/// same fault paths, and checking every sweep day too would make
+/// `repro --sanitize faults` about five times slower (DESIGN §10).
+fn sweep<V: Copy, O>(
+    base: &StudyConfig,
+    values: &[V],
+    day: impl Fn(StudyConfig, V) -> O,
+) -> Vec<(V, O)> {
+    let mut unchecked = base.clone();
+    unchecked.cluster.sanitize = false;
+    unchecked.cluster.observe = false;
+    values
+        .iter()
+        .map(|&v| (v, day(unchecked.clone(), v)))
+        .collect()
 }
 
 /// Runs one generated day under `plan` and harvests the availability
 /// counters.
-pub fn run_outage_day(
-    base: &StudyConfig,
-    plan: &FaultPlan,
-    sanitize: bool,
-    observe: bool,
-) -> OutageOutcome {
-    let day = fault_day(base, plan, sanitize, observe);
+pub fn run_outage_day(base: &StudyConfig, plan: &FaultPlan) -> OutageOutcome {
+    let day = fault_day(base, plan);
     let (c, s) = (&day.clients, &day.servers);
     OutageOutcome {
-        scheduled_down_secs: plan.outages.iter().map(|x| x.down_for.as_secs()).sum(),
         unavail_secs: s.get(fault::SRV_UNAVAIL_US) as f64 / 1e6,
         lost_bytes: s.get(fault::SRV_LOST_BYTES),
         saved_bytes: s.get(fault::NVRAM_SAVED_BYTES),
@@ -108,87 +130,46 @@ pub fn run_outage_day(
     }
 }
 
-/// One row of the loss-vs-delay sweep.
-#[derive(Debug, Clone)]
-pub struct LossVsDelay {
-    /// Write-back delay simulated, seconds (clients and servers both).
-    pub delay_secs: u64,
-    /// Dirty server-cache bytes the crash destroyed.
-    pub lost_bytes: u64,
-    /// Storm size at recovery (roughly constant: it tracks open state,
-    /// not dirty data).
-    pub storm_rpcs: u64,
-}
-
-/// Sweeps the write-back delay and measures what the *server* crash
-/// destroys — the server-side mirror of the client crash-exposure
-/// ablation: a longer delay keeps more dirty blocks in the server's
-/// volatile cache, so the same outage costs more data.
+/// Sweeps the write-back delay (seconds, clients and servers both) and
+/// measures what the *server* crash destroys — the server-side mirror
+/// of the client crash-exposure ablation: a longer delay keeps more
+/// dirty blocks in the server's volatile cache, so the same outage
+/// costs more data. The storm stays roughly constant: it tracks open
+/// state, not dirty data.
 pub fn loss_vs_writeback_delay(
     base: &StudyConfig,
     plan: &FaultPlan,
     delays_secs: &[u64],
-) -> Vec<LossVsDelay> {
-    delays_secs
-        .iter()
-        .map(|&delay| {
-            let mut cfg = base.clone();
-            cfg.cluster.writeback_delay = SimDuration::from_secs(delay);
-            let o = run_outage_day(&cfg, plan, false, false);
-            LossVsDelay {
-                delay_secs: delay,
-                lost_bytes: o.lost_bytes,
-                storm_rpcs: o.storm_rpcs,
-            }
-        })
-        .collect()
+) -> Vec<(u64, OutageOutcome)> {
+    sweep(base, delays_secs, |mut cfg, delay| {
+        cfg.cluster.writeback_delay = SimDuration::from_secs(delay);
+        run_outage_day(&cfg, plan)
+    })
 }
 
-/// One row of the storm-vs-cluster-size sweep.
-#[derive(Debug, Clone)]
-pub struct StormVsCluster {
-    /// Number of client workstations.
-    pub clients: u16,
-    /// Recovery-storm RPCs at reboot.
-    pub storm_rpcs: u64,
-    /// Re-register RPCs within the storm.
-    pub reregisters: u64,
-    /// Reopen RPCs within the storm.
-    pub reopens: u64,
-}
-
-/// Measures how the recovery storm grows with the cluster: more clients
-/// hold more open handles and cached files on the crashed server, so
-/// the reboot burst scales with cluster size — the paper's scalability
-/// concern (Section 7) applied to recovery traffic.
+/// Measures how the recovery storm grows with the number of client
+/// workstations: more clients hold more open handles and cached files
+/// on the crashed server, so the reboot burst scales with cluster size
+/// — the paper's scalability concern (Section 7) applied to recovery
+/// traffic.
 pub fn storm_vs_cluster_size(
     base: &StudyConfig,
     plan: &FaultPlan,
     sizes: &[u16],
-) -> Vec<StormVsCluster> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let mut cfg = base.clone();
-            cfg.cluster.num_clients = n;
-            cfg.workload.num_clients = n;
-            let o = run_outage_day(&cfg, plan, false, false);
-            StormVsCluster {
-                clients: n,
-                storm_rpcs: o.storm_rpcs,
-                reregisters: o.storm_reregisters,
-                reopens: o.storm_reopens,
-            }
-        })
-        .collect()
+) -> Vec<(u16, OutageOutcome)> {
+    sweep(base, sizes, |mut cfg, n| {
+        cfg.cluster.num_clients = n;
+        cfg.workload.num_clients = n;
+        run_outage_day(&cfg, plan)
+    })
 }
 
 /// Renders the availability report as text.
 pub fn render_availability(
     plan: &FaultPlan,
     outcome: &OutageOutcome,
-    loss: &[LossVsDelay],
-    storm: &[StormVsCluster],
+    loss: &[(u64, OutageOutcome)],
+    storm: &[(u16, OutageOutcome)],
 ) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -236,13 +217,13 @@ pub fn render_availability(
         "Bytes lost vs write-back delay (same outage, server granularity):"
     );
     let _ = writeln!(s, "{:>8} {:>16} {:>12}", "delay", "lost bytes", "storm RPCs");
-    for r in loss {
+    for (delay, o) in loss {
         let _ = writeln!(
             s,
             "{:>7}s {:>16} {:>12}",
-            r.delay_secs,
-            crate::report::fmt_bytes(r.lost_bytes as f64),
-            r.storm_rpcs,
+            delay,
+            crate::report::fmt_bytes(o.lost_bytes as f64),
+            o.storm_rpcs,
         );
     }
     let _ = writeln!(s);
@@ -252,11 +233,11 @@ pub fn render_availability(
         "{:>8} {:>12} {:>12} {:>12}",
         "clients", "storm RPCs", "reregisters", "reopens"
     );
-    for r in storm {
+    for (clients, o) in storm {
         let _ = writeln!(
             s,
             "{:>8} {:>12} {:>12} {:>12}",
-            r.clients, r.storm_rpcs, r.reregisters, r.reopens
+            clients, o.storm_rpcs, o.storm_reregisters, o.storm_reopens
         );
     }
     let _ = writeln!(
@@ -267,32 +248,6 @@ pub fn render_availability(
     s
 }
 
-/// A fixed-scale availability probe for the scorecard: one quick-config
-/// day under [`default_plan`], sanitized. Deliberately independent of
-/// the study's own scale so `repro check` gets the same deterministic
-/// numbers at paper scale and quick scale.
-#[derive(Debug, Clone)]
-pub struct RecoveryProbe {
-    /// Recovery-storm RPCs at the reboot.
-    pub storm_rpcs: u64,
-    /// Dirty server-cache bytes the crash destroyed.
-    pub lost_bytes: u64,
-    /// SpriteSan violations observed across the crash/recovery cycle.
-    pub violations: u64,
-}
-
-/// Runs the scorecard probe (see [`RecoveryProbe`]).
-pub fn availability_probe() -> RecoveryProbe {
-    let mut cfg = StudyConfig::quick();
-    cfg.workload.activity_scale = 0.2;
-    let o = run_outage_day(&cfg, &default_plan(), true, false);
-    RecoveryProbe {
-        storm_rpcs: o.storm_rpcs,
-        lost_bytes: o.lost_bytes,
-        violations: o.sanitizer.as_ref().map(|s| s.violations()).unwrap_or(0),
-    }
-}
-
 /// The canned mid-day partition used by `repro faults` and the
 /// scorecard: at 1 PM the network splits and the lower half of the
 /// client workstations lose their routes to server 0 (the hot server)
@@ -300,13 +255,14 @@ pub fn availability_probe() -> RecoveryProbe {
 /// stay alive, which is exactly what distinguishes a partition from the
 /// outage in [`default_plan`]. Ten minutes is far past the default 60 s
 /// lease TTL, so under the lease protocol the server revokes the cut
-/// clients' grants mid-partition.
-pub fn partition_plan(num_clients: u16) -> FaultPlan {
+/// clients' grants mid-partition; `conservative` heals by the
+/// conservative Reregister/Reopen protocol instead.
+pub fn partition_plan(num_clients: u16, conservative: bool) -> FaultPlan {
     partition_plan_for(
         num_clients,
         SimDuration::from_secs(600),
         SimDuration::from_secs(60),
-        false,
+        conservative,
     )
 }
 
@@ -334,17 +290,12 @@ pub fn partition_plan_for(
 /// Everything measured from one partitioned day.
 #[derive(Debug, Clone)]
 pub struct PartitionOutcome {
-    /// Scheduled cut time across all partitions, seconds (per
-    /// partition, not per edge).
-    pub scheduled_cut_secs: u64,
     /// Measured cut time summed over every edge, seconds.
     pub cut_edge_secs: f64,
     /// RPCs that stalled against a cut edge.
     pub stalled_rpcs: u64,
     /// Client time lost to partition stalls, seconds.
     pub stall_secs: f64,
-    /// RPCs whose retry budget could not outlast the partition.
-    pub failed_rpcs: u64,
     /// Write-backs the daemon queued because the edge was cut.
     pub queued_writebacks: u64,
     /// Consistency actions (recalls, invalidations) that could not be
@@ -355,7 +306,8 @@ pub struct PartitionOutcome {
     /// Dirty client-cache bytes destroyed by lease revocations.
     pub lease_lost_bytes: u64,
     /// Time conflicting opens spent waiting for a lease to lapse,
-    /// seconds.
+    /// seconds — the price a *longer* TTL charges the reachable side of
+    /// the partition.
     pub lease_wait_secs: f64,
     /// Total heal-storm RPCs when the partitions healed.
     pub heal_storm_rpcs: u64,
@@ -375,20 +327,13 @@ pub struct PartitionOutcome {
 
 /// Runs one generated day under a partition plan and harvests the
 /// partition and lease counters.
-pub fn run_partition_day(
-    base: &StudyConfig,
-    plan: &FaultPlan,
-    sanitize: bool,
-    observe: bool,
-) -> PartitionOutcome {
-    let day = fault_day(base, plan, sanitize, observe);
+pub fn run_partition_day(base: &StudyConfig, plan: &FaultPlan) -> PartitionOutcome {
+    let day = fault_day(base, plan);
     let (c, s) = (&day.clients, &day.servers);
     PartitionOutcome {
-        scheduled_cut_secs: plan.partitions.iter().map(|p| p.heal_after.as_secs()).sum(),
         cut_edge_secs: s.get(fault::PART_CUT_US) as f64 / 1e6,
         stalled_rpcs: c.get(fault::PART_STALLED_RPCS),
         stall_secs: c.get(fault::PART_STALL_US) as f64 / 1e6,
-        failed_rpcs: c.get(fault::PART_FAILED_RPCS),
         queued_writebacks: c.get(fault::PART_QUEUED_WRITEBACKS),
         undelivered_actions: c.get(fault::PART_UNDELIVERED),
         lease_recalls: s.get(fault::LEASE_EXPIRY_RECALLS),
@@ -404,66 +349,34 @@ pub fn run_partition_day(
     }
 }
 
-/// One row of the partition-duration × lease-TTL sweep: the same cut
-/// run under both heal protocols.
-#[derive(Debug, Clone)]
-pub struct LeaseVsConservative {
-    /// Partition duration, seconds.
-    pub cut_secs: u64,
-    /// Lease TTL, seconds.
-    pub ttl_secs: u64,
-    /// Heal-storm RPCs under the lease protocol.
-    pub lease_storm_rpcs: u64,
-    /// Heal-storm RPCs under conservative Reregister/Reopen recovery.
-    pub conservative_storm_rpcs: u64,
-    /// Lease-expiry revocations during the cut (lease protocol only).
-    pub lease_recalls: u64,
-    /// Dirty bytes those revocations destroyed.
-    pub lease_lost_bytes: u64,
-    /// Time conflicting opens spent waiting for cut clients' leases to
-    /// lapse, seconds — the price a *longer* TTL charges the reachable
-    /// side of the partition.
-    pub lease_wait_secs: f64,
-}
-
-/// Sweeps partition duration against lease TTL and, for every cell,
-/// runs the day twice — once per heal protocol — to measure what the
-/// lease buys: the conservative server re-validates *all* distributed
-/// state on the healed edges (a crash-style storm), while the lease
-/// server needs one renewal per edge plus one reassert per grant it
-/// actually revoked. The price of the smaller storm is the dirty data
-/// destroyed by mid-cut revocations, which grows as the TTL shrinks.
+/// Sweeps partition duration against lease TTL (seconds) and, for every
+/// `(cut, ttl)` cell, runs the day twice — under the lease protocol,
+/// then the conservative one — to measure what the lease buys: the
+/// conservative server re-validates *all* distributed state on the
+/// healed edges (a crash-style storm), while the lease server needs one
+/// renewal per edge plus one reassert per grant it actually revoked.
+/// The price of the smaller storm is the dirty data destroyed by
+/// mid-cut revocations, which grows as the TTL shrinks.
 pub fn lease_ttl_sweep(
     base: &StudyConfig,
     cuts_secs: &[u64],
     ttls_secs: &[u64],
-) -> Vec<LeaseVsConservative> {
-    let mut rows = Vec::new();
-    for &cut in cuts_secs {
-        for &ttl in ttls_secs {
-            let n = base.cluster.num_clients;
-            let mk = |conservative| {
-                partition_plan_for(
-                    n,
-                    SimDuration::from_secs(cut),
-                    SimDuration::from_secs(ttl),
-                    conservative,
-                )
-            };
-            let lease = run_partition_day(base, &mk(false), false, false);
-            let cons = run_partition_day(base, &mk(true), false, false);
-            rows.push(LeaseVsConservative {
-                cut_secs: cut,
-                ttl_secs: ttl,
-                lease_storm_rpcs: lease.heal_storm_rpcs,
-                conservative_storm_rpcs: cons.heal_storm_rpcs,
-                lease_recalls: lease.lease_recalls,
-                lease_lost_bytes: lease.lease_lost_bytes,
-                lease_wait_secs: lease.lease_wait_secs,
-            });
-        }
-    }
-    rows
+) -> Vec<((u64, u64), [PartitionOutcome; 2])> {
+    let cells: Vec<(u64, u64)> = cuts_secs
+        .iter()
+        .flat_map(|&cut| ttls_secs.iter().map(move |&ttl| (cut, ttl)))
+        .collect();
+    sweep(base, &cells, |cfg, (cut, ttl)| {
+        [false, true].map(|conservative| {
+            let plan = partition_plan_for(
+                cfg.cluster.num_clients,
+                SimDuration::from_secs(cut),
+                SimDuration::from_secs(ttl),
+                conservative,
+            );
+            run_partition_day(&cfg, &plan)
+        })
+    })
 }
 
 /// Renders the partition/lease report as text.
@@ -471,7 +384,7 @@ pub fn render_partition(
     plan: &FaultPlan,
     lease: &PartitionOutcome,
     conservative: &PartitionOutcome,
-    sweep: &[LeaseVsConservative],
+    sweep: &[((u64, u64), [PartitionOutcome; 2])],
 ) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -529,17 +442,17 @@ pub fn render_partition(
         "{:>8} {:>8} {:>12} {:>14} {:>10} {:>12} {:>10}",
         "cut", "TTL", "lease storm", "conserv storm", "recalls", "lost bytes", "wait s"
     );
-    for r in sweep {
+    for ((cut, ttl), [lease, conservative]) in sweep {
         let _ = writeln!(
             s,
             "{:>7}s {:>7}s {:>12} {:>14} {:>10} {:>12} {:>10.1}",
-            r.cut_secs,
-            r.ttl_secs,
-            r.lease_storm_rpcs,
-            r.conservative_storm_rpcs,
-            r.lease_recalls,
-            crate::report::fmt_bytes(r.lease_lost_bytes as f64),
-            r.lease_wait_secs,
+            cut,
+            ttl,
+            lease.heal_storm_rpcs,
+            conservative.heal_storm_rpcs,
+            lease.lease_recalls,
+            crate::report::fmt_bytes(lease.lease_lost_bytes as f64),
+            lease.lease_wait_secs,
         );
     }
     let _ = writeln!(
@@ -553,53 +466,37 @@ pub fn render_partition(
     s
 }
 
-/// One row of the NVRAM write-buffer ablation.
-#[derive(Debug, Clone)]
-pub struct NvramRow {
-    /// Battery-backed buffer size, bytes.
-    pub nvram_bytes: u64,
-    /// Dirty server-cache bytes the crash destroyed.
-    pub lost_bytes: u64,
-    /// Dirty bytes the buffer preserved across the crash.
-    pub saved_bytes: u64,
-}
-
-/// Sweeps the server NVRAM write-buffer size under the same mid-day
-/// crash: Section 5.4's proposed fix for delayed-write loss. The most
-/// recently written `nvram_bytes` of unflushed data survive the
-/// crash as if flushed, so lost bytes fall monotonically to zero as
-/// the buffer grows past the server's dirty exposure — with zero
-/// effect on write-back traffic, because the buffer only matters at
-/// crash time.
-pub fn nvram_ablation(base: &StudyConfig, plan: &FaultPlan, sizes: &[u64]) -> Vec<NvramRow> {
-    sizes
-        .iter()
-        .map(|&nvram| {
-            let mut cfg = base.clone();
-            cfg.cluster.server_nvram_bytes = nvram;
-            let o = run_outage_day(&cfg, plan, false, false);
-            NvramRow {
-                nvram_bytes: nvram,
-                lost_bytes: o.lost_bytes,
-                saved_bytes: o.saved_bytes,
-            }
-        })
-        .collect()
+/// Sweeps the server NVRAM write-buffer size (bytes) under the same
+/// mid-day crash: Section 5.4's proposed fix for delayed-write loss.
+/// The most recently written `nvram_bytes` of unflushed data survive
+/// the crash as if flushed, so lost bytes fall monotonically to zero as
+/// the buffer grows past the server's dirty exposure — with zero effect
+/// on write-back traffic, because the buffer only matters at crash
+/// time.
+pub fn nvram_ablation(
+    base: &StudyConfig,
+    plan: &FaultPlan,
+    sizes: &[u64],
+) -> Vec<(u64, OutageOutcome)> {
+    sweep(base, sizes, |mut cfg, nvram| {
+        cfg.cluster.server_nvram_bytes = nvram;
+        run_outage_day(&cfg, plan)
+    })
 }
 
 /// Renders the NVRAM ablation as text.
-pub fn render_nvram(rows: &[NvramRow]) -> String {
+pub fn render_nvram(rows: &[(u64, OutageOutcome)]) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "NVRAM write-buffer ablation (same outage):");
     let _ = writeln!(s, "{:>12} {:>14} {:>14}", "buffer", "lost bytes", "saved bytes");
-    for r in rows {
+    for (nvram, o) in rows {
         let _ = writeln!(
             s,
             "{:>12} {:>14} {:>14}",
-            crate::report::fmt_bytes(r.nvram_bytes as f64),
-            crate::report::fmt_bytes(r.lost_bytes as f64),
-            crate::report::fmt_bytes(r.saved_bytes as f64),
+            crate::report::fmt_bytes(*nvram as f64),
+            crate::report::fmt_bytes(o.lost_bytes as f64),
+            crate::report::fmt_bytes(o.saved_bytes as f64),
         );
     }
     let _ = writeln!(
@@ -611,61 +508,21 @@ pub fn render_nvram(rows: &[NvramRow]) -> String {
     s
 }
 
-/// A fixed-scale partition probe for the scorecard: one quick-config
-/// day under [`partition_plan`], run sanitized under the lease protocol
-/// and unsanitized under the conservative baseline.
-#[derive(Debug, Clone)]
-pub struct PartitionProbe {
-    /// Heal-storm RPCs under the lease protocol.
-    pub lease_storm_rpcs: u64,
-    /// Heal-storm RPCs under the conservative baseline.
-    pub conservative_storm_rpcs: u64,
-    /// Lease-expiry revocations during the cut.
-    pub lease_recalls: u64,
-    /// SpriteSan violations across the partition/heal cycle.
-    pub violations: u64,
-}
-
-/// Runs the scorecard partition probe (see [`PartitionProbe`]).
-pub fn partition_probe() -> PartitionProbe {
-    let mut cfg = StudyConfig::quick();
-    cfg.workload.activity_scale = 0.2;
-    let n = cfg.cluster.num_clients;
-    let lease = run_partition_day(&cfg, &partition_plan(n), true, false);
-    let mut cons_plan = partition_plan(n);
-    cons_plan.conservative_recovery = true;
-    let cons = run_partition_day(&cfg, &cons_plan, false, false);
-    PartitionProbe {
-        lease_storm_rpcs: lease.heal_storm_rpcs,
-        conservative_storm_rpcs: cons.heal_storm_rpcs,
-        lease_recalls: lease.lease_recalls,
-        violations: lease.sanitizer.as_ref().map(|s| s.violations()).unwrap_or(0),
-    }
-}
-
-/// A fixed-scale NVRAM probe for the scorecard: the bytes the
-/// [`availability_probe`]'s crash destroys when the server has a buffer
-/// sized past any plausible dirty exposure (1 GiB). The same crash with
-/// no buffer is the availability probe's own `lost_bytes`.
-pub fn nvram_probe() -> u64 {
-    let mut cfg = StudyConfig::quick();
-    cfg.workload.activity_scale = 0.2;
-    nvram_ablation(&cfg, &default_plan(), &[1 << 30])[0].lost_bytes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> StudyConfig {
-        let mut cfg = StudyConfig::quick();
-        cfg.workload.activity_scale = 0.2;
+    /// [`probe_config`] without SpriteSan, for the tests that read only
+    /// counters.
+    fn unchecked() -> StudyConfig {
+        let mut cfg = probe_config();
+        cfg.cluster.sanitize = false;
         cfg
     }
 
     #[test]
     fn outage_day_measures_crash_and_storm() {
-        let o = run_outage_day(&tiny(), &default_plan(), true, false);
+        let o = run_outage_day(&probe_config(), &default_plan());
         assert!(o.unavail_secs >= 299.0, "outage measured: {}", o.unavail_secs);
         assert!(o.lost_bytes > 0, "the crash destroyed dirty server data");
         assert!(o.storm_rpcs > 0, "clients re-registered at reboot");
@@ -687,15 +544,20 @@ mod tests {
     #[test]
     fn observed_outage_reports_storm_latencies() {
         use sdfs_spritefs::SpanKind;
-        let o = run_outage_day(&tiny(), &default_plan(), false, true);
+        let mut cfg = unchecked();
+        cfg.cluster.observe = true;
+        let o = run_outage_day(&cfg, &default_plan());
         let obs = o.obs.expect("observed run yields a report");
         // Every storm reopen was timed, and the reborn server's
         // serialization makes later reopens strictly slower than p50.
         assert_eq!(obs.reopen_latency.count(), o.storm_reopens);
         assert!(obs.reopen_latency.max() >= obs.reopen_latency.p50());
-        assert!(obs.span(SpanKind::ServerOutage).count >= 1);
-        assert!(obs.span(SpanKind::RecoveryStorm).count >= 1);
-        assert!(obs.span(SpanKind::Stall).count > 0, "stalled RPCs timed");
+        assert!(obs.span_hist(SpanKind::ServerOutage).count() >= 1);
+        assert!(obs.span_hist(SpanKind::RecoveryStorm).count() >= 1);
+        assert!(
+            obs.span_hist(SpanKind::Stall).count() > 0,
+            "stalled RPCs timed"
+        );
         // Each storm RPC also carries one RPC latency sample, so the
         // latency table and the plain counters agree on the storm size.
         use sdfs_spritefs::rpc::RpcKind;
@@ -704,23 +566,59 @@ mod tests {
         assert_eq!(samples(RpcKind::Reregister), o.storm_reregisters);
     }
 
+    /// A base that asks for both checks keeps them on the outage day and
+    /// both partition days, and every sweep day runs without them.
+    #[test]
+    fn sweeps_run_unchecked_and_headline_days_checked() {
+        let mut cfg = probe_config();
+        cfg.cluster.observe = true;
+        let plan = default_plan();
+        let n = cfg.cluster.num_clients;
+        let outage = run_outage_day(&cfg, &plan);
+        let [lease, conservative] =
+            [false, true].map(|c| run_partition_day(&cfg, &partition_plan(n, c)));
+        for (sanitizer, obs) in [
+            (&outage.sanitizer, &outage.obs),
+            (&lease.sanitizer, &lease.obs),
+            (&conservative.sanitizer, &conservative.obs),
+        ] {
+            assert!(sanitizer.as_ref().is_some_and(|s| s.is_clean()));
+            assert!(obs.is_some());
+        }
+        let swept_outages = [
+            loss_vs_writeback_delay(&cfg, &plan, &[30]).remove(0).1,
+            storm_vs_cluster_size(&cfg, &plan, &[4]).remove(0).1,
+            nvram_ablation(&cfg, &plan, &[1 << 20]).remove(0).1,
+        ];
+        let swept_partitions = lease_ttl_sweep(&cfg, &[120], &[60]).remove(0).1;
+        let outage_checks = swept_outages.iter().map(|o| (&o.sanitizer, &o.obs));
+        let partition_checks = swept_partitions.iter().map(|o| (&o.sanitizer, &o.obs));
+        for (sanitizer, obs) in outage_checks.chain(partition_checks) {
+            assert!(
+                sanitizer.is_none() && obs.is_none(),
+                "a sweep day ran checked"
+            );
+        }
+    }
+
     #[test]
     fn longer_server_delay_loses_more_at_the_crash() {
-        let rows = loss_vs_writeback_delay(&tiny(), &default_plan(), &[5, 600]);
+        let rows = loss_vs_writeback_delay(&unchecked(), &default_plan(), &[5, 600]);
         assert_eq!(rows.len(), 2);
+        let (short, long) = (&rows[0].1, &rows[1].1);
         assert!(
-            rows[1].lost_bytes >= rows[0].lost_bytes,
+            long.lost_bytes >= short.lost_bytes,
             "600 s delay ({}) must lose at least as much as 5 s ({})",
-            rows[1].lost_bytes,
-            rows[0].lost_bytes
+            long.lost_bytes,
+            short.lost_bytes
         );
-        assert!(rows[1].lost_bytes > 0);
+        assert!(long.lost_bytes > 0);
     }
 
     #[test]
     fn partition_day_stalls_revokes_and_heals_clean() {
-        let cfg = tiny();
-        let o = run_partition_day(&cfg, &partition_plan(cfg.cluster.num_clients), true, false);
+        let cfg = probe_config();
+        let o = run_partition_day(&cfg, &partition_plan(cfg.cluster.num_clients, false));
         assert!(o.cut_edge_secs > 0.0, "edges were cut: {}", o.cut_edge_secs);
         assert!(o.stalled_rpcs > 0, "RPCs stalled against the cut");
         assert!(
@@ -744,45 +642,24 @@ mod tests {
 
     #[test]
     fn conservative_heal_storms_harder_than_lease() {
-        let cfg = tiny();
+        let cfg = unchecked();
         let rows = lease_ttl_sweep(&cfg, &[600], &[60]);
         assert_eq!(rows.len(), 1);
-        let r = &rows[0];
+        let ((cut, ttl), [lease, cons]) = &rows[0];
+        assert_eq!((*cut, *ttl), (600, 60));
         assert!(
-            r.lease_storm_rpcs < r.conservative_storm_rpcs,
+            lease.heal_storm_rpcs < cons.heal_storm_rpcs,
             "lease heal ({}) must beat the conservative storm ({})",
-            r.lease_storm_rpcs,
-            r.conservative_storm_rpcs
+            lease.heal_storm_rpcs,
+            cons.heal_storm_rpcs
         );
-        assert!(r.lease_recalls > 0);
-        let lease = run_partition_day(
-            &cfg,
-            &partition_plan_for(
-                cfg.cluster.num_clients,
-                SimDuration::from_secs(600),
-                SimDuration::from_secs(60),
-                false,
-            ),
-            false,
-            false,
-        );
-        let cons = run_partition_day(
-            &cfg,
-            &partition_plan_for(
-                cfg.cluster.num_clients,
-                SimDuration::from_secs(600),
-                SimDuration::from_secs(60),
-                true,
-            ),
-            false,
-            false,
-        );
+        assert!(lease.lease_recalls > 0);
         assert_eq!(cons.lease_recalls, 0, "conservative mode never revokes");
         assert_eq!(cons.lease_lost_bytes, 0);
         let render = render_partition(
-            &partition_plan(cfg.cluster.num_clients),
-            &lease,
-            &cons,
+            &partition_plan(cfg.cluster.num_clients, false),
+            lease,
+            cons,
             &rows,
         );
         assert!(render.contains("heal-storm RPCs"));
@@ -791,16 +668,17 @@ mod tests {
 
     #[test]
     fn nvram_buffer_drives_crash_loss_to_zero() {
-        let rows = nvram_ablation(&tiny(), &default_plan(), &[0, 1 << 30]);
+        let rows = nvram_ablation(&unchecked(), &default_plan(), &[0, 1 << 30]);
         assert_eq!(rows.len(), 2);
-        assert!(rows[0].lost_bytes > 0, "no buffer loses dirty data");
-        assert_eq!(rows[0].saved_bytes, 0);
+        let (bare, buffered) = (&rows[0].1, &rows[1].1);
+        assert!(bare.lost_bytes > 0, "no buffer loses dirty data");
+        assert_eq!(bare.saved_bytes, 0);
         assert_eq!(
-            rows[1].lost_bytes, 0,
+            buffered.lost_bytes, 0,
             "a 1 GiB buffer preserves everything"
         );
         assert_eq!(
-            rows[1].saved_bytes, rows[0].lost_bytes,
+            buffered.saved_bytes, bare.lost_bytes,
             "what the buffer saves is exactly what was lost without it"
         );
         let render = render_nvram(&rows);
@@ -809,17 +687,17 @@ mod tests {
 
     #[test]
     fn storm_grows_with_cluster_size() {
-        let rows = storm_vs_cluster_size(&tiny(), &default_plan(), &[2, 8]);
+        let rows = storm_vs_cluster_size(&unchecked(), &default_plan(), &[2, 8]);
         assert_eq!(rows.len(), 2);
         assert!(
-            rows[1].storm_rpcs >= rows[0].storm_rpcs,
+            rows[1].1.storm_rpcs >= rows[0].1.storm_rpcs,
             "8 clients ({}) must storm at least as hard as 2 ({})",
-            rows[1].storm_rpcs,
-            rows[0].storm_rpcs
+            rows[1].1.storm_rpcs,
+            rows[0].1.storm_rpcs
         );
         let render = render_availability(
             &default_plan(),
-            &run_outage_day(&tiny(), &default_plan(), false, false),
+            &run_outage_day(&unchecked(), &default_plan()),
             &[],
             &rows,
         );

@@ -459,40 +459,14 @@ impl StudyResults {
         agg
     }
 
-    /// Merged SpriteSan verdict across the trace and counter campaigns
-    /// (`None` unless the study ran with `sanitize` set).
-    pub fn sanitizer_summary(&self) -> Option<SanitizerStats> {
-        let mut acc: Option<SanitizerStats> = None;
-        for s in self
-            .traces
+    /// Each campaign's SpriteSan verdict and self-measurement report,
+    /// the traces' first: [`merged`] folds them into the study's one
+    /// verdict and one report.
+    pub fn checks(&self) -> impl Iterator<Item = (&Option<SanitizerStats>, &Option<ObsReport>)> {
+        self.traces
             .iter()
-            .filter_map(|t| t.sanitizer.as_ref())
-            .chain(self.counters.sanitizer.as_ref())
-        {
-            match &mut acc {
-                Some(a) => a.merge(s),
-                None => acc = Some(s.clone()),
-            }
-        }
-        acc
-    }
-
-    /// Merged self-measurement report across the trace and counter
-    /// campaigns (`None` unless the study ran with `observe` set).
-    pub fn obs_summary(&self) -> Option<ObsReport> {
-        let mut acc: Option<ObsReport> = None;
-        for o in self
-            .traces
-            .iter()
-            .filter_map(|t| t.obs.as_ref())
-            .chain(self.counters.obs.as_ref())
-        {
-            match &mut acc {
-                Some(a) => a.merge(o),
-                None => acc = Some(o.clone()),
-            }
-        }
-        acc
+            .map(|t| (&t.sanitizer, &t.obs))
+            .chain([(&self.counters.sanitizer, &self.counters.obs)])
     }
 
     /// Percent of all users affected by stale data in *any* trace, per
@@ -515,6 +489,19 @@ impl StudyResults {
             100.0 * three.len() as f64 / n as f64,
         )
     }
+}
+
+/// Folds several runs' SpriteSan verdicts or self-measurement reports
+/// into one with `merge`; `None` when no run produced one (its check
+/// was off).
+pub fn merged<'a, T: Clone + 'a>(
+    parts: impl IntoIterator<Item = &'a Option<T>>,
+    merge: fn(&mut T, &T),
+) -> Option<T> {
+    let mut parts = parts.into_iter().flatten();
+    let mut acc = parts.next()?.clone();
+    parts.for_each(|p| merge(&mut acc, p));
+    Some(acc)
 }
 
 /// What one simulated day counted: every client's counters summed,

@@ -15,8 +15,6 @@
 //!   counters.
 //! * [`MergeSorted`] — the one deterministic k-way merge of sorted
 //!   streams, lazy, over streams laid end to end in one buffer.
-//! * [`obs`] — self-measurement primitives: span aggregates over
-//!   simulated durations.
 //!
 //! Everything here is deterministic given a seed: no wall-clock time, no
 //! global state, no threads.
@@ -25,7 +23,6 @@ pub mod counters;
 pub mod dist;
 pub mod hash;
 pub mod merge;
-pub mod obs;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -33,7 +30,6 @@ pub mod time;
 pub use counters::CounterSet;
 pub use hash::{FastMap, FastSet};
 pub use merge::MergeSorted;
-pub use obs::SpanStat;
 pub use rng::SimRng;
 pub use stats::{LogHistogram, Summary, WeightedCdf};
 pub use time::{SimDuration, SimTime};

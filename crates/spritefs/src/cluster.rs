@@ -27,7 +27,7 @@ use crate::fs::FileTable;
 use crate::metrics::{
     cache as mc, clean, consist, fault, implicit, mig, raw, replace, restart, srv, SanitizerStats,
 };
-use crate::obs::{Obs, ObsReport, SpanKind};
+use crate::obs::{ObsReport, SpanKind};
 use crate::ops::{AppOp, OpKind};
 use crate::rpc::{count_rpc, count_rpcs, RpcKind};
 use crate::sanitizer::{Sanitizer, WriteKind};
@@ -204,9 +204,10 @@ pub struct Cluster<S: TraceSink> {
     /// Outages, partition cuts, leases and revocations: the one owner
     /// of fault state, under [`Config::faults`] or the inert default.
     faults: Faults,
-    /// sdfs-obs self-measurement collector ([`Config::observe`]). Boxed
-    /// so the disabled (default) case costs one pointer.
-    obs: Option<Box<Obs>>,
+    /// sdfs-obs self-measurement report, recorded as the run goes
+    /// ([`Config::observe`]). Boxed so the disabled (default) case costs
+    /// one pointer.
+    obs: Option<Box<ObsReport>>,
 }
 
 impl<S: TraceSink> Cluster<S> {
@@ -233,7 +234,7 @@ impl<S: TraceSink> Cluster<S> {
         let next_tick = SimTime::ZERO + DAEMON_PERIOD;
         let next_sample = SimTime::ZERO + SAMPLE_PERIOD;
         let san = cfg.sanitize.then(|| Box::new(Sanitizer::new(&cfg)));
-        let obs = cfg.observe.then(|| Box::new(Obs::new()));
+        let obs = cfg.observe.then(|| Box::new(ObsReport::new()));
         let faults = Faults::new(
             cfg.faults.as_ref(),
             cfg.num_clients as usize,
@@ -310,7 +311,7 @@ impl<S: TraceSink> Cluster<S> {
     /// Removes and returns the sdfs-obs report (observation stops
     /// afterwards). `None` unless [`Config::observe`] was set.
     pub fn take_obs_report(&mut self) -> Option<ObsReport> {
-        self.obs.take().map(|o| o.into_report())
+        self.obs.take().map(|o| *o)
     }
 
     /// Charges one RPC of `kind` to client `ci`: its `rpc.<kind>.*`
@@ -1149,10 +1150,7 @@ impl<S: TraceSink> Cluster<S> {
         // Stale-cache check: the client compares the server's version
         // stamp with the one its cached blocks correspond to.
         if let Some(&seen) = self.clients[ci].seen_version.get(&file) {
-            // `fault_skip_invalidate` is the sanitizer's fault-injection
-            // hook: dropping this invalidation must surface as a stale
-            // read.
-            if seen != prev_version && !self.cfg.fault_skip_invalidate {
+            if seen != prev_version {
                 self.invalidate_file(ci, file, true);
             }
         }
@@ -3336,6 +3334,13 @@ mod tests {
     /// client 0 rewrites the file, client 1 rereads. Exercises the
     /// version-stamp invalidation and dirty-data recall paths.
     fn sharing_sequence(cl: &mut Cluster<VecSink>) {
+        cache_then_rewrite(cl);
+        reread(cl);
+    }
+
+    /// The first half of [`sharing_sequence`]: client 1 caches the
+    /// block, then client 0 rewrites the file.
+    fn cache_then_rewrite(cl: &mut Cluster<VecSink>) {
         cl.preload(&[(FileId(0), 4096, false)]);
         // Client 1 reads and caches the block.
         cl.apply(&op(
@@ -3375,7 +3380,11 @@ mod tests {
             },
         ));
         cl.apply(&op(4, 0, OpKind::Close { fd: Handle(2) }));
-        // Client 1 reopens and rereads the block it still has cached.
+    }
+
+    /// The rest of [`sharing_sequence`]: client 1 reopens and rereads the
+    /// block it still has cached.
+    fn reread(cl: &mut Cluster<VecSink>) {
         cl.apply(&op(
             5,
             1,
@@ -3412,15 +3421,20 @@ mod tests {
 
     #[test]
     fn sanitizer_reports_injected_stale_read() {
-        // Fault injection: drop the stale-cache invalidation that Sprite
-        // performs on open. The reread then hits the out-of-date cached
-        // block, and SpriteSan must report exactly that one stale read.
+        // Fault injection: before client 1 reopens, mark its cached
+        // copy as the rewritten version, so the open skips the
+        // stale-cache invalidation Sprite performs. The reread then hits
+        // the out-of-date cached block, and SpriteSan must report
+        // exactly that one stale read.
         let mut cfg = Config::small();
         cfg.sanitize = true;
-        cfg.fault_skip_invalidate = true;
         let sink = VecSink::new(cfg.num_servers);
         let mut cl = Cluster::new(cfg, sink);
-        sharing_sequence(&mut cl);
+        cache_then_rewrite(&mut cl);
+        let file = FileId(0);
+        let current = cl.files.get(file).expect("preloaded").version;
+        cl.clients[1].seen_version.insert(file, current);
+        reread(&mut cl);
         let san = cl.take_sanitizer_stats().expect("sanitizer enabled");
         assert_eq!(san.stale_reads, 1, "verdict: {}", san.render());
         assert_eq!(san.violations(), 1, "verdict: {}", san.render());

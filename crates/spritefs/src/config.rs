@@ -243,10 +243,6 @@ pub struct Config {
     /// per-kind retry exhaustion. Off by default; when off, output is
     /// byte-identical to builds that predate the layer.
     pub observe: bool,
-    /// Fault injection for sanitizer tests: skip the cache invalidation
-    /// that Sprite consistency performs when an open detects a stale
-    /// cached version. Never enable outside tests.
-    pub fault_skip_invalidate: bool,
     /// Deterministic fault-injection plan (server crash/reboot schedule,
     /// network partitions, and per-RPC message drops). `None` — the
     /// default — runs the cluster under [`FaultPlan::default`], which
@@ -274,7 +270,6 @@ impl Default for Config {
             consistency: ConsistencyPolicy::Sprite,
             sanitize: false,
             observe: false,
-            fault_skip_invalidate: false,
             faults: None,
             server_nvram_bytes: 0,
         }

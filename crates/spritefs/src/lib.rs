@@ -49,5 +49,5 @@ pub mod vm;
 pub use cluster::{Cluster, TraceSink, VecSink};
 pub use config::{Config, ConsistencyPolicy, FaultPlan, Partition, ServerOutage};
 pub use metrics::SanitizerStats;
-pub use obs::{Obs, ObsReport, SpanKind};
+pub use obs::{ObsReport, SpanKind};
 pub use ops::{AppOp, OpKind};

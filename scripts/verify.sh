@@ -125,11 +125,17 @@ set -e
 test "$unwritable_status" -eq 2 || { echo "unwritable gen-trace path must exit 2, got $unwritable_status"; exit 1; }
 if grep -q "panicked" /tmp/verify_unwritable.txt; then echo "unwritable gen-trace path must not panic"; exit 1; fi
 
-echo "==> fault matrix: repro --quick --sanitize faults (clean, deterministic, nonzero, matches scripts/golden/quick_faults_stdout.txt)"
-./target/release/repro --quick --sanitize faults > /tmp/verify_faults_1.txt
-./target/release/repro --quick --sanitize faults > /tmp/verify_faults_2.txt
+echo "==> fault matrix: repro --quick --sanitize --observe faults (clean, deterministic, nonzero, matches scripts/golden/quick_faults_stdout.txt)"
+./target/release/repro --quick --sanitize --observe faults > /tmp/verify_faults_1.txt 2> /tmp/verify_faults_1.err
+./target/release/repro --quick --sanitize --observe faults > /tmp/verify_faults_2.txt 2> /dev/null
 cmp /tmp/verify_faults_1.txt /tmp/verify_faults_2.txt
 cmp scripts/golden/quick_faults_stdout.txt /tmp/verify_faults_1.txt
+# One merged verdict and one merged report cover the outage day and both
+# partition days; only the lease-protocol heal sends lease_renew RPCs.
+verdicts=$(grep -c '^sanitizer: ' /tmp/verify_faults_1.err || true)
+test "$verdicts" -eq 1 || { echo "faults must print one sanitizer verdict, got $verdicts"; exit 1; }
+grep -q '^sanitizer: clean' /tmp/verify_faults_1.err
+grep -q '^    lease_renew ' /tmp/verify_faults_1.err || { echo "faults observer report misses the partition days"; exit 1; }
 grep -q "recovery storm RPCs: [1-9]" /tmp/verify_faults_1.txt
 grep -q "data lost at server crash: [1-9]" /tmp/verify_faults_1.txt
 # Partition study: leases must recall state (TTL < cut) and beat the

@@ -355,3 +355,60 @@ fn selftrace_round_trip_agrees() {
     assert!(txt.contains("round trip exact"), "{txt}");
     assert!(txt.contains("Self-trace verdict: agree"), "{txt}");
 }
+
+/// `repro --sanitize --observe faults` checks the outage day and both
+/// partition days: stdout stays the plain golden, stderr carries one
+/// merged SpriteSan verdict, and the one observer report holds the
+/// lease-protocol heal's `lease_renew` and `reassert` RPCs and a stall
+/// span for every stalled RPC the three days count on stdout.
+#[test]
+fn sanitized_observed_faults_report_every_headline_day() {
+    let out = repro(&["--quick", "--sanitize", "--observe", "faults"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout == include_str!("../scripts/golden/quick_faults_stdout.txt"),
+        "--sanitize --observe changed the faults report:\n{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let verdicts: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("sanitizer: "))
+        .collect();
+    assert!(
+        verdicts.len() == 1 && verdicts[0].starts_with("sanitizer: clean"),
+        "one clean verdict over the three days, got {verdicts:?}"
+    );
+    let row = |name: &str| {
+        stderr
+            .lines()
+            .find_map(|l| {
+                let mut fields = l.split_whitespace();
+                (fields.next() == Some(name)).then(|| fields.next()?.parse::<u64>().ok())?
+            })
+            .unwrap_or(0)
+    };
+    assert!(row("lease_renew") > 0, "no lease_renew row:\n{stderr}");
+    assert!(row("reassert") > 0, "no reassert row:\n{stderr}");
+    // "stalled RPCs: 988 (stall seconds ...)" for the outage day, then
+    // "stalled RPCs  544  545" for the two partition days.
+    let stalled: u64 = stdout
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("stalled RPCs"))
+        .flat_map(|rest| {
+            rest.trim_start_matches(':')
+                .split_whitespace()
+                .map_while(|t| t.parse::<u64>().ok())
+        })
+        .sum();
+    assert_eq!(stalled, 988 + 544 + 545, "stalled RPCs on stdout");
+    assert!(
+        row("rpc.stall") >= stalled,
+        "{} rpc.stall spans for {stalled} stalled RPCs:\n{stderr}",
+        row("rpc.stall")
+    );
+}

@@ -29,9 +29,10 @@ fn quick_config() -> StudyConfig {
 }
 
 fn faulted_report() -> String {
-    let cfg = quick_config();
+    let mut cfg = quick_config();
+    cfg.cluster.sanitize = true;
     let plan = default_plan();
-    let outcome = run_outage_day(&cfg, &plan, true, false);
+    let outcome = run_outage_day(&cfg, &plan);
     let loss = loss_vs_writeback_delay(&cfg, &plan, &[30, 600]);
     let storm = storm_vs_cluster_size(&cfg, &plan, &[4, 8]);
     let mut s = render_availability(&plan, &outcome, &loss, &storm);

@@ -14,7 +14,9 @@
 use std::fmt::Debug;
 
 use sdfs_core::report;
+use sdfs_core::study::merged;
 use sdfs_core::{Study, StudyConfig};
+use sdfs_spritefs::{ObsReport, SanitizerStats};
 use sdfs_workload::TraceSpec;
 
 fn quick_config(workers: usize) -> StudyConfig {
@@ -112,9 +114,10 @@ fn sanitizer_and_obs_summaries_match() {
         cfg.cluster.observe = true;
         let results = Study::new(cfg).run_all();
         let per_trace: Vec<String> = results.traces.iter().map(debug_of).collect();
+        let (sanitizers, reports): (Vec<_>, Vec<_>) = results.checks().unzip();
         (
-            results.sanitizer_summary().expect("sanitized run"),
-            results.obs_summary().expect("observed run"),
+            merged(sanitizers, SanitizerStats::merge).expect("sanitized run"),
+            merged(reports, ObsReport::merge).expect("observed run"),
             per_trace,
         )
     };
