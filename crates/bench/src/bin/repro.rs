@@ -340,25 +340,27 @@ fn main() {
         // storm-vs-cluster-size sweeps, the partition/lease comparison
         // with its duration × TTL sweep, and the NVRAM ablation.
         // `--sanitize` and `--observe` check the outage day and both
-        // partition days; the sweep days run unchecked.
+        // partition days; the sweep days run unchecked, and a sweep row
+        // that repeats a headline day reuses its outcome.
         use sdfs_core::recovery;
         let mut cfg = study.config().clone();
         cfg.workload.activity_scale = cfg.workload.activity_scale.min(0.5);
         let plan = recovery::default_plan();
         let outcome = recovery::run_outage_day(&cfg, &plan);
-        let loss = recovery::loss_vs_writeback_delay(&cfg, &plan, &[5, 30, 120, 600]);
-        let storm = recovery::storm_vs_cluster_size(&cfg, &plan, &[4, 8, 16, 32]);
+        let loss = recovery::loss_vs_writeback_delay(&cfg, &plan, &[5, 30, 120, 600], &outcome);
+        let storm = recovery::storm_vs_cluster_size(&cfg, &plan, &[4, 8, 16, 32], &outcome);
         println!(
             "{}",
             recovery::render_availability(&plan, &outcome, &loss, &storm)
         );
         let n = cfg.cluster.num_clients;
-        let [lease, cons] = [false, true]
-            .map(|c| recovery::run_partition_day(&cfg, &recovery::partition_plan(n, c)));
-        let sweep = recovery::lease_ttl_sweep(&cfg, &[120, 600, 1800], &[60, 900]);
+        let partitions =
+            [false, true].map(|c| recovery::run_partition_day(&cfg, &recovery::partition_plan(n, c)));
+        let sweep = recovery::lease_ttl_sweep(&cfg, &[120, 600, 1800], &[60, 900], &partitions);
+        let [lease, cons] = &partitions;
         println!(
             "{}",
-            recovery::render_partition(&recovery::partition_plan(n, false), &lease, &cons, &sweep)
+            recovery::render_partition(&recovery::partition_plan(n, false), lease, cons, &sweep)
         );
         println!(
             "{}",
@@ -366,6 +368,7 @@ fn main() {
                 &cfg,
                 &plan,
                 &[0, 1 << 16, 1 << 20, 1 << 30],
+                &outcome,
             ))
         );
         print_checks(

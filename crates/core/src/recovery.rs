@@ -80,6 +80,16 @@ pub struct OutageOutcome {
     pub obs: Option<ObsReport>,
 }
 
+impl Outcome for OutageOutcome {
+    fn unchecked(&self) -> Self {
+        OutageOutcome {
+            sanitizer: None,
+            obs: None,
+            ..self.clone()
+        }
+    }
+}
+
 /// Simulates one generated day of `base` under `plan`, with SpriteSan
 /// and the observer as `base.cluster` sets them.
 fn fault_day(base: &StudyConfig, plan: &FaultPlan) -> DayTotals {
@@ -88,15 +98,28 @@ fn fault_day(base: &StudyConfig, plan: &FaultPlan) -> DayTotals {
     simulate_day(&cfg)
 }
 
+/// A simulated day's outcome that can stand in for the same day run
+/// unchecked: SpriteSan and the observer only watch a day, so a checked
+/// day counts exactly what the unchecked one does.
+trait Outcome: Clone {
+    /// This outcome with its checks dropped.
+    fn unchecked(&self) -> Self;
+}
+
 /// Runs `day` once per value of `values` on a copy of `base` with
 /// SpriteSan and the observer off, and pairs each value with its
 /// outcome. This is the one place that decides sweep days run
 /// unchecked: the headline days already take both checks through the
 /// same fault paths, and checking every sweep day too would make
 /// `repro --sanitize faults` about five times slower (DESIGN §10).
-fn sweep<V: Copy, O>(
+///
+/// A value for which `is_headline` holds configures exactly the
+/// headline day, so its row reuses `headline` (without its checks)
+/// instead of simulating that day again.
+fn sweep<V: Copy, O: Outcome>(
     base: &StudyConfig,
     values: &[V],
+    (headline, is_headline): (&O, impl Fn(V) -> bool),
     day: impl Fn(StudyConfig, V) -> O,
 ) -> Vec<(V, O)> {
     let mut unchecked = base.clone();
@@ -104,7 +127,14 @@ fn sweep<V: Copy, O>(
     unchecked.cluster.observe = false;
     values
         .iter()
-        .map(|&v| (v, day(unchecked.clone(), v)))
+        .map(|&v| {
+            let outcome = if is_headline(v) {
+                headline.unchecked()
+            } else {
+                day(unchecked.clone(), v)
+            };
+            (v, outcome)
+        })
         .collect()
 }
 
@@ -136,12 +166,17 @@ pub fn run_outage_day(base: &StudyConfig, plan: &FaultPlan) -> OutageOutcome {
 /// dirty blocks in the server's volatile cache, so the same outage
 /// costs more data. The storm stays roughly constant: it tracks open
 /// state, not dirty data.
+///
+/// `headline` is [`run_outage_day`]`(base, plan)`: the row at `base`'s
+/// own delay reuses it.
 pub fn loss_vs_writeback_delay(
     base: &StudyConfig,
     plan: &FaultPlan,
     delays_secs: &[u64],
+    headline: &OutageOutcome,
 ) -> Vec<(u64, OutageOutcome)> {
-    sweep(base, delays_secs, |mut cfg, delay| {
+    let own = |delay| SimDuration::from_secs(delay) == base.cluster.writeback_delay;
+    sweep(base, delays_secs, (headline, own), |mut cfg, delay| {
         cfg.cluster.writeback_delay = SimDuration::from_secs(delay);
         run_outage_day(&cfg, plan)
     })
@@ -152,12 +187,17 @@ pub fn loss_vs_writeback_delay(
 /// on the crashed server, so the reboot burst scales with cluster size
 /// — the paper's scalability concern (Section 7) applied to recovery
 /// traffic.
+///
+/// `headline` is [`run_outage_day`]`(base, plan)`: the row at `base`'s
+/// own cluster size reuses it.
 pub fn storm_vs_cluster_size(
     base: &StudyConfig,
     plan: &FaultPlan,
     sizes: &[u16],
+    headline: &OutageOutcome,
 ) -> Vec<(u16, OutageOutcome)> {
-    sweep(base, sizes, |mut cfg, n| {
+    let own = |n| n == base.cluster.num_clients && n == base.workload.num_clients;
+    sweep(base, sizes, (headline, own), |mut cfg, n| {
         cfg.cluster.num_clients = n;
         cfg.workload.num_clients = n;
         run_outage_day(&cfg, plan)
@@ -258,13 +298,18 @@ pub fn render_availability(
 /// clients' grants mid-partition; `conservative` heals by the
 /// conservative Reregister/Reopen protocol instead.
 pub fn partition_plan(num_clients: u16, conservative: bool) -> FaultPlan {
+    let (cut, ttl) = PARTITION_CELL;
     partition_plan_for(
         num_clients,
-        SimDuration::from_secs(600),
-        SimDuration::from_secs(60),
+        SimDuration::from_secs(cut),
+        SimDuration::from_secs(ttl),
         conservative,
     )
 }
+
+/// [`partition_plan`]'s `(cut, TTL)` in seconds: the cell of
+/// [`lease_ttl_sweep`] that repeats the headline partition days.
+const PARTITION_CELL: (u64, u64) = (600, 60);
 
 /// A partition plan with explicit cut duration, lease TTL, and recovery
 /// protocol — the building block of the duration × TTL sweep.
@@ -325,6 +370,22 @@ pub struct PartitionOutcome {
     pub obs: Option<ObsReport>,
 }
 
+impl Outcome for PartitionOutcome {
+    fn unchecked(&self) -> Self {
+        PartitionOutcome {
+            sanitizer: None,
+            obs: None,
+            ..self.clone()
+        }
+    }
+}
+
+impl Outcome for [PartitionOutcome; 2] {
+    fn unchecked(&self) -> Self {
+        self.each_ref().map(Outcome::unchecked)
+    }
+}
+
 /// Runs one generated day under a partition plan and harvests the
 /// partition and lease counters.
 pub fn run_partition_day(base: &StudyConfig, plan: &FaultPlan) -> PartitionOutcome {
@@ -357,16 +418,22 @@ pub fn run_partition_day(base: &StudyConfig, plan: &FaultPlan) -> PartitionOutco
 /// renewal per edge plus one reassert per grant it actually revoked.
 /// The price of the smaller storm is the dirty data destroyed by
 /// mid-cut revocations, which grows as the TTL shrinks.
+///
+/// `headline` is [`run_partition_day`] on `base` under
+/// [`partition_plan`], lease then conservative: the (600 s, 60 s) cell
+/// reuses it.
 pub fn lease_ttl_sweep(
     base: &StudyConfig,
     cuts_secs: &[u64],
     ttls_secs: &[u64],
+    headline: &[PartitionOutcome; 2],
 ) -> Vec<((u64, u64), [PartitionOutcome; 2])> {
     let cells: Vec<(u64, u64)> = cuts_secs
         .iter()
         .flat_map(|&cut| ttls_secs.iter().map(move |&ttl| (cut, ttl)))
         .collect();
-    sweep(base, &cells, |cfg, (cut, ttl)| {
+    let own = |cell| cell == PARTITION_CELL;
+    sweep(base, &cells, (headline, own), |cfg, (cut, ttl)| {
         [false, true].map(|conservative| {
             let plan = partition_plan_for(
                 cfg.cluster.num_clients,
@@ -473,12 +540,17 @@ pub fn render_partition(
 /// the buffer grows past the server's dirty exposure — with zero effect
 /// on write-back traffic, because the buffer only matters at crash
 /// time.
+///
+/// `headline` is [`run_outage_day`]`(base, plan)`: the row at `base`'s
+/// own buffer size reuses it.
 pub fn nvram_ablation(
     base: &StudyConfig,
     plan: &FaultPlan,
     sizes: &[u64],
+    headline: &OutageOutcome,
 ) -> Vec<(u64, OutageOutcome)> {
-    sweep(base, sizes, |mut cfg, nvram| {
+    let own = |nvram| nvram == base.cluster.server_nvram_bytes;
+    sweep(base, sizes, (headline, own), |mut cfg, nvram| {
         cfg.cluster.server_nvram_bytes = nvram;
         run_outage_day(&cfg, plan)
     })
@@ -575,23 +647,24 @@ mod tests {
         let plan = default_plan();
         let n = cfg.cluster.num_clients;
         let outage = run_outage_day(&cfg, &plan);
-        let [lease, conservative] =
-            [false, true].map(|c| run_partition_day(&cfg, &partition_plan(n, c)));
-        for (sanitizer, obs) in [
-            (&outage.sanitizer, &outage.obs),
-            (&lease.sanitizer, &lease.obs),
-            (&conservative.sanitizer, &conservative.obs),
-        ] {
+        let partitions = [false, true].map(|c| run_partition_day(&cfg, &partition_plan(n, c)));
+        let headline_checks = partitions.iter().map(|o| (&o.sanitizer, &o.obs));
+        for (sanitizer, obs) in headline_checks.chain([(&outage.sanitizer, &outage.obs)]) {
             assert!(sanitizer.as_ref().is_some_and(|s| s.is_clean()));
             assert!(obs.is_some());
         }
+        // The 30 s row and the (600 s, 60 s) cell reuse the headline
+        // days; the other rows simulate their own.
         let swept_outages = [
-            loss_vs_writeback_delay(&cfg, &plan, &[30]).remove(0).1,
-            storm_vs_cluster_size(&cfg, &plan, &[4]).remove(0).1,
-            nvram_ablation(&cfg, &plan, &[1 << 20]).remove(0).1,
+            loss_vs_writeback_delay(&cfg, &plan, &[30], &outage).remove(0).1,
+            storm_vs_cluster_size(&cfg, &plan, &[4], &outage).remove(0).1,
+            nvram_ablation(&cfg, &plan, &[1 << 20], &outage).remove(0).1,
         ];
-        let swept_partitions = lease_ttl_sweep(&cfg, &[120], &[60]).remove(0).1;
+        let swept_partitions = lease_ttl_sweep(&cfg, &[120, 600], &[60], &partitions)
+            .into_iter()
+            .flat_map(|(_, pair)| pair);
         let outage_checks = swept_outages.iter().map(|o| (&o.sanitizer, &o.obs));
+        let swept_partitions: Vec<_> = swept_partitions.collect();
         let partition_checks = swept_partitions.iter().map(|o| (&o.sanitizer, &o.obs));
         for (sanitizer, obs) in outage_checks.chain(partition_checks) {
             assert!(
@@ -601,9 +674,35 @@ mod tests {
         }
     }
 
+    /// SpriteSan and the observer only watch: an outage day and both
+    /// partition days, run with both checks on, count exactly what the
+    /// same days count unchecked. A sweep row that repeats a headline
+    /// day reuses the headline's outcome on the strength of this.
+    #[test]
+    fn checked_day_counts_what_the_unchecked_day_counts() {
+        let mut checked = probe_config();
+        checked.cluster.observe = true;
+        let n = checked.cluster.num_clients;
+        for plan in [
+            default_plan(),
+            partition_plan(n, false),
+            partition_plan(n, true),
+        ] {
+            let watched = fault_day(&checked, &plan);
+            let plain = fault_day(&unchecked(), &plan);
+            assert!(watched.sanitizer.is_some_and(|s| s.is_clean()));
+            assert!(watched.obs.is_some());
+            assert!(plain.sanitizer.is_none() && plain.obs.is_none());
+            assert_eq!(watched.clients, plain.clients, "client counters");
+            assert_eq!(watched.servers, plain.servers, "server counters");
+        }
+    }
+
     #[test]
     fn longer_server_delay_loses_more_at_the_crash() {
-        let rows = loss_vs_writeback_delay(&unchecked(), &default_plan(), &[5, 600]);
+        let (cfg, plan) = (unchecked(), default_plan());
+        let headline = run_outage_day(&cfg, &plan);
+        let rows = loss_vs_writeback_delay(&cfg, &plan, &[5, 600], &headline);
         assert_eq!(rows.len(), 2);
         let (short, long) = (&rows[0].1, &rows[1].1);
         assert!(
@@ -643,7 +742,9 @@ mod tests {
     #[test]
     fn conservative_heal_storms_harder_than_lease() {
         let cfg = unchecked();
-        let rows = lease_ttl_sweep(&cfg, &[600], &[60]);
+        let n = cfg.cluster.num_clients;
+        let headline = [false, true].map(|c| run_partition_day(&cfg, &partition_plan(n, c)));
+        let rows = lease_ttl_sweep(&cfg, &[600], &[60], &headline);
         assert_eq!(rows.len(), 1);
         let ((cut, ttl), [lease, cons]) = &rows[0];
         assert_eq!((*cut, *ttl), (600, 60));
@@ -668,7 +769,9 @@ mod tests {
 
     #[test]
     fn nvram_buffer_drives_crash_loss_to_zero() {
-        let rows = nvram_ablation(&unchecked(), &default_plan(), &[0, 1 << 30]);
+        let (cfg, plan) = (unchecked(), default_plan());
+        let headline = run_outage_day(&cfg, &plan);
+        let rows = nvram_ablation(&cfg, &plan, &[0, 1 << 30], &headline);
         assert_eq!(rows.len(), 2);
         let (bare, buffered) = (&rows[0].1, &rows[1].1);
         assert!(bare.lost_bytes > 0, "no buffer loses dirty data");
@@ -687,7 +790,9 @@ mod tests {
 
     #[test]
     fn storm_grows_with_cluster_size() {
-        let rows = storm_vs_cluster_size(&unchecked(), &default_plan(), &[2, 8]);
+        let (cfg, plan) = (unchecked(), default_plan());
+        let headline = run_outage_day(&cfg, &plan);
+        let rows = storm_vs_cluster_size(&cfg, &plan, &[2, 8], &headline);
         assert_eq!(rows.len(), 2);
         assert!(
             rows[1].1.storm_rpcs >= rows[0].1.storm_rpcs,
@@ -695,12 +800,7 @@ mod tests {
             rows[1].1.storm_rpcs,
             rows[0].1.storm_rpcs
         );
-        let render = render_availability(
-            &default_plan(),
-            &run_outage_day(&unchecked(), &default_plan()),
-            &[],
-            &rows,
-        );
+        let render = render_availability(&plan, &headline, &[], &rows);
         assert!(render.contains("recovery storm RPCs:"));
         assert!(render.contains("cluster size"));
     }

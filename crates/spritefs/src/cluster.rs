@@ -16,7 +16,7 @@
 use sdfs_simkit::{CounterSet, SimDuration, SimTime};
 use sdfs_trace::{ClientId, FileId, Handle, OpenMode, Record, RecordKind, ServerId};
 
-use crate::cache::BlockKey;
+use crate::cache::{BlockEntry, BlockKey, DirtyState};
 use crate::client::{Client, FdState, ProcState};
 use crate::config::{
     block_span, disk_time, retry_budget, retry_stall, rpc_time, Config, ConsistencyPolicy,
@@ -423,17 +423,17 @@ impl<S: TraceSink> Cluster<S> {
     /// invalidated. Returns the dirty bytes lost.
     fn discard_file(&mut self, ci: usize, file: FileId) -> u64 {
         let client = self.clients[ci].id;
+        let blocks = self.clients[ci].cache.remove_file(file);
         let mut lost = 0u64;
-        for index in self.clients[ci].cache.dirty_blocks_of(file) {
-            let key = BlockKey { file, index };
-            if let Some(entry) = self.clients[ci].cache.get(key) {
-                lost += entry.dirty_app_bytes;
-            }
-            if let Some(san) = self.san.as_deref_mut() {
-                san.on_crash_lost(client, key);
+        for (index, entry) in &blocks {
+            if let Some(dirty) = entry.dirty {
+                lost += dirty.dirty_app_bytes;
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_crash_lost(client, BlockKey { file, index: *index });
+                }
             }
         }
-        self.invalidate_file(ci, file, false);
+        self.drop_blocks(ci, file, &blocks, false);
         lost
     }
 
@@ -538,7 +538,7 @@ impl<S: TraceSink> Cluster<S> {
             // blocks of a file under the recall policies, so "first
             // client scanned wins" never races a real conflict.
             for &file in &stake.files {
-                if self.clients[ci].cache.dirty_blocks_of(file).is_empty() {
+                if !self.clients[ci].cache.has_dirty(file) {
                     continue;
                 }
                 let st = self.servers[si].file_state(file);
@@ -1954,11 +1954,7 @@ impl<S: TraceSink> Cluster<S> {
     /// Evicts client `ci`'s LRU block for `cause`, writing it back first
     /// if dirty. Returns `false` if the cache was empty.
     fn evict_lru(&mut self, ci: usize, cause: Replacement) -> bool {
-        let Some((key, entry)) = self.clients[ci]
-            .cache
-            .peek_lru()
-            .map(|(k, e)| (k, e.clone()))
-        else {
+        let Some((key, entry)) = self.clients[ci].cache.pop_lru() else {
             return false;
         };
         let (blocks_key, age_key, reason) = match cause {
@@ -1969,14 +1965,13 @@ impl<S: TraceSink> Cluster<S> {
             ),
             Replacement::Vm => (replace::VM_BLOCKS, replace::VM_AGE_US, CleanReason::Vm),
         };
-        if entry.dirty {
-            self.writeback_block(ci, key, reason);
+        if let Some(before) = entry.dirty {
+            self.send_block(ci, key, before, reason);
         }
         let age = self.now.since(entry.last_ref);
         let c = self.counters(ci);
         c.bump(blocks_key);
         c.add(age_key, age.as_micros());
-        self.clients[ci].cache.remove(key);
         if let Some(san) = self.san.as_deref_mut() {
             san.on_drop_block(self.clients[ci].id, key);
         }
@@ -2001,13 +1996,11 @@ impl<S: TraceSink> Cluster<S> {
         }
     }
 
-    /// Writes one dirty block of client `ci` back to its server,
-    /// recording the cleaning reason and age.
-    fn writeback_block(&mut self, ci: usize, key: BlockKey, reason: CleanReason) {
+    /// Sends one block client `ci` just cleaned (or evicted dirty) to
+    /// its server, recording the cleaning reason and age: `before` is
+    /// the block's dirty state just before cleaning.
+    fn send_block(&mut self, ci: usize, key: BlockKey, before: DirtyState, reason: CleanReason) {
         let now = self.now;
-        let Some(before) = self.clients[ci].cache.clean(key) else {
-            return;
-        };
         let id = self.clients[ci].id;
         // A file deleted (or cut short) with dirty data still cached:
         // the write is cancelled.
@@ -2040,8 +2033,8 @@ impl<S: TraceSink> Cluster<S> {
 
     /// Flushes every dirty block client `ci` holds for `file`.
     fn flush_file(&mut self, ci: usize, file: FileId, reason: CleanReason) {
-        for index in self.clients[ci].cache.dirty_blocks_of(file) {
-            self.writeback_block(ci, BlockKey { file, index }, reason);
+        for (index, before) in self.clients[ci].cache.clean_file(file) {
+            self.send_block(ci, BlockKey { file, index }, before, reason);
         }
     }
 
@@ -2065,26 +2058,29 @@ impl<S: TraceSink> Cluster<S> {
     /// selects the staleness counter (consistency invalidation) over
     /// silent dropping.
     fn invalidate_file(&mut self, ci: usize, file: FileId, stale: bool) {
-        let client = &mut self.clients[ci];
-        let indices = client.cache.blocks_of(file);
-        let n = indices.len() as u64;
-        for index in indices {
-            let key = BlockKey { file, index };
-            if let Some(entry) = client.cache.remove(key) {
-                if entry.dirty {
-                    client
-                        .metrics
-                        .counters
-                        .add(mc::CANCELLED_BYTES, entry.dirty_app_bytes);
-                }
-                if let Some(san) = self.san.as_deref_mut() {
-                    san.on_drop_block(client.id, key);
-                }
-            }
-        }
-        if n == 0 {
+        let blocks = self.clients[ci].cache.remove_file(file);
+        self.drop_blocks(ci, file, &blocks, stale);
+    }
+
+    /// Accounts for `blocks` of `file` that client `ci`'s cache just
+    /// dropped: their dirty data is cancelled and their pages released.
+    fn drop_blocks(&mut self, ci: usize, file: FileId, blocks: &[(u64, BlockEntry)], stale: bool) {
+        if blocks.is_empty() {
             return;
         }
+        let client = &mut self.clients[ci];
+        for (index, entry) in blocks {
+            if let Some(dirty) = entry.dirty {
+                client
+                    .metrics
+                    .counters
+                    .add(mc::CANCELLED_BYTES, dirty.dirty_app_bytes);
+            }
+            if let Some(san) = self.san.as_deref_mut() {
+                san.on_drop_block(client.id, BlockKey { file, index: *index });
+            }
+        }
+        let n = blocks.len() as u64;
         client.mem.fc_release(n);
         if stale {
             client.metrics.counters.add(consist::STALE_BLOCKS, n);
@@ -2198,7 +2194,10 @@ mod tests {
         cl.run(std::iter::empty(), SimTime::from_secs(60));
         let cache = &cl.clients()[0].cache;
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.blocks_of(FileId(0)), vec![far / 4096]);
+        assert!(cache.contains(BlockKey {
+            file: FileId(0),
+            index: far / 4096,
+        }));
         assert_eq!(cache.dirty_len(), 0, "the daemon cleaned the block");
         let c = counters(&cl, 0);
         assert_eq!(

@@ -188,10 +188,8 @@ impl Server {
     pub fn crash(&mut self, nvram_bytes: u64) -> (CrashBlocks, CrashBlocks) {
         let mut dirty = Vec::new();
         for file in self.cache.files_with_dirty_before(SimTime::MAX) {
-            for index in self.cache.dirty_blocks_of(file) {
-                let key = BlockKey { file, index };
-                let e = self.cache.get(key).expect("dirty block is cached");
-                dirty.push((e.last_write, key, e.dirty_app_bytes));
+            for (index, d) in self.cache.clean_file(file) {
+                dirty.push((d.last_write, BlockKey { file, index }, d.dirty_app_bytes));
             }
         }
         // Oldest write first, so the buffer's contents — the newest
@@ -265,7 +263,7 @@ impl Server {
     fn evict_past_capacity(&mut self) {
         while self.cache.len() as u64 > self.capacity_blocks {
             if let Some((evicted, entry)) = self.cache.pop_lru() {
-                if entry.dirty {
+                if entry.dirty.is_some() {
                     self.counters.add(names::DISK_WRITE_BYTES, BLOCK_SIZE);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(evicted);
@@ -282,13 +280,10 @@ impl Server {
     /// `cutoff` to disk.
     pub fn flush_dirty_before(&mut self, cutoff: SimTime) {
         for file in self.cache.files_with_dirty_before(cutoff) {
-            for index in self.cache.dirty_blocks_of(file) {
-                let key = BlockKey { file, index };
-                if self.cache.clean(key).is_some() {
-                    self.counters.add(names::DISK_WRITE_BYTES, BLOCK_SIZE);
-                    if self.log_disk_flushes {
-                        self.disk_flush_log.push(key);
-                    }
+            for (index, _) in self.cache.clean_file(file) {
+                self.counters.add(names::DISK_WRITE_BYTES, BLOCK_SIZE);
+                if self.log_disk_flushes {
+                    self.disk_flush_log.push(BlockKey { file, index });
                 }
             }
         }
@@ -296,9 +291,7 @@ impl Server {
 
     /// Drops all cached blocks of `file` (deletion or truncation).
     pub fn drop_file_blocks(&mut self, file: FileId) {
-        for index in self.cache.blocks_of(file) {
-            self.cache.remove(BlockKey { file, index });
-        }
+        self.cache.remove_file(file);
     }
 }
 

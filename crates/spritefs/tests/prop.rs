@@ -281,18 +281,20 @@ enum CacheOp {
     Touch(u8, u8),
     Dirty(u8, u8),
     Clean(u8, u8),
-    Remove(u8, u8),
+    CleanFile(u8),
+    RemoveFile(u8),
     PopLru,
 }
 
 fn random_cache_op(rng: &mut SimRng) -> CacheOp {
     let b = |rng: &mut SimRng| rng.below(256) as u8;
-    match rng.below(6) {
+    match rng.below(7) {
         0 => CacheOp::Insert(b(rng), b(rng)),
         1 => CacheOp::Touch(b(rng), b(rng)),
         2 => CacheOp::Dirty(b(rng), b(rng)),
         3 => CacheOp::Clean(b(rng), b(rng)),
-        4 => CacheOp::Remove(b(rng), b(rng)),
+        4 => CacheOp::CleanFile(b(rng)),
+        5 => CacheOp::RemoveFile(b(rng)),
         _ => CacheOp::PopLru,
     }
 }
@@ -304,8 +306,10 @@ fn key(f: u8, b: u8) -> BlockKey {
     }
 }
 
-/// The cache never loses track of itself: per-file views agree with the
-/// global view, dirty is a subset, and LRU pops drain it fully.
+/// The cache never loses track of itself: its indexes audit clean after
+/// every operation, dirty is a subset, the per-file operations account
+/// for exactly the blocks they clean or drop, and LRU pops drain it
+/// fully.
 #[test]
 fn cache_invariants() {
     let mut rng = SimRng::seed_from_u64(0x4341_4348_4501);
@@ -317,6 +321,7 @@ fn cache_invariants() {
             let op = random_cache_op(&mut rng);
             t += 1;
             let now = SimTime::from_secs(t);
+            let (len, dirty_len) = (cache.len(), cache.dirty_len());
             match op {
                 CacheOp::Insert(f, b) => cache.insert(key(f, b), now),
                 CacheOp::Touch(f, b) => {
@@ -330,20 +335,23 @@ fn cache_invariants() {
                 CacheOp::Clean(f, b) => {
                     cache.clean(key(f, b));
                 }
-                CacheOp::Remove(f, b) => {
-                    cache.remove(key(f, b));
+                CacheOp::CleanFile(f) => {
+                    let cleaned = cache.clean_file(key(f, 0).file);
+                    assert_eq!(cache.dirty_len(), dirty_len - cleaned.len());
+                    assert_eq!(cache.len(), len);
+                }
+                CacheOp::RemoveFile(f) => {
+                    let removed = cache.remove_file(key(f, 0).file);
+                    let dirty = removed.iter().filter(|(_, e)| e.dirty.is_some()).count();
+                    assert_eq!(cache.len(), len - removed.len());
+                    assert_eq!(cache.dirty_len(), dirty_len - dirty);
                 }
                 CacheOp::PopLru => {
                     cache.pop_lru();
                 }
             }
             assert!(cache.dirty_len() <= cache.len());
-            let by_file: usize = (0..8).map(|f| cache.blocks_of(FileId(f)).len()).sum();
-            assert_eq!(by_file, cache.len(), "per-file view diverged");
-            let dirty_by_file: usize = (0..8)
-                .map(|f| cache.dirty_blocks_of(FileId(f)).len())
-                .sum();
-            assert_eq!(dirty_by_file, cache.dirty_len());
+            assert_eq!(cache.audit(), Ok(()));
         }
         // Draining via LRU empties everything.
         let mut drained = 0;
@@ -459,31 +467,18 @@ fn memory_manager_conserves_pages() {
 /// The differential test of the block cache: a reference model built
 /// from ordered std collections, with the semantics the cache must keep
 /// — LRU order by `(last_ref, insertion sequence)`, dirty blocks ordered
-/// by `(dirty_since, key)`.
+/// by `(dirty_since, key)`, and a clean block keeping no dirty state.
 mod cache_model {
     use std::collections::{BTreeMap, BTreeSet};
 
     use sdfs_simkit::{SimRng, SimTime};
-    use sdfs_spritefs::cache::{BlockCache, BlockEntry, BlockKey};
+    use sdfs_spritefs::cache::{BlockCache, BlockEntry, BlockKey, DirtyState};
     use sdfs_trace::FileId;
-
-    /// `(last_ref, dirty, dirty_since, last_write, dirty_app_bytes)`.
-    type Fields = (SimTime, bool, SimTime, SimTime, u64);
-
-    fn fields(e: &BlockEntry) -> Fields {
-        (
-            e.last_ref,
-            e.dirty,
-            e.dirty_since,
-            e.last_write,
-            e.dirty_app_bytes,
-        )
-    }
 
     #[derive(Default)]
     struct Model {
-        /// Key → (entry fields, LRU sequence number).
-        entries: BTreeMap<BlockKey, (Fields, u64)>,
+        /// Key → (entry, LRU sequence number).
+        entries: BTreeMap<BlockKey, (BlockEntry, u64)>,
         lru: BTreeSet<(SimTime, u64, BlockKey)>,
         dirty: BTreeSet<(SimTime, BlockKey)>,
         seq: u64,
@@ -491,12 +486,12 @@ mod cache_model {
 
     impl Model {
         fn touch(&mut self, key: BlockKey, now: SimTime) -> bool {
-            let Some((f, seq)) = self.entries.get_mut(&key) else {
+            let Some((e, seq)) = self.entries.get_mut(&key) else {
                 return false;
             };
-            self.lru.remove(&(f.0, *seq, key));
+            self.lru.remove(&(e.last_ref, *seq, key));
             self.seq += 1;
-            (f.0, *seq) = (now, self.seq);
+            (e.last_ref, *seq) = (now, self.seq);
             self.lru.insert((now, self.seq, key));
             true
         }
@@ -506,8 +501,11 @@ mod cache_model {
                 return;
             }
             self.seq += 1;
-            let f = (now, false, SimTime::ZERO, SimTime::ZERO, 0);
-            self.entries.insert(key, (f, self.seq));
+            let e = BlockEntry {
+                last_ref: now,
+                dirty: None,
+            };
+            self.entries.insert(key, (e, self.seq));
             self.lru.insert((now, self.seq, key));
         }
 
@@ -515,45 +513,56 @@ mod cache_model {
             if !self.touch(key, now) {
                 return false;
             }
-            let f = &mut self.entries.get_mut(&key).expect("touched").0;
-            if !f.1 {
-                (f.1, f.2, f.4) = (true, now, 0);
+            let e = &mut self.entries.get_mut(&key).expect("touched").0;
+            let d = e.dirty.get_or_insert_with(|| {
                 self.dirty.insert((now, key));
-            }
-            f.3 = now;
-            f.4 += bytes;
+                DirtyState {
+                    dirty_since: now,
+                    last_write: now,
+                    dirty_app_bytes: 0,
+                }
+            });
+            d.last_write = now;
+            d.dirty_app_bytes += bytes;
             true
         }
 
-        fn clean(&mut self, key: BlockKey) -> Option<Fields> {
-            let f = &mut self.entries.get_mut(&key)?.0;
-            if !f.1 {
-                return None;
-            }
-            let before = *f;
-            (f.1, f.4) = (false, 0);
-            self.dirty.remove(&(before.2, key));
+        fn clean(&mut self, key: BlockKey) -> Option<DirtyState> {
+            let before = self.entries.get_mut(&key)?.0.dirty.take()?;
+            self.dirty.remove(&(before.dirty_since, key));
             Some(before)
         }
 
-        fn remove(&mut self, key: BlockKey) -> Option<Fields> {
-            let (f, seq) = self.entries.remove(&key)?;
-            self.lru.remove(&(f.0, seq, key));
-            if f.1 {
-                self.dirty.remove(&(f.2, key));
+        fn remove(&mut self, key: BlockKey) -> Option<BlockEntry> {
+            let (e, seq) = self.entries.remove(&key)?;
+            self.lru.remove(&(e.last_ref, seq, key));
+            if let Some(d) = e.dirty {
+                self.dirty.remove(&(d.dirty_since, key));
             }
-            Some(f)
+            Some(e)
         }
 
-        fn peek_lru(&self) -> Option<BlockKey> {
-            self.lru.first().map(|&(_, _, k)| k)
+        fn pop_lru(&mut self) -> Option<(BlockKey, BlockEntry)> {
+            let &(_, _, key) = self.lru.first()?;
+            Some((key, self.remove(key).expect("listed")))
         }
 
-        fn blocks_of(&self, file: FileId, dirty_only: bool) -> Vec<u64> {
-            self.entries
-                .iter()
-                .filter(|(k, (f, _))| k.file == file && (!dirty_only || f.1))
-                .map(|(k, _)| k.index)
+        /// `file`'s cached blocks, in index order.
+        fn blocks_of(&self, file: FileId) -> Vec<BlockKey> {
+            self.entries.keys().filter(|k| k.file == file).copied().collect()
+        }
+
+        fn clean_file(&mut self, file: FileId) -> Vec<(u64, DirtyState)> {
+            let keys = self.blocks_of(file);
+            keys.into_iter()
+                .filter_map(|k| Some((k.index, self.clean(k)?)))
+                .collect()
+        }
+
+        fn remove_file(&mut self, file: FileId) -> Vec<(u64, BlockEntry)> {
+            let keys = self.blocks_of(file);
+            keys.into_iter()
+                .map(|k| (k.index, self.remove(k).expect("listed")))
                 .collect()
         }
 
@@ -572,7 +581,7 @@ mod cache_model {
     /// Far-apart indices: distant groups, and the last group of all.
     const FAR: [u64; 5] = [1 << 20, (1 << 20) + 63, 1 << 50, u64::MAX - 1, u64::MAX];
 
-    /// Half the time a cached key (so clean, remove and touch find
+    /// Half the time a cached key (so cleaning, removal and touch find
     /// something), otherwise any key.
     fn random_key(rng: &mut SimRng, model: &Model) -> BlockKey {
         if !model.entries.is_empty() && rng.chance(0.5) {
@@ -594,18 +603,10 @@ mod cache_model {
         assert_eq!(cache.audit(), Ok(()), "{at}");
         assert_eq!(cache.len(), model.entries.len(), "{at}");
         assert_eq!(cache.dirty_len(), model.dirty.len(), "{at}");
-        assert_eq!(cache.peek_lru().map(|(k, _)| k), model.peek_lru(), "{at}");
-        if let Some((k, e)) = cache.peek_lru() {
-            assert_eq!(fields(e), model.entries[&k].0, "{at}");
-        }
-        for f in 0..FILES {
-            let file = FileId(f);
-            assert_eq!(cache.blocks_of(file), model.blocks_of(file, false), "{at}");
-            assert_eq!(
-                cache.dirty_blocks_of(file),
-                model.blocks_of(file, true),
-                "{at}"
-            );
+        // Same length and every model block cached with the model's
+        // state: the same blocks, per file and dirty or not.
+        for (&k, &(e, _)) in &model.entries {
+            assert_eq!(cache.get(k), Some(e), "{at}, {k:?}");
         }
         for back in [0, 1, 3, 10] {
             let cutoff = SimTime::from_secs(now.as_secs().saturating_sub(back));
@@ -618,9 +619,10 @@ mod cache_model {
         assert_eq!(cache.oldest_dirty(), model.dirty.first().copied(), "{at}");
     }
 
-    /// Random `insert`/`touch`/`mark_dirty`/`clean`/`remove`/`pop_lru`
-    /// sequences with repeated timestamps leave the cache observably
-    /// identical to the model after every step.
+    /// Random `insert`/`touch`/`mark_dirty`/`clean`/`clean_file`/
+    /// `remove_file`/`pop_lru` sequences with repeated timestamps leave
+    /// the cache observably identical to the model after every step, and
+    /// every state an operation returns matches the model's.
     #[test]
     fn cache_matches_ordered_reference_model() {
         let mut rng = SimRng::seed_from_u64(0x4752_4f55_5053);
@@ -633,29 +635,25 @@ mod cache_model {
                 secs += rng.below(3);
                 let now = SimTime::from_secs(secs);
                 let key = random_key(&mut rng, &model);
-                match rng.below(7) {
-                    0 | 1 => {
+                // Per-file removal is rare, as it empties about a
+                // quarter of the cache at once.
+                match rng.below(32) {
+                    0..=11 => {
                         cache.insert(key, now);
                         model.insert(key, now);
                     }
-                    2 => assert_eq!(cache.touch(key, now), model.touch(key, now)),
-                    3 => {
+                    12..=15 => assert_eq!(cache.touch(key, now), model.touch(key, now)),
+                    16..=22 => {
                         let bytes = rng.below(4096);
                         assert_eq!(
                             cache.mark_dirty_if_present(key, now, bytes),
                             model.mark_dirty(key, now, bytes)
                         );
                     }
-                    4 => assert_eq!(cache.clean(key).as_ref().map(fields), model.clean(key)),
-                    5 => assert_eq!(cache.remove(key).as_ref().map(fields), model.remove(key)),
-                    _ => {
-                        let want = model.peek_lru();
-                        let got = cache.pop_lru();
-                        assert_eq!(got.as_ref().map(|(k, _)| *k), want);
-                        if let Some((k, e)) = got {
-                            assert_eq!(Some(fields(&e)), model.remove(k));
-                        }
-                    }
+                    23..=25 => assert_eq!(cache.clean(key), model.clean(key)),
+                    26 | 27 => assert_eq!(cache.clean_file(key.file), model.clean_file(key.file)),
+                    28 => assert_eq!(cache.remove_file(key.file), model.remove_file(key.file)),
+                    _ => assert_eq!(cache.pop_lru(), model.pop_lru()),
                 }
                 compare(&cache, &model, now, step);
             }

@@ -150,6 +150,12 @@ lease, conserv = int(m.group(1)), int(m.group(2))
 assert lease < conserv, f"lease storm {lease} must beat conservative {conserv}"
 PYEOF
 
+echo "==> sanitizer at paper scale: repro --sanitize --traces 1 --days 0 table1 (one paper trace's 36 client and 4 server caches, deep-audited every simulated minute, must be clean)"
+./target/release/repro --sanitize --traces 1 --days 0 table1 > /dev/null 2> /tmp/verify_paper_san.err
+verdicts=$(grep -c '^sanitizer: ' /tmp/verify_paper_san.err || true)
+test "$verdicts" -eq 1 || { echo "a paper-scale trace must print one sanitizer verdict, got $verdicts"; exit 1; }
+grep -q '^sanitizer: clean' /tmp/verify_paper_san.err || { echo "paper-scale SpriteSan verdict not clean:"; cat /tmp/verify_paper_san.err; exit 1; }
+
 echo "==> full scale: repro all stdout matches scripts/golden/full_all_stdout.sha256"
 ./target/release/repro all > /tmp/verify_full_all.txt 2> /dev/null
 want=$(cut -d' ' -f1 scripts/golden/full_all_stdout.sha256)

@@ -33,8 +33,8 @@ fn faulted_report() -> String {
     cfg.cluster.sanitize = true;
     let plan = default_plan();
     let outcome = run_outage_day(&cfg, &plan);
-    let loss = loss_vs_writeback_delay(&cfg, &plan, &[30, 600]);
-    let storm = storm_vs_cluster_size(&cfg, &plan, &[4, 8]);
+    let loss = loss_vs_writeback_delay(&cfg, &plan, &[30, 600], &outcome);
+    let storm = storm_vs_cluster_size(&cfg, &plan, &[4, 8], &outcome);
     let mut s = render_availability(&plan, &outcome, &loss, &storm);
     // Fold the sanitizer verdict in, so oracle state is covered too.
     let san = outcome.sanitizer.expect("ran sanitized");
