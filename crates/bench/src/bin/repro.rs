@@ -354,8 +354,8 @@ fn main() {
             recovery::render_availability(&plan, &outcome, &loss, &storm)
         );
         let n = cfg.cluster.num_clients;
-        let partitions =
-            [false, true].map(|c| recovery::run_partition_day(&cfg, &recovery::partition_plan(n, c)));
+        let partitions = [false, true]
+            .map(|c| recovery::run_partition_day(&cfg, &recovery::partition_plan(n, c)));
         let sweep = recovery::lease_ttl_sweep(&cfg, &[120, 600, 1800], &[60, 900], &partitions);
         let [lease, cons] = &partitions;
         println!(

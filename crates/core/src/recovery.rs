@@ -101,7 +101,7 @@ fn fault_day(base: &StudyConfig, plan: &FaultPlan) -> DayTotals {
 /// A simulated day's outcome that can stand in for the same day run
 /// unchecked: SpriteSan and the observer only watch a day, so a checked
 /// day counts exactly what the unchecked one does.
-trait Outcome: Clone {
+trait Outcome {
     /// This outcome with its checks dropped.
     fn unchecked(&self) -> Self;
 }
@@ -655,10 +655,13 @@ mod tests {
         }
         // The 30 s row and the (600 s, 60 s) cell reuse the headline
         // days; the other rows simulate their own.
+        fn only<V>(mut rows: Vec<(V, OutageOutcome)>) -> OutageOutcome {
+            rows.remove(0).1
+        }
         let swept_outages = [
-            loss_vs_writeback_delay(&cfg, &plan, &[30], &outage).remove(0).1,
-            storm_vs_cluster_size(&cfg, &plan, &[4], &outage).remove(0).1,
-            nvram_ablation(&cfg, &plan, &[1 << 20], &outage).remove(0).1,
+            only(loss_vs_writeback_delay(&cfg, &plan, &[30], &outage)),
+            only(storm_vs_cluster_size(&cfg, &plan, &[4], &outage)),
+            only(nvram_ablation(&cfg, &plan, &[1 << 20], &outage)),
         ];
         let swept_partitions = lease_ttl_sweep(&cfg, &[120, 600], &[60], &partitions)
             .into_iter()

@@ -185,6 +185,16 @@ fn push_back<T: Linked>(slab: &mut Slab<T>, ends: &mut Ends, i: u32) {
     ends.tail = i;
 }
 
+/// Unlinks dirty record `r` from the dirty list ending at `list` and
+/// frees it, returning its state. The caller clears the slot's link and
+/// the group's dirty bit.
+#[inline]
+fn drop_dirty(dirty: &mut Slab<DirtyRec>, list: &mut Ends, r: u32) -> DirtyState {
+    unlink(dirty, list, r);
+    dirty.release(r);
+    dirty[r].state
+}
+
 /// Entries addressed by `u32`, with freed entries reused last-freed
 /// first.
 #[derive(Debug)]
@@ -504,14 +514,6 @@ impl BlockCache {
         state.dirty_app_bytes += app_bytes;
     }
 
-    /// Frees dirty record `r`, returning its state. The caller clears
-    /// the slot's link and the group's dirty bit.
-    fn drop_dirty(&mut self, r: u32) -> DirtyState {
-        unlink(&mut self.dirty, &mut self.dirty_list, r);
-        self.dirty.release(r);
-        self.dirty[r].state
-    }
-
     /// Cleans `key` (its data reached the server), returning its dirty
     /// state just before cleaning; `None` if it is absent or clean.
     pub fn clean(&mut self, key: BlockKey) -> Option<DirtyState> {
@@ -522,7 +524,7 @@ impl BlockCache {
         }
         let r = std::mem::replace(&mut slot.dirty, NIL);
         self.groups[slot.home >> GROUP_SHIFT].dirty &= !(1 << (slot.home & POSITION));
-        Some(self.drop_dirty(r))
+        Some(drop_dirty(&mut self.dirty, &mut self.dirty_list, r))
     }
 
     /// Cleans every dirty block of `file`, returning each one's index
@@ -539,9 +541,8 @@ impl BlockCache {
                 let b = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let r = std::mem::replace(&mut self.slots[group.slots[b]].dirty, NIL);
-                unlink(&mut self.dirty, &mut self.dirty_list, r);
-                self.dirty.release(r);
-                out.push((group.index(b), self.dirty[r].state));
+                let state = drop_dirty(&mut self.dirty, &mut self.dirty_list, r);
+                out.push((group.index(b), state));
             }
         }
         out
@@ -553,7 +554,10 @@ impl BlockCache {
         let Some(list) = self.files.remove(&file) else {
             return Vec::new();
         };
-        let blocks: u32 = list.iter().map(|&g| self.groups[g].present.count_ones()).sum();
+        let blocks: u32 = list
+            .iter()
+            .map(|&g| self.groups[g].present.count_ones())
+            .sum();
         let mut out = Vec::with_capacity(blocks as usize);
         for g in list {
             let group = &mut self.groups[g];
@@ -569,11 +573,8 @@ impl BlockCache {
                 } = self.slots[i];
                 unlink(&mut self.slots, &mut self.lru, i);
                 self.slots.release(i);
-                let dirty = (dirty != NIL).then(|| {
-                    unlink(&mut self.dirty, &mut self.dirty_list, dirty);
-                    self.dirty.release(dirty);
-                    self.dirty[dirty].state
-                });
+                let dirty = (dirty != NIL)
+                    .then(|| drop_dirty(&mut self.dirty, &mut self.dirty_list, dirty));
                 out.push((group.index(b), BlockEntry { last_ref, dirty }));
             }
             self.groups.release(g);
@@ -595,7 +596,8 @@ impl BlockCache {
         } = self.slots[i];
         unlink(&mut self.slots, &mut self.lru, i);
         self.slots.release(i);
-        let dirty = (dirty != NIL).then(|| self.drop_dirty(dirty));
+        let dirty =
+            (dirty != NIL).then(|| drop_dirty(&mut self.dirty, &mut self.dirty_list, dirty));
         let (g, b) = (home >> GROUP_SHIFT, (home & POSITION) as usize);
         let group = &mut self.groups[g];
         let key = BlockKey {
@@ -754,7 +756,9 @@ impl BlockCache {
                 }
                 if i == NIL {
                     if group.dirty & bit != 0 {
-                        return Err(format!("group {number} of {file:?}: absent {b} marked dirty"));
+                        return Err(format!(
+                            "group {number} of {file:?}: absent {b} marked dirty"
+                        ));
                     }
                     continue;
                 }
@@ -843,7 +847,11 @@ fn audit_free(name: &str, free: &[u32], live: &[bool]) -> Result<(), String> {
     for &i in free {
         match live.get(i as usize) {
             Some(false) if !std::mem::replace(&mut listed[i as usize], true) => {}
-            _ => return Err(format!("free {name} {i} is live, listed twice or out of range")),
+            _ => {
+                return Err(format!(
+                    "free {name} {i} is live, listed twice or out of range"
+                ))
+            }
         }
     }
     let live_n = live.iter().filter(|&&l| l).count();
@@ -964,7 +972,10 @@ mod tests {
         assert!(c.clean(key(1, 0)).is_none(), "already clean");
         // Dirtying again restarts the episode.
         c.mark_dirty(key(1, 0), t(10), 7);
-        assert_eq!(c.get(key(1, 0)).expect("cached").dirty, Some(dirty(10, 10, 7)));
+        assert_eq!(
+            c.get(key(1, 0)).expect("cached").dirty,
+            Some(dirty(10, 10, 7))
+        );
     }
 
     #[test]
@@ -1072,8 +1083,16 @@ mod tests {
             }
         }
         assert!(c.is_empty());
-        assert!(c.slots.items.len() <= 8, "slots reused, got {}", c.slots.items.len());
-        assert!(c.dirty.items.len() <= 8, "records reused, got {}", c.dirty.items.len());
+        assert!(
+            c.slots.items.len() <= 8,
+            "slots reused, got {}",
+            c.slots.items.len()
+        );
+        assert!(
+            c.dirty.items.len() <= 8,
+            "records reused, got {}",
+            c.dirty.items.len()
+        );
         assert_eq!(c.groups.items.len(), 1, "the group's entry reused");
         assert_eq!(c.audit(), Ok(()));
     }

@@ -425,11 +425,11 @@ impl<S: TraceSink> Cluster<S> {
         let client = self.clients[ci].id;
         let blocks = self.clients[ci].cache.remove_file(file);
         let mut lost = 0u64;
-        for (index, entry) in &blocks {
+        for &(index, entry) in &blocks {
             if let Some(dirty) = entry.dirty {
                 lost += dirty.dirty_app_bytes;
                 if let Some(san) = self.san.as_deref_mut() {
-                    san.on_crash_lost(client, BlockKey { file, index: *index });
+                    san.on_crash_lost(client, BlockKey { file, index });
                 }
             }
         }
@@ -2069,7 +2069,7 @@ impl<S: TraceSink> Cluster<S> {
             return;
         }
         let client = &mut self.clients[ci];
-        for (index, entry) in blocks {
+        for &(index, entry) in blocks {
             if let Some(dirty) = entry.dirty {
                 client
                     .metrics
@@ -2077,7 +2077,7 @@ impl<S: TraceSink> Cluster<S> {
                     .add(mc::CANCELLED_BYTES, dirty.dirty_app_bytes);
             }
             if let Some(san) = self.san.as_deref_mut() {
-                san.on_drop_block(client.id, BlockKey { file, index: *index });
+                san.on_drop_block(client.id, BlockKey { file, index });
             }
         }
         let n = blocks.len() as u64;

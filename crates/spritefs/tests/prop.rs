@@ -549,7 +549,11 @@ mod cache_model {
 
         /// `file`'s cached blocks, in index order.
         fn blocks_of(&self, file: FileId) -> Vec<BlockKey> {
-            self.entries.keys().filter(|k| k.file == file).copied().collect()
+            self.entries
+                .keys()
+                .filter(|k| k.file == file)
+                .copied()
+                .collect()
         }
 
         fn clean_file(&mut self, file: FileId) -> Vec<(u64, DirtyState)> {
