@@ -119,7 +119,8 @@ trait Outcome {
 fn sweep<V: Copy, O: Outcome>(
     base: &StudyConfig,
     values: &[V],
-    (headline, is_headline): (&O, impl Fn(V) -> bool),
+    headline: &O,
+    is_headline: impl Fn(V) -> bool,
     day: impl Fn(StudyConfig, V) -> O,
 ) -> Vec<(V, O)> {
     let mut unchecked = base.clone();
@@ -176,7 +177,7 @@ pub fn loss_vs_writeback_delay(
     headline: &OutageOutcome,
 ) -> Vec<(u64, OutageOutcome)> {
     let own = |delay| SimDuration::from_secs(delay) == base.cluster.writeback_delay;
-    sweep(base, delays_secs, (headline, own), |mut cfg, delay| {
+    sweep(base, delays_secs, headline, own, |mut cfg, delay| {
         cfg.cluster.writeback_delay = SimDuration::from_secs(delay);
         run_outage_day(&cfg, plan)
     })
@@ -197,7 +198,7 @@ pub fn storm_vs_cluster_size(
     headline: &OutageOutcome,
 ) -> Vec<(u16, OutageOutcome)> {
     let own = |n| n == base.cluster.num_clients && n == base.workload.num_clients;
-    sweep(base, sizes, (headline, own), |mut cfg, n| {
+    sweep(base, sizes, headline, own, |mut cfg, n| {
         cfg.cluster.num_clients = n;
         cfg.workload.num_clients = n;
         run_outage_day(&cfg, plan)
@@ -433,7 +434,7 @@ pub fn lease_ttl_sweep(
         .flat_map(|&cut| ttls_secs.iter().map(move |&ttl| (cut, ttl)))
         .collect();
     let own = |cell| cell == PARTITION_CELL;
-    sweep(base, &cells, (headline, own), |cfg, (cut, ttl)| {
+    sweep(base, &cells, headline, own, |cfg, (cut, ttl)| {
         [false, true].map(|conservative| {
             let plan = partition_plan_for(
                 cfg.cluster.num_clients,
@@ -550,7 +551,7 @@ pub fn nvram_ablation(
     headline: &OutageOutcome,
 ) -> Vec<(u64, OutageOutcome)> {
     let own = |nvram| nvram == base.cluster.server_nvram_bytes;
-    sweep(base, sizes, (headline, own), |mut cfg, nvram| {
+    sweep(base, sizes, headline, own, |mut cfg, nvram| {
         cfg.cluster.server_nvram_bytes = nvram;
         run_outage_day(&cfg, plan)
     })
